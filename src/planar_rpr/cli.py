@@ -263,7 +263,9 @@ def main(argv=None) -> int:
         click.echo("aborted", err=True)
         return 1
     except RobotError as exc:
-        click.echo(f"error: {exc}", err=True)
+        explored = getattr(exc, "explored", 0)
+        suffix = f" (explored {explored} grid nodes)" if explored > 0 else ""
+        click.echo(f"error: {exc}{suffix}", err=True)
         return 1
     return 0
 

@@ -38,7 +38,13 @@ class AmbiguousContinuation(RobotError):
 
 
 class NoPathFound(RobotError):
-    """The planner exhausted its search without a valid mode-changing path."""
+    """The planner exhausted its search without a valid mode-changing path.
+
+    ``explored`` counts the grid nodes reachable from the searched
+    endpoint(s): from the start alone, or the union of the start's and the
+    target's reachable sets when both were searched.  It is 0 when the
+    planner failed before any grid search.
+    """
 
     def __init__(self, message: str, explored: int = 0):
         self.explored = explored

@@ -34,7 +34,6 @@ can apply whatever practical margin the hardware needs.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -442,17 +441,19 @@ def verify_mode_change(
 # grid planner
 
 
-def _segment_admissible(geom, p0: Pose, p1: Pose, eps_pass, safe, L, fine_step=None) -> bool:
-    """A pose segment is admissible when every determinant sign change on it
-    is a passage through a passage-safe leg.
+def _segment_crossings(geom, p0: Pose, p1: Pose, eps_pass, safe, L, fine_step=None):
+    """Crossing events of an admissible pose segment, or None when the
+    segment is inadmissible.
 
-    The sample density matches the grid-edge scans: at least one sample per
-    ``fine_step`` of pose distance, so shortcuts spanning many cells are
-    checked as strictly as single edges.
+    A segment is admissible when every determinant sign change on it is a
+    passage through a passage-safe leg.  The sample density matches the
+    grid-edge scans: at least one sample per ``fine_step`` of pose
+    distance, so shortcuts spanning many cells are checked as strictly as
+    single edges.
     """
     length = pose_distance(p0, p1, L)
     if length <= 1e-9 * L:
-        return True
+        return []
     samples = 2 * EDGE_SUBSAMPLES
     if fine_step is not None and fine_step > 0.0:
         samples = max(samples, int(np.ceil(length / fine_step)))
@@ -460,10 +461,10 @@ def _segment_admissible(geom, p0: Pose, p1: Pose, eps_pass, safe, L, fine_step=N
     events = detect_crossings(geom, seg, eps_pass)
     for e in events:
         if e.kind == "parallel":
-            return False
+            return None
         if e.kind == "passage" and not safe[e.leg - 1]:
-            return False
-    return True
+            return None
+    return events
 
 
 def _axis_edge_scan(geom, xs, ys, phis, axis, eps_pass):
@@ -475,33 +476,28 @@ def _axis_edge_scan(geom, xs, ys, phis, axis, eps_pass):
     enough that the crossing could sit inside the passage window.
     """
     nx, ny, np_ = len(xs), len(ys), len(phis)
+    if axis < 2:
+        # the scanned axis runs along rows, the other spatial axis along columns
+        along, other = (xs, ys) if axis == 0 else (ys, xs)
+        n, no = len(along), len(other)
+        fine = np.linspace(along[0], along[-1], (n - 1) * EDGE_SUBSAMPLES + 1)
+        margin = (along[1] - along[0]) / EDGE_SUBSAMPLES
+        cross = np.zeros((n - 1, no, np_), bool)
+        cand = np.zeros((n - 1, no, np_), bool)
+        xy = (fine[:, None], other[None, :])
+        if axis == 1:
+            xy = xy[::-1]
+        for m, ph in enumerate(phis):
+            det, dmin = _det_and_min_distance(geom, *xy, ph)
+            sgn = np.sign(det)
+            chg = (sgn[:-1] * sgn[1:] <= 0).reshape(n - 1, EDGE_SUBSAMPLES, no).any(axis=1)
+            dm = np.minimum(dmin[:-1], dmin[1:]).reshape(n - 1, EDGE_SUBSAMPLES, no).min(axis=1)
+            cross[:, :, m] = chg
+            cand[:, :, m] = chg & (dm <= eps_pass + margin)
+        if axis == 1:
+            cross, cand = cross.transpose(1, 0, 2), cand.transpose(1, 0, 2)
+        return cross, cand
     maxb = float(np.max(np.hypot(geom.platform[:, 0], geom.platform[:, 1])))
-    if axis == 0:
-        fine = np.linspace(xs[0], xs[-1], (nx - 1) * EDGE_SUBSAMPLES + 1)
-        margin = (xs[1] - xs[0]) / EDGE_SUBSAMPLES
-        cross = np.zeros((nx - 1, ny, np_), bool)
-        cand = np.zeros((nx - 1, ny, np_), bool)
-        for m, ph in enumerate(phis):
-            det, dmin = _det_and_min_distance(geom, fine[:, None], ys[None, :], ph)
-            sgn = np.sign(det)
-            chg = (sgn[:-1, :] * sgn[1:, :] <= 0).reshape(nx - 1, EDGE_SUBSAMPLES, ny).any(axis=1)
-            dm = np.minimum(dmin[:-1, :], dmin[1:, :]).reshape(nx - 1, EDGE_SUBSAMPLES, ny).min(axis=1)
-            cross[:, :, m] = chg
-            cand[:, :, m] = chg & (dm <= eps_pass + margin)
-        return cross, cand
-    if axis == 1:
-        fine = np.linspace(ys[0], ys[-1], (ny - 1) * EDGE_SUBSAMPLES + 1)
-        margin = (ys[1] - ys[0]) / EDGE_SUBSAMPLES
-        cross = np.zeros((nx, ny - 1, np_), bool)
-        cand = np.zeros((nx, ny - 1, np_), bool)
-        for m, ph in enumerate(phis):
-            det, dmin = _det_and_min_distance(geom, xs[:, None], fine[None, :], ph)
-            sgn = np.sign(det)
-            chg = (sgn[:, :-1] * sgn[:, 1:] <= 0).reshape(nx, ny - 1, EDGE_SUBSAMPLES).any(axis=2)
-            dm = np.minimum(dmin[:, :-1], dmin[:, 1:]).reshape(nx, ny - 1, EDGE_SUBSAMPLES).min(axis=2)
-            cross[:, :, m] = chg
-            cand[:, :, m] = chg & (dm <= eps_pass + margin)
-        return cross, cand
     fine = np.linspace(0.0, 2.0 * np.pi, np_ * EDGE_SUBSAMPLES, endpoint=False)
     margin = (2.0 * np.pi / np_) / EDGE_SUBSAMPLES * max(maxb, 1e-300)
     sgn = np.empty((nx, ny, np_ * EDGE_SUBSAMPLES), np.int8)
@@ -515,63 +511,38 @@ def _axis_edge_scan(geom, xs, ys, phis, axis, eps_pass):
     return chg, chg & (dm <= eps_pass + margin)
 
 
-def _dijkstra(adj_ok, costs, shape, source):
-    """Shortest-path tree on the grid; adjacency via per-axis edge masks."""
-    nx, ny, np_ = shape
-    ok_x, ok_y, ok_p = adj_ok
-    cx, cy, cp = costs
-    dist = np.full(shape, np.inf)
-    prev = {}
-    dist[source] = 0.0
-    counter = 0
-    heap = [(0.0, counter, source)]
-    popped = 0
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        popped += 1
-        if d > dist[u]:
-            continue
-        i, j, m = u
-        steps = []
-        if i + 1 < nx and ok_x[i, j, m]:
-            steps.append(((i + 1, j, m), cx))
-        if i - 1 >= 0 and ok_x[i - 1, j, m]:
-            steps.append(((i - 1, j, m), cx))
-        if j + 1 < ny and ok_y[i, j, m]:
-            steps.append(((i, j + 1, m), cy))
-        if j - 1 >= 0 and ok_y[i, j - 1, m]:
-            steps.append(((i, j - 1, m), cy))
-        if ok_p[i, j, m]:
-            steps.append(((i, j, (m + 1) % np_), cp))
-        if ok_p[i, j, (m - 1) % np_]:
-            steps.append(((i, j, (m - 1) % np_), cp))
-        for v, w in steps:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                prev[v] = u
-                counter += 1
-                heapq.heappush(heap, (nd, counter, v))
-    return dist, prev, popped
+def _edge_ends(shape):
+    """Flat node indices (lower end, upper end) of every grid edge, per axis.
+
+    Node (i, j, m) has index ``ravel_multi_index((i, j, m), shape)``; the
+    phi edges wrap from m = np_ - 1 back to 0.
+    """
+    idx = np.arange(np.prod(shape)).reshape(shape)
+    return (
+        (idx[:-1], idx[1:]),
+        (idx[:, :-1], idx[:, 1:]),
+        (idx, np.roll(idx, -1, axis=2)),
+    )
 
 
-def _walk_back(prev, source, node):
-    out = [node]
-    while out[-1] != source:
-        out.append(prev[out[-1]])
+def _grid_graph(ok, costs, shape):
+    """Undirected CSR graph of the admissible grid edges."""
+    from scipy.sparse import csr_matrix
+
+    ends = _edge_ends(shape)
+    rows = np.concatenate([lo[mask] for (lo, _), mask in zip(ends, ok)])
+    cols = np.concatenate([hi[mask] for (_, hi), mask in zip(ends, ok)])
+    weights = np.concatenate([np.full(int(mask.sum()), w) for mask, w in zip(ok, costs)])
+    n = int(np.prod(shape))
+    return csr_matrix((weights, (rows, cols)), shape=(n, n))
+
+
+def _walk_back(pred, node):
+    """Node indices from the search source to ``node`` along ``pred``."""
+    out = [int(node)]
+    while pred[out[-1]] >= 0:
+        out.append(int(pred[out[-1]]))
     return out[::-1]
-
-
-def _edge_key(a, b, np_):
-    """Canonical (axis, i, j, m) of the grid edge between neighbour nodes."""
-    (i, j, m), (i2, j2, m2) = a, b
-    if m == m2:
-        if j == j2:
-            return (0, min(i, i2), j, m)
-        return (1, i, min(j, j2), m)
-    if (m + 1) % np_ == m2:
-        return (2, i, j, m)
-    return (2, i, j, m2)
 
 
 def plan_mode_change(
@@ -634,98 +605,96 @@ def plan_mode_change(
     ys = np.linspace(y0, y1, ny)
     phis = np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
 
+    shape = (nx, ny, np_)
     fine_step = min(xs[1] - xs[0], ys[1] - ys[0], L * 2.0 * np.pi / np_) / EDGE_SUBSAMPLES
-    cross_x, cand_x = _axis_edge_scan(geom, xs, ys, phis, 0, eps_pass)
-    cross_y, cand_y = _axis_edge_scan(geom, xs, ys, phis, 1, eps_pass)
-    cross_p, cand_p = _axis_edge_scan(geom, xs, ys, phis, 2, eps_pass)
-    ok = [~cross_x, ~cross_y, ~cross_p]
+    costs = (float(xs[1] - xs[0]), float(ys[1] - ys[0]), float(L * 2.0 * np.pi / np_))
+    scans = [_axis_edge_scan(geom, xs, ys, phis, axis, eps_pass) for axis in range(3)]
+    ok = [~cross for cross, _ in scans]
+    ends = _edge_ends(shape)
 
-    def node_pose(i, j, m):
+    def node_pose(node):
+        i, j, m = np.unravel_index(node, shape)
         return Pose(float(xs[i]), float(ys[j]), float(phis[m]))
 
-    def edge_poses(axis, i, j, m):
-        p0 = node_pose(i, j, m)
-        if axis == 0:
-            p1 = node_pose(i + 1, j, m)
-        elif axis == 1:
-            p1 = node_pose(i, j + 1, m)
-        else:
-            p1 = Pose(p0.x, p0.y, float(phis[m]) + 2.0 * np.pi / np_)
-        return p0, p1
+    def crossings(p0, p1):
+        return _segment_crossings(geom, p0, p1, eps_pass, safe, L, fine_step)
 
+    # a door is a candidate edge whose single crossing check finds it
+    # admissible with at least one passage
     doors = []
-    for axis, mask in ((0, cand_x), (1, cand_y), (2, cand_p)):
-        for idx in np.argwhere(mask):
-            i, j, m = (int(v) for v in idx)
-            p0, p1 = edge_poses(axis, i, j, m)
-            if _segment_admissible(geom, p0, p1, eps_pass, safe, L, fine_step):
-                events = detect_crossings(geom, WorkspacePath((p0, p1), 2 * EDGE_SUBSAMPLES), eps_pass)
-                if any(e.kind == "passage" for e in events):
-                    doors.append((axis, i, j, m))
-                    ok[axis][i, j, m] = True
-    door_set = set(doors)
+    for axis, (_, cand) in enumerate(scans):
+        lo, hi = ends[axis]
+        for idx in map(tuple, np.argwhere(cand)):
+            p0 = node_pose(lo[idx])
+            if axis < 2:
+                p1 = node_pose(hi[idx])
+            else:
+                p1 = Pose(p0.x, p0.y, p0.phi + 2.0 * np.pi / np_)
+            events = crossings(p0, p1)
+            if events is not None and any(e.kind == "passage" for e in events):
+                doors.append((int(lo[idx]), int(hi[idx]), costs[axis]))
+                ok[axis][idx] = True
+    door_set = {frozenset(d[:2]) for d in doors}
 
     def snap(pose: Pose, label: str):
         ci = int(np.clip(np.searchsorted(xs, pose.x) - 1, 0, nx - 2))
         cj = int(np.clip(np.searchsorted(ys, pose.y) - 1, 0, ny - 2))
         cm = int(np.floor(wrap_angle(pose.phi) % (2.0 * np.pi) / (2.0 * np.pi / np_))) % np_
         corners = [
-            (ci + di, cj + dj, (cm + dm) % np_)
+            int(np.ravel_multi_index((ci + di, cj + dj, (cm + dm) % np_), shape))
             for di in (0, 1)
             for dj in (0, 1)
             for dm in (0, 1)
         ]
-        corners.sort(key=lambda c: pose_distance(pose, node_pose(*c), L))
+        corners.sort(key=lambda c: pose_distance(pose, node_pose(c), L))
         for c in corners:
-            if _segment_admissible(geom, pose, node_pose(*c), eps_pass, safe, L, fine_step):
+            if crossings(pose, node_pose(c)) is not None:
                 return c
         raise NoPathFound(f"could not connect the {label} pose to the search grid")
 
     s_node = snap(start, "start")
     t_node = snap(target, "target")
 
-    costs = (float(xs[1] - xs[0]), float(ys[1] - ys[0]), float(L * 2.0 * np.pi / np_))
-    dist_s, prev_s, popped_s = _dijkstra(ok, costs, (nx, ny, np_), s_node)
-    if not np.isfinite(dist_s[t_node]):
-        raise NoPathFound("grid search exhausted without reaching the target", explored=popped_s)
-    nodes = _walk_back(prev_s, s_node, t_node)
-    used_doors = {
-        _edge_key(a, b, np_) for a, b in zip(nodes[:-1], nodes[1:])
-    } & door_set
+    from scipy.sparse.csgraph import dijkstra
+
+    graph = _grid_graph(ok, costs, shape)
+    dist_s, pred_s = dijkstra(graph, directed=False, indices=s_node, return_predecessors=True)
+    reached = np.isfinite(dist_s)
+    if not reached[t_node]:
+        raise NoPathFound(
+            "grid search exhausted without reaching the target",
+            explored=int(np.count_nonzero(reached)),
+        )
+    nodes = _walk_back(pred_s, t_node)
+    used_doors = {frozenset(e) for e in zip(nodes[:-1], nodes[1:])} & door_set
 
     if require_crossing and not used_doors:
         if not doors:
             raise NoPathFound(
                 "no passage edge exists at this resolution; try a finer grid "
                 "or a wider eps_pass",
-                explored=popped_s,
+                explored=int(np.count_nonzero(reached)),
             )
-        dist_t, prev_t, popped_t = _dijkstra(ok, costs, (nx, ny, np_), t_node)
-        best = None
-        for axis, i, j, m in doors:
-            if axis == 0:
-                u, v, w = (i, j, m), (i + 1, j, m), costs[0]
-            elif axis == 1:
-                u, v, w = (i, j, m), (i, j + 1, m), costs[1]
-            else:
-                u, v, w = (i, j, m), (i, j, (m + 1) % np_), costs[2]
-            for a, b in ((u, v), (v, u)):
-                total = dist_s[a] + w + dist_t[b]
-                if np.isfinite(total) and (best is None or total < best[0]):
-                    best = (float(total), a, b, (axis, i, j, m))
-        if best is None:
+        dist_t, pred_t = dijkstra(graph, directed=False, indices=t_node, return_predecessors=True)
+        # both orientations of every door, in door order, so the first
+        # cheapest splice wins
+        lo, hi, w = (np.array(v) for v in zip(*doors))
+        a = np.column_stack([lo, hi]).ravel()
+        b = np.column_stack([hi, lo]).ravel()
+        total = dist_s[a] + np.repeat(w, 2) + dist_t[b]
+        k = int(np.argmin(total))
+        if not np.isfinite(total[k]):
             raise NoPathFound(
                 "no passage edge is reachable from both endpoints",
-                explored=popped_s + popped_t,
+                explored=int(np.count_nonzero(reached | np.isfinite(dist_t))),
             )
-        _, a, b, door = best
-        nodes = _walk_back(prev_s, s_node, a) + _walk_back(prev_t, t_node, b)[::-1]
-        used_doors = {door}
+        nodes = _walk_back(pred_s, a[k]) + _walk_back(pred_t, b[k])[::-1]
+        used_doors = {frozenset((int(a[k]), int(b[k])))}
 
-    waypoints = [start] + [node_pose(*nd) for nd in nodes] + [target]
+    waypoints = [start] + [node_pose(nd) for nd in nodes] + [target]
     protected = set()
     for k in range(1, len(waypoints) - 2):
-        if _edge_key(nodes[k - 1], nodes[k], np_) in used_doors:
+        if frozenset(nodes[k - 1 : k + 1]) in used_doors:
             protected.update((k, k + 1))
 
     kept = [0]
@@ -738,7 +707,7 @@ def plan_mode_change(
                 break
         j = hi
         while j > k + 1:
-            if _segment_admissible(geom, waypoints[k], waypoints[j], eps_pass, safe, L, fine_step):
+            if crossings(waypoints[k], waypoints[j]) is not None:
                 break
             j -= 1
         kept.append(j)

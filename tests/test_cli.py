@@ -1,8 +1,13 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import planar_rpr
 from planar_rpr import ParseError, Pose, ValidationError, load_robot, pose_distance
 from planar_rpr.cli import main
 
@@ -176,6 +181,30 @@ def test_cli_plan_and_verify(ref_file, tmp_path, capfd):
     assert np.allclose(
         np.asarray(cert["start_joints_sq"]), np.asarray(cert["end_joints_sq"]), atol=1e-9 * L**2
     )
+
+
+def test_cli_plan_no_path_reports_explored(ref_file, capfd):
+    args = ["plan", "--robot", str(ref_file), "--start", "5,5,0", "--res", "8,8,8"]
+    assert main(args) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    match = re.fullmatch(
+        r"error: grid search exhausted without reaching the target "
+        r"\(explored (\d+) grid nodes\)\n",
+        err,
+    )
+    assert match and int(match.group(1)) > 0
+
+
+def test_cli_import_leaves_csgraph_unloaded():
+    """The planner imports scipy.sparse.csgraph lazily, so cold start skips it."""
+    src = os.path.dirname(os.path.dirname(planar_rpr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, planar_rpr.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_cli_determinism(ref_file, capfd):

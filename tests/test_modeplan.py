@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from planar_rpr import (
     ArchitecturalSingularity,
     InvalidStart,
     JointVector,
+    NoPathFound,
     Pose,
     ValidationError,
     WorkspacePath,
@@ -19,6 +22,7 @@ from planar_rpr import (
     verify_mode_change,
 )
 from planar_rpr.model import rotation
+from planar_rpr.modeplan import _grid_graph, _walk_back
 
 from conftest import REF_SCALE
 
@@ -220,3 +224,80 @@ def test_verify_joint_trace_endpoints(ref, planned):
     assert np.allclose(np.abs(jp.rho[0]), np.abs(start_rho), atol=1e-9)
     # squared values match at both ends regardless of the carried signs
     assert np.allclose(jp.rho[-1] ** 2, cert.end_joints_sq, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "resolution, message",
+    [((8, 8, 8), "grid search exhausted"), ((12, 12, 12), "no passage edge exists")],
+)
+def test_no_path_found_reports_explored(ref, resolution, message):
+    with pytest.raises(NoPathFound, match=message) as info:
+        plan_mode_change(ref, Pose(5, 5, 0), resolution=resolution)
+    assert 0 < info.value.explored <= int(np.prod(resolution))
+
+
+def _heap_dijkstra(ok, costs, shape, source):
+    """Textbook heap Dijkstra over the grid: the oracle for the CSR graph."""
+    nx, ny, np_ = shape
+    ok_x, ok_y, ok_p = ok
+    dist = np.full(shape, np.inf)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, (i, j, m) = heapq.heappop(heap)
+        if d > dist[i, j, m]:
+            continue
+        steps = []
+        if i + 1 < nx and ok_x[i, j, m]:
+            steps.append(((i + 1, j, m), costs[0]))
+        if i > 0 and ok_x[i - 1, j, m]:
+            steps.append(((i - 1, j, m), costs[0]))
+        if j + 1 < ny and ok_y[i, j, m]:
+            steps.append(((i, j + 1, m), costs[1]))
+        if j > 0 and ok_y[i, j - 1, m]:
+            steps.append(((i, j - 1, m), costs[1]))
+        if ok_p[i, j, m]:
+            steps.append(((i, j, (m + 1) % np_), costs[2]))
+        if ok_p[i, j, (m - 1) % np_]:
+            steps.append(((i, j, (m - 1) % np_), costs[2]))
+        for v, w in steps:
+            if d + w < dist[v]:
+                dist[v] = d + w
+                heapq.heappush(heap, (d + w, v))
+    return dist
+
+
+def test_grid_graph_matches_heap_dijkstra():
+    from scipy.sparse.csgraph import dijkstra
+
+    shape = (9, 10, 8)
+    nx, ny, np_ = shape
+    costs = (0.7, 1.3, 2.1)
+    rng = np.random.default_rng(5)
+    ok = [
+        rng.random((nx - 1, ny, np_)) < 0.7,
+        rng.random((nx, ny - 1, np_)) < 0.7,
+        rng.random((nx, ny, np_)) < 0.7,
+    ]
+    source = (4, 5, 0)
+    ok[2][4, 5, np_ - 1] = True  # the wrap edge m = np_-1 -> 0 at the source
+    graph = _grid_graph(ok, costs, shape)
+    src = int(np.ravel_multi_index(source, shape))
+    dist, pred = dijkstra(graph, directed=False, indices=src, return_predecessors=True)
+
+    expected = _heap_dijkstra(ok, costs, shape, source).ravel()
+    assert np.array_equal(np.isfinite(dist), np.isfinite(expected))
+    assert np.allclose(dist[np.isfinite(dist)], expected[np.isfinite(expected)], rtol=1e-12)
+    assert np.count_nonzero(np.isfinite(dist)) > nx * ny * np_ // 2
+
+    wrapped = int(np.ravel_multi_index((4, 5, np_ - 1), shape))
+    assert pred[wrapped] == src and dist[wrapped] == costs[2]
+    for node in np.flatnonzero(np.isfinite(dist)):
+        walk = _walk_back(pred, node)
+        assert walk[0] == src and walk[-1] == node
+        coords = np.array(np.unravel_index(walk, shape)).T
+        total = 0.0
+        for a, b in zip(coords[:-1], coords[1:]):
+            axis = int(np.flatnonzero(a != b)[0])
+            total += costs[axis]
+        assert total == pytest.approx(dist[node], rel=1e-12)
