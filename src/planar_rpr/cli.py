@@ -8,6 +8,7 @@ usage errors.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import warnings
 
@@ -47,9 +48,18 @@ def _floats(text: str, n: int, what: str) -> list[float]:
     if len(parts) != n:
         raise click.UsageError(f"{what} needs {n} comma-separated numbers, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise click.UsageError(f"{what} needs numbers, got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise click.UsageError(f"{what} needs finite numbers, got {text!r}")
+    return values
+
+
+def _finite(ctx, param, value):
+    if value is not None and not math.isfinite(value):
+        raise click.BadParameter(f"needs a finite number, got {value!r}")
+    return value
 
 
 def _pose_arg(text: str) -> Pose:
@@ -71,7 +81,7 @@ def _solution_rows(sols):
 
 
 @click.group()
-@click.option("--seed", type=int, default=None, help="Seed for sampling schedules.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Seed for sampling schedules.")
 @click.pass_context
 def cli(ctx, seed):
     """Model 3-RPR planar parallel robots: kinematics, singularity loci and
@@ -143,9 +153,9 @@ def classify(robot_path, pose_text):
 
 @cli.command()
 @click.option("--robot", "robot_path", required=True, type=click.Path())
-@click.option("--phi", type=float, required=True)
+@click.option("--phi", type=float, required=True, callback=_finite)
 @click.option("--window", "window_text", required=True, help="x0,y0,x1,y1")
-@click.option("--step", type=float, required=True)
+@click.option("--step", type=float, required=True, callback=_finite)
 @click.option("--out", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.pass_obj
 def locus(cfg, robot_path, phi, window_text, step, fmt):

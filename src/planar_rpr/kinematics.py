@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DegenerateElimination
+from .errors import DegenerateElimination, ValidationError
 from .model import (
     JointVector,
     Pose,
@@ -415,7 +415,7 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = 4096) -> FkS
     roots.  The sweep wraps around 2*pi.
     """
     if grid < 8:
-        raise ValueError("grid must be at least 8")
+        raise ValidationError("grid must be at least 8")
     L = characteristic_scale(geom)
     res_tol = RESIDUAL_REL * L**2
     rho_sq = joints.squared

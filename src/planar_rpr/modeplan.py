@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     AmbiguousContinuation,
@@ -51,7 +50,6 @@ from .model import (
     Pose,
     RobotGeometry,
     characteristic_scale,
-    platform_points,
     pose_distance,
     wrap_angle,
 )
@@ -61,7 +59,8 @@ from .singularity import (
     is_architecturally_singular,
     leg_lines,
     passage_safety,
-    _det_and_min_distance,
+    _leg_geometry,
+    _line_measure,
     _two_line_clearance,
 )
 
@@ -92,23 +91,29 @@ class WorkspacePath:
         if self.samples_per_segment < 16:
             raise ValidationError("samples_per_segment must be at least 16")
         object.__setattr__(self, "waypoints", wps)
+        object.__setattr__(self, "_table", np.array([w.as_tuple() for w in wps], dtype=float))
 
     @property
     def segment_count(self) -> int:
         return len(self.waypoints) - 1
 
+    def poses_at(self, ts):
+        """Arrays (x, y, phi) at global parameters ``ts``, clamped to [0, 1]."""
+        n = self.segment_count
+        t = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0)
+        k = np.minimum((t * n).astype(int), n - 1)
+        s = t * n - k
+        a, b = self._table[k], self._table[k + 1]
+        d = b - a
+        return (
+            a[..., 0] + s * d[..., 0],
+            a[..., 1] + s * d[..., 1],
+            a[..., 2] + s * wrap_angle(d[..., 2]),
+        )
+
     def pose_at(self, t: float) -> Pose:
         """Pose at global parameter t in [0, 1]."""
-        n = self.segment_count
-        t = min(max(float(t), 0.0), 1.0)
-        k = min(int(t * n), n - 1)
-        s = t * n - k
-        a, b = self.waypoints[k], self.waypoints[k + 1]
-        return Pose(
-            a.x + s * (b.x - a.x),
-            a.y + s * (b.y - a.y),
-            a.phi + s * wrap_angle(b.phi - a.phi),
-        )
+        return Pose(*(float(v) for v in self.poses_at(t)))
 
 
 @dataclass(frozen=True)
@@ -200,11 +205,6 @@ def _check_waypoints(geom: RobotGeometry, path: WorkspacePath):
             raise ValidationError("consecutive waypoints must be distinct")
 
 
-def _leg_distance_at(geom: RobotGeometry, pose: Pose) -> np.ndarray:
-    b = platform_points(geom, pose)
-    return np.hypot(b[:, 0] - geom.base[:, 0], b[:, 1] - geom.base[:, 1])
-
-
 def _sample_params(geom: RobotGeometry, path: WorkspacePath) -> np.ndarray:
     """Dense global parameters: uniform per segment, refined x8 where any
     leg length drops below the refinement band."""
@@ -212,15 +212,11 @@ def _sample_params(geom: RobotGeometry, path: WorkspacePath) -> np.ndarray:
     n = path.segment_count
     S = path.samples_per_segment
     base = np.unique(np.concatenate([(k + np.linspace(0.0, 1.0, S + 1)) / n for k in range(n)]))
-    dmin = np.array([_leg_distance_at(geom, path.pose_at(t)).min() for t in base])
-    refine = (dmin[:-1] < REFINE_BAND_REL * L) | (dmin[1:] < REFINE_BAND_REL * L)
-    if not np.any(refine):
-        return base
-    extra = []
+    dmin = _leg_geometry(geom, *path.poses_at(base))[2].min(axis=-1)
+    k = np.nonzero((dmin[:-1] < REFINE_BAND_REL * L) | (dmin[1:] < REFINE_BAND_REL * L))[0]
     frac = np.arange(1, REFINE_FACTOR) / REFINE_FACTOR
-    for k in np.nonzero(refine)[0]:
-        extra.append(base[k] + (base[k + 1] - base[k]) * frac)
-    return np.unique(np.concatenate([base] + extra))
+    extra = base[k, None] + (base[k + 1] - base[k])[:, None] * frac
+    return np.unique(np.concatenate([base, extra.ravel()]))
 
 
 def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
@@ -232,22 +228,22 @@ def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
     the zero band across consecutive samples, raises
     :class:`AmbiguousContinuation`.
     """
+    from scipy.optimize import minimize_scalar
+
     _check_waypoints(geom, path)
     L = characteristic_scale(geom)
     zero_tol = ZERO_TOUCH_REL * L
     ts = _sample_params(geom, path)
-    m = len(ts)
-
-    vecs = np.empty((m, 3, 2))
-    for k, t in enumerate(ts):
-        b = platform_points(geom, path.pose_at(t))
-        vecs[k] = b - geom.base
-    dist = np.hypot(vecs[..., 0], vecs[..., 1])
+    dx, dy, dist, _ = _leg_geometry(geom, *path.poses_at(ts))
 
     def leg_dist(leg, t):
-        b = platform_points(geom, path.pose_at(t))
-        return float(np.hypot(b[leg, 0] - geom.base[leg, 0], b[leg, 1] - geom.base[leg, 1]))
+        return float(_leg_geometry(geom, *path.poses_at(t))[2][leg])
 
+    def dot(lag):
+        # leg-vector dot products between samples k and k + lag
+        return dx[:-lag] * dx[lag:] + dy[:-lag] * dy[lag:]
+
+    dots, dots2 = dot(1), dot(2)
     flips: list[tuple[float, int]] = []
     for leg in range(3):
         d = dist[:, leg]
@@ -257,20 +253,14 @@ def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
                 f"leg {leg + 1} length stays below {ZERO_TOUCH_REL:g}*L across "
                 "consecutive samples; the sign cannot be continued"
             )
-        dots = np.sum(vecs[:-1, leg, :] * vecs[1:, leg, :], axis=1)
-        for k in range(m):
-            if below[k]:
-                if k == 0 or k == m - 1:
-                    continue  # path begins/ends at the zero: nothing to continue past
-                if np.dot(vecs[k - 1, leg], vecs[k + 1, leg]) < 0.0:
-                    flips.append((float(ts[k]), leg))
-                else:
-                    raise AmbiguousContinuation(
-                        f"leg {leg + 1} touches zero tangentially at t={ts[k]:.6g}"
-                    )
-        for k in range(m - 1):
-            if below[k] or below[k + 1] or dots[k] >= 0.0:
-                continue
+        # a zero at the first or last sample has nothing to continue past
+        for k in np.nonzero(below[1:-1])[0] + 1:
+            if dots2[k - 1, leg] >= 0.0:
+                raise AmbiguousContinuation(
+                    f"leg {leg + 1} touches zero tangentially at t={ts[k]:.6g}"
+                )
+            flips.append((float(ts[k]), leg))
+        for k in np.nonzero(~below[:-1] & ~below[1:] & (dots[:, leg] < 0.0))[0]:
             res = minimize_scalar(
                 lambda t: leg_dist(leg, t),
                 bounds=(float(ts[k]), float(ts[k + 1])),
@@ -283,26 +273,16 @@ def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
             # the leg swings past its base joint and the sign is unchanged
 
     flips.sort()
-    signs = np.ones((m, 3))
+    signs = np.ones(dist.shape)
     for t_flip, leg in flips:
         signs[ts > t_flip, leg] *= -1.0
     return JointPath(ts, dist * signs, tuple((t, leg + 1) for t, leg in flips))
 
 
-def _normalized_measure_at(geom: RobotGeometry, pose: Pose) -> float:
-    """|measure|/L, or nan where a leg line is undefined."""
-    L = characteristic_scale(geom)
-    d = _leg_distance_at(geom, pose)
-    if np.any(d <= ZERO_TOUCH_REL * L):
-        return float("nan")
-    lines = leg_lines(geom, pose)
-    mat = np.array([[ln.direction[0], ln.direction[1], ln.moment] for ln in lines])
-    return abs(float(np.linalg.det(mat))) / L
-
-
 def _classify_zero(geom: RobotGeometry, pose: Pose, eps_pass: float, L: float):
     """Kind, leg (1-based), measure and clearance for one determinant zero."""
-    d = _leg_distance_at(geom, pose)
+    _, _, d, det = _leg_geometry(geom, pose.x, pose.y, pose.phi)
+    measure = float(abs(_line_measure(d, det, L)) / L)
     leg = int(np.argmin(d))
     if d[leg] <= eps_pass:
         lines = leg_lines(geom, pose)
@@ -312,9 +292,8 @@ def _classify_zero(geom: RobotGeometry, pose: Pose, eps_pass: float, L: float):
         else:
             clear = _two_line_clearance(lines, others, geom.base[leg])
         kind = "passage" if clear > SERIAL_CLASSIFY_REL * L else "parallel"
-        measure = _normalized_measure_at(geom, pose)
         return kind, leg + 1, (0.0 if np.isnan(measure) else measure), float(clear)
-    return "parallel", None, _normalized_measure_at(geom, pose), None
+    return "parallel", None, measure, None
 
 
 def detect_crossings(
@@ -332,46 +311,40 @@ def detect_crossings(
     if eps_pass is None:
         eps_pass = EPS_PASS_REL * L
     ts = _sample_params(geom, path)
-    poses = [path.pose_at(t) for t in ts]
-    dets = np.array([_det_and_min_distance(geom, p.x, p.y, p.phi)[0] for p in poses])
+    dets = _leg_geometry(geom, *path.poses_at(ts))[3]
     dscale = float(np.max(np.abs(dets))) or 1.0
 
     def det_at(t):
-        p = path.pose_at(t)
-        return float(_det_and_min_distance(geom, p.x, p.y, p.phi)[0])
+        return float(_leg_geometry(geom, *path.poses_at(t))[3])
 
     events = []
-    for k in range(len(ts)):
-        if dets[k] == 0.0:
-            t_star = float(ts[k])
-            if 0 < k < len(ts) - 1 and dets[k - 1] * dets[k + 1] < 0.0:
-                kind, leg, measure, clear = _classify_zero(geom, poses[k], eps_pass, L)
-                events.append(CrossingEvent(t_star, kind, leg, measure, clear))
+    for k in np.nonzero(dets == 0.0)[0]:
+        t_star = float(ts[k])
+        if 0 < k < len(ts) - 1 and dets[k - 1] * dets[k + 1] < 0.0:
+            kind, leg, measure, clear = _classify_zero(geom, path.pose_at(t_star), eps_pass, L)
+            events.append(CrossingEvent(t_star, kind, leg, measure, clear))
+        else:
+            events.append(CrossingEvent(t_star, "grazing", None, 0.0, None))
+    for k in np.nonzero(dets[:-1] * dets[1:] < 0.0)[0]:
+        lo, hi, dlo = float(ts[k]), float(ts[k + 1]), dets[k]
+        while hi - lo > CROSSING_T_TOL:
+            mid = 0.5 * (lo + hi)
+            dm = det_at(mid)
+            if dm == 0.0:
+                lo = hi = mid
+                break
+            if dlo * dm < 0.0:
+                hi = mid
             else:
-                events.append(CrossingEvent(t_star, "grazing", None, 0.0, None))
-    for k in range(len(ts) - 1):
-        if dets[k] * dets[k + 1] < 0.0:
-            lo, hi, dlo = float(ts[k]), float(ts[k + 1]), dets[k]
-            while hi - lo > CROSSING_T_TOL:
-                mid = 0.5 * (lo + hi)
-                dm = det_at(mid)
-                if dm == 0.0:
-                    lo = hi = mid
-                    break
-                if dlo * dm < 0.0:
-                    hi = mid
-                else:
-                    lo, dlo = mid, dm
-            t_star = 0.5 * (lo + hi)
-            pose = path.pose_at(t_star)
-            kind, leg, measure, clear = _classify_zero(geom, pose, eps_pass, L)
-            events.append(CrossingEvent(float(t_star), kind, leg, measure, clear))
+                lo, dlo = mid, dm
+        t_star = 0.5 * (lo + hi)
+        kind, leg, measure, clear = _classify_zero(geom, path.pose_at(t_star), eps_pass, L)
+        events.append(CrossingEvent(float(t_star), kind, leg, measure, clear))
     # interior near-zero minima without a sign change (tangential grazing)
-    absd = np.abs(dets)
-    for k in range(1, len(ts) - 1):
-        if 0.0 < absd[k] <= 1e-12 * dscale and absd[k] <= absd[k - 1] and absd[k] <= absd[k + 1]:
-            if dets[k - 1] * dets[k + 1] > 0.0:
-                events.append(CrossingEvent(float(ts[k]), "grazing", None, 0.0, None))
+    prev, here, nxt = np.abs(dets[:-2]), np.abs(dets[1:-1]), np.abs(dets[2:])
+    graze = (0.0 < here) & (here <= 1e-12 * dscale) & (here <= prev) & (here <= nxt)
+    for k in np.nonzero(graze & (dets[:-2] * dets[2:] > 0.0))[0] + 1:
+        events.append(CrossingEvent(float(ts[k]), "grazing", None, 0.0, None))
     events.sort(key=lambda e: e.t)
     return events
 
@@ -401,9 +374,8 @@ def verify_mode_change(
     min_measure = float("inf")
     try:
         joint_path = continue_joints(geom, path)
-        measure_trace = np.empty(len(joint_path.ts))
-        for k, t in enumerate(joint_path.ts):
-            measure_trace[k] = _normalized_measure_at(geom, path.pose_at(t))
+        _, _, dist, det = _leg_geometry(geom, *path.poses_at(joint_path.ts))
+        measure_trace = np.abs(_line_measure(dist, det, L)) / L
         away = np.abs(joint_path.rho).min(axis=1) > eps_pass
         if np.any(away):
             min_measure = float(np.nanmin(measure_trace[away]))
@@ -488,7 +460,8 @@ def _axis_edge_scan(geom, xs, ys, phis, axis, eps_pass):
         if axis == 1:
             xy = xy[::-1]
         for m, ph in enumerate(phis):
-            det, dmin = _det_and_min_distance(geom, *xy, ph)
+            _, _, dist, det = _leg_geometry(geom, *xy, ph)
+            dmin = dist.min(axis=-1)
             sgn = np.sign(det)
             chg = (sgn[:-1] * sgn[1:] <= 0).reshape(n - 1, EDGE_SUBSAMPLES, no).any(axis=1)
             dm = np.minimum(dmin[:-1], dmin[1:]).reshape(n - 1, EDGE_SUBSAMPLES, no).min(axis=1)
@@ -503,9 +476,9 @@ def _axis_edge_scan(geom, xs, ys, phis, axis, eps_pass):
     sgn = np.empty((nx, ny, np_ * EDGE_SUBSAMPLES), np.int8)
     dmn = np.empty((nx, ny, np_ * EDGE_SUBSAMPLES))
     for k, ph in enumerate(fine):
-        det, dmin = _det_and_min_distance(geom, xs[:, None], ys[None, :], ph)
+        _, _, dist, det = _leg_geometry(geom, xs[:, None], ys[None, :], ph)
         sgn[:, :, k] = np.sign(det)
-        dmn[:, :, k] = dmin
+        dmn[:, :, k] = dist.min(axis=-1)
     chg = (sgn * np.roll(sgn, -1, axis=2) <= 0).reshape(nx, ny, np_, EDGE_SUBSAMPLES).any(axis=3)
     dm = np.minimum(dmn, np.roll(dmn, -1, axis=2)).reshape(nx, ny, np_, EDGE_SUBSAMPLES).min(axis=3)
     return chg, chg & (dm <= eps_pass + margin)

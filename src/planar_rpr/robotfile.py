@@ -9,6 +9,7 @@ architecturally singular design or passage-unsafe legs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -24,9 +25,12 @@ _ENV_PREFIX = "PLANAR_RPR_"
 class RunConfig:
     """Tunable knobs shared by the CLI commands.
 
-    Every field can be overridden by an environment variable with the
-    PLANAR_RPR_ prefix (e.g. PLANAR_RPR_EPS_PASS_REL).  Overrides must be
-    positive.  With a fixed seed every command is byte-deterministic.
+    ``eps_pass_rel``, ``oracle_grid`` and ``seed`` can be overridden by
+    environment variables with the PLANAR_RPR_ prefix (PLANAR_RPR_EPS_PASS_REL,
+    PLANAR_RPR_ORACLE_GRID, PLANAR_RPR_SEED).  The first two overrides must
+    be positive and finite, the seed non-negative.  ``resolution`` has no
+    override; ``plan --res`` sets it per call.  With a fixed seed every
+    command is byte-deterministic.
     """
 
     eps_pass_rel: float = 1e-3
@@ -45,8 +49,10 @@ class RunConfig:
                 value = cast(raw)
             except ValueError as exc:
                 raise ValidationError(f"bad override {name}={raw!r}") from exc
-            if name != "seed" and value <= 0:
-                raise ValidationError(f"override {name} must be positive, got {value}")
+            if name == "seed" and value < 0:
+                raise ValidationError(f"override seed must be non-negative, got {value}")
+            if name != "seed" and not (0 < value < math.inf):
+                raise ValidationError(f"override {name} must be positive and finite, got {value}")
             setattr(cfg, name, value)
         return cfg
 

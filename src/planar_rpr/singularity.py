@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArchitecturalSingularity, SerialDegenerate
-from .model import Pose, RobotGeometry, characteristic_scale, platform_points, rotation
+from .errors import ArchitecturalSingularity, SerialDegenerate, ValidationError
+from .model import Pose, RobotGeometry, characteristic_scale, rotation
 
 # Leg-length band (relative to L) below which a leg line is undefined.
 LINE_DEGENERACY_REL = 1e-9
@@ -94,22 +94,49 @@ class ConfigurationClass:
     clearance: float | None
 
 
-def _leg_vectors(geom: RobotGeometry, pose: Pose):
-    b = platform_points(geom, pose)
-    d = b - geom.base
-    return d, np.hypot(d[:, 0], d[:, 1])
+def _leg_geometry(geom: RobotGeometry, x, y, phi):
+    """Leg vectors B_i - a_i, leg lengths and the unnormalized determinant.
+
+    ``x``, ``y``, ``phi`` may be scalars or broadcastable arrays.  Returns
+    ``dx``, ``dy`` and ``dist`` with a trailing leg axis of 3, and ``det``
+    with the broadcast shape.  The planner's edge scans, the crossing
+    detector and the pointwise measures all evaluate the geometry here.
+    """
+    x, y, phi = (np.asarray(v, dtype=float) for v in (x, y, phi))
+    # legs run along a leading axis here, so each leg's slice is contiguous
+    legs = (3,) + (1,) * max(x.ndim, y.ndim, phi.ndim)
+    ax, ay = (v.reshape(legs) for v in geom.base.T)
+    bx, by = (v.reshape(legs) for v in geom.platform.T)
+    c, s = np.cos(phi), np.sin(phi)
+    dx = x + (c * bx - s * by) - ax
+    dy = y + (s * bx + c * by) - ay
+    m = ax * dy - ay * dx
+    det = (
+        m[0] * (dx[1] * dy[2] - dx[2] * dy[1])
+        - m[1] * (dx[0] * dy[2] - dx[2] * dy[0])
+        + m[2] * (dx[0] * dy[1] - dx[1] * dy[0])
+    )
+    to_last = (*range(1, dx.ndim), 0)
+    return dx.transpose(to_last), dy.transpose(to_last), np.hypot(dx, dy).transpose(to_last), det
+
+
+def _line_measure(dist, det, L: float):
+    """Unit-direction determinant det / (rho_1 rho_2 rho_3) from kernel
+    outputs; nan where some leg line is undefined."""
+    rho = dist[..., 0] * dist[..., 1] * dist[..., 2]
+    return det / np.where(np.any(dist <= LINE_DEGENERACY_REL * L, axis=-1), np.nan, rho)
 
 
 def leg_lines(geom: RobotGeometry, pose: Pose) -> list[LegLine]:
     """Force line of each leg (through a_i and B_i) at the given pose."""
     L = characteristic_scale(geom)
-    d, dist = _leg_vectors(geom, pose)
+    dx, dy, dist, _ = _leg_geometry(geom, pose.x, pose.y, pose.phi)
     lines = []
     for i in range(3):
         if dist[i] <= LINE_DEGENERACY_REL * L:
             lines.append(LegLine(np.zeros(2), 0.0, True))
             continue
-        u = d[i] / dist[i]
+        u = np.array([dx[i], dy[i]]) / dist[i]
         u.flags.writeable = False
         moment = float(geom.base[i, 0] * u[1] - geom.base[i, 1] * u[0])
         lines.append(LegLine(u, moment, False))
@@ -119,19 +146,18 @@ def leg_lines(geom: RobotGeometry, pose: Pose) -> list[LegLine]:
 def parallel_singularity_measure(geom: RobotGeometry, pose: Pose, normalized: bool = False) -> float:
     """Determinant of the unit-direction line matrix (length units).
 
-    Zero exactly at parallel singularities.  Raises
+    Computed as det / (rho_1 rho_2 rho_3) from the unnormalized
+    determinant.  Zero exactly at parallel singularities.  Raises
     :class:`SerialDegenerate` when some leg line is undefined.  With
     ``normalized=True`` the value is divided by the characteristic scale.
     """
     L = characteristic_scale(geom)
-    d, dist = _leg_vectors(geom, pose)
+    _, _, dist, det = _leg_geometry(geom, pose.x, pose.y, pose.phi)
     for i in range(3):
         if dist[i] <= LINE_DEGENERACY_REL * L:
             raise SerialDegenerate(i + 1)
-    u = d / dist[:, None]
-    moments = geom.base[:, 0] * u[:, 1] - geom.base[:, 1] * u[:, 0]
-    det = float(np.linalg.det(np.column_stack([u, moments])))
-    return det / L if normalized else det
+    measure = _line_measure(dist, det, L)
+    return float(measure / L if normalized else measure)
 
 
 def unnormalized_determinant(geom: RobotGeometry, pose: Pose) -> float:
@@ -141,33 +167,7 @@ def unnormalized_determinant(geom: RobotGeometry, pose: Pose) -> float:
     defined, and vanishes with a zero row at serial configurations.  At
     fixed phi this is exactly quadratic in (x, y) -- the conic locus.
     """
-    det, _ = _det_and_min_distance(geom, pose.x, pose.y, pose.phi)
-    return float(det)
-
-
-def _det_and_min_distance(geom: RobotGeometry, x, y, phi):
-    """Vectorized unnormalized determinant and min leg length.
-
-    ``x``, ``y``, ``phi`` may be scalars or broadcastable arrays; used
-    heavily by the planner's edge scans.
-    """
-    ax, ay = geom.base[:, 0], geom.base[:, 1]
-    bx, by = geom.platform[:, 0], geom.platform[:, 1]
-    c, s = np.cos(phi), np.sin(phi)
-    rbx = [c * bx[i] - s * by[i] for i in range(3)]
-    rby = [s * bx[i] + c * by[i] for i in range(3)]
-    dx = [x + rbx[i] - ax[i] for i in range(3)]
-    dy = [y + rby[i] - ay[i] for i in range(3)]
-    m = [ax[i] * dy[i] - ay[i] * dx[i] for i in range(3)]
-    det = (
-        m[0] * (dx[1] * dy[2] - dx[2] * dy[1])
-        - m[1] * (dx[0] * dy[2] - dx[2] * dy[0])
-        + m[2] * (dx[0] * dy[1] - dx[1] * dy[0])
-    )
-    dmin = np.minimum(
-        np.minimum(np.hypot(dx[0], dy[0]), np.hypot(dx[1], dy[1])), np.hypot(dx[2], dy[2])
-    )
-    return det, dmin
+    return float(_leg_geometry(geom, pose.x, pose.y, pose.phi)[3])
 
 
 def serial_points(geom: RobotGeometry, phi: float) -> np.ndarray:
@@ -191,7 +191,7 @@ def singularity_conic(geom: RobotGeometry, phi: float, seed: int = CONIC_FIT_SEE
     center = geom.base.mean(axis=0)
     rng = np.random.default_rng(seed)
     pts = center + rng.uniform(-2.0 * L, 2.0 * L, size=(16, 2))
-    vals, _ = _det_and_min_distance(geom, pts[:, 0], pts[:, 1], phi)
+    vals = _leg_geometry(geom, pts[:, 0], pts[:, 1], phi)[3]
 
     def quad_design(p):
         x, y = p[:, 0], p[:, 1]
@@ -200,7 +200,7 @@ def singularity_conic(geom: RobotGeometry, phi: float, seed: int = CONIC_FIT_SEE
     coeffs, *_ = np.linalg.lstsq(quad_design(pts), vals, rcond=None)
 
     fresh = center + rng.uniform(-2.0 * L, 2.0 * L, size=(100, 2))
-    fresh_vals, _ = _det_and_min_distance(geom, fresh[:, 0], fresh[:, 1], phi)
+    fresh_vals = _leg_geometry(geom, fresh[:, 0], fresh[:, 1], phi)[3]
     model = quad_design(fresh) @ coeffs
     scale = float(np.max(np.abs(fresh_vals)))
     if scale == 0.0 or np.max(np.abs(coeffs)) == 0.0:
@@ -250,10 +250,10 @@ def sample_conic_polyline(conic: SingularityConic, window, step: float) -> list[
     conic misses the window.  Fully deterministic.
     """
     if step <= 0.0:
-        raise ValueError("step must be positive")
+        raise ValidationError("step must be positive")
     x0, y0, x1, y1 = window
     if x1 <= x0 or y1 <= y0:
-        raise ValueError("window must have positive extent")
+        raise ValidationError("window must have positive extent")
     nx = max(2, int(np.ceil((x1 - x0) / step)) + 1)
     ny = max(2, int(np.ceil((y1 - y0) / step)) + 1)
     xs = np.linspace(x0, x1, nx)
@@ -379,11 +379,11 @@ def classify_configuration(geom: RobotGeometry, pose: Pose) -> ConfigurationClas
     generic one).
     """
     L = characteristic_scale(geom)
-    _, dist = _leg_vectors(geom, pose)
+    _, _, dist, det = _leg_geometry(geom, pose.x, pose.y, pose.phi)
     singular = [i for i in range(3) if dist[i] <= SERIAL_CLASSIFY_REL * L]
 
     if not singular:
-        measure = parallel_singularity_measure(geom, pose, normalized=True)
+        measure = float(_line_measure(dist, det, L) / L)
         kind = "parallel_singular" if abs(measure) <= MEASURE_ZERO else "regular"
         return ConfigurationClass(kind, (), measure, None)
 

@@ -197,14 +197,62 @@ def test_cli_plan_no_path_reports_explored(ref_file, capfd):
 
 
 def test_cli_import_leaves_csgraph_unloaded():
-    """The planner imports scipy.sparse.csgraph lazily, so cold start skips it."""
+    """The planner imports scipy.sparse.csgraph and the sign continuation
+    scipy.optimize lazily, so cold start skips both."""
     src = os.path.dirname(os.path.dirname(planar_rpr.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, planar_rpr.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    code = (
+        "import sys, planar_rpr.cli; "
+        "print([m for m in ('scipy.sparse.csgraph', 'scipy.optimize') if m in sys.modules])"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["locus", "--phi", "0", "--window", "-10,-10,20,20", "--step", "0"],
+        ["locus", "--phi", "0", "--window", "1,0,0,1", "--step", "0.5"],
+        ["fk", "--joints", "3.5,7.25,6.5", "--oracle", "--grid", "4"],
+        ["oracle-fk", "--joints", "3.5,7.25,6.5", "--grid", "4"],
+    ],
+)
+def test_cli_bad_domain_values_are_errors(ref_file, capfd, args):
+    assert main([args[0], "--robot", str(ref_file), *args[1:]]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_rejects_negative_seed(ref_file, capfd, monkeypatch):
+    ik = ["ik", "--robot", str(ref_file), "--pose", "0,0,0"]
+    assert main(["--seed", "-1", *ik]) == 2
+    assert "--seed" in capfd.readouterr().err
+    monkeypatch.setenv("PLANAR_RPR_SEED", "-5")
+    assert main(ik) == 1
+    out, err = capfd.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["locus", "--phi", "nan", "--window", "-10,-10,20,20", "--step", "0.5"],
+        ["locus", "--phi", "0", "--window", "-10,-10,20,20", "--step", "inf"],
+        ["locus", "--phi", "0", "--window", "0,0,inf,1", "--step", "0.5"],
+        ["classify", "--pose", "nan,0,0"],
+        ["ik", "--pose", "0,-inf,0"],
+        ["plan", "--start", "0,0,0", "--res", "inf,8,8"],
+    ],
+)
+def test_cli_rejects_non_finite_numbers(ref_file, capfd, args):
+    assert main([args[0], "--robot", str(ref_file), *args[1:]]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert "finite" in err
 
 
 def test_cli_determinism(ref_file, capfd):

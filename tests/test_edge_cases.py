@@ -134,6 +134,13 @@ def test_runconfig_rejects_nonpositive(monkeypatch):
         RunConfig.from_env()
 
 
+@pytest.mark.parametrize("name, raw", [("SEED", "-5"), ("EPS_PASS_REL", "nan"), ("EPS_PASS_REL", "inf")])
+def test_runconfig_rejects_negative_seed_and_non_finite(monkeypatch, name, raw):
+    monkeypatch.setenv("PLANAR_RPR_" + name, raw)
+    with pytest.raises(ValidationError):
+        RunConfig.from_env()
+
+
 def test_runconfig_rejects_garbage(monkeypatch):
     monkeypatch.setenv("PLANAR_RPR_ORACLE_GRID", "many")
     with pytest.raises(ValidationError):

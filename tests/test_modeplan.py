@@ -10,21 +10,24 @@ from planar_rpr import (
     JointVector,
     NoPathFound,
     Pose,
+    RobotGeometry,
+    SerialDegenerate,
     ValidationError,
     WorkspacePath,
     continue_joints,
     detect_crossings,
     inverse_kinematics,
+    parallel_singularity_measure,
     plan_mode_change,
     pose_distance,
     solve_fk,
     unnormalized_determinant,
     verify_mode_change,
 )
-from planar_rpr.model import rotation
+from planar_rpr.model import rotation, wrap_angle
 from planar_rpr.modeplan import _grid_graph, _walk_back
 
-from conftest import REF_SCALE
+from conftest import REF_BASE, REF_PLATFORM, REF_SCALE
 
 L = REF_SCALE
 
@@ -47,6 +50,56 @@ def test_pose_interpolation_wraps_phi():
     path = WorkspacePath((Pose(0, 0, 0.1), Pose(0, 0, 2 * np.pi - 0.1)), 16)
     mid = path.pose_at(0.5)
     assert mid.phi == pytest.approx(0.0)  # short way through zero
+
+
+def _scalar_pose(path, t):
+    """The scalar interpolation formula of WorkspacePath.pose_at in 0.1.0."""
+    n = path.segment_count
+    t = min(max(float(t), 0.0), 1.0)
+    k = min(int(t * n), n - 1)
+    s = t * n - k
+    a, b = path.waypoints[k], path.waypoints[k + 1]
+    return (a.x + s * (b.x - a.x), a.y + s * (b.y - a.y), a.phi + s * wrap_angle(b.phi - a.phi))
+
+
+def test_poses_at_matches_pose_at_bitwise():
+    # phi wraps across pi on the first segment and across 0 on the last
+    path = WorkspacePath(
+        (Pose(0, 0, 3.0), Pose(4.5, -1.25, -3.0), Pose(-2.0, 7.0, 0.1), Pose(1.0, 1.0, 2 * np.pi - 0.1)),
+        16,
+    )
+    ts = np.concatenate([
+        [-0.5, -1e-300, 0.0, 1.0, 1.5, 1 / 3, 2 / 3, np.nextafter(1 / 3, 0.0)],
+        np.linspace(0.0, 1.0, 97),
+        np.random.default_rng(5).uniform(0.0, 1.0, 200),
+    ])
+    x, y, phi = path.poses_at(ts)
+    arrays = np.column_stack([x, y, phi])
+    scalar = np.array([path.pose_at(t).as_tuple() for t in ts])
+    reference = np.array([_scalar_pose(path, t) for t in ts])
+    assert arrays.tobytes() == scalar.tobytes() == reference.tobytes()
+    # any array shape comes back in the same shape
+    assert path.poses_at(ts[:12].reshape(3, 4))[2].shape == (3, 4)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+def test_measure_trace_matches_pointwise_measure(scale):
+    """The verifier's trace and parallel_singularity_measure share one definition."""
+    geom = RobotGeometry(np.asarray(REF_BASE) * scale, np.asarray(REF_PLATFORM) * scale)
+    # the first segment runs through the serial point of leg 1, (2, 1) * scale
+    waypoints = (Pose(4 * scale, 2 * scale, 0.0), Pose(0.0, 0.0, 0.0), Pose(-3 * scale, 5 * scale, 1.0))
+    path = WorkspacePath(waypoints, 16)
+    cert = verify_mode_change(geom, path)
+    serial = 0
+    for t, measure in zip(cert.joint_path.ts, cert.measure_trace):
+        try:
+            expected = abs(parallel_singularity_measure(geom, path.pose_at(t), normalized=True))
+        except SerialDegenerate:
+            assert np.isnan(measure)
+            serial += 1
+            continue
+        assert measure == expected
+    assert 0 < serial < len(cert.measure_trace)
 
 
 def test_duplicate_waypoints_rejected(ref):

@@ -19,6 +19,7 @@ from planar_rpr import (
     unnormalized_determinant,
 )
 from planar_rpr.model import rotation
+from planar_rpr.singularity import _leg_geometry
 
 from conftest import REF_BASE, REF_PLATFORM, REF_SCALE, random_pose_tuple
 
@@ -75,6 +76,40 @@ def test_measure_serial_degenerate(ref):
 def test_unnormalized_determinant_values(ref):
     assert unnormalized_determinant(ref, Pose(2, 1, 0)) == 0.0  # zero row
     assert unnormalized_determinant(ref, Pose(0, 0, 0)) == pytest.approx(32.0)
+
+
+def _scalar_leg_geometry(geom, x, y, phi):
+    """One pose at a time, leg by leg: the arithmetic the planner's edge
+    scans have used since 0.1.0, kept as the reference for the kernel."""
+    c, s = np.cos(phi), np.sin(phi)
+    (ax, ay), (bx, by) = geom.base.T, geom.platform.T
+    dx = [x + (c * bx[i] - s * by[i]) - ax[i] for i in range(3)]
+    dy = [y + (s * bx[i] + c * by[i]) - ay[i] for i in range(3)]
+    m = [ax[i] * dy[i] - ay[i] * dx[i] for i in range(3)]
+    det = (
+        m[0] * (dx[1] * dy[2] - dx[2] * dy[1])
+        - m[1] * (dx[0] * dy[2] - dx[2] * dy[0])
+        + m[2] * (dx[0] * dy[1] - dx[1] * dy[0])
+    )
+    return dx, dy, [np.hypot(dx[i], dy[i]) for i in range(3)], det
+
+
+def test_leg_geometry_kernel_matches_scalar_reference(ref):
+    rng = np.random.default_rng(23)
+    x = rng.uniform(-L, 2 * L, (7, 1))
+    y = rng.uniform(-L, 2 * L, (1, 5))
+    phi = rng.uniform(-7.0, 7.0, (7, 5))
+    dx, dy, dist, det = _leg_geometry(ref, x, y, phi)
+    assert dx.shape == dy.shape == dist.shape == (7, 5, 3) and det.shape == (7, 5)
+    for i, j in np.ndindex(7, 5):
+        want = _scalar_leg_geometry(ref, float(x[i, 0]), float(y[0, j]), float(phi[i, j]))
+        got = (dx[i, j], dy[i, j], dist[i, j], det[i, j])
+        assert np.array(want[:3]).T.tobytes() == np.array(got[:3]).T.tobytes()
+        assert want[3] == got[3]
+    # a scalar pose gives one leg axis and a 0-d determinant
+    dx, dy, dist, det = _leg_geometry(ref, 0.0, 0.0, 0.0)
+    assert dist.shape == (3,) and det.shape == ()
+    assert np.allclose(dist, np.sqrt([5.0, 65.0, 52.0])) and det == pytest.approx(32.0)
 
 
 def test_row_scaling_identity(ref):
