@@ -81,7 +81,8 @@ def _solution_rows(sols):
 
 
 @click.group()
-@click.option("--seed", type=click.IntRange(min=0), default=None, help="Seed for sampling schedules.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Accepted for compatibility and ignored: no command samples at random.")
 @click.pass_context
 def cli(ctx, seed):
     """Model 3-RPR planar parallel robots: kinematics, singularity loci and
@@ -157,12 +158,11 @@ def classify(robot_path, pose_text):
 @click.option("--window", "window_text", required=True, help="x0,y0,x1,y1")
 @click.option("--step", type=float, required=True, callback=_finite)
 @click.option("--out", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.pass_obj
-def locus(cfg, robot_path, phi, window_text, step, fmt):
+def locus(robot_path, phi, window_text, step, fmt):
     """Singularity conic at fixed orientation, as plot-ready polylines."""
     geom = _load(robot_path)
     window = _floats(window_text, 4, "window")
-    conic = singularity_conic(geom, phi, seed=cfg.seed)
+    conic = singularity_conic(geom, phi)
     polylines = sample_conic_polyline(conic, window, step)
     if fmt == "csv":
         click.echo("x,y,polyline_id")

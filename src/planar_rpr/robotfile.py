@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
 from .model import RobotGeometry
-from .singularity import CONIC_FIT_SEED, is_architecturally_singular, passage_safety
+from .singularity import is_architecturally_singular, passage_safety
 
 _ENV_PREFIX = "PLANAR_RPR_"
 
@@ -29,13 +29,14 @@ class RunConfig:
     environment variables with the PLANAR_RPR_ prefix (PLANAR_RPR_EPS_PASS_REL,
     PLANAR_RPR_ORACLE_GRID, PLANAR_RPR_SEED).  The first two overrides must
     be positive and finite, the seed non-negative.  ``resolution`` has no
-    override; ``plan --res`` sets it per call.  With a fixed seed every
-    command is byte-deterministic.
+    override; ``plan --res`` sets it per call.  ``seed`` is accepted and
+    validated but read by no command: no computation samples at random, so
+    every command is byte-deterministic for fixed inputs.
     """
 
     eps_pass_rel: float = 1e-3
     oracle_grid: int = 4096
-    seed: int = CONIC_FIT_SEED
+    seed: int | None = None
     resolution: tuple[int, int, int] = (64, 64, 64)
 
     @classmethod

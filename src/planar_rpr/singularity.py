@@ -37,8 +37,8 @@ LINE_DEGENERACY_REL = 1e-9
 SERIAL_CLASSIFY_REL = 1e-6
 # Zero band for the normalized measure.
 MEASURE_ZERO = 1e-9
-# Fixed seed of the conic-fit sampling schedule (deterministic fits).
-CONIC_FIT_SEED = 1729
+# Largest marching-squares grid sample_conic_polyline builds (nodes).
+LOCUS_MAX_NODES = 10**7
 
 
 @dataclass(frozen=True)
@@ -175,48 +175,38 @@ def serial_points(geom: RobotGeometry, phi: float) -> np.ndarray:
     return geom.base - geom.platform @ rotation(phi).T
 
 
-def singularity_conic(geom: RobotGeometry, phi: float, seed: int = CONIC_FIT_SEED) -> SingularityConic:
-    """Quadratic model of the fixed-orientation singularity locus.
+def singularity_conic(geom: RobotGeometry, phi: float) -> SingularityConic:
+    """Exact fixed-orientation singularity locus Q(x, y) = 0.
 
-    The six coefficients are fitted by least squares to the unnormalized
-    determinant on a seeded sample schedule (fixed default seed, so fits
-    are deterministic) and verified on fresh points: a residual above 1e-9
-    of scale (or an identically vanishing quadratic) means the locus is not
-    a proper conic and the design is rejected as architecturally singular.
+    Translating the platform by (x, y) adds (x, y) to every leg vector, so
+    each moment m_i = a_i x d_i and each 2x2 minor d_j x d_k of the
+    determinant is affine in (x, y), and their products give the six
+    coefficients in closed form.  When every coefficient, taken relative to
+    L^(4 - degree), is at most 1e-12, the locus is the whole plane and the
+    design is rejected as architecturally singular.
     """
     singular, detail = is_architecturally_singular(geom)
     if singular:
         raise ArchitecturalSingularity(detail)
     L = characteristic_scale(geom)
-    center = geom.base.mean(axis=0)
-    rng = np.random.default_rng(seed)
-    pts = center + rng.uniform(-2.0 * L, 2.0 * L, size=(16, 2))
-    vals = _leg_geometry(geom, pts[:, 0], pts[:, 1], phi)[3]
-
-    def quad_design(p):
-        x, y = p[:, 0], p[:, 1]
-        return np.column_stack([x * x, x * y, y * y, x, y, np.ones_like(x)])
-
-    coeffs, *_ = np.linalg.lstsq(quad_design(pts), vals, rcond=None)
-
-    fresh = center + rng.uniform(-2.0 * L, 2.0 * L, size=(100, 2))
-    fresh_vals = _leg_geometry(geom, fresh[:, 0], fresh[:, 1], phi)[3]
-    model = quad_design(fresh) @ coeffs
-    scale = float(np.max(np.abs(fresh_vals)))
-    if scale == 0.0 or np.max(np.abs(coeffs)) == 0.0:
+    dx, dy, _, q00 = _leg_geometry(geom, 0.0, 0.0, phi)
+    ax, ay = geom.base.T
+    m0, mx, my = ax * dy - ay * dx, -ay, ax
+    # minor opposite leg i, over the cyclic pair (j, k) = (i+1, i+2)
+    j, k = [1, 2, 0], [2, 0, 1]
+    c0 = dx[j] * dy[k] - dx[k] * dy[j]
+    cx, cy = dy[k] - dy[j], dx[j] - dx[k]
+    coeffs = np.array([mx @ cx, mx @ cy + my @ cx, my @ cy, m0 @ cx + mx @ c0, m0 @ cy + my @ c0, q00])
+    relative = coeffs / L ** np.array([2, 2, 2, 3, 3, 4])
+    if np.max(np.abs(relative)) <= 1e-12:
         raise ArchitecturalSingularity(
             f"singularity locus degenerates to the whole plane at phi={phi:.6f}"
         )
-    if float(np.max(np.abs(model - fresh_vals))) > 1e-9 * scale:
-        raise ArchitecturalSingularity(
-            f"determinant is not quadratic in (x, y) at phi={phi:.6f}; "
-            "the design is rejected"
-        )
 
-    q20, q11, q02 = coeffs[0], coeffs[1], coeffs[2]
+    q20, q11, q02 = relative[:3]
     quad_scale = max(abs(q20), abs(q11), abs(q02))
     disc = q11 * q11 - 4.0 * q20 * q02
-    if quad_scale <= 1e-12 * float(np.max(np.abs(coeffs))):
+    if quad_scale <= 1e-12 * np.max(np.abs(relative)):
         conic_class = "degenerate"
     elif abs(disc) <= 1e-9 * quad_scale**2:
         conic_class = "parabola"
@@ -225,7 +215,6 @@ def singularity_conic(geom: RobotGeometry, phi: float, seed: int = CONIC_FIT_SEE
     else:
         conic_class = "hyperbola"
 
-    coeffs = coeffs.copy()
     coeffs.flags.writeable = False
     sp = serial_points(geom, phi)
     sp.flags.writeable = False
@@ -247,15 +236,18 @@ def sample_conic_polyline(conic: SingularityConic, window, step: float) -> list[
 
     ``window`` is (x0, y0, x1, y1).  Returns polylines as (n, 2) arrays
     with adjacent point spacing at most 2 * step; an empty list when the
-    conic misses the window.  Fully deterministic.
+    conic misses the window.  Fully deterministic.  Grids of more than
+    ``LOCUS_MAX_NODES`` nodes raise :class:`ValidationError`.
     """
     if step <= 0.0:
         raise ValidationError("step must be positive")
     x0, y0, x1, y1 = window
     if x1 <= x0 or y1 <= y0:
         raise ValidationError("window must have positive extent")
-    nx = max(2, int(np.ceil((x1 - x0) / step)) + 1)
-    ny = max(2, int(np.ceil((y1 - y0) / step)) + 1)
+    nodes = np.maximum(np.ceil([(x1 - x0) / step, (y1 - y0) / step]) + 1, 2)
+    if not nodes.prod() <= LOCUS_MAX_NODES:  # also rejects inf and nan
+        raise ValidationError(f"window / step gives more than {LOCUS_MAX_NODES:,} grid nodes")
+    nx, ny = map(int, nodes)
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
     Q = conic.evaluate(xs[:, None], ys[None, :])
@@ -427,7 +419,8 @@ def is_architecturally_singular(geom: RobotGeometry) -> tuple[bool, str]:
     correspondence (side ratios equal within 1e-9 relative), covering both
     direct and reflected similarity.  This is the classical example of an
     architecturally singular 3-RPR design; more exotic criteria are out of
-    scope, with the conic fit's residual check acting as a runtime backstop.
+    scope.  ``singularity_conic`` backs this up at each orientation by
+    rejecting a determinant whose exact coefficients all vanish.
     """
     a, b = geom.base, geom.platform
     sa = np.array([np.hypot(*(a[(i + 1) % 3] - a[(i + 2) % 3])) for i in range(3)])

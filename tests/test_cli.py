@@ -287,3 +287,25 @@ def test_cli_locus_determinism(ref_file, capfd):
     first = capfd.readouterr().out
     assert main(args) == 0
     assert capfd.readouterr().out == first
+
+
+def test_cli_locus_ignores_seed(ref_file, capfd, monkeypatch):
+    """The conic is exact, so no seed can change the locus output."""
+    args = ["locus", "--robot", str(ref_file), "--phi", "0.9", "--window", "-10,-10,20,20", "--step", "0.5"]
+    outs = []
+    for seed in ("1", "2"):
+        assert main(["--seed", seed, *args]) == 0
+        outs.append(capfd.readouterr().out)
+    monkeypatch.setenv("PLANAR_RPR_SEED", "3")
+    assert main(args) == 0
+    outs.append(capfd.readouterr().out)
+    assert outs[0] and outs.count(outs[0]) == 3
+
+
+@pytest.mark.parametrize("window, step", [("0,0,1e300,1", "1"), ("0,0,1e308,1", "1e-300")])
+def test_cli_locus_grid_cap(ref_file, capfd, window, step):
+    args = ["locus", "--robot", str(ref_file), "--phi", "0", "--window", window, "--step", step]
+    assert main(args) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -18,6 +18,7 @@ from planar_rpr import (
     triangle_angles,
     unnormalized_determinant,
 )
+from planar_rpr import singularity as singularity_module
 from planar_rpr.model import rotation
 from planar_rpr.singularity import _leg_geometry
 
@@ -305,6 +306,42 @@ def test_architectural_negative(ref):
 def test_conic_rejects_similar_design(similar_design):
     with pytest.raises(ArchitecturalSingularity):
         singularity_conic(similar_design, 0.3)
+
+
+# powers of a length scale s that each coefficient (q20, q11, q02, q10, q01, q00) carries
+CONIC_DEGREE_POWERS = np.array([2, 2, 2, 3, 3, 4])
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_conic_exact_under_scaling(ref, s):
+    scaled = RobotGeometry(base=s * ref.base, platform=s * ref.platform)
+    for phi, kind in ((0.0, "hyperbola"), (0.7, "ellipse")):
+        conic = singularity_conic(scaled, phi)
+        assert conic.conic_class == kind
+        expected = singularity_conic(ref, phi).coefficients * s**CONIC_DEGREE_POWERS
+        assert np.max(np.abs(conic.coefficients - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_conic_matches_determinant_on_offset_designs():
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        base = rng.uniform(0.0, L, size=(3, 2))
+        base += rng.uniform(-5.0 * L, 5.0 * L, size=2)
+        geom = RobotGeometry(base=base, platform=rng.uniform(-0.3 * L, 0.3 * L, size=(3, 2)))
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        conic = singularity_conic(geom, phi)
+        pts = base.mean(axis=0) + rng.uniform(-2.0 * L, 2.0 * L, size=(50, 2))
+        dets = np.array([unnormalized_determinant(geom, Pose(x, y, phi)) for x, y in pts])
+        err = np.abs(conic.evaluate(pts[:, 0], pts[:, 1]) - dets)
+        assert np.max(err) <= 1e-12 * np.max(np.abs(dets))
+
+
+def test_conic_rejects_vanishing_determinant_without_design_check(similar_design, monkeypatch):
+    """At phi = 0 the half-scale copy is homothetic to the base, so the
+    determinant vanishes identically; the coefficient check alone rejects it."""
+    monkeypatch.setattr(singularity_module, "is_architecturally_singular", lambda geom: (False, ""))
+    with pytest.raises(ArchitecturalSingularity, match="whole plane"):
+        singularity_conic(similar_design, 0.0)
 
 
 def test_triangle_angles_reference(ref):
