@@ -215,13 +215,8 @@ def plan(cfg, robot_path, start_text, target_text, box_text, res_text, out_path)
     start = _pose_arg(start_text)
     target = _pose_arg(target_text) if target_text else None
     box = _floats(box_text, 4, "box") if box_text else None
-    if res_text:
-        res = tuple(int(v) for v in _floats(res_text, 3, "res"))
-    else:
-        res = cfg.resolution
-    path = plan_mode_change(
-        geom, start, target, box=box, resolution=res, eps_pass=cfg.eps_pass_rel * L
-    )
+    res = {"resolution": tuple(int(v) for v in _floats(res_text, 3, "res"))} if res_text else {}
+    path = plan_mode_change(geom, start, target, box=box, eps_pass=cfg.eps_pass_rel * L, **res)
     doc = {"waypoints": [{"x": w.x, "y": w.y, "phi": w.phi} for w in path.waypoints]}
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

@@ -75,6 +75,9 @@ REFINE_FACTOR = 8
 CROSSING_T_TOL = 1e-10
 # Subsamples per grid edge when scanning for sign changes.
 EDGE_SUBSAMPLES = 9
+# Largest planner grid (nodes) and workspace path (base samples) accepted;
+# the same bound as the locus grid cap.
+MAX_SAMPLES = 10**7
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,8 @@ class WorkspacePath:
             raise ValidationError("a workspace path needs at least two waypoints")
         if self.samples_per_segment < 16:
             raise ValidationError("samples_per_segment must be at least 16")
+        if not (len(wps) - 1) * self.samples_per_segment <= MAX_SAMPLES:
+            raise ValidationError(f"the path has more than {MAX_SAMPLES:,} base samples")
         object.__setattr__(self, "waypoints", wps)
         object.__setattr__(self, "_table", np.array([w.as_tuple() for w in wps], dtype=float))
 
@@ -413,7 +418,7 @@ def verify_mode_change(
 # grid planner
 
 
-def _segment_crossings(geom, p0: Pose, p1: Pose, eps_pass, safe, L, fine_step=None):
+def _segment_crossings(geom, p0: Pose, p1: Pose, eps_pass, safe, L, fine_step):
     """Crossing events of an admissible pose segment, or None when the
     segment is inadmissible.
 
@@ -426,9 +431,7 @@ def _segment_crossings(geom, p0: Pose, p1: Pose, eps_pass, safe, L, fine_step=No
     length = pose_distance(p0, p1, L)
     if length <= 1e-9 * L:
         return []
-    samples = 2 * EDGE_SUBSAMPLES
-    if fine_step is not None and fine_step > 0.0:
-        samples = max(samples, int(np.ceil(length / fine_step)))
+    samples = max(2 * EDGE_SUBSAMPLES, int(np.ceil(length / fine_step)))
     seg = WorkspacePath((p0, p1), samples_per_segment=samples)
     events = detect_crossings(geom, seg, eps_pass)
     for e in events:
@@ -524,7 +527,6 @@ def plan_mode_change(
     target: Pose | None = None,
     box=None,
     resolution=(64, 64, 64),
-    samples_per_segment: int = 16,
     eps_pass: float | None = None,
     require_crossing: bool = True,
 ) -> WorkspacePath:
@@ -574,6 +576,10 @@ def plan_mode_change(
     nx, ny, np_ = (int(v) for v in resolution)
     if min(nx, ny, np_) < 8:
         raise ValidationError("resolution must be at least 8 per axis")
+    if not nx * ny * np_ <= MAX_SAMPLES:
+        raise ValidationError(f"resolution gives more than {MAX_SAMPLES:,} grid nodes")
+    if not (x1 > x0 and y1 > y0):
+        raise ValidationError("box must have positive extent")
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
     phis = np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
@@ -693,7 +699,7 @@ def plan_mode_change(
     if len(final) < 2:
         raise NoPathFound("degenerate plan: start and target coincide on the grid")
 
-    plan = WorkspacePath(tuple(final), samples_per_segment)
+    plan = WorkspacePath(tuple(final))
     cert = verify_mode_change(geom, plan, eps_pass)
     if cert.verdict != "changed_without_parallel":
         raise NoPathFound(

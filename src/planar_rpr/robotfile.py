@@ -28,8 +28,7 @@ class RunConfig:
     ``eps_pass_rel``, ``oracle_grid`` and ``seed`` can be overridden by
     environment variables with the PLANAR_RPR_ prefix (PLANAR_RPR_EPS_PASS_REL,
     PLANAR_RPR_ORACLE_GRID, PLANAR_RPR_SEED).  The first two overrides must
-    be positive and finite, the seed non-negative.  ``resolution`` has no
-    override; ``plan --res`` sets it per call.  ``seed`` is accepted and
+    be positive and finite, the seed non-negative.  ``seed`` is accepted and
     validated but read by no command: no computation samples at random, so
     every command is byte-deterministic for fixed inputs.
     """
@@ -37,7 +36,6 @@ class RunConfig:
     eps_pass_rel: float = 1e-3
     oracle_grid: int = 4096
     seed: int | None = None
-    resolution: tuple[int, int, int] = (64, 64, 64)
 
     @classmethod
     def from_env(cls) -> "RunConfig":

@@ -221,14 +221,19 @@ def singularity_conic(geom: RobotGeometry, phi: float) -> SingularityConic:
     return SingularityConic(coeffs, float(phi), sp, conic_class)
 
 
-# marching-squares segment table: cell corner order is
-# (i, j), (i+1, j), (i+1, j+1), (i, j+1); entries pair edge indices
-# 0:bottom 1:right 2:top 3:left.
-_MS_SEGMENTS = {
-    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
+# Marching-squares segments per cell key.  The key is the 4-bit cell code
+# (bit k set when corner k is inside, Q < 0; corner order (i, j), (i+1, j),
+# (i+1, j+1), (i, j+1)), plus 16 for the saddle codes 5 and 10 when the cell
+# centre is inside.  Each segment pairs two edge indices 0:bottom 1:right
+# 2:top 3:left; -1 pads the keys with a single segment.
+_MS_SEGMENTS = np.full((32, 2, 2), -1)
+for _key, _pairs in {
+    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)], 5: [(3, 2), (1, 0)],
+    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)], 10: [(0, 3), (2, 1)],
     11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
-}
+    21: [(3, 0), (1, 2)], 26: [(0, 1), (2, 3)],
+}.items():
+    _MS_SEGMENTS[_key, : len(_pairs)] = _pairs
 
 
 def sample_conic_polyline(conic: SingularityConic, window, step: float) -> list[np.ndarray]:
@@ -251,50 +256,30 @@ def sample_conic_polyline(conic: SingularityConic, window, step: float) -> list[
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
     Q = conic.evaluate(xs[:, None], ys[None, :])
-    inside = Q < 0.0
+    b = (Q < 0.0).astype(np.uint8)
+    code = b[:-1, :-1] | b[1:, :-1] << 1 | b[1:, 1:] << 2 | b[:-1, 1:] << 3
+    i, j = np.nonzero((code != 0) & (code != 15))  # row-major: i, then j
+    key = code[i, j].astype(np.intp)
+    saddle = np.nonzero((key == 5) | (key == 10))[0]
+    si, sj = i[saddle], j[saddle]
+    centre = conic.evaluate(0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1]))
+    key[saddle] += 16 * (centre < 0.0)
 
-    def _interp(na, nb):
-        # linear zero crossing between two grid nodes; the node order is
-        # canonicalized so the two cells sharing an edge emit bit-identical
-        # points (otherwise chains would not stitch).
-        if nb < na:
-            na, nb = nb, na
-        qa, qb = Q[na], Q[nb]
-        t = qa / (qa - qb)
-        return (
-            xs[na[0]] + t * (xs[nb[0]] - xs[na[0]]),
-            ys[na[1]] + t * (ys[nb[1]] - ys[na[1]]),
-        )
-
-    segments = []
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-            code = 0
-            for bit, (ci, cj) in enumerate(corners):
-                if inside[ci, cj]:
-                    code |= 1 << bit
-            if code in (0, 15):
-                continue
-            q_c = [Q[ci, cj] for ci, cj in corners]
-            edge_pt = {}
-            for e, (a, b) in enumerate(((0, 1), (1, 2), (2, 3), (3, 0))):
-                if (q_c[a] < 0.0) != (q_c[b] < 0.0):
-                    edge_pt[e] = _interp(corners[a], corners[b])
-            if code in (5, 10):
-                # saddle: disambiguate with the cell-center value
-                qc = conic.evaluate(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
-                if code == 5:
-                    pairs = [(3, 0), (1, 2)] if (qc < 0.0) else [(3, 2), (1, 0)]
-                else:
-                    pairs = [(0, 1), (2, 3)] if (qc < 0.0) else [(0, 3), (2, 1)]
-            else:
-                pairs = _MS_SEGMENTS[code]
-            for a, b in pairs:
-                if a in edge_pt and b in edge_pt:
-                    segments.append((edge_pt[a], edge_pt[b]))
-
-    return _stitch_segments(segments, 1e-9 * step)
+    # edges 0..3 run from their lower lattice node to the upper one, so the
+    # two cells sharing an edge emit bit-identical points (otherwise chains
+    # would not stitch); t is only computed where Q changes sign, which are
+    # exactly the edges the table picks
+    lo_i, lo_j = i[:, None] + [0, 1, 0, 0], j[:, None] + [0, 0, 1, 0]
+    hi_i, hi_j = i[:, None] + [1, 1, 1, 0], j[:, None] + [0, 1, 1, 1]
+    qa, qb = Q[lo_i, lo_j], Q[hi_i, hi_j]
+    t = np.divide(qa, qa - qb, out=np.zeros_like(qa), where=(qa < 0.0) != (qb < 0.0))
+    edge_pts = np.stack(
+        [xs[lo_i] + t * (xs[hi_i] - xs[lo_i]), ys[lo_j] + t * (ys[hi_j] - ys[lo_j])], axis=-1
+    )
+    pairs = _MS_SEGMENTS[key]
+    cell, slot = np.nonzero(pairs[:, :, 0] >= 0)
+    segments = edge_pts[cell[:, None], pairs[cell, slot]]
+    return _stitch_segments(segments.tolist(), 1e-9 * step)
 
 
 def _stitch_segments(segments, tol: float) -> list[np.ndarray]:

@@ -211,6 +211,39 @@ def test_cli_import_leaves_csgraph_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_locus_leaves_stderr_empty(ref_file):
+    """At phi = 0 the locus runs through lattice nodes, where neighbouring
+    nodes share Q = 0; a fresh interpreter shows any numpy warning."""
+    src = os.path.dirname(os.path.dirname(planar_rpr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "planar_rpr.cli", "locus", "--robot", str(ref_file), "--phi", "0",
+         "--window", "-10,-10,20,20", "--step", "0.5"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(result.stdout)["polylines"]
+    assert result.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["plan", "--start", "0,0,0", "--res", "1000000000000,8,8"],
+        ["verify", "--samples", "1000000000000"],
+    ],
+)
+def test_cli_oversized_grids_are_errors(ref_file, tmp_path, capfd, args):
+    """Both counts are checked before any array is allocated."""
+    path_file = tmp_path / "seg.json"
+    path_file.write_text(json.dumps({"waypoints": [{"x": 4, "y": 2, "phi": 0}, {"x": 0, "y": 0, "phi": 0}]}))
+    if args[0] == "verify":
+        args = [*args, "--path", str(path_file)]
+    assert main([args[0], "--robot", str(ref_file), *args[1:]]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "10,000,000" in err
+
+
 @pytest.mark.parametrize(
     "args",
     [

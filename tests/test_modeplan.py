@@ -265,6 +265,12 @@ def test_planner_rejects_out_of_box_start(ref):
         plan_mode_change(ref, Pose(100.0, 0.0, 0.0))
 
 
+def test_planner_rejects_zero_width_box(ref):
+    # every grid x coincides, so x-edges would have zero length
+    with pytest.raises(ValidationError, match="positive extent"):
+        plan_mode_change(ref, Pose(0, 0, 0), Pose(0, 5, 0), box=(0, -10, 0, 20), resolution=(8, 8, 8))
+
+
 def test_planner_rejects_similar_design(similar_design):
     with pytest.raises(ArchitecturalSingularity):
         plan_mode_change(similar_design, Pose(0, 0, 0.3))

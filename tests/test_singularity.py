@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from planar_rpr import (
 )
 from planar_rpr import singularity as singularity_module
 from planar_rpr.model import rotation
-from planar_rpr.singularity import _leg_geometry
+from planar_rpr.singularity import SingularityConic, _leg_geometry
 
 from conftest import REF_BASE, REF_PLATFORM, REF_SCALE, random_pose_tuple
 
@@ -239,6 +241,104 @@ def test_polyline_passes_serial_points(ref):
 def test_polyline_empty_far_window(ref):
     conic = singularity_conic(ref, 0.0)
     assert sample_conic_polyline(conic, (1000, 1000, 1010, 1010), 0.1) == []
+
+
+# Segment table of the per-cell reference below (saddles resolved inline).
+_REFERENCE_SEGMENTS = {
+    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
+    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
+    11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
+}
+
+
+def _reference_polyline(conic, window, step):
+    """Per-cell marching squares: the oracle for the array contour."""
+    x0, y0, x1, y1 = window
+    nx, ny = map(int, np.maximum(np.ceil([(x1 - x0) / step, (y1 - y0) / step]) + 1, 2))
+    xs = np.linspace(x0, x1, nx)
+    ys = np.linspace(y0, y1, ny)
+    Q = conic.evaluate(xs[:, None], ys[None, :])
+    inside = Q < 0.0
+
+    def _interp(na, nb):
+        if nb < na:
+            na, nb = nb, na
+        qa, qb = Q[na], Q[nb]
+        t = qa / (qa - qb)
+        return (
+            xs[na[0]] + t * (xs[nb[0]] - xs[na[0]]),
+            ys[na[1]] + t * (ys[nb[1]] - ys[na[1]]),
+        )
+
+    segments = []
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+            code = 0
+            for bit, (ci, cj) in enumerate(corners):
+                if inside[ci, cj]:
+                    code |= 1 << bit
+            if code in (0, 15):
+                continue
+            q_c = [Q[ci, cj] for ci, cj in corners]
+            edge_pt = {}
+            for e, (a, b) in enumerate(((0, 1), (1, 2), (2, 3), (3, 0))):
+                if (q_c[a] < 0.0) != (q_c[b] < 0.0):
+                    edge_pt[e] = _interp(corners[a], corners[b])
+            if code in (5, 10):
+                qc = conic.evaluate(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
+                if code == 5:
+                    pairs = [(3, 0), (1, 2)] if (qc < 0.0) else [(3, 2), (1, 0)]
+                else:
+                    pairs = [(0, 1), (2, 3)] if (qc < 0.0) else [(0, 3), (2, 1)]
+            else:
+                pairs = _REFERENCE_SEGMENTS[code]
+            for a, b in pairs:
+                if a in edge_pt and b in edge_pt:
+                    segments.append((edge_pt[a], edge_pt[b]))
+    return singularity_module._stitch_segments(segments, 1e-9 * step)
+
+
+def _assert_same_polylines(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("phi", [0.0, 0.7, 0.9, 2.5])
+def test_polyline_matches_per_cell_reference(scale, phi):
+    """At phi = 0 the locus (y = 1, x + 2y = 16) runs through lattice nodes."""
+    geom = RobotGeometry(np.asarray(REF_BASE) * scale, np.asarray(REF_PLATFORM) * scale)
+    conic = singularity_conic(geom, phi)
+    window = (-10 * scale, -10 * scale, 20 * scale, 20 * scale)
+    want = _reference_polyline(conic, window, 0.25 * scale)
+    assert want
+    _assert_same_polylines(sample_conic_polyline(conic, window, 0.25 * scale), want)
+
+
+@pytest.mark.parametrize("q00", [0.01, -0.01])
+@pytest.mark.parametrize("q11", [1.0, -1.0])
+def test_polyline_saddles_match_per_cell_reference(q11, q00):
+    """Q = q11 xy + q00 puts a saddle cell (code 5 or 10 by the sign of q11)
+    around the origin, a cell centre, whose sign is that of q00."""
+    conic = SingularityConic(np.array([0.0, q11, 0.0, 0.0, 0.0, q00]), 0.0, np.zeros((3, 2)), "hyperbola")
+    window = (-1.25, -1.25, 1.25, 1.25)
+    want = _reference_polyline(conic, window, 0.5)
+    assert len(want) == 2
+    _assert_same_polylines(sample_conic_polyline(conic, window, 0.5), want)
+
+
+def test_polyline_no_warnings_on_flat_edges():
+    """Q = y vanishes on the whole lattice row y = 0, so edges along it give
+    0/0 and the other rows' horizontal edges x/0; none of them may warn."""
+    conic = SingularityConic(np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0]), 0.0, np.zeros((3, 2)), "degenerate")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (poly,) = sample_conic_polyline(conic, (-1.0, -1.0, 1.0, 1.0), 0.5)
+    assert np.array_equal(poly[:, 1], np.zeros(len(poly)))
+    assert np.array_equal(np.sort(poly[:, 0]), np.linspace(-1.0, 1.0, 5))
 
 
 def test_classify_regular(ref):
