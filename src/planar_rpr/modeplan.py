@@ -59,6 +59,7 @@ from .singularity import (
     is_architecturally_singular,
     leg_lines,
     passage_safety,
+    _conic_coefficients,
     _leg_geometry,
     _line_measure,
     _two_line_clearance,
@@ -73,7 +74,9 @@ REFINE_BAND_REL = 0.05
 REFINE_FACTOR = 8
 # Bisection tolerance for crossing parameters.
 CROSSING_T_TOL = 1e-10
-# Subsamples per grid edge when scanning for sign changes.
+# Sample density of door and shortcut checks: at least one crossing-detector
+# sample per 1/EDGE_SUBSAMPLES of the smallest grid step (``fine_step``).
+# The edge scans themselves are exact and do not sample.
 EDGE_SUBSAMPLES = 9
 # Largest planner grid (nodes) and workspace path (base samples) accepted;
 # the same bound as the locus grid cap.
@@ -301,6 +304,37 @@ def _classify_zero(geom: RobotGeometry, pose: Pose, eps_pass: float, L: float):
     return "parallel", None, measure, None
 
 
+def _with_vertices(geom: RobotGeometry, path: WorkspacePath, ts, dets):
+    """Samples plus the vertex of every constant-phi segment's quadratic
+    that hides two sign changes (or a touch) inside one sample gap.
+
+    Along a constant-phi segment the determinant is exactly quadratic in
+    the segment parameter, so the samples at its ends and middle give the
+    quadratic.  Its vertex is added only when it falls strictly inside a
+    gap whose end values share a sign and the value there has the other
+    sign or is zero, so every other sample set is unchanged.
+    """
+    w, n = path._table, path.segment_count
+    k = np.nonzero(wrap_angle(w[1:, 2] - w[:-1, 2]) == 0.0)[0]
+    i0, im, i1 = (np.searchsorted(ts, (k + f) / n) for f in (0.0, 0.5, 1.0))
+    s, f0, fm, f1 = ts[im] * n - k, dets[i0], dets[im], dets[i1]
+    curvature = (fm - f0 - s * (f1 - f0)) / (s * s - s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = 0.5 - 0.5 * (f1 - f0) / curvature
+    inside = (vertex > 0.0) & (vertex < 1.0)
+    t = (k[inside] + vertex[inside]) / n
+    g = np.searchsorted(ts, t) - 1
+    at_vertex = f0[inside] - curvature[inside] * vertex[inside] ** 2
+    keep = (t < ts[g + 1]) & (dets[g] * dets[g + 1] > 0.0) & (at_vertex * dets[g] <= 0.0)
+    if not np.any(keep):
+        return ts, dets
+    # the detector's own value at the vertex decides
+    t, g = t[keep], g[keep]
+    d = _leg_geometry(geom, *path.poses_at(t))[3]
+    hide = d * dets[g] <= 0.0
+    return np.insert(ts, g[hide] + 1, t[hide]), np.insert(dets, g[hide] + 1, d[hide])
+
+
 def detect_crossings(
     geom: RobotGeometry, path: WorkspacePath, eps_pass: float | None = None
 ) -> list[CrossingEvent]:
@@ -309,14 +343,16 @@ def detect_crossings(
     Sign changes are bisected to |dt| <= 1e-10.  A crossing within
     ``eps_pass`` of a serial point whose remaining leg lines clear the
     coinciding joint is a passage; other sign changes are parallel
-    crossings.  Zeros without a sign change are reported as grazing.
+    crossings.  Zeros without a sign change are reported as grazing.  On
+    constant-phi segments the exact vertex of the quadratic joins the
+    samples where two crossings would otherwise hide in one sample gap.
     """
     _check_waypoints(geom, path)
     L = characteristic_scale(geom)
     if eps_pass is None:
         eps_pass = EPS_PASS_REL * L
     ts = _sample_params(geom, path)
-    dets = _leg_geometry(geom, *path.poses_at(ts))[3]
+    ts, dets = _with_vertices(geom, path, ts, _leg_geometry(geom, *path.poses_at(ts))[3])
     dscale = float(np.max(np.abs(dets))) or 1.0
 
     def det_at(t):
@@ -442,49 +478,118 @@ def _segment_crossings(geom, p0: Pose, p1: Pose, eps_pass, safe, L, fine_step):
     return events
 
 
-def _axis_edge_scan(geom, xs, ys, phis, axis, eps_pass):
-    """Vectorized sign-change and passage-candidate masks for one axis.
+def _trig_basis(phi):
+    """(1, cos phi, sin phi, cos 2phi, sin 2phi) along a new trailing axis."""
+    return np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi), np.cos(2 * phi), np.sin(2 * phi)], -1)
 
-    Every edge is subsampled EDGE_SUBSAMPLES times; an edge is marked
-    ``crossing`` when adjacent subsamples change the determinant's sign and
-    ``candidate`` when additionally some leg length near the change is small
-    enough that the crossing could sit inside the passage window.
+
+# At fixed (x, y) the determinant is a trigonometric polynomial of degree 2
+# in phi (each moment and each 2x2 minor of the line matrix is of degree 1),
+# so its values at five equally spaced angles give its coefficients
+# (a0, a1, b1, a2, b2) on _trig_basis through this discrete Fourier matrix.
+_TRIG_ANGLES = 2.0 * np.pi * np.arange(5) / 5
+_TRIG_FIT = _trig_basis(_TRIG_ANGLES) * [0.2, 0.4, 0.4, 0.4, 0.4]
+# Re(G1 e^{i phi} + G2 e^{2i phi}) (1 + t^2)^2 with t = tan(phi / 2) is
+# Re(G @ _TAN_HALF) on t^0 .. t^4, from e^{ik phi} = ((1 + it) / (1 - it))^k.
+_TAN_HALF = np.array([[1, 2j, 0, 2j, -1], [1, 4j, -6, -4j, 1]])
+
+
+def _critical_angles(coef):
+    """Four angles per row of coefficients (a0, a1, b1, a2, b2) that include
+    every critical point: the real parts of the roots of the derivative's
+    tan-half quartic (a non-real root only adds a harmless angle)."""
+    # the derivative is Re(G1 e^{i phi} + G2 e^{2i phi})
+    G = (coef[:, 1::2] - 1j * coef[:, 2::2]) * [1j, 2j]
+    # t = tan((phi - alpha) / 2): the t^4 coefficient is the derivative at
+    # alpha + pi, the sample angle where it is largest, so it is never zero
+    at_samples = (G @ np.exp(1j * np.outer([1, 2], _TRIG_ANGLES))).real
+    alpha = _TRIG_ANGLES[np.argmax(np.abs(at_samples), axis=1)] - np.pi
+    poly = ((G * np.exp(1j * np.outer(alpha, [1, 2]))) @ _TAN_HALF).real
+    companion = np.zeros((len(coef), 4, 4))
+    companion[:, 1:, :3] = np.eye(3)
+    companion[:, :, 3] = -poly[:, :4] / poly[:, 4:]
+    return alpha[:, None] + 2.0 * np.arctan(np.linalg.eigvals(companion).real)
+
+
+def _axis_edge_scan(geom, xs, ys, phis, axis, eps_pass):
+    """Exact sign-change and passage-candidate masks for one grid axis.
+
+    ``cross`` marks every edge on which the determinant has a zero: its end
+    values differ in sign or one is zero (``sgn * sgn <= 0``), or an
+    interior extremum has the ends' opposite sign or is zero, so an edge
+    that touches the locus tangentially is inadmissible too.  Along x and y
+    the determinant is the conic's quadratic (coefficients about the base
+    centroid), whose one extremum is its vertex.  Along phi it is a
+    trigonometric polynomial of degree 2 with coefficients (a_k, b_k);
+    an edge whose end values both exceed sum_k k^2 (|a_k| + |b_k|) times
+    dphi^2 / 8 keeps one sign (the bound on its distance from the chord),
+    and the remaining edges are tested at every real critical point.
+
+    ``cand`` marks the crossing edges along which some leg comes within
+    ``eps_pass`` of zero length, from the exact minimum of each leg length
+    over the edge: the distance from the serial point S_i(phi) to an x or y
+    edge, and from a_i - (x, y) to the arc that R(phi) b_i sweeps along a
+    phi edge.  ``phis`` must be uniform from 0 over the full circle.
     """
-    nx, ny, np_ = len(xs), len(ys), len(phis)
     if axis < 2:
         # the scanned axis runs along rows, the other spatial axis along columns
         along, other = (xs, ys) if axis == 0 else (ys, xs)
-        n, no = len(along), len(other)
-        fine = np.linspace(along[0], along[-1], (n - 1) * EDGE_SUBSAMPLES + 1)
-        margin = (along[1] - along[0]) / EDGE_SUBSAMPLES
-        cross = np.zeros((n - 1, no, np_), bool)
-        cand = np.zeros((n - 1, no, np_), bool)
-        xy = (fine[:, None], other[None, :])
+        o = geom.base.mean(axis=0)
+        q20, q11, q02, q10, q01, q00 = _conic_coefficients(geom, phis, o).T
+        sx, sy = (-v for v in _leg_geometry(geom, 0.0, 0.0, phis)[:2])  # serial points
         if axis == 1:
-            xy = xy[::-1]
-        for m, ph in enumerate(phis):
-            _, _, dist, det = _leg_geometry(geom, *xy, ph)
-            dmin = dist.min(axis=-1)
-            sgn = np.sign(det)
-            chg = (sgn[:-1] * sgn[1:] <= 0).reshape(n - 1, EDGE_SUBSAMPLES, no).any(axis=1)
-            dm = np.minimum(dmin[:-1], dmin[1:]).reshape(n - 1, EDGE_SUBSAMPLES, no).min(axis=1)
-            cross[:, :, m] = chg
-            cand[:, :, m] = chg & (dm <= eps_pass + margin)
-        if axis == 1:
-            cross, cand = cross.transpose(1, 0, 2), cand.transpose(1, 0, 2)
-        return cross, cand
-    maxb = float(np.max(np.hypot(geom.platform[:, 0], geom.platform[:, 1])))
-    fine = np.linspace(0.0, 2.0 * np.pi, np_ * EDGE_SUBSAMPLES, endpoint=False)
-    margin = (2.0 * np.pi / np_) / EDGE_SUBSAMPLES * max(maxb, 1e-300)
-    sgn = np.empty((nx, ny, np_ * EDGE_SUBSAMPLES), np.int8)
-    dmn = np.empty((nx, ny, np_ * EDGE_SUBSAMPLES))
-    for k, ph in enumerate(fine):
-        _, _, dist, det = _leg_geometry(geom, xs[:, None], ys[None, :], ph)
-        sgn[:, :, k] = np.sign(det)
-        dmn[:, :, k] = dist.min(axis=-1)
-    chg = (sgn * np.roll(sgn, -1, axis=2) <= 0).reshape(nx, ny, np_, EDGE_SUBSAMPLES).any(axis=3)
-    dm = np.minimum(dmn, np.roll(dmn, -1, axis=2)).reshape(nx, ny, np_, EDGE_SUBSAMPLES).min(axis=3)
-    return chg, chg & (dm <= eps_pass + margin)
+            q20, q02, q10, q01, o, sx, sy = q02, q20, q01, q10, o[::-1], sy, sx
+        u, v = along - o[0], (other - o[1])[:, None]
+        b = q11 * v + q10  # along each row, Q = q20 u^2 + b u + c
+        c = (q02 * v + q01) * v + q00
+        sgn = np.sign((q20 * u[:, None, None] + b) * u[:, None, None] + c)
+        cross = sgn[:-1] * sgn[1:] <= 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = -b / (2.0 * q20)
+            at_vertex = c - b * b / (4.0 * q20)
+        i = np.searchsorted(u, vertex) - 1  # u[i] < vertex <= u[i + 1]
+        ic = np.clip(i, 0, len(u) - 2)
+        j, m = np.nonzero((i == ic) & (vertex < u[ic + 1]))
+        hit = np.sign(at_vertex[j, m]) * sgn[ic[j, m], j, m] <= 0
+        cross[ic[j, m][hit], j[hit], m[hit]] = True
+
+        i, j, m = np.nonzero(cross)
+        near = np.clip(sx[m], along[i, None], along[i + 1, None])
+        dmin = np.hypot(near - sx[m], other[j, None] - sy[m])
+    else:
+        np_ = len(phis)
+        dphi = 2.0 * np.pi / np_
+        coef = _leg_geometry(geom, xs[:, None, None], ys[None, :, None], _TRIG_ANGLES)[3] @ _TRIG_FIT
+        f = coef @ _trig_basis(phis).T
+        f_next = np.roll(f, -1, axis=2)
+        sgn = np.sign(f)
+        cross = sgn * np.sign(f_next) <= 0
+        # |f''| <= sum_k k^2 (|a_k| + |b_k|), so f keeps the ends' sign on an
+        # edge where both end values exceed that bound times dphi^2 / 8
+        curvature = np.abs(coef) @ [0, 1, 1, 4, 4]
+        uncertified = ~cross & (np.minimum(np.abs(f), np.abs(f_next)) <= curvature[..., None] * dphi**2 / 8)
+        i, j = np.nonzero(uncertified.any(axis=2))
+        phc = _critical_angles(coef[i, j]) % (2.0 * np.pi)
+        at_phc = np.einsum("kt,kct->kc", coef[i, j], _trig_basis(phc))
+        i, j, m = np.broadcast_arrays(i[:, None], j[:, None], (phc // dphi).astype(int) % np_)
+        hit = np.sign(at_phc) * sgn[i, j, m] <= 0
+        cross[i[hit], j[hit], m[hit]] = True
+
+        i, j, m = np.nonzero(cross)
+        wx, wy = geom.base[:, 0] - xs[i, None], geom.base[:, 1] - ys[j, None]  # a_l - (x, y)
+        bx, by = geom.platform.T
+        # the arc passes closest to a_l - (x, y) where R(phi) b_l points along it
+        closest = (np.arctan2(wy, wx) - np.arctan2(by, bx) - phis[m, None]) % (2.0 * np.pi) <= dphi
+        ends = np.minimum(
+            _leg_geometry(geom, xs[i], ys[j], phis[m])[2],
+            _leg_geometry(geom, xs[i], ys[j], phis[m] + dphi)[2],
+        )
+        dmin = np.where(closest, np.abs(np.hypot(wx, wy) - np.hypot(bx, by)), ends)
+    cand = np.zeros_like(cross)
+    cand[i, j, m] = dmin.min(axis=-1) <= eps_pass
+    if axis == 1:
+        cross, cand = cross.transpose(1, 0, 2), cand.transpose(1, 0, 2)
+    return cross, cand
 
 
 def _edge_ends(shape):

@@ -175,13 +175,48 @@ def serial_points(geom: RobotGeometry, phi: float) -> np.ndarray:
     return geom.base - geom.platform @ rotation(phi).T
 
 
+def _conic_coefficients(geom: RobotGeometry, phi, origin=(0.0, 0.0)):
+    """(q20, q11, q02, q10, q01, q00) of the determinant as a quadratic in
+    (x - ox, y - oy), along a trailing axis; ``phi`` may be an array.
+
+    Translating the platform by (x, y) adds (x, y) to every leg vector, so
+    each moment m_i = (a_i - o) x d_i and each 2x2 minor d_j x d_k of the
+    determinant is affine in (x, y), and their products give the six
+    coefficients.  Taking the moments about ``o`` is a column operation on
+    the line matrix, so the determinant is unchanged; about the base
+    centroid the monomials stay small and so does the rounding.
+    """
+    ox, oy = origin
+    dx, dy, _, q00 = _leg_geometry(geom, ox, oy, phi)
+    ax, ay = geom.base[:, 0] - ox, geom.base[:, 1] - oy
+    m0, mx, my = ax * dy - ay * dx, -ay, ax
+    # minor opposite leg i, over the cyclic pair (j, k) = (i+1, i+2)
+    j, k = [1, 2, 0], [2, 0, 1]
+    c0 = dx[..., j] * dy[..., k] - dx[..., k] * dy[..., j]
+    cx, cy = dy[..., k] - dy[..., j], dx[..., j] - dx[..., k]
+
+    def dot(u, v):  # leg-axis dot product with the rounding of a 1-D `@`
+        return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+    return np.stack(
+        [
+            dot(mx, cx),
+            dot(mx, cy) + dot(my, cx),
+            dot(my, cy),
+            dot(m0, cx) + dot(mx, c0),
+            dot(m0, cy) + dot(my, c0),
+            q00,
+        ],
+        axis=-1,
+    )
+
+
 def singularity_conic(geom: RobotGeometry, phi: float) -> SingularityConic:
     """Exact fixed-orientation singularity locus Q(x, y) = 0.
 
-    Translating the platform by (x, y) adds (x, y) to every leg vector, so
-    each moment m_i = a_i x d_i and each 2x2 minor d_j x d_k of the
-    determinant is affine in (x, y), and their products give the six
-    coefficients in closed form.  When every coefficient, taken relative to
+    The six coefficients about the world origin come in closed form from
+    the affine dependence of the leg vectors on (x, y) (see
+    ``_conic_coefficients``).  When every coefficient, taken relative to
     L^(4 - degree), is at most 1e-12, the locus is the whole plane and the
     design is rejected as architecturally singular.
     """
@@ -189,14 +224,7 @@ def singularity_conic(geom: RobotGeometry, phi: float) -> SingularityConic:
     if singular:
         raise ArchitecturalSingularity(detail)
     L = characteristic_scale(geom)
-    dx, dy, _, q00 = _leg_geometry(geom, 0.0, 0.0, phi)
-    ax, ay = geom.base.T
-    m0, mx, my = ax * dy - ay * dx, -ay, ax
-    # minor opposite leg i, over the cyclic pair (j, k) = (i+1, i+2)
-    j, k = [1, 2, 0], [2, 0, 1]
-    c0 = dx[j] * dy[k] - dx[k] * dy[j]
-    cx, cy = dy[k] - dy[j], dx[j] - dx[k]
-    coeffs = np.array([mx @ cx, mx @ cy + my @ cx, my @ cy, m0 @ cx + mx @ c0, m0 @ cy + my @ c0, q00])
+    coeffs = _conic_coefficients(geom, phi)
     relative = coeffs / L ** np.array([2, 2, 2, 3, 3, 4])
     if np.max(np.abs(relative)) <= 1e-12:
         raise ArchitecturalSingularity(

@@ -24,8 +24,9 @@ from planar_rpr import (
     unnormalized_determinant,
     verify_mode_change,
 )
-from planar_rpr.model import rotation, wrap_angle
-from planar_rpr.modeplan import _grid_graph, _walk_back
+from planar_rpr.model import characteristic_scale, rotation, wrap_angle
+from planar_rpr.modeplan import _axis_edge_scan, _grid_graph, _segment_crossings, _walk_back
+from planar_rpr.singularity import _leg_geometry, passage_safety, singularity_conic
 
 from conftest import REF_BASE, REF_PLATFORM, REF_SCALE
 
@@ -360,3 +361,203 @@ def test_grid_graph_matches_heap_dijkstra():
             axis = int(np.flatnonzero(a != b)[0])
             total += costs[axis]
         assert total == pytest.approx(dist[node], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# exact edge predicates of the planner
+
+
+def _reference_edge_scan(geom, xs, ys, phis, axis, eps_pass, subsamples=9):
+    """The planner's former sampled edge scan: the oracle the exact masks must contain.
+
+    Every edge is subsampled ``subsamples`` times; an edge is crossing when
+    adjacent subsamples change the determinant's sign, and a candidate when
+    some subsampled leg length is within ``eps_pass`` plus the subsample
+    step's worth of leg motion.
+    """
+    nx, ny, np_ = len(xs), len(ys), len(phis)
+    if axis < 2:
+        along, other = (xs, ys) if axis == 0 else (ys, xs)
+        n, no = len(along), len(other)
+        fine = np.linspace(along[0], along[-1], (n - 1) * subsamples + 1)
+        margin = (along[1] - along[0]) / subsamples
+        cross = np.zeros((n - 1, no, np_), bool)
+        cand = np.zeros((n - 1, no, np_), bool)
+        xy = (fine[:, None], other[None, :])
+        if axis == 1:
+            xy = xy[::-1]
+        for m, ph in enumerate(phis):
+            _, _, dist, det = _leg_geometry(geom, *xy, ph)
+            dmin = dist.min(axis=-1)
+            sgn = np.sign(det)
+            chg = (sgn[:-1] * sgn[1:] <= 0).reshape(n - 1, subsamples, no).any(axis=1)
+            dm = np.minimum(dmin[:-1], dmin[1:]).reshape(n - 1, subsamples, no).min(axis=1)
+            cross[:, :, m] = chg
+            cand[:, :, m] = chg & (dm <= eps_pass + margin)
+        if axis == 1:
+            cross, cand = cross.transpose(1, 0, 2), cand.transpose(1, 0, 2)
+        return cross, cand
+    maxb = float(np.max(np.hypot(geom.platform[:, 0], geom.platform[:, 1])))
+    fine = np.linspace(0.0, 2.0 * np.pi, np_ * subsamples, endpoint=False)
+    margin = (2.0 * np.pi / np_) / subsamples * max(maxb, 1e-300)
+    sgn = np.empty((nx, ny, np_ * subsamples), np.int8)
+    dmn = np.empty((nx, ny, np_ * subsamples))
+    for k, ph in enumerate(fine):
+        _, _, dist, det = _leg_geometry(geom, xs[:, None], ys[None, :], ph)
+        sgn[:, :, k] = np.sign(det)
+        dmn[:, :, k] = dist.min(axis=-1)
+    chg = (sgn * np.roll(sgn, -1, axis=2) <= 0).reshape(nx, ny, np_, subsamples).any(axis=3)
+    dm = np.minimum(dmn, np.roll(dmn, -1, axis=2)).reshape(nx, ny, np_, subsamples).min(axis=3)
+    return chg, chg & (dm <= eps_pass + margin)
+
+
+def _check_masks_against_reference(geom, resolution):
+    """Exact cross ⊇ sampled cross, exact cand ⊆ sampled cand, and every door
+    the sampled candidates validate is an exact candidate, on every axis."""
+    L = characteristic_scale(geom)
+    eps_pass = 1e-3 * L
+    nx, ny, np_ = resolution
+    xs, ys = np.linspace(-L, 2 * L, nx), np.linspace(-L, 2 * L, ny)
+    phis = np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
+    fine_step = min(xs[1] - xs[0], ys[1] - ys[0], L * 2.0 * np.pi / np_) / 9
+    safe = passage_safety(geom)
+    steps = (np.array([xs[1] - xs[0], 0, 0]), np.array([0, ys[1] - ys[0], 0]), np.array([0, 0, 2 * np.pi / np_]))
+    for axis in range(3):
+        cross, cand = _axis_edge_scan(geom, xs, ys, phis, axis, eps_pass)
+        ref_cross, ref_cand = _reference_edge_scan(geom, xs, ys, phis, axis, eps_pass)
+        assert cross.shape == ref_cross.shape and cand.shape == ref_cand.shape
+        assert not np.any(ref_cross & ~cross), f"axis {axis}: exact scan misses a sampled crossing"
+        assert not np.any(cand & ~ref_cand), f"axis {axis}: exact candidate the sampled scan rejects"
+        for i, j, m in np.argwhere(ref_cand):
+            p0 = np.array([xs[i], ys[j], phis[m]])
+            events = _segment_crossings(
+                geom, Pose(*p0), Pose(*(p0 + steps[axis])), eps_pass, safe, L, fine_step
+            )
+            if events is not None and any(e.kind == "passage" for e in events):
+                assert cand[i, j, m], f"axis {axis}: door {(i, j, m)} is not an exact candidate"
+
+
+@pytest.mark.parametrize("resolution", [(64, 64, 64), (9, 10, 8)])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_exact_edge_masks_contain_reference(scale, resolution):
+    geom = RobotGeometry(np.asarray(REF_BASE) * scale, np.asarray(REF_PLATFORM) * scale)
+    _check_masks_against_reference(geom, resolution)
+
+
+def test_exact_edge_masks_contain_reference_random_designs():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        geom = RobotGeometry(base=rng.uniform(-10, 10, (3, 2)), platform=rng.uniform(-4, 4, (3, 2)))
+        _check_masks_against_reference(geom, (32, 32, 32))
+
+
+def test_exact_edge_masks_reference_robot_counts(ref):
+    """At 64^3 the reference robot's exact crossing masks have the sampled
+    scan's counts, so with the containment above they are equal."""
+    xs = ys = np.linspace(-L, 2 * L, 64)
+    phis = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    counts = [int(_axis_edge_scan(ref, xs, ys, phis, axis, 1e-3 * L)[0].sum()) for axis in range(3)]
+    assert counts == [3341, 3275, 9208]
+
+
+def _trig_terms(geom, x, y, phi):
+    """det and its first two phi derivatives at (x, y, phi), from a
+    least-squares fit of 1, cos, sin, cos 2phi, sin 2phi to nine samples."""
+    ang = np.linspace(0.0, 2.0 * np.pi, 9, endpoint=False)
+    basis = np.stack([np.ones(9), np.cos(ang), np.sin(ang), np.cos(2 * ang), np.sin(2 * ang)], -1)
+    a0, a1, b1, a2, b2 = np.linalg.lstsq(basis, _leg_geometry(geom, x, y, ang)[3], rcond=None)[0]
+    c1, s1, c2, s2 = np.cos(phi), np.sin(phi), np.cos(2 * phi), np.sin(2 * phi)
+    return (
+        a0 + a1 * c1 + b1 * s1 + a2 * c2 + b2 * s2,
+        b1 * c1 - a1 * s1 + 2 * (b2 * c2 - a2 * s2),
+        -(a1 * c1 + b1 * s1) - 4 * (a2 * c2 + b2 * s2),
+    )
+
+
+def test_exact_phi_scan_finds_two_roots_between_subsamples(ref):
+    """A phi edge whose determinant dips through zero and back between two
+    adjacent subsamples of the sampled scan."""
+    from scipy.optimize import fsolve
+
+    np_ = 8
+    gap = 2.0 * np.pi / (np_ * 9)  # the sampled scan's subsample spacing
+    phi_c = 1.5 * gap  # middle of the second subsample gap of edge 0
+    # a fold of the locus surface: det = d(det)/dphi = 0 at phi_c
+    fold = fsolve(lambda p: _trig_terms(ref, p[0], p[1], phi_c)[:2], [1.7, 1.0])
+    curvature = _trig_terms(ref, *fold, phi_c)[2]
+    # move to where the extremum at phi_c is just past zero: two roots
+    # about 0.3 subsample gaps apart
+    depth = -np.sign(curvature) * abs(curvature) * (0.15 * gap) ** 2 / 2
+    x, y = fsolve(lambda p: np.subtract(_trig_terms(ref, p[0], p[1], phi_c)[:2], [depth, 0.0]), fold)
+    dense = _leg_geometry(ref, x, y, np.linspace(0.0, 2.0 * np.pi / np_, 20001))[3]
+    assert np.count_nonzero(np.diff(np.sign(dense))) == 2 and dense[0] * dense[-1] > 0
+
+    xs, ys = np.array([x, x + 1.0]), np.array([y, y + 1.0])
+    phis = np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
+    assert _axis_edge_scan(ref, xs, ys, phis, 2, 1e-3 * L)[0][0, 0, 0]
+    assert not _reference_edge_scan(ref, xs, ys, phis, 2, 1e-3 * L)[0][0, 0, 0]
+
+
+def _chord_segment(geom, phi, y, offset, length=20.0):
+    """Horizontal constant-phi segment at height y whose quadratic has its
+    vertex ``offset`` from the segment start."""
+    q20, q11, _, q10, _, _ = singularity_conic(geom, phi).coefficients
+    xv = -(q11 * y + q10) / (2.0 * q20)
+    return WorkspacePath((Pose(xv - offset, y, phi), Pose(xv - offset + length, y, phi)))
+
+
+def test_detect_crossings_two_roots_in_one_sample_gap(ref):
+    """Two parallel crossings 0.017 L apart inside one sample gap: the
+    vertex of the segment's quadratic joins the samples and splits them."""
+    events = detect_crossings(ref, _chord_segment(ref, 0.9, -2.4371, 9.7))
+    assert [e.kind for e in events] == ["parallel", "parallel"]
+    # centred on the vertex, the midpoint sample already splits them
+    centred = detect_crossings(ref, _chord_segment(ref, 0.9, -2.4371, 10.0))
+    assert [e.kind for e in centred] == ["parallel", "parallel"]
+    assert np.allclose([e.t for e in events], [e.t - 0.015 for e in centred], atol=1e-9)
+
+
+def test_detect_crossings_near_tangent_chords():
+    """Random designs, orientations and chords just inside a tangent line of
+    the conic: detect_crossings reports exactly the quadratic's roots."""
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 40:
+        geom = RobotGeometry(base=rng.uniform(-10, 10, (3, 2)), platform=rng.uniform(-4, 4, (3, 2)))
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        q20, q11, q02, q10, q01, q00 = singularity_conic(geom, phi).coefficients
+        # a point of the conic on a random line through the base centroid
+        c, e = geom.base.mean(axis=0), rng.normal(size=2)
+        a = q20 * e[0] ** 2 + q11 * e[0] * e[1] + q02 * e[1] ** 2
+        b = (2 * q20 * c[0] + q11 * c[1] + q10) * e[0] + (q11 * c[0] + 2 * q02 * c[1] + q01) * e[1]
+        cc = q20 * c[0] ** 2 + q11 * c[0] * c[1] + q02 * c[1] ** 2 + q10 * c[0] + q01 * c[1] + q00
+        disc = b * b - 4 * a * cc
+        if disc <= 0 or a == 0:
+            continue
+        p = c + e * (-b + np.sqrt(disc)) / (2 * a)
+        grad = np.array([2 * q20 * p[0] + q11 * p[1] + q10, q11 * p[0] + 2 * q02 * p[1] + q01])
+        tangent = np.array([-grad[1], grad[0]]) / np.hypot(*grad)
+        curv = q20 * tangent[0] ** 2 + q11 * tangent[0] * tangent[1] + q02 * tangent[1] ** 2
+        if abs(curv) < 1e-3 * np.max(np.abs([q20, q11, q02])):
+            continue
+        # shift the tangent line inward so the roots are 2 * half apart
+        half = 10 ** rng.uniform(-3.5, -1.5)
+        shift = -np.sign(curv) * abs(curv) * half**2 / np.hypot(*grad)
+        mid = p + shift * grad / np.hypot(*grad)
+        length = rng.uniform(5.0, 30.0)
+        start = mid - tangent * length * rng.uniform(0.1, 0.9)
+        path = WorkspacePath((Pose(*start, phi), Pose(*(start + tangent * length), phi)))
+        # the exact roots of the quadratic in the segment parameter
+        ex, ey = tangent * length
+        qa = q20 * ex * ex + q11 * ex * ey + q02 * ey * ey
+        qb = (2 * q20 * start[0] + q11 * start[1] + q10) * ex + (q11 * start[0] + 2 * q02 * start[1] + q01) * ey
+        qc = singularity_conic(geom, phi).evaluate(*start)
+        if qb * qb - 4 * qa * qc <= 0:
+            continue
+        roots = np.sort((-qb + np.array([-1, 1]) * np.sqrt(qb * qb - 4 * qa * qc)) / (2 * qa))
+        if not np.all((roots > 0.0) & (roots < 1.0)):
+            continue
+        events = detect_crossings(geom, path)
+        assert len(events) == 2 and all(e.kind in ("parallel", "passage") for e in events)
+        assert np.allclose([e.t for e in events], roots, atol=1e-8)
+        checked += 1

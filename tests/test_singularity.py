@@ -22,7 +22,7 @@ from planar_rpr import (
 )
 from planar_rpr import singularity as singularity_module
 from planar_rpr.model import rotation
-from planar_rpr.singularity import SingularityConic, _leg_geometry
+from planar_rpr.singularity import SingularityConic, _conic_coefficients, _leg_geometry
 
 from conftest import REF_BASE, REF_PLATFORM, REF_SCALE, random_pose_tuple
 
@@ -434,6 +434,32 @@ def test_conic_matches_determinant_on_offset_designs():
         dets = np.array([unnormalized_determinant(geom, Pose(x, y, phi)) for x, y in pts])
         err = np.abs(conic.evaluate(pts[:, 0], pts[:, 1]) - dets)
         assert np.max(err) <= 1e-12 * np.max(np.abs(dets))
+
+
+def test_centred_conic_matches_determinant_on_offset_designs():
+    """About the base centroid the coefficients stay accurate far from the
+    world origin; the origin-frame form is the locus output, unchanged."""
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        base = rng.uniform(0.0, L, size=(3, 2))
+        base += rng.uniform(-5.0 * L, 5.0 * L, size=2)
+        geom = RobotGeometry(base=base, platform=rng.uniform(-0.3 * L, 0.3 * L, size=(3, 2)))
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        o = base.mean(axis=0)
+        q20, q11, q02, q10, q01, q00 = _conic_coefficients(geom, phi, o)
+        pts = o + rng.uniform(-2.0 * L, 2.0 * L, size=(50, 2))
+        dets = np.array([unnormalized_determinant(geom, Pose(x, y, phi)) for x, y in pts])
+        u, v = (pts - o).T
+        centred = q20 * u * u + q11 * u * v + q02 * v * v + q10 * u + q01 * v + q00
+        assert np.max(np.abs(centred - dets)) <= 1e-13 * np.max(np.abs(dets))
+        # about the origin the helper gives the locus coefficients bit for bit
+        assert _conic_coefficients(geom, phi).tobytes() == singularity_conic(geom, phi).coefficients.tobytes()
+    # and it broadcasts over an array of orientations
+    phis = np.array([0.0, 0.7, 2.5])
+    stacked = _conic_coefficients(geom, phis, o)
+    assert stacked.shape == (3, 6)
+    for row, phi in zip(stacked, phis):
+        assert row.tobytes() == _conic_coefficients(geom, phi, o).tobytes()
 
 
 def test_conic_rejects_vanishing_determinant_without_design_check(similar_design, monkeypatch):
