@@ -11,6 +11,7 @@ import json
 import math
 import sys
 import warnings
+from contextlib import contextmanager
 
 import click
 import numpy as np
@@ -34,13 +35,22 @@ def _emit(obj):
     click.echo(json.dumps(obj, sort_keys=True))
 
 
-def _load(robot_path):
+@contextmanager
+def _relay_warnings():
+    """Print warnings raised in the block as ``warning: ...`` lines on stderr,
+    also when the block raises."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        geom = load_robot(robot_path)
-    for w in caught:
-        click.echo(f"warning: {w.message}", err=True)
-    return geom
+        try:
+            yield
+        finally:
+            for w in caught:
+                click.echo(f"warning: {w.message}", err=True)
+
+
+def _load(robot_path):
+    with _relay_warnings():
+        return load_robot(robot_path)
 
 
 def _floats(text: str, n: int, what: str) -> list[float]:
@@ -115,10 +125,11 @@ def fk(cfg, robot_path, joints_text, oracle, grid):
     """Forward kinematics: all assembly modes for given joint values."""
     geom = _load(robot_path)
     joints = JointVector(_floats(joints_text, 3, "joints"))
-    if oracle:
-        sols = oracle_fk(geom, joints, grid or cfg.oracle_grid)
-    else:
-        sols = solve_fk(geom, joints)
+    with _relay_warnings():
+        if oracle:
+            sols = oracle_fk(geom, joints, grid or cfg.oracle_grid)
+        else:
+            sols = solve_fk(geom, joints)
     _emit(_solution_rows(sols))
 
 
@@ -216,7 +227,8 @@ def plan(cfg, robot_path, start_text, target_text, box_text, res_text, out_path)
     target = _pose_arg(target_text) if target_text else None
     box = _floats(box_text, 4, "box") if box_text else None
     res = {"resolution": tuple(int(v) for v in _floats(res_text, 3, "res"))} if res_text else {}
-    path = plan_mode_change(geom, start, target, box=box, eps_pass=cfg.eps_pass_rel * L, **res)
+    with _relay_warnings():
+        path = plan_mode_change(geom, start, target, box=box, eps_pass=cfg.eps_pass_rel * L, **res)
     doc = {"waypoints": [{"x": w.x, "y": w.y, "phi": w.phi} for w in path.waypoints]}
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

@@ -1,18 +1,16 @@
 """Inverse and forward kinematics of the 3-RPR planar parallel robot.
 
-The forward problem is solved by elimination.  Each leg imposes
-
-    F_i(x, y, phi) = ||(x, y) + R(phi) b_i - a_i||^2 - rho_i^2 = 0,
-
-and the differences F_j - F_sigma are affine in (x, y) with coefficients that
-are degree-1 trigonometric polynomials in phi.  Solving that 2x2 linear
-system for (x, y) and substituting into F_sigma gives a single equation in
-phi; the tangent-half-angle substitution t = tan(phi/2) with denominators
-cleared yields a degree-10 polynomial that always carries an exact factor
-(1 + t^2)^2.  Deflating it leaves the degree <= 6 polynomial whose real roots
-are the assembly modes (at most six).  The phi = pi pole of the substitution
-is handled by a separate direct check whenever the trimmed degree drops
-below six (a root at t = infinity).
+Each leg imposes F_i(x, y, phi) = ||(x, y) + R(phi) b_i - a_i||^2 - rho_i^2
+= 0.  The differences F_j - F_sigma are affine in (x, y); solving them and
+substituting into F_sigma with t = tan(phi/2) gives a degree-10 polynomial
+with an exact factor (1 + t^2)^2, whose deflated real roots are the assembly
+modes (at most six; phi = pi is checked directly when the degree drops).
+Only the constant terms of the w_i carry rho, so the seven coefficients are
+a quadratic form in r_i = rho_i^2 fixed by the design: :func:`compile_fk`
+expands it once per design into a 7x10 matrix, cached on first use as
+``RobotGeometry.fk_design``, and :func:`build_fk_polynomial` is one
+matrix-vector product.  A zero leg makes the roots double; :func:`solve_fk`
+then intersects two lines in (cos phi, sin phi) with the unit circle instead.
 
 A deliberately independent verification path, :func:`oracle_fk`, sweeps phi
 over a dense grid, solves the same affine system pointwise and brackets sign
@@ -24,6 +22,7 @@ results are invariant under sign flips of the directed distances.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -50,6 +49,11 @@ NEWTON_MAX_ITER = 50
 RESIDUAL_REL = 1e-9
 # Pose-space deduplication radius, relative to L.
 DEDUP_REL = 1e-6
+# Columns of FkDesign.M: index pairs into (1, r1, r2, r3), i.e. the monomials
+# 1, r1, r2, r3, r1^2, r1 r2, r1 r3, r2^2, r2 r3, r3^2 (np.triu_indices order).
+_MONOMIALS = [(a, b) for a in range(4) for b in range(a, 4)]
+_ONE_PLUS_T2 = np.array([1.0, 0.0, 1.0])
+_SINGULAR_ELIMINATION = "the (x, y) elimination system is singular for every orientation"
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,24 @@ class UnivariateFkPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+
+@dataclass(frozen=True)
+class FkDesign:
+    """The joint-independent part of forward kinematics for one design.
+
+    ``u``, ``v``, ``w0`` are :func:`_linear_forms` at rho = 0; ``legs`` is
+    (a_x, a_y, b_x, b_y) per leg in plain floats; ``M`` is None when the
+    elimination is singular for every orientation.
+    """
+
+    L: float
+    sigma: int
+    u: np.ndarray
+    v: np.ndarray
+    w0: np.ndarray
+    legs: tuple
+    M: np.ndarray | None
 
 
 @dataclass
@@ -114,26 +136,33 @@ def inverse_kinematics(geom: RobotGeometry, pose: Pose, sign_hint=None) -> Joint
     return JointVector(dist * signs)
 
 
-def constraint_residuals(geom: RobotGeometry, pose: Pose, rho_sq: np.ndarray) -> np.ndarray:
-    """F_i = ||B_i - a_i||^2 - rho_i^2 for each leg."""
-    b = platform_points(geom, pose)
-    d = b - geom.base
-    return d[:, 0] ** 2 + d[:, 1] ** 2 - rho_sq
+def _leg_floats(geom: RobotGeometry) -> tuple:
+    return tuple(tuple(a + b) for a, b in zip(geom.base.tolist(), geom.platform.tolist()))
 
 
-def _constraint_jacobian(geom: RobotGeometry, pose: Pose) -> np.ndarray:
-    """3x3 Jacobian of (F_1, F_2, F_3) with respect to (x, y, phi)."""
-    b = platform_points(geom, pose)
-    d = b - geom.base
-    # dB_i/dphi = R'(phi) b_i
-    c, s = np.cos(pose.phi), np.sin(pose.phi)
-    db = np.column_stack(
-        [
-            -s * geom.platform[:, 0] - c * geom.platform[:, 1],
-            c * geom.platform[:, 0] - s * geom.platform[:, 1],
-        ]
-    )
-    return np.column_stack([2.0 * d[:, 0], 2.0 * d[:, 1], 2.0 * np.sum(d * db, axis=1)])
+def _constraint_rows(legs, rho_sq, x: float, y: float, phi: float) -> list[tuple]:
+    """Per leg, (dF_i/dx, dF_i/dy, dF_i/dphi, F_i) in plain floats; dB_i/dphi
+    is R(phi) b_i turned a quarter turn."""
+    c, s = math.cos(phi), math.sin(phi)
+    rows = []
+    for (ax, ay, bx, by), r in zip(legs, rho_sq):
+        rbx, rby = c * bx - s * by, s * bx + c * by
+        dx, dy = x + rbx - ax, y + rby - ay
+        rows.append((2.0 * dx, 2.0 * dy, 2.0 * (rbx * dy - rby * dx), dx * dx + dy * dy - r))
+    return rows
+
+
+def constraint_residuals(geom: RobotGeometry, pose, rho_sq) -> np.ndarray:
+    """F_i = ||B_i - a_i||^2 - rho_i^2 per leg, at a Pose or (x, y, phi)."""
+    xyphi = pose.as_tuple() if isinstance(pose, Pose) else pose
+    rows = _constraint_rows(_leg_floats(geom), np.asarray(rho_sq, dtype=float).tolist(), *xyphi)
+    return np.array(rows)[:, 3]
+
+
+def _constraint_jacobian(geom: RobotGeometry, pose) -> np.ndarray:
+    """3x3 Jacobian of (F_1, F_2, F_3) in (x, y, phi), at a Pose or (x, y, phi)."""
+    xyphi = pose.as_tuple() if isinstance(pose, Pose) else pose
+    return np.array(_constraint_rows(_leg_floats(geom), (0.0,) * 3, *xyphi))[:, :3]
 
 
 def _linear_forms(geom: RobotGeometry, rho_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,233 +175,230 @@ def _linear_forms(geom: RobotGeometry, rho_sq: np.ndarray) -> tuple[np.ndarray, 
     bx, by = geom.platform[:, 0], geom.platform[:, 1]
     u = np.column_stack([-2.0 * ax, 2.0 * bx, -2.0 * by])
     v = np.column_stack([-2.0 * ay, 2.0 * by, 2.0 * bx])
-    w = np.column_stack(
-        [
-            ax**2 + ay**2 + bx**2 + by**2 - rho_sq,
-            -2.0 * (ax * bx + ay * by),
-            2.0 * (ax * by - ay * bx),
-        ]
-    )
-    return u, v, w
+    w0 = ax**2 + ay**2 + bx**2 + by**2 - rho_sq
+    return u, v, np.column_stack([w0, -2.0 * (ax * bx + ay * by), 2.0 * (ax * by - ay * bx)])
 
 
 def _tan_half_numerator(form: np.ndarray) -> np.ndarray:
-    """Numerator of (p0 + pc*cos + ps*sin) over (1 + t^2), ascending in t."""
-    p0, pc, ps = form
-    return np.array([p0 + pc, 2.0 * ps, p0 - pc])
+    """Numerator of (p0 + pc*cos + ps*sin) over (1 + t^2), ascending in t,
+    for each row of ``form``."""
+    p0, pc, ps = np.moveaxis(form, -1, 0)
+    return np.stack([p0 + pc, 2.0 * ps, p0 - pc], axis=-1)
 
 
-def _affine_system_at_angle(u, v, w, sigma: int, c, s):
-    """2x2 matrix and right-hand side of the (x, y) elimination at one angle.
+def _solve_affine_xy(u, v, w, sigma: int, phi: np.ndarray, L: float):
+    """Solve the elimination system J (x, y) = r at each angle of ``phi``.
 
-    Rows come from F_j - F_sigma for the two legs j != sigma; ``c`` and ``s``
-    may be scalars or broadcastable arrays.
-    """
-    others = [j for j in range(3) if j != sigma]
-    rows_a, rows_b, rhs = [], [], []
-    for j in others:
-        du = (u[j] - u[sigma])
-        dv = (v[j] - v[sigma])
-        dw = (w[j] - w[sigma])
-        rows_a.append(du[0] + du[1] * c + du[2] * s)
-        rows_b.append(dv[0] + dv[1] * c + dv[2] * s)
-        rhs.append(-(dw[0] + dw[1] * c + dw[2] * s))
-    return rows_a, rows_b, rhs
-
-
-def _solve_affine_xy(u, v, w, sigma: int, phi: float):
-    """Solve the elimination system for (x, y) at a fixed angle.
-
-    Returns (x, y, |det|).  Falls back to a least-squares solution when the
-    2x2 system is rank deficient (the caller gates on the returned det).
+    Row k of J comes from F_j - F_sigma for the k-th leg j != sigma.
+    Returns arrays (x, y, |det J|).  Where |det J| <= 1e-14 L^2, J counts as
+    rank one and gets the minimum-norm least-squares solution J^T r / |J|_F^2
+    (the caller gates on the returned det).
     """
     c, s = np.cos(phi), np.sin(phi)
-    (a1, a2), (b1, b2), (r1, r2) = _affine_system_at_angle(u, v, w, sigma, c, s)
+    (a1, b1, r1), (a2, b2, r2) = [
+        [f[0] + f[1] * c + f[2] * s for f in (u[j] - u[sigma], v[j] - v[sigma], w[sigma] - w[j])]
+        for j in range(3) if j != sigma
+    ]
     det = a1 * b2 - a2 * b1
-    if abs(det) > 1e-300:
-        x = (r1 * b2 - r2 * b1) / det
-        y = (a1 * r2 - a2 * r1) / det
-    else:
-        sol, *_ = np.linalg.lstsq(np.array([[a1, b1], [a2, b2]]), np.array([r1, r2]), rcond=None)
-        x, y = sol
-    return float(x), float(y), abs(det)
+    full = np.abs(det) > 1e-14 * L**2
+    norm = a1**2 + a2**2 + b1**2 + b2**2
+    den = np.where(full, det, np.where(norm > 0.0, norm, 1.0))
+    x = np.where(full, r1 * b2 - r2 * b1, a1 * r1 + a2 * r2) / den
+    y = np.where(full, a1 * r2 - a2 * r1, b1 * r1 + b2 * r2) / den
+    return x, y, np.abs(det)
+
+
+def _pmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Product of polynomials in t (last axis, ascending), broadcasting the
+    leading axes: those index the monomials of r in a linear or quadratic form."""
+    out = np.zeros(np.broadcast_shapes(p.shape[:-1], q.shape[:-1]) + (p.shape[-1] + q.shape[-1] - 1,))
+    for k in range(q.shape[-1]):
+        out[..., k : k + p.shape[-1]] += p * q[..., k : k + 1]
+    return out
+
+
+def compile_fk(geom: RobotGeometry) -> FkDesign:
+    """Substitution leg, degeneracy verdict and coefficient matrix of a design.
+
+    The substitution leg maximizes the minimum |elimination determinant| over
+    a coarse angle grid (ties, the normal case, go to the lowest index).
+    Column k of ``M`` is the degree-10 polynomial's exact expansion on
+    monomial k of r, deflated by (1 + t^2)^2; a visible remainder means
+    catastrophic cancellation and warns.
+    """
+    L = characteristic_scale(geom)
+    u, v, w0 = _linear_forms(geom, np.zeros(3))
+    phis = np.linspace(-np.pi * 0.95, np.pi * 0.95, 19)
+    sigma, best_score, dets = None, -np.inf, None
+    for cand in range(3):
+        cand_dets = _solve_affine_xy(u, v, w0, cand, phis, L)[2]
+        if float(np.min(cand_dets)) > best_score + 1e-15:
+            sigma, best_score, dets = cand, float(np.min(cand_dets)), cand_dets
+    if float(np.max(dets)) <= 1e-10 * L**2:
+        return FkDesign(L, sigma, u, v, w0, _leg_floats(geom), None)
+
+    U, V = _tan_half_numerator(u), _tan_half_numerator(v)
+    # W_i is linear in (1, r1, r2, r3): only its constant term holds r_i.
+    W = np.zeros((3, 4, 3))
+    W[:, 0] = _tan_half_numerator(w0)
+    W[[0, 1, 2], [1, 2, 3]] = -_ONE_PLUS_T2
+    j1, j2 = [j for j in range(3) if j != sigma]
+    A1, B1, C1 = U[j1] - U[sigma], V[j1] - V[sigma], W[j1] - W[sigma]
+    A2, B2, C2 = U[j2] - U[sigma], V[j2] - V[sigma], W[j2] - W[sigma]
+    d_num = _pmul(A1, B2) - _pmul(A2, B1)
+    x_num = _pmul(B1, C2) - _pmul(B2, C1)
+    y_num = _pmul(A2, C1) - _pmul(A1, C2)
+    # quadratic form: Q[a, b] is the coefficient polynomial of z_a z_b, z = (1, r)
+    Q = _pmul(_ONE_PLUS_T2, _pmul(x_num[:, None], x_num) + _pmul(y_num[:, None], y_num))
+    Q[0] += _pmul(_pmul(U[sigma], d_num), x_num) + _pmul(_pmul(V[sigma], d_num), y_num)
+    Q[0] += _pmul(W[sigma], _pmul(d_num, d_num))
+    Q = Q + Q.swapaxes(0, 1)
+    Q[range(4), range(4)] /= 2.0
+
+    M = np.zeros((7, len(_MONOMIALS)))
+    for k, col in enumerate(Q[np.triu_indices(4)]):
+        quotient, rem1 = npoly.polydiv(col, _ONE_PLUS_T2)
+        quotient, rem2 = npoly.polydiv(quotient, _ONE_PLUS_T2)
+        M[: len(quotient), k] = quotient
+        scale = float(np.max(np.abs(col)))
+        rem = max(float(np.max(np.abs(rem1))), float(np.max(np.abs(rem2))))
+        if scale > 0.0 and rem > 1e-8 * scale:
+            msg = f"tan-half deflation left a relative remainder of {rem / scale:.2e}"
+            warnings.warn(msg, RuntimeWarning, stacklevel=2)
+    return FkDesign(L, sigma, u, v, w0, _leg_floats(geom), M)
 
 
 def build_fk_polynomial(geom: RobotGeometry, joints: JointVector) -> UnivariateFkPolynomial:
-    """Eliminate (x, y) and return the trimmed univariate polynomial in t.
-
-    The substitution leg is chosen, per design, as the one maximizing the
-    minimum absolute elimination determinant over a coarse t-grid (ties go to
-    the lowest index; the determinant magnitude is in fact pair-independent,
-    so the tie-break is what normally decides).
-    """
-    L = characteristic_scale(geom)
-    rho_sq = joints.squared
-    u, v, w = _linear_forms(geom, rho_sq)
-
-    phis = np.linspace(-np.pi * 0.95, np.pi * 0.95, 19)
-    best_sigma, best_score = None, -np.inf
-    for sigma in range(3):
-        c, s = np.cos(phis), np.sin(phis)
-        (a1, a2), (b1, b2), _ = _affine_system_at_angle(u, v, w, sigma, c, s)
-        dets = np.abs(a1 * b2 - a2 * b1)
-        score = float(np.min(dets))
-        if score > best_score + 1e-15:
-            best_sigma, best_score = sigma, score
-    sigma = best_sigma
-
-    c, s = np.cos(phis), np.sin(phis)
-    (a1, a2), (b1, b2), _ = _affine_system_at_angle(u, v, w, sigma, c, s)
-    if float(np.max(np.abs(a1 * b2 - a2 * b1))) <= 1e-10 * L**2:
-        raise DegenerateElimination(
-            "the (x, y) elimination system is singular for every orientation"
-        )
-
-    others = [j for j in range(3) if j != sigma]
-    U = [_tan_half_numerator(u[i]) for i in range(3)]
-    V = [_tan_half_numerator(v[i]) for i in range(3)]
-    W = [_tan_half_numerator(w[i]) for i in range(3)]
-    A1, B1, C1 = U[others[0]] - U[sigma], V[others[0]] - V[sigma], W[others[0]] - W[sigma]
-    A2, B2, C2 = U[others[1]] - U[sigma], V[others[1]] - V[sigma], W[others[1]] - W[sigma]
-
-    # np.convolve keeps explicit lengths (polymul would trim trailing zeros
-    # and break the additions below).
-    pm = np.convolve
-    d_num = pm(A1, B2) - pm(A2, B1)
-    x_num = pm(B1, C2) - pm(B2, C1)
-    y_num = pm(A2, C1) - pm(A1, C2)
-
-    one_plus_t2 = np.array([1.0, 0.0, 1.0])
-    p10 = pm(one_plus_t2, pm(x_num, x_num) + pm(y_num, y_num))
-    p10 += pm(U[sigma], pm(x_num, d_num))
-    p10 += pm(V[sigma], pm(y_num, d_num))
-    p10 += pm(W[sigma], pm(d_num, d_num))
-
-    # (1 + t^2)^2 always divides exactly; a visible remainder means the
-    # coefficients were computed with catastrophic cancellation.
-    scale = float(np.max(np.abs(p10))) if np.max(np.abs(p10)) > 0 else 0.0
-    quotient, rem1 = npoly.polydiv(p10, one_plus_t2)
-    quotient, rem2 = npoly.polydiv(quotient, one_plus_t2)
-    if scale > 0.0:
-        rem = max(float(np.max(np.abs(rem1))), float(np.max(np.abs(rem2))))
-        if rem > 1e-8 * scale:
-            warnings.warn(
-                f"tan-half deflation left a relative remainder of {rem / scale:.2e}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    coeffs = np.atleast_1d(quotient)
+    """Eliminate (x, y) and return the trimmed univariate polynomial in t:
+    the design's compiled matrix (:func:`compile_fk`) on the monomials of
+    rho^2."""
+    design = geom.fk_design
+    if design.M is None:
+        raise DegenerateElimination(_SINGULAR_ELIMINATION)
+    z = [1.0, *joints.squared.tolist()]
+    coeffs = design.M @ np.array([z[a] * z[b] for a, b in _MONOMIALS])
     cmax = float(np.max(np.abs(coeffs)))
     if cmax == 0.0:
-        return UnivariateFkPolynomial(np.zeros(1), sigma, True, True)
+        return UnivariateFkPolynomial(np.zeros(1), design.sigma, True, True)
     keep = np.nonzero(np.abs(coeffs) > TRIM_REL * cmax)[0]
-    coeffs = coeffs[: keep[-1] + 1].copy()
-    check_pi = len(coeffs) - 1 < 6
-    return UnivariateFkPolynomial(coeffs, sigma, check_pi, False)
+    coeffs = coeffs[: keep[-1] + 1]
+    return UnivariateFkPolynomial(coeffs, design.sigma, len(coeffs) - 1 < 6, False)
 
 
-def _cluster_real_roots(roots: np.ndarray) -> list[tuple[float, int]]:
-    """Group accepted real parts within the cluster radius; returns (t, count)."""
-    if len(roots) == 0:
-        return []
-    vals = np.sort(roots)
-    clusters = []
-    start = 0
-    for k in range(1, len(vals) + 1):
-        if k == len(vals) or vals[k] - vals[k - 1] > ROOT_CLUSTER_RADIUS:
-            group = vals[start:k]
-            clusters.append((float(np.mean(group)), len(group)))
-            start = k
-    return clusters
-
-
-def _refine_newton(geom, rho_sq, x, y, phi, res_tol):
+def _refine_newton(legs, rho_sq, x, y, phi, res_tol):
     """Newton iteration on (F_1, F_2, F_3); returns (pose, residual, ok)."""
-    pose = Pose(float(x), float(y), float(phi))
-    res = constraint_residuals(geom, pose, rho_sq)
-    best = float(np.max(np.abs(res)))
+    x, y, phi = float(x), float(y), float(phi)
+    rows = _constraint_rows(legs, rho_sq, x, y, phi)
+    best = max(abs(row[3]) for row in rows)
     for _ in range(NEWTON_MAX_ITER):
         # polish far below the acceptance residual: near-singular Jacobians
         # amplify residual into pose error, so spare digits are cheap insurance
         if best <= 1e-6 * res_tol:
             break
-        jac = _constraint_jacobian(geom, pose)
+        jac = np.array(rows)
         try:
-            step = np.linalg.solve(jac, -res)
+            step = np.linalg.solve(jac[:, :3], -jac[:, 3])
         except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        cand = Pose(pose.x + step[0], pose.y + step[1], pose.phi + step[2])
-        cand_res = constraint_residuals(geom, cand, rho_sq)
-        cand_best = float(np.max(np.abs(cand_res)))
-        if cand_best >= best and best <= res_tol:
-            break  # stalled inside tolerance
-        if cand_best >= best:
-            # simple halving line search before giving up
-            improved = False
-            for _ in range(8):
-                step *= 0.5
-                cand = Pose(pose.x + step[0], pose.y + step[1], pose.phi + step[2])
-                cand_res = constraint_residuals(geom, cand, rho_sq)
-                cand_best = float(np.max(np.abs(cand_res)))
-                if cand_best < best:
-                    improved = True
-                    break
-            if not improved:
+            step, *_ = np.linalg.lstsq(jac[:, :3], -jac[:, 3], rcond=None)
+        sx, sy, sphi = step.tolist()
+        for _ in range(9):  # the full step, then up to 8 halvings
+            cand = (x + sx, y + sy, phi + sphi)
+            cand_rows = _constraint_rows(legs, rho_sq, *cand)
+            cand_best = max(abs(row[3]) for row in cand_rows)
+            if cand_best < best or best <= res_tol:
                 break
-        pose, res, best = cand, cand_res, cand_best
-    return pose, best, best <= res_tol
+            sx, sy, sphi = 0.5 * sx, 0.5 * sy, 0.5 * sphi
+        if cand_best >= best:
+            break  # stalled inside tolerance, or the line search failed
+        (x, y, phi), rows, best = cand, cand_rows, cand_best
+    return Pose(x, y, phi), best, best <= res_tol
+
+
+def _zero_leg_starts(design: FkDesign, rho_sq):
+    """Closed-form (x, y, phi, 1) starts when a leg i has length zero.
+
+    (x, y) = a_i - R(phi) b_i, and each other leg j is the line
+    2(e.f) cos phi + 2(e x f) sin phi = rho_j^2 - |e|^2 - |f|^2 with
+    e = b_j - b_i, f = a_i - a_j.  Independent lines meet in one point,
+    projected onto the unit circle; parallel ones leave the at most two
+    points where the stronger cuts (or, clamped, touches) the circle.
+    None when neither line constrains phi.
+    """
+    i = rho_sq.index(0.0)
+    axi, ayi, bxi, byi = design.legs[i]
+    lines = []
+    for j, (ax, ay, bx, by) in enumerate(design.legs):
+        ex, ey, fx, fy = bx - bxi, by - byi, axi - ax, ayi - ay
+        if j != i:
+            gamma = rho_sq[j] - ex * ex - ey * ey - fx * fx - fy * fy
+            lines.append((2.0 * (ex * fx + ey * fy), 2.0 * (ex * fy - ey * fx), gamma))
+    (p1, q1, g1), (p2, q2, g2) = lines
+    det = p1 * q2 - p2 * q1
+    if abs(det) > 1e-12 * math.hypot(p1, q1) * math.hypot(p2, q2):
+        phis = [math.atan2((p1 * g2 - p2 * g1) / det, (g1 * q2 - g2 * q1) / det)]
+    else:
+        p, q, g = max(lines, key=lambda line: math.hypot(line[0], line[1]))
+        n = math.hypot(p, q)
+        if n <= 1e-12 * design.L**2:
+            return None
+        # p cos phi + q sin phi = n cos(phi - theta)
+        theta, half = math.atan2(q, p), math.acos(max(-1.0, min(1.0, g / n)))
+        phis = [theta + half, theta - half]
+    return [
+        (axi - (math.cos(p) * bxi - math.sin(p) * byi), ayi - (math.sin(p) * bxi + math.cos(p) * byi), p, 1)
+        for p in phis
+    ]
 
 
 def solve_fk(geom: RobotGeometry, joints: JointVector) -> FkSolutionSet:
     """All assembly modes for the given joint vector.
 
-    Real roots of the univariate polynomial are lifted through the affine
-    elimination, refined by Newton iteration on the three constraints, then
-    deduplicated in pose space.  An empty set is a valid outcome (infeasible
-    joints).  Results depend on the joints only through rho_i^2.
+    Real roots of the univariate polynomial (or, with a zero leg, the closed
+    form of :func:`_zero_leg_starts`, whose solutions report multiplicity 1)
+    are lifted to poses, refined by Newton iteration on the three
+    constraints and deduplicated.  An empty set is a valid outcome
+    (infeasible joints).  Results depend on the joints only through rho^2.
     """
-    L = characteristic_scale(geom)
+    design = geom.fk_design
+    L = design.L
     res_tol = RESIDUAL_REL * L**2
-    rho_sq = joints.squared
-    poly = build_fk_polynomial(geom, joints)
-    if poly.degenerate:
-        raise DegenerateElimination("forward-kinematics polynomial vanishes identically")
-    u, v, w = _linear_forms(geom, rho_sq)
+    rho_sq = joints.squared.tolist()
+    poly = None
+    starts = _zero_leg_starts(design, rho_sq) if 0.0 in rho_sq else None
+    if starts is None:
+        poly = build_fk_polynomial(geom, joints)
+        if poly.degenerate:
+            raise DegenerateElimination("forward-kinematics polynomial vanishes identically")
+        w = design.w0 - np.outer(rho_sq, [1.0, 0.0, 0.0])
+        clusters = []
+        if poly.degree >= 1:
+            roots = npoly.polyroots(poly.coeffs)
+            # Root pairs split off the real axis by a tangency stay eligible: the
+            # acceptance band is on the equivalent angle error 2*Im(t)/(1+Re^2).
+            angle_im = 2.0 * np.abs(roots.imag) / (1.0 + roots.real**2)
+            # real parts within the cluster radius count as one root
+            real = np.sort(roots.real[angle_im <= 1e-5])
+            groups = np.split(real, np.flatnonzero(np.diff(real) > ROOT_CLUSTER_RADIUS) + 1)
+            clusters = [(float(np.mean(group)), len(group)) for group in groups if len(group)]
+        # |det| is the same for every substitution leg (twice a triangle's area):
+        # where it is small the lift is least squares, and Newton decides
+        phi0 = 2.0 * np.arctan([t for t, _ in clusters])
+        x0, y0, _ = _solve_affine_xy(design.u, design.v, w, poly.base_leg, phi0, L)
+        starts = [(x0[k], y0[k], phi0[k], mult) for k, (_, mult) in enumerate(clusters)]
 
-    candidates: list[tuple[float, int]] = []
-    if poly.degree >= 1:
-        roots = npoly.polyroots(poly.coeffs)
-        # Root pairs split off the real axis by a tangency stay eligible: the
-        # acceptance band is on the equivalent angle error 2*Im(t)/(1+Re^2).
-        angle_im = 2.0 * np.abs(roots.imag) / (1.0 + roots.real**2)
-        real_parts = roots.real[angle_im <= 1e-5]
-        candidates = _cluster_real_roots(real_parts)
-
-    entries: list[tuple[Pose, float, int]] = []
-    for t_val, mult in candidates:
-        phi0 = 2.0 * np.arctan(t_val)
-        x0, y0, det = _solve_affine_xy(u, v, w, poly.base_leg, phi0)
-        if det <= 1e-12 * L**2:
-            # try the other substitution legs before falling back to lstsq
-            for sigma in range(3):
-                x1, y1, det1 = _solve_affine_xy(u, v, w, sigma, phi0)
-                if det1 > det:
-                    x0, y0, det = x1, y1, det1
-        pose, resid, ok = _refine_newton(geom, rho_sq, x0, y0, phi0, res_tol)
+    entries = []
+    for x0, y0, phi0, mult in starts:
+        pose, resid, ok = _refine_newton(design.legs, rho_sq, x0, y0, phi0, res_tol)
         if ok:
             entries.append((pose, resid, mult))
         elif resid <= 1e4 * res_tol:
-            warnings.warn(
-                f"dropped a near-solution at phi={phi0:.6f} with residual {resid:.3e}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            msg = f"dropped a near-solution at phi={phi0:.6f} with residual {resid:.3e}"
+            warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
-    if poly.check_phi_pi:
-        x0, y0, det = _solve_affine_xy(u, v, w, poly.base_leg, np.pi)
-        if det > 1e-12 * L**2:
-            pose, resid, ok = _refine_newton(geom, rho_sq, x0, y0, np.pi, res_tol)
+    if poly is not None and poly.check_phi_pi:
+        x0, y0, det = _solve_affine_xy(design.u, design.v, w, poly.base_leg, np.array([np.pi]), L)
+        if det[0] > 1e-12 * L**2:
+            pose, resid, ok = _refine_newton(design.legs, rho_sq, x0[0], y0[0], np.pi, res_tol)
             if ok and abs(wrap_angle(pose.phi - np.pi)) <= 1e-6:
                 entries.append((pose, resid, 1))
 
@@ -397,11 +423,7 @@ def _assemble_solution_set(entries, L: float) -> FkSolutionSet:
         else:
             merged.append([pose, resid, mult])
     merged.sort(key=lambda it: (wrap_angle(it[0].phi), it[0].x, it[0].y))
-    return FkSolutionSet(
-        solutions=[it[0] for it in merged],
-        residuals=[it[1] for it in merged],
-        multiplicities=[it[2] for it in merged],
-    )
+    return FkSolutionSet(*([it[k] for it in merged] for k in range(3)))
 
 
 def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = 4096) -> FkSolutionSet:
@@ -418,65 +440,41 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = 4096) -> FkS
         raise ValidationError("grid must be at least 8")
     L = characteristic_scale(geom)
     res_tol = RESIDUAL_REL * L**2
-    rho_sq = joints.squared
-    u, v, w = _linear_forms(geom, rho_sq)
+    rho_sq = joints.squared.tolist()
+    u, v, w = _linear_forms(geom, joints.squared)
+    legs = _leg_floats(geom)
     sigma = 0
 
+    def lift(phi):
+        """(x, y, |det|, g) at the angles ``phi``."""
+        x, y, abs_det = _solve_affine_xy(u, v, w, sigma, phi, L)
+        trig = np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
+        return x, y, abs_det, x**2 + y**2 + (u[sigma] @ trig) * x + (v[sigma] @ trig) * y + w[sigma] @ trig
+
     phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    c, s = np.cos(phis), np.sin(phis)
-    (a1, a2), (b1, b2), (r1, r2) = _affine_system_at_angle(u, v, w, sigma, c, s)
-    det = a1 * b2 - a2 * b1
-    valid = np.abs(det) > 1e-10 * L**2
+    _, _, abs_det, g = lift(phis)
+    valid = abs_det > 1e-10 * L**2
     if not np.any(valid):
-        raise DegenerateElimination(
-            "the (x, y) elimination system is singular for every orientation"
-        )
-    safe_det = np.where(valid, det, 1.0)
-    x = (r1 * b2 - r2 * b1) / safe_det
-    y = (a1 * r2 - a2 * r1) / safe_det
-    g = (
-        x**2
-        + y**2
-        + (u[sigma, 0] + u[sigma, 1] * c + u[sigma, 2] * s) * x
-        + (v[sigma, 0] + v[sigma, 1] * c + v[sigma, 2] * s) * y
-        + (w[sigma, 0] + w[sigma, 1] * c + w[sigma, 2] * s)
-    )
-
-    def g_at(phi: float) -> float:
-        xx, yy, _ = _solve_affine_xy(u, v, w, sigma, phi)
-        pose = Pose(xx, yy, phi)
-        return float(constraint_residuals(geom, pose, rho_sq)[sigma])
-
+        raise DegenerateElimination(_SINGULAR_ELIMINATION)
+    # brackets [phi_k, phi_k + 2 pi / grid] with both ends valid: a zero at
+    # the left end is a root, a sign change is bisected to 1e-12 (all at once)
+    both = valid & np.roll(valid, -1)
+    exact = np.flatnonzero(both & (g == 0.0))
+    k = np.flatnonzero(both & (g * np.roll(g, -1) < 0.0))
+    lo, hi, glo = phis[k], phis[k] + 2.0 * np.pi / grid, g[k]
+    while np.any(hi - lo > 1e-12):
+        mid = 0.5 * (lo + hi)
+        gm = lift(mid)[3]
+        left, right = glo * gm < 0.0, glo * gm > 0.0
+        lo, hi, glo = np.where(left, lo, mid), np.where(right, hi, mid), np.where(right, gm, glo)
+    order = np.argsort(np.concatenate([exact, k]), kind="stable")
+    roots = np.concatenate([phis[exact], 0.5 * (lo + hi)])[order]
+    x0, y0, det0, _ = lift(roots)
     entries = []
-    for k in range(grid):
-        k2 = (k + 1) % grid
-        if not (valid[k] and valid[k2]):
-            continue
-        lo, hi = phis[k], phis[k] + 2.0 * np.pi / grid
-        glo, ghi = g[k], g[k2]
-        if glo == 0.0:
-            phi_root = lo
-        elif glo * ghi < 0.0:
-            while hi - lo > 1e-12:
-                mid = 0.5 * (lo + hi)
-                gm = g_at(mid)
-                if gm == 0.0:
-                    lo = hi = mid
-                    break
-                if glo * gm < 0.0:
-                    hi = mid
-                else:
-                    lo, glo = mid, gm
-            phi_root = 0.5 * (lo + hi)
-        else:
-            continue
-        x0, y0, det0 = _solve_affine_xy(u, v, w, sigma, phi_root)
-        if det0 <= 1e-12 * L**2:
-            continue
-        pose, resid, ok = _refine_newton(geom, rho_sq, x0, y0, phi_root, res_tol)
+    for j in np.flatnonzero(det0 > 1e-12 * L**2):
+        pose, resid, ok = _refine_newton(legs, rho_sq, x0[j], y0[j], roots[j], res_tol)
         if ok:
             entries.append((pose, resid, 1))
-
     return _assemble_solution_set(entries, L)
 
 
@@ -485,6 +483,7 @@ def fk_root_multiplicity(geom: RobotGeometry, joints: JointVector) -> list[tuple
 
     Multiplicity 2 marks a tangency (the joint vector sits on the forward
     problem's solution-count boundary); 3 marks a triple coincidence.
+    Zero-leg solutions come from a closed form and report 1.
     """
     sols = solve_fk(geom, joints)
     return list(zip(sols.solutions, sols.multiplicities))

@@ -14,6 +14,7 @@ is invariant under uniform scaling of the design.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,14 @@ class RobotGeometry:
 
     def __hash__(self):
         return hash((self.base.tobytes(), self.platform.tobytes(), self.name))
+
+    @cached_property
+    def fk_design(self):
+        """The design's compiled forward kinematics
+        (:func:`planar_rpr.kinematics.compile_fk`), built on first use."""
+        from .kinematics import compile_fk
+
+        return compile_fk(self)
 
 
 @dataclass(frozen=True)

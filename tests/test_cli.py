@@ -3,12 +3,15 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import planar_rpr
-from planar_rpr import ParseError, Pose, ValidationError, load_robot, pose_distance
+from planar_rpr import ParseError, Pose, ValidationError, load_robot, modeplan, pose_distance
+from planar_rpr import cli as cli_module
 from planar_rpr.cli import main
 
 from conftest import REF_BASE, REF_PLATFORM, REF_SCALE
@@ -342,3 +345,38 @@ def test_cli_locus_grid_cap(ref_file, capfd, window, step):
     out, err = capfd.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _runner():
+    try:
+        return CliRunner(mix_stderr=False)  # click < 8.2
+    except TypeError:
+        return CliRunner()  # click >= 8.2 keeps stderr apart
+
+
+@pytest.mark.parametrize(
+    "module, args",
+    [
+        (cli_module, ["fk", "--joints", "2.23606797749979,8.06225774829855,7.211102550927978"]),
+        (modeplan, ["plan", "--start", "0,0,0", "--res", "32,32,32"]),
+    ],
+)
+def test_cli_relays_solver_warnings(ref_file, monkeypatch, module, args):
+    """A RuntimeWarning raised inside solve_fk under fk and plan reaches
+    stderr as one ``warning:`` line, and stdout does not change."""
+    args = [args[0], "--robot", str(ref_file), *args[1:]]
+    quiet = _runner().invoke(cli_module.cli, args)
+    assert quiet.exit_code == 0 and quiet.stderr == ""
+
+    solve_fk = module.solve_fk
+    message = "dropped a near-solution at phi=0.500000 with residual 1.000e-06"
+
+    def warning_solve_fk(geom, joints):
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
+        return solve_fk(geom, joints)
+
+    monkeypatch.setattr(module, "solve_fk", warning_solve_fk)
+    loud = _runner().invoke(cli_module.cli, args)
+    assert loud.exit_code == 0
+    assert loud.stderr == f"warning: {message}\n"
+    assert loud.stdout == quiet.stdout

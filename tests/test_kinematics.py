@@ -1,9 +1,18 @@
+import math
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from planar_rpr import (
+    DegenerateElimination,
     JointVector,
     Pose,
+    RobotGeometry,
     build_fk_polynomial,
+    characteristic_scale,
     fk_root_multiplicity,
     inverse_kinematics,
     oracle_fk,
@@ -12,10 +21,11 @@ from planar_rpr import (
     pose_distance,
     solve_fk,
 )
-from planar_rpr.kinematics import constraint_residuals
+from planar_rpr import kinematics
+from planar_rpr.kinematics import TRIM_REL, UnivariateFkPolynomial, constraint_residuals
 from planar_rpr.model import rotation
 
-from conftest import REF_SCALE, random_pose_tuple
+from conftest import REF_BASE, REF_PLATFORM, REF_SCALE, random_pose_tuple
 
 L = REF_SCALE
 REF_JOINTS = np.sqrt([5.0, 65.0, 52.0])
@@ -230,3 +240,220 @@ def test_round_trip_near_half_turn(ref):
         )
         sols = solve_fk(ref, inverse_kinematics(ref, pose))
         assert min(pose_distance(p, pose, L) for p in sols) <= 1e-8 * L
+
+
+def _reference_fk_polynomial(geom, joints):
+    """The per-call elimination that the compiled matrix replaced, kept as
+    the reference: substitution-leg scan, convolutions, (1 + t^2)^2
+    deflation and trimming, all from the joints at hand."""
+    L = characteristic_scale(geom)
+    u, v, w = kinematics._linear_forms(geom, joints.squared)
+
+    def rows(sigma, c, s):
+        return [
+            [f[0] + f[1] * c + f[2] * s for f in (u[j] - u[sigma], v[j] - v[sigma], w[sigma] - w[j])]
+            for j in range(3) if j != sigma
+        ]
+
+    phis = np.linspace(-np.pi * 0.95, np.pi * 0.95, 19)
+    best_sigma, best_score = None, -np.inf
+    for sigma in range(3):
+        (a1, b1, _), (a2, b2, _) = rows(sigma, np.cos(phis), np.sin(phis))
+        score = float(np.min(np.abs(a1 * b2 - a2 * b1)))
+        if score > best_score + 1e-15:
+            best_sigma, best_score = sigma, score
+    sigma = best_sigma
+    (a1, b1, _), (a2, b2, _) = rows(sigma, np.cos(phis), np.sin(phis))
+    if float(np.max(np.abs(a1 * b2 - a2 * b1))) <= 1e-10 * L**2:
+        raise DegenerateElimination("singular for every orientation")
+
+    def tan_half(form):
+        p0, pc, ps = form
+        return np.array([p0 + pc, 2.0 * ps, p0 - pc])
+
+    j1, j2 = [j for j in range(3) if j != sigma]
+    U, V, W = ([tan_half(f[i]) for i in range(3)] for f in (u, v, w))
+    A1, B1, C1 = U[j1] - U[sigma], V[j1] - V[sigma], W[j1] - W[sigma]
+    A2, B2, C2 = U[j2] - U[sigma], V[j2] - V[sigma], W[j2] - W[sigma]
+    pm = np.convolve
+    d_num = pm(A1, B2) - pm(A2, B1)
+    x_num = pm(B1, C2) - pm(B2, C1)
+    y_num = pm(A2, C1) - pm(A1, C2)
+    one_plus_t2 = np.array([1.0, 0.0, 1.0])
+    p10 = pm(one_plus_t2, pm(x_num, x_num) + pm(y_num, y_num))
+    p10 += pm(U[sigma], pm(x_num, d_num)) + pm(V[sigma], pm(y_num, d_num)) + pm(W[sigma], pm(d_num, d_num))
+    quotient, _ = npoly.polydiv(p10, one_plus_t2)
+    quotient, _ = npoly.polydiv(quotient, one_plus_t2)
+    keep = np.nonzero(np.abs(quotient) > TRIM_REL * np.max(np.abs(quotient)))[0]
+    coeffs = quotient[: keep[-1] + 1]
+    return UnivariateFkPolynomial(coeffs, sigma, len(coeffs) < 7, False)
+
+
+def _random_design(rng, scale=1.0):
+    base = np.asarray(REF_BASE) + rng.normal(0.0, 1.5, (3, 2))
+    platform = np.asarray(REF_PLATFORM) + rng.normal(0.0, 0.5, (3, 2))
+    return RobotGeometry(base * scale, platform * scale)
+
+
+def test_compiled_polynomial_matches_reference_builder():
+    """M @ monomials(rho^2) equals the per-call elimination to 1e-12 of the
+    largest coefficient, at three scales and for poses within 1e-3 of pi."""
+    rng = np.random.default_rng(61)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(8):
+            geom = _random_design(rng, scale)
+            for k in range(6):
+                x, y, phi = random_pose_tuple(rng, REF_SCALE * scale)
+                if k % 2:
+                    phi = np.pi + rng.uniform(-1e-3, 1e-3)
+                joints = inverse_kinematics(geom, Pose(x, y, phi))
+                ref = _reference_fk_polynomial(geom, joints)
+                got = build_fk_polynomial(geom, joints)
+                assert (got.base_leg, got.degree, got.check_phi_pi) == (ref.base_leg, ref.degree, ref.check_phi_pi)
+                assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-12 * np.max(np.abs(ref.coeffs))
+
+
+def test_fk_design_is_compiled_once(monkeypatch):
+    calls = []
+    compile_fk = kinematics.compile_fk
+    monkeypatch.setattr(kinematics, "compile_fk", lambda geom: calls.append(geom) or compile_fk(geom))
+    geom = RobotGeometry(REF_BASE, REF_PLATFORM)
+    first = solve_fk(geom, JointVector(REF_JOINTS))
+    design = geom.fk_design
+    second = solve_fk(geom, JointVector(REF_JOINTS))
+    build_fk_polynomial(geom, JointVector(REF_JOINTS * 0.9))
+    assert len(calls) == 1 and geom.fk_design is design
+    assert first.solutions == second.solutions
+    # the degenerate verdict is cached too, and still raised on every call
+    swap = RobotGeometry(base=[(0, 0), (2, 0), (0, 2)], platform=[(0, 0), (0, 2), (2, 0)])
+    for _ in range(2):
+        with pytest.raises(DegenerateElimination):
+            build_fk_polynomial(swap, JointVector([1.0, 1.0, 1.0]))
+    assert len(calls) == 2
+
+
+# Zero-leg joint vectors whose generating pose the sextic path missed (the
+# double root split into a complex pair outside the acceptance band), from
+# the seeded fk benchmark workload, seeds 106, 39, 44 and 956052188:
+# (base, platform, rho, generating pose).
+ZERO_LEG_MISSES = [
+    ([(1.3239289457100187, 0.4863806789422517), (10.738186461831784, -0.2531182281329962),
+      (5.436288313786495, 5.712880624569269)],
+     [(-1.4350812910132964, -1.142913923279683), (1.9081636040583183, -1.531234805939248),
+      (-0.8148509742847219, 1.767753811906528)],
+     (12.808978271921797, 0.0, 12.259063739675735),
+     (12.701979682903605, -1.712325052282677, 3.178793313767026)),
+    ([(1.3239289457100187, 0.4863806789422517), (10.738186461831784, -0.2531182281329962),
+      (5.436288313786495, 5.712880624569269)],
+     [(-1.4350812910132964, -1.142913923279683), (1.9081636040583183, -1.531234805939248),
+      (-0.8148509742847219, 1.767753811906528)],
+     (6.077565707494776, 0.0, 3.703879762269106),
+     (8.769406125097767, 1.1993528925651489, 0.040626252485041335)),
+    ([(-0.7336560693610219, -1.4959253209529408), (9.802053791105358, 0.1968935895660076),
+      (3.477516840551103, 7.830025590578587)],
+     [(-1.4950248192818467, -0.3146601588582846), (2.6871842512363706, -1.3595280648122854),
+      (-0.16637370451288955, 2.3297980130974327)],
+     (7.2733642799149365, 5.2487415741684345, 0.0),
+     (3.718943988008622, 5.5068054279903285, 0.032257314295604696)),
+    ([(2.1689440993414193, 0.15345770946042267), (10.490129166646131, 1.7046935919636959),
+      (5.236365903651953, 8.868434765667256)],
+     [(-2.1895852918603653, -1.5094367754199318), (2.188084448096634, -1.2559797547744258),
+      (0.41361743274953733, 2.1056272240253877)],
+     (4.079621154388222, 0.0, 5.084609366584792),
+     (8.1652140347519, 2.684473325319517, 0.12224949199704171)),
+    ([(2.1689440993414193, 0.15345770946042267), (10.490129166646131, 1.7046935919636959),
+      (5.236365903651953, 8.868434765667256)],
+     [(-2.1895852918603653, -1.5094367754199318), (2.188084448096634, -1.2559797547744258),
+      (0.41361743274953733, 2.1056272240253877)],
+     (4.086129605316383, 0.0, 5.083571769203688),
+     (8.125862358585733, 2.5852849595738228, 0.16454837381790463)),
+    ([(-1.1179415274946922, 0.40158789426174013), (11.063770712206694, 0.2662801744220474),
+      (2.8261463530793813, 8.393493499509654)],
+     [(-1.8214991476393454, -0.5878563120117788), (2.361017211329602, -1.4541287564838363),
+      (-0.24888567810147946, 2.3028565639766665)],
+     (7.911234057639838, 0.0, 6.997460191177525),
+     (8.471561718607521, 1.2508334975749407, 0.18903889960297482)),
+    ([(-2.0343177342787833, 0.637208074516895), (11.119572123821857, 1.32978472433697),
+      (8.023920103794516, 8.391226315075649)],
+     [(-1.890476748555412, -1.6282442668562314), (1.5586845882478972, -1.4961708171852774),
+      (0.26569583706838373, 2.057513214589271)],
+     (9.723676284960566, 0.0, 3.9291753596634864),
+     (9.485730492510932, 2.7434983741379577, 0.051644894014371855)),
+]
+
+
+@pytest.mark.parametrize("base, platform, rho, pose", ZERO_LEG_MISSES)
+def test_zero_leg_closed_form_recovers_pinned_vectors(base, platform, rho, pose):
+    geom = RobotGeometry(base, platform)
+    Lg = characteristic_scale(geom)
+    for signed in (rho, tuple(-v for v in rho)):  # -0.0 is a zero leg too
+        sols = solve_fk(geom, JointVector(signed))
+        assert len(sols) <= 2 and sols.total_multiplicity <= 2
+        assert min(pose_distance(p, Pose(*pose), Lg) for p in sols) <= math.sqrt(1e-9) * Lg
+
+
+def test_zero_leg_parallel_lines_give_two_mirror_modes(similar_design):
+    """On a similar design the two leg lines are parallel: the closed form
+    cuts the circle twice, at phi and -phi, both genuine."""
+    Lg = characteristic_scale(similar_design)
+    for leg in range(3):
+        for phi in (0.7, -2.0, 3.0):
+            xy = similar_design.base[leg] - rotation(phi) @ similar_design.platform[leg]
+            rho = inverse_kinematics(similar_design, Pose(xy[0], xy[1], phi)).rho.copy()
+            rho[leg] = 0.0
+            sols = solve_fk(similar_design, JointVector(rho))
+            assert sorted(p.phi for p in sols) == pytest.approx([-abs(phi), abs(phi)], abs=1e-12)
+            assert sols.multiplicities == [1, 1]
+            assert min(pose_distance(p, Pose(xy[0], xy[1], phi), Lg) for p in sols) <= 1e-12 * Lg
+
+
+def _matched(a, b, scale):
+    """Every pose of a within 1e-6 * scale of a distinct pose of b, with
+    equal multiplicities, and no pose left over."""
+    if len(a) != len(b):
+        return False
+    left = list(zip(b.solutions, b.multiplicities))
+    for p, m in zip(a.solutions, a.multiplicities):
+        k = min(range(len(left)), key=lambda i: pose_distance(p, left[i][0], scale))
+        if pose_distance(p, left[k][0], scale) > 1e-6 * scale or left[k][1] != m:
+            return False
+        left.pop(k)
+    return True
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    zero_leg=st.sampled_from([None, 0, 1, 2]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    theta=st.floats(-np.pi, np.pi),
+    shift=st.tuples(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0)),
+)
+def test_fk_invariant_under_scaling_and_rigid_motion(seed, zero_leg, scale, theta, shift):
+    """Scaling the design and joints by s scales every solution; moving the
+    world frame by (R(theta), shift) moves every solution with it."""
+    rng = np.random.default_rng(seed)
+    geom = _random_design(rng)
+    x, y, phi = random_pose_tuple(rng)
+    if zero_leg is not None:
+        x, y = geom.base[zero_leg] - rotation(phi) @ geom.platform[zero_leg]
+    rho = inverse_kinematics(geom, Pose(x, y, phi)).rho.copy()
+    if zero_leg is not None:
+        rho[zero_leg] = 0.0
+    sols = solve_fk(geom, JointVector(rho))
+    Lg = characteristic_scale(geom)
+
+    scaled = solve_fk(RobotGeometry(geom.base * scale, geom.platform * scale), JointVector(rho * scale))
+    unscaled = kinematics.FkSolutionSet(
+        [Pose(p.x / scale, p.y / scale, p.phi) for p in scaled], scaled.residuals, scaled.multiplicities
+    )
+    assert _matched(sols, unscaled, Lg)
+
+    rot, t = rotation(theta), np.asarray(shift) * REF_SCALE
+    moved = solve_fk(RobotGeometry(geom.base @ rot.T + t, geom.platform), JointVector(rho))
+    back = kinematics.FkSolutionSet(
+        [Pose(*(rot.T @ (np.array([p.x, p.y]) - t)), p.phi - theta) for p in moved],
+        moved.residuals,
+        moved.multiplicities,
+    )
+    assert _matched(sols, back, Lg)
