@@ -251,8 +251,11 @@ def verify(cfg, robot_path, path_file, samples, fmt):
     try:
         with open(path_file, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        waypoints = tuple(Pose(w["x"], w["y"], w["phi"]) for w in doc["waypoints"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        coords = [[w[k] for k in ("x", "y", "phi")] for w in doc["waypoints"]]
+        if not all(type(v) in (int, float) and math.isfinite(v) for c in coords for v in c):
+            raise ValueError("waypoint coordinates must be finite numbers (not bools or null)")
+        waypoints = tuple(Pose(*map(float, c)) for c in coords)
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise click.UsageError(f"cannot read path file {path_file}: {exc}")
     path = WorkspacePath(waypoints, samples_per_segment=samples)
     cert = verify_mode_change(geom, path, eps_pass=cfg.eps_pass_rel * L)

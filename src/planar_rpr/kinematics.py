@@ -49,6 +49,8 @@ NEWTON_MAX_ITER = 50
 RESIDUAL_REL = 1e-9
 # Pose-space deduplication radius, relative to L.
 DEDUP_REL = 1e-6
+# Largest oracle sweep; the same bound as the locus and planner grids.
+ORACLE_MAX_GRID = 10**7
 # Columns of FkDesign.M: index pairs into (1, r1, r2, r3), i.e. the monomials
 # 1, r1, r2, r3, r1^2, r1 r2, r1 r3, r2^2, r2 r3, r3^2 (np.triu_indices order).
 _MONOMIALS = [(a, b) for a in range(4) for b in range(a, 4)]
@@ -426,18 +428,44 @@ def _assemble_solution_set(entries, L: float) -> FkSolutionSet:
     return FkSolutionSet(*([it[k] for it in merged] for k in range(3)))
 
 
+def _bracket_roots(f, lo, hi, flo, fhi, tol):
+    """Midpoints of the sign-change brackets [lo, hi] (float arrays) of ``f``,
+    which maps one parameter per bracket to values, refined all at once to
+    width <= tol by false position with the Illinois step (Dowell & Jarratt,
+    BIT 11, 1971).  A bracket not halved over two steps takes its midpoint,
+    no step lands within tol / 2 of an end, and a zero closes its bracket."""
+    was_left = was_right = np.zeros(lo.shape, dtype=bool)
+    width1 = width2 = np.full(lo.shape, np.inf)  # one and two steps back
+    while np.any(active := hi - lo > tol):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.where(hi - lo > 0.5 * width2, 0.5 * (lo + hi), (lo * fhi - hi * flo) / (fhi - flo))
+        c = np.where(active, np.clip(c, lo + 0.5 * tol, hi - 0.5 * tol), lo)
+        width1, width2 = hi - lo, width1
+        fc = f(c)
+        left, right = active & (np.sign(fc) == np.sign(flo)), active & (np.sign(fc) == np.sign(fhi))
+        # c replaces the end of its sign; the end kept twice in a row is halved
+        flo = np.where(left, fc, np.where(right & was_right, 0.5 * flo, flo))
+        fhi = np.where(right, fc, np.where(left & was_left, 0.5 * fhi, fhi))
+        lo, hi = np.where(active & ~right, c, lo), np.where(active & ~left, c, hi)
+        was_left, was_right = left, right
+    return 0.5 * (lo + hi)
+
+
 def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = 4096) -> FkSolutionSet:
     """Brute-force forward kinematics by sweeping the orientation.
 
     At every grid angle the affine elimination gives the unique candidate
     (x, y); the leftover residual g(phi) = F_sigma changes sign across a
-    solution.  Sign changes are bisected to 1e-12 in phi and polished by the
-    same Newton refinement as the solver.  Intended for verification only:
-    slower than :func:`solve_fk` and blind to tangential (even-multiplicity)
-    roots.  The sweep wraps around 2*pi.
+    solution.  Sign changes are refined to 1e-12 in phi by false position
+    (:func:`_bracket_roots`) and polished by the same Newton refinement as
+    the solver.  Intended for verification only: slower than
+    :func:`solve_fk` and blind to tangential (even-multiplicity) roots.  The
+    sweep wraps around 2*pi; ``grid`` must lie in [8, ``ORACLE_MAX_GRID``].
     """
     if grid < 8:
         raise ValidationError("grid must be at least 8")
+    if grid > ORACLE_MAX_GRID:
+        raise ValidationError(f"grid must be at most {ORACLE_MAX_GRID:,}")
     L = characteristic_scale(geom)
     res_tol = RESIDUAL_REL * L**2
     rho_sq = joints.squared.tolist()
@@ -456,19 +484,12 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = 4096) -> FkS
     valid = abs_det > 1e-10 * L**2
     if not np.any(valid):
         raise DegenerateElimination(_SINGULAR_ELIMINATION)
-    # brackets [phi_k, phi_k + 2 pi / grid] with both ends valid: a zero at
-    # the left end is a root, a sign change is bisected to 1e-12 (all at once)
+    # brackets [phi_k, phi_k + 2 pi / grid] with both ends valid: a sign
+    # change is refined to 1e-12, a zero at the left end closes its bracket
     both = valid & np.roll(valid, -1)
-    exact = np.flatnonzero(both & (g == 0.0))
-    k = np.flatnonzero(both & (g * np.roll(g, -1) < 0.0))
-    lo, hi, glo = phis[k], phis[k] + 2.0 * np.pi / grid, g[k]
-    while np.any(hi - lo > 1e-12):
-        mid = 0.5 * (lo + hi)
-        gm = lift(mid)[3]
-        left, right = glo * gm < 0.0, glo * gm > 0.0
-        lo, hi, glo = np.where(left, lo, mid), np.where(right, hi, mid), np.where(right, gm, glo)
-    order = np.argsort(np.concatenate([exact, k]), kind="stable")
-    roots = np.concatenate([phis[exact], 0.5 * (lo + hi)])[order]
+    k = np.flatnonzero(both & ((g == 0.0) | (g * np.roll(g, -1) < 0.0)))
+    hi = phis[k] + np.where(g[k] == 0.0, 0.0, 2.0 * np.pi / grid)
+    roots = _bracket_roots(lambda phi: lift(phi)[3], phis[k], hi, g[k], g[(k + 1) % grid], 1e-12)
     x0, y0, det0, _ = lift(roots)
     entries = []
     for j in np.flatnonzero(det0 > 1e-12 * L**2):

@@ -45,7 +45,7 @@ from .errors import (
     NoPathFound,
     ValidationError,
 )
-from .kinematics import inverse_kinematics, solve_fk
+from .kinematics import _bracket_roots, inverse_kinematics, solve_fk
 from .model import (
     Pose,
     RobotGeometry,
@@ -72,7 +72,7 @@ ZERO_TOUCH_REL = 1e-9
 # Distance band that triggers adaptive sample refinement.
 REFINE_BAND_REL = 0.05
 REFINE_FACTOR = 8
-# Bisection tolerance for crossing parameters.
+# Bracket width to which crossing parameters are refined.
 CROSSING_T_TOL = 1e-10
 # Sample density of door and shortcut checks: at least one crossing-detector
 # sample per 1/EDGE_SUBSAMPLES of the smallest grid step (``fine_step``).
@@ -98,8 +98,11 @@ class WorkspacePath:
             raise ValidationError("samples_per_segment must be at least 16")
         if not (len(wps) - 1) * self.samples_per_segment <= MAX_SAMPLES:
             raise ValidationError(f"the path has more than {MAX_SAMPLES:,} base samples")
+        table = np.array([w.as_tuple() for w in wps], dtype=float)
+        if not np.all(np.isfinite(table)):
+            raise ValidationError("waypoints must have finite coordinates")
         object.__setattr__(self, "waypoints", wps)
-        object.__setattr__(self, "_table", np.array([w.as_tuple() for w in wps], dtype=float))
+        object.__setattr__(self, "_table", table)
 
     @property
     def segment_count(self) -> int:
@@ -232,53 +235,44 @@ def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
 
     Starts all-positive.  A leg's sign flips at an isolated zero of its
     length with direction reversal (transversal pass through the serial
-    point).  A zero without reversal, or a length that stays pinned below
-    the zero band across consecutive samples, raises
-    :class:`AmbiguousContinuation`.
+    point).  Where the leg vector d turns by more than a right angle between
+    samples, it flips iff |d| <= ZERO_TOUCH_REL * L at the root of
+    d(t) . d(t_k), found to 1e-14 (exact at constant phi).  A zero without
+    reversal, or a length pinned below the zero band across consecutive
+    samples, raises :class:`AmbiguousContinuation`.
     """
-    from scipy.optimize import minimize_scalar
-
     _check_waypoints(geom, path)
     L = characteristic_scale(geom)
     zero_tol = ZERO_TOUCH_REL * L
     ts = _sample_params(geom, path)
     dx, dy, dist, _ = _leg_geometry(geom, *path.poses_at(ts))
-
-    def leg_dist(leg, t):
-        return float(_leg_geometry(geom, *path.poses_at(t))[2][leg])
-
-    def dot(lag):
-        # leg-vector dot products between samples k and k + lag
-        return dx[:-lag] * dx[lag:] + dy[:-lag] * dy[lag:]
-
-    dots, dots2 = dot(1), dot(2)
+    d = np.stack([dx, dy])  # leg vectors, (2, sample, leg)
+    # leg-vector dot products between samples k and k + lag, lag = 1, 2
+    dots, dots2 = (np.sum(d[:, :-lag] * d[:, lag:], axis=0) for lag in (1, 2))
+    below = dist <= zero_tol
     flips: list[tuple[float, int]] = []
     for leg in range(3):
-        d = dist[:, leg]
-        below = d <= zero_tol
-        if np.any(below[:-1] & below[1:]):
+        if np.any(below[:-1, leg] & below[1:, leg]):
             raise AmbiguousContinuation(
                 f"leg {leg + 1} length stays below {ZERO_TOUCH_REL:g}*L across "
                 "consecutive samples; the sign cannot be continued"
             )
         # a zero at the first or last sample has nothing to continue past
-        for k in np.nonzero(below[1:-1])[0] + 1:
+        for k in np.nonzero(below[1:-1, leg])[0] + 1:
             if dots2[k - 1, leg] >= 0.0:
                 raise AmbiguousContinuation(
                     f"leg {leg + 1} touches zero tangentially at t={ts[k]:.6g}"
                 )
             flips.append((float(ts[k]), leg))
-        for k in np.nonzero(~below[:-1] & ~below[1:] & (dots[:, leg] < 0.0))[0]:
-            res = minimize_scalar(
-                lambda t: leg_dist(leg, t),
-                bounds=(float(ts[k]), float(ts[k + 1])),
-                method="bounded",
-                options={"xatol": 1e-14},
-            )
-            if res.fun <= zero_tol:
-                flips.append((float(res.x), leg))
-            # a reversal with a minimum above the zero band is a near miss:
-            # the leg swings past its base joint and the sign is unchanged
+    k, leg = np.nonzero(~below[:-1] & ~below[1:] & (dots < 0.0))
+    rows, d_k = np.arange(len(k)), d[:, k, leg]
+    t_star = _bracket_roots(
+        lambda t: np.sum(np.stack(_leg_geometry(geom, *path.poses_at(t))[:2])[:, rows, leg] * d_k, axis=0),
+        ts[k], ts[k + 1], dist[k, leg] ** 2, dots[k, leg], 1e-14,
+    )
+    # above the zero band the leg swings past its base joint: a near miss
+    hit = _leg_geometry(geom, *path.poses_at(t_star))[2][rows, leg] <= zero_tol
+    flips += zip(t_star[hit].tolist(), leg[hit].tolist())
 
     flips.sort()
     signs = np.ones(dist.shape)
@@ -340,9 +334,9 @@ def detect_crossings(
 ) -> list[CrossingEvent]:
     """Locate and classify zeros of the determinant along the path.
 
-    Sign changes are bisected to |dt| <= 1e-10.  A crossing within
-    ``eps_pass`` of a serial point whose remaining leg lines clear the
-    coinciding joint is a passage; other sign changes are parallel
+    Sign changes are refined to |dt| <= 1e-10, all at once.  A crossing
+    within ``eps_pass`` of a serial point whose remaining leg lines clear
+    the coinciding joint is a passage; other sign changes are parallel
     crossings.  Zeros without a sign change are reported as grazing.  On
     constant-phi segments the exact vertex of the quadratic joins the
     samples where two crossings would otherwise hide in one sample gap.
@@ -355,9 +349,6 @@ def detect_crossings(
     ts, dets = _with_vertices(geom, path, ts, _leg_geometry(geom, *path.poses_at(ts))[3])
     dscale = float(np.max(np.abs(dets))) or 1.0
 
-    def det_at(t):
-        return float(_leg_geometry(geom, *path.poses_at(t))[3])
-
     events = []
     for k in np.nonzero(dets == 0.0)[0]:
         t_star = float(ts[k])
@@ -366,21 +357,14 @@ def detect_crossings(
             events.append(CrossingEvent(t_star, kind, leg, measure, clear))
         else:
             events.append(CrossingEvent(t_star, "grazing", None, 0.0, None))
-    for k in np.nonzero(dets[:-1] * dets[1:] < 0.0)[0]:
-        lo, hi, dlo = float(ts[k]), float(ts[k + 1]), dets[k]
-        while hi - lo > CROSSING_T_TOL:
-            mid = 0.5 * (lo + hi)
-            dm = det_at(mid)
-            if dm == 0.0:
-                lo = hi = mid
-                break
-            if dlo * dm < 0.0:
-                hi = mid
-            else:
-                lo, dlo = mid, dm
-        t_star = 0.5 * (lo + hi)
+    k = np.nonzero(dets[:-1] * dets[1:] < 0.0)[0]
+    refined = _bracket_roots(
+        lambda t: _leg_geometry(geom, *path.poses_at(t))[3], ts[k], ts[k + 1], dets[k], dets[k + 1],
+        CROSSING_T_TOL,
+    )
+    for t_star in refined.tolist():
         kind, leg, measure, clear = _classify_zero(geom, path.pose_at(t_star), eps_pass, L)
-        events.append(CrossingEvent(float(t_star), kind, leg, measure, clear))
+        events.append(CrossingEvent(t_star, kind, leg, measure, clear))
     # interior near-zero minima without a sign change (tangential grazing)
     prev, here, nxt = np.abs(dets[:-2]), np.abs(dets[1:-1]), np.abs(dets[2:])
     graze = (0.0 < here) & (here <= 1e-12 * dscale) & (here <= prev) & (here <= nxt)

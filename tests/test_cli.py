@@ -199,9 +199,10 @@ def test_cli_plan_no_path_reports_explored(ref_file, capfd):
     assert match and int(match.group(1)) > 0
 
 
-def test_cli_import_leaves_csgraph_unloaded():
-    """The planner imports scipy.sparse.csgraph and the sign continuation
-    scipy.optimize lazily, so cold start skips both."""
+def test_cli_import_leaves_csgraph_unloaded(ref_file, tmp_path):
+    """The planner imports scipy.sparse.csgraph lazily, so cold start skips
+    it; nothing imports scipy.optimize, not even a verify whose sign
+    continuation refines a reversal between samples, or a plan."""
     src = os.path.dirname(os.path.dirname(planar_rpr.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
@@ -212,6 +213,28 @@ def test_cli_import_leaves_csgraph_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+    # leg 1 passes its serial point S_1(0.83) at t = 5/7, between two samples
+    x, y = 0.6118201490325716, 2.1507385022911922
+    ends = [(x - 3.0, y - 1.3), (x + 1.2, y + 0.52)]
+    path_file = tmp_path / "reversal.json"
+    path_file.write_text(json.dumps({"waypoints": [{"x": a, "y": b, "phi": 0.83} for a, b in ends]}))
+    commands = [
+        ["verify", "--robot", str(ref_file), "--path", str(path_file)],
+        ["plan", "--robot", str(ref_file), "--start", "0,0,0", "--res", "32,32,32"],
+    ]
+    code = "\n".join([
+        "import contextlib, io, json, sys",
+        "from planar_rpr.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()) as out:",
+        "    codes = [main(args) for args in json.loads(sys.argv[1])]",
+        "flips = json.loads(out.getvalue().splitlines()[0])['sign_flips']",
+        "print(codes, [f['leg'] for f in flips], 'scipy.optimize' in sys.modules)",
+    ])
+    result = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[0, 0] [1] False"
 
 
 def test_cli_locus_leaves_stderr_empty(ref_file):
@@ -233,15 +256,25 @@ def test_cli_locus_leaves_stderr_empty(ref_file):
     [
         ["plan", "--start", "0,0,0", "--res", "1000000000000,8,8"],
         ["verify", "--samples", "1000000000000"],
+        ["fk", "--joints", "3.5,7.25,6.5", "--oracle", "--grid", "1000000000000"],
+        ["oracle-fk", "--joints", "3.5,7.25,6.5", "--grid", "1000000000000"],
     ],
 )
 def test_cli_oversized_grids_are_errors(ref_file, tmp_path, capfd, args):
-    """Both counts are checked before any array is allocated."""
+    """Every count is checked before any array is allocated."""
     path_file = tmp_path / "seg.json"
     path_file.write_text(json.dumps({"waypoints": [{"x": 4, "y": 2, "phi": 0}, {"x": 0, "y": 0, "phi": 0}]}))
     if args[0] == "verify":
         args = [*args, "--path", str(path_file)]
     assert main([args[0], "--robot", str(ref_file), *args[1:]]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "10,000,000" in err
+
+
+def test_cli_oversized_oracle_grid_override_is_an_error(ref_file, capfd, monkeypatch):
+    monkeypatch.setenv("PLANAR_RPR_ORACLE_GRID", "1000000000000")
+    assert main(["oracle-fk", "--robot", str(ref_file), "--joints", "3.5,7.25,6.5"]) == 1
     out, err = capfd.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "10,000,000" in err
@@ -380,3 +413,17 @@ def test_cli_relays_solver_warnings(ref_file, monkeypatch, module, args):
     assert loud.exit_code == 0
     assert loud.stderr == f"warning: {message}\n"
     assert loud.stdout == quiet.stdout
+
+
+@pytest.mark.parametrize("bad", ['"abc"', "null", "true", "false", "[1]", "NaN", "Infinity", "-Infinity", "1e400"])
+def test_cli_verify_rejects_non_numeric_coordinates(ref_file, tmp_path, bad):
+    """Strings, null, bools, arrays and non-finite values are a usage error
+    naming the path file, not a traceback or a silently read number."""
+    path_file = tmp_path / "seg.json"
+    path_file.write_text('{"waypoints": [{"x": 4, "y": %s, "phi": 0}, {"x": 0, "y": 0, "phi": 0}]}' % bad)
+    result = _runner().invoke(cli_module.cli, ["verify", "--robot", str(ref_file), "--path", str(path_file)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"cannot read path file {path_file}" in result.stderr
+    assert "Traceback" not in result.stderr
+

@@ -145,6 +145,42 @@ def test_oracle_matches_solver_on_random_joints(ref):
         assert _same_solution_sets(solve_fk(ref, joints), oracle_fk(ref, joints, grid=4096))
 
 
+@pytest.mark.parametrize(
+    "f, root",
+    [(lambda t: np.exp(20.0 * t) - 2.0, math.log(2.0) / 20.0), (lambda t: np.tanh((t - 0.3) / 1e-4), 0.3)],
+    ids=["exp", "tanh-step"],
+)
+@pytest.mark.parametrize("tol", [1e-10, 1e-14])
+def test_bracket_roots_terminates_on_adversarial_brackets(f, root, tol):
+    """A convex bracket whose far end dominates and a flat tanh step close
+    to ``tol`` within twice bisection's step count."""
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return f(t)
+
+    lo, hi = np.zeros(1), np.ones(1)
+    found = kinematics._bracket_roots(counted, lo, hi, f(lo), f(hi), tol)
+    assert abs(found[0] - root) <= tol
+    assert len(calls) <= 2 * math.ceil(math.log2(1.0 / tol))
+
+
+def test_bracket_roots_linear_brackets_close_in_one_step():
+    """Several brackets at once: linear ones land on their exact zero, and
+    each value array holds one parameter per bracket."""
+    slopes, roots = np.array([3.0, -0.5, 1e-9]), np.array([1.0 / 3.0, 0.25, 0.75])
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return slopes * (t - roots)
+
+    found = kinematics._bracket_roots(f, np.zeros(3), np.ones(3), -slopes * roots, slopes * (1.0 - roots), 1e-14)
+    assert np.allclose(found, roots, rtol=0.0, atol=1e-15)
+    assert len(calls) <= 2
+
+
 def test_round_trip_random_poses(ref):
     rng = np.random.default_rng(29)
     for _ in range(200):

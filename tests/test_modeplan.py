@@ -25,7 +25,7 @@ from planar_rpr import (
     verify_mode_change,
 )
 from planar_rpr.model import characteristic_scale, rotation, wrap_angle
-from planar_rpr.modeplan import _axis_edge_scan, _grid_graph, _segment_crossings, _walk_back
+from planar_rpr.modeplan import ZERO_TOUCH_REL, _axis_edge_scan, _grid_graph, _segment_crossings, _walk_back
 from planar_rpr.singularity import _leg_geometry, passage_safety, singularity_conic
 
 from conftest import REF_BASE, REF_PLATFORM, REF_SCALE
@@ -45,6 +45,12 @@ def test_path_needs_two_waypoints():
         WorkspacePath((Pose(0, 0, 0),))
     with pytest.raises(ValidationError):
         WorkspacePath((Pose(0, 0, 0), Pose(1, 0, 0)), samples_per_segment=4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_path_rejects_non_finite_waypoints(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        WorkspacePath((Pose(0, 0, 0), Pose(1, bad, 0)))
 
 
 def test_pose_interpolation_wraps_phi():
@@ -145,6 +151,39 @@ def _tangential_touch_path(geom, phi_star=0.3, w=0.3):
         ),
         16,
     )
+
+
+def test_continuation_finds_every_serial_flip(ref):
+    """200 seeded segments through a serial point S_i(phi) at a known t:
+    every one reports leg i's flip within 1e-9 of that t.  Half keep phi
+    fixed, half turn it by up to 0.3 over the segment."""
+    rng = np.random.default_rng(20261018)
+    for n in range(200):
+        leg, phi0, heading = int(rng.integers(3)), rng.uniform(-np.pi, np.pi), rng.uniform(0, 2 * np.pi)
+        length, t0 = rng.uniform(2.0, 8.0), rng.uniform(0.05, 0.95)
+        dphi = rng.uniform(-0.3, 0.3) if n % 2 else 0.0
+        s = ref.base[leg] - rotation(phi0) @ ref.platform[leg]
+        d = length * np.array([np.cos(heading), np.sin(heading)])
+        path = WorkspacePath(
+            (Pose(*(s - t0 * d), phi0 - t0 * dphi), Pose(*(s + (1 - t0) * d), phi0 + (1 - t0) * dphi))
+        )
+        flips = [t for t, lg in continue_joints(ref, path).sign_flips if lg == leg + 1]
+        assert flips and min(abs(t - t0) for t in flips) <= 1e-9, (n, flips, t0)
+
+
+@pytest.mark.parametrize("band_multiple, flips", [(0.5, True), (2.0, False)])
+def test_continuation_near_band_pair(ref, band_multiple, flips):
+    """A constant-phi segment passing S_1(0.83) at a distance of 0.5x the
+    zero band flips leg 1 at t = 5/7; at 2x the band it is a near miss."""
+    s, phi = np.array([0.6118201490325716, 2.1507385022911922]), 0.83
+    u = np.array([1.2, 0.52])
+    off = band_multiple * ZERO_TOUCH_REL * L * np.array([-u[1], u[0]]) / np.hypot(*u)
+    jp = continue_joints(ref, WorkspacePath((Pose(*(s - 2.5 * u + off), phi), Pose(*(s + u + off), phi))))
+    if flips:
+        assert len(jp.sign_flips) == 1 and jp.sign_flips[0][1] == 1
+        assert jp.sign_flips[0][0] == pytest.approx(5 / 7, abs=1e-9)
+    else:
+        assert jp.sign_flips == ()
 
 
 def test_continuation_tangential_touch_is_ambiguous(ref):
