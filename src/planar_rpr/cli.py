@@ -127,7 +127,7 @@ def fk(cfg, robot_path, joints_text, oracle, grid):
     joints = JointVector(_floats(joints_text, 3, "joints"))
     with _relay_warnings():
         if oracle:
-            sols = oracle_fk(geom, joints, grid or cfg.oracle_grid)
+            sols = oracle_fk(geom, joints, grid if grid is not None else cfg.oracle_grid)
         else:
             sols = solve_fk(geom, joints)
     _emit(_solution_rows(sols))
@@ -142,7 +142,7 @@ def oracle_fk_cmd(cfg, robot_path, joints_text, grid):
     """Brute-force forward kinematics by orientation sweep."""
     geom = _load(robot_path)
     joints = JointVector(_floats(joints_text, 3, "joints"))
-    sols = oracle_fk(geom, joints, grid or cfg.oracle_grid)
+    sols = oracle_fk(geom, joints, grid if grid is not None else cfg.oracle_grid)
     _emit(_solution_rows(sols))
 
 

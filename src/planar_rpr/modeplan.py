@@ -591,15 +591,75 @@ def _edge_ends(shape):
 
 
 def _grid_graph(ok, costs, shape):
-    """Undirected CSR graph of the admissible grid edges."""
+    """Symmetric CSR graph of the admissible grid edges, both directions.
+
+    Every node lists its six neighbour slots in increasing node index:
+    x - 1, y - 1, the two phi neighbours, y + 1, x + 1.  The phi slots swap
+    at m = 0 and m = np_ - 1, where one of them wraps, so the rows come out
+    with sorted columns and no COO conversion.
+    """
     from scipy.sparse import csr_matrix
 
-    ends = _edge_ends(shape)
-    rows = np.concatenate([lo[mask] for (lo, _), mask in zip(ends, ok)])
-    cols = np.concatenate([hi[mask] for (_, hi), mask in zip(ends, ok)])
-    weights = np.concatenate([np.full(int(mask.sum()), w) for mask, w in zip(ok, costs)])
-    n = int(np.prod(shape))
-    return csr_matrix((weights, (rows, cols)), shape=(n, n))
+    nx, ny, np_ = shape
+    n = nx * ny * np_
+    ok_x, ok_y, ok_p = ok
+    adj = np.zeros((nx, ny, np_, 6), dtype=bool)
+    adj[1:, :, :, 0], adj[:-1, :, :, 5] = ok_x, ok_x
+    adj[:, 1:, :, 1], adj[:, :-1, :, 4] = ok_y, ok_y
+    adj[..., 2], adj[..., 3] = np.roll(ok_p, 1, axis=2), ok_p
+    adj[:, :, [0, -1], 2:4] = adj[:, :, [0, -1], 3:1:-1]
+    # neighbour index minus that of node (i, j, 0), per (m, slot)
+    step = np.tile(np.array([-ny * np_, -np_, -1, 1, np_, ny * np_], dtype=np.int32), (np_, 1))
+    step[0, 2:4], step[-1, 2:4] = (1, np_ - 1), (1 - np_, -1)
+    step += np.arange(np_, dtype=np.int32)[:, None]
+    keep = adj.ravel()
+    indices = np.add.outer(np.arange(0, n, np_, dtype=np.int32), step.ravel()).ravel()[keep]
+    data = np.tile(np.array(costs)[[0, 1, 2, 2, 1, 0]], n)[keep]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    # row lengths; a uint8 product sums the six slots faster than .sum(axis=1)
+    np.cumsum(adj.reshape(n, 6).view(np.uint8) @ np.ones(6, dtype=np.uint8), out=indptr[1:])
+    return csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+class _TwoEndedSearch:
+    """Dijkstra from both ends (s, t) of a grid route, bounded by a limit
+    that grows until a value read off the distances is certified.
+
+    With ``limit``, scipy settles exactly the nodes within the limit of a
+    source and leaves the others at inf.  The limit starts at the largest
+    edge cost ``c`` and keeps its value between calls of :meth:`until`.
+    """
+
+    def __init__(self, graph, ends, c):
+        self.graph, self.ends, self.c = graph, list(ends), c
+        self.limit = c
+        self._search()
+
+    def _search(self):
+        from scipy.sparse.csgraph import dijkstra
+
+        self.dist = self.pred = None  # free the last search's arrays first
+        self.dist, self.pred = dijkstra(self.graph, indices=self.ends, limit=self.limit, return_predecessors=True)
+
+    def until(self, needed):
+        """Search until ``needed(dist)`` is within the limit, or the search
+        is complete.
+
+        ``needed(dist)`` is the least limit at which the value it reads off
+        the (2, n) distances is exact (inf when there is none yet); the
+        limit grows to min(2 limit, needed).  The search is complete when
+        every finite distance plus ``c`` is within the limit: no relaxation
+        was cut off, so the finite entries span each end's whole component.
+        """
+        while True:
+            need = needed(self.dist)
+            if need <= self.limit or self._farthest() + self.c <= self.limit:
+                return self.dist, self.pred
+            self.limit = min(2.0 * self.limit, need)
+            self._search()
+
+    def _farthest(self):
+        return np.max(self.dist, where=np.isfinite(self.dist), initial=0.0)
 
 
 def _walk_back(pred, node):
@@ -608,6 +668,61 @@ def _walk_back(pred, node):
     while pred[out[-1]] >= 0:
         out.append(int(pred[out[-1]]))
     return out[::-1]
+
+
+def _grid_route(graph, ends, c, doors, require_crossing):
+    """Grid nodes of the cheapest route between ``ends`` = (s, t), and the
+    doors it uses.
+
+    ``doors`` lists (lo, hi, cost) of the passage edges of ``graph``, and
+    ``c`` is its largest edge cost.  The route joins the two predecessor
+    trees at the node where d_s + d_t is least.  With ``require_crossing``
+    a route without a door is replaced by the cheapest route through one,
+    the first cheapest door in door order.  On failure the NoPathFound's
+    ``explored`` counts the nodes reachable from s (from s and t together
+    for an unreachable door).
+    """
+    search = _TwoEndedSearch(graph, ends, c)
+    # a shortest route of length mu has a node within limit of s whose rest is
+    # shorter than limit, so min(d_s + d_t) is exact once mu <= 2 limit - c
+    dist, pred = search.until(lambda d: (np.min(d[0] + d[1]) + c) / 2)
+    meet = int(np.argmin(dist[0] + dist[1]))
+    if not np.isfinite(dist[0, meet] + dist[1, meet]):
+        raise NoPathFound(
+            "grid search exhausted without reaching the target",
+            explored=int(np.count_nonzero(np.isfinite(dist[0]))),
+        )
+    nodes = _walk_back(pred[0], meet) + _walk_back(pred[1], meet)[::-1][1:]
+    used_doors = {frozenset(e) for e in zip(nodes[:-1], nodes[1:])} & {frozenset(d[:2]) for d in doors}
+    if not require_crossing or used_doors:
+        return nodes, used_doors
+
+    # both orientations of every door, in door order, so the first cheapest
+    # splice wins; a splice of cost mu is exact once mu <= limit
+    pairs = np.array([d[:2] for d in doors], dtype=np.intp).reshape(-1, 2)
+    a, b, w = pairs.ravel(), pairs[:, ::-1].ravel(), np.repeat([d[2] for d in doors], 2)
+
+    def splice_costs(d):
+        return d[0, a] + w + d[1, b]
+
+    del dist, pred  # so the search can free them before it searches again
+    dist, pred = search.until(lambda d: np.min(splice_costs(d), initial=np.inf))
+    reached = np.isfinite(dist)
+    if not doors:
+        raise NoPathFound(
+            "no passage edge exists at this resolution; try a finer grid "
+            "or a wider eps_pass",
+            explored=int(np.count_nonzero(reached[0])),
+        )
+    total = splice_costs(dist)
+    k = int(np.argmin(total))
+    if not np.isfinite(total[k]):
+        raise NoPathFound(
+            "no passage edge is reachable from both endpoints",
+            explored=int(np.count_nonzero(reached[0] | reached[1])),
+        )
+    nodes = _walk_back(pred[0], a[k]) + _walk_back(pred[1], b[k])[::-1]
+    return nodes, {frozenset((int(a[k]), int(b[k])))}
 
 
 def plan_mode_change(
@@ -632,6 +747,14 @@ def plan_mode_change(
     shortest route dodges the surface entirely, the cheapest passage edge is
     spliced into it.  The result always passes verification with verdict
     ``changed_without_parallel``.
+
+    The grid search is a two-ended Dijkstra from the start and target grid
+    nodes, bounded by a distance limit that grows, at most doubling, until
+    the route (and then the splice) is certified exact, so it settles only
+    the nodes near the two ends.  Among equal-cost routes the one found may differ from a
+    one-ended search's.  A ``NoPathFound`` raised by the search counts in
+    ``explored`` every node reachable from the start (and from the target
+    too when no door is reachable from both).
     """
     L = characteristic_scale(geom)
     if eps_pass is None:
@@ -702,7 +825,6 @@ def plan_mode_change(
             if events is not None and any(e.kind == "passage" for e in events):
                 doors.append((int(lo[idx]), int(hi[idx]), costs[axis]))
                 ok[axis][idx] = True
-    door_set = {frozenset(d[:2]) for d in doors}
 
     def snap(pose: Pose, label: str):
         ci = int(np.clip(np.searchsorted(xs, pose.x) - 1, 0, nx - 2))
@@ -723,41 +845,8 @@ def plan_mode_change(
     s_node = snap(start, "start")
     t_node = snap(target, "target")
 
-    from scipy.sparse.csgraph import dijkstra
-
     graph = _grid_graph(ok, costs, shape)
-    dist_s, pred_s = dijkstra(graph, directed=False, indices=s_node, return_predecessors=True)
-    reached = np.isfinite(dist_s)
-    if not reached[t_node]:
-        raise NoPathFound(
-            "grid search exhausted without reaching the target",
-            explored=int(np.count_nonzero(reached)),
-        )
-    nodes = _walk_back(pred_s, t_node)
-    used_doors = {frozenset(e) for e in zip(nodes[:-1], nodes[1:])} & door_set
-
-    if require_crossing and not used_doors:
-        if not doors:
-            raise NoPathFound(
-                "no passage edge exists at this resolution; try a finer grid "
-                "or a wider eps_pass",
-                explored=int(np.count_nonzero(reached)),
-            )
-        dist_t, pred_t = dijkstra(graph, directed=False, indices=t_node, return_predecessors=True)
-        # both orientations of every door, in door order, so the first
-        # cheapest splice wins
-        lo, hi, w = (np.array(v) for v in zip(*doors))
-        a = np.column_stack([lo, hi]).ravel()
-        b = np.column_stack([hi, lo]).ravel()
-        total = dist_s[a] + np.repeat(w, 2) + dist_t[b]
-        k = int(np.argmin(total))
-        if not np.isfinite(total[k]):
-            raise NoPathFound(
-                "no passage edge is reachable from both endpoints",
-                explored=int(np.count_nonzero(reached | np.isfinite(dist_t))),
-            )
-        nodes = _walk_back(pred_s, a[k]) + _walk_back(pred_t, b[k])[::-1]
-        used_doors = {frozenset((int(a[k]), int(b[k])))}
+    nodes, used_doors = _grid_route(graph, (s_node, t_node), max(costs), doors, require_crossing)
 
     waypoints = [start] + [node_pose(nd) for nd in nodes] + [target]
     protected = set()

@@ -427,3 +427,25 @@ def test_cli_verify_rejects_non_numeric_coordinates(ref_file, tmp_path, bad):
     assert f"cannot read path file {path_file}" in result.stderr
     assert "Traceback" not in result.stderr
 
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["oracle-fk", "--joints", "3.5,7.25,6.5"],
+        ["fk", "--joints", "3.5,7.25,6.5", "--oracle"],
+    ],
+)
+def test_cli_oracle_grid_zero_is_rejected_like_three(ref_file, args):
+    """``--grid 0`` is an explicit grid, not a request for the default."""
+    results = [
+        _runner().invoke(cli_module.cli, [args[0], "--robot", str(ref_file), *args[1:], "--grid", grid])
+        for grid in ("0", "3")
+    ]
+    for result in results:
+        assert result.stdout == ""
+        assert isinstance(result.exception, ValidationError)
+        assert str(result.exception) == "grid must be at least 8"
+    assert results[0].exit_code == results[1].exit_code != 0
+    for grid in ("0", "3"):
+        assert main([args[0], "--robot", str(ref_file), *args[1:], "--grid", grid]) == 1

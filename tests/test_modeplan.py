@@ -25,7 +25,15 @@ from planar_rpr import (
     verify_mode_change,
 )
 from planar_rpr.model import characteristic_scale, rotation, wrap_angle
-from planar_rpr.modeplan import ZERO_TOUCH_REL, _axis_edge_scan, _grid_graph, _segment_crossings, _walk_back
+from planar_rpr.modeplan import (
+    ZERO_TOUCH_REL,
+    _axis_edge_scan,
+    _edge_ends,
+    _grid_graph,
+    _grid_route,
+    _segment_crossings,
+    _walk_back,
+)
 from planar_rpr.singularity import _leg_geometry, passage_safety, singularity_conic
 
 from conftest import REF_BASE, REF_PLATFORM, REF_SCALE
@@ -400,6 +408,147 @@ def test_grid_graph_matches_heap_dijkstra():
             axis = int(np.flatnonzero(a != b)[0])
             total += costs[axis]
         assert total == pytest.approx(dist[node], rel=1e-12)
+
+
+@pytest.mark.parametrize("shape, seed", [((8, 9, 8), 1), ((10, 8, 12), 2), ((9, 11, 16), 3)])
+def test_grid_graph_is_the_symmetrized_edge_list(shape, seed):
+    """Both directions of every admissible edge, rows sorted, no duplicates:
+    exactly G + G.T of the one-direction edge list."""
+    from scipy.sparse import csr_matrix
+
+    nx, ny, np_ = shape
+    rng = np.random.default_rng(seed)
+    ok = [rng.random((nx - 1, ny, np_)) < 0.6, rng.random((nx, ny - 1, np_)) < 0.6, rng.random(shape) < 0.6]
+    ok[2][1, :, np_ - 1] = True  # wrap edges m = np_ - 1 -> 0, at both wrap rows
+    ok[2][2, :, np_ - 1] = False
+    costs = (0.7, 1.3, 2.1)
+    ends = _edge_ends(shape)
+    rows = np.concatenate([lo[mask] for (lo, _), mask in zip(ends, ok)])
+    cols = np.concatenate([hi[mask] for (_, hi), mask in zip(ends, ok)])
+    weights = np.concatenate([np.full(int(mask.sum()), w) for mask, w in zip(ok, costs)])
+    n = nx * ny * np_
+    half = csr_matrix((weights, (rows, cols)), shape=(n, n))
+    expected = (half + half.T).tocsr()
+    expected.sort_indices()
+
+    graph = _grid_graph(ok, costs, shape)
+    assert graph.has_sorted_indices
+    assert np.array_equal(graph.indptr, expected.indptr)
+    assert np.array_equal(graph.indices, expected.indices)
+    assert np.array_equal(graph.data, expected.data)
+
+
+def _random_grid(seed, shape=(10, 9, 8), density=0.7):
+    """Seeded admissibility masks and their graph.  Dyadic edge costs keep
+    every path sum exact, so route costs compare with ==."""
+    rng = np.random.default_rng(seed)
+    nx, ny, np_ = shape
+    ok = [rng.random(lo.shape) < density for lo, _ in _edge_ends(shape)]
+    ok[0][nx // 2] = False  # a wall: x-planes below and above it do not connect
+    costs = (0.5, 0.75, 1.25)
+    edges = [
+        (int(a), int(b), w)
+        for (lo, hi), mask, w in zip(_edge_ends(shape), ok, costs)
+        for a, b in zip(lo[mask], hi[mask])
+    ]
+    return rng, _grid_graph(ok, costs, shape), max(costs), edges, nx * ny * np_ // 2
+
+
+def _unlimited(graph, s, t):
+    from scipy.sparse.csgraph import dijkstra
+
+    return dijkstra(graph, indices=[s, t])
+
+
+def _walk_cost(graph, nodes):
+    steps = [graph[a, b] for a, b in zip(nodes[:-1], nodes[1:])]
+    assert all(w > 0 for w in steps)  # admissible edges only
+    return sum(steps)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grid_route_is_certified_against_unlimited_dijkstra(seed):
+    rng, graph, c, edges, half = _random_grid(seed)
+    s = int(rng.integers(half))
+    reach = np.flatnonzero(np.isfinite(_unlimited(graph, s, s)[0]))
+    t = int(rng.choice(reach[reach != s]))
+    dist = _unlimited(graph, s, t)
+
+    # no door needed: the certified route is a shortest one
+    nodes, used = _grid_route(graph, (s, t), c, [], require_crossing=False)
+    assert (nodes[0], nodes[-1], used) == (s, t, set())
+    assert _walk_cost(graph, nodes) == dist[0, t]
+
+    # every edge a door: every route uses one, so nothing is spliced
+    nodes, used = _grid_route(graph, (s, t), c, edges, require_crossing=True)
+    assert (nodes[0], nodes[-1]) == (s, t) and used
+    assert _walk_cost(graph, nodes) == dist[0, t]
+
+    # doors off every shortest route: the first cheapest one is spliced in
+    lo, hi, w = (np.array(v) for v in zip(*edges))
+    detour = np.minimum(dist[0, lo] + w + dist[1, hi], dist[0, hi] + w + dist[1, lo])
+    off = np.flatnonzero(np.isfinite(detour) & (detour > dist[0, t]))
+    doors = [edges[k] for k in rng.permutation(off)[:25]]
+    a = np.array([[d[0], d[1]] for d in doors]).ravel()
+    b = np.array([[d[1], d[0]] for d in doors]).ravel()
+    total = dist[0, a] + np.repeat([d[2] for d in doors], 2) + dist[1, b]
+    k = int(np.argmin(total))
+    nodes, used = _grid_route(graph, (s, t), c, doors, require_crossing=True)
+    assert (nodes[0], nodes[-1]) == (s, t)
+    assert used == {frozenset((int(a[k]), int(b[k])))}
+    assert (int(a[k]), int(b[k])) in set(zip(nodes[:-1], nodes[1:]))
+    assert _walk_cost(graph, nodes) == total[k]
+
+
+def test_grid_route_waits_for_a_route_behind_a_long_edge():
+    """The shortest route (cost 10) crosses its middle on one long edge, so at
+    limit 6 no node of it is within the limit of both ends, while a longer
+    route (cost 11) already is; certifying 11 needs limit (11 + 3) / 2 = 7,
+    and by then the shorter route shows."""
+    shape = (15, 2, 3)
+    ok = [np.zeros((14, 2, 3), bool), np.zeros((15, 1, 3), bool), np.zeros(shape, bool)]
+    ok[0][:7, 0, 0] = ok[0][7:, 0, 1] = True  # short: x steps, one phi step at i = 7
+    ok[2][7, 0, 0] = True
+    ok[1][0, 0, 0] = ok[2][0, 1, 0] = ok[0][:, 1, 1] = ok[1][14, 0, 1] = True  # long: y, phi, x, y
+    graph = _grid_graph(ok, (0.5, 0.5, 3.0), shape)
+    s, t = (int(np.ravel_multi_index(v, shape)) for v in ((0, 0, 0), (14, 0, 1)))
+    nodes, _ = _grid_route(graph, (s, t), 3.0, [], require_crossing=False)
+    assert _walk_cost(graph, nodes) == 10.0
+    assert [np.unravel_index(v, shape)[1] for v in nodes] == [0] * 16
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grid_route_failures_report_the_unlimited_reach(seed):
+    rng, graph, c, edges, half = _random_grid(seed)
+    s = int(rng.integers(half))
+    reach_s = np.isfinite(_unlimited(graph, s, s)[0])
+    t_far = int(rng.choice(np.flatnonzero(~reach_s)))
+    with pytest.raises(NoPathFound, match="grid search exhausted") as info:
+        _grid_route(graph, (s, t_far), c, edges, require_crossing=True)
+    assert info.value.explored == np.count_nonzero(reach_s)
+
+    t = int(rng.choice(np.flatnonzero(reach_s)))
+    with pytest.raises(NoPathFound, match="no passage edge exists") as info:
+        _grid_route(graph, (s, t), c, [], require_crossing=True)
+    assert info.value.explored == np.count_nonzero(reach_s)
+
+    beyond = [e for e in edges if not reach_s[e[0]]]
+    with pytest.raises(NoPathFound, match="reachable from both") as info:
+        _grid_route(graph, (s, t), c, beyond, require_crossing=True)
+    dist = _unlimited(graph, s, t)
+    assert info.value.explored == np.count_nonzero(np.isfinite(dist).any(axis=0))
+
+
+@pytest.mark.parametrize(
+    "resolution, message, explored",
+    [((8, 8, 8), "grid search exhausted", 249), ((12, 12, 12), "no passage edge exists", 879)],
+)
+def test_no_path_found_explored_is_pinned(ref, resolution, message, explored):
+    """The counts a full one-ended search reported before the search was
+    bounded."""
+    with pytest.raises(NoPathFound, match=message) as info:
+        plan_mode_change(ref, Pose(5, 5, 0), resolution=resolution)
+    assert info.value.explored == explored
 
 
 # ---------------------------------------------------------------------------
