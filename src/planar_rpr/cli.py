@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import RobotError
 from .kinematics import inverse_kinematics, oracle_fk, solve_fk
-from .model import JointVector, Pose, characteristic_scale
+from .model import JointVector, Pose
 from .modeplan import WorkspacePath, plan_mode_change, verify_mode_change
 from .robotfile import RunConfig, load_robot
 from .singularity import (
@@ -222,13 +222,12 @@ def design_check(robot_path):
 def plan(cfg, robot_path, start_text, target_text, box_text, res_text, out_path):
     """Plan an assembly-mode change crossing the locus through passages."""
     geom = _load(robot_path)
-    L = characteristic_scale(geom)
     start = _pose_arg(start_text)
     target = _pose_arg(target_text) if target_text else None
     box = _floats(box_text, 4, "box") if box_text else None
     res = {"resolution": tuple(int(v) for v in _floats(res_text, 3, "res"))} if res_text else {}
     with _relay_warnings():
-        path = plan_mode_change(geom, start, target, box=box, eps_pass=cfg.eps_pass_rel * L, **res)
+        path = plan_mode_change(geom, start, target, box=box, eps_pass=cfg.eps_pass_rel * geom.L, **res)
     doc = {"waypoints": [{"x": w.x, "y": w.y, "phi": w.phi} for w in path.waypoints]}
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -247,7 +246,6 @@ def plan(cfg, robot_path, start_text, target_text, box_text, res_text, out_path)
 def verify(cfg, robot_path, path_file, samples, fmt):
     """Verify a workspace path and print its mode-change certificate."""
     geom = _load(robot_path)
-    L = characteristic_scale(geom)
     try:
         with open(path_file, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -258,7 +256,7 @@ def verify(cfg, robot_path, path_file, samples, fmt):
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise click.UsageError(f"cannot read path file {path_file}: {exc}")
     path = WorkspacePath(waypoints, samples_per_segment=samples)
-    cert = verify_mode_change(geom, path, eps_pass=cfg.eps_pass_rel * L)
+    cert = verify_mode_change(geom, path, eps_pass=cfg.eps_pass_rel * geom.L)
     if fmt == "csv":
         click.echo(f"verdict: {cert.verdict}", err=True)
         click.echo("t,measure,rho1,rho2,rho3")

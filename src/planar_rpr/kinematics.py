@@ -31,10 +31,10 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import DegenerateElimination, ValidationError
 from .model import (
+    MAX_SAMPLES,
     JointVector,
     Pose,
     RobotGeometry,
-    characteristic_scale,
     platform_points,
     pose_distance,
     wrap_angle,
@@ -49,8 +49,8 @@ NEWTON_MAX_ITER = 50
 RESIDUAL_REL = 1e-9
 # Pose-space deduplication radius, relative to L.
 DEDUP_REL = 1e-6
-# Largest oracle sweep; the same bound as the locus and planner grids.
-ORACLE_MAX_GRID = 10**7
+# Default orientation grid of the oracle sweep.
+ORACLE_GRID = 4096
 # Columns of FkDesign.M: index pairs into (1, r1, r2, r3), i.e. the monomials
 # 1, r1, r2, r3, r1^2, r1 r2, r1 r3, r2^2, r2 r3, r3^2 (np.triu_indices order).
 _MONOMIALS = [(a, b) for a in range(4) for b in range(a, 4)]
@@ -89,7 +89,6 @@ class FkDesign:
     elimination is singular for every orientation.
     """
 
-    L: float
     sigma: int
     u: np.ndarray
     v: np.ndarray
@@ -228,7 +227,7 @@ def compile_fk(geom: RobotGeometry) -> FkDesign:
     monomial k of r, deflated by (1 + t^2)^2; a visible remainder means
     catastrophic cancellation and warns.
     """
-    L = characteristic_scale(geom)
+    L = geom.L
     u, v, w0 = _linear_forms(geom, np.zeros(3))
     phis = np.linspace(-np.pi * 0.95, np.pi * 0.95, 19)
     sigma, best_score, dets = None, -np.inf, None
@@ -237,7 +236,7 @@ def compile_fk(geom: RobotGeometry) -> FkDesign:
         if float(np.min(cand_dets)) > best_score + 1e-15:
             sigma, best_score, dets = cand, float(np.min(cand_dets)), cand_dets
     if float(np.max(dets)) <= 1e-10 * L**2:
-        return FkDesign(L, sigma, u, v, w0, _leg_floats(geom), None)
+        return FkDesign(sigma, u, v, w0, _leg_floats(geom), None)
 
     U, V = _tan_half_numerator(u), _tan_half_numerator(v)
     # W_i is linear in (1, r1, r2, r3): only its constant term holds r_i.
@@ -267,7 +266,7 @@ def compile_fk(geom: RobotGeometry) -> FkDesign:
         if scale > 0.0 and rem > 1e-8 * scale:
             msg = f"tan-half deflation left a relative remainder of {rem / scale:.2e}"
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    return FkDesign(L, sigma, u, v, w0, _leg_floats(geom), M)
+    return FkDesign(sigma, u, v, w0, _leg_floats(geom), M)
 
 
 def build_fk_polynomial(geom: RobotGeometry, joints: JointVector) -> UnivariateFkPolynomial:
@@ -316,7 +315,7 @@ def _refine_newton(legs, rho_sq, x, y, phi, res_tol):
     return Pose(x, y, phi), best, best <= res_tol
 
 
-def _zero_leg_starts(design: FkDesign, rho_sq):
+def _zero_leg_starts(design: FkDesign, rho_sq, L: float):
     """Closed-form (x, y, phi, 1) starts when a leg i has length zero.
 
     (x, y) = a_i - R(phi) b_i, and each other leg j is the line
@@ -341,7 +340,7 @@ def _zero_leg_starts(design: FkDesign, rho_sq):
     else:
         p, q, g = max(lines, key=lambda line: math.hypot(line[0], line[1]))
         n = math.hypot(p, q)
-        if n <= 1e-12 * design.L**2:
+        if n <= 1e-12 * L**2:
             return None
         # p cos phi + q sin phi = n cos(phi - theta)
         theta, half = math.atan2(q, p), math.acos(max(-1.0, min(1.0, g / n)))
@@ -362,11 +361,11 @@ def solve_fk(geom: RobotGeometry, joints: JointVector) -> FkSolutionSet:
     (infeasible joints).  Results depend on the joints only through rho^2.
     """
     design = geom.fk_design
-    L = design.L
+    L = geom.L
     res_tol = RESIDUAL_REL * L**2
     rho_sq = joints.squared.tolist()
     poly = None
-    starts = _zero_leg_starts(design, rho_sq) if 0.0 in rho_sq else None
+    starts = _zero_leg_starts(design, rho_sq, L) if 0.0 in rho_sq else None
     if starts is None:
         poly = build_fk_polynomial(geom, joints)
         if poly.degenerate:
@@ -451,7 +450,7 @@ def _bracket_roots(f, lo, hi, flo, fhi, tol):
     return 0.5 * (lo + hi)
 
 
-def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = 4096) -> FkSolutionSet:
+def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID) -> FkSolutionSet:
     """Brute-force forward kinematics by sweeping the orientation.
 
     At every grid angle the affine elimination gives the unique candidate
@@ -460,13 +459,13 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = 4096) -> FkS
     (:func:`_bracket_roots`) and polished by the same Newton refinement as
     the solver.  Intended for verification only: slower than
     :func:`solve_fk` and blind to tangential (even-multiplicity) roots.  The
-    sweep wraps around 2*pi; ``grid`` must lie in [8, ``ORACLE_MAX_GRID``].
+    sweep wraps around 2*pi; ``grid`` must lie in [8, ``MAX_SAMPLES``].
     """
     if grid < 8:
         raise ValidationError("grid must be at least 8")
-    if grid > ORACLE_MAX_GRID:
-        raise ValidationError(f"grid must be at most {ORACLE_MAX_GRID:,}")
-    L = characteristic_scale(geom)
+    if grid > MAX_SAMPLES:
+        raise ValidationError(f"grid must be at most {MAX_SAMPLES:,}")
+    L = geom.L
     res_tol = RESIDUAL_REL * L**2
     rho_sq = joints.squared.tolist()
     u, v, w = _linear_forms(geom, joints.squared)

@@ -8,17 +8,21 @@ reference point C; a pose places C at ``(x, y)`` with the frame rotated by
 nothing here assumes it is a centroid.
 
 All tolerances used elsewhere in the package are expressed relative to the
-characteristic scale L returned by :func:`characteristic_scale` so behaviour
-is invariant under uniform scaling of the design.
+characteristic scale ``RobotGeometry.L``, fixed when the design is built, so
+behaviour is invariant under uniform scaling of the design.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
+
+# Largest grid or sample count accepted anywhere: planner grid nodes, path
+# base samples, locus grid nodes and oracle sweep angles.
+MAX_SAMPLES = 10**7
 
 
 def _as_locked_points(points, label: str) -> np.ndarray:
@@ -37,12 +41,14 @@ class RobotGeometry:
     """Fixed base joints and platform-frame joints of the three legs.
 
     Leg ``i`` always connects ``base[i]`` to ``platform[i]``; the index order
-    is meaningful and preserved everywhere.
+    is meaningful and preserved everywhere.  ``L``, the largest pairwise
+    distance among the base points, is computed once here.
     """
 
     base: np.ndarray
     platform: np.ndarray
     name: str | None = None
+    L: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "base", _as_locked_points(self.base, "base"))
@@ -50,6 +56,9 @@ class RobotGeometry:
         for label, pts in (("base", self.base), ("platform", self.platform)):
             if np.max(np.abs(pts - pts[0])) == 0.0:
                 raise ValidationError(f"{label} points are all coincident")
+        a = self.base
+        L = max(np.hypot(*(a[0] - a[1])), np.hypot(*(a[1] - a[2])), np.hypot(*(a[2] - a[0])))
+        object.__setattr__(self, "L", L)
 
     def __eq__(self, other):
         if not isinstance(other, RobotGeometry):
@@ -139,15 +148,8 @@ def platform_points(geom: RobotGeometry, pose: Pose) -> np.ndarray:
 
 
 def characteristic_scale(geom: RobotGeometry) -> float:
-    """Largest pairwise distance among the base points: the length scale L."""
-    a = geom.base
-    d01 = np.hypot(*(a[0] - a[1]))
-    d12 = np.hypot(*(a[1] - a[2]))
-    d20 = np.hypot(*(a[2] - a[0]))
-    L = max(d01, d12, d20)
-    if L <= 0.0:
-        raise ValidationError("base points are all coincident")
-    return L
+    """The design's length scale ``geom.L``."""
+    return geom.L
 
 
 def pose_distance(p: Pose, q: Pose, scale: float) -> float:

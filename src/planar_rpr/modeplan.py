@@ -46,23 +46,16 @@ from .errors import (
     ValidationError,
 )
 from .kinematics import _bracket_roots, inverse_kinematics, solve_fk
-from .model import (
-    Pose,
-    RobotGeometry,
-    characteristic_scale,
-    pose_distance,
-    wrap_angle,
-)
+from .model import MAX_SAMPLES, Pose, RobotGeometry, pose_distance, wrap_angle
 from .singularity import (
     SERIAL_CLASSIFY_REL,
     classify_configuration,
     is_architecturally_singular,
-    leg_lines,
     passage_safety,
     _conic_coefficients,
     _leg_geometry,
     _line_measure,
-    _two_line_clearance,
+    _serial_clearance,
 )
 
 # Passage window around a serial point, relative to L.
@@ -78,9 +71,6 @@ CROSSING_T_TOL = 1e-10
 # sample per 1/EDGE_SUBSAMPLES of the smallest grid step (``fine_step``).
 # The edge scans themselves are exact and do not sample.
 EDGE_SUBSAMPLES = 9
-# Largest planner grid (nodes) and workspace path (base samples) accepted;
-# the same bound as the locus grid cap.
-MAX_SAMPLES = 10**7
 
 
 @dataclass(frozen=True)
@@ -209,25 +199,42 @@ class ModeChangeCertificate:
         return out
 
 
-def _check_waypoints(geom: RobotGeometry, path: WorkspacePath):
-    L = characteristic_scale(geom)
-    for a, b in zip(path.waypoints[:-1], path.waypoints[1:]):
-        if pose_distance(a, b, L) <= 1e-9 * L:
-            raise ValidationError("consecutive waypoints must be distinct")
-
-
 def _sample_params(geom: RobotGeometry, path: WorkspacePath) -> np.ndarray:
     """Dense global parameters: uniform per segment, refined x8 where any
     leg length drops below the refinement band."""
-    L = characteristic_scale(geom)
     n = path.segment_count
     S = path.samples_per_segment
     base = np.unique(np.concatenate([(k + np.linspace(0.0, 1.0, S + 1)) / n for k in range(n)]))
     dmin = _leg_geometry(geom, *path.poses_at(base))[2].min(axis=-1)
-    k = np.nonzero((dmin[:-1] < REFINE_BAND_REL * L) | (dmin[1:] < REFINE_BAND_REL * L))[0]
+    k = np.nonzero((dmin[:-1] < REFINE_BAND_REL * geom.L) | (dmin[1:] < REFINE_BAND_REL * geom.L))[0]
     frac = np.arange(1, REFINE_FACTOR) / REFINE_FACTOR
     extra = base[k, None] + (base[k + 1] - base[k])[:, None] * frac
     return np.unique(np.concatenate([base, extra.ravel()]))
+
+
+@dataclass(frozen=True)
+class _SampledPath:
+    """A path, its dense parameters (:func:`_sample_params`) and the kernel
+    outputs ``(dx, dy, dist, det)`` of :func:`_leg_geometry` at them."""
+
+    path: WorkspacePath
+    ts: np.ndarray
+    legs: tuple
+
+
+def _sampled(geom: RobotGeometry, path: WorkspacePath | _SampledPath) -> _SampledPath:
+    """Check the waypoints, draw the samples and evaluate the kernel on them.
+
+    A path sampled already passes through, so the verifier's crossing
+    detector, sign continuation and measure trace share one sampling.
+    """
+    if isinstance(path, _SampledPath):
+        return path
+    for a, b in zip(path.waypoints[:-1], path.waypoints[1:]):
+        if pose_distance(a, b, geom.L) <= 1e-9 * geom.L:
+            raise ValidationError("consecutive waypoints must be distinct")
+    ts = _sample_params(geom, path)
+    return _SampledPath(path, ts, _leg_geometry(geom, *path.poses_at(ts)))
 
 
 def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
@@ -241,11 +248,9 @@ def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
     reversal, or a length pinned below the zero band across consecutive
     samples, raises :class:`AmbiguousContinuation`.
     """
-    _check_waypoints(geom, path)
-    L = characteristic_scale(geom)
-    zero_tol = ZERO_TOUCH_REL * L
-    ts = _sample_params(geom, path)
-    dx, dy, dist, _ = _leg_geometry(geom, *path.poses_at(ts))
+    s = _sampled(geom, path)
+    path, ts, (dx, dy, dist, _) = s.path, s.ts, s.legs
+    zero_tol = ZERO_TOUCH_REL * geom.L
     d = np.stack([dx, dy])  # leg vectors, (2, sample, leg)
     # leg-vector dot products between samples k and k + lag, lag = 1, 2
     dots, dots2 = (np.sum(d[:, :-lag] * d[:, lag:], axis=0) for lag in (1, 2))
@@ -281,18 +286,14 @@ def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
     return JointPath(ts, dist * signs, tuple((t, leg + 1) for t, leg in flips))
 
 
-def _classify_zero(geom: RobotGeometry, pose: Pose, eps_pass: float, L: float):
+def _classify_zero(geom: RobotGeometry, pose: Pose, eps_pass: float):
     """Kind, leg (1-based), measure and clearance for one determinant zero."""
+    L = geom.L
     _, _, d, det = _leg_geometry(geom, pose.x, pose.y, pose.phi)
     measure = float(abs(_line_measure(d, det, L)) / L)
     leg = int(np.argmin(d))
     if d[leg] <= eps_pass:
-        lines = leg_lines(geom, pose)
-        others = [j for j in range(3) if j != leg]
-        if any(lines[j].degenerate for j in others):
-            clear = 0.0
-        else:
-            clear = _two_line_clearance(lines, others, geom.base[leg])
+        clear = _serial_clearance(geom, pose, leg)
         kind = "passage" if clear > SERIAL_CLASSIFY_REL * L else "parallel"
         return kind, leg + 1, (0.0 if np.isnan(measure) else measure), float(clear)
     return "parallel", None, measure, None
@@ -341,19 +342,18 @@ def detect_crossings(
     constant-phi segments the exact vertex of the quadratic joins the
     samples where two crossings would otherwise hide in one sample gap.
     """
-    _check_waypoints(geom, path)
-    L = characteristic_scale(geom)
+    s = _sampled(geom, path)
+    path = s.path
     if eps_pass is None:
-        eps_pass = EPS_PASS_REL * L
-    ts = _sample_params(geom, path)
-    ts, dets = _with_vertices(geom, path, ts, _leg_geometry(geom, *path.poses_at(ts))[3])
+        eps_pass = EPS_PASS_REL * geom.L
+    ts, dets = _with_vertices(geom, path, s.ts, s.legs[3])
     dscale = float(np.max(np.abs(dets))) or 1.0
 
     events = []
     for k in np.nonzero(dets == 0.0)[0]:
         t_star = float(ts[k])
         if 0 < k < len(ts) - 1 and dets[k - 1] * dets[k + 1] < 0.0:
-            kind, leg, measure, clear = _classify_zero(geom, path.pose_at(t_star), eps_pass, L)
+            kind, leg, measure, clear = _classify_zero(geom, path.pose_at(t_star), eps_pass)
             events.append(CrossingEvent(t_star, kind, leg, measure, clear))
         else:
             events.append(CrossingEvent(t_star, "grazing", None, 0.0, None))
@@ -363,7 +363,7 @@ def detect_crossings(
         CROSSING_T_TOL,
     )
     for t_star in refined.tolist():
-        kind, leg, measure, clear = _classify_zero(geom, path.pose_at(t_star), eps_pass, L)
+        kind, leg, measure, clear = _classify_zero(geom, path.pose_at(t_star), eps_pass)
         events.append(CrossingEvent(t_star, kind, leg, measure, clear))
     # interior near-zero minima without a sign change (tangential grazing)
     prev, here, nxt = np.abs(dets[:-2]), np.abs(dets[1:-1]), np.abs(dets[2:])
@@ -384,23 +384,22 @@ def verify_mode_change(
     1e-3*L, and no crossing event is parallel.  An ambiguous sign
     continuation is reported as ``invalid_endpoints`` with a diagnostic.
     """
-    _check_waypoints(geom, path)
-    L = characteristic_scale(geom)
+    samples = _sampled(geom, path)
+    L = geom.L
     if eps_pass is None:
         eps_pass = EPS_PASS_REL * L
     start, end = path.waypoints[0], path.waypoints[-1]
     start_sq = inverse_kinematics(geom, start).squared
     end_sq = inverse_kinematics(geom, end).squared
-    events = tuple(detect_crossings(geom, path, eps_pass))
+    events = tuple(detect_crossings(geom, samples, eps_pass))
 
     diagnostic = None
     joint_path = None
     measure_trace = None
     min_measure = float("inf")
     try:
-        joint_path = continue_joints(geom, path)
-        _, _, dist, det = _leg_geometry(geom, *path.poses_at(joint_path.ts))
-        measure_trace = np.abs(_line_measure(dist, det, L)) / L
+        joint_path = continue_joints(geom, samples)
+        measure_trace = np.abs(_line_measure(*samples.legs[2:], L)) / L
         away = np.abs(joint_path.rho).min(axis=1) > eps_pass
         if np.any(away):
             min_measure = float(np.nanmin(measure_trace[away]))
@@ -443,10 +442,9 @@ def _segment_crossings(geom, p0: Pose, p1: Pose, eps_pass, safe, L, fine_step):
     segment is inadmissible.
 
     A segment is admissible when every determinant sign change on it is a
-    passage through a passage-safe leg.  The sample density matches the
-    grid-edge scans: at least one sample per ``fine_step`` of pose
-    distance, so shortcuts spanning many cells are checked as strictly as
-    single edges.
+    passage through a passage-safe leg.  The crossing detector samples it
+    at least once per ``fine_step`` of pose distance, whatever its length,
+    so a shortcut spanning many cells is sampled as densely as a door.
     """
     length = pose_distance(p0, p1, L)
     if length <= 1e-9 * L:
@@ -751,14 +749,25 @@ def plan_mode_change(
     The grid search is a two-ended Dijkstra from the start and target grid
     nodes, bounded by a distance limit that grows, at most doubling, until
     the route (and then the splice) is certified exact, so it settles only
-    the nodes near the two ends.  Among equal-cost routes the one found may differ from a
-    one-ended search's.  A ``NoPathFound`` raised by the search counts in
-    ``explored`` every node reachable from the start (and from the target
-    too when no door is reachable from both).
+    the nodes near the two ends.  Among equal-cost routes the one found may
+    differ from a one-ended search's.  A ``NoPathFound`` raised by the
+    search counts in ``explored`` every node reachable from the start (and
+    from the target too when no door is reachable from both).
     """
-    L = characteristic_scale(geom)
+    L = geom.L
     if eps_pass is None:
         eps_pass = EPS_PASS_REL * L
+    if box is None:
+        box = (-L, -L, 2.0 * L, 2.0 * L)
+    x0, y0, x1, y1 = (float(v) for v in box)
+    nx, ny, np_ = (int(v) for v in resolution)
+    if min(nx, ny, np_) < 8:
+        raise ValidationError("resolution must be at least 8 per axis")
+    if not nx * ny * np_ <= MAX_SAMPLES:
+        raise ValidationError(f"resolution gives more than {MAX_SAMPLES:,} grid nodes")
+    if not (x1 > x0 and y1 > y0):
+        raise ValidationError("box must have positive extent")
+
     singular, detail = is_architecturally_singular(geom)
     if singular:
         raise ArchitecturalSingularity(detail)
@@ -766,9 +775,6 @@ def plan_mode_change(
     if not np.any(safe):
         raise NoPathFound("no leg is passage-safe: every serial point can be a parallel singularity")
 
-    if box is None:
-        box = (-L, -L, 2.0 * L, 2.0 * L)
-    x0, y0, x1, y1 = (float(v) for v in box)
     if classify_configuration(geom, start).kind != "regular":
         raise InvalidStart("start pose is singular")
     if not (x0 <= start.x <= x1 and y0 <= start.y <= y1):
@@ -785,13 +791,6 @@ def plan_mode_change(
     if not (x0 <= target.x <= x1 and y0 <= target.y <= y1):
         raise InvalidStart("target pose lies outside the search box")
 
-    nx, ny, np_ = (int(v) for v in resolution)
-    if min(nx, ny, np_) < 8:
-        raise ValidationError("resolution must be at least 8 per axis")
-    if not nx * ny * np_ <= MAX_SAMPLES:
-        raise ValidationError(f"resolution gives more than {MAX_SAMPLES:,} grid nodes")
-    if not (x1 > x0 and y1 > y0):
-        raise ValidationError("box must have positive extent")
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
     phis = np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)

@@ -15,7 +15,9 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
+from .kinematics import ORACLE_GRID
 from .model import RobotGeometry
+from .modeplan import EPS_PASS_REL
 from .singularity import is_architecturally_singular, passage_safety
 
 _ENV_PREFIX = "PLANAR_RPR_"
@@ -33,8 +35,8 @@ class RunConfig:
     every command is byte-deterministic for fixed inputs.
     """
 
-    eps_pass_rel: float = 1e-3
-    oracle_grid: int = 4096
+    eps_pass_rel: float = EPS_PASS_REL
+    oracle_grid: int = ORACLE_GRID
     seed: int | None = None
 
     @classmethod

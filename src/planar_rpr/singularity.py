@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArchitecturalSingularity, SerialDegenerate, ValidationError
-from .model import Pose, RobotGeometry, characteristic_scale, rotation
+from .model import MAX_SAMPLES, Pose, RobotGeometry, rotation
 
 # Leg-length band (relative to L) below which a leg line is undefined.
 LINE_DEGENERACY_REL = 1e-9
@@ -37,8 +37,6 @@ LINE_DEGENERACY_REL = 1e-9
 SERIAL_CLASSIFY_REL = 1e-6
 # Zero band for the normalized measure.
 MEASURE_ZERO = 1e-9
-# Largest marching-squares grid sample_conic_polyline builds (nodes).
-LOCUS_MAX_NODES = 10**7
 
 
 @dataclass(frozen=True)
@@ -129,11 +127,10 @@ def _line_measure(dist, det, L: float):
 
 def leg_lines(geom: RobotGeometry, pose: Pose) -> list[LegLine]:
     """Force line of each leg (through a_i and B_i) at the given pose."""
-    L = characteristic_scale(geom)
     dx, dy, dist, _ = _leg_geometry(geom, pose.x, pose.y, pose.phi)
     lines = []
     for i in range(3):
-        if dist[i] <= LINE_DEGENERACY_REL * L:
+        if dist[i] <= LINE_DEGENERACY_REL * geom.L:
             lines.append(LegLine(np.zeros(2), 0.0, True))
             continue
         u = np.array([dx[i], dy[i]]) / dist[i]
@@ -151,7 +148,7 @@ def parallel_singularity_measure(geom: RobotGeometry, pose: Pose, normalized: bo
     :class:`SerialDegenerate` when some leg line is undefined.  With
     ``normalized=True`` the value is divided by the characteristic scale.
     """
-    L = characteristic_scale(geom)
+    L = geom.L
     _, _, dist, det = _leg_geometry(geom, pose.x, pose.y, pose.phi)
     for i in range(3):
         if dist[i] <= LINE_DEGENERACY_REL * L:
@@ -223,9 +220,8 @@ def singularity_conic(geom: RobotGeometry, phi: float) -> SingularityConic:
     singular, detail = is_architecturally_singular(geom)
     if singular:
         raise ArchitecturalSingularity(detail)
-    L = characteristic_scale(geom)
     coeffs = _conic_coefficients(geom, phi)
-    relative = coeffs / L ** np.array([2, 2, 2, 3, 3, 4])
+    relative = coeffs / geom.L ** np.array([2, 2, 2, 3, 3, 4])
     if np.max(np.abs(relative)) <= 1e-12:
         raise ArchitecturalSingularity(
             f"singularity locus degenerates to the whole plane at phi={phi:.6f}"
@@ -270,7 +266,7 @@ def sample_conic_polyline(conic: SingularityConic, window, step: float) -> list[
     ``window`` is (x0, y0, x1, y1).  Returns polylines as (n, 2) arrays
     with adjacent point spacing at most 2 * step; an empty list when the
     conic misses the window.  Fully deterministic.  Grids of more than
-    ``LOCUS_MAX_NODES`` nodes raise :class:`ValidationError`.
+    ``MAX_SAMPLES`` nodes raise :class:`ValidationError`.
     """
     if step <= 0.0:
         raise ValidationError("step must be positive")
@@ -278,8 +274,8 @@ def sample_conic_polyline(conic: SingularityConic, window, step: float) -> list[
     if x1 <= x0 or y1 <= y0:
         raise ValidationError("window must have positive extent")
     nodes = np.maximum(np.ceil([(x1 - x0) / step, (y1 - y0) / step]) + 1, 2)
-    if not nodes.prod() <= LOCUS_MAX_NODES:  # also rejects inf and nan
-        raise ValidationError(f"window / step gives more than {LOCUS_MAX_NODES:,} grid nodes")
+    if not nodes.prod() <= MAX_SAMPLES:  # also rejects inf and nan
+        raise ValidationError(f"window / step gives more than {MAX_SAMPLES:,} grid nodes")
     nx, ny = map(int, nodes)
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
@@ -360,17 +356,23 @@ def _stitch_segments(segments, tol: float) -> list[np.ndarray]:
     return polylines
 
 
-def _two_line_clearance(lines: list[LegLine], regular: list[int], point) -> float:
-    """Distance from the intersection of two leg lines to a point; for
-    (near-)parallel lines, the larger of the two point-line distances."""
-    u1, u2 = lines[regular[0]].direction, lines[regular[1]].direction
-    m1, m2 = lines[regular[0]].moment, lines[regular[1]].moment
+def _serial_clearance(geom: RobotGeometry, pose: Pose, leg: int) -> float:
+    """Clearance where leg ``leg`` (0-based) has zero length: the distance
+    from the intersection of the other two leg lines to the joint a_leg;
+    for (near-)parallel lines, the larger of the two point-line distances;
+    zero when one of those lines is undefined."""
+    lines = leg_lines(geom, pose)
+    first, second = (lines[j] for j in range(3) if j != leg)
+    point = geom.base[leg]
+    if first.degenerate or second.degenerate:
+        return 0.0
+    u1, u2 = first.direction, second.direction
     cross = u1[0] * u2[1] - u1[1] * u2[0]
     if abs(cross) < 1e-12:
-        return max(lines[regular[0]].point_distance(point), lines[regular[1]].point_distance(point))
+        return max(first.point_distance(point), second.point_distance(point))
     # line i: -u_iy x + u_ix y + m_i = 0
     mat = np.array([[-u1[1], u1[0]], [-u2[1], u2[0]]])
-    p = np.linalg.solve(mat, -np.array([m1, m2]))
+    p = np.linalg.solve(mat, -np.array([first.moment, second.moment]))
     return float(np.hypot(p[0] - point[0], p[1] - point[1]))
 
 
@@ -383,7 +385,7 @@ def classify_configuration(geom: RobotGeometry, pose: Pose) -> ConfigurationClas
     three-leg cases extrapolate the same test; the single-leg case is the
     generic one).
     """
-    L = characteristic_scale(geom)
+    L = geom.L
     _, _, dist, det = _leg_geometry(geom, pose.x, pose.y, pose.phi)
     singular = [i for i in range(3) if dist[i] <= SERIAL_CLASSIFY_REL * L]
 
@@ -392,15 +394,12 @@ def classify_configuration(geom: RobotGeometry, pose: Pose) -> ConfigurationClas
         kind = "parallel_singular" if abs(measure) <= MEASURE_ZERO else "regular"
         return ConfigurationClass(kind, (), measure, None)
 
-    lines = leg_lines(geom, pose)
-    regular = [i for i in range(3) if i not in singular]
     measure = None
     if len(singular) == 1:
-        clearance = _two_line_clearance(lines, regular, geom.base[singular[0]])
+        clearance = _serial_clearance(geom, pose, singular[0])
     elif len(singular) == 2:
-        clearance = max(
-            lines[regular[0]].point_distance(geom.base[i]) for i in singular
-        ) if not lines[regular[0]].degenerate else 0.0
+        line = leg_lines(geom, pose)[next(i for i in range(3) if i not in singular)]
+        clearance = 0.0 if line.degenerate else max(line.point_distance(geom.base[i]) for i in singular)
     else:
         clearance = 0.0  # platform pinned onto the base: nothing regular remains
     kind = "serial_and_parallel" if clearance <= SERIAL_CLASSIFY_REL * L else "serial_singular"

@@ -40,6 +40,19 @@ def test_characteristic_scale(ref):
     assert characteristic_scale(doubled) == pytest.approx(2 * REF_SCALE)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+def test_scale_is_fixed_when_the_design_is_built(scale):
+    geom = RobotGeometry(np.asarray(REF_BASE) * scale, np.asarray(REF_PLATFORM) * scale)
+    a = geom.base
+    assert "L" in vars(geom)  # set by the constructor, not on first use
+    assert type(geom.L) is np.float64
+    assert geom.L == max(np.hypot(*(a[i] - a[j])) for i, j in ((0, 1), (1, 2), (2, 0)))
+    assert geom.L == pytest.approx(REF_SCALE * scale, rel=1e-15)
+    # every reader gets the one stored value
+    assert characteristic_scale(geom) is geom.L
+    assert not hasattr(geom.fk_design, "L")
+
+
 def test_degenerate_base_rejected():
     with pytest.raises(ValidationError):
         RobotGeometry(base=[(1, 1), (1, 1), (1, 1)], platform=REF_PLATFORM)

@@ -24,17 +24,29 @@ from planar_rpr import (
     unnormalized_determinant,
     verify_mode_change,
 )
+from planar_rpr import modeplan
 from planar_rpr.model import characteristic_scale, rotation, wrap_angle
 from planar_rpr.modeplan import (
+    EPS_PASS_REL,
     ZERO_TOUCH_REL,
+    ModeChangeCertificate,
     _axis_edge_scan,
+    _classify_zero,
     _edge_ends,
     _grid_graph,
     _grid_route,
     _segment_crossings,
     _walk_back,
 )
-from planar_rpr.singularity import _leg_geometry, passage_safety, singularity_conic
+from planar_rpr.singularity import (
+    _leg_geometry,
+    _line_measure,
+    classify_configuration,
+    is_architecturally_singular,
+    passage_safety,
+    serial_points,
+    singularity_conic,
+)
 
 from conftest import REF_BASE, REF_PLATFORM, REF_SCALE
 
@@ -317,6 +329,21 @@ def test_planner_rejects_zero_width_box(ref):
     # every grid x coincides, so x-edges would have zero length
     with pytest.raises(ValidationError, match="positive extent"):
         plan_mode_change(ref, Pose(0, 0, 0), Pose(0, 5, 0), box=(0, -10, 0, 20), resolution=(8, 8, 8))
+
+
+def test_planner_validates_box_and_resolution_before_kinematics(ref, monkeypatch):
+    def kinematics_ran(*args, **kwargs):
+        raise AssertionError("kinematics ran before the box and resolution checks")
+
+    for name in ("is_architecturally_singular", "classify_configuration", "solve_fk", "inverse_kinematics"):
+        monkeypatch.setattr(modeplan, name, kinematics_ran)
+    start = Pose(5, 5, 0)
+    with pytest.raises(ValidationError, match="box must have positive extent"):
+        plan_mode_change(ref, start, box=(2, 2, 1, 1))
+    with pytest.raises(ValidationError, match="resolution must be at least 8 per axis"):
+        plan_mode_change(ref, start, resolution=(4, 64, 64))
+    with pytest.raises(ValidationError, match="more than 10,000,000 grid nodes"):
+        plan_mode_change(ref, start, resolution=(1000, 1000, 1000))
 
 
 def test_planner_rejects_similar_design(similar_design):
@@ -749,3 +776,128 @@ def test_detect_crossings_near_tangent_chords():
         assert len(events) == 2 and all(e.kind in ("parallel", "passage") for e in events)
         assert np.allclose([e.t for e in events], roots, atol=1e-8)
         checked += 1
+
+
+def _seeded_designs(seed, count):
+    rng = np.random.default_rng(seed)
+    designs = []
+    while len(designs) < count:
+        base = np.asarray(REF_BASE) + rng.normal(0.0, 1.5, (3, 2))
+        geom = RobotGeometry(base, np.asarray(REF_PLATFORM) + rng.normal(0.0, 0.5, (3, 2)))
+        if not is_architecturally_singular(geom)[0]:
+            designs.append(geom)
+    return designs
+
+
+def _seeded_paths(geom, rng):
+    """Random polylines, a constant-phi pass through a serial point (a sign
+    flip and a passage) and a tangential zero touch (ambiguous)."""
+    Lg = characteristic_scale(geom)
+    paths = [
+        WorkspacePath(tuple(Pose(*rng.uniform(-Lg, 2 * Lg, 2), rng.uniform(-4, 4)) for _ in range(n)), 16 + n)
+        for n in (2, 3, 4)
+    ]
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    s, u = serial_points(geom, phi)[1], rng.normal(0.0, 0.2 * Lg, 2)
+    paths.append(WorkspacePath((Pose(*(s - u), phi), Pose(*(s + 1.5 * u), phi))))
+    paths.append(_tangential_touch_path(geom))
+    return paths
+
+
+def _certificate_from_parts(geom, path):
+    """The certificate assembled from standalone detect_crossings and
+    continue_joints and a fresh kernel pass over the joint trace."""
+    Lg = characteristic_scale(geom)
+    eps = EPS_PASS_REL * Lg
+    start, end = path.waypoints[0], path.waypoints[-1]
+    start_sq, end_sq = (inverse_kinematics(geom, p).squared for p in (start, end))
+    events = tuple(detect_crossings(geom, path, eps))
+    joint_path = trace = diagnostic = None
+    min_measure = float("inf")
+    try:
+        joint_path = continue_joints(geom, path)
+        _, _, dist, det = _leg_geometry(geom, *path.poses_at(joint_path.ts))
+        trace = np.abs(_line_measure(dist, det, Lg)) / Lg
+        away = np.abs(joint_path.rho).min(axis=1) > eps
+        if np.any(away):
+            min_measure = float(np.nanmin(trace[away]))
+    except AmbiguousContinuation as exc:
+        diagnostic = str(exc)
+    if diagnostic is not None:
+        verdict = "invalid_endpoints"
+    elif float(np.max(np.abs(start_sq - end_sq))) > 1e-9 * Lg**2:
+        verdict = "invalid_endpoints"
+        diagnostic = "endpoint squared joint values differ: not the same actuator inputs"
+    elif pose_distance(start, end, Lg) < 1e-3 * Lg:
+        verdict = "no_change"
+    elif any(e.kind == "parallel" for e in events):
+        verdict = "changed_with_parallel"
+    else:
+        verdict = "changed_without_parallel"
+    return ModeChangeCertificate(
+        path, joint_path, events, start, end, start_sq, end_sq, verdict, min_measure, trace, diagnostic
+    )
+
+
+def test_verify_equals_the_certificate_of_its_standalone_parts(ref, planned):
+    rng = np.random.default_rng(31)
+    cases = [(ref, planned[0])] + [(g, p) for g in [ref, *_seeded_designs(31, 3)] for p in _seeded_paths(g, rng)]
+    seen = set()
+    for geom, path in cases:
+        got = verify_mode_change(geom, path).to_dict()
+        assert got == _certificate_from_parts(geom, path).to_dict()
+        seen.add(got["verdict"])
+        if "sign_flips" not in got:
+            seen.add("ambiguous")  # the continuation raised AmbiguousContinuation
+        elif got["sign_flips"]:
+            seen.add("flipped")
+    assert {"changed_without_parallel", "invalid_endpoints", "ambiguous", "flipped"} <= seen
+
+
+def test_verify_samples_each_path_once(ref, planned, monkeypatch):
+    """One _sample_params call per verified path, and one kernel pass over
+    the samples it returns (the base-sample pass inside it aside)."""
+    real_sample, real_kernel = modeplan._sample_params, modeplan._leg_geometry
+    samples, passes, inside = [], [], []
+
+    def sample(geom, path):
+        inside.append(True)
+        try:
+            ts = real_sample(geom, path)
+        finally:
+            inside.pop()
+        samples.append(ts)
+        return ts
+
+    def kernel(geom, x, y, phi):
+        if not inside:
+            passes.append(np.shape(x))
+        return real_kernel(geom, x, y, phi)
+
+    monkeypatch.setattr(modeplan, "_sample_params", sample)
+    monkeypatch.setattr(modeplan, "_leg_geometry", kernel)
+    rng = np.random.default_rng(5)
+    for geom, path in [(ref, planned[0])] + [(ref, p) for p in _seeded_paths(ref, rng)]:
+        samples.clear()
+        passes.clear()
+        verify_mode_change(geom, path)
+        assert len(samples) == 1
+        assert passes.count(samples[0].shape) == 1
+
+
+def test_serial_clearance_agrees_between_classifier_and_crossing_detector(ref):
+    """At poses with one leg inside the 1e-6*L serial band, the classifier's
+    clearance and the crossing detector's are the same float."""
+    rng = np.random.default_rng(17)
+    for geom in [ref, *_seeded_designs(17, 4)]:
+        Lg = characteristic_scale(geom)
+        for k in range(30):
+            leg, phi = k % 3, rng.uniform(0.0, 2.0 * np.pi)
+            offset = rng.uniform(0.0, 0.9e-6 * Lg) * np.array([np.cos(k), np.sin(k)])
+            pose = Pose(*(serial_points(geom, phi)[leg] + offset), phi)
+            c = classify_configuration(geom, pose)
+            assert c.singular_legs == (leg + 1,)
+            kind, zero_leg, _, clearance = _classify_zero(geom, pose, EPS_PASS_REL * Lg)
+            assert zero_leg == leg + 1
+            assert clearance == c.clearance and type(clearance) is type(c.clearance)
+            assert (kind == "passage") == (c.kind == "serial_singular")
