@@ -42,7 +42,8 @@ class RobotGeometry:
 
     Leg ``i`` always connects ``base[i]`` to ``platform[i]``; the index order
     is meaningful and preserved everywhere.  ``L``, the largest pairwise
-    distance among the base points, is computed once here.
+    distance among the base points, is computed once here and must be
+    finite.
     """
 
     base: np.ndarray
@@ -53,11 +54,14 @@ class RobotGeometry:
     def __post_init__(self):
         object.__setattr__(self, "base", _as_locked_points(self.base, "base"))
         object.__setattr__(self, "platform", _as_locked_points(self.platform, "platform"))
-        for label, pts in (("base", self.base), ("platform", self.platform)):
-            if np.max(np.abs(pts - pts[0])) == 0.0:
-                raise ValidationError(f"{label} points are all coincident")
-        a = self.base
-        L = max(np.hypot(*(a[0] - a[1])), np.hypot(*(a[1] - a[2])), np.hypot(*(a[2] - a[0])))
+        with np.errstate(over="ignore"):  # finite points whose differences overflow
+            for label, pts in (("base", self.base), ("platform", self.platform)):
+                if np.max(np.abs(pts - pts[0])) == 0.0:
+                    raise ValidationError(f"{label} points are all coincident")
+            a = self.base
+            L = max(np.hypot(*(a[0] - a[1])), np.hypot(*(a[1] - a[2])), np.hypot(*(a[2] - a[0])))
+        if not np.isfinite(L):
+            raise ValidationError("base points are too far apart: their largest distance overflows")
         object.__setattr__(self, "L", L)
 
     def __eq__(self, other):

@@ -67,10 +67,14 @@ REFINE_BAND_REL = 0.05
 REFINE_FACTOR = 8
 # Bracket width to which crossing parameters are refined.
 CROSSING_T_TOL = 1e-10
-# Sample density of door and shortcut checks: at least one crossing-detector
-# sample per 1/EDGE_SUBSAMPLES of the smallest grid step (``fine_step``).
-# The edge scans themselves are exact and do not sample.
+# Sample density of the planner's batched crossing checks (doors, snaps and
+# shortcuts): each segment gets at least 2 * EDGE_SUBSAMPLES samples and one
+# per 1/EDGE_SUBSAMPLES of the smallest grid step (``fine_step``).  The edge
+# scans themselves are exact and do not sample.
 EDGE_SUBSAMPLES = 9
+# Base samples of one pass over shortcuts, which bounds its memory on long
+# routes; the reference robot's default-grid passes take at most 3,200.
+BATCH_SAMPLES = 2**14
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,8 @@ class WorkspacePath:
         if not np.all(np.isfinite(table)):
             raise ValidationError("waypoints must have finite coordinates")
         object.__setattr__(self, "waypoints", wps)
-        object.__setattr__(self, "_table", table)
+        one_row = _Paths(table, np.array([0]), np.array([len(wps) - 1]), np.array([self.samples_per_segment]))
+        object.__setattr__(self, "_paths", one_row)
 
     @property
     def segment_count(self) -> int:
@@ -100,21 +105,41 @@ class WorkspacePath:
 
     def poses_at(self, ts):
         """Arrays (x, y, phi) at global parameters ``ts``, clamped to [0, 1]."""
-        n = self.segment_count
-        t = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0)
+        return self._paths.poses_at(ts, 0)
+
+    def pose_at(self, t: float) -> Pose:
+        """Pose at global parameter t in [0, 1]."""
+        return Pose(*(float(v) for v in self.poses_at(t)))
+
+
+@dataclass(frozen=True)
+class _Paths:
+    """Piecewise-linear pose paths stored end to end, one per row.
+
+    Row r runs through the waypoints ``table[first[r] : first[r] + n[r] + 1]``
+    with ``per_segment[r]`` base samples on each of its ``n[r]`` segments,
+    and has its own parameter t in [0, 1].  A :class:`WorkspacePath` is one
+    row; the planner's batched crossing check makes one row per segment.
+    """
+
+    table: np.ndarray
+    first: np.ndarray
+    n: np.ndarray
+    per_segment: np.ndarray
+
+    def poses_at(self, ts, rows):
+        """Arrays (x, y, phi) at parameters ``ts`` of rows ``rows``, clamped to [0, 1]."""
+        n = self.n[rows]
+        t = np.minimum(np.maximum(ts, 0.0), 1.0)
         k = np.minimum((t * n).astype(int), n - 1)
         s = t * n - k
-        a, b = self._table[k], self._table[k + 1]
-        d = b - a
+        a = self.table[self.first[rows] + k]
+        d = self.table[self.first[rows] + k + 1] - a
         return (
             a[..., 0] + s * d[..., 0],
             a[..., 1] + s * d[..., 1],
             a[..., 2] + s * wrap_angle(d[..., 2]),
         )
-
-    def pose_at(self, t: float) -> Pose:
-        """Pose at global parameter t in [0, 1]."""
-        return Pose(*(float(v) for v in self.poses_at(t)))
 
 
 @dataclass(frozen=True)
@@ -199,30 +224,49 @@ class ModeChangeCertificate:
         return out
 
 
-def _sample_params(geom: RobotGeometry, path: WorkspacePath) -> np.ndarray:
-    """Dense global parameters: uniform per segment, refined x8 where any
-    leg length drops below the refinement band."""
-    n = path.segment_count
-    S = path.samples_per_segment
-    base = np.unique(np.concatenate([(k + np.linspace(0.0, 1.0, S + 1)) / n for k in range(n)]))
-    dmin = _leg_geometry(geom, *path.poses_at(base))[2].min(axis=-1)
-    k = np.nonzero((dmin[:-1] < REFINE_BAND_REL * geom.L) | (dmin[1:] < REFINE_BAND_REL * geom.L))[0]
+def _sample_params(geom: RobotGeometry, paths: _Paths) -> np.ndarray:
+    """Dense parameters of every row: uniform per segment, refined x8 where
+    any leg length drops below the refinement band.
+
+    Sample t of row r is the key ``r + 1j * t``.  Numpy orders complex
+    numbers by real part, then imaginary part, so the keys sort row by row
+    and by t within a row, and sorting or searching them stays in a row.
+    """
+    shapes = list(zip(paths.n.tolist(), paths.per_segment.tolist()))
+    # the base parameters of each distinct (segments, samples) row shape
+    uniform = {
+        (n, S): (np.arange(n)[:, None] + np.linspace(0.0, 1.0, S + 1)).ravel() / n for n, S in set(shapes)
+    }
+    base = [uniform[shape] for shape in shapes]
+    base = _distinct(np.repeat(np.arange(len(base)), [len(b) for b in base]) + 1j * np.concatenate(base))
+    ts, rows = base.imag, base.real
+    dmin = _leg_geometry(geom, *paths.poses_at(ts, rows.astype(int)))[2].min(axis=-1)
+    band = REFINE_BAND_REL * geom.L
+    k = np.nonzero(((dmin[:-1] < band) | (dmin[1:] < band)) & (rows[:-1] == rows[1:]))[0]
     frac = np.arange(1, REFINE_FACTOR) / REFINE_FACTOR
-    extra = base[k, None] + (base[k + 1] - base[k])[:, None] * frac
-    return np.unique(np.concatenate([base, extra.ravel()]))
+    extra = ts[k, None] + (ts[k + 1] - ts[k])[:, None] * frac
+    return _distinct(np.concatenate([base, (rows[k, None] + 1j * extra).ravel()]))
+
+
+def _distinct(keys):
+    """The sorted distinct values of ``keys`` (np.unique, faster on complex)."""
+    keys = np.sort(keys)
+    return keys[np.r_[True, keys[1:] != keys[:-1]]]
 
 
 @dataclass(frozen=True)
 class _SampledPath:
-    """A path, its dense parameters (:func:`_sample_params`) and the kernel
-    outputs ``(dx, dy, dist, det)`` of :func:`_leg_geometry` at them."""
+    """Rows of paths, their dense parameters (:func:`_sample_params`), the
+    row of each, and the kernel outputs ``(dx, dy, dist, det)`` of
+    :func:`_leg_geometry` at them."""
 
-    path: WorkspacePath
+    paths: _Paths
     ts: np.ndarray
+    rows: np.ndarray
     legs: tuple
 
 
-def _sampled(geom: RobotGeometry, path: WorkspacePath | _SampledPath) -> _SampledPath:
+def _sampled(geom: RobotGeometry, path: WorkspacePath | _Paths | _SampledPath) -> _SampledPath:
     """Check the waypoints, draw the samples and evaluate the kernel on them.
 
     A path sampled already passes through, so the verifier's crossing
@@ -230,11 +274,14 @@ def _sampled(geom: RobotGeometry, path: WorkspacePath | _SampledPath) -> _Sample
     """
     if isinstance(path, _SampledPath):
         return path
-    for a, b in zip(path.waypoints[:-1], path.waypoints[1:]):
-        if pose_distance(a, b, geom.L) <= 1e-9 * geom.L:
-            raise ValidationError("consecutive waypoints must be distinct")
-    ts = _sample_params(geom, path)
-    return _SampledPath(path, ts, _leg_geometry(geom, *path.poses_at(ts)))
+    if isinstance(path, WorkspacePath):
+        for a, b in zip(path.waypoints[:-1], path.waypoints[1:]):
+            if pose_distance(a, b, geom.L) <= 1e-9 * geom.L:
+                raise ValidationError("consecutive waypoints must be distinct")
+        path = path._paths
+    keys = _sample_params(geom, path)
+    ts, rows = keys.imag.copy(), keys.real.astype(int)
+    return _SampledPath(path, ts, rows, _leg_geometry(geom, *path.poses_at(ts, rows)))
 
 
 def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
@@ -249,7 +296,7 @@ def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
     samples, raises :class:`AmbiguousContinuation`.
     """
     s = _sampled(geom, path)
-    path, ts, (dx, dy, dist, _) = s.path, s.ts, s.legs
+    paths, ts, (dx, dy, dist, _) = s.paths, s.ts, s.legs
     zero_tol = ZERO_TOUCH_REL * geom.L
     d = np.stack([dx, dy])  # leg vectors, (2, sample, leg)
     # leg-vector dot products between samples k and k + lag, lag = 1, 2
@@ -272,11 +319,11 @@ def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
     k, leg = np.nonzero(~below[:-1] & ~below[1:] & (dots < 0.0))
     rows, d_k = np.arange(len(k)), d[:, k, leg]
     t_star = _bracket_roots(
-        lambda t: np.sum(np.stack(_leg_geometry(geom, *path.poses_at(t))[:2])[:, rows, leg] * d_k, axis=0),
+        lambda t: np.sum(np.stack(_leg_geometry(geom, *paths.poses_at(t, 0))[:2])[:, rows, leg] * d_k, axis=0),
         ts[k], ts[k + 1], dist[k, leg] ** 2, dots[k, leg], 1e-14,
     )
     # above the zero band the leg swings past its base joint: a near miss
-    hit = _leg_geometry(geom, *path.poses_at(t_star))[2][rows, leg] <= zero_tol
+    hit = _leg_geometry(geom, *paths.poses_at(t_star, 0))[2][rows, leg] <= zero_tol
     flips += zip(t_star[hit].tolist(), leg[hit].tolist())
 
     flips.sort()
@@ -286,22 +333,31 @@ def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
     return JointPath(ts, dist * signs, tuple((t, leg + 1) for t, leg in flips))
 
 
-def _classify_zero(geom: RobotGeometry, pose: Pose, eps_pass: float):
-    """Kind, leg (1-based), measure and clearance for one determinant zero."""
+def _classify_zeros(geom: RobotGeometry, x, y, phi, eps_pass: float) -> list[tuple]:
+    """Kind, leg (1-based), measure and clearance of the determinant zeros
+    at the poses (x, y, phi) (1-D arrays), one tuple per pose.
+
+    A zero whose shortest leg is longer than ``eps_pass`` is parallel; a
+    nearer one is a passage when the serial clearance of that leg is
+    positive, and parallel otherwise.
+    """
     L = geom.L
-    _, _, d, det = _leg_geometry(geom, pose.x, pose.y, pose.phi)
-    measure = float(abs(_line_measure(d, det, L)) / L)
-    leg = int(np.argmin(d))
-    if d[leg] <= eps_pass:
-        clear = _serial_clearance(geom, pose, leg)
+    _, _, d, det = _leg_geometry(geom, x, y, phi)
+    measures = (np.abs(_line_measure(d, det, L)) / L).tolist()
+    legs = np.argmin(d, axis=-1)
+    near = np.flatnonzero(d.min(axis=-1) <= eps_pass)
+    out = [("parallel", None, m, None) for m in measures]
+    for j in near.tolist():
+        clear = _serial_clearance(geom, Pose(float(x[j]), float(y[j]), float(phi[j])), int(legs[j]))
         kind = "passage" if clear > SERIAL_CLASSIFY_REL * L else "parallel"
-        return kind, leg + 1, (0.0 if np.isnan(measure) else measure), float(clear)
-    return "parallel", None, measure, None
+        out[j] = (kind, int(legs[j]) + 1, (0.0 if np.isnan(measures[j]) else measures[j]), float(clear))
+    return out
 
 
-def _with_vertices(geom: RobotGeometry, path: WorkspacePath, ts, dets):
-    """Samples plus the vertex of every constant-phi segment's quadratic
-    that hides two sign changes (or a touch) inside one sample gap.
+def _with_vertices(geom: RobotGeometry, s: _SampledPath):
+    """Samples ``(ts, rows, dets)`` plus the vertex of every constant-phi
+    segment's quadratic that hides two sign changes (or a touch) inside one
+    sample gap.
 
     Along a constant-phi segment the determinant is exactly quadratic in
     the segment parameter, so the samples at its ends and middle give the
@@ -309,25 +365,76 @@ def _with_vertices(geom: RobotGeometry, path: WorkspacePath, ts, dets):
     gap whose end values share a sign and the value there has the other
     sign or is zero, so every other sample set is unchanged.
     """
-    w, n = path._table, path.segment_count
-    k = np.nonzero(wrap_angle(w[1:, 2] - w[:-1, 2]) == 0.0)[0]
-    i0, im, i1 = (np.searchsorted(ts, (k + f) / n) for f in (0.0, 0.5, 1.0))
-    s, f0, fm, f1 = ts[im] * n - k, dets[i0], dets[im], dets[i1]
-    curvature = (fm - f0 - s * (f1 - f0)) / (s * s - s)
+    ts, rows, dets = s.ts, s.rows, s.legs[3]
+    w, first = s.paths.table, s.paths.first
+    i = np.flatnonzero(wrap_angle(w[1:, 2] - w[:-1, 2]) == 0.0)  # waypoint pairs at one phi
+    row = np.searchsorted(first, i, side="right") - 1
+    k = i - first[row]  # the pair's segment index in its row, if it is a segment
+    row, k = row[k < s.paths.n[row]], k[k < s.paths.n[row]]
+    if not len(k):
+        return ts, rows, dets
+    n = s.paths.n[row]
+    keys = rows + 1j * ts  # searches stay in a row (see _sample_params)
+    i0, im, i1 = (np.searchsorted(keys, row + 1j * ((k + f) / n)) for f in (0.0, 0.5, 1.0))
+    u, f0, fm, f1 = ts[im] * n - k, dets[i0], dets[im], dets[i1]
+    curvature = (fm - f0 - u * (f1 - f0)) / (u * u - u)
     with np.errstate(divide="ignore", invalid="ignore"):
         vertex = 0.5 - 0.5 * (f1 - f0) / curvature
     inside = (vertex > 0.0) & (vertex < 1.0)
-    t = (k[inside] + vertex[inside]) / n
-    g = np.searchsorted(ts, t) - 1
+    row = row[inside]
+    t = (k[inside] + vertex[inside]) / n[inside]
+    g = np.searchsorted(keys, row + 1j * t) - 1
     at_vertex = f0[inside] - curvature[inside] * vertex[inside] ** 2
     keep = (t < ts[g + 1]) & (dets[g] * dets[g + 1] > 0.0) & (at_vertex * dets[g] <= 0.0)
     if not np.any(keep):
-        return ts, dets
+        return ts, rows, dets
     # the detector's own value at the vertex decides
-    t, g = t[keep], g[keep]
-    d = _leg_geometry(geom, *path.poses_at(t))[3]
+    t, g, row = t[keep], g[keep], row[keep]
+    d = _leg_geometry(geom, *s.paths.poses_at(t, row))[3]
     hide = d * dets[g] <= 0.0
-    return np.insert(ts, g[hide] + 1, t[hide]), np.insert(dets, g[hide] + 1, d[hide])
+    at = g[hide] + 1
+    return np.insert(ts, at, t[hide]), np.insert(rows, at, row[hide]), np.insert(dets, at, d[hide])
+
+
+def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> list[list[CrossingEvent]]:
+    """The crossing events of every row of ``s``: one list per row, sorted
+    by t (see :func:`detect_crossings`).  All rows' sign changes are
+    refined in one :func:`_bracket_roots` call, which refines each bracket
+    on its own, and all their zeros are classified in one kernel pass."""
+    paths = s.paths
+    ts, rows, dets = _with_vertices(geom, s)
+    same = rows[:-1] == rows[1:]  # consecutive samples of one row
+    inner = same[:-1] & same[1:]  # samples with both neighbours in their row
+    around = dets[:-2] * dets[2:]  # product of the neighbours' values
+    # a zero sample between samples of opposite signs crosses; any other grazes
+    zero = np.flatnonzero(dets == 0.0)
+    crosses = np.r_[False, inner & (around < 0.0), False][zero]
+    k = np.flatnonzero(same & (dets[:-1] * dets[1:] < 0.0))
+    refined = _bracket_roots(
+        lambda t: _leg_geometry(geom, *paths.poses_at(t, rows[k]))[3], ts[k], ts[k + 1], dets[k], dets[k + 1],
+        CROSSING_T_TOL,
+    )
+    # interior near-zero minima without a sign change (tangential grazing)
+    a = np.abs(dets)
+    dscale = np.maximum.reduceat(a, np.flatnonzero(np.r_[True, ~same]))
+    dscale[dscale == 0.0] = 1.0
+    here = a[1:-1]
+    graze = inner & (0.0 < here) & (here <= 1e-12 * dscale[rows[1:-1]]) & (here <= a[:-2]) & (here <= a[2:])
+    graze = np.flatnonzero(graze & (around > 0.0)) + 1
+
+    # zero samples, refined roots and grazing minima, in that order before
+    # the stable sort by row and t; the crossings among them are classified
+    t_ev = np.concatenate([ts[zero], refined, ts[graze]])
+    r_ev = np.concatenate([rows[zero], rows[k], rows[graze]])
+    crossing = np.concatenate([crosses, np.ones(len(refined), dtype=bool), np.zeros(len(graze), dtype=bool)])
+    info = [("grazing", None, 0.0, None)] * len(t_ev)
+    classified = _classify_zeros(geom, *paths.poses_at(t_ev[crossing], r_ev[crossing]), eps_pass)
+    for j, c in zip(np.flatnonzero(crossing).tolist(), classified):
+        info[j] = c
+    events = [[] for _ in paths.n]
+    for j in np.lexsort((t_ev, r_ev)).tolist():
+        events[r_ev[j]].append(CrossingEvent(float(t_ev[j]), *info[j]))
+    return events
 
 
 def detect_crossings(
@@ -343,35 +450,9 @@ def detect_crossings(
     samples where two crossings would otherwise hide in one sample gap.
     """
     s = _sampled(geom, path)
-    path = s.path
     if eps_pass is None:
         eps_pass = EPS_PASS_REL * geom.L
-    ts, dets = _with_vertices(geom, path, s.ts, s.legs[3])
-    dscale = float(np.max(np.abs(dets))) or 1.0
-
-    events = []
-    for k in np.nonzero(dets == 0.0)[0]:
-        t_star = float(ts[k])
-        if 0 < k < len(ts) - 1 and dets[k - 1] * dets[k + 1] < 0.0:
-            kind, leg, measure, clear = _classify_zero(geom, path.pose_at(t_star), eps_pass)
-            events.append(CrossingEvent(t_star, kind, leg, measure, clear))
-        else:
-            events.append(CrossingEvent(t_star, "grazing", None, 0.0, None))
-    k = np.nonzero(dets[:-1] * dets[1:] < 0.0)[0]
-    refined = _bracket_roots(
-        lambda t: _leg_geometry(geom, *path.poses_at(t))[3], ts[k], ts[k + 1], dets[k], dets[k + 1],
-        CROSSING_T_TOL,
-    )
-    for t_star in refined.tolist():
-        kind, leg, measure, clear = _classify_zero(geom, path.pose_at(t_star), eps_pass)
-        events.append(CrossingEvent(t_star, kind, leg, measure, clear))
-    # interior near-zero minima without a sign change (tangential grazing)
-    prev, here, nxt = np.abs(dets[:-2]), np.abs(dets[1:-1]), np.abs(dets[2:])
-    graze = (0.0 < here) & (here <= 1e-12 * dscale) & (here <= prev) & (here <= nxt)
-    for k in np.nonzero(graze & (dets[:-2] * dets[2:] > 0.0))[0] + 1:
-        events.append(CrossingEvent(float(ts[k]), "grazing", None, 0.0, None))
-    events.sort(key=lambda e: e.t)
-    return events
+    return _crossing_events(geom, s, eps_pass)[0]
 
 
 def verify_mode_change(
@@ -437,27 +518,42 @@ def verify_mode_change(
 # grid planner
 
 
-def _segment_crossings(geom, p0: Pose, p1: Pose, eps_pass, safe, L, fine_step):
-    """Crossing events of an admissible pose segment, or None when the
-    segment is inadmissible.
+def _check_samples(L, p0s, p1s, fine_step):
+    """Base samples of the crossing check of each pose segment ``p0s[r] ->
+    p1s[r]``: one per ``fine_step`` of pose distance and at least
+    2 * EDGE_SUBSAMPLES, so a shortcut spanning many cells is sampled as
+    densely as a door; 0 for a segment shorter than 1e-9 * L."""
+    length = np.maximum(
+        np.hypot(p0s[:, 0] - p1s[:, 0], p0s[:, 1] - p1s[:, 1]), L * np.abs(wrap_angle(p0s[:, 2] - p1s[:, 2]))
+    )
+    samples = np.where(length > 1e-9 * L, np.maximum(2 * EDGE_SUBSAMPLES, np.ceil(length / fine_step)), 0)
+    if np.any(samples > MAX_SAMPLES):
+        raise ValidationError(f"the path has more than {MAX_SAMPLES:,} base samples")
+    return samples.astype(int)
+
+
+def _segments_crossings(geom, p0s, p1s, eps_pass, safe, fine_step):
+    """Crossing events of each pose segment ``p0s[r] -> p1s[r]`` ((m, 3)
+    arrays of x, y, phi), or None where the segment is inadmissible, all
+    checked in one pass.
 
     A segment is admissible when every determinant sign change on it is a
-    passage through a passage-safe leg.  The crossing detector samples it
-    at least once per ``fine_step`` of pose distance, whatever its length,
-    so a shortcut spanning many cells is sampled as densely as a door.
+    passage through a passage-safe leg.  Each segment is one row, sampled
+    by :func:`_check_samples` as a path of its own, so its events are those
+    that :func:`detect_crossings` finds on it alone; a segment without
+    samples crosses nothing.
     """
-    length = pose_distance(p0, p1, L)
-    if length <= 1e-9 * L:
-        return []
-    samples = max(2 * EDGE_SUBSAMPLES, int(np.ceil(length / fine_step)))
-    seg = WorkspacePath((p0, p1), samples_per_segment=samples)
-    events = detect_crossings(geom, seg, eps_pass)
-    for e in events:
-        if e.kind == "parallel":
-            return None
-        if e.kind == "passage" and not safe[e.leg - 1]:
-            return None
-    return events
+    samples = _check_samples(geom.L, p0s, p1s, fine_step)
+    live = np.flatnonzero(samples)
+    out = [[] for _ in samples]
+    if len(live):
+        table = np.stack([p0s[live], p1s[live]], axis=1).reshape(-1, 3)
+        rows = _Paths(table, 2 * np.arange(len(live)), np.ones(len(live), dtype=int), samples[live])
+        for r, events in zip(live.tolist(), _crossing_events(geom, _sampled(geom, rows), eps_pass)):
+            if any(e.kind == "parallel" or (e.kind == "passage" and not safe[e.leg - 1]) for e in events):
+                events = None
+            out[r] = events
+    return out
 
 
 def _trig_basis(phi):
@@ -746,6 +842,14 @@ def plan_mode_change(
     spliced into it.  The result always passes verification with verdict
     ``changed_without_parallel``.
 
+    Segments are checked by the crossing detector in batched passes, each
+    segment sampled as a path of its own: one pass checks every passage
+    candidate edge (a door is one found admissible with a passage) and the
+    segments joining the start and target to the corners of their grid
+    cells (each snaps to its nearest corner joined admissibly); then one
+    pass per kept waypoint checks its shortcuts, farthest first, and the
+    route skips to the farthest admissible one.
+
     The grid search is a two-ended Dijkstra from the start and target grid
     nodes, bounded by a distance limit that grows, at most doubling, until
     the route (and then the splice) is certified exact, so it settles only
@@ -802,47 +906,56 @@ def plan_mode_change(
     ok = [~cross for cross, _ in scans]
     ends = _edge_ends(shape)
 
+    def node_poses(nodes):
+        i, j, m = np.unravel_index(nodes, shape)
+        return np.stack([xs[i], ys[j], phis[m]], axis=-1)
+
     def node_pose(node):
-        i, j, m = np.unravel_index(node, shape)
-        return Pose(float(xs[i]), float(ys[j]), float(phis[m]))
+        return Pose(*node_poses(node).tolist())
 
-    def crossings(p0, p1):
-        return _segment_crossings(geom, p0, p1, eps_pass, safe, L, fine_step)
+    def crossings(p0s, p1s):
+        return _segments_crossings(geom, p0s, p1s, eps_pass, safe, fine_step)
 
-    # a door is a candidate edge whose single crossing check finds it
-    # admissible with at least one passage
-    doors = []
-    for axis, (_, cand) in enumerate(scans):
-        lo, hi = ends[axis]
-        for idx in map(tuple, np.argwhere(cand)):
-            p0 = node_pose(lo[idx])
-            if axis < 2:
-                p1 = node_pose(hi[idx])
-            else:
-                p1 = Pose(p0.x, p0.y, p0.phi + 2.0 * np.pi / np_)
-            events = crossings(p0, p1)
-            if events is not None and any(e.kind == "passage" for e in events):
-                doors.append((int(lo[idx]), int(hi[idx]), costs[axis]))
-                ok[axis][idx] = True
-
-    def snap(pose: Pose, label: str):
+    def corners(pose: Pose):
+        """The eight corners of the grid cell around ``pose``, nearest first."""
         ci = int(np.clip(np.searchsorted(xs, pose.x) - 1, 0, nx - 2))
         cj = int(np.clip(np.searchsorted(ys, pose.y) - 1, 0, ny - 2))
         cm = int(np.floor(wrap_angle(pose.phi) % (2.0 * np.pi) / (2.0 * np.pi / np_))) % np_
-        corners = [
+        out = [
             int(np.ravel_multi_index((ci + di, cj + dj, (cm + dm) % np_), shape))
             for di in (0, 1)
             for dj in (0, 1)
             for dm in (0, 1)
         ]
-        corners.sort(key=lambda c: pose_distance(pose, node_pose(c), L))
-        for c in corners:
-            if crossings(pose, node_pose(c)) is not None:
-                return c
-        raise NoPathFound(f"could not connect the {label} pose to the search grid")
+        return sorted(out, key=lambda c: pose_distance(pose, node_pose(c), L))
 
-    s_node = snap(start, "start")
-    t_node = snap(target, "target")
+    # One pass checks every candidate edge and the segments from each
+    # endpoint to the corners of its cell.  A door is a candidate edge found
+    # admissible with at least one passage; an endpoint snaps to its
+    # nearest corner joined by an admissible segment.
+    cand = [np.argwhere(c) for _, c in scans]
+    axis = np.repeat(np.arange(3), [len(c) for c in cand])
+    edge_lo, edge_hi = (np.concatenate([ends[a][e][tuple(c.T)] for a, c in enumerate(cand)]) for e in (0, 1))
+    near = corners(start) + corners(target)
+    p0s = np.concatenate([node_poses(edge_lo), np.repeat([start.as_tuple(), target.as_tuple()], 8, axis=0)])
+    p1s = node_poses(np.concatenate([edge_hi, near]))
+    phi_edge = np.flatnonzero(axis == 2)
+    p1s[phi_edge, 2] = p0s[phi_edge, 2] + 2.0 * np.pi / np_  # a phi edge does not wrap back to 0
+    checked = crossings(p0s, p1s)
+
+    doors = []
+    edges = zip(axis.tolist(), np.concatenate(cand).tolist(), edge_lo.tolist(), edge_hi.tolist())
+    for (a, idx, e0, e1), events in zip(edges, checked):
+        if events is not None and any(e.kind == "passage" for e in events):
+            doors.append((e0, e1, costs[a]))
+            ok[a][tuple(idx)] = True
+    snapped = []
+    for label, end in (("start", 0), ("target", 8)):
+        linked = [c for c, e in zip(near[end : end + 8], checked[len(edge_lo) + end :]) if e is not None]
+        if not linked:
+            raise NoPathFound(f"could not connect the {label} pose to the search grid")
+        snapped.append(linked[0])
+    s_node, t_node = snapped
 
     graph = _grid_graph(ok, costs, shape)
     nodes, used_doors = _grid_route(graph, (s_node, t_node), max(costs), doors, require_crossing)
@@ -853,19 +966,22 @@ def plan_mode_change(
         if frozenset(nodes[k - 1 : k + 1]) in used_doors:
             protected.update((k, k + 1))
 
+    # From each kept waypoint k, go to the farthest waypoint j <= hi (the
+    # next protected door end) joined to it by an admissible shortcut, or
+    # to k + 1.  Shortcuts are checked farthest first, as many per pass as
+    # BATCH_SAMPLES allows.
+    table = np.array([w.as_tuple() for w in waypoints])
     kept = [0]
     k = 0
     while k < len(waypoints) - 1:
-        hi = len(waypoints) - 1
-        for p in sorted(protected):
-            if p > k:
-                hi = min(hi, p)
-                break
-        j = hi
-        while j > k + 1:
-            if crossings(waypoints[k], waypoints[j]) is not None:
-                break
-            j -= 1
+        hi = min([p for p in protected if p > k], default=len(waypoints) - 1)
+        js = np.arange(hi, k + 1, -1)
+        j = k + 1
+        while j == k + 1 and len(js):
+            load = np.cumsum(_check_samples(L, table[[k]], table[js], fine_step))
+            batch, js = np.split(js, [max(1, np.searchsorted(load, BATCH_SAMPLES, side="right"))])
+            events = crossings(np.tile(table[k], (len(batch), 1)), table[batch])
+            j = next((int(jj) for jj, e in zip(batch, events) if e is not None), j)
         kept.append(j)
         k = j
     simplified = [waypoints[k] for k in kept]

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from planar_rpr.cli import main
 from conftest import REF_BASE, REF_PLATFORM, REF_SCALE
 
 L = REF_SCALE
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 # --- robot files ------------------------------------------------------------
@@ -161,6 +163,31 @@ def test_cli_domain_error_exit_code(tmp_path, capfd):
     assert main(["ik", "--robot", str(path), "--pose", "0,0,0"]) == 1
     err = capfd.readouterr().err
     assert "error:" in err
+
+
+def test_cli_base_whose_distances_overflow_exits_1(tmp_path, capfd):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"base": [[-1e308, 0], [1e308, 0], [0, 1]], "platform": REF_PLATFORM}))
+    assert main(["classify", "--robot", str(path), "--pose", "0,0,0"]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == "error: base points are too far apart: their largest distance overflows\n"
+
+
+@pytest.mark.parametrize(
+    "args, pinned",
+    [
+        (["--start", "5,5,0"], "plan_ref_5_5_0.json"),
+        (["--start", "0,0,0", "--res", "32,32,32"], "plan_ref_0_0_0_res32.json"),
+    ],
+)
+def test_cli_plan_output_equals_pinned_file(ref_file, capfd, args, pinned):
+    """plan prints the bytes pinned in tests/data, which an earlier
+    version of the planner printed for the same command."""
+    assert main(["plan", "--robot", str(ref_file), *args]) == 0
+    out, err = capfd.readouterr()
+    assert out.encode() == (DATA / pinned).read_bytes()
+    assert err == ""
 
 
 def test_cli_plan_and_verify(ref_file, tmp_path, capfd):

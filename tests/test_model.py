@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,18 @@ def test_degenerate_base_rejected():
 def test_non_finite_rejected():
     with pytest.raises(ValidationError):
         RobotGeometry(base=[(0, 0), (np.nan, 0), (4, 8)], platform=REF_PLATFORM)
+
+
+def test_base_whose_distances_overflow_is_rejected():
+    """Finite base coordinates whose differences overflow would give L = inf
+    and infinite relative bands; the constructor rejects them, and raises no
+    overflow RuntimeWarning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="overflows"):
+            RobotGeometry(base=[(-1e308, 0), (1e308, 0), (0, 1)], platform=REF_PLATFORM)
+    # the largest finite spread is still a design
+    assert np.isfinite(RobotGeometry(base=[(-8e307, 0), (8e307, 0), (0, 1)], platform=REF_PLATFORM).L)
 
 
 def test_geometry_is_immutable(ref):

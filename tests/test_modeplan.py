@@ -1,4 +1,6 @@
 import heapq
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -31,11 +33,12 @@ from planar_rpr.modeplan import (
     ZERO_TOUCH_REL,
     ModeChangeCertificate,
     _axis_edge_scan,
-    _classify_zero,
+    _classify_zeros,
     _edge_ends,
     _grid_graph,
     _grid_route,
-    _segment_crossings,
+    _check_samples,
+    _segments_crossings,
     _walk_back,
 )
 from planar_rpr.singularity import (
@@ -51,6 +54,7 @@ from planar_rpr.singularity import (
 from conftest import REF_BASE, REF_PLATFORM, REF_SCALE
 
 L = REF_SCALE
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -643,11 +647,10 @@ def _check_masks_against_reference(geom, resolution):
         assert cross.shape == ref_cross.shape and cand.shape == ref_cand.shape
         assert not np.any(ref_cross & ~cross), f"axis {axis}: exact scan misses a sampled crossing"
         assert not np.any(cand & ~ref_cand), f"axis {axis}: exact candidate the sampled scan rejects"
-        for i, j, m in np.argwhere(ref_cand):
-            p0 = np.array([xs[i], ys[j], phis[m]])
-            events = _segment_crossings(
-                geom, Pose(*p0), Pose(*(p0 + steps[axis])), eps_pass, safe, L, fine_step
-            )
+        idx = np.argwhere(ref_cand)
+        p0s = np.stack([xs[idx[:, 0]], ys[idx[:, 1]], phis[idx[:, 2]]], axis=-1)
+        checked = _segments_crossings(geom, p0s, p0s + steps[axis], eps_pass, safe, fine_step)
+        for (i, j, m), events in zip(idx, checked):
             if events is not None and any(e.kind == "passage" for e in events):
                 assert cand[i, j, m], f"axis {axis}: door {(i, j, m)} is not an exact candidate"
 
@@ -897,7 +900,108 @@ def test_serial_clearance_agrees_between_classifier_and_crossing_detector(ref):
             pose = Pose(*(serial_points(geom, phi)[leg] + offset), phi)
             c = classify_configuration(geom, pose)
             assert c.singular_legs == (leg + 1,)
-            kind, zero_leg, _, clearance = _classify_zero(geom, pose, EPS_PASS_REL * Lg)
+            kind, zero_leg, _, clearance = _classify_zeros(geom, *np.array([pose.as_tuple()]).T, EPS_PASS_REL * Lg)[0]
             assert zero_leg == leg + 1
             assert clearance == c.clearance and type(clearance) is type(c.clearance)
             assert (kind == "passage") == (c.kind == "serial_singular")
+
+
+@pytest.mark.parametrize("tag, scale", [("1e-3", 1e-3), ("1e3", 1e3)])
+def test_scaled_reference_plans_equal_pinned_waypoints(tag, scale):
+    """The x1e-3 and x1e3 copies of the reference robot, planned from
+    (5s, 5s, 0) at the default grid, give the waypoints an earlier version
+    of the planner gave (pinned in tests/data)."""
+    geom = RobotGeometry(np.asarray(REF_BASE) * scale, np.asarray(REF_PLATFORM) * scale)
+    path = plan_mode_change(geom, Pose(5.0 * scale, 5.0 * scale, 0.0))
+    pinned = json.loads((DATA / f"plan_ref_x{tag}_5_5_0.json").read_text())["waypoints"]
+    assert [w.as_tuple() for w in path.waypoints] == [(w["x"], w["y"], w["phi"]) for w in pinned]
+
+
+def _batch_against_detector(geom, p0s, p1s, fine_step):
+    """Check all segments in one batched call and each one alone with
+    detect_crossings: the same admissibility, passage flag and events.
+    Returns the set of outcomes seen."""
+    eps = EPS_PASS_REL * characteristic_scale(geom)
+    safe = passage_safety(geom)
+    checked = _segments_crossings(geom, p0s, p1s, eps, safe, fine_step)
+    samples = _check_samples(characteristic_scale(geom), p0s, p1s, fine_step)
+    assert len(checked) == len(samples) == len(p0s)
+    seen = set()
+    for p0, p1, n, got in zip(p0s, p1s, samples.tolist(), checked):
+        alone = detect_crossings(geom, WorkspacePath((Pose(*p0), Pose(*p1)), n), eps) if n else []
+        unsafe = any(e.kind == "passage" and not safe[e.leg - 1] for e in alone)
+        parallel = any(e.kind == "parallel" for e in alone)
+        assert (got is None) == (unsafe or parallel)
+        if got is not None:
+            assert [(e.t, e.kind, e.leg) for e in got] == [(e.t, e.kind, e.leg) for e in alone]
+        seen.add("unsafe" if unsafe and not parallel else "parallel" if parallel else "admissible")
+        seen.update(e.kind for e in alone)
+        if [e.kind for e in alone] == ["parallel", "parallel"]:
+            seen.add("two parallel")
+        if n == 0:
+            seen.add("zero length")
+    return seen
+
+
+def _planner_segments(geom, rng, res):
+    """Seeded segments of every kind the planner checks on a res^3 grid over
+    its default box: the door candidates of all three axes, random grid
+    edges along x, y and phi (phi edges that wrap past 2 pi included), stubs
+    from random poses to the corners of their cells, and long shortcuts."""
+    Lg = characteristic_scale(geom)
+    xs = ys = np.linspace(-Lg, 2 * Lg, res)
+    phis = np.linspace(0.0, 2.0 * np.pi, res, endpoint=False)
+    steps = np.diag([xs[1] - xs[0], ys[1] - ys[0], 2.0 * np.pi / res])
+    corner = lambda i, j, m: np.array([xs[i], ys[j], phis[m]])
+    p0s, p1s = [], []
+    for axis in range(3):
+        cand = _axis_edge_scan(geom, xs, ys, phis, axis, EPS_PASS_REL * Lg)[1]
+        edges = np.argwhere(cand).tolist() + rng.integers(0, res - 1, (12, 3)).tolist() + [[3, 5, res - 1]]
+        p0s += [corner(*e) for e in edges]
+        p1s += [corner(*e) + steps[axis] for e in edges]
+    for _ in range(6):
+        pose = np.array([*rng.uniform(-Lg, 2 * Lg, 2), rng.uniform(0.0, 2.0 * np.pi)])
+        i, j, m = (np.searchsorted(v, c) - 1 for v, c in zip((xs, ys, phis), pose))
+        for di in (0, 1):
+            for dj in (0, 1):
+                for dm in (0, 1):
+                    p0s.append(pose)
+                    p1s.append(corner(i + di, j + dj, (m + dm) % res))
+    for _ in range(12):
+        p0s.append(np.array([*rng.uniform(-Lg, 2 * Lg, 2), rng.uniform(0.0, 2.0 * np.pi)]))
+        p1s.append(np.array([*rng.uniform(-Lg, 2 * Lg, 2), rng.uniform(0.0, 2.0 * np.pi)]))
+    p0s.append(p0s[-1])  # a segment of zero length
+    p1s.append(p0s[-1])
+    fine_step = min(steps[0, 0], steps[1, 1], Lg * steps[2, 2]) / 9
+    return np.array(p0s), np.array(p1s), fine_step
+
+
+def test_batched_crossing_check_equals_detect_crossings_per_segment(ref):
+    """One batched check of many independent segments gives each the
+    admissibility, passage flag and events (t, kind, leg) that
+    detect_crossings finds on that segment alone, bit for bit: on the
+    planner's segments at two resolutions, on the chord whose two crossings
+    share one sample gap, and on segments through the serial point of a
+    passage-unsafe leg."""
+    rng = np.random.default_rng(41)
+    seen = set()
+    for res in (64, 16):
+        seen |= _batch_against_detector(ref, *_planner_segments(ref, rng, res))
+    # the chord of test_detect_crossings_two_roots_in_one_sample_gap; with
+    # 18 samples its two crossings still share a gap, among other segments
+    chord = _chord_segment(ref, 0.9, -2.4371, 9.7).waypoints
+    p0s, p1s, _ = _planner_segments(ref, rng, 16)
+    p0s = np.insert(p0s, 7, chord[0].as_tuple(), axis=0)
+    p1s = np.insert(p1s, 7, chord[1].as_tuple(), axis=0)
+    seen |= _batch_against_detector(ref, p0s, p1s, 2.0)
+    # leg 1 of this design is passage-unsafe: a passage through it is inadmissible
+    theta = np.arctan(2)
+    matched = RobotGeometry(base=REF_BASE, platform=[(0, 0), (3, 0), (1.5 * np.cos(theta), 1.5 * np.sin(theta))])
+    assert list(passage_safety(matched)) == [False, True, True]
+    p0s, p1s, fine_step = _planner_segments(matched, rng, 32)
+    for phi in rng.uniform(0.0, 2.0 * np.pi, 8):
+        s, u = serial_points(matched, phi)[0], rng.normal(0.0, 0.05 * L, 2)
+        p0s = np.vstack([p0s, [*(s - u), phi]])
+        p1s = np.vstack([p1s, [*(s + u), phi]])
+    seen |= _batch_against_detector(matched, p0s, p1s, fine_step)
+    assert {"admissible", "parallel", "unsafe", "passage", "two parallel", "zero length"} <= seen
