@@ -34,7 +34,7 @@ can apply whatever practical margin the hardware needs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,12 +120,19 @@ class _Paths:
     with ``per_segment[r]`` base samples on each of its ``n[r]`` segments,
     and has its own parameter t in [0, 1].  A :class:`WorkspacePath` is one
     row; the planner's batched crossing check makes one row per segment.
+    ``steps[i]`` is the step from waypoint i to i + 1, phi wrapped.
     """
 
     table: np.ndarray
     first: np.ndarray
     n: np.ndarray
     per_segment: np.ndarray
+    steps: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        steps = self.table[1:] - self.table[:-1]
+        steps[:, 2] = wrap_angle(steps[:, 2])
+        object.__setattr__(self, "steps", steps)
 
     def poses_at(self, ts, rows):
         """Arrays (x, y, phi) at parameters ``ts`` of rows ``rows``, clamped to [0, 1]."""
@@ -133,13 +140,9 @@ class _Paths:
         t = np.minimum(np.maximum(ts, 0.0), 1.0)
         k = np.minimum((t * n).astype(int), n - 1)
         s = t * n - k
-        a = self.table[self.first[rows] + k]
-        d = self.table[self.first[rows] + k + 1] - a
-        return (
-            a[..., 0] + s * d[..., 0],
-            a[..., 1] + s * d[..., 1],
-            a[..., 2] + s * wrap_angle(d[..., 2]),
-        )
+        i = self.first[rows] + k
+        a, d = self.table[i], self.steps[i]
+        return a[..., 0] + s * d[..., 0], a[..., 1] + s * d[..., 1], a[..., 2] + s * d[..., 2]
 
 
 @dataclass(frozen=True)
@@ -366,8 +369,8 @@ def _with_vertices(geom: RobotGeometry, s: _SampledPath):
     sign or is zero, so every other sample set is unchanged.
     """
     ts, rows, dets = s.ts, s.rows, s.legs[3]
-    w, first = s.paths.table, s.paths.first
-    i = np.flatnonzero(wrap_angle(w[1:, 2] - w[:-1, 2]) == 0.0)  # waypoint pairs at one phi
+    first = s.paths.first
+    i = np.flatnonzero(s.paths.steps[:, 2] == 0.0)  # waypoint pairs at one phi
     row = np.searchsorted(first, i, side="right") - 1
     k = i - first[row]  # the pair's segment index in its row, if it is a segment
     row, k = row[k < s.paths.n[row]], k[k < s.paths.n[row]]
@@ -410,8 +413,9 @@ def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> l
     zero = np.flatnonzero(dets == 0.0)
     crosses = np.r_[False, inner & (around < 0.0), False][zero]
     k = np.flatnonzero(same & (dets[:-1] * dets[1:] < 0.0))
+    bracket_rows = rows[k]
     refined = _bracket_roots(
-        lambda t: _leg_geometry(geom, *paths.poses_at(t, rows[k]))[3], ts[k], ts[k + 1], dets[k], dets[k + 1],
+        lambda t: _leg_geometry(geom, *paths.poses_at(t, bracket_rows))[3], ts[k], ts[k + 1], dets[k], dets[k + 1],
         CROSSING_T_TOL,
     )
     # interior near-zero minima without a sign change (tangential grazing)
