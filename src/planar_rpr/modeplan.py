@@ -241,20 +241,23 @@ def _sample_params(geom: RobotGeometry, paths: _Paths) -> np.ndarray:
         (n, S): (np.arange(n)[:, None] + np.linspace(0.0, 1.0, S + 1)).ravel() / n for n, S in set(shapes)
     }
     base = [uniform[shape] for shape in shapes]
-    base = _distinct(np.repeat(np.arange(len(base)), [len(b) for b in base]) + 1j * np.concatenate(base))
+    base = np.repeat(np.arange(len(base)), [len(b) for b in base]) + 1j * np.concatenate(base)
+    base = base[_first_of_runs(base)]  # sorted already; a segment's end starts the next one
     ts, rows = base.imag, base.real
     dmin = _leg_geometry(geom, *paths.poses_at(ts, rows.astype(int)))[2].min(axis=-1)
     band = REFINE_BAND_REL * geom.L
     k = np.nonzero(((dmin[:-1] < band) | (dmin[1:] < band)) & (rows[:-1] == rows[1:]))[0]
     frac = np.arange(1, REFINE_FACTOR) / REFINE_FACTOR
     extra = ts[k, None] + (ts[k + 1] - ts[k])[:, None] * frac
-    return _distinct(np.concatenate([base, (rows[k, None] + 1j * extra).ravel()]))
+    keys = np.sort(np.concatenate([base, (rows[k, None] + 1j * extra).ravel()]))
+    return keys[_first_of_runs(keys)]  # np.unique, which is slower on complex numbers
 
 
-def _distinct(keys):
-    """The sorted distinct values of ``keys`` (np.unique, faster on complex)."""
-    keys = np.sort(keys)
-    return keys[np.r_[True, keys[1:] != keys[:-1]]]
+def _first_of_runs(a):
+    """Mask of the entries of ``a`` that differ from their predecessor."""
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return first
 
 
 @dataclass(frozen=True)
@@ -411,7 +414,9 @@ def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> l
     around = dets[:-2] * dets[2:]  # product of the neighbours' values
     # a zero sample between samples of opposite signs crosses; any other grazes
     zero = np.flatnonzero(dets == 0.0)
-    crosses = np.r_[False, inner & (around < 0.0), False][zero]
+    crosses = np.zeros(len(ts), dtype=bool)
+    crosses[1:-1] = inner & (around < 0.0)
+    crosses = crosses[zero]
     k = np.flatnonzero(same & (dets[:-1] * dets[1:] < 0.0))
     bracket_rows = rows[k]
     refined = _bracket_roots(
@@ -420,7 +425,7 @@ def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> l
     )
     # interior near-zero minima without a sign change (tangential grazing)
     a = np.abs(dets)
-    dscale = np.maximum.reduceat(a, np.flatnonzero(np.r_[True, ~same]))
+    dscale = np.maximum.reduceat(a, np.flatnonzero(_first_of_runs(rows)))
     dscale[dscale == 0.0] = 1.0
     here = a[1:-1]
     graze = inner & (0.0 < here) & (here <= 1e-12 * dscale[rows[1:-1]]) & (here <= a[:-2]) & (here <= a[2:])
