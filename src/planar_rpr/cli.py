@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from .errors import RobotError
-from .kinematics import inverse_kinematics, oracle_fk, solve_fk
+from .kinematics import ORACLE_GRID, inverse_kinematics, oracle_fk, solve_fk
 from .model import JointVector, Pose
 from .modeplan import WorkspacePath, plan_mode_change, verify_mode_change
 from .robotfile import RunConfig, load_robot
@@ -31,8 +31,17 @@ from .singularity import (
 )
 
 
+def _dumps(obj) -> str:
+    """JSON text of a result; a non-finite number, which JSON cannot carry,
+    is a domain error rather than a ``NaN`` on stdout."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise RobotError("the result has a non-finite number, which JSON cannot carry") from exc
+
+
 def _emit(obj):
-    click.echo(json.dumps(obj, sort_keys=True))
+    click.echo(_dumps(obj))
 
 
 @contextmanager
@@ -91,16 +100,11 @@ def _solution_rows(sols):
 
 
 @click.group()
-@click.option("--seed", type=click.IntRange(min=0), default=None,
-              help="Accepted for compatibility and ignored: no command samples at random.")
 @click.pass_context
-def cli(ctx, seed):
+def cli(ctx):
     """Model 3-RPR planar parallel robots: kinematics, singularity loci and
     passage-crossing mode-change planning."""
-    cfg = RunConfig.from_env()
-    if seed is not None:
-        cfg.seed = seed
-    ctx.obj = cfg
+    ctx.obj = RunConfig.from_env()
 
 
 @cli.command()
@@ -118,31 +122,24 @@ def ik(robot_path, pose_text, signs_text):
 @cli.command()
 @click.option("--robot", "robot_path", required=True, type=click.Path())
 @click.option("--joints", "joints_text", required=True, help="r1,r2,r3")
-@click.option("--oracle", is_flag=True, help="Use the brute-force sweep instead of the solver.")
-@click.option("--grid", type=int, default=None, help="Sweep grid size (with --oracle).")
-@click.pass_obj
-def fk(cfg, robot_path, joints_text, oracle, grid):
+def fk(robot_path, joints_text):
     """Forward kinematics: all assembly modes for given joint values."""
     geom = _load(robot_path)
     joints = JointVector(_floats(joints_text, 3, "joints"))
     with _relay_warnings():
-        if oracle:
-            sols = oracle_fk(geom, joints, grid if grid is not None else cfg.oracle_grid)
-        else:
-            sols = solve_fk(geom, joints)
+        sols = solve_fk(geom, joints)
     _emit(_solution_rows(sols))
 
 
 @cli.command("oracle-fk")
 @click.option("--robot", "robot_path", required=True, type=click.Path())
 @click.option("--joints", "joints_text", required=True, help="r1,r2,r3")
-@click.option("--grid", type=int, default=None)
-@click.pass_obj
-def oracle_fk_cmd(cfg, robot_path, joints_text, grid):
+@click.option("--grid", type=int, default=ORACLE_GRID, show_default=True, help="Sweep grid size.")
+def oracle_fk_cmd(robot_path, joints_text, grid):
     """Brute-force forward kinematics by orientation sweep."""
     geom = _load(robot_path)
     joints = JointVector(_floats(joints_text, 3, "joints"))
-    sols = oracle_fk(geom, joints, grid if grid is not None else cfg.oracle_grid)
+    sols = oracle_fk(geom, joints, grid)
     _emit(_solution_rows(sols))
 
 
@@ -228,12 +225,11 @@ def plan(cfg, robot_path, start_text, target_text, box_text, res_text, out_path)
     res = {"resolution": tuple(int(v) for v in _floats(res_text, 3, "res"))} if res_text else {}
     with _relay_warnings():
         path = plan_mode_change(geom, start, target, box=box, eps_pass=cfg.eps_pass_rel * geom.L, **res)
-    doc = {"waypoints": [{"x": w.x, "y": w.y, "phi": w.phi} for w in path.waypoints]}
+    text = _dumps({"waypoints": [{"x": w.x, "y": w.y, "phi": w.phi} for w in path.waypoints]})
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-    _emit(doc)
+            fh.write(text + "\n")
+    click.echo(text)
 
 
 @cli.command()

@@ -15,47 +15,35 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
-from .kinematics import ORACLE_GRID
 from .model import RobotGeometry
 from .modeplan import EPS_PASS_REL
 from .singularity import is_architecturally_singular, passage_safety
 
-_ENV_PREFIX = "PLANAR_RPR_"
-
 
 @dataclass
 class RunConfig:
-    """Tunable knobs shared by the CLI commands.
+    """Run-wide settings shared by the CLI commands ``plan`` and ``verify``.
 
-    ``eps_pass_rel``, ``oracle_grid`` and ``seed`` can be overridden by
-    environment variables with the PLANAR_RPR_ prefix (PLANAR_RPR_EPS_PASS_REL,
-    PLANAR_RPR_ORACLE_GRID, PLANAR_RPR_SEED).  The first two overrides must
-    be positive and finite, the seed non-negative.  ``seed`` is accepted and
-    validated but read by no command: no computation samples at random, so
-    every command is byte-deterministic for fixed inputs.
+    ``eps_pass_rel`` is the passage tolerance as a fraction of the design's
+    scale L.  The environment variable PLANAR_RPR_EPS_PASS_REL overrides it
+    and must be positive and finite.  No command samples at random, so every
+    command is byte-deterministic for fixed inputs.
     """
 
     eps_pass_rel: float = EPS_PASS_REL
-    oracle_grid: int = ORACLE_GRID
-    seed: int | None = None
 
     @classmethod
     def from_env(cls) -> "RunConfig":
-        cfg = cls()
-        for name, cast in (("eps_pass_rel", float), ("oracle_grid", int), ("seed", int)):
-            raw = os.environ.get(_ENV_PREFIX + name.upper())
-            if raw is None:
-                continue
-            try:
-                value = cast(raw)
-            except ValueError as exc:
-                raise ValidationError(f"bad override {name}={raw!r}") from exc
-            if name == "seed" and value < 0:
-                raise ValidationError(f"override seed must be non-negative, got {value}")
-            if name != "seed" and not (0 < value < math.inf):
-                raise ValidationError(f"override {name} must be positive and finite, got {value}")
-            setattr(cfg, name, value)
-        return cfg
+        raw = os.environ.get("PLANAR_RPR_EPS_PASS_REL")
+        if raw is None:
+            return cls()
+        try:
+            value = float(raw)
+        except ValueError as exc:
+            raise ValidationError(f"bad override eps_pass_rel={raw!r}") from exc
+        if not (0 < value < math.inf):
+            raise ValidationError(f"override eps_pass_rel must be positive and finite, got {value}")
+        return cls(eps_pass_rel=value)
 
 
 def parse_robot(data) -> RobotGeometry:

@@ -259,14 +259,13 @@ def test_criterion_9_determinism(ref_file, capfd):
     joints = "2.23606797749979,8.06225774829855,7.211102550927978"
     outputs = []
     for _ in range(2):
-        assert main(["--seed", "7", "fk", "--robot", str(ref_file), "--joints", joints,
-                     "--oracle", "--grid", "4096"]) == 0
+        assert main(["oracle-fk", "--robot", str(ref_file), "--joints", joints, "--grid", "4096"]) == 0
         outputs.append(capfd.readouterr().out)
     fk_same = outputs[0] == outputs[1]
 
     plans = []
     for _ in range(2):
-        assert main(["--seed", "7", "plan", "--robot", str(ref_file), "--start", "0,0,0"]) == 0
+        assert main(["plan", "--robot", str(ref_file), "--start", "0,0,0"]) == 0
         plans.append(capfd.readouterr().out)
     plan_same = plans[0] == plans[1] and json.loads(plans[0])["waypoints"]
     _report(

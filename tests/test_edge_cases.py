@@ -120,12 +120,8 @@ def test_planner_on_random_designs():
 
 def test_runconfig_env_overrides(monkeypatch):
     monkeypatch.setenv("PLANAR_RPR_EPS_PASS_REL", "0.002")
-    monkeypatch.setenv("PLANAR_RPR_ORACLE_GRID", "2048")
-    monkeypatch.setenv("PLANAR_RPR_SEED", "99")
     cfg = RunConfig.from_env()
     assert cfg.eps_pass_rel == 0.002
-    assert cfg.oracle_grid == 2048
-    assert cfg.seed == 99
 
 
 def test_runconfig_rejects_nonpositive(monkeypatch):
@@ -134,14 +130,14 @@ def test_runconfig_rejects_nonpositive(monkeypatch):
         RunConfig.from_env()
 
 
-@pytest.mark.parametrize("name, raw", [("SEED", "-5"), ("EPS_PASS_REL", "nan"), ("EPS_PASS_REL", "inf")])
-def test_runconfig_rejects_negative_seed_and_non_finite(monkeypatch, name, raw):
-    monkeypatch.setenv("PLANAR_RPR_" + name, raw)
+@pytest.mark.parametrize("raw", ["nan", "inf"])
+def test_runconfig_rejects_non_finite(monkeypatch, raw):
+    monkeypatch.setenv("PLANAR_RPR_EPS_PASS_REL", raw)
     with pytest.raises(ValidationError):
         RunConfig.from_env()
 
 
 def test_runconfig_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("PLANAR_RPR_ORACLE_GRID", "many")
+    monkeypatch.setenv("PLANAR_RPR_EPS_PASS_REL", "many")
     with pytest.raises(ValidationError):
         RunConfig.from_env()
