@@ -337,6 +337,7 @@ def test_cli_locus_leaves_stderr_empty(ref_file):
         ["plan", "--start", "0,0,0", "--res", "1000000000000,8,8"],
         ["verify", "--samples", "1000000000000"],
         ["oracle-fk", "--joints", "3.5,7.25,6.5", "--grid", "1000000000000"],
+        ["locus", "--phi", "0", "--window", "-10,-10,20,20", "--step", "0.000001"],
     ],
 )
 def test_cli_oversized_grids_are_errors(ref_file, tmp_path, capfd, args):
@@ -357,6 +358,7 @@ def test_cli_oversized_grids_are_errors(ref_file, tmp_path, capfd, args):
         ["locus", "--phi", "0", "--window", "-10,-10,20,20", "--step", "0"],
         ["locus", "--phi", "0", "--window", "1,0,0,1", "--step", "0.5"],
         ["oracle-fk", "--joints", "3.5,7.25,6.5", "--grid", "4"],
+        ["plan", "--start", "0,0,0", "--res", "4,8,8"],
     ],
 )
 def test_cli_bad_domain_values_are_errors(ref_file, capfd, args):
