@@ -179,6 +179,7 @@ def test_cli_base_whose_distances_overflow_exits_1(tmp_path, capfd):
     [
         (["--start", "5,5,0"], "plan_ref_5_5_0.json"),
         (["--start", "0,0,0", "--res", "32,32,32"], "plan_ref_0_0_0_res32.json"),
+        (["--start", "0,0,0"], "plan_ref_0_0_0.json"),
     ],
 )
 def test_cli_plan_output_equals_pinned_file(ref_file, capfd, args, pinned):

@@ -582,6 +582,17 @@ def test_no_path_found_explored_is_pinned(ref, resolution, message, explored):
     assert info.value.explored == explored
 
 
+@pytest.mark.parametrize("case", json.loads((DATA / "no_path_ref.json").read_text()), ids=str)
+def test_no_path_found_message_and_explored_are_pinned(ref, case):
+    """At 12^3 and 24^3 both benchmark starts fail; the message and the
+    explored count equal those of the planner that searched the whole grid
+    (pinned in tests/data).  From (0, 0, 0) at 24^3 the search is complete
+    before its window covers the grid, yet no door exists anywhere."""
+    with pytest.raises(NoPathFound) as info:
+        plan_mode_change(ref, Pose(*case["start"]), resolution=(case["resolution"],) * 3)
+    assert (str(info.value), info.value.explored) == (case["message"], case["explored"])
+
+
 # ---------------------------------------------------------------------------
 # exact edge predicates of the planner
 
@@ -915,6 +926,18 @@ def test_scaled_reference_plans_equal_pinned_waypoints(tag, scale):
     path = plan_mode_change(geom, Pose(5.0 * scale, 5.0 * scale, 0.0))
     pinned = json.loads((DATA / f"plan_ref_x{tag}_5_5_0.json").read_text())["waypoints"]
     assert [w.as_tuple() for w in path.waypoints] == [(w["x"], w["y"], w["phi"]) for w in pinned]
+
+
+def test_seeded_design_plan_equals_pinned_waypoints():
+    """A uniformly drawn design planned from a seeded start at the default
+    grid gives the waypoints of the planner that searched the whole grid
+    (pinned in tests/data)."""
+    rng = np.random.default_rng(3)
+    geom = RobotGeometry(base=rng.uniform(-10, 10, (3, 2)), platform=rng.uniform(-4, 4, (3, 2)))
+    start = Pose(*rng.uniform(-geom.L, 2 * geom.L, 2), rng.uniform(0.0, 2.0 * np.pi))
+    path = plan_mode_change(geom, start)
+    pinned = json.loads((DATA / "plan_random_seed3.json").read_text())["waypoints"]
+    assert [w.as_tuple() for w in path.waypoints] == [tuple(w) for w in pinned]
 
 
 def _batch_against_detector(geom, p0s, p1s, fine_step):
