@@ -598,6 +598,12 @@ def _critical_angles(coef):
     return alpha[:, None] + 2.0 * np.arctan(np.linalg.eigvals(companion).real)
 
 
+def _nonzero(a):
+    """``np.nonzero(a)`` by way of the flat indices, which is several times
+    faster on a mask of more than one dimension."""
+    return np.unravel_index(np.flatnonzero(a), a.shape)
+
+
 def _axis_edge_scan(geom, xs, ys, phis, axis, eps_pass):
     """Exact sign-change and passage-candidate masks for one grid axis.
 
@@ -629,18 +635,21 @@ def _axis_edge_scan(geom, xs, ys, phis, axis, eps_pass):
         u, v = along - o[0], (other - o[1])[:, None]
         b = q11 * v + q10  # along each row, Q = q20 u^2 + b u + c
         c = (q02 * v + q01) * v + q00
-        sgn = np.sign((q20 * u[:, None, None] + b) * u[:, None, None] + c)
+        sgn = q20 * u[:, None, None] + b  # evaluated in place: one full-size array
+        sgn *= u[:, None, None]
+        sgn += c
+        np.sign(sgn, out=sgn)
         cross = sgn[:-1] * sgn[1:] <= 0
         with np.errstate(divide="ignore", invalid="ignore"):
             vertex = -b / (2.0 * q20)
             at_vertex = c - b * b / (4.0 * q20)
         i = np.searchsorted(u, vertex) - 1  # u[i] < vertex <= u[i + 1]
         ic = np.clip(i, 0, len(u) - 2)
-        j, m = np.nonzero((i == ic) & (vertex < u[ic + 1]))
+        j, m = _nonzero((i == ic) & (vertex < u[ic + 1]))
         hit = np.sign(at_vertex[j, m]) * sgn[ic[j, m], j, m] <= 0
         cross[ic[j, m][hit], j[hit], m[hit]] = True
 
-        i, j, m = np.nonzero(cross)
+        i, j, m = _nonzero(cross)
         near = np.clip(sx[m], along[i, None], along[i + 1, None])
         dmin = np.hypot(near - sx[m], other[j, None] - sy[m])
     else:
@@ -655,14 +664,14 @@ def _axis_edge_scan(geom, xs, ys, phis, axis, eps_pass):
         # edge where both end values exceed that bound times dphi^2 / 8
         curvature = np.abs(coef) @ [0, 1, 1, 4, 4]
         uncertified = ~cross & (np.minimum(np.abs(f), np.abs(f_next)) <= curvature[..., None] * dphi**2 / 8)
-        i, j = np.nonzero(uncertified.any(axis=2))
+        i, j = _nonzero(uncertified.any(axis=2))
         phc = _critical_angles(coef[i, j]) % (2.0 * np.pi)
         at_phc = np.einsum("kt,kct->kc", coef[i, j], _trig_basis(phc))
         i, j, m = np.broadcast_arrays(i[:, None], j[:, None], (phc // dphi).astype(int) % np_)
         hit = np.sign(at_phc) * sgn[i, j, m] <= 0
         cross[i[hit], j[hit], m[hit]] = True
 
-        i, j, m = np.nonzero(cross)
+        i, j, m = _nonzero(cross)
         wx, wy = geom.base[:, 0] - xs[i, None], geom.base[:, 1] - ys[j, None]  # a_l - (x, y)
         bx, by = geom.platform.T
         # the arc passes closest to a_l - (x, y) where R(phi) b_l points along it
@@ -679,27 +688,16 @@ def _axis_edge_scan(geom, xs, ys, phis, axis, eps_pass):
     return cross, cand
 
 
-def _edge_ends(shape):
-    """Flat node indices (lower end, upper end) of every grid edge, per axis.
-
-    Node (i, j, m) has index ``ravel_multi_index((i, j, m), shape)``; the
-    phi edges wrap from m = np_ - 1 back to 0.
-    """
-    idx = np.arange(np.prod(shape)).reshape(shape)
-    return (
-        (idx[:-1], idx[1:]),
-        (idx[:, :-1], idx[:, 1:]),
-        (idx, np.roll(idx, -1, axis=2)),
-    )
-
-
 def _grid_graph(ok, costs, shape):
     """Symmetric CSR graph of the admissible grid edges, both directions.
 
     Every node lists its six neighbour slots in increasing node index:
     x - 1, y - 1, the two phi neighbours, y + 1, x + 1.  The phi slots swap
     at m = 0 and m = np_ - 1, where one of them wraps, so the rows come out
-    with sorted columns and no COO conversion.
+    with sorted columns and no COO conversion.  All six slots are laid out
+    first, with cost 0 where the edge is inadmissible or leaves the grid,
+    and scipy then drops the zeros in place, which is faster than masking
+    the slots (every edge cost is positive).
     """
     from scipy.sparse import csr_matrix
 
@@ -715,13 +713,109 @@ def _grid_graph(ok, costs, shape):
     step = np.tile(np.array([-ny * np_, -np_, -1, 1, np_, ny * np_], dtype=np.int32), (np_, 1))
     step[0, 2:4], step[-1, 2:4] = (1, np_ - 1), (1 - np_, -1)
     step += np.arange(np_, dtype=np.int32)[:, None]
-    keep = adj.ravel()
-    indices = np.add.outer(np.arange(0, n, np_, dtype=np.int32), step.ravel()).ravel()[keep]
-    data = np.tile(np.array(costs)[[0, 1, 2, 2, 1, 0]], n)[keep]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    # row lengths; a uint8 product sums the six slots faster than .sum(axis=1)
-    np.cumsum(adj.reshape(n, 6).view(np.uint8) @ np.ones(6, dtype=np.uint8), out=indptr[1:])
-    return csr_matrix((data, indices, indptr), shape=(n, n))
+    indices = np.add.outer(np.arange(0, n, np_, dtype=np.int32), step.ravel()).reshape(nx, ny, np_, 6)
+    # the slots that leave the grid point at node 0 until their zeros go
+    indices[0, :, :, 0] = indices[-1, :, :, 5] = indices[:, 0, :, 1] = indices[:, -1, :, 4] = 0
+    data = adj * np.array(costs)[[0, 1, 2, 2, 1, 0]]
+    graph = csr_matrix((data.ravel(), indices.ravel(), np.arange(0, 6 * n + 1, 6, dtype=np.int32)), shape=(n, n))
+    graph.eliminate_zeros()
+    return graph
+
+
+class _GridEdges:
+    """Admissibility of the planner's grid edges, scanned and validated one
+    window at a time.
+
+    A window is the box [i0, i1) x [j0, j1) of (x, y) node columns over the
+    whole phi circle, and its edges are those between two of its nodes.
+    Each window must contain the last one, so the columns scanned so far
+    are the last window's box.  :meth:`window` scans only the columns
+    outside it, with :func:`_axis_edge_scan` on the sliced coordinates (an
+    edge's masks depend on that edge alone), and checks with ``crossings``
+    the passage candidates among them that were never checked: a door is a
+    candidate found admissible with at least one passage.
+    """
+
+    def __init__(self, geom, xs, ys, phis, eps_pass, crossings):
+        self.geom, self.xs, self.ys, self.phis = geom, xs, ys, phis
+        self.eps_pass, self.crossings = eps_pass, crossings
+        nx, ny, np_ = len(xs), len(ys), len(phis)
+        shapes = ((nx - 1, ny, np_), (nx, ny - 1, np_), (nx, ny, np_))
+        # per axis, by grid edge: crossing, and checked as a candidate
+        self.cross, self.checked = ([np.zeros(e, dtype=bool) for e in shapes] for _ in range(2))
+        self.doors = np.zeros((0, 4), dtype=int)  # rows (axis, i, j, m)
+        self.box = (0, 0, 0, 0)
+
+    def window(self, i0, i1, j0, j1):
+        """Per axis, the admissible masks of the window's edges, and its doors
+        as rows (axis, i, j, m) in door order, (i, j) counted from (i0, j0)."""
+        a0, a1, b0, b1 = self.box
+        # The columns outside the last box lie in new rows ii or new columns
+        # jj.  The edges joining them to the box need its node next to each
+        # run (iix, jjx); the phi scan, whose matrix products round a single
+        # column of y differently, also gets those.
+        iix, jjx = _outside(i0, i1, a0, a1), _outside(j0, j1, b0, b1)
+        ii, jj = iix[(iix < a0) | (iix >= a1)], jjx[(jjx < b0) | (jjx >= b1)]
+        old_i, all_j = np.arange(a0, a1), np.arange(j0, j1)
+        strips = [(0, iix, all_j), (0, old_i, jj), (1, ii, all_j), (1, old_i, jjx), (2, ii, all_j), (2, old_i, jjx)]
+        new = [self._scan(axis, rows, cols) for axis, rows, cols in strips if len(rows) and len(cols)]
+        new = np.concatenate(new + [self.doors[:0]])
+        self.box = (i0, i1, j0, j1)
+        if len(new):
+            axis, i, j, m = new.T
+            # a phi edge ends at phis[m] + dphi, without wrapping back to 0
+            dphi = np.where(axis == 2, 2.0 * np.pi / len(self.phis), 0.0)
+            p0s = np.stack([self.xs[i], self.ys[j], self.phis[m]], axis=-1)
+            p1s = np.stack([self.xs[i + (axis == 0)], self.ys[j + (axis == 1)], self.phis[m] + dphi], axis=-1)
+            passage = [e is not None and any(v.kind == "passage" for v in e) for e in self.crossings(p0s, p1s)]
+            self.doors = np.concatenate([self.doors, new[passage]])
+        axis, i, j, m = self.doors.T
+        doors = self.doors[(i >= i0) & (i < i1 - (axis == 0)) & (j >= j0) & (j < j1 - (axis == 1))] - [0, i0, j0, 0]
+        doors = doors[np.lexsort(doors.T[::-1])]
+        cut = ((slice(i0, i1 - 1), slice(j0, j1)), (slice(i0, i1), slice(j0, j1 - 1)), (slice(i0, i1), slice(j0, j1)))
+        ok = [~x[c] for x, c in zip(self.cross, cut)]
+        for a, i, j, m in doors.tolist():
+            ok[a][i, j, m] = True
+        return ok, doors
+
+    def _scan(self, axis, ii, jj):
+        """Scan the edges of ``axis`` between the node columns ii x jj (each
+        increasing, in runs of consecutive indices), and return the
+        candidates among them not checked before as rows (axis, i, j, m),
+        now marked checked."""
+        cross, cand = _axis_edge_scan(self.geom, self.xs[ii], self.ys[jj], self.phis, axis, self.eps_pass)
+        # the scan joins consecutive entries of ii (x) or jj (y); those in one
+        # run are grid edges, and the one joining two runs is dropped
+        (ri, gi, ni), (rj, gj, nj) = (_runs(k, axis == a) for a, k in enumerate((ii, jj)))
+        for a, b, n in zip(ri, gi, ni):
+            for c, d, k in zip(rj, gj, nj):
+                self.cross[axis][b : b + n, d : d + k] = cross[a : a + n, c : c + k]
+        i, j, m = _nonzero(cand)
+        if axis < 2:
+            grid = np.diff((ii, jj)[axis])[(i, j)[axis]] == 1
+            i, j, m = i[grid], j[grid], m[grid]
+        i, j = ii[i], jj[j]
+        new = ~self.checked[axis][i, j, m]
+        self.checked[axis][i, j, m] = True
+        return np.stack([np.full(np.count_nonzero(new), axis), i[new], j[new], m[new]], axis=-1)
+
+
+def _runs(idx, edges):
+    """The runs of consecutive values in ``idx`` as (position in idx, first
+    value, length), of nodes, or with ``edges`` of the edges between them."""
+    first = np.flatnonzero(np.diff(idx, prepend=idx[0] - 2) != 1)
+    n = np.diff(first, append=len(idx)) - edges
+    return first[n > 0], idx[first[n > 0]], n[n > 0]
+
+
+def _outside(lo, hi, old_lo, old_hi):
+    """The indices of [lo, hi) outside [old_lo, old_hi), every one when that
+    is empty; each run also takes the old index next to it."""
+    if old_lo >= old_hi:
+        return np.arange(lo, hi)
+    below = np.arange(lo, old_lo + 1) if lo < old_lo else np.arange(0)
+    above = np.arange(old_hi - 1, hi) if hi > old_hi else np.arange(0)
+    return np.concatenate([below, above])
 
 
 class _TwoEndedSearch:
@@ -731,28 +825,81 @@ class _TwoEndedSearch:
     With ``limit``, scipy settles exactly the nodes within the limit of a
     source and leaves the others at inf.  The limit starts at the largest
     edge cost ``c`` and keeps its value between calls of :meth:`until`.
+
+    Each search runs on the graph of a window W(r): the box of the (x, y)
+    node columns within r / cx of s or t along x and r / cy along y,
+    clipped to the grid, over the whole phi circle.  Every node within r of
+    s or t lies in W(r), and an edge that leaves it ends beyond r, where
+    scipy inserts no node; so with r >= limit, the window's distances and
+    predecessors are those of the whole grid's graph (inf outside W).  Here
+    r is the larger of the limit and the least limit that can certify a
+    route, (D + c) / 2 with D the grid-metric distance from s to t: every
+    search that ends with a route reaches it, so the smaller windows would
+    only be built and dropped.
+
+    ``edges(i0, i1, j0, j1)`` gives the admissible masks of a window's
+    edges and its doors (see :class:`_GridEdges`); the graph is rebuilt
+    only when the window grows.  ``dist`` and ``pred`` index the window's
+    nodes (:meth:`nodes` maps them to the grid's), and ``doors`` holds
+    (a, b, w): both orientations of every door of the window, in door
+    order (axis, then edge index), as window nodes and cost.
     """
 
-    def __init__(self, graph, ends, c):
-        self.graph, self.ends, self.c = graph, list(ends), c
-        self.limit = c
+    def __init__(self, edges, shape, costs, ends):
+        self.edges, self.shape, self.costs = edges, shape, costs
+        self.c = max(costs)
+        self.ends = np.unravel_index(ends, shape)
+        gap = np.abs(np.diff(self.ends, axis=1)[:, 0])
+        gap[2] = min(gap[2], shape[2] - gap[2])  # phi wraps
+        self.floor = (float(gap @ costs) + self.c) / 2
+        self.limit = self.c
+        self.box = None
         self._search()
+
+    def _window(self):
+        box = []
+        for at, cost, n in zip(self.ends[:2], self.costs[:2], self.shape[:2]):
+            # a float sum of k steps can round below k * cost (by up to 1e-9
+            # of it within the 10^7 node cap), so widen by more than that
+            reach = int(max(self.limit, self.floor) * (1.0 + 1e-8) / cost)
+            box += [max(int(min(at)) - reach, 0), min(int(max(at)) + reach + 1, n)]
+        return tuple(box)
 
     def _search(self):
         from scipy.sparse.csgraph import dijkstra
 
         self.dist = self.pred = None  # free the last search's arrays first
-        self.dist, self.pred = dijkstra(self.graph, indices=self.ends, limit=self.limit, return_predecessors=True)
+        box = self._window()
+        if box != self.box:
+            self.graph = self.doors = None  # and the last window's graph
+            i0, i1, j0, j1 = self.box = box
+            self.wshape = (i1 - i0, j1 - j0, self.shape[2])
+            ok, doors = self.edges(*box)
+            self.graph = _grid_graph(ok, self.costs, self.wshape)
+            axis, i, j, m = doors.T
+            lo = np.ravel_multi_index((i, j, m), self.wshape)
+            hi = np.ravel_multi_index((i + (axis == 0), j + (axis == 1), m + (axis == 2)), self.wshape, mode="wrap")
+            w = np.asarray(self.costs)[axis]
+            self.doors = np.stack([lo, hi]).T.ravel(), np.stack([hi, lo]).T.ravel(), np.repeat(w, 2)
+            i, j, m = self.ends
+            self.sources = np.ravel_multi_index((i - i0, j - j0, m), self.wshape)
+        self.dist, self.pred = dijkstra(self.graph, indices=self.sources, limit=self.limit, return_predecessors=True)
+
+    def nodes(self, local):
+        """Grid node indices of the window nodes ``local``, as a list."""
+        i, j, m = np.unravel_index(np.asarray(local, dtype=int), self.wshape)
+        return np.ravel_multi_index((i + self.box[0], j + self.box[2], m), self.shape).tolist()
 
     def until(self, needed):
         """Search until ``needed(dist)`` is within the limit, or the search
         is complete.
 
         ``needed(dist)`` is the least limit at which the value it reads off
-        the (2, n) distances is exact (inf when there is none yet); the
-        limit grows to min(2 limit, needed).  The search is complete when
-        every finite distance plus ``c`` is within the limit: no relaxation
-        was cut off, so the finite entries span each end's whole component.
+        the (2, n) window distances is exact (inf when there is none yet);
+        the limit grows to min(2 limit, needed).  The search is complete
+        when every finite distance plus ``c`` is within the limit: no
+        relaxation was cut off, so the finite entries span each end's whole
+        component.
         """
         while True:
             need = needed(self.dist)
@@ -764,6 +911,12 @@ class _TwoEndedSearch:
     def _farthest(self):
         return np.max(self.dist, where=np.isfinite(self.dist), initial=0.0)
 
+    def any_door(self):
+        """Whether the grid has a door anywhere: scans and checks the rest of
+        it, leaving the search as it was."""
+        nx, ny, _ = self.shape
+        return len(self.edges(0, nx, 0, ny)[1]) > 0
+
 
 def _walk_back(pred, node):
     """Node indices from the search source to ``node`` along ``pred``."""
@@ -773,19 +926,24 @@ def _walk_back(pred, node):
     return out[::-1]
 
 
-def _grid_route(graph, ends, c, doors, require_crossing):
+def _grid_route(edges, shape, costs, ends, require_crossing):
     """Grid nodes of the cheapest route between ``ends`` = (s, t), and the
     doors it uses.
 
-    ``doors`` lists (lo, hi, cost) of the passage edges of ``graph``, and
-    ``c`` is its largest edge cost.  The route joins the two predecessor
-    trees at the node where d_s + d_t is least.  With ``require_crossing``
-    a route without a door is replaced by the cheapest route through one,
-    the first cheapest door in door order.  On failure the NoPathFound's
-    ``explored`` counts the nodes reachable from s (from s and t together
-    for an unreachable door).
+    ``edges(i0, i1, j0, j1)`` gives the admissible masks of the edges of a
+    window of the grid of ``shape`` and the window's doors (see
+    :class:`_GridEdges`); the edges of each axis cost ``costs``.  The search
+    runs window by window (see :class:`_TwoEndedSearch`), and the nodes
+    returned are the grid's.  The route joins the two predecessor trees at
+    the node where d_s + d_t is least.  With ``require_crossing`` a route
+    without a door is replaced by the cheapest route through one, the first
+    cheapest door in door order (by axis, then edge index).  On failure the
+    NoPathFound's ``explored`` counts the nodes reachable from s (from s and
+    t together for an unreachable door); the grid has no door anywhere when
+    the message says none exists.
     """
-    search = _TwoEndedSearch(graph, ends, c)
+    c = max(costs)
+    search = _TwoEndedSearch(edges, shape, costs, ends)
     # a shortest route of length mu has a node within limit of s whose rest is
     # shorter than limit, so min(d_s + d_t) is exact once mu <= 2 limit - c
     dist, pred = search.until(lambda d: (np.min(d[0] + d[1]) + c) / 2)
@@ -795,37 +953,38 @@ def _grid_route(graph, ends, c, doors, require_crossing):
             "grid search exhausted without reaching the target",
             explored=int(np.count_nonzero(np.isfinite(dist[0]))),
         )
-    nodes = _walk_back(pred[0], meet) + _walk_back(pred[1], meet)[::-1][1:]
-    used_doors = {frozenset(e) for e in zip(nodes[:-1], nodes[1:])} & {frozenset(d[:2]) for d in doors}
-    if not require_crossing or used_doors:
-        return nodes, used_doors
+    route = _walk_back(pred[0], meet) + _walk_back(pred[1], meet)[::-1][1:]
+    a, b, _ = search.doors
+    used = {frozenset(e) for e in zip(route[:-1], route[1:])} & {frozenset(e) for e in zip(a.tolist(), b.tolist())}
+    if not require_crossing or used:
+        return search.nodes(route), {frozenset(search.nodes(list(e))) for e in used}
 
-    # both orientations of every door, in door order, so the first cheapest
-    # splice wins; a splice of cost mu is exact once mu <= limit
-    pairs = np.array([d[:2] for d in doors], dtype=np.intp).reshape(-1, 2)
-    a, b, w = pairs.ravel(), pairs[:, ::-1].ravel(), np.repeat([d[2] for d in doors], 2)
-
+    # the splice through a door is exact once its cost mu <= limit; a door
+    # outside the window has an end beyond the limit of both s and t, so its
+    # splice costs inf there as on the whole grid
     def splice_costs(d):
+        a, b, w = search.doors
         return d[0, a] + w + d[1, b]
 
     del dist, pred  # so the search can free them before it searches again
     dist, pred = search.until(lambda d: np.min(splice_costs(d), initial=np.inf))
     reached = np.isfinite(dist)
-    if not doors:
-        raise NoPathFound(
-            "no passage edge exists at this resolution; try a finer grid "
-            "or a wider eps_pass",
-            explored=int(np.count_nonzero(reached[0])),
-        )
     total = splice_costs(dist)
-    k = int(np.argmin(total))
-    if not np.isfinite(total[k]):
+    if not np.isfinite(np.min(total, initial=np.inf)):
+        if not search.any_door():
+            raise NoPathFound(
+                "no passage edge exists at this resolution; try a finer grid "
+                "or a wider eps_pass",
+                explored=int(np.count_nonzero(reached[0])),
+            )
         raise NoPathFound(
             "no passage edge is reachable from both endpoints",
             explored=int(np.count_nonzero(reached[0] | reached[1])),
         )
-    nodes = _walk_back(pred[0], a[k]) + _walk_back(pred[1], b[k])[::-1]
-    return nodes, {frozenset((int(a[k]), int(b[k])))}
+    k = int(np.argmin(total))
+    a, b, _ = search.doors
+    route = _walk_back(pred[0], a[k]) + _walk_back(pred[1], b[k])[::-1]
+    return search.nodes(route), {frozenset(search.nodes([a[k], b[k]]))}
 
 
 def plan_mode_change(
@@ -852,20 +1011,26 @@ def plan_mode_change(
     ``changed_without_parallel``.
 
     Segments are checked by the crossing detector in batched passes, each
-    segment sampled as a path of its own: one pass checks every passage
-    candidate edge (a door is one found admissible with a passage) and the
-    segments joining the start and target to the corners of their grid
-    cells (each snaps to its nearest corner joined admissibly); then one
-    pass per kept waypoint checks its shortcuts, farthest first, and the
-    route skips to the farthest admissible one.
+    segment sampled as a path of its own: one pass checks the segments
+    joining the start and target to the corners of their grid cells (each
+    snaps to its nearest corner joined admissibly); one pass per search
+    window checks the passage candidate edges new to it (a door is one
+    found admissible with a passage); then one pass per kept waypoint
+    checks its shortcuts, farthest first, and the route skips to the
+    farthest admissible one.
 
     The grid search is a two-ended Dijkstra from the start and target grid
     nodes, bounded by a distance limit that grows, at most doubling, until
     the route (and then the splice) is certified exact, so it settles only
-    the nodes near the two ends.  Among equal-cost routes the one found may
-    differ from a one-ended search's.  A ``NoPathFound`` raised by the
-    search counts in ``explored`` every node reachable from the start (and
-    from the target too when no door is reachable from both).
+    the nodes near the two ends.  Each search runs on the graph of a window
+    of (x, y) node columns over the full circle that holds every node within
+    the limit of either end, and the planner scans, checks and builds only
+    the window, reusing what it scanned for the last one; the result is the
+    whole grid's.  Among equal-cost routes the one found may differ from a
+    one-ended search's.  A ``NoPathFound`` raised by the search counts in
+    ``explored`` every node reachable from the start (and from the target
+    too when no door is reachable from both); "no passage edge exists"
+    means that no door exists anywhere in the grid.
     """
     L = geom.L
     if eps_pass is None:
@@ -911,9 +1076,6 @@ def plan_mode_change(
     shape = (nx, ny, np_)
     fine_step = min(xs[1] - xs[0], ys[1] - ys[0], L * 2.0 * np.pi / np_) / EDGE_SUBSAMPLES
     costs = (float(xs[1] - xs[0]), float(ys[1] - ys[0]), float(L * 2.0 * np.pi / np_))
-    scans = [_axis_edge_scan(geom, xs, ys, phis, axis, eps_pass) for axis in range(3)]
-    ok = [~cross for cross, _ in scans]
-    ends = _edge_ends(shape)
 
     def node_poses(nodes):
         i, j, m = np.unravel_index(nodes, shape)
@@ -938,36 +1100,19 @@ def plan_mode_change(
         ]
         return sorted(out, key=lambda c: pose_distance(pose, node_pose(c), L))
 
-    # One pass checks every candidate edge and the segments from each
-    # endpoint to the corners of its cell.  A door is a candidate edge found
-    # admissible with at least one passage; an endpoint snaps to its
-    # nearest corner joined by an admissible segment.
-    cand = [np.argwhere(c) for _, c in scans]
-    axis = np.repeat(np.arange(3), [len(c) for c in cand])
-    edge_lo, edge_hi = (np.concatenate([ends[a][e][tuple(c.T)] for a, c in enumerate(cand)]) for e in (0, 1))
+    # An endpoint snaps to the nearest corner of its cell joined to it by an
+    # admissible segment; one pass checks all sixteen.
     near = corners(start) + corners(target)
-    p0s = np.concatenate([node_poses(edge_lo), np.repeat([start.as_tuple(), target.as_tuple()], 8, axis=0)])
-    p1s = node_poses(np.concatenate([edge_hi, near]))
-    phi_edge = np.flatnonzero(axis == 2)
-    p1s[phi_edge, 2] = p0s[phi_edge, 2] + 2.0 * np.pi / np_  # a phi edge does not wrap back to 0
-    checked = crossings(p0s, p1s)
-
-    doors = []
-    edges = zip(axis.tolist(), np.concatenate(cand).tolist(), edge_lo.tolist(), edge_hi.tolist())
-    for (a, idx, e0, e1), events in zip(edges, checked):
-        if events is not None and any(e.kind == "passage" for e in events):
-            doors.append((e0, e1, costs[a]))
-            ok[a][tuple(idx)] = True
+    checked = crossings(np.repeat([start.as_tuple(), target.as_tuple()], 8, axis=0), node_poses(near))
     snapped = []
     for label, end in (("start", 0), ("target", 8)):
-        linked = [c for c, e in zip(near[end : end + 8], checked[len(edge_lo) + end :]) if e is not None]
+        linked = [c for c, e in zip(near[end : end + 8], checked[end : end + 8]) if e is not None]
         if not linked:
             raise NoPathFound(f"could not connect the {label} pose to the search grid")
         snapped.append(linked[0])
-    s_node, t_node = snapped
 
-    graph = _grid_graph(ok, costs, shape)
-    nodes, used_doors = _grid_route(graph, (s_node, t_node), max(costs), doors, require_crossing)
+    edges = _GridEdges(geom, xs, ys, phis, eps_pass, crossings)
+    nodes, used_doors = _grid_route(edges.window, shape, costs, snapped, require_crossing)
 
     waypoints = [start] + [node_pose(nd) for nd in nodes] + [target]
     protected = set()

@@ -215,12 +215,20 @@ def singularity_conic(geom: RobotGeometry, phi: float) -> SingularityConic:
     the affine dependence of the leg vectors on (x, y) (see
     ``_conic_coefficients``).  When every coefficient, taken relative to
     L^(4 - degree), is at most 1e-12, the locus is the whole plane and the
-    design is rejected as architecturally singular.
+    design is rejected as architecturally singular.  Coefficients that
+    overflow (coordinates too large for their products, such as a platform
+    frame ~1e300 away) raise :class:`ValidationError`.
     """
     singular, detail = is_architecturally_singular(geom)
     if singular:
         raise ArchitecturalSingularity(detail)
-    coeffs = _conic_coefficients(geom, phi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _conic_coefficients(geom, phi)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValidationError(
+            f"the singularity conic at phi={phi:.6f} has non-finite coefficients: "
+            "the design's coordinates are too large"
+        )
     relative = coeffs / geom.L ** np.array([2, 2, 2, 3, 3, 4])
     if np.max(np.abs(relative)) <= 1e-12:
         raise ArchitecturalSingularity(

@@ -244,6 +244,26 @@ def test_cli_non_finite_result_is_an_error_not_json_nan(tmp_path, capfd, platfor
     assert err.splitlines()[-1].startswith("error: ")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_locus_with_non_finite_conic_is_one_error_line(tmp_path, capfd, fmt):
+    """A platform frame ~1e300 away keeps the pairwise distances finite but
+    overflows the conic's coefficients: locus exits 1 with this one error
+    line in both formats, and no raw numpy warning (csv used to print a
+    bare header and exit 0)."""
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"base": REF_BASE, "platform": [[1e300, 0], [1.1e300, 0], [1e300, 1e299]]}))
+    args = ["locus", "--robot", str(path), "--out", fmt, "--phi", "0", "--window", "-10,-10,20,20", "--step", "1"]
+    with warnings.catch_warnings(record=True) as raw:
+        warnings.simplefilter("always")
+        assert main(args) == 1
+    out, err = capfd.readouterr()
+    assert out == "" and raw == []
+    assert [line for line in err.splitlines() if not line.startswith("warning: ")] == [
+        "error: the singularity conic at phi=0.000000 has non-finite coefficients: "
+        "the design's coordinates are too large"
+    ]
+
+
 def test_cli_plan_and_verify(ref_file, tmp_path, capfd):
     out_path = tmp_path / "path.json"
     code = main([

@@ -29,12 +29,14 @@ from planar_rpr import (
 from planar_rpr import modeplan
 from planar_rpr.model import characteristic_scale, rotation, wrap_angle
 from planar_rpr.modeplan import (
+    EDGE_SUBSAMPLES,
     EPS_PASS_REL,
     ZERO_TOUCH_REL,
     ModeChangeCertificate,
+    _GridEdges,
+    _TwoEndedSearch,
     _axis_edge_scan,
     _classify_zeros,
-    _edge_ends,
     _grid_graph,
     _grid_route,
     _check_samples,
@@ -374,6 +376,20 @@ def test_no_path_found_reports_explored(ref, resolution, message):
     assert 0 < info.value.explored <= int(np.prod(resolution))
 
 
+def _edge_ends(shape):
+    """Flat node indices (lower end, upper end) of every grid edge, per axis.
+
+    Node (i, j, m) has index ``ravel_multi_index((i, j, m), shape)``; the
+    phi edges wrap from m = np_ - 1 back to 0.
+    """
+    idx = np.arange(np.prod(shape)).reshape(shape)
+    return (
+        (idx[:-1], idx[1:]),
+        (idx[:, :-1], idx[:, 1:]),
+        (idx, np.roll(idx, -1, axis=2)),
+    )
+
+
 def _heap_dijkstra(ok, costs, shape, source):
     """Textbook heap Dijkstra over the grid: the oracle for the CSR graph."""
     nx, ny, np_ = shape
@@ -470,8 +486,9 @@ def test_grid_graph_is_the_symmetrized_edge_list(shape, seed):
 
 
 def _random_grid(seed, shape=(10, 9, 8), density=0.7):
-    """Seeded admissibility masks and their graph.  Dyadic edge costs keep
-    every path sum exact, so route costs compare with ==."""
+    """Seeded admissibility masks, their graph and their edges (lo, hi,
+    cost) in door order.  Dyadic edge costs keep every path sum exact, so
+    route costs compare with ==."""
     rng = np.random.default_rng(seed)
     nx, ny, np_ = shape
     ok = [rng.random(lo.shape) < density for lo, _ in _edge_ends(shape)]
@@ -482,7 +499,29 @@ def _random_grid(seed, shape=(10, 9, 8), density=0.7):
         for (lo, hi), mask, w in zip(_edge_ends(shape), ok, costs)
         for a, b in zip(lo[mask], hi[mask])
     ]
-    return rng, _grid_graph(ok, costs, shape), max(costs), edges, nx * ny * np_ // 2
+    return rng, ok, costs, _grid_graph(ok, costs, shape), edges, nx * ny * np_ // 2
+
+
+def _windows(ok, doors):
+    """The window callback of _grid_route for a grid whose admissible edges
+    ``ok`` are known in full, and whose doors are ``doors`` (lo, hi, cost)."""
+    shape = ok[2].shape
+    pairs = {d[:2] for d in doors}
+    door = [
+        np.array([e in pairs for e in zip(lo.ravel().tolist(), hi.ravel().tolist())], dtype=bool).reshape(lo.shape)
+        for lo, hi in _edge_ends(shape)
+    ]
+
+    def window(i0, i1, j0, j1):
+        cut = ((slice(i0, i1 - 1), slice(j0, j1)), (slice(i0, i1), slice(j0, j1 - 1)), (slice(i0, i1), slice(j0, j1)))
+        rows = [np.insert(np.argwhere(d[c]), 0, a, axis=1) for a, (d, c) in enumerate(zip(door, cut))]
+        return [m[c] for m, c in zip(ok, cut)], np.concatenate(rows)
+
+    return window
+
+
+def _route(ok, costs, ends, doors, require_crossing):
+    return _grid_route(_windows(ok, doors), ok[2].shape, costs, ends, require_crossing)
 
 
 def _unlimited(graph, s, t):
@@ -499,32 +538,33 @@ def _walk_cost(graph, nodes):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_grid_route_is_certified_against_unlimited_dijkstra(seed):
-    rng, graph, c, edges, half = _random_grid(seed)
+    rng, ok, costs, graph, edges, half = _random_grid(seed)
     s = int(rng.integers(half))
     reach = np.flatnonzero(np.isfinite(_unlimited(graph, s, s)[0]))
     t = int(rng.choice(reach[reach != s]))
     dist = _unlimited(graph, s, t)
 
     # no door needed: the certified route is a shortest one
-    nodes, used = _grid_route(graph, (s, t), c, [], require_crossing=False)
+    nodes, used = _route(ok, costs, (s, t), [], require_crossing=False)
     assert (nodes[0], nodes[-1], used) == (s, t, set())
     assert _walk_cost(graph, nodes) == dist[0, t]
 
     # every edge a door: every route uses one, so nothing is spliced
-    nodes, used = _grid_route(graph, (s, t), c, edges, require_crossing=True)
+    nodes, used = _route(ok, costs, (s, t), edges, require_crossing=True)
     assert (nodes[0], nodes[-1]) == (s, t) and used
     assert _walk_cost(graph, nodes) == dist[0, t]
 
-    # doors off every shortest route: the first cheapest one is spliced in
+    # doors off every shortest route: the first cheapest one in door order
+    # (the order of ``edges``) is spliced in
     lo, hi, w = (np.array(v) for v in zip(*edges))
     detour = np.minimum(dist[0, lo] + w + dist[1, hi], dist[0, hi] + w + dist[1, lo])
     off = np.flatnonzero(np.isfinite(detour) & (detour > dist[0, t]))
-    doors = [edges[k] for k in rng.permutation(off)[:25]]
+    doors = [edges[k] for k in np.sort(rng.permutation(off)[:25])]
     a = np.array([[d[0], d[1]] for d in doors]).ravel()
     b = np.array([[d[1], d[0]] for d in doors]).ravel()
     total = dist[0, a] + np.repeat([d[2] for d in doors], 2) + dist[1, b]
     k = int(np.argmin(total))
-    nodes, used = _grid_route(graph, (s, t), c, doors, require_crossing=True)
+    nodes, used = _route(ok, costs, (s, t), doors, require_crossing=True)
     assert (nodes[0], nodes[-1]) == (s, t)
     assert used == {frozenset((int(a[k]), int(b[k])))}
     assert (int(a[k]), int(b[k])) in set(zip(nodes[:-1], nodes[1:]))
@@ -543,29 +583,29 @@ def test_grid_route_waits_for_a_route_behind_a_long_edge():
     ok[1][0, 0, 0] = ok[2][0, 1, 0] = ok[0][:, 1, 1] = ok[1][14, 0, 1] = True  # long: y, phi, x, y
     graph = _grid_graph(ok, (0.5, 0.5, 3.0), shape)
     s, t = (int(np.ravel_multi_index(v, shape)) for v in ((0, 0, 0), (14, 0, 1)))
-    nodes, _ = _grid_route(graph, (s, t), 3.0, [], require_crossing=False)
+    nodes, _ = _route(ok, (0.5, 0.5, 3.0), (s, t), [], require_crossing=False)
     assert _walk_cost(graph, nodes) == 10.0
     assert [np.unravel_index(v, shape)[1] for v in nodes] == [0] * 16
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_grid_route_failures_report_the_unlimited_reach(seed):
-    rng, graph, c, edges, half = _random_grid(seed)
+    rng, ok, costs, graph, edges, half = _random_grid(seed)
     s = int(rng.integers(half))
     reach_s = np.isfinite(_unlimited(graph, s, s)[0])
     t_far = int(rng.choice(np.flatnonzero(~reach_s)))
     with pytest.raises(NoPathFound, match="grid search exhausted") as info:
-        _grid_route(graph, (s, t_far), c, edges, require_crossing=True)
+        _route(ok, costs, (s, t_far), edges, require_crossing=True)
     assert info.value.explored == np.count_nonzero(reach_s)
 
     t = int(rng.choice(np.flatnonzero(reach_s)))
     with pytest.raises(NoPathFound, match="no passage edge exists") as info:
-        _grid_route(graph, (s, t), c, [], require_crossing=True)
+        _route(ok, costs, (s, t), [], require_crossing=True)
     assert info.value.explored == np.count_nonzero(reach_s)
 
     beyond = [e for e in edges if not reach_s[e[0]]]
     with pytest.raises(NoPathFound, match="reachable from both") as info:
-        _grid_route(graph, (s, t), c, beyond, require_crossing=True)
+        _route(ok, costs, (s, t), beyond, require_crossing=True)
     dist = _unlimited(graph, s, t)
     assert info.value.explored == np.count_nonzero(np.isfinite(dist).any(axis=0))
 
@@ -591,6 +631,110 @@ def test_no_path_found_message_and_explored_are_pinned(ref, case):
     with pytest.raises(NoPathFound) as info:
         plan_mode_change(ref, Pose(*case["start"]), resolution=(case["resolution"],) * 3)
     assert (str(info.value), info.value.explored) == (case["message"], case["explored"])
+
+
+# ---------------------------------------------------------------------------
+# the search window
+
+
+def _window_designs():
+    """The reference robot, its x1e-3 and x1e3 copies, and seeded random designs."""
+    designs = [RobotGeometry(np.asarray(REF_BASE) * s, np.asarray(REF_PLATFORM) * s) for s in (1.0, 1e-3, 1e3)]
+    rng = np.random.default_rng(23)
+    while len(designs) < 6:
+        geom = RobotGeometry(base=rng.uniform(-10, 10, (3, 2)), platform=rng.uniform(-4, 4, (3, 2)))
+        if not is_architecturally_singular(geom)[0]:
+            designs.append(geom)
+    return designs
+
+
+def _planner_grid(geom, shape):
+    """Node coordinates, edge costs and a fresh _GridEdges of the planner's
+    grid of ``shape`` over its default box."""
+    Lg = characteristic_scale(geom)
+    nx, ny, np_ = shape
+    xs, ys = np.linspace(-Lg, 2 * Lg, nx), np.linspace(-Lg, 2 * Lg, ny)
+    phis = np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
+    costs = (float(xs[1] - xs[0]), float(ys[1] - ys[0]), float(Lg * 2.0 * np.pi / np_))
+    eps, safe, fine_step = EPS_PASS_REL * Lg, passage_safety(geom), min(costs[0], costs[1], costs[2]) / EDGE_SUBSAMPLES
+
+    def edges():
+        def crossings(p0s, p1s):
+            return _segments_crossings(geom, p0s, p1s, eps, safe, fine_step)
+
+        return _GridEdges(geom, xs, ys, phis, eps, crossings)
+
+    return xs, ys, phis, costs, edges
+
+
+def _cut(i0, i1, j0, j1):
+    return ((slice(i0, i1 - 1), slice(j0, j1)), (slice(i0, i1), slice(j0, j1 - 1)), (slice(i0, i1), slice(j0, j1)))
+
+
+def test_window_edge_scan_equals_the_slice_of_the_full_scan():
+    """_axis_edge_scan on the coordinates of a box of node columns gives, bit
+    for bit, that box's slice of the whole grid's masks on all three axes;
+    and a _GridEdges whose windows grow (by one row, on one side, clipped,
+    in one direction only) gives the admissible masks and doors of one
+    scan and check of the whole grid."""
+    rng = np.random.default_rng(29)
+    shape = (40, 36, 32)
+    for geom in _window_designs():
+        xs, ys, phis, _, edges = _planner_grid(geom, shape)
+        eps = EPS_PASS_REL * characteristic_scale(geom)
+        full = [_axis_edge_scan(geom, xs, ys, phis, axis, eps) for axis in range(3)]
+        boxes = [(0, 40, 0, 36), (0, 2, 0, 2), (38, 40, 3, 5), (5, 30, 34, 36)]
+        for _ in range(6):
+            boxes.append((*np.sort(rng.choice(41, 2, replace=False)), *np.sort(rng.choice(37, 2, replace=False))))
+        for box in [b for b in boxes if b[1] - b[0] >= 2 and b[3] - b[2] >= 2]:
+            i0, i1, j0, j1 = box
+            for axis, cut in enumerate(_cut(*box)):
+                got = _axis_edge_scan(geom, xs[i0:i1], ys[j0:j1], phis, axis, eps)
+                assert all(np.array_equal(g, f[cut]) for g, f in zip(got, full[axis])), (box, axis)
+
+        whole_ok, whole_doors = edges().window(0, 40, 0, 36)
+        grown = edges()
+        growing = [(17, 20, 15, 18), (16, 21, 15, 19), (12, 25, 11, 22), (0, 33, 3, 30), (0, 40, 3, 31), (0, 40, 0, 36)]
+        for box in growing:
+            ok, doors = grown.window(*box)
+            i0, i1, j0, j1 = box
+            assert all(np.array_equal(o, w[c]) for o, w, c in zip(ok, whole_ok, _cut(*box))), box
+            inside = [[a, i - i0, j - j0, m] for a, i, j, m in whole_doors.tolist()]
+            inside = [d for d in inside if 0 <= d[1] < i1 - i0 - (d[0] == 0) and 0 <= d[2] < j1 - j0 - (d[0] == 1)]
+            assert doors.tolist() == inside, box
+
+
+def test_windowed_search_equals_full_graph_dijkstra():
+    """At limits c to 32c the windowed search's distances and predecessors,
+    mapped to grid nodes, equal those of one bounded dijkstra on the whole
+    grid's graph (the test's oracle), from seeded near and far ends."""
+    from scipy.sparse.csgraph import dijkstra
+
+    rng = np.random.default_rng(31)
+    shape = (32, 32, 32)
+    n = int(np.prod(shape))
+    smaller = 0
+    for geom in _window_designs()[::2]:
+        _, _, _, costs, edges = _planner_grid(geom, shape)
+        ok, _ = edges().window(0, 32, 0, 32)
+        graph = _grid_graph(ok, costs, shape)
+        c = max(costs)
+        for near in (True, True, False):
+            s = rng.integers(0, 32, 3)
+            t = np.clip(s + rng.integers(-2, 3, 3), 0, 31) if near else rng.integers(0, 32, 3)
+            ends = [int(np.ravel_multi_index(e, shape)) for e in (s, t)]
+            search = _TwoEndedSearch(edges().window, shape, costs, ends)
+            for limit in c * 2.0 ** np.arange(6):
+                search.limit = limit
+                search._search()
+                nodes = np.array(search.nodes(np.arange(np.prod(search.wshape))))
+                dist, pred = np.full((2, n), np.inf), np.full((2, n), -9999)
+                dist[:, nodes] = search.dist
+                pred[:, nodes] = np.where(search.pred >= 0, nodes[np.maximum(search.pred, 0)], -9999)
+                want_dist, want_pred = dijkstra(graph, indices=ends, limit=limit, return_predecessors=True)
+                assert np.array_equal(dist, want_dist) and np.array_equal(pred, want_pred)
+                smaller += len(nodes) < n
+    assert smaller >= 6  # most windows leave part of the grid out
 
 
 # ---------------------------------------------------------------------------
