@@ -750,10 +750,10 @@ class _GridEdges:
         """Per axis, the admissible masks of the window's edges, and its doors
         as rows (axis, i, j, m) in door order, (i, j) counted from (i0, j0)."""
         a0, a1, b0, b1 = self.box
-        # The columns outside the last box lie in new rows ii or new columns
-        # jj.  The edges joining them to the box need its node next to each
-        # run (iix, jjx); the phi scan, whose matrix products round a single
-        # column of y differently, also gets those.
+        # The node columns outside the last box have a new i (ii) or a new j
+        # (jj).  The edges joining them to the box need the box's node next
+        # to each run too (iix, jjx); so does the phi scan, whose matrix
+        # products round differently when y has a single value.
         iix, jjx = _outside(i0, i1, a0, a1), _outside(j0, j1, b0, b1)
         ii, jj = iix[(iix < a0) | (iix >= a1)], jjx[(jjx < b0) | (jjx >= b1)]
         old_i, all_j = np.arange(a0, a1), np.arange(j0, j1)
@@ -786,9 +786,8 @@ class _GridEdges:
         cross, cand = _axis_edge_scan(self.geom, self.xs[ii], self.ys[jj], self.phis, axis, self.eps_pass)
         # the scan joins consecutive entries of ii (x) or jj (y); those in one
         # run are grid edges, and the one joining two runs is dropped
-        (ri, gi, ni), (rj, gj, nj) = (_runs(k, axis == a) for a, k in enumerate((ii, jj)))
-        for a, b, n in zip(ri, gi, ni):
-            for c, d, k in zip(rj, gj, nj):
+        for a, b, n in _runs(ii.tolist(), axis == 0):
+            for c, d, k in _runs(jj.tolist(), axis == 1):
                 self.cross[axis][b : b + n, d : d + k] = cross[a : a + n, c : c + k]
         i, j, m = _nonzero(cand)
         if axis < 2:
@@ -801,11 +800,16 @@ class _GridEdges:
 
 
 def _runs(idx, edges):
-    """The runs of consecutive values in ``idx`` as (position in idx, first
-    value, length), of nodes, or with ``edges`` of the edges between them."""
-    first = np.flatnonzero(np.diff(idx, prepend=idx[0] - 2) != 1)
-    n = np.diff(first, append=len(idx)) - edges
-    return first[n > 0], idx[first[n > 0]], n[n > 0]
+    """The runs of consecutive values in the list ``idx``, as (position in
+    idx, first value, length), of the values or, with ``edges``, of the
+    edges between them."""
+    out, start = [], 0
+    for k in range(1, len(idx) + 1):
+        if k == len(idx) or idx[k] != idx[k - 1] + 1:
+            if k - start - edges > 0:
+                out.append((start, idx[start], k - start - edges))
+            start = k
+    return out
 
 
 def _outside(lo, hi, old_lo, old_hi):
@@ -880,6 +884,8 @@ class _TwoEndedSearch:
             lo = np.ravel_multi_index((i, j, m), self.wshape)
             hi = np.ravel_multi_index((i + (axis == 0), j + (axis == 1), m + (axis == 2)), self.wshape, mode="wrap")
             w = np.asarray(self.costs)[axis]
+            # both orientations of every door, in door order, so that the
+            # first cheapest splice wins
             self.doors = np.stack([lo, hi]).T.ravel(), np.stack([hi, lo]).T.ravel(), np.repeat(w, 2)
             i, j, m = self.ends
             self.sources = np.ravel_multi_index((i - i0, j - j0, m), self.wshape)
