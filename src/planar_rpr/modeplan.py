@@ -917,12 +917,6 @@ class _TwoEndedSearch:
     def _farthest(self):
         return np.max(self.dist, where=np.isfinite(self.dist), initial=0.0)
 
-    def any_door(self):
-        """Whether the grid has a door anywhere: scans and checks the rest of
-        it, leaving the search as it was."""
-        nx, ny, _ = self.shape
-        return len(self.edges(0, nx, 0, ny)[1]) > 0
-
 
 def _walk_back(pred, node):
     """Node indices from the search source to ``node`` along ``pred``."""
@@ -977,7 +971,7 @@ def _grid_route(edges, shape, costs, ends, require_crossing):
     reached = np.isfinite(dist)
     total = splice_costs(dist)
     if not np.isfinite(np.min(total, initial=np.inf)):
-        if not search.any_door():
+        if not len(edges(0, shape[0], 0, shape[1])[1]):  # scans and checks the rest of the grid
             raise NoPathFound(
                 "no passage edge exists at this resolution; try a finer grid "
                 "or a wider eps_pass",

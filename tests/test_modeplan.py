@@ -502,6 +502,11 @@ def _random_grid(seed, shape=(10, 9, 8), density=0.7):
     return rng, ok, costs, _grid_graph(ok, costs, shape), edges, nx * ny * np_ // 2
 
 
+def _cut(i0, i1, j0, j1):
+    """Per axis, the slice of the edge masks that joins nodes of a window."""
+    return ((slice(i0, i1 - 1), slice(j0, j1)), (slice(i0, i1), slice(j0, j1 - 1)), (slice(i0, i1), slice(j0, j1)))
+
+
 def _windows(ok, doors):
     """The window callback of _grid_route for a grid whose admissible edges
     ``ok`` are known in full, and whose doors are ``doors`` (lo, hi, cost)."""
@@ -512,10 +517,9 @@ def _windows(ok, doors):
         for lo, hi in _edge_ends(shape)
     ]
 
-    def window(i0, i1, j0, j1):
-        cut = ((slice(i0, i1 - 1), slice(j0, j1)), (slice(i0, i1), slice(j0, j1 - 1)), (slice(i0, i1), slice(j0, j1)))
-        rows = [np.insert(np.argwhere(d[c]), 0, a, axis=1) for a, (d, c) in enumerate(zip(door, cut))]
-        return [m[c] for m, c in zip(ok, cut)], np.concatenate(rows)
+    def window(*box):
+        rows = [np.insert(np.argwhere(d[c]), 0, a, axis=1) for a, (d, c) in enumerate(zip(door, _cut(*box)))]
+        return [m[c] for m, c in zip(ok, _cut(*box))], np.concatenate(rows)
 
     return window
 
@@ -610,6 +614,26 @@ def test_grid_route_failures_report_the_unlimited_reach(seed):
     assert info.value.explored == np.count_nonzero(np.isfinite(dist).any(axis=0))
 
 
+def test_grid_route_failure_inside_a_window_looks_at_the_whole_grid():
+    """s and t share a walled 3 x 3 pocket of a 40 x 40 grid, so the search
+    is complete with its window a fraction of the grid.  A door far outside
+    the window makes the failure "not reachable", and only no door anywhere
+    makes it "no passage edge exists"; both count the 27 pocket nodes."""
+    shape = (40, 40, 3)
+    ok = [np.ones(lo.shape, dtype=bool) for lo, _ in _edge_ends(shape)]
+    ok[0][[17, 20], 18:21] = ok[1][18:21, [17, 20]] = False  # the pocket's walls
+    costs = (0.5, 0.75, 1.25)
+    ends = tuple(int(np.ravel_multi_index(v, shape)) for v in ((18, 18, 0), (20, 20, 2)))
+    far = [(int(np.ravel_multi_index((35, 35, 0), shape)), int(np.ravel_multi_index((36, 35, 0), shape)), 0.5)]
+    search = _TwoEndedSearch(_windows(ok, []), shape, costs, ends)
+    search.until(lambda d: np.inf)  # runs until complete
+    assert search.wshape[0] * search.wshape[1] < 40 * 40 / 4
+    for doors, message in ((far, "reachable from both"), ([], "no passage edge exists")):
+        with pytest.raises(NoPathFound, match=message) as info:
+            _route(ok, costs, ends, doors, require_crossing=True)
+        assert info.value.explored == 27
+
+
 @pytest.mark.parametrize(
     "resolution, message, explored",
     [((8, 8, 8), "grid search exhausted", 249), ((12, 12, 12), "no passage edge exists", 879)],
@@ -665,10 +689,6 @@ def _planner_grid(geom, shape):
         return _GridEdges(geom, xs, ys, phis, eps, crossings)
 
     return xs, ys, phis, costs, edges
-
-
-def _cut(i0, i1, j0, j1):
-    return ((slice(i0, i1 - 1), slice(j0, j1)), (slice(i0, i1), slice(j0, j1 - 1)), (slice(i0, i1), slice(j0, j1)))
 
 
 def test_window_edge_scan_equals_the_slice_of_the_full_scan():
