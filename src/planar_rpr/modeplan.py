@@ -671,16 +671,23 @@ def _axis_edge_scan(geom, xs, ys, phis, axis, eps_pass):
         hit = np.sign(at_phc) * sgn[i, j, m] <= 0
         cross[i[hit], j[hit], m[hit]] = True
 
-        i, j, m = _nonzero(cross)
-        wx, wy = geom.base[:, 0] - xs[i, None], geom.base[:, 1] - ys[j, None]  # a_l - (x, y)
+        wx, wy = geom.base[:, 0] - xs[:, None, None], geom.base[:, 1] - ys[:, None]  # a_l - (x, y)
         bx, by = geom.platform.T
+        # Along a phi edge leg l is at least this long, so a column whose
+        # legs all exceed eps_pass holds no candidate.  The margin outweighs
+        # the rounding of this bound and of the leg lengths computed below
+        # (a few ulps of coordinates up to ~1e9 L), so skipping those
+        # columns changes no bit of ``cand``.
+        gap = np.abs(np.hypot(wx, wy) - np.hypot(bx, by))
+        i, j, m = _nonzero(cross & (gap.min(axis=-1) <= eps_pass + 1e-6 * geom.L)[..., None])
+        wx, wy = wx[i, 0], wy[j]
         # the arc passes closest to a_l - (x, y) where R(phi) b_l points along it
         closest = (np.arctan2(wy, wx) - np.arctan2(by, bx) - phis[m, None]) % (2.0 * np.pi) <= dphi
         ends = np.minimum(
             _leg_geometry(geom, xs[i], ys[j], phis[m])[2],
             _leg_geometry(geom, xs[i], ys[j], phis[m] + dphi)[2],
         )
-        dmin = np.where(closest, np.abs(np.hypot(wx, wy) - np.hypot(bx, by)), ends)
+        dmin = np.where(closest, gap[i, j], ends)
     cand = np.zeros_like(cross)
     cand[i, j, m] = dmin.min(axis=-1) <= eps_pass
     if axis == 1:
@@ -722,106 +729,6 @@ def _grid_graph(ok, costs, shape):
     return graph
 
 
-class _GridEdges:
-    """Admissibility of the planner's grid edges, scanned and validated one
-    window at a time.
-
-    A window is the box [i0, i1) x [j0, j1) of (x, y) node columns over the
-    whole phi circle, and its edges are those between two of its nodes.
-    Each window must contain the last one, so the columns scanned so far
-    are the last window's box.  :meth:`window` scans only the columns
-    outside it, with :func:`_axis_edge_scan` on the sliced coordinates (an
-    edge's masks depend on that edge alone), and checks with ``crossings``
-    the passage candidates among them that were never checked: a door is a
-    candidate found admissible with at least one passage.
-    """
-
-    def __init__(self, geom, xs, ys, phis, eps_pass, crossings):
-        self.geom, self.xs, self.ys, self.phis = geom, xs, ys, phis
-        self.eps_pass, self.crossings = eps_pass, crossings
-        nx, ny, np_ = len(xs), len(ys), len(phis)
-        shapes = ((nx - 1, ny, np_), (nx, ny - 1, np_), (nx, ny, np_))
-        # per axis, by grid edge: crossing, and checked as a candidate
-        self.cross, self.checked = ([np.zeros(e, dtype=bool) for e in shapes] for _ in range(2))
-        self.doors = np.zeros((0, 4), dtype=int)  # rows (axis, i, j, m)
-        self.box = (0, 0, 0, 0)
-
-    def window(self, i0, i1, j0, j1):
-        """Per axis, the admissible masks of the window's edges, and its doors
-        as rows (axis, i, j, m) in door order, (i, j) counted from (i0, j0)."""
-        a0, a1, b0, b1 = self.box
-        # The node columns outside the last box have a new i (ii) or a new j
-        # (jj).  The edges joining them to the box need the box's node next
-        # to each run too (iix, jjx); so does the phi scan, whose matrix
-        # products round differently when y has a single value.
-        iix, jjx = _outside(i0, i1, a0, a1), _outside(j0, j1, b0, b1)
-        ii, jj = iix[(iix < a0) | (iix >= a1)], jjx[(jjx < b0) | (jjx >= b1)]
-        old_i, all_j = np.arange(a0, a1), np.arange(j0, j1)
-        strips = [(0, iix, all_j), (0, old_i, jj), (1, ii, all_j), (1, old_i, jjx), (2, ii, all_j), (2, old_i, jjx)]
-        new = [self._scan(axis, rows, cols) for axis, rows, cols in strips if len(rows) and len(cols)]
-        new = np.concatenate(new + [self.doors[:0]])
-        self.box = (i0, i1, j0, j1)
-        if len(new):
-            axis, i, j, m = new.T
-            # a phi edge ends at phis[m] + dphi, without wrapping back to 0
-            dphi = np.where(axis == 2, 2.0 * np.pi / len(self.phis), 0.0)
-            p0s = np.stack([self.xs[i], self.ys[j], self.phis[m]], axis=-1)
-            p1s = np.stack([self.xs[i + (axis == 0)], self.ys[j + (axis == 1)], self.phis[m] + dphi], axis=-1)
-            passage = [e is not None and any(v.kind == "passage" for v in e) for e in self.crossings(p0s, p1s)]
-            self.doors = np.concatenate([self.doors, new[passage]])
-        axis, i, j, m = self.doors.T
-        doors = self.doors[(i >= i0) & (i < i1 - (axis == 0)) & (j >= j0) & (j < j1 - (axis == 1))] - [0, i0, j0, 0]
-        doors = doors[np.lexsort(doors.T[::-1])]
-        cut = ((slice(i0, i1 - 1), slice(j0, j1)), (slice(i0, i1), slice(j0, j1 - 1)), (slice(i0, i1), slice(j0, j1)))
-        ok = [~x[c] for x, c in zip(self.cross, cut)]
-        for a, i, j, m in doors.tolist():
-            ok[a][i, j, m] = True
-        return ok, doors
-
-    def _scan(self, axis, ii, jj):
-        """Scan the edges of ``axis`` between the node columns ii x jj (each
-        increasing, in runs of consecutive indices), and return the
-        candidates among them not checked before as rows (axis, i, j, m),
-        now marked checked."""
-        cross, cand = _axis_edge_scan(self.geom, self.xs[ii], self.ys[jj], self.phis, axis, self.eps_pass)
-        # the scan joins consecutive entries of ii (x) or jj (y); those in one
-        # run are grid edges, and the one joining two runs is dropped
-        for a, b, n in _runs(ii.tolist(), axis == 0):
-            for c, d, k in _runs(jj.tolist(), axis == 1):
-                self.cross[axis][b : b + n, d : d + k] = cross[a : a + n, c : c + k]
-        i, j, m = _nonzero(cand)
-        if axis < 2:
-            grid = np.diff((ii, jj)[axis])[(i, j)[axis]] == 1
-            i, j, m = i[grid], j[grid], m[grid]
-        i, j = ii[i], jj[j]
-        new = ~self.checked[axis][i, j, m]
-        self.checked[axis][i, j, m] = True
-        return np.stack([np.full(np.count_nonzero(new), axis), i[new], j[new], m[new]], axis=-1)
-
-
-def _runs(idx, edges):
-    """The runs of consecutive values in the list ``idx``, as (position in
-    idx, first value, length), of the values or, with ``edges``, of the
-    edges between them."""
-    out, start = [], 0
-    for k in range(1, len(idx) + 1):
-        if k == len(idx) or idx[k] != idx[k - 1] + 1:
-            if k - start - edges > 0:
-                out.append((start, idx[start], k - start - edges))
-            start = k
-    return out
-
-
-def _outside(lo, hi, old_lo, old_hi):
-    """The indices of [lo, hi) outside [old_lo, old_hi), every one when that
-    is empty; each run also takes the old index next to it."""
-    if old_lo >= old_hi:
-        return np.arange(lo, hi)
-    below = np.arange(lo, old_lo + 1) if lo < old_lo else np.arange(0)
-    above = np.arange(old_hi - 1, hi) if hi > old_hi else np.arange(0)
-    return np.concatenate([below, above])
-
-
 class _TwoEndedSearch:
     """Dijkstra from both ends (s, t) of a grid route, bounded by a limit
     that grows until a value read off the distances is certified.
@@ -841,16 +748,17 @@ class _TwoEndedSearch:
     search that ends with a route reaches it, so the smaller windows would
     only be built and dropped.
 
-    ``edges(i0, i1, j0, j1)`` gives the admissible masks of a window's
-    edges and its doors (see :class:`_GridEdges`); the graph is rebuilt
-    only when the window grows.  ``dist`` and ``pred`` index the window's
-    nodes (:meth:`nodes` maps them to the grid's), and ``doors`` holds
-    (a, b, w): both orientations of every door of the window, in door
-    order (axis, then edge index), as window nodes and cost.
+    ``ok`` and ``doors`` are the whole grid's admissible masks and doors
+    (see :func:`_grid_route`); a window's graph is built on its slice of
+    ``ok``, and only when the window grows.  ``dist`` and ``pred`` index
+    the window's nodes (:meth:`nodes` maps them to the grid's), and
+    ``doors`` holds (a, b, w): both orientations of every door of the
+    window, in door order, as window nodes and cost.
     """
 
-    def __init__(self, edges, shape, costs, ends):
-        self.edges, self.shape, self.costs = edges, shape, costs
+    def __init__(self, ok, doors, costs, ends):
+        self.ok, self.grid_doors, self.costs = ok, doors, costs
+        self.shape = shape = ok[2].shape
         self.c = max(costs)
         self.ends = np.unravel_index(ends, shape)
         gap = np.abs(np.diff(self.ends, axis=1)[:, 0])
@@ -878,9 +786,11 @@ class _TwoEndedSearch:
             self.graph = self.doors = None  # and the last window's graph
             i0, i1, j0, j1 = self.box = box
             self.wshape = (i1 - i0, j1 - j0, self.shape[2])
-            ok, doors = self.edges(*box)
+            ok = [o[i0 : i1 - (a == 0), j0 : j1 - (a == 1)] for a, o in enumerate(self.ok)]
             self.graph = _grid_graph(ok, self.costs, self.wshape)
-            axis, i, j, m = doors.T
+            axis, i, j, m = self.grid_doors.T
+            inside = (i >= i0) & (i < i1 - (axis == 0)) & (j >= j0) & (j < j1 - (axis == 1))
+            axis, i, j, m = (self.grid_doors[inside] - [0, i0, j0, 0]).T
             lo = np.ravel_multi_index((i, j, m), self.wshape)
             hi = np.ravel_multi_index((i + (axis == 0), j + (axis == 1), m + (axis == 2)), self.wshape, mode="wrap")
             w = np.asarray(self.costs)[axis]
@@ -926,24 +836,26 @@ def _walk_back(pred, node):
     return out[::-1]
 
 
-def _grid_route(edges, shape, costs, ends, require_crossing):
+def _grid_route(ok, doors, costs, ends, require_crossing):
     """Grid nodes of the cheapest route between ``ends`` = (s, t), and the
     doors it uses.
 
-    ``edges(i0, i1, j0, j1)`` gives the admissible masks of the edges of a
-    window of the grid of ``shape`` and the window's doors (see
-    :class:`_GridEdges`); the edges of each axis cost ``costs``.  The search
-    runs window by window (see :class:`_TwoEndedSearch`), and the nodes
-    returned are the grid's.  The route joins the two predecessor trees at
-    the node where d_s + d_t is least.  With ``require_crossing`` a route
-    without a door is replaced by the cheapest route through one, the first
-    cheapest door in door order (by axis, then edge index).  On failure the
-    NoPathFound's ``explored`` counts the nodes reachable from s (from s and
-    t together for an unreachable door); the grid has no door anywhere when
-    the message says none exists.
+    ``ok`` holds, per axis, the admissible mask of the grid's edges: shapes
+    (nx - 1, ny, np_), (nx, ny - 1, np_) and (nx, ny, np_), the phi edge of
+    node m joining m + 1, wrapped.  The edges of each axis cost ``costs``.
+    ``doors`` lists the grid's passage edges, all admissible, as rows
+    (axis, i, j, m) of the edge's lower node, in door order (by axis, then
+    edge index).  The search runs on windows of the grid (see
+    :class:`_TwoEndedSearch`), and the nodes returned are the grid's.  The
+    route joins the two predecessor trees at the node where d_s + d_t is
+    least.  With ``require_crossing`` a route without a door is replaced by
+    the cheapest route through one, the first cheapest door in door order.
+    On failure the NoPathFound's ``explored`` counts the nodes reachable
+    from s (from s and t together for an unreachable door); the message
+    says that no passage edge exists when ``doors`` is empty.
     """
     c = max(costs)
-    search = _TwoEndedSearch(edges, shape, costs, ends)
+    search = _TwoEndedSearch(ok, doors, costs, ends)
     # a shortest route of length mu has a node within limit of s whose rest is
     # shorter than limit, so min(d_s + d_t) is exact once mu <= 2 limit - c
     dist, pred = search.until(lambda d: (np.min(d[0] + d[1]) + c) / 2)
@@ -971,7 +883,7 @@ def _grid_route(edges, shape, costs, ends, require_crossing):
     reached = np.isfinite(dist)
     total = splice_costs(dist)
     if not np.isfinite(np.min(total, initial=np.inf)):
-        if not len(edges(0, shape[0], 0, shape[1])[1]):  # scans and checks the rest of the grid
+        if not len(doors):
             raise NoPathFound(
                 "no passage edge exists at this resolution; try a finer grid "
                 "or a wider eps_pass",
@@ -1010,27 +922,27 @@ def plan_mode_change(
     spliced into it.  The result always passes verification with verdict
     ``changed_without_parallel``.
 
-    Segments are checked by the crossing detector in batched passes, each
-    segment sampled as a path of its own: one pass checks the segments
-    joining the start and target to the corners of their grid cells (each
-    snaps to its nearest corner joined admissibly); one pass per search
-    window checks the passage candidate edges new to it (a door is one
-    found admissible with a passage); then one pass per kept waypoint
-    checks its shortcuts, farthest first, and the route skips to the
-    farthest admissible one.
+    The grid is scanned once per axis (:func:`_axis_edge_scan`).  Segments
+    are checked by the crossing detector in batched passes, each segment
+    sampled as a path of its own: one pass, before the search, checks the
+    segments joining the start and target to the corners of their grid
+    cells (each snaps to its nearest corner joined admissibly) and every
+    passage candidate edge of the grid (a door is one found admissible with
+    a passage); then one pass per kept waypoint checks its shortcuts,
+    farthest first, and the route skips to the farthest admissible one.
 
     The grid search is a two-ended Dijkstra from the start and target grid
     nodes, bounded by a distance limit that grows, at most doubling, until
     the route (and then the splice) is certified exact, so it settles only
     the nodes near the two ends.  Each search runs on the graph of a window
     of (x, y) node columns over the full circle that holds every node within
-    the limit of either end, and the planner scans, checks and builds only
-    the window, reusing what it scanned for the last one; the result is the
-    whole grid's.  Among equal-cost routes the one found may differ from a
-    one-ended search's.  A ``NoPathFound`` raised by the search counts in
-    ``explored`` every node reachable from the start (and from the target
-    too when no door is reachable from both); "no passage edge exists"
-    means that no door exists anywhere in the grid.
+    the limit of either end, built from that window's slice of the grid's
+    admissible edges; the result is the whole grid's.  Among equal-cost
+    routes the one found may differ from a one-ended search's.  A
+    ``NoPathFound`` raised by the search counts in ``explored`` every node
+    reachable from the start (and from the target too when no door is
+    reachable from both); "no passage edge exists" means that the grid has
+    no door.
     """
     L = geom.L
     if eps_pass is None:
@@ -1100,19 +1012,33 @@ def plan_mode_change(
         ]
         return sorted(out, key=lambda c: pose_distance(pose, node_pose(c), L))
 
-    # An endpoint snaps to the nearest corner of its cell joined to it by an
-    # admissible segment; one pass checks all sixteen.
+    # One pass checks the segments from each endpoint to the corners of its
+    # cell and every candidate edge, as rows (axis, i, j, m) in door order.
+    # An endpoint snaps to its nearest corner joined by an admissible
+    # segment; a door is a candidate found admissible with a passage.
+    scans = [_axis_edge_scan(geom, xs, ys, phis, axis, eps_pass) for axis in range(3)]
+    cand = np.concatenate([np.stack([np.full(c.sum(), a), *_nonzero(c)], axis=-1) for a, (_, c) in enumerate(scans)])
+    axis, i, j, m = cand.T
     near = corners(start) + corners(target)
-    checked = crossings(np.repeat([start.as_tuple(), target.as_tuple()], 8, axis=0), node_poses(near))
+    p0s = np.stack([xs[i], ys[j], phis[m]], axis=-1)
+    # a phi edge ends at phis[m] + dphi, without wrapping back to 0
+    p1s = np.stack([xs[i + (axis == 0)], ys[j + (axis == 1)], phis[m] + (axis == 2) * (2.0 * np.pi / np_)], axis=-1)
+    checked = crossings(
+        np.concatenate([np.repeat([start.as_tuple(), target.as_tuple()], 8, axis=0), p0s]),
+        np.concatenate([node_poses(near), p1s]),
+    )
     snapped = []
     for label, end in (("start", 0), ("target", 8)):
         linked = [c for c, e in zip(near[end : end + 8], checked[end : end + 8]) if e is not None]
         if not linked:
             raise NoPathFound(f"could not connect the {label} pose to the search grid")
         snapped.append(linked[0])
-
-    edges = _GridEdges(geom, xs, ys, phis, eps_pass, crossings)
-    nodes, used_doors = _grid_route(edges.window, shape, costs, snapped, require_crossing)
+    doors = cand[[e is not None and any(v.kind == "passage" for v in e) for e in checked[16:]]]
+    ok = [~cross for cross, _ in scans]
+    for a, i, j, m in doors.tolist():
+        ok[a][i, j, m] = True
+    del scans, checked
+    nodes, used_doors = _grid_route(ok, doors, costs, snapped, require_crossing)
 
     waypoints = [start] + [node_pose(nd) for nd in nodes] + [target]
     protected = set()

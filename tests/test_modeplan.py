@@ -33,7 +33,6 @@ from planar_rpr.modeplan import (
     EPS_PASS_REL,
     ZERO_TOUCH_REL,
     ModeChangeCertificate,
-    _GridEdges,
     _TwoEndedSearch,
     _axis_edge_scan,
     _classify_zeros,
@@ -507,25 +506,19 @@ def _cut(i0, i1, j0, j1):
     return ((slice(i0, i1 - 1), slice(j0, j1)), (slice(i0, i1), slice(j0, j1 - 1)), (slice(i0, i1), slice(j0, j1)))
 
 
-def _windows(ok, doors):
-    """The window callback of _grid_route for a grid whose admissible edges
-    ``ok`` are known in full, and whose doors are ``doors`` (lo, hi, cost)."""
-    shape = ok[2].shape
+def _door_rows(shape, doors):
+    """The doors (lo, hi, cost) of a grid of ``shape`` as _grid_route takes
+    them: rows (axis, i, j, m) of the lower node, in door order."""
     pairs = {d[:2] for d in doors}
-    door = [
-        np.array([e in pairs for e in zip(lo.ravel().tolist(), hi.ravel().tolist())], dtype=bool).reshape(lo.shape)
-        for lo, hi in _edge_ends(shape)
-    ]
-
-    def window(*box):
-        rows = [np.insert(np.argwhere(d[c]), 0, a, axis=1) for a, (d, c) in enumerate(zip(door, _cut(*box)))]
-        return [m[c] for m, c in zip(ok, _cut(*box))], np.concatenate(rows)
-
-    return window
+    rows = []
+    for a, (lo, hi) in enumerate(_edge_ends(shape)):
+        door = np.array([e in pairs for e in zip(lo.ravel().tolist(), hi.ravel().tolist())], dtype=bool)
+        rows.append(np.insert(np.argwhere(door.reshape(lo.shape)), 0, a, axis=1))
+    return np.concatenate(rows)
 
 
 def _route(ok, costs, ends, doors, require_crossing):
-    return _grid_route(_windows(ok, doors), ok[2].shape, costs, ends, require_crossing)
+    return _grid_route(ok, _door_rows(ok[2].shape, doors), costs, ends, require_crossing)
 
 
 def _unlimited(graph, s, t):
@@ -625,7 +618,7 @@ def test_grid_route_failure_inside_a_window_looks_at_the_whole_grid():
     costs = (0.5, 0.75, 1.25)
     ends = tuple(int(np.ravel_multi_index(v, shape)) for v in ((18, 18, 0), (20, 20, 2)))
     far = [(int(np.ravel_multi_index((35, 35, 0), shape)), int(np.ravel_multi_index((36, 35, 0), shape)), 0.5)]
-    search = _TwoEndedSearch(_windows(ok, []), shape, costs, ends)
+    search = _TwoEndedSearch(ok, _door_rows(shape, []), costs, ends)
     search.until(lambda d: np.inf)  # runs until complete
     assert search.wshape[0] * search.wshape[1] < 40 * 40 / 4
     for doors, message in ((far, "reachable from both"), ([], "no passage edge exists")):
@@ -657,6 +650,24 @@ def test_no_path_found_message_and_explored_are_pinned(ref, case):
     assert (str(info.value), info.value.explored) == (case["message"], case["explored"])
 
 
+@pytest.mark.parametrize(
+    "start, resolution, label",
+    [
+        ((5.936712032596491, -4.608771755031594, 2.500950942931911), 12, "start"),
+        ((4.716018318625558, -1.6757290785838623, 5.557020839341774), 8, "target"),
+    ],
+)
+def test_an_endpoint_off_the_grid_is_pinned(ref, start, resolution, label):
+    """Seeded starts just off the locus (8.4e-4 L and 4.9e-3 L from it along
+    y) on coarse grids: every segment from the start, or from its farthest
+    mode (the target), to a corner of its grid cell crosses the surface
+    inadmissibly, so the plan fails before its search."""
+    assert classify_configuration(ref, Pose(*start)).kind == "regular"
+    with pytest.raises(NoPathFound) as info:
+        plan_mode_change(ref, Pose(*start), resolution=(resolution,) * 3)
+    assert str(info.value) == f"could not connect the {label} pose to the search grid"
+
+
 # ---------------------------------------------------------------------------
 # the search window
 
@@ -673,34 +684,35 @@ def _window_designs():
 
 
 def _planner_grid(geom, shape):
-    """Node coordinates, edge costs and a fresh _GridEdges of the planner's
-    grid of ``shape`` over its default box."""
+    """Node coordinates, edge costs, admissible masks and doors of the
+    planner's grid of ``shape`` over its default box, built as the planner
+    builds them: one scan per axis and one check of every candidate."""
     Lg = characteristic_scale(geom)
     nx, ny, np_ = shape
     xs, ys = np.linspace(-Lg, 2 * Lg, nx), np.linspace(-Lg, 2 * Lg, ny)
     phis = np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
     costs = (float(xs[1] - xs[0]), float(ys[1] - ys[0]), float(Lg * 2.0 * np.pi / np_))
     eps, safe, fine_step = EPS_PASS_REL * Lg, passage_safety(geom), min(costs[0], costs[1], costs[2]) / EDGE_SUBSAMPLES
-
-    def edges():
-        def crossings(p0s, p1s):
-            return _segments_crossings(geom, p0s, p1s, eps, safe, fine_step)
-
-        return _GridEdges(geom, xs, ys, phis, eps, crossings)
-
-    return xs, ys, phis, costs, edges
+    scans = [_axis_edge_scan(geom, xs, ys, phis, axis, eps) for axis in range(3)]
+    cand = np.concatenate([np.insert(np.argwhere(c), 0, a, axis=1) for a, (_, c) in enumerate(scans)])
+    axis, i, j, m = cand.T
+    p0s = np.stack([xs[i], ys[j], phis[m]], axis=-1)
+    p1s = np.stack([xs[i + (axis == 0)], ys[j + (axis == 1)], phis[m] + (axis == 2) * (2.0 * np.pi / np_)], axis=-1)
+    checked = _segments_crossings(geom, p0s, p1s, eps, safe, fine_step)
+    doors = cand[[e is not None and any(v.kind == "passage" for v in e) for e in checked]]
+    ok = [~cross for cross, _ in scans]
+    for a, i, j, m in doors.tolist():
+        ok[a][i, j, m] = True
+    return xs, ys, phis, costs, ok, doors
 
 
 def test_window_edge_scan_equals_the_slice_of_the_full_scan():
     """_axis_edge_scan on the coordinates of a box of node columns gives, bit
-    for bit, that box's slice of the whole grid's masks on all three axes;
-    and a _GridEdges whose windows grow (by one row, on one side, clipped,
-    in one direction only) gives the admissible masks and doors of one
-    scan and check of the whole grid."""
+    for bit, that box's slice of the whole grid's masks on all three axes."""
     rng = np.random.default_rng(29)
     shape = (40, 36, 32)
     for geom in _window_designs():
-        xs, ys, phis, _, edges = _planner_grid(geom, shape)
+        xs, ys, phis, _, _, _ = _planner_grid(geom, shape)
         eps = EPS_PASS_REL * characteristic_scale(geom)
         full = [_axis_edge_scan(geom, xs, ys, phis, axis, eps) for axis in range(3)]
         boxes = [(0, 40, 0, 36), (0, 2, 0, 2), (38, 40, 3, 5), (5, 30, 34, 36)]
@@ -711,17 +723,6 @@ def test_window_edge_scan_equals_the_slice_of_the_full_scan():
             for axis, cut in enumerate(_cut(*box)):
                 got = _axis_edge_scan(geom, xs[i0:i1], ys[j0:j1], phis, axis, eps)
                 assert all(np.array_equal(g, f[cut]) for g, f in zip(got, full[axis])), (box, axis)
-
-        whole_ok, whole_doors = edges().window(0, 40, 0, 36)
-        grown = edges()
-        growing = [(17, 20, 15, 18), (16, 21, 15, 19), (12, 25, 11, 22), (0, 33, 3, 30), (0, 40, 3, 31), (0, 40, 0, 36)]
-        for box in growing:
-            ok, doors = grown.window(*box)
-            i0, i1, j0, j1 = box
-            assert all(np.array_equal(o, w[c]) for o, w, c in zip(ok, whole_ok, _cut(*box))), box
-            inside = [[a, i - i0, j - j0, m] for a, i, j, m in whole_doors.tolist()]
-            inside = [d for d in inside if 0 <= d[1] < i1 - i0 - (d[0] == 0) and 0 <= d[2] < j1 - j0 - (d[0] == 1)]
-            assert doors.tolist() == inside, box
 
 
 def test_windowed_search_equals_full_graph_dijkstra():
@@ -735,15 +736,14 @@ def test_windowed_search_equals_full_graph_dijkstra():
     n = int(np.prod(shape))
     smaller = 0
     for geom in _window_designs()[::2]:
-        _, _, _, costs, edges = _planner_grid(geom, shape)
-        ok, _ = edges().window(0, 32, 0, 32)
+        _, _, _, costs, ok, doors = _planner_grid(geom, shape)
         graph = _grid_graph(ok, costs, shape)
         c = max(costs)
         for near in (True, True, False):
             s = rng.integers(0, 32, 3)
             t = np.clip(s + rng.integers(-2, 3, 3), 0, 31) if near else rng.integers(0, 32, 3)
             ends = [int(np.ravel_multi_index(e, shape)) for e in (s, t)]
-            search = _TwoEndedSearch(edges().window, shape, costs, ends)
+            search = _TwoEndedSearch(ok, doors, costs, ends)
             for limit in c * 2.0 ** np.arange(6):
                 search.limit = limit
                 search._search()
@@ -851,6 +851,53 @@ def test_exact_edge_masks_reference_robot_counts(ref):
     phis = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     counts = [int(_axis_edge_scan(ref, xs, ys, phis, axis, 1e-3 * L)[0].sum()) for axis in range(3)]
     assert counts == [3341, 3275, 9208]
+
+
+def _unbounded_phi_cand(geom, xs, ys, phis, eps_pass):
+    """The phi scan's candidate mask from the exact minimum leg length over
+    every crossing phi edge, with no column skipped: the reference for the
+    scan's column bound."""
+    cross = _axis_edge_scan(geom, xs, ys, phis, 2, eps_pass)[0]
+    dphi = 2.0 * np.pi / len(phis)
+    i, j, m = np.nonzero(cross)
+    wx, wy = geom.base[:, 0] - xs[i, None], geom.base[:, 1] - ys[j, None]
+    bx, by = geom.platform.T
+    closest = (np.arctan2(wy, wx) - np.arctan2(by, bx) - phis[m, None]) % (2.0 * np.pi) <= dphi
+    ends = np.minimum(
+        _leg_geometry(geom, xs[i], ys[j], phis[m])[2], _leg_geometry(geom, xs[i], ys[j], phis[m] + dphi)[2]
+    )
+    dmin = np.where(closest, np.abs(np.hypot(wx, wy) - np.hypot(bx, by)), ends).min(axis=-1)
+    cand = np.zeros_like(cross)
+    cand[i, j, m] = dmin <= eps_pass
+    return cand, dmin
+
+
+def test_phi_scan_column_bound_keeps_every_candidate():
+    """The phi scan computes leg lengths only on the (x, y) columns where
+    some leg can come within eps_pass; its candidate mask equals, bit for
+    bit, the one computed on every crossing edge.  The reference robot at
+    three scales and seeded designs, eps_pass from 1e-9 L to 3e-2 L, and
+    eps_pass equal to an edge's own minimum leg length (a tie at the
+    threshold)."""
+    rng = np.random.default_rng(43)
+    designs = _window_designs()
+    while len(designs) < 12:
+        geom = RobotGeometry(base=rng.uniform(-10, 10, (3, 2)), platform=rng.uniform(-4, 4, (3, 2)))
+        if not is_architecturally_singular(geom)[0]:
+            designs.append(geom)
+    found = 0
+    for k, geom in enumerate(designs):
+        Lg = characteristic_scale(geom)
+        nx, ny, np_ = ((48, 48, 48), (24, 20, 32), (33, 40, 16))[k % 3]
+        xs, ys = np.linspace(-Lg, 2 * Lg, nx), np.linspace(-Lg, 2 * Lg, ny)
+        phis = np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
+        dmin = _unbounded_phi_cand(geom, xs, ys, phis, 0.0)[1]
+        ties = rng.choice(dmin[dmin <= 3e-2 * Lg], 2) if np.any(dmin <= 3e-2 * Lg) else []
+        for eps in [Lg * r for r in (1e-9, 1e-6, 1e-3, 1e-2, 3e-2)] + list(ties):
+            want = _unbounded_phi_cand(geom, xs, ys, phis, eps)[0]
+            assert np.array_equal(_axis_edge_scan(geom, xs, ys, phis, 2, eps)[1], want), (k, eps / Lg)
+            found += int(want.sum())
+    assert found > 500
 
 
 def _trig_terms(geom, x, y, phi):
