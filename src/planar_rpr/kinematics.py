@@ -221,21 +221,20 @@ def _pmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def compile_fk(geom: RobotGeometry) -> FkDesign:
     """Substitution leg, degeneracy verdict and coefficient matrix of a design.
 
-    The substitution leg maximizes the minimum |elimination determinant| over
-    a coarse angle grid (ties, the normal case, go to the lowest index).
-    Column k of ``M`` is the degree-10 polynomial's exact expansion on
-    monomial k of r, deflated by (1 + t^2)^2; a visible remainder means
-    catastrophic cancellation and warns.
+    The substitution leg is leg 1 (index 0), as in :func:`oracle_fk`: the
+    elimination rows are -2 (S_j - S_sigma) in the serial points, so
+    |det J| is eight times the area of S_1 S_2 S_3 whichever leg is
+    substituted.  The elimination is singular when |det J| stays within
+    1e-10 L^2 over a coarse angle grid.  Column k of ``M`` is the degree-10
+    polynomial's exact expansion on monomial k of r, deflated by
+    (1 + t^2)^2; a visible remainder means catastrophic cancellation and
+    warns.
     """
     L = geom.L
+    sigma = 0
     u, v, w0 = _linear_forms(geom, np.zeros(3))
     phis = np.linspace(-np.pi * 0.95, np.pi * 0.95, 19)
-    sigma, best_score, dets = None, -np.inf, None
-    for cand in range(3):
-        cand_dets = _solve_affine_xy(u, v, w0, cand, phis, L)[2]
-        if float(np.min(cand_dets)) > best_score + 1e-15:
-            sigma, best_score, dets = cand, float(np.min(cand_dets)), cand_dets
-    if float(np.max(dets)) <= 1e-10 * L**2:
+    if float(np.max(_solve_affine_xy(u, v, w0, sigma, phis, L)[2])) <= 1e-10 * L**2:
         return FkDesign(sigma, u, v, w0, _leg_floats(geom), None)
 
     U, V = _tan_half_numerator(u), _tan_half_numerator(v)

@@ -118,6 +118,20 @@ def _leg_geometry(geom: RobotGeometry, x, y, phi):
     return dx.transpose(to_last), dy.transpose(to_last), np.hypot(dx, dy).transpose(to_last), det
 
 
+def _pose_geometry(geom: RobotGeometry, pose: Pose):
+    """:func:`_leg_geometry` at one pose.  Leg lengths or a determinant that
+    overflow (coordinates too large for their products, such as a platform
+    frame ~1e300 away) raise :class:`ValidationError`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _leg_geometry(geom, pose.x, pose.y, pose.phi)
+    if not (np.all(np.isfinite(out[2])) and np.isfinite(out[3])):
+        raise ValidationError(
+            f"the line-matrix determinant at pose ({pose.x:.6g}, {pose.y:.6g}, {pose.phi:.6g}) "
+            "is not finite: the design's coordinates are too large"
+        )
+    return out
+
+
 def _line_measure(dist, det, L: float):
     """Unit-direction determinant det / (rho_1 rho_2 rho_3) from kernel
     outputs; nan where some leg line is undefined."""
@@ -145,11 +159,12 @@ def parallel_singularity_measure(geom: RobotGeometry, pose: Pose, normalized: bo
 
     Computed as det / (rho_1 rho_2 rho_3) from the unnormalized
     determinant.  Zero exactly at parallel singularities.  Raises
-    :class:`SerialDegenerate` when some leg line is undefined.  With
+    :class:`SerialDegenerate` when some leg line is undefined, and
+    :class:`ValidationError` when the determinant is not finite.  With
     ``normalized=True`` the value is divided by the characteristic scale.
     """
     L = geom.L
-    _, _, dist, det = _leg_geometry(geom, pose.x, pose.y, pose.phi)
+    _, _, dist, det = _pose_geometry(geom, pose)
     for i in range(3):
         if dist[i] <= LINE_DEGENERACY_REL * L:
             raise SerialDegenerate(i + 1)
@@ -163,8 +178,9 @@ def unnormalized_determinant(geom: RobotGeometry, pose: Pose) -> float:
     Equals rho_1 rho_2 rho_3 times the measure wherever the measure is
     defined, and vanishes with a zero row at serial configurations.  At
     fixed phi this is exactly quadratic in (x, y) -- the conic locus.
+    Raises :class:`ValidationError` when it is not finite.
     """
-    return float(_leg_geometry(geom, pose.x, pose.y, pose.phi)[3])
+    return float(_pose_geometry(geom, pose)[3])
 
 
 def serial_points(geom: RobotGeometry, phi: float) -> np.ndarray:
@@ -391,10 +407,11 @@ def classify_configuration(geom: RobotGeometry, pose: Pose) -> ConfigurationClas
     serial pose the parallel test follows the line-through-the-coinciding-
     joint criterion with whatever legs remain regular (the two- and
     three-leg cases extrapolate the same test; the single-leg case is the
-    generic one).
+    generic one).  A determinant that is not finite raises
+    :class:`ValidationError`.
     """
     L = geom.L
-    _, _, dist, det = _leg_geometry(geom, pose.x, pose.y, pose.phi)
+    _, _, dist, det = _pose_geometry(geom, pose)
     singular = [i for i in range(3) if dist[i] <= SERIAL_CLASSIFY_REL * L]
 
     if not singular:

@@ -280,26 +280,14 @@ def test_round_trip_near_half_turn(ref):
 
 def _reference_fk_polynomial(geom, joints):
     """The per-call elimination that the compiled matrix replaced, kept as
-    the reference: substitution-leg scan, convolutions, (1 + t^2)^2
+    the reference: substitution into leg 1, convolutions, (1 + t^2)^2
     deflation and trimming, all from the joints at hand."""
     L = characteristic_scale(geom)
     u, v, w = kinematics._linear_forms(geom, joints.squared)
-
-    def rows(sigma, c, s):
-        return [
-            [f[0] + f[1] * c + f[2] * s for f in (u[j] - u[sigma], v[j] - v[sigma], w[sigma] - w[j])]
-            for j in range(3) if j != sigma
-        ]
-
+    sigma = 0
     phis = np.linspace(-np.pi * 0.95, np.pi * 0.95, 19)
-    best_sigma, best_score = None, -np.inf
-    for sigma in range(3):
-        (a1, b1, _), (a2, b2, _) = rows(sigma, np.cos(phis), np.sin(phis))
-        score = float(np.min(np.abs(a1 * b2 - a2 * b1)))
-        if score > best_score + 1e-15:
-            best_sigma, best_score = sigma, score
-    sigma = best_sigma
-    (a1, b1, _), (a2, b2, _) = rows(sigma, np.cos(phis), np.sin(phis))
+    c, s = np.cos(phis), np.sin(phis)
+    (a1, b1), (a2, b2) = ([f[0] + f[1] * c + f[2] * s for f in (u[j] - u[sigma], v[j] - v[sigma])] for j in (1, 2))
     if float(np.max(np.abs(a1 * b2 - a2 * b1))) <= 1e-10 * L**2:
         raise DegenerateElimination("singular for every orientation")
 

@@ -8,6 +8,7 @@ from planar_rpr import (
     Pose,
     RobotGeometry,
     SerialDegenerate,
+    ValidationError,
     classify_configuration,
     inverse_kinematics,
     is_architecturally_singular,
@@ -515,3 +516,26 @@ def test_classification_symmetry_under_leg_permutation(ref):
             assert tuple(sorted(c.singular_legs)) == expected
             if base_c.measure is not None:
                 assert abs(c.measure) == pytest.approx(abs(base_c.measure))
+
+
+# a platform frame ~1e300 away: pairwise distances finite, leg products overflow
+FAR_PLATFORM = [[1e300, 0.0], [1.1e300, 0.0], [1e300, 1e299]]
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda geom, pose: classify_configuration(geom, pose).measure,
+        parallel_singularity_measure,
+        unnormalized_determinant,
+    ],
+    ids=["classify_configuration", "parallel_singularity_measure", "unnormalized_determinant"],
+)
+def test_pointwise_measures_reject_an_overflowing_design(evaluate):
+    """Each used to return NaN (classify_configuration with kind "regular");
+    each now raises a typed error, without a numpy warning."""
+    geom = RobotGeometry(base=REF_BASE, platform=FAR_PLATFORM)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="is not finite: the design's coordinates are too large"):
+            evaluate(geom, Pose(0.0, 0.0, 0.0))
