@@ -749,8 +749,8 @@ class _TwoEndedSearch:
     only be built and dropped.
 
     ``ok`` and ``doors`` are the whole grid's admissible masks and doors
-    (see :func:`_grid_route`); a window's graph is built on its slice of
-    ``ok``, and only when the window grows.  ``dist`` and ``pred`` index
+    (see :func:`_grid_route`); a window takes its slice of both, and its
+    graph is built only when the window grows.  ``dist`` and ``pred`` index
     the window's nodes (:meth:`nodes` maps them to the grid's), and
     ``doors`` holds (a, b, w): both orientations of every door of the
     window, in door order, as window nodes and cost.
@@ -1012,17 +1012,18 @@ def plan_mode_change(
         ]
         return sorted(out, key=lambda c: pose_distance(pose, node_pose(c), L))
 
-    # One pass checks the segments from each endpoint to the corners of its
-    # cell and every candidate edge, as rows (axis, i, j, m) in door order.
-    # An endpoint snaps to its nearest corner joined by an admissible
-    # segment; a door is a candidate found admissible with a passage.
     scans = [_axis_edge_scan(geom, xs, ys, phis, axis, eps_pass) for axis in range(3)]
+    # the passage candidates as rows (axis, i, j, m), in door order
     cand = np.concatenate([np.stack([np.full(c.sum(), a), *_nonzero(c)], axis=-1) for a, (_, c) in enumerate(scans)])
     axis, i, j, m = cand.T
-    near = corners(start) + corners(target)
     p0s = np.stack([xs[i], ys[j], phis[m]], axis=-1)
     # a phi edge ends at phis[m] + dphi, without wrapping back to 0
     p1s = np.stack([xs[i + (axis == 0)], ys[j + (axis == 1)], phis[m] + (axis == 2) * (2.0 * np.pi / np_)], axis=-1)
+    # One pass checks the segments from each endpoint to the corners of its
+    # cell and every candidate.  An endpoint snaps to its nearest corner
+    # joined by an admissible segment; a door is a candidate found
+    # admissible with a passage.
+    near = corners(start) + corners(target)
     checked = crossings(
         np.concatenate([np.repeat([start.as_tuple(), target.as_tuple()], 8, axis=0), p0s]),
         np.concatenate([node_poses(near), p1s]),

@@ -23,6 +23,7 @@ platform angle -- otherwise they are passages through the locus.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,7 @@ def _pose_geometry(geom: RobotGeometry, pose: Pose):
     frame ~1e300 away) raise :class:`ValidationError`."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = _leg_geometry(geom, pose.x, pose.y, pose.phi)
-    if not (np.all(np.isfinite(out[2])) and np.isfinite(out[3])):
+    if not (math.isfinite(out[3]) and math.isfinite(out[2].max())):
         raise ValidationError(
             f"the line-matrix determinant at pose ({pose.x:.6g}, {pose.y:.6g}, {pose.phi:.6g}) "
             "is not finite: the design's coordinates are too large"
