@@ -684,9 +684,9 @@ def _window_designs():
 
 
 def _planner_grid(geom, shape):
-    """Node coordinates, edge costs, admissible masks and doors of the
-    planner's grid of ``shape`` over its default box, built as the planner
-    builds them: one scan per axis and one check of every candidate."""
+    """Edge costs, admissible masks and doors of the planner's grid of
+    ``shape`` over its default box, built as the planner builds them: one
+    scan per axis and one check of every candidate."""
     Lg = characteristic_scale(geom)
     nx, ny, np_ = shape
     xs, ys = np.linspace(-Lg, 2 * Lg, nx), np.linspace(-Lg, 2 * Lg, ny)
@@ -703,7 +703,7 @@ def _planner_grid(geom, shape):
     ok = [~cross for cross, _ in scans]
     for a, i, j, m in doors.tolist():
         ok[a][i, j, m] = True
-    return xs, ys, phis, costs, ok, doors
+    return costs, ok, doors
 
 
 def test_window_edge_scan_equals_the_slice_of_the_full_scan():
@@ -712,8 +712,10 @@ def test_window_edge_scan_equals_the_slice_of_the_full_scan():
     rng = np.random.default_rng(29)
     shape = (40, 36, 32)
     for geom in _window_designs():
-        xs, ys, phis, _, _, _ = _planner_grid(geom, shape)
-        eps = EPS_PASS_REL * characteristic_scale(geom)
+        Lg = characteristic_scale(geom)
+        xs, ys = np.linspace(-Lg, 2 * Lg, shape[0]), np.linspace(-Lg, 2 * Lg, shape[1])
+        phis = np.linspace(0.0, 2.0 * np.pi, shape[2], endpoint=False)
+        eps = EPS_PASS_REL * Lg
         full = [_axis_edge_scan(geom, xs, ys, phis, axis, eps) for axis in range(3)]
         boxes = [(0, 40, 0, 36), (0, 2, 0, 2), (38, 40, 3, 5), (5, 30, 34, 36)]
         for _ in range(6):
@@ -736,7 +738,7 @@ def test_windowed_search_equals_full_graph_dijkstra():
     n = int(np.prod(shape))
     smaller = 0
     for geom in _window_designs()[::2]:
-        _, _, _, costs, ok, doors = _planner_grid(geom, shape)
+        costs, ok, doors = _planner_grid(geom, shape)
         graph = _grid_graph(ok, costs, shape)
         c = max(costs)
         for near in (True, True, False):
