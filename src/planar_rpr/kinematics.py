@@ -278,6 +278,11 @@ def build_fk_polynomial(geom: RobotGeometry, joints: JointVector) -> UnivariateF
     z = [1.0, *joints.squared.tolist()]
     coeffs = design.M @ np.array([z[a] * z[b] for a, b in _MONOMIALS])
     cmax = float(np.max(np.abs(coeffs)))
+    if not math.isfinite(cmax):
+        raise ValidationError(
+            "the forward-kinematics polynomial has non-finite coefficients: the design's coordinates or the "
+            "joint values are too large"
+        )
     if cmax == 0.0:
         return UnivariateFkPolynomial(np.zeros(1), design.sigma, True, True)
     keep = np.nonzero(np.abs(coeffs) > TRIM_REL * cmax)[0]

@@ -19,11 +19,11 @@ along the shorter wrap.  Three layers sit on top of that:
   an event list free of parallel crossings.
 
 :func:`plan_mode_change` searches a uniform (x, y, phi) grid whose edges
-are admissible when they do not cross the singularity surface, or cross it
-only inside the passage window of a passage-safe leg.  Because a mode
-change must demonstrably cross the surface through such a passage, the
-planner forces the cheapest passage edge into the route whenever the
-unconstrained shortest path would sneak around the surface entirely.
+are admissible when they do not meet the singularity surface, which it
+crosses only through doors built from the serial points of the
+passage-safe legs.  A mode change must demonstrably cross the surface, so
+the planner forces the cheapest door into the route whenever the shortest
+path would sneak around the surface entirely.
 
 How close a "real" crossing must pass to the serial point is not dictated
 by the geometry; eps_pass = 1e-3 * L is this package's default window and
@@ -34,6 +34,7 @@ can apply whatever practical margin the hardware needs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,10 +68,10 @@ REFINE_BAND_REL = 0.05
 REFINE_FACTOR = 8
 # Bracket width to which crossing parameters are refined.
 CROSSING_T_TOL = 1e-10
-# Sample density of the planner's batched crossing checks (doors, snaps and
+# Sample density of the planner's batched crossing checks (snaps and
 # shortcuts): each segment gets at least 2 * EDGE_SUBSAMPLES samples and one
 # per 1/EDGE_SUBSAMPLES of the smallest grid step (``fine_step``).  The edge
-# scans themselves are exact and do not sample.
+# scans and the doors are exact and do not sample.
 EDGE_SUBSAMPLES = 9
 # Base samples of one pass over shortcuts, which bounds its memory on long
 # routes; the reference robot's default-grid passes take at most 3,200.
@@ -277,6 +278,7 @@ def _sampled(geom: RobotGeometry, path: WorkspacePath | _Paths | _SampledPath) -
 
     A path sampled already passes through, so the verifier's crossing
     detector, sign continuation and measure trace share one sampling.
+    Overflowing leg lengths or determinants raise :class:`ValidationError`.
     """
     if isinstance(path, _SampledPath):
         return path
@@ -285,9 +287,15 @@ def _sampled(geom: RobotGeometry, path: WorkspacePath | _Paths | _SampledPath) -
             if pose_distance(a, b, geom.L) <= 1e-9 * geom.L:
                 raise ValidationError("consecutive waypoints must be distinct")
         path = path._paths
-    keys = _sample_params(geom, path)
-    ts, rows = keys.imag.copy(), keys.real.astype(int)
-    return _SampledPath(path, ts, rows, _leg_geometry(geom, *path.poses_at(ts, rows)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        keys = _sample_params(geom, path)
+        ts, rows = keys.imag.copy(), keys.real.astype(int)
+        legs = _leg_geometry(geom, *path.poses_at(ts, rows))
+    if not (np.isfinite(legs[3]).all() and math.isfinite(legs[2].max())):
+        raise ValidationError(
+            "the line-matrix determinant along the path is not finite: the design's coordinates are too large"
+        )
+    return _SampledPath(path, ts, rows, legs)
 
 
 def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
@@ -531,7 +539,7 @@ def _check_samples(L, p0s, p1s, fine_step):
     """Base samples of the crossing check of each pose segment ``p0s[r] ->
     p1s[r]``: one per ``fine_step`` of pose distance and at least
     2 * EDGE_SUBSAMPLES, so a shortcut spanning many cells is sampled as
-    densely as a door; 0 for a segment shorter than 1e-9 * L."""
+    densely as a snap stub; 0 for a segment shorter than 1e-9 * L."""
     length = np.maximum(
         np.hypot(p0s[:, 0] - p1s[:, 0], p0s[:, 1] - p1s[:, 1]), L * np.abs(wrap_angle(p0s[:, 2] - p1s[:, 2]))
     )
@@ -604,34 +612,26 @@ def _nonzero(a):
     return np.unravel_index(np.flatnonzero(a), a.shape)
 
 
-def _axis_edge_scan(geom, xs, ys, phis, axis, eps_pass):
-    """Exact sign-change and passage-candidate masks for one grid axis.
-
-    ``cross`` marks every edge on which the determinant has a zero: its end
-    values differ in sign or one is zero (``sgn * sgn <= 0``), or an
-    interior extremum has the ends' opposite sign or is zero, so an edge
-    that touches the locus tangentially is inadmissible too.  Along x and y
-    the determinant is the conic's quadratic (coefficients about the base
+def _axis_edge_scan(geom, xs, ys, phis, axis):
+    """Exact mask of one grid axis's edges on which the determinant has a
+    zero: its end values differ in sign or one is zero (``sgn * sgn <= 0``),
+    or an interior extremum has the ends' opposite sign or is zero, so an
+    edge that touches the locus tangentially is marked too.  Along x and y the
+    determinant is the conic's quadratic (coefficients about the base
     centroid), whose one extremum is its vertex.  Along phi it is a
     trigonometric polynomial of degree 2 with coefficients (a_k, b_k);
     an edge whose end values both exceed sum_k k^2 (|a_k| + |b_k|) times
     dphi^2 / 8 keeps one sign (the bound on its distance from the chord),
     and the remaining edges are tested at every real critical point.
-
-    ``cand`` marks the crossing edges along which some leg comes within
-    ``eps_pass`` of zero length, from the exact minimum of each leg length
-    over the edge: the distance from the serial point S_i(phi) to an x or y
-    edge, and from a_i - (x, y) to the arc that R(phi) b_i sweeps along a
-    phi edge.  ``phis`` must be uniform from 0 over the full circle.
+    ``phis`` must be uniform from 0 over the full circle.
     """
     if axis < 2:
         # the scanned axis runs along rows, the other spatial axis along columns
         along, other = (xs, ys) if axis == 0 else (ys, xs)
         o = geom.base.mean(axis=0)
         q20, q11, q02, q10, q01, q00 = _conic_coefficients(geom, phis, o).T
-        sx, sy = (-v for v in _leg_geometry(geom, 0.0, 0.0, phis)[:2])  # serial points
         if axis == 1:
-            q20, q02, q10, q01, o, sx, sy = q02, q20, q01, q10, o[::-1], sy, sx
+            q20, q02, q10, q01, o = q02, q20, q01, q10, o[::-1]
         u, v = along - o[0], (other - o[1])[:, None]
         b = q11 * v + q10  # along each row, Q = q20 u^2 + b u + c
         c = (q02 * v + q01) * v + q00
@@ -648,51 +648,59 @@ def _axis_edge_scan(geom, xs, ys, phis, axis, eps_pass):
         j, m = _nonzero((i == ic) & (vertex < u[ic + 1]))
         hit = np.sign(at_vertex[j, m]) * sgn[ic[j, m], j, m] <= 0
         cross[ic[j, m][hit], j[hit], m[hit]] = True
+        return cross.transpose(1, 0, 2) if axis == 1 else cross
+    np_ = len(phis)
+    dphi = 2.0 * np.pi / np_
+    coef = _leg_geometry(geom, xs[:, None, None], ys[None, :, None], _TRIG_ANGLES)[3] @ _TRIG_FIT
+    f = coef @ _trig_basis(phis).T
+    f_next = np.roll(f, -1, axis=2)
+    sgn = np.sign(f)
+    cross = sgn * np.sign(f_next) <= 0
+    # |f''| <= sum_k k^2 (|a_k| + |b_k|), so f keeps the ends' sign on an
+    # edge where both end values exceed that bound times dphi^2 / 8
+    curvature = np.abs(coef) @ [0, 1, 1, 4, 4]
+    uncertified = ~cross & (np.minimum(np.abs(f), np.abs(f_next)) <= curvature[..., None] * dphi**2 / 8)
+    i, j = _nonzero(uncertified.any(axis=2))
+    phc = _critical_angles(coef[i, j]) % (2.0 * np.pi)
+    at_phc = np.einsum("kt,kct->kc", coef[i, j], _trig_basis(phc))
+    i, j, m = np.broadcast_arrays(i[:, None], j[:, None], (phc // dphi).astype(int) % np_)
+    hit = np.sign(at_phc) * sgn[i, j, m] <= 0
+    cross[i[hit], j[hit], m[hit]] = True
+    return cross
 
-        i, j, m = _nonzero(cross)
-        near = np.clip(sx[m], along[i, None], along[i + 1, None])
-        dmin = np.hypot(near - sx[m], other[j, None] - sy[m])
-    else:
-        np_ = len(phis)
-        dphi = 2.0 * np.pi / np_
-        coef = _leg_geometry(geom, xs[:, None, None], ys[None, :, None], _TRIG_ANGLES)[3] @ _TRIG_FIT
-        f = coef @ _trig_basis(phis).T
-        f_next = np.roll(f, -1, axis=2)
-        sgn = np.sign(f)
-        cross = sgn * np.sign(f_next) <= 0
-        # |f''| <= sum_k k^2 (|a_k| + |b_k|), so f keeps the ends' sign on an
-        # edge where both end values exceed that bound times dphi^2 / 8
-        curvature = np.abs(coef) @ [0, 1, 1, 4, 4]
-        uncertified = ~cross & (np.minimum(np.abs(f), np.abs(f_next)) <= curvature[..., None] * dphi**2 / 8)
-        i, j = _nonzero(uncertified.any(axis=2))
-        phc = _critical_angles(coef[i, j]) % (2.0 * np.pi)
-        at_phc = np.einsum("kt,kct->kc", coef[i, j], _trig_basis(phc))
-        i, j, m = np.broadcast_arrays(i[:, None], j[:, None], (phc // dphi).astype(int) % np_)
-        hit = np.sign(at_phc) * sgn[i, j, m] <= 0
-        cross[i[hit], j[hit], m[hit]] = True
 
-        wx, wy = geom.base[:, 0] - xs[:, None, None], geom.base[:, 1] - ys[:, None]  # a_l - (x, y)
-        bx, by = geom.platform.T
-        # Along a phi edge leg l is at least this long, so a column whose
-        # legs all exceed eps_pass holds no candidate.  The margin outweighs
-        # the rounding of this bound and of the leg lengths computed below
-        # (a few ulps of coordinates up to ~1e9 L), so skipping those
-        # columns changes no bit of ``cand``.
-        gap = np.abs(np.hypot(wx, wy) - np.hypot(bx, by))
-        i, j, m = _nonzero(cross & (gap.min(axis=-1) <= eps_pass + 1e-6 * geom.L)[..., None])
-        wx, wy = wx[i, 0], wy[j]
-        # the arc passes closest to a_l - (x, y) where R(phi) b_l points along it
-        closest = (np.arctan2(wy, wx) - np.arctan2(by, bx) - phis[m, None]) % (2.0 * np.pi) <= dphi
-        ends = np.minimum(
-            _leg_geometry(geom, xs[i], ys[j], phis[m])[2],
-            _leg_geometry(geom, xs[i], ys[j], phis[m] + dphi)[2],
-        )
-        dmin = np.where(closest, gap[i, j], ends)
-    cand = np.zeros_like(cross)
-    cand[i, j, m] = dmin.min(axis=-1) <= eps_pass
-    if axis == 1:
-        cross, cand = cross.transpose(1, 0, 2), cand.transpose(1, 0, 2)
-    return cross, cand
+def _serial_doors(geom, xs, ys, phis, safe, cross):
+    """Doors through the serial points S = S_l(phi_m) of the passage-safe
+    legs at the grid angles, each in its cell (i, j): x_i < S_x <= x_{i+1},
+    y_j < S_y <= y_{j+1}.  The x door runs at phi_m from (x_i, y_j) up to
+    (x_i, S_y), along the row through S to (x_{i+1}, S_y) and down to
+    (x_{i+1}, y_j).  It is admissible when S is not on the right side, the
+    y edges (i, j, m) and (i + 1, j, m) are not in the crossing masks
+    ``cross``, and the row's other zero (by Vieta) is not in
+    [x_i, x_{i+1}]; else x and y swapped give the y door.  Returns the door
+    edges (axis, i, j, m), sorted (the first serial point in (m, leg)
+    order wins an edge), their row points (k, 2, 3) from the lower
+    corner's side, and the number of those serial points in the box.
+    """
+    sx, sy = (-v.ravel() for v in _leg_geometry(geom, 0.0, 0.0, phis)[:2])  # (m, leg) order
+    in_box = np.tile(safe, len(phis)) & (xs[0] <= sx) & (sx <= xs[-1]) & (ys[0] <= sy) & (sy <= ys[-1])
+    i = np.clip(np.searchsorted(xs, sx) - 1, 0, len(xs) - 2)
+    j = np.clip(np.searchsorted(ys, sy) - 1, 0, len(ys) - 2)
+    k = np.flatnonzero(in_box & (xs[i] < sx) & (sx <= xs[i + 1]) & (ys[j] < sy) & (sy <= ys[j + 1]))
+    i, j, m, sx, sy = i[k], j[k], k // 3, sx[k], sy[k]
+    o = geom.base.mean(axis=0)
+    q20, q11, q02, q10, q01, _ = _conic_coefficients(geom, phis[m], o).T
+    u, v = sx - o[0], sy - o[1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # nan, and no door, on a row of zeros
+        x2, y2 = o[0] - (q11 * v + q10) / q20 - u, o[1] - (q11 * u + q01) / q02 - v
+    x_door = (sx < xs[i + 1]) & ~cross[1][i, j, m] & ~cross[1][i + 1, j, m] & ((x2 < xs[i]) | (x2 > xs[i + 1]))
+    y_door = (sy < ys[j + 1]) & ~cross[0][i, j, m] & ~cross[0][i, j + 1, m] & ((y2 < ys[j]) | (y2 > ys[j + 1]))
+    k = np.flatnonzero(x_door | y_door)
+    x_door, i, j, m, sx, sy = x_door[k], i[k], j[k], m[k], sx[k], sy[k]
+    rows = np.stack([np.where(x_door, 0, 1), i, j, m], axis=-1)
+    ends = [np.stack([np.where(x_door, xs[i + d], sx), np.where(x_door, sy, ys[j + d]), phis[m]], -1) for d in (0, 1)]
+    _, first = np.unique(np.ravel_multi_index(rows.T, (2, len(xs), len(ys), len(phis))), return_index=True)
+    return rows[first], np.stack(ends, axis=1)[first], int(np.count_nonzero(in_box))
 
 
 def _grid_graph(ok, costs, shape):
@@ -836,14 +844,13 @@ def _walk_back(pred, node):
     return out[::-1]
 
 
-def _grid_route(ok, doors, costs, ends, require_crossing):
-    """Grid nodes of the cheapest route between ``ends`` = (s, t), and the
-    doors it uses.
+def _grid_route(ok, doors, costs, ends, require_crossing, serial):
+    """Grid nodes of the cheapest route between ``ends`` = (s, t).
 
     ``ok`` holds, per axis, the admissible mask of the grid's edges: shapes
     (nx - 1, ny, np_), (nx, ny - 1, np_) and (nx, ny, np_), the phi edge of
     node m joining m + 1, wrapped.  The edges of each axis cost ``costs``.
-    ``doors`` lists the grid's passage edges, all admissible, as rows
+    ``doors`` lists the grid's door edges, all admissible, as rows
     (axis, i, j, m) of the edge's lower node, in door order (by axis, then
     edge index).  The search runs on windows of the grid (see
     :class:`_TwoEndedSearch`), and the nodes returned are the grid's.  The
@@ -851,8 +858,8 @@ def _grid_route(ok, doors, costs, ends, require_crossing):
     least.  With ``require_crossing`` a route without a door is replaced by
     the cheapest route through one, the first cheapest door in door order.
     On failure the NoPathFound's ``explored`` counts the nodes reachable
-    from s (from s and t together for an unreachable door); the message
-    says that no passage edge exists when ``doors`` is empty.
+    from s (from s and t together for an unreachable door); with no door
+    the message says that none of the ``serial`` serial points gives one.
     """
     c = max(costs)
     search = _TwoEndedSearch(ok, doors, costs, ends)
@@ -867,9 +874,8 @@ def _grid_route(ok, doors, costs, ends, require_crossing):
         )
     route = _walk_back(pred[0], meet) + _walk_back(pred[1], meet)[::-1][1:]
     a, b, _ = search.doors
-    used = {frozenset(e) for e in zip(route[:-1], route[1:])} & {frozenset(e) for e in zip(a.tolist(), b.tolist())}
-    if not require_crossing or used:
-        return search.nodes(route), {frozenset(search.nodes(list(e))) for e in used}
+    if not require_crossing or set(zip(route[:-1], route[1:])) & set(zip(a.tolist(), b.tolist())):
+        return search.nodes(route)
 
     # the splice through a door is exact once its cost mu <= limit; a door
     # outside the window has an end beyond the limit of both s and t, so its
@@ -885,8 +891,8 @@ def _grid_route(ok, doors, costs, ends, require_crossing):
     if not np.isfinite(np.min(total, initial=np.inf)):
         if not len(doors):
             raise NoPathFound(
-                "no passage edge exists at this resolution; try a finer grid "
-                "or a wider eps_pass",
+                f"no passage edge exists: the box holds {serial} serial point(s) of "
+                "passage-safe legs at the grid's angles, and none gives a door",
                 explored=int(np.count_nonzero(reached[0])),
             )
         raise NoPathFound(
@@ -895,8 +901,7 @@ def _grid_route(ok, doors, costs, ends, require_crossing):
         )
     k = int(np.argmin(total))
     a, b, _ = search.doors
-    route = _walk_back(pred[0], a[k]) + _walk_back(pred[1], b[k])[::-1]
-    return search.nodes(route), {frozenset(search.nodes([a[k], b[k]]))}
+    return search.nodes(_walk_back(pred[0], a[k]) + _walk_back(pred[1], b[k])[::-1])
 
 
 def plan_mode_change(
@@ -914,22 +919,23 @@ def plan_mode_change(
     start's joint values farthest from the start, so the endpoints share
     their squared joint vector by construction.  The search runs on a
     uniform grid over ``box`` = (x0, y0, x1, y1) times the full circle of
-    orientations; edges crossing the singularity surface are admissible only
-    inside the passage window of a passage-safe leg.  With
-    ``require_crossing`` (the default) the returned path is guaranteed to
+    orientations.  A grid edge is admissible when it does not meet the
+    singularity surface (:func:`_axis_edge_scan`); the surface is crossed
+    only through doors, constant-phi paths through the serial points of the
+    passage-safe legs that stand in for grid edges (:func:`_serial_doors`).
+    With ``require_crossing`` (the default) the returned path is guaranteed to
     cross the surface through at least one passage: if the unconstrained
-    shortest route dodges the surface entirely, the cheapest passage edge is
+    shortest route dodges the surface entirely, the cheapest door is
     spliced into it.  The result always passes verification with verdict
     ``changed_without_parallel``.
 
-    The grid is scanned once per axis (:func:`_axis_edge_scan`).  Segments
-    are checked by the crossing detector in batched passes, each segment
-    sampled as a path of its own: one pass, before the search, checks the
-    segments joining the start and target to the corners of their grid
-    cells (each snaps to its nearest corner joined admissibly) and every
-    passage candidate edge of the grid (a door is one found admissible with
-    a passage); then one pass per kept waypoint checks its shortcuts,
-    farthest first, and the route skips to the farthest admissible one.
+    Segments are checked by the crossing detector in batched passes, each
+    segment sampled as a path of its own: one pass, before the search,
+    checks the segments joining the start and target to the corners of
+    their grid cells (each snaps to its nearest corner joined admissibly);
+    then one pass per kept waypoint checks its shortcuts, farthest first,
+    and the route skips to the farthest admissible one, keeping the two
+    points where each door's path crosses its cell.
 
     The grid search is a two-ended Dijkstra from the start and target grid
     nodes, bounded by a distance limit that grows, at most doubling, until
@@ -942,7 +948,7 @@ def plan_mode_change(
     ``NoPathFound`` raised by the search counts in ``explored`` every node
     reachable from the start (and from the target too when no door is
     reachable from both); "no passage edge exists" means that the grid has
-    no door.
+    no door, and says how many serial points lay in the box.
     """
     L = geom.L
     if eps_pass is None:
@@ -981,8 +987,7 @@ def plan_mode_change(
     if not (x0 <= target.x <= x1 and y0 <= target.y <= y1):
         raise InvalidStart("target pose lies outside the search box")
 
-    xs = np.linspace(x0, x1, nx)
-    ys = np.linspace(y0, y1, ny)
+    xs, ys = np.linspace(x0, x1, nx), np.linspace(y0, y1, ny)
     phis = np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
 
     shape = (nx, ny, np_)
@@ -1004,48 +1009,38 @@ def plan_mode_change(
         ci = int(np.clip(np.searchsorted(xs, pose.x) - 1, 0, nx - 2))
         cj = int(np.clip(np.searchsorted(ys, pose.y) - 1, 0, ny - 2))
         cm = int(np.floor(wrap_angle(pose.phi) % (2.0 * np.pi) / (2.0 * np.pi / np_))) % np_
-        out = [
-            int(np.ravel_multi_index((ci + di, cj + dj, (cm + dm) % np_), shape))
-            for di in (0, 1)
-            for dj in (0, 1)
-            for dm in (0, 1)
-        ]
+        out = [int(np.ravel_multi_index((ci + d // 4, cj + d // 2 % 2, (cm + d % 2) % np_), shape)) for d in range(8)]
         return sorted(out, key=lambda c: pose_distance(pose, node_pose(c), L))
 
-    scans = [_axis_edge_scan(geom, xs, ys, phis, axis, eps_pass) for axis in range(3)]
-    # the passage candidates as rows (axis, i, j, m), in door order
-    cand = np.concatenate([np.stack([np.full(c.sum(), a), *_nonzero(c)], axis=-1) for a, (_, c) in enumerate(scans)])
-    axis, i, j, m = cand.T
-    p0s = np.stack([xs[i], ys[j], phis[m]], axis=-1)
-    # a phi edge ends at phis[m] + dphi, without wrapping back to 0
-    p1s = np.stack([xs[i + (axis == 0)], ys[j + (axis == 1)], phis[m] + (axis == 2) * (2.0 * np.pi / np_)], axis=-1)
     # One pass checks the segments from each endpoint to the corners of its
-    # cell and every candidate.  An endpoint snaps to its nearest corner
-    # joined by an admissible segment; a door is a candidate found
-    # admissible with a passage.
+    # cell; it snaps to the nearest corner joined by an admissible segment.
     near = corners(start) + corners(target)
-    checked = crossings(
-        np.concatenate([np.repeat([start.as_tuple(), target.as_tuple()], 8, axis=0), p0s]),
-        np.concatenate([node_poses(near), p1s]),
-    )
+    checked = crossings(np.repeat([start.as_tuple(), target.as_tuple()], 8, axis=0), node_poses(near))
     snapped = []
     for label, end in (("start", 0), ("target", 8)):
         linked = [c for c, e in zip(near[end : end + 8], checked[end : end + 8]) if e is not None]
         if not linked:
             raise NoPathFound(f"could not connect the {label} pose to the search grid")
         snapped.append(linked[0])
-    doors = cand[[e is not None and any(v.kind == "passage" for v in e) for e in checked[16:]]]
-    ok = [~cross for cross, _ in scans]
+    cross = [_axis_edge_scan(geom, xs, ys, phis, axis) for axis in range(3)]
+    doors, door_points, serial = _serial_doors(geom, xs, ys, phis, safe, cross)
+    ok = [~c for c in cross]
     for a, i, j, m in doors.tolist():
         ok[a][i, j, m] = True
-    del scans, checked
-    nodes, used_doors = _grid_route(ok, doors, costs, snapped, require_crossing)
+    nodes = _grid_route(ok, doors, costs, snapped, require_crossing, serial)
 
-    waypoints = [start] + [node_pose(nd) for nd in nodes] + [target]
-    protected = set()
-    for k in range(1, len(waypoints) - 2):
-        if frozenset(nodes[k - 1 : k + 1]) in used_doors:
-            protected.update((k, k + 1))
+    # every door on the route goes through its two row points, which the
+    # simplification keeps
+    axis, i, j, m = doors.T
+    lo, hi = (np.ravel_multi_index((i + d * (axis == 0), j + d * (axis == 1), m), shape).tolist() for d in (0, 1))
+    door_at = dict(zip(zip(lo, hi), door_points.tolist())) | dict(zip(zip(hi, lo), door_points[:, ::-1].tolist()))
+    waypoints, protected = [start, node_pose(nodes[0])], set()
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        if (a, b) in door_at:
+            protected.update((len(waypoints), len(waypoints) + 1))
+            waypoints += [Pose(*p) for p in door_at[a, b]]
+        waypoints.append(node_pose(b))
+    waypoints.append(target)
 
     # From each kept waypoint k, go to the farthest waypoint j <= hi (the
     # next protected door end) joined to it by an admissible shortcut, or
@@ -1065,9 +1060,8 @@ def plan_mode_change(
             j = next((int(jj) for jj, e in zip(batch, events) if e is not None), j)
         kept.append(j)
         k = j
-    simplified = [waypoints[k] for k in kept]
-    final = [simplified[0]]
-    for p in simplified[1:]:
+    final = [start]
+    for p in (waypoints[k] for k in kept[1:]):
         if pose_distance(p, final[-1], L) > 1e-9 * L:
             final.append(p)
     if len(final) < 2:

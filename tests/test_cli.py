@@ -204,7 +204,7 @@ REF_JOINTS = "2.23606798,8.06225775,7.21110255"
         (["classify", "--pose", "2,1,0"], "cli_classify_ref_2_1_0.json"),
         (["locus", "--phi", "0.9", "--window", "-10,-10,20,20", "--step", "0.5"], "cli_locus_ref_phi0.9.json"),
         (["design-check"], "cli_design_check_ref.json"),
-        (["verify", "--path", str(DATA / "plan_ref_5_5_0.json")], "cli_verify_ref_5_5_0.json"),
+        (["verify", "--path", str(DATA / "verify_path_ref_5_5_0.json")], "cli_verify_ref_5_5_0.json"),
     ],
 )
 def test_cli_output_equals_pinned_file(ref_file, capfd, args, pinned):
@@ -242,6 +242,22 @@ def test_cli_non_finite_result_is_an_error_not_json_nan(tmp_path, capfd, platfor
     out, err = capfd.readouterr()
     assert out == ""
     assert err.splitlines()[-1].startswith("error: ")
+
+
+def test_cli_fk_with_non_finite_polynomial_is_one_error_line(tmp_path, capfd):
+    """fk on a platform frame ~1e300 away with huge joints used to print a
+    traceback (a bare IndexError); it exits 1 with one error line."""
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"base": REF_BASE, "platform": [[1e300, 0], [1.1e300, 0], [1e300, 1e299]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["fk", "--robot", str(path), "--joints", "1e300,1e300,1e300"]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("warning: ")] == [
+        "error: the forward-kinematics polynomial has non-finite coefficients: "
+        "the design's coordinates or the joint values are too large"
+    ]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -288,7 +304,7 @@ def test_cli_plan_and_verify(ref_file, tmp_path, capfd):
 
 
 def test_cli_plan_no_path_reports_explored(ref_file, capfd):
-    args = ["plan", "--robot", str(ref_file), "--start", "5,5,0", "--res", "8,8,8"]
+    args = ["plan", "--robot", str(ref_file), "--start", "5,5,0", "--box", "4.5,4.5,5.5,5.5", "--res", "8,8,8"]
     assert main(args) == 1
     out, err = capfd.readouterr()
     assert out == ""

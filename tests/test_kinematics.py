@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from planar_rpr import (
     pose_distance,
     solve_fk,
 )
-from planar_rpr import kinematics
+from planar_rpr import ValidationError, kinematics
 from planar_rpr.kinematics import TRIM_REL, UnivariateFkPolynomial, constraint_residuals
 from planar_rpr.model import rotation
 
@@ -481,3 +482,24 @@ def test_fk_invariant_under_scaling_and_rigid_motion(seed, zero_leg, scale, thet
         moved.multiplicities,
     )
     assert _matched(sols, back, Lg)
+
+
+@pytest.mark.parametrize(
+    "platform, joints",
+    [
+        # a platform frame ~1e300 away: the compiled matrix overflows to NaN
+        ([[1e300, 0.0], [1.1e300, 0.0], [1e300, 1e299]], None),
+        # joint values whose squares overflow
+        (REF_PLATFORM, [1e300, 1e300, 1e300]),
+    ],
+    ids=["far_platform", "huge_joints"],
+)
+def test_fk_polynomial_with_non_finite_coefficients_is_a_validation_error(platform, joints):
+    """build_fk_polynomial used to raise a bare IndexError (an empty trim)."""
+    geom = RobotGeometry(base=REF_BASE, platform=platform)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rho = inverse_kinematics(geom, Pose(0.0, 0.0, 0.0)) if joints is None else JointVector(joints)
+        for solve in (build_fk_polynomial, solve_fk):
+            with pytest.raises(ValidationError, match="non-finite coefficients"):
+                solve(geom, rho)
