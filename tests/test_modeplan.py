@@ -378,6 +378,18 @@ def test_no_path_found_reports_explored(ref, resolution, message):
     assert 0 < info.value.explored <= int(np.prod(resolution))
 
 
+@pytest.mark.parametrize(
+    "resolution, message, explored",
+    [((8, 8, 8), "grid search exhausted", 250), ((9, 9, 9), "no passage edge exists", 729)],
+)
+def test_no_path_found_explored_is_pinned(ref, resolution, message, explored):
+    """The exact counts of the two failures above: at 8^3 the nodes reached
+    from the start, at 9^3 every node of the doorless grid."""
+    with pytest.raises(NoPathFound, match=message) as info:
+        plan_mode_change(ref, Pose(5, 5, 0), box=(4.5, 4.5, 5.5, 5.5), resolution=resolution)
+    assert info.value.explored == explored
+
+
 def _edge_ends(shape):
     """Flat node indices (lower end, upper end) of every grid edge, per axis.
 
