@@ -669,36 +669,62 @@ def _axis_edge_scan(geom, xs, ys, phis, axis):
     return cross
 
 
-def _serial_doors(geom, xs, ys, phis, safe, cross):
+def _serial_doors(geom, xs, ys, phis, safe):
     """Doors through the serial points S = S_l(phi_m) of the passage-safe
     legs at the grid angles, each in its cell (i, j): x_i < S_x <= x_{i+1},
-    y_j < S_y <= y_{j+1}.  The x door runs at phi_m from (x_i, y_j) up to
-    (x_i, S_y), along the row through S to (x_{i+1}, S_y) and down to
-    (x_{i+1}, y_j).  It is admissible when S is not on the right side, the
-    y edges (i, j, m) and (i + 1, j, m) are not in the crossing masks
-    ``cross``, and the row's other zero (by Vieta) is not in
-    [x_i, x_{i+1}]; else x and y swapped give the y door.  Returns the door
-    edges (axis, i, j, m), sorted (the first serial point in (m, leg)
-    order wins an edge), their row points (k, 2, 3) from the lower
-    corner's side, and the number of those serial points in the box.
+    y_j < S_y <= y_{j+1}.
+
+    An x door runs at phi_m from a corner (x_i, y), y = y_j or y_{j+1},
+    along the cell's left side to (x_i, S_y), along the row through S to
+    (x_{i+1}, S_y) and back along the right side to (x_{i+1}, y); it stands
+    in for the x edge (0, i, j, m) or (0, i, j + 1, m).  It is admissible
+    when S lies farther than the zero band ZERO_TOUCH_REL * L from both
+    sides (else the leg's zero would sit at a turn of the path), the row's
+    other zero (by Vieta) is not in [x_i, x_{i+1}], and the determinant has
+    no zero on the parts of the two sides that the door runs on.  x and y
+    swapped give the y doors.  Each serial point takes the first admissible
+    of its x doors from the lower and the upper corners and its y doors
+    from the left and the right corners.
+
+    Returns the door edges (axis, i, j, m), sorted (the first serial point
+    in (m, leg) order wins an edge), their row points (k, 2, 3) from the
+    lower corner's side, and the number of those serial points in the box.
     """
     sx, sy = (-v.ravel() for v in _leg_geometry(geom, 0.0, 0.0, phis)[:2])  # (m, leg) order
     in_box = np.tile(safe, len(phis)) & (xs[0] <= sx) & (sx <= xs[-1]) & (ys[0] <= sy) & (sy <= ys[-1])
     i = np.clip(np.searchsorted(xs, sx) - 1, 0, len(xs) - 2)
     j = np.clip(np.searchsorted(ys, sy) - 1, 0, len(ys) - 2)
     k = np.flatnonzero(in_box & (xs[i] < sx) & (sx <= xs[i + 1]) & (ys[j] < sy) & (sy <= ys[j + 1]))
-    i, j, m, sx, sy = i[k], j[k], k // 3, sx[k], sy[k]
+    cell, m, s = np.stack([i[k], j[k]]), k // 3, np.stack([sx[k], sy[k]])
     o = geom.base.mean(axis=0)
-    q20, q11, q02, q10, q01, _ = _conic_coefficients(geom, phis[m], o).T
-    u, v = sx - o[0], sy - o[1]
-    with np.errstate(divide="ignore", invalid="ignore"):  # nan, and no door, on a row of zeros
-        x2, y2 = o[0] - (q11 * v + q10) / q20 - u, o[1] - (q11 * u + q01) / q02 - v
-    x_door = (sx < xs[i + 1]) & ~cross[1][i, j, m] & ~cross[1][i + 1, j, m] & ((x2 < xs[i]) | (x2 > xs[i + 1]))
-    y_door = (sy < ys[j + 1]) & ~cross[0][i, j, m] & ~cross[0][i, j + 1, m] & ((y2 < ys[j]) | (y2 > ys[j + 1]))
-    k = np.flatnonzero(x_door | y_door)
-    x_door, i, j, m, sx, sy = x_door[k], i[k], j[k], m[k], sx[k], sy[k]
-    rows = np.stack([np.where(x_door, 0, 1), i, j, m], axis=-1)
-    ends = [np.stack([np.where(x_door, xs[i + d], sx), np.where(x_door, sy, ys[j + d]), phis[m]], -1) for d in (0, 1)]
+    q = _conic_coefficients(geom, phis[m], o).T
+    tol = ZERO_TOUCH_REL * geom.L
+    admissible = []
+    for axis, (along, other) in enumerate(((xs, ys), (ys, xs))):
+        # the row through S runs along ``axis``, the sides along the other axis
+        q20, q11, q02, q10, q01, q00 = q[[2, 1, 0, 4, 3, 5]] if axis else q
+        u, v = s[axis] - o[axis], s[1 - axis] - o[1 - axis]
+        sides = along[cell[axis] + [[0], [1]]] - o[axis]
+        corners = (other[cell[1 - axis] + [[0], [1]]] - o[1 - axis])[:, None]
+        b = q11 * v + q10  # along the row, Q = q20 u^2 + b u + c
+        bs, cs = q11 * sides + q01, (q20 * sides + q10) * sides + q00  # along the sides, Q = q02 v^2 + bs v + cs
+        with np.errstate(divide="ignore", invalid="ignore"):  # nan, and no door, on a row of zeros
+            u2 = -b / q20 - u
+            vertex, at_vertex = -bs / (2.0 * q02), cs - bs * bs / (4.0 * q02)
+        row = (sides[0] + tol < u) & (u < sides[1] - tol) & ((u2 < sides[0]) | (u2 > sides[1]))
+        # S is the row's one zero between the sides, so the sign at their
+        # ends follows from the slope at S
+        at_row = np.sign(2.0 * q20 * u + b) * [[-1], [1]]
+        # per (corner, side): a zero between the row and the corner
+        meets = np.sign((q02 * corners + bs) * corners + cs) * at_row <= 0
+        between = (np.minimum(v, corners) < vertex) & (vertex < np.maximum(v, corners))
+        meets |= between & (np.sign(at_vertex) * at_row <= 0)
+        admissible += list(row & ~meets.any(axis=1))
+    kind = np.argmax(admissible, axis=0)  # the first admissible door
+    k = np.flatnonzero(np.any(admissible, axis=0))
+    axis, upper, (i, j), m, (sx, sy) = kind[k] // 2, kind[k] % 2, cell[:, k], m[k], s[:, k]
+    rows = np.stack([axis, i + axis * upper, j + (1 - axis) * upper, m], axis=-1)
+    ends = [np.stack([np.where(axis, sx, xs[i + d]), np.where(axis, ys[j + d], sy), phis[m]], -1) for d in (0, 1)]
     _, first = np.unique(np.ravel_multi_index(rows.T, (2, len(xs), len(ys), len(phis))), return_index=True)
     return rows[first], np.stack(ends, axis=1)[first], int(np.count_nonzero(in_box))
 
@@ -987,7 +1013,8 @@ def plan_mode_change(
     if not (x0 <= target.x <= x1 and y0 <= target.y <= y1):
         raise InvalidStart("target pose lies outside the search box")
 
-    xs, ys = np.linspace(x0, x1, nx), np.linspace(y0, y1, ny)
+    xs = np.linspace(x0, x1, nx)
+    ys = np.linspace(y0, y1, ny)
     phis = np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
 
     shape = (nx, ny, np_)
@@ -1009,7 +1036,12 @@ def plan_mode_change(
         ci = int(np.clip(np.searchsorted(xs, pose.x) - 1, 0, nx - 2))
         cj = int(np.clip(np.searchsorted(ys, pose.y) - 1, 0, ny - 2))
         cm = int(np.floor(wrap_angle(pose.phi) % (2.0 * np.pi) / (2.0 * np.pi / np_))) % np_
-        out = [int(np.ravel_multi_index((ci + d // 4, cj + d // 2 % 2, (cm + d % 2) % np_), shape)) for d in range(8)]
+        out = [
+            int(np.ravel_multi_index((ci + di, cj + dj, (cm + dm) % np_), shape))
+            for di in (0, 1)
+            for dj in (0, 1)
+            for dm in (0, 1)
+        ]
         return sorted(out, key=lambda c: pose_distance(pose, node_pose(c), L))
 
     # One pass checks the segments from each endpoint to the corners of its
@@ -1022,9 +1054,8 @@ def plan_mode_change(
         if not linked:
             raise NoPathFound(f"could not connect the {label} pose to the search grid")
         snapped.append(linked[0])
-    cross = [_axis_edge_scan(geom, xs, ys, phis, axis) for axis in range(3)]
-    doors, door_points, serial = _serial_doors(geom, xs, ys, phis, safe, cross)
-    ok = [~c for c in cross]
+    ok = [~_axis_edge_scan(geom, xs, ys, phis, axis) for axis in range(3)]
+    doors, door_points, serial = _serial_doors(geom, xs, ys, phis, safe)
     for a, i, j, m in doors.tolist():
         ok[a][i, j, m] = True
     nodes = _grid_route(ok, doors, costs, snapped, require_crossing, serial)
@@ -1060,8 +1091,9 @@ def plan_mode_change(
             j = next((int(jj) for jj, e in zip(batch, events) if e is not None), j)
         kept.append(j)
         k = j
-    final = [start]
-    for p in (waypoints[k] for k in kept[1:]):
+    simplified = [waypoints[k] for k in kept]
+    final = [simplified[0]]
+    for p in simplified[1:]:
         if pose_distance(p, final[-1], L) > 1e-9 * L:
             final.append(p)
     if len(final) < 2:
