@@ -800,14 +800,33 @@ def test_every_door_is_one_passage_of_its_own_leg():
 
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
 def test_reference_plans_at_every_resolution(scale):
-    """The reference robot and its x1e-3 and x1e3 copies plan from both
-    benchmark starts at every resolution from 12^3 to 64^3 in steps of 4,
-    and each plan verifies without a parallel crossing."""
+    """The reference robot plans from both benchmark starts at every
+    resolution from 12^3 to 64^3 in steps of 4, and its x1e-3 and x1e3
+    copies at 12^3, 16^3, 20^3, 24^3 and 64^3 (the coarse grids where
+    doors were rare before they came from the serial points); each plan
+    verifies without a parallel crossing."""
     geom = RobotGeometry(np.asarray(REF_BASE) * scale, np.asarray(REF_PLATFORM) * scale)
     for start in (Pose(5.0 * scale, 5.0 * scale, 0.0), Pose(0.0, 0.0, 0.0)):
-        for n in range(12, 65, 4):
+        for n in range(12, 65, 4) if scale == 1.0 else (12, 16, 20, 24, 64):
             path = plan_mode_change(geom, start, resolution=(n, n, n))
             assert verify_mode_change(geom, path).verdict == "changed_without_parallel", (start, n)
+
+
+@pytest.mark.parametrize(
+    "box, n",
+    [
+        ((-1.7064364827640324, 4.399268595116084, 9.72169785280477, 7.1335161234456095), 11),
+        ((-1.4064591226569059, 4.125038515547252, 9.624940097311441, 7.946496253214689), 12),
+        ((1.5437548577749958, 3.2280950927072287, 5.979822676925012, 6.026961622010482), 30),
+    ],
+)
+def test_plans_where_the_locus_cuts_a_corner_of_the_serial_points_cell(ref, box, n):
+    """Seeded boxes where the conic through a serial point also cuts a
+    corner of its cell, so that both whole grid edges beside a door meet
+    it: a door checked only where it runs still passes, and the plan
+    verifies."""
+    path = plan_mode_change(ref, Pose(5, 5, 0), box=box, resolution=(n, n, n))
+    assert verify_mode_change(ref, path).verdict == "changed_without_parallel"
 
 
 # ---------------------------------------------------------------------------
