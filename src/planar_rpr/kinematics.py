@@ -160,12 +160,6 @@ def constraint_residuals(geom: RobotGeometry, pose, rho_sq) -> np.ndarray:
     return np.array(rows)[:, 3]
 
 
-def _constraint_jacobian(geom: RobotGeometry, pose) -> np.ndarray:
-    """3x3 Jacobian of (F_1, F_2, F_3) in (x, y, phi), at a Pose or (x, y, phi)."""
-    xyphi = pose.as_tuple() if isinstance(pose, Pose) else pose
-    return np.array(_constraint_rows(_leg_floats(geom), (0.0,) * 3, *xyphi))[:, :3]
-
-
 def _linear_forms(geom: RobotGeometry, rho_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficients of u_i, v_i, w_i in the (1, cos phi, sin phi) basis.
 
@@ -464,6 +458,8 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
     the solver.  Intended for verification only: slower than
     :func:`solve_fk` and blind to tangential (even-multiplicity) roots.  The
     sweep wraps around 2*pi; ``grid`` must lie in [8, ``MAX_SAMPLES``].
+    Linear forms that overflow raise :class:`ValidationError`, as in
+    :func:`build_fk_polynomial`, rather than leave no candidate.
     """
     if grid < 8:
         raise ValidationError("grid must be at least 8")
@@ -471,8 +467,14 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
         raise ValidationError(f"grid must be at most {MAX_SAMPLES:,}")
     L = geom.L
     res_tol = RESIDUAL_REL * L**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, v, w = _linear_forms(geom, joints.squared)
+    if not np.all(np.isfinite([u, v, w])):
+        raise ValidationError(
+            "the forward-kinematics linear forms have non-finite coefficients: the design's coordinates or the "
+            "joint values are too large"
+        )
     rho_sq = joints.squared.tolist()
-    u, v, w = _linear_forms(geom, joints.squared)
     legs = _leg_floats(geom)
     sigma = 0
 
@@ -501,13 +503,3 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
             entries.append((pose, resid, 1))
     return _assemble_solution_set(entries, L)
 
-
-def fk_root_multiplicity(geom: RobotGeometry, joints: JointVector) -> list[tuple[Pose, int]]:
-    """Solutions with their root-cluster multiplicities.
-
-    Multiplicity 2 marks a tangency (the joint vector sits on the forward
-    problem's solution-count boundary); 3 marks a triple coincidence.
-    Zero-leg solutions come from a closed form and report 1.
-    """
-    sols = solve_fk(geom, joints)
-    return list(zip(sols.solutions, sols.multiplicities))

@@ -42,8 +42,8 @@ class RobotGeometry:
 
     Leg ``i`` always connects ``base[i]`` to ``platform[i]``; the index order
     is meaningful and preserved everywhere.  ``L``, the largest pairwise
-    distance among the base points, is computed once here and must be
-    finite.
+    distance among the base points, is computed once here; it and the
+    platform's largest pairwise distance must be finite.
     """
 
     base: np.ndarray
@@ -54,15 +54,15 @@ class RobotGeometry:
     def __post_init__(self):
         object.__setattr__(self, "base", _as_locked_points(self.base, "base"))
         object.__setattr__(self, "platform", _as_locked_points(self.platform, "platform"))
+        spans = []
         with np.errstate(over="ignore"):  # finite points whose differences overflow
             for label, pts in (("base", self.base), ("platform", self.platform)):
                 if np.max(np.abs(pts - pts[0])) == 0.0:
                     raise ValidationError(f"{label} points are all coincident")
-            a = self.base
-            L = max(np.hypot(*(a[0] - a[1])), np.hypot(*(a[1] - a[2])), np.hypot(*(a[2] - a[0])))
-        if not np.isfinite(L):
-            raise ValidationError("base points are too far apart: their largest distance overflows")
-        object.__setattr__(self, "L", L)
+                spans.append(max(np.hypot(*(pts[k] - pts[k - 1])) for k in range(3)))
+                if not np.isfinite(spans[-1]):
+                    raise ValidationError(f"{label} points are too far apart: their largest distance overflows")
+        object.__setattr__(self, "L", spans[0])
 
     def __eq__(self, other):
         if not isinstance(other, RobotGeometry):

@@ -66,6 +66,8 @@ ZERO_TOUCH_REL = 1e-9
 # Distance band that triggers adaptive sample refinement.
 REFINE_BAND_REL = 0.05
 REFINE_FACTOR = 8
+# |det| band, relative to the largest on a path's samples or grid nodes, that counts as zero.
+ZERO_DET_REL = 1e-12
 # Bracket width to which crossing parameters are refined.
 CROSSING_T_TOL = 1e-10
 # Sample density of the planner's batched crossing checks (snaps and
@@ -99,10 +101,6 @@ class WorkspacePath:
         object.__setattr__(self, "waypoints", wps)
         one_row = _Paths(table, np.array([0]), np.array([len(wps) - 1]), np.array([self.samples_per_segment]))
         object.__setattr__(self, "_paths", one_row)
-
-    @property
-    def segment_count(self) -> int:
-        return len(self.waypoints) - 1
 
     def poses_at(self, ts):
         """Arrays (x, y, phi) at global parameters ``ts``, clamped to [0, 1]."""
@@ -436,7 +434,7 @@ def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> l
     dscale = np.maximum.reduceat(a, np.flatnonzero(_first_of_runs(rows)))
     dscale[dscale == 0.0] = 1.0
     here = a[1:-1]
-    graze = inner & (0.0 < here) & (here <= 1e-12 * dscale[rows[1:-1]]) & (here <= a[:-2]) & (here <= a[2:])
+    graze = inner & (0.0 < here) & (here <= ZERO_DET_REL * dscale[rows[1:-1]]) & (here <= a[:-2]) & (here <= a[2:])
     graze = np.flatnonzero(graze & (around > 0.0)) + 1
 
     # zero samples, refined roots and grazing minima, in that order before
@@ -612,15 +610,32 @@ def _nonzero(a):
     return np.unravel_index(np.flatnonzero(a), a.shape)
 
 
-def _axis_edge_scan(geom, xs, ys, phis, axis):
+def _node_signs(geom, xs, ys, phis):
+    """Conic coefficients ``q`` (np_, 6) about the base centroid at the grid
+    angles, the determinant ``det`` they give at the nodes and its int8
+    signs ``sgn``: 0 where |det| <= ZERO_DET_REL * max |det|, a band wider
+    than the conic's spread from the kernel, which has every other sign."""
+    o = geom.base.mean(axis=0)
+    q = _conic_coefficients(geom, phis, o)
+    q20, q11, q02, q10, q01, q00 = q.T
+    u, v = (xs - o[0])[:, None, None], (ys - o[1])[:, None]
+    det = q20 * u + (q11 * v + q10)  # Q = (q20 u + b) u + c, in place: one full-size array
+    det *= u
+    det += (q02 * v + q01) * v + q00
+    tol = ZERO_DET_REL * max(det.max(), -det.min())
+    return q, det, (det > tol).view(np.int8) - (det < -tol).view(np.int8)
+
+
+def _axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn):
     """Exact mask of one grid axis's edges on which the determinant has a
-    zero: its end values differ in sign or one is zero (``sgn * sgn <= 0``),
-    or an interior extremum has the ends' opposite sign or is zero, so an
-    edge that touches the locus tangentially is marked too.  Along x and y the
-    determinant is the conic's quadratic (coefficients about the base
-    centroid), whose one extremum is its vertex.  Along phi it is a
-    trigonometric polynomial of degree 2 with coefficients (a_k, b_k);
-    an edge whose end values both exceed sum_k k^2 (|a_k| + |b_k|) times
+    zero: the end signs differ or one is zero (``sgn * sgn <= 0``, so every
+    edge at a zero node), or an interior extremum has the ends' opposite
+    sign or is zero, so an edge that touches the locus tangentially is
+    marked too.  ``q``, ``det`` and ``sgn`` come from :func:`_node_signs`;
+    the scan evaluates no node.  Along x and y the determinant is the
+    conic's quadratic, whose one extremum is its vertex.  Along phi it is a
+    trigonometric polynomial of degree 2 with coefficients (a_k, b_k); an
+    edge whose end values both exceed sum_k k^2 (|a_k| + |b_k|) times
     dphi^2 / 8 keeps one sign (the bound on its distance from the chord),
     and the remaining edges are tested at every real critical point.
     ``phis`` must be uniform from 0 over the full circle.
@@ -628,17 +643,12 @@ def _axis_edge_scan(geom, xs, ys, phis, axis):
     if axis < 2:
         # the scanned axis runs along rows, the other spatial axis along columns
         along, other = (xs, ys) if axis == 0 else (ys, xs)
-        o = geom.base.mean(axis=0)
-        q20, q11, q02, q10, q01, q00 = _conic_coefficients(geom, phis, o).T
-        if axis == 1:
-            q20, q02, q10, q01, o = q02, q20, q01, q10, o[::-1]
+        o = geom.base.mean(axis=0)[[axis, 1 - axis]]
+        q20, q11, q02, q10, q01, q00 = q.T[[2, 1, 0, 4, 3, 5]] if axis else q.T
+        sgn = sgn.transpose(1, 0, 2) if axis else sgn
         u, v = along - o[0], (other - o[1])[:, None]
         b = q11 * v + q10  # along each row, Q = q20 u^2 + b u + c
         c = (q02 * v + q01) * v + q00
-        sgn = q20 * u[:, None, None] + b  # evaluated in place: one full-size array
-        sgn *= u[:, None, None]
-        sgn += c
-        np.sign(sgn, out=sgn)
         cross = sgn[:-1] * sgn[1:] <= 0
         with np.errstate(divide="ignore", invalid="ignore"):
             vertex = -b / (2.0 * q20)
@@ -652,14 +662,11 @@ def _axis_edge_scan(geom, xs, ys, phis, axis):
     np_ = len(phis)
     dphi = 2.0 * np.pi / np_
     coef = _leg_geometry(geom, xs[:, None, None], ys[None, :, None], _TRIG_ANGLES)[3] @ _TRIG_FIT
-    f = coef @ _trig_basis(phis).T
-    f_next = np.roll(f, -1, axis=2)
-    sgn = np.sign(f)
-    cross = sgn * np.sign(f_next) <= 0
+    cross = sgn * np.roll(sgn, -1, axis=2) <= 0
     # |f''| <= sum_k k^2 (|a_k| + |b_k|), so f keeps the ends' sign on an
     # edge where both end values exceed that bound times dphi^2 / 8
-    curvature = np.abs(coef) @ [0, 1, 1, 4, 4]
-    uncertified = ~cross & (np.minimum(np.abs(f), np.abs(f_next)) <= curvature[..., None] * dphi**2 / 8)
+    low = np.abs(det) <= (np.abs(coef) @ [0, 1, 1, 4, 4])[..., None] * dphi**2 / 8
+    uncertified = ~cross & (low | np.roll(low, -1, axis=2))
     i, j = _nonzero(uncertified.any(axis=2))
     phc = _critical_angles(coef[i, j]) % (2.0 * np.pi)
     at_phc = np.einsum("kt,kct->kc", coef[i, j], _trig_basis(phc))
@@ -669,7 +676,7 @@ def _axis_edge_scan(geom, xs, ys, phis, axis):
     return cross
 
 
-def _serial_doors(geom, xs, ys, phis, safe):
+def _serial_doors(geom, xs, ys, phis, safe, q, sgn):
     """Doors through the serial points S = S_l(phi_m) of the passage-safe
     legs at the grid angles, each in its cell (i, j): x_i < S_x <= x_{i+1},
     y_j < S_y <= y_{j+1}.
@@ -681,10 +688,12 @@ def _serial_doors(geom, xs, ys, phis, safe):
     when S lies farther than the zero band ZERO_TOUCH_REL * L from both
     sides (else the leg's zero would sit at a turn of the path), the row's
     other zero (by Vieta) is not in [x_i, x_{i+1}], and the determinant has
-    no zero on the parts of the two sides that the door runs on.  x and y
-    swapped give the y doors.  Each serial point takes the first admissible
-    of its x doors from the lower and the upper corners and its y doors
-    from the left and the right corners.
+    no zero on the parts of the two sides that the door runs on: each
+    corner's node sign (``sgn``, with ``q``, of :func:`_node_signs`) is its
+    row point's, so no door ends at a zero node, and no vertex between has
+    the other sign.  x and y swapped give the y doors.  Each serial point
+    takes the first admissible of its x doors from the lower and the upper
+    corners and its y doors from the left and the right corners.
 
     Returns the door edges (axis, i, j, m), sorted (the first serial point
     in (m, leg) order wins an edge), their row points (k, 2, 3) from the
@@ -697,15 +706,15 @@ def _serial_doors(geom, xs, ys, phis, safe):
     k = np.flatnonzero(in_box & (xs[i] < sx) & (sx <= xs[i + 1]) & (ys[j] < sy) & (sy <= ys[j + 1]))
     cell, m, s = np.stack([i[k], j[k]]), k // 3, np.stack([sx[k], sy[k]])
     o = geom.base.mean(axis=0)
-    q = _conic_coefficients(geom, phis[m], o).T
+    q = q[m].T
     tol = ZERO_TOUCH_REL * geom.L
     admissible = []
     for axis, (along, other) in enumerate(((xs, ys), (ys, xs))):
         # the row through S runs along ``axis``, the sides along the other axis
         q20, q11, q02, q10, q01, q00 = q[[2, 1, 0, 4, 3, 5]] if axis else q
         u, v = s[axis] - o[axis], s[1 - axis] - o[1 - axis]
-        sides = along[cell[axis] + [[0], [1]]] - o[axis]
-        corners = (other[cell[1 - axis] + [[0], [1]]] - o[1 - axis])[:, None]
+        side, corner = cell[axis] + [[0], [1]], (cell[1 - axis] + [[0], [1]])[:, None]
+        sides, corners = along[side] - o[axis], other[corner] - o[1 - axis]
         b = q11 * v + q10  # along the row, Q = q20 u^2 + b u + c
         bs, cs = q11 * sides + q01, (q20 * sides + q10) * sides + q00  # along the sides, Q = q02 v^2 + bs v + cs
         with np.errstate(divide="ignore", invalid="ignore"):  # nan, and no door, on a row of zeros
@@ -716,7 +725,8 @@ def _serial_doors(geom, xs, ys, phis, safe):
         # ends follows from the slope at S
         at_row = np.sign(2.0 * q20 * u + b) * [[-1], [1]]
         # per (corner, side): a zero between the row and the corner
-        meets = np.sign((q02 * corners + bs) * corners + cs) * at_row <= 0
+        ij = (corner, side) if axis else (side, corner)
+        meets = sgn[ij[0], ij[1], m] * at_row <= 0
         between = (np.minimum(v, corners) < vertex) & (vertex < np.maximum(v, corners))
         meets |= between & (np.sign(at_vertex) * at_row <= 0)
         admissible += list(row & ~meets.any(axis=1))
@@ -949,32 +959,30 @@ def plan_mode_change(
     singularity surface (:func:`_axis_edge_scan`); the surface is crossed
     only through doors, constant-phi paths through the serial points of the
     passage-safe legs that stand in for grid edges (:func:`_serial_doors`).
-    With ``require_crossing`` (the default) the returned path is guaranteed to
-    cross the surface through at least one passage: if the unconstrained
-    shortest route dodges the surface entirely, the cheapest door is
-    spliced into it.  The result always passes verification with verdict
-    ``changed_without_parallel``.
+    Both read one determinant sign per node, from one conic evaluation over
+    the grid (:func:`_node_signs`); a node in its zero band has sign 0, and
+    no edge, door or snap ends at one.  With ``require_crossing`` (the
+    default) the returned path is guaranteed to cross the surface through
+    at least one passage: if the unconstrained shortest route dodges the
+    surface entirely, the cheapest door is spliced into it.  The result
+    always passes verification with verdict ``changed_without_parallel``.
 
     Segments are checked by the crossing detector in batched passes, each
     segment sampled as a path of its own: one pass, before the search,
     checks the segments joining the start and target to the corners of
-    their grid cells (each snaps to its nearest corner joined admissibly);
-    then one pass per kept waypoint checks its shortcuts, farthest first,
-    and the route skips to the farthest admissible one, keeping the two
-    points where each door's path crosses its cell.
+    their grid cells (each snaps to its nearest nonzero corner joined
+    admissibly); then one pass per kept waypoint checks its shortcuts,
+    farthest first, and the route skips to the farthest admissible one,
+    keeping the two points where each door's path crosses its cell.
 
-    The grid search is a two-ended Dijkstra from the start and target grid
-    nodes, bounded by a distance limit that grows, at most doubling, until
-    the route (and then the splice) is certified exact, so it settles only
-    the nodes near the two ends.  Each search runs on the graph of a window
-    of (x, y) node columns over the full circle that holds every node within
-    the limit of either end, built from that window's slice of the grid's
-    admissible edges; the result is the whole grid's.  Among equal-cost
-    routes the one found may differ from a one-ended search's.  A
-    ``NoPathFound`` raised by the search counts in ``explored`` every node
-    reachable from the start (and from the target too when no door is
-    reachable from both); "no passage edge exists" means that the grid has
-    no door, and says how many serial points lay in the box.
+    The grid search is a two-ended Dijkstra on windows of the grid, bounded
+    by a limit that grows until the route (and then the splice) is certified
+    exact (:class:`_TwoEndedSearch`); among equal-cost routes the one found
+    may differ from a one-ended search's.  A ``NoPathFound`` raised by the
+    search counts in ``explored`` every node reachable from the start (and
+    from the target too when no door is reachable from both); "no passage
+    edge exists" means that the grid has no door, and says how many serial
+    points lay in the box.
     """
     L = geom.L
     if eps_pass is None:
@@ -1045,17 +1053,19 @@ def plan_mode_change(
         return sorted(out, key=lambda c: pose_distance(pose, node_pose(c), L))
 
     # One pass checks the segments from each endpoint to the corners of its
-    # cell; it snaps to the nearest corner joined by an admissible segment.
+    # cell; it snaps to the nearest nonzero corner joined admissibly.
+    q, det, sgn = _node_signs(geom, xs, ys, phis)
     near = corners(start) + corners(target)
     checked = crossings(np.repeat([start.as_tuple(), target.as_tuple()], 8, axis=0), node_poses(near))
     snapped = []
     for label, end in (("start", 0), ("target", 8)):
-        linked = [c for c, e in zip(near[end : end + 8], checked[end : end + 8]) if e is not None]
+        linked = [c for c, e in zip(near[end : end + 8], checked[end : end + 8]) if e is not None and sgn.flat[c]]
         if not linked:
             raise NoPathFound(f"could not connect the {label} pose to the search grid")
         snapped.append(linked[0])
-    ok = [~_axis_edge_scan(geom, xs, ys, phis, axis) for axis in range(3)]
-    doors, door_points, serial = _serial_doors(geom, xs, ys, phis, safe)
+    ok = [~_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn) for axis in range(3)]
+    doors, door_points, serial = _serial_doors(geom, xs, ys, phis, safe, q, sgn)
+    del det, sgn  # the search needs only the masks
     for a, i, j, m in doors.tolist():
         ok[a][i, j, m] = True
     nodes = _grid_route(ok, doors, costs, snapped, require_crossing, serial)

@@ -174,6 +174,33 @@ def test_cli_base_whose_distances_overflow_exits_1(tmp_path, capfd):
     assert err == "error: base points are too far apart: their largest distance overflows\n"
 
 
+def test_cli_platform_whose_distances_overflow_exits_1(tmp_path, capfd):
+    """design-check used to exit 0 on this platform, calling it a similar
+    copy of the base with ratio inf, with raw RuntimeWarning lines."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"base": REF_BASE, "platform": [[-1e308, 0], [1e308, 0], [0, 1]]}))
+    assert main(["design-check", "--robot", str(path)]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == "error: platform points are too far apart: their largest distance overflows\n"
+
+
+def test_cli_oracle_fk_with_non_finite_linear_forms_exits_1(tmp_path, capfd):
+    """oracle-fk on a platform frame ~1e300 away used to exit 0 and print
+    ``[]``, while fk exits 1; both fail with one error line."""
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"base": REF_BASE, "platform": [[1e300, 0], [1.1e300, 0], [1e300, 1e299]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["oracle-fk", "--robot", str(path), "--joints", "5,5,5"]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("warning: ")] == [
+        "error: the forward-kinematics linear forms have non-finite coefficients: "
+        "the design's coordinates or the joint values are too large"
+    ]
+
+
 @pytest.mark.parametrize(
     "args, pinned",
     [

@@ -14,7 +14,6 @@ from planar_rpr import (
     RobotGeometry,
     build_fk_polynomial,
     characteristic_scale,
-    fk_root_multiplicity,
     inverse_kinematics,
     oracle_fk,
     parallel_singularity_measure,
@@ -205,8 +204,8 @@ def test_generic_multiplicities_are_one(ref):
     rng = np.random.default_rng(37)
     for _ in range(20):
         joints = inverse_kinematics(ref, Pose(*random_pose_tuple(rng)))
-        for _, mult in fk_root_multiplicity(ref, joints):
-            assert mult == 1
+        sols = solve_fk(ref, joints)
+        assert sols.multiplicities == [1] * len(sols)
 
 
 def _fk_count(geom, rho):
@@ -236,11 +235,11 @@ def test_multiplicity_on_solution_count_boundary(ref):
     found = False
     for lam in (lo, hi):
         rho = j_lo + lam * (j_hi - j_lo)
-        mults = [m for _, m in fk_root_multiplicity(ref, JointVector(rho))]
-        if any(m >= 2 for m in mults):
+        sols = solve_fk(ref, JointVector(rho))
+        if any(m >= 2 for m in sols.multiplicities):
             found = True
             # the merging pair sits on the locus: its measure is tiny
-            for pose, m in fk_root_multiplicity(ref, JointVector(rho)):
+            for pose, m in zip(sols.solutions, sols.multiplicities):
                 if m >= 2:
                     measure = parallel_singularity_measure(ref, pose, normalized=True)
                     assert abs(measure) <= 1e-4
@@ -503,3 +502,19 @@ def test_fk_polynomial_with_non_finite_coefficients_is_a_validation_error(platfo
         for solve in (build_fk_polynomial, solve_fk):
             with pytest.raises(ValidationError, match="non-finite coefficients"):
                 solve(geom, rho)
+
+
+@pytest.mark.parametrize(
+    "platform, joints",
+    [([[1e300, 0.0], [1.1e300, 0.0], [1e300, 1e299]], [5.0, 5.0, 5.0]), (REF_PLATFORM, [1e300, 1e300, 1e300])],
+    ids=["far_platform", "huge_joints"],
+)
+def test_oracle_fk_with_non_finite_linear_forms_is_a_validation_error(platform, joints):
+    """oracle_fk used to drop every candidate of an overflowing elimination
+    and return no solution; it raises as build_fk_polynomial does, with no
+    RuntimeWarning on the way."""
+    geom = RobotGeometry(base=REF_BASE, platform=platform)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="linear forms have non-finite coefficients"):
+            oracle_fk(geom, JointVector(joints))

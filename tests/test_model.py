@@ -79,12 +79,22 @@ def test_base_whose_distances_overflow_is_rejected():
     assert np.isfinite(RobotGeometry(base=[(-8e307, 0), (8e307, 0), (0, 1)], platform=REF_PLATFORM).L)
 
 
+def test_platform_whose_distances_overflow_is_rejected():
+    """The platform's pairwise distances must be finite too: such a platform
+    used to pass as a similar copy of the base with ratio inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="platform points are too far apart"):
+            RobotGeometry(base=REF_BASE, platform=[(-1e308, 0), (1e308, 0), (0, 1)])
+    assert RobotGeometry(base=REF_BASE, platform=[(-8e307, 0), (8e307, 0), (0, 1)]).L == 10.0
+
+
 def test_geometry_is_immutable(ref):
     with pytest.raises(ValueError):
         ref.base[0, 0] = 99.0
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(
     x=st.floats(-20, 20),
     y=st.floats(-20, 20),

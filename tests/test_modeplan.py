@@ -39,6 +39,7 @@ from planar_rpr.modeplan import (
     _grid_graph,
     _grid_route,
     _check_samples,
+    _node_signs,
     _segments_crossings,
     _serial_doors,
     _walk_back,
@@ -87,7 +88,7 @@ def test_pose_interpolation_wraps_phi():
 
 def _scalar_pose(path, t):
     """The scalar interpolation formula of WorkspacePath.pose_at in 0.1.0."""
-    n = path.segment_count
+    n = len(path.waypoints) - 1
     t = min(max(float(t), 0.0), 1.0)
     k = min(int(t * n), n - 1)
     s = t * n - k
@@ -368,11 +369,12 @@ def test_verify_joint_trace_endpoints(ref, planned):
 
 @pytest.mark.parametrize(
     "resolution, message",
-    [((8, 8, 8), "grid search exhausted"), ((9, 9, 9), "no passage edge exists")],
+    [((8, 8, 8), "grid search exhausted"), ((9, 9, 9), "grid search exhausted")],
 )
 def test_no_path_found_reports_explored(ref, resolution, message):
-    """In a small box around (5, 5) the target is out of reach at 8^3, and
-    at 9^3 no serial point lies in the box."""
+    """In a small box around (5, 5) the target is out of reach at 8^3 and
+    at 9^3; at 9^3 the node (5, 5.5, 0) lies on the locus and is a zero
+    node that no edge may end at."""
     with pytest.raises(NoPathFound, match=message) as info:
         plan_mode_change(ref, Pose(5, 5, 0), box=(4.4, 4.5, 5.6, 5.5), resolution=resolution)
     assert 0 < info.value.explored <= int(np.prod(resolution))
@@ -380,12 +382,11 @@ def test_no_path_found_reports_explored(ref, resolution, message):
 
 @pytest.mark.parametrize(
     "resolution, message, explored",
-    [((8, 8, 8), "grid search exhausted", 249), ((9, 9, 9), "no passage edge exists", 729)],
+    [((8, 8, 8), "grid search exhausted", 249), ((9, 9, 9), "grid search exhausted", 396)],
 )
 def test_no_path_found_explored_is_pinned(ref, resolution, message, explored):
     """The exact counts of the two failures above, which no_path_ref.json
-    does not hold: at 8^3 the nodes reached from the start, at 9^3 every
-    node of the doorless grid."""
+    does not hold: the nodes reached from the start."""
     with pytest.raises(NoPathFound, match=message) as info:
         plan_mode_change(ref, Pose(5, 5, 0), box=(4.4, 4.5, 5.6, 5.5), resolution=resolution)
     assert info.value.explored == explored
@@ -699,28 +700,32 @@ def _planner_grid(geom, shape):
     scan per axis and the doors of the serial points."""
     xs, ys, phis = _grid_axes(geom, shape)
     costs = (float(xs[1] - xs[0]), float(ys[1] - ys[0]), float(characteristic_scale(geom) * 2.0 * np.pi / shape[2]))
-    ok = [~_axis_edge_scan(geom, xs, ys, phis, axis) for axis in range(3)]
-    doors = _serial_doors(geom, xs, ys, phis, passage_safety(geom))[0]
+    q, det, sgn = _node_signs(geom, xs, ys, phis)
+    ok = [~_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn) for axis in range(3)]
+    doors = _serial_doors(geom, xs, ys, phis, passage_safety(geom), q, sgn)[0]
     for a, i, j, m in doors.tolist():
         ok[a][i, j, m] = True
     return costs, ok, doors
 
 
 def test_window_edge_scan_equals_the_slice_of_the_full_scan():
-    """_axis_edge_scan on the coordinates of a box of node columns gives, bit
-    for bit, that box's slice of the whole grid's masks on all three axes."""
+    """_axis_edge_scan on the coordinates of a box of node columns and that
+    box's slice of the whole grid's node values gives, bit for bit, that
+    box's slice of the whole grid's masks on all three axes."""
     rng = np.random.default_rng(29)
     shape = (40, 36, 32)
     for geom in _window_designs():
         xs, ys, phis = _grid_axes(geom, shape)
-        full = [_axis_edge_scan(geom, xs, ys, phis, axis) for axis in range(3)]
+        q, det, sgn = _node_signs(geom, xs, ys, phis)
+        full = [_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn) for axis in range(3)]
         boxes = [(0, 40, 0, 36), (0, 2, 0, 2), (38, 40, 3, 5), (5, 30, 34, 36)]
         for _ in range(6):
             boxes.append((*np.sort(rng.choice(41, 2, replace=False)), *np.sort(rng.choice(37, 2, replace=False))))
         for box in [b for b in boxes if b[1] - b[0] >= 2 and b[3] - b[2] >= 2]:
             i0, i1, j0, j1 = box
             for axis, cut in enumerate(_cut(*box)):
-                got = _axis_edge_scan(geom, xs[i0:i1], ys[j0:j1], phis, axis)
+                window = (q, det[i0:i1, j0:j1], sgn[i0:i1, j0:j1])
+                got = _axis_edge_scan(geom, xs[i0:i1], ys[j0:j1], phis, axis, *window)
                 assert np.array_equal(got, full[axis][cut]), (box, axis)
 
 
@@ -778,7 +783,8 @@ def test_every_door_is_one_passage_of_its_own_leg():
         safe = passage_safety(geom)
         for n in (12, 32, 64):
             xs, ys, phis = _grid_axes(geom, (n, n, n))
-            doors, points, serial = _serial_doors(geom, xs, ys, phis, safe)
+            q, _, sgn = _node_signs(geom, xs, ys, phis)
+            doors, points, serial = _serial_doors(geom, xs, ys, phis, safe, q, sgn)
             assert len(doors) <= serial
             for (axis, i, j, m), (a, b) in zip(doors.tolist(), points):
                 ends = [(xs[i], ys[j]), (xs[i + (axis == 0)], ys[j + (axis == 1)])]
@@ -830,6 +836,116 @@ def test_plans_where_the_locus_cuts_a_corner_of_the_serial_points_cell(ref, box,
 
 
 # ---------------------------------------------------------------------------
+# zero nodes: one determinant sign per grid node
+
+# Boxes whose grids have nodes exactly on the reference robot's phi = 0 line
+# pair, y = 1 and x + 2y = 16 (Q = 2 (y - 1) (x + 2y - 16)), where the
+# kernel's determinant is exactly 0 and the conic's is within a few 1e-15 of it.
+ZERO_NODE_GRIDS = [((2, 1, 10, 9), 9), ((-2, 1, 14, 9), 9), ((0, -3, 16, 13), 9), ((2, 1, 10, 9), 17)]
+
+
+def _box_axes(box, n):
+    x0, y0, x1, y1 = box
+    return np.linspace(x0, x1, n), np.linspace(y0, y1, n), np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+
+
+@pytest.mark.parametrize("box, n", ZERO_NODE_GRIDS)
+def test_no_admissible_edge_or_door_ends_at_a_zero_node(ref, box, n):
+    """The nodes on the phi = 0 line pair get sign 0, and every edge with
+    such an end is inadmissible; no door ends at one either."""
+    xs, ys, phis = _box_axes(box, n)
+    q, det, sgn = _node_signs(ref, xs, ys, phis)
+    zero = sgn == 0
+    on_locus = (ys[None, :] == 1.0) | (xs[:, None] + 2.0 * ys[None, :] == 16.0)
+    assert np.any(on_locus) and np.array_equal(zero[:, :, 0], on_locus) and not np.any(zero[:, :, 1:])
+    assert np.all(_leg_geometry(ref, xs[:, None], ys[None, :], 0.0)[3][on_locus] == 0.0)
+    ends = [zero[:-1] | zero[1:], zero[:, :-1] | zero[:, 1:], zero | np.roll(zero, -1, axis=2)]
+    for axis in range(3):
+        assert np.all(_axis_edge_scan(ref, xs, ys, phis, axis, q, det, sgn)[ends[axis]]), axis
+    doors = _serial_doors(ref, xs, ys, phis, passage_safety(ref), q, sgn)[0]
+    assert len(doors)
+    for axis, i, j, m in doors.tolist():
+        assert sgn[i, j, m] and sgn[i + (axis == 0), j + (axis == 1), m]
+
+
+@pytest.mark.parametrize("box, n", ZERO_NODE_GRIDS)
+@pytest.mark.parametrize("start", [(5.0, 5.0, 0.0), (5.9, 5.0, 0.0), (5.05, 5.5, 0.01)])
+def test_plans_on_grids_with_zero_nodes_snap_to_nonzero_nodes_and_verify(ref, box, n, start, monkeypatch):
+    """On the grids above the route's ends are nonzero nodes, although the
+    start (5.9, 5, 0) lies 0.1 from the zero node (6, 5, 0), which joins it
+    by a segment that the detector passes; and each plan verifies (each
+    failed verification before the node signs were shared)."""
+    ends = []
+
+    def route(ok, doors, costs, snapped, *args):
+        ends.extend(snapped)
+        return grid_route(ok, doors, costs, snapped, *args)
+
+    grid_route = modeplan._grid_route
+    monkeypatch.setattr(modeplan, "_grid_route", route)
+    path = plan_mode_change(ref, Pose(*start), box=box, resolution=(n, n, n))
+    assert verify_mode_change(ref, path).verdict == "changed_without_parallel"
+    sgn = _node_signs(ref, *_box_axes(box, n))[2]
+    assert len(ends) == 2 and all(sgn.flat[e] for e in ends)
+
+
+@pytest.mark.parametrize(
+    "box, n, message, explored",
+    [
+        ((2, 2, 8, 8), 64, None, None),
+        ((4, 4, 7, 7), 16, "grid search exhausted without reaching the target", 1773),
+        ((4.6, 3.9, 7.4, 6.4), 10, "grid search exhausted without reaching the target", 431),
+    ],
+)
+def test_boxes_with_a_route_through_a_zero_node_are_pinned(ref, box, n, message, explored):
+    """Boxes where the scans once took their node signs from three
+    evaluators, so that a route changed sign at a node on the locus and
+    failed verification: (2, 2, 8, 8) now plans in 5 waypoints and
+    verifies, and the other two fail in the search."""
+    if message is None:
+        path = plan_mode_change(ref, Pose(5, 5, 0), box=box, resolution=(n, n, n))
+        assert len(path.waypoints) == 5
+        assert verify_mode_change(ref, path).verdict == "changed_without_parallel"
+        return
+    with pytest.raises(NoPathFound) as info:
+        plan_mode_change(ref, Pose(5, 5, 0), box=box, resolution=(n, n, n))
+    assert (str(info.value), info.value.explored) == (message, explored)
+
+
+def test_node_signs_agree_with_the_kernel_outside_the_zero_band():
+    """Wherever a node's sign is not 0 the kernel's determinant has that
+    sign: on the reference robot at three scales and seeded designs, over
+    the default box at 16^3, 32^3 and 64^3 (16^3 has 19 zero nodes there)."""
+    for geom in _window_designs():
+        for n in (16, 32, 64):
+            xs, ys, phis = _grid_axes(geom, (n, n, n))
+            sgn = _node_signs(geom, xs, ys, phis)[2]
+            kernel = np.sign(_leg_geometry(geom, xs[:, None, None], ys[None, :, None], phis)[3])
+            assert np.all((sgn == 0) | (sgn == kernel)), n
+
+
+def test_a_plan_evaluates_the_grid_nodes_once(ref, monkeypatch):
+    """A plan takes the conic's coefficients once and evaluates no kernel
+    call over as many poses as the grid has nodes."""
+    calls, sizes = [], []
+
+    def conic(*args):
+        calls.append(args)
+        return conic_coefficients(*args)
+
+    def kernel(*args):
+        out = leg_geometry(*args)
+        sizes.append(out[3].size)
+        return out
+
+    conic_coefficients, leg_geometry = modeplan._conic_coefficients, modeplan._leg_geometry
+    monkeypatch.setattr(modeplan, "_conic_coefficients", conic)
+    monkeypatch.setattr(modeplan, "_leg_geometry", kernel)
+    plan_mode_change(ref, Pose(5, 5, 0))
+    assert len(calls) == 1 and max(sizes) < 64**3
+
+
+# ---------------------------------------------------------------------------
 # exact edge predicates of the planner
 
 
@@ -860,8 +976,9 @@ def _reference_edge_scan(geom, xs, ys, phis, axis, subsamples=9):
 def _check_masks_against_reference(geom, resolution):
     """Exact cross ⊇ sampled cross on every axis."""
     xs, ys, phis = _grid_axes(geom, resolution)
+    nodes = _node_signs(geom, xs, ys, phis)
     for axis in range(3):
-        cross = _axis_edge_scan(geom, xs, ys, phis, axis)
+        cross = _axis_edge_scan(geom, xs, ys, phis, axis, *nodes)
         ref_cross = _reference_edge_scan(geom, xs, ys, phis, axis)
         assert cross.shape == ref_cross.shape
         assert not np.any(ref_cross & ~cross), f"axis {axis}: exact scan misses a sampled crossing"
@@ -886,7 +1003,8 @@ def test_exact_edge_masks_reference_robot_counts(ref):
     scan's counts, so with the containment above they are equal."""
     xs = ys = np.linspace(-L, 2 * L, 64)
     phis = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    counts = [int(_axis_edge_scan(ref, xs, ys, phis, axis).sum()) for axis in range(3)]
+    nodes = _node_signs(ref, xs, ys, phis)
+    counts = [int(_axis_edge_scan(ref, xs, ys, phis, axis, *nodes).sum()) for axis in range(3)]
     assert counts == [3341, 3275, 9208]
 
 
@@ -924,7 +1042,7 @@ def test_exact_phi_scan_finds_two_roots_between_subsamples(ref):
 
     xs, ys = np.array([x, x + 1.0]), np.array([y, y + 1.0])
     phis = np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
-    assert _axis_edge_scan(ref, xs, ys, phis, 2)[0, 0, 0]
+    assert _axis_edge_scan(ref, xs, ys, phis, 2, *_node_signs(ref, xs, ys, phis))[0, 0, 0]
     assert not _reference_edge_scan(ref, xs, ys, phis, 2)[0, 0, 0]
 
 
@@ -1191,7 +1309,8 @@ def _planner_segments(geom, rng, res):
     xs, ys, phis = _grid_axes(geom, (res,) * 3)
     steps = np.diag([xs[1] - xs[0], ys[1] - ys[0], 2.0 * np.pi / res])
     corner = lambda i, j, m: np.array([xs[i], ys[j], phis[m]])
-    doors, points, _ = _serial_doors(geom, xs, ys, phis, passage_safety(geom))
+    q, _, sgn = _node_signs(geom, xs, ys, phis)
+    doors, points, _ = _serial_doors(geom, xs, ys, phis, passage_safety(geom), q, sgn)
     p0s, p1s = [], []
     for (axis, i, j, m), (a, b) in zip(doors.tolist(), points):
         p0s += [corner(i, j, m), a, b]
