@@ -212,6 +212,15 @@ def _pmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_finite(finite: bool, what: str) -> None:
+    """Raise :class:`ValidationError` about ``what`` unless ``finite``."""
+    if not finite:
+        raise ValidationError(
+            f"the forward-kinematics {what}: the design's coordinates or the joint values are too large"
+        )
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def compile_fk(geom: RobotGeometry) -> FkDesign:
     """Substitution leg, degeneracy verdict and coefficient matrix of a design.
 
@@ -222,7 +231,8 @@ def compile_fk(geom: RobotGeometry) -> FkDesign:
     1e-10 L^2 over a coarse angle grid.  Column k of ``M`` is the degree-10
     polynomial's exact expansion on monomial k of r, deflated by
     (1 + t^2)^2; a visible remainder means catastrophic cancellation and
-    warns.
+    warns.  Overflow leaves non-finite entries, on which
+    :func:`build_fk_polynomial` raises, and no RuntimeWarning.
     """
     L = geom.L
     sigma = 0
@@ -262,21 +272,18 @@ def compile_fk(geom: RobotGeometry) -> FkDesign:
     return FkDesign(sigma, u, v, w0, _leg_floats(geom), M)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_fk_polynomial(geom: RobotGeometry, joints: JointVector) -> UnivariateFkPolynomial:
     """Eliminate (x, y) and return the trimmed univariate polynomial in t:
     the design's compiled matrix (:func:`compile_fk`) on the monomials of
-    rho^2."""
+    rho^2.  Non-finite coefficients raise :class:`ValidationError`."""
     design = geom.fk_design
     if design.M is None:
         raise DegenerateElimination(_SINGULAR_ELIMINATION)
     z = [1.0, *joints.squared.tolist()]
     coeffs = design.M @ np.array([z[a] * z[b] for a, b in _MONOMIALS])
     cmax = float(np.max(np.abs(coeffs)))
-    if not math.isfinite(cmax):
-        raise ValidationError(
-            "the forward-kinematics polynomial has non-finite coefficients: the design's coordinates or the "
-            "joint values are too large"
-        )
+    _require_finite(math.isfinite(cmax), "polynomial has non-finite coefficients")
     if cmax == 0.0:
         return UnivariateFkPolynomial(np.zeros(1), design.sigma, True, True)
     keep = np.nonzero(np.abs(coeffs) > TRIM_REL * cmax)[0]
@@ -458,8 +465,8 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
     the solver.  Intended for verification only: slower than
     :func:`solve_fk` and blind to tangential (even-multiplicity) roots.  The
     sweep wraps around 2*pi; ``grid`` must lie in [8, ``MAX_SAMPLES``].
-    Linear forms that overflow raise :class:`ValidationError`, as in
-    :func:`build_fk_polynomial`, rather than leave no candidate.
+    Overflowing linear forms or sweep residuals raise :class:`ValidationError`,
+    as in :func:`build_fk_polynomial`, rather than leave no candidate.
     """
     if grid < 8:
         raise ValidationError("grid must be at least 8")
@@ -469,11 +476,7 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
     res_tol = RESIDUAL_REL * L**2
     with np.errstate(over="ignore", invalid="ignore"):
         u, v, w = _linear_forms(geom, joints.squared)
-    if not np.all(np.isfinite([u, v, w])):
-        raise ValidationError(
-            "the forward-kinematics linear forms have non-finite coefficients: the design's coordinates or the "
-            "joint values are too large"
-        )
+    _require_finite(np.all(np.isfinite([u, v, w])), "linear forms have non-finite coefficients")
     rho_sq = joints.squared.tolist()
     legs = _leg_floats(geom)
     sigma = 0
@@ -485,7 +488,9 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
         return x, y, abs_det, x**2 + y**2 + (u[sigma] @ trig) * x + (v[sigma] @ trig) * y + w[sigma] @ trig
 
     phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    _, _, abs_det, g = lift(phis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y, abs_det, g = lift(phis)
+    _require_finite(np.all(np.isfinite([x, y, g])), "residual is not finite along the orientation sweep")
     valid = abs_det > 1e-10 * L**2
     if not np.any(valid):
         raise DegenerateElimination(_SINGULAR_ELIMINATION)

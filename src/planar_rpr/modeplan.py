@@ -739,145 +739,96 @@ def _serial_doors(geom, xs, ys, phis, safe, q, sgn):
     return rows[first], np.stack(ends, axis=1)[first], int(np.count_nonzero(in_box))
 
 
-def _grid_graph(ok, costs, shape):
-    """Symmetric CSR graph of the admissible grid edges, both directions.
-
-    Every node lists its six neighbour slots in increasing node index:
-    x - 1, y - 1, the two phi neighbours, y + 1, x + 1.  The phi slots swap
-    at m = 0 and m = np_ - 1, where one of them wraps, so the rows come out
-    with sorted columns and no COO conversion.  All six slots are laid out
-    first, with cost 0 where the edge is inadmissible or leaves the grid,
-    and scipy then drops the zeros in place, which is faster than masking
-    the slots (every edge cost is positive).
-    """
-    from scipy.sparse import csr_matrix
-
-    nx, ny, np_ = shape
-    n = nx * ny * np_
-    ok_x, ok_y, ok_p = ok
-    adj = np.zeros((nx, ny, np_, 6), dtype=bool)
-    adj[1:, :, :, 0], adj[:-1, :, :, 5] = ok_x, ok_x
-    adj[:, 1:, :, 1], adj[:, :-1, :, 4] = ok_y, ok_y
-    adj[..., 2], adj[..., 3] = np.roll(ok_p, 1, axis=2), ok_p
-    adj[:, :, [0, -1], 2:4] = adj[:, :, [0, -1], 3:1:-1]
-    # neighbour index minus that of node (i, j, 0), per (m, slot)
-    step = np.tile(np.array([-ny * np_, -np_, -1, 1, np_, ny * np_], dtype=np.int32), (np_, 1))
-    step[0, 2:4], step[-1, 2:4] = (1, np_ - 1), (1 - np_, -1)
-    step += np.arange(np_, dtype=np.int32)[:, None]
-    indices = np.add.outer(np.arange(0, n, np_, dtype=np.int32), step.ravel()).reshape(nx, ny, np_, 6)
-    # the slots that leave the grid point at node 0 until their zeros go
-    indices[0, :, :, 0] = indices[-1, :, :, 5] = indices[:, 0, :, 1] = indices[:, -1, :, 4] = 0
-    data = adj * np.array(costs)[[0, 1, 2, 2, 1, 0]]
-    graph = csr_matrix((data.ravel(), indices.ravel(), np.arange(0, 6 * n + 1, 6, dtype=np.int32)), shape=(n, n))
-    graph.eliminate_zeros()
-    return graph
+# The axes of the six moves between grid nodes, in walk order -x, -y, -phi, +phi, +y, +x.
+_MOVE_AXES = (0, 1, 2, 2, 1, 0)
 
 
 class _TwoEndedSearch:
-    """Dijkstra from both ends (s, t) of a grid route, bounded by a limit
-    that grows until a value read off the distances is certified.
+    """Shortest distances from both ends (s, t) of a grid route, within a
+    limit that grows until a value read off them is certified.
 
-    With ``limit``, scipy settles exactly the nodes within the limit of a
-    source and leaves the others at inf.  The limit starts at the largest
-    edge cost ``c`` and keeps its value between calls of :meth:`until`.
+    A label-correcting search on the admissible masks from both ends at
+    once.  Each round writes the waiting relaxations up to the least of
+    them plus the smallest edge cost (Dial's buckets, so a node's distance
+    is written about once), and relaxes the nodes whose distance fell along
+    the six moves.  Relaxations beyond the limit wait for it to grow, so
+    ``dist`` (rows s and t) is a Dijkstra's bounded by the limit.  The
+    limit starts at (D + c) / 2, the least that can certify a route, with D
+    the grid-metric distance from s to t and c the largest edge cost.
+    ``best`` is the least d_s + d_t and ``meets`` the nodes where it is
+    reached.
 
-    Each search runs on the graph of a window W(r): the box of the (x, y)
-    node columns within r / cx of s or t along x and r / cy along y,
-    clipped to the grid, over the whole phi circle.  Every node within r of
-    s or t lies in W(r), and an edge that leaves it ends beyond r, where
-    scipy inserts no node; so with r >= limit, the window's distances and
-    predecessors are those of the whole grid's graph (inf outside W).  Here
-    r is the larger of the limit and the least limit that can certify a
-    route, (D + c) / 2 with D the grid-metric distance from s to t: every
-    search that ends with a route reaches it, so the smaller windows would
-    only be built and dropped.
-
-    ``ok`` and ``doors`` are the whole grid's admissible masks and doors
-    (see :func:`_grid_route`); a window takes its slice of both, and its
-    graph is built only when the window grows.  ``dist`` and ``pred`` index
-    the window's nodes (:meth:`nodes` maps them to the grid's), and
-    ``doors`` holds (a, b, w): both orientations of every door of the
-    window, in door order, as window nodes and cost.
+    ``masks`` pads each axis's edge mask to the grid's shape with False,
+    indexed by the edge's lower node (a minus move's target); a minus step
+    off the grid's lower side lands on the padding by a negative index.
     """
 
-    def __init__(self, ok, doors, costs, ends):
-        self.ok, self.grid_doors, self.costs = ok, doors, costs
-        self.shape = shape = ok[2].shape
-        self.c = max(costs)
-        self.ends = np.unravel_index(ends, shape)
-        gap = np.abs(np.diff(self.ends, axis=1)[:, 0])
-        gap[2] = min(gap[2], shape[2] - gap[2])  # phi wraps
-        self.floor = (float(gap @ costs) + self.c) / 2
-        self.limit = self.c
-        self.box = None
-        self._search()
-
-    def _window(self):
-        box = []
-        for at, cost, n in zip(self.ends[:2], self.costs[:2], self.shape[:2]):
-            # a float sum of k steps can round below k * cost (by up to 1e-9
-            # of it within the 10^7 node cap), so widen by more than that
-            reach = int(max(self.limit, self.floor) * (1.0 + 1e-8) / cost)
-            box += [max(int(min(at)) - reach, 0), min(int(max(at)) + reach + 1, n)]
-        return tuple(box)
-
-    def _search(self):
-        from scipy.sparse.csgraph import dijkstra
-
-        self.dist = self.pred = None  # free the last search's arrays first
-        box = self._window()
-        if box != self.box:
-            self.graph = self.doors = None  # and the last window's graph
-            i0, i1, j0, j1 = self.box = box
-            self.wshape = (i1 - i0, j1 - j0, self.shape[2])
-            ok = [o[i0 : i1 - (a == 0), j0 : j1 - (a == 1)] for a, o in enumerate(self.ok)]
-            self.graph = _grid_graph(ok, self.costs, self.wshape)
-            axis, i, j, m = self.grid_doors.T
-            inside = (i >= i0) & (i < i1 - (axis == 0)) & (j >= j0) & (j < j1 - (axis == 1))
-            axis, i, j, m = (self.grid_doors[inside] - [0, i0, j0, 0]).T
-            lo = np.ravel_multi_index((i, j, m), self.wshape)
-            hi = np.ravel_multi_index((i + (axis == 0), j + (axis == 1), m + (axis == 2)), self.wshape, mode="wrap")
-            w = np.asarray(self.costs)[axis]
-            # both orientations of every door, in door order, so that the
-            # first cheapest splice wins
-            self.doors = np.stack([lo, hi]).T.ravel(), np.stack([hi, lo]).T.ravel(), np.repeat(w, 2)
-            i, j, m = self.ends
-            self.sources = np.ravel_multi_index((i - i0, j - j0, m), self.wshape)
-        self.dist, self.pred = dijkstra(self.graph, indices=self.sources, limit=self.limit, return_predecessors=True)
-
-    def nodes(self, local):
-        """Grid node indices of the window nodes ``local``, as a list."""
-        i, j, m = np.unravel_index(np.asarray(local, dtype=int), self.wshape)
-        return np.ravel_multi_index((i + self.box[0], j + self.box[2], m), self.shape).tolist()
+    def __init__(self, ok, costs, ends):
+        self.shape = nx, ny, np_ = ok[2].shape
+        self.n = n = nx * ny * np_
+        masks = np.zeros((3, nx, ny, np_), dtype=bool)
+        masks[0, :-1], masks[1, :, :-1], masks[2] = ok
+        self.masks = masks.reshape(3, -1)
+        self.axes = np.array(_MOVE_AXES)[:, None]  # (6, 1), as are steps and costs
+        self.steps = np.array([[-ny * np_], [-np_], [-1], [1], [np_], [ny * np_]])
+        self.costs = np.asarray(costs)[self.axes]
+        gap = np.abs(np.diff(np.unravel_index(ends, self.shape), axis=1)[:, 0])
+        gap[2] = min(gap[2], np_ - gap[2])  # phi wraps
+        self.limit = (float(gap @ costs) + max(costs)) / 2
+        self.flat = np.full(2 * n, np.inf)
+        self.dist = self.flat.reshape(2, n)
+        self.best, self.meets = np.inf, []
+        self.waiting = np.asarray(ends) + [0, n], np.zeros(2)
 
     def until(self, needed):
-        """Search until ``needed(dist)`` is within the limit, or the search
-        is complete.
-
-        ``needed(dist)`` is the least limit at which the value it reads off
-        the (2, n) window distances is exact (inf when there is none yet);
-        the limit grows to min(2 limit, needed).  The search is complete
-        when every finite distance plus ``c`` is within the limit: no
-        relaxation was cut off, so the finite entries span each end's whole
-        component.
-        """
+        """Search until ``needed()``, the least limit at which the value it
+        reads off the search is exact (inf while there is none), is within
+        the limit, or until no relaxation waits: then the finite distances
+        span each end's whole component.  The limit grows to
+        min(2 limit, needed).  Returns ``dist``."""
+        d_at, n, np_ = self.flat, self.n, self.shape[2]
         while True:
-            need = needed(self.dist)
-            if need <= self.limit or self._farthest() + self.c <= self.limit:
-                return self.dist, self.pred
+            v, d = self.waiting
+            while (low := np.min(d, initial=np.inf)) <= self.limit:
+                now = d <= min(self.limit, low + self.costs.min())
+                (lv, ld), v, d = (v[~now], d[~now]), v[now], d[now]
+                np.minimum.at(d_at, v, d)
+                v = np.unique(v[d == d_at[v]])  # the nodes whose distance fell
+                dv, u = d_at[v], v % n
+                both = dv + d_at[(v + n) % (2 * n)]  # d_s + d_t at them
+                least = np.min(both, initial=np.inf)
+                if least < self.best:
+                    self.best, self.meets = least, []
+                if least == self.best < np.inf:
+                    self.meets += u[both == least].tolist()
+                t, m = u + self.steps, u % np_
+                t[2:4] = u - m + (m + self.steps[2:4]) % np_  # phi wraps
+                go = self.masks[self.axes, np.where(self.steps < 0, t, u)]
+                v, d = np.concatenate([(t + (v - u))[go], lv]), np.concatenate([(dv + self.costs)[go], ld])
+                keep = d < d_at[v]  # drop the relaxations that lower nothing
+                v, d = v[keep], d[keep]
+            self.waiting = v, d
+            need = needed()
+            if need <= self.limit or not len(self.waiting[0]):
+                return self.dist
             self.limit = min(2.0 * self.limit, need)
-            self._search()
 
-    def _farthest(self):
-        return np.max(self.dist, where=np.isfinite(self.dist), initial=0.0)
-
-
-def _walk_back(pred, node):
-    """Node indices from the search source to ``node`` along ``pred``."""
-    out = [int(node)]
-    while pred[out[-1]] >= 0:
-        out.append(int(pred[out[-1]]))
-    return out[::-1]
+    def walk(self, end, node):
+        """Grid nodes from ``node`` back to the end ``end`` (0 for s, 1 for
+        t), each step to the first neighbour, in move order, joined by an
+        admissible edge whose distance plus its cost is exactly the node's.
+        So a route depends only on the masks and on float sums."""
+        d, np_ = self.dist[end], self.shape[2]
+        moves = list(zip(_MOVE_AXES, self.steps.ravel().tolist(), self.costs.ravel().tolist()))
+        out = [int(node)]
+        while d[u := out[-1]] > 0.0:
+            m = u % np_
+            for axis, step, w in moves:
+                t = u - m + (m + step) % np_ if axis == 2 else u + step
+                if self.masks[axis, t if step < 0 else u] and d[t] + w == d[u]:
+                    out.append(t)
+                    break
+        return out
 
 
 def _grid_route(ok, doors, costs, ends, require_crossing, serial):
@@ -886,46 +837,40 @@ def _grid_route(ok, doors, costs, ends, require_crossing, serial):
     ``ok`` holds, per axis, the admissible mask of the grid's edges: shapes
     (nx - 1, ny, np_), (nx, ny - 1, np_) and (nx, ny, np_), the phi edge of
     node m joining m + 1, wrapped.  The edges of each axis cost ``costs``.
-    ``doors`` lists the grid's door edges, all admissible, as rows
-    (axis, i, j, m) of the edge's lower node, in door order (by axis, then
-    edge index).  The search runs on windows of the grid (see
-    :class:`_TwoEndedSearch`), and the nodes returned are the grid's.  The
-    route joins the two predecessor trees at the node where d_s + d_t is
-    least.  With ``require_crossing`` a route without a door is replaced by
-    the cheapest route through one, the first cheapest door in door order.
-    On failure the NoPathFound's ``explored`` counts the nodes reachable
-    from s (from s and t together for an unreachable door); with no door
-    the message says that none of the ``serial`` serial points gives one.
+    ``doors`` = (lo, hi, w) gives the ends and cost of each door edge, all
+    admissible, in door order.  The route meets at the first node where
+    d_s + d_t is least (:class:`_TwoEndedSearch`) and walks back from it to
+    both ends.  With ``require_crossing`` a route without a door is
+    replaced by the cheapest route through one, the first cheapest door in
+    door order.  On failure the NoPathFound's ``explored`` counts the nodes
+    reachable from s (from s and t together for an unreachable door); with
+    no door the message says that none of the ``serial`` serial points
+    gives one.
     """
-    c = max(costs)
-    search = _TwoEndedSearch(ok, doors, costs, ends)
+    search = _TwoEndedSearch(ok, costs, ends)
     # a shortest route of length mu has a node within limit of s whose rest is
-    # shorter than limit, so min(d_s + d_t) is exact once mu <= 2 limit - c
-    dist, pred = search.until(lambda d: (np.min(d[0] + d[1]) + c) / 2)
-    meet = int(np.argmin(dist[0] + dist[1]))
-    if not np.isfinite(dist[0, meet] + dist[1, meet]):
+    # shorter than limit, so min(d_s + d_t) is exact once mu + max(costs) <= 2 limit
+    dist = search.until(lambda: (search.best + max(costs)) / 2)
+    if not search.meets:
         raise NoPathFound(
             "grid search exhausted without reaching the target",
             explored=int(np.count_nonzero(np.isfinite(dist[0]))),
         )
-    route = _walk_back(pred[0], meet) + _walk_back(pred[1], meet)[::-1][1:]
-    a, b, _ = search.doors
+    meet = min(search.meets)
+    route = search.walk(0, meet)[::-1] + search.walk(1, meet)[1:]
+    lo, hi, w = doors
+    # both orientations of every door, in door order, so that the first
+    # cheapest splice wins
+    a, b, w = np.stack([lo, hi]).T.ravel(), np.stack([hi, lo]).T.ravel(), np.repeat(w, 2)
     if not require_crossing or set(zip(route[:-1], route[1:])) & set(zip(a.tolist(), b.tolist())):
-        return search.nodes(route)
+        return route
 
-    # the splice through a door is exact once its cost mu <= limit; a door
-    # outside the window has an end beyond the limit of both s and t, so its
-    # splice costs inf there as on the whole grid
-    def splice_costs(d):
-        a, b, w = search.doors
-        return d[0, a] + w + d[1, b]
-
-    del dist, pred  # so the search can free them before it searches again
-    dist, pred = search.until(lambda d: np.min(splice_costs(d), initial=np.inf))
-    reached = np.isfinite(dist)
-    total = splice_costs(dist)
+    # the splice through a door is exact once its cost mu <= limit
+    dist = search.until(lambda: np.min(search.dist[0, a] + w + search.dist[1, b], initial=np.inf))
+    total = dist[0, a] + w + dist[1, b]
     if not np.isfinite(np.min(total, initial=np.inf)):
-        if not len(doors):
+        reached = np.isfinite(dist)
+        if not len(lo):
             raise NoPathFound(
                 f"no passage edge exists: the box holds {serial} serial point(s) of "
                 "passage-safe legs at the grid's angles, and none gives a door",
@@ -936,8 +881,7 @@ def _grid_route(ok, doors, costs, ends, require_crossing, serial):
             explored=int(np.count_nonzero(reached[0] | reached[1])),
         )
     k = int(np.argmin(total))
-    a, b, _ = search.doors
-    return search.nodes(_walk_back(pred[0], a[k]) + _walk_back(pred[1], b[k])[::-1])
+    return search.walk(0, a[k])[::-1] + search.walk(1, b[k])
 
 
 def plan_mode_change(
@@ -975,14 +919,14 @@ def plan_mode_change(
     farthest first, and the route skips to the farthest admissible one,
     keeping the two points where each door's path crosses its cell.
 
-    The grid search is a two-ended Dijkstra on windows of the grid, bounded
-    by a limit that grows until the route (and then the splice) is certified
-    exact (:class:`_TwoEndedSearch`); among equal-cost routes the one found
-    may differ from a one-ended search's.  A ``NoPathFound`` raised by the
-    search counts in ``explored`` every node reachable from the start (and
-    from the target too when no door is reachable from both); "no passage
-    edge exists" means that the grid has no door, and says how many serial
-    points lay in the box.
+    The grid search runs from both ends on the admissible masks, within a
+    limit that grows until the route (and then the splice) is certified
+    exact (:class:`_TwoEndedSearch`); among equal-cost routes it takes the
+    one its tie rule gives.  A ``NoPathFound`` from the search counts in
+    ``explored`` every node reachable from the start (and from the target
+    when no door is reachable from both); "no passage edge exists" means
+    that the grid has no door, and says how many serial points lay in the
+    box.
     """
     L = geom.L
     if eps_pass is None:
@@ -1068,12 +1012,13 @@ def plan_mode_change(
     del det, sgn  # the search needs only the masks
     for a, i, j, m in doors.tolist():
         ok[a][i, j, m] = True
-    nodes = _grid_route(ok, doors, costs, snapped, require_crossing, serial)
+    axis, i, j, m = doors.T  # x and y doors, at one phi
+    lo, hi = (np.ravel_multi_index((i + d * (axis == 0), j + d * (axis == 1), m), shape) for d in (0, 1))
+    nodes = _grid_route(ok, (lo, hi, np.asarray(costs)[axis]), costs, snapped, require_crossing, serial)
 
     # every door on the route goes through its two row points, which the
     # simplification keeps
-    axis, i, j, m = doors.T
-    lo, hi = (np.ravel_multi_index((i + d * (axis == 0), j + d * (axis == 1), m), shape).tolist() for d in (0, 1))
+    lo, hi = lo.tolist(), hi.tolist()
     door_at = dict(zip(zip(lo, hi), door_points.tolist())) | dict(zip(zip(hi, lo), door_points[:, ::-1].tolist()))
     waypoints, protected = [start, node_pose(nodes[0])], set()
     for a, b in zip(nodes[:-1], nodes[1:]):

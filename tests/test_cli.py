@@ -202,6 +202,33 @@ def test_cli_oracle_fk_with_non_finite_linear_forms_exits_1(tmp_path, capfd):
 
 
 @pytest.mark.parametrize(
+    "command, message",
+    [
+        ("oracle-fk", "the forward-kinematics residual is not finite along the orientation sweep"),
+        ("fk", "the forward-kinematics polynomial has non-finite coefficients"),
+    ],
+)
+def test_cli_fk_whose_elimination_overflows_prints_one_error_line(tmp_path, command, message):
+    """A platform frame ~1e154 away keeps the linear forms finite, but the
+    residual and the compiled matrix overflow.  oracle-fk used to exit 0
+    with ``[]`` and raw RuntimeWarning lines, and fk printed about 70
+    ``warning:`` lines before its error; in a fresh interpreter both now
+    exit 1 with one ``error:`` line on stderr."""
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"base": REF_BASE, "platform": [[1e154, 0], [1.1e154, 0], [1e154, 1e153]]}))
+    src = os.path.dirname(os.path.dirname(planar_rpr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "planar_rpr.cli", command, "--robot", str(path), "--joints", "5,5,5"],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"error: {message}: the design's coordinates or the joint values are too large"
+    ]
+
+
+@pytest.mark.parametrize(
     "args, pinned",
     [
         (["--start", "5,5,0"], "plan_ref_5_5_0.json"),
@@ -343,42 +370,38 @@ def test_cli_plan_no_path_reports_explored(ref_file, capfd):
     assert match and int(match.group(1)) > 0
 
 
-def test_cli_import_leaves_csgraph_unloaded(ref_file, tmp_path):
-    """The planner imports scipy.sparse.csgraph lazily, so cold start skips
-    it; nothing imports scipy.optimize, not even a verify whose sign
-    continuation refines a reversal between samples, or a plan."""
+def test_cli_plans_and_verifies_without_scipy(ref_file, tmp_path):
+    """With scipy unimportable (``sys.modules['scipy'] = None``), a plan that
+    needs the splice and the verify of its output both exit 0, and the plan
+    verifies; so does a verify whose sign continuation refines a reversal
+    between samples, which finds its one flip."""
     src = os.path.dirname(os.path.dirname(planar_rpr.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import sys, planar_rpr.cli; "
-        "print([m for m in ('scipy.sparse.csgraph', 'scipy.optimize') if m in sys.modules])"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "[]"
-
     # leg 1 passes its serial point S_1(0.83) at t = 5/7, between two samples
     x, y = 0.6118201490325716, 2.1507385022911922
     ends = [(x - 3.0, y - 1.3), (x + 1.2, y + 0.52)]
-    path_file = tmp_path / "reversal.json"
-    path_file.write_text(json.dumps({"waypoints": [{"x": a, "y": b, "phi": 0.83} for a, b in ends]}))
+    reversal = tmp_path / "reversal.json"
+    reversal.write_text(json.dumps({"waypoints": [{"x": a, "y": b, "phi": 0.83} for a, b in ends]}))
+    plan = tmp_path / "plan.json"
     commands = [
-        ["verify", "--robot", str(ref_file), "--path", str(path_file)],
-        ["plan", "--robot", str(ref_file), "--start", "0,0,0", "--res", "32,32,32"],
+        ["plan", "--robot", str(ref_file), "--start", "0,0,0", "--res", "32,32,32", "--out", str(plan)],
+        ["verify", "--robot", str(ref_file), "--path", str(plan)],
+        ["verify", "--robot", str(ref_file), "--path", str(reversal)],
     ]
     code = "\n".join([
         "import contextlib, io, json, sys",
+        "sys.modules['scipy'] = None",
         "from planar_rpr.cli import main",
         "with contextlib.redirect_stdout(io.StringIO()) as out:",
         "    codes = [main(args) for args in json.loads(sys.argv[1])]",
-        "flips = json.loads(out.getvalue().splitlines()[0])['sign_flips']",
-        "print(codes, [f['leg'] for f in flips], 'scipy.optimize' in sys.modules)",
+        "_, checked, reversed_ = (json.loads(line) for line in out.getvalue().splitlines())",
+        "print(codes, checked['verdict'], [f['leg'] for f in reversed_['sign_flips']])",
     ])
     result = subprocess.run(
         [sys.executable, "-c", code, json.dumps(commands)], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "[0, 0] [1] False"
+    assert result.stdout.strip() == "[0, 0, 0] changed_without_parallel [1]"
+    assert result.stderr == ""
 
 
 def test_cli_locus_leaves_stderr_empty(ref_file):

@@ -518,3 +518,16 @@ def test_oracle_fk_with_non_finite_linear_forms_is_a_validation_error(platform, 
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="linear forms have non-finite coefficients"):
             oracle_fk(geom, JointVector(joints))
+
+
+def test_fk_with_an_overflowing_elimination_is_a_validation_error():
+    """A platform frame ~1e154 away keeps the linear forms finite while the
+    residual on the sweep and the compiled matrix overflow: oracle_fk used
+    to return no solution, and both raise with no RuntimeWarning."""
+    geom = RobotGeometry(base=REF_BASE, platform=[[1e154, 0.0], [1.1e154, 0.0], [1e154, 1e153]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="residual is not finite along the orientation sweep"):
+            oracle_fk(geom, JointVector([5.0, 5.0, 5.0]))
+        with pytest.raises(ValidationError, match="non-finite coefficients"):
+            solve_fk(geom, JointVector([5.0, 5.0, 5.0]))

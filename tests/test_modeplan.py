@@ -36,13 +36,11 @@ from planar_rpr.modeplan import (
     _TwoEndedSearch,
     _axis_edge_scan,
     _classify_zeros,
-    _grid_graph,
     _grid_route,
     _check_samples,
     _node_signs,
     _segments_crossings,
     _serial_doors,
-    _walk_back,
 )
 from planar_rpr.singularity import (
     _leg_geometry,
@@ -407,7 +405,7 @@ def _edge_ends(shape):
 
 
 def _heap_dijkstra(ok, costs, shape, source):
-    """Textbook heap Dijkstra over the grid: the oracle for the CSR graph."""
+    """Textbook heap Dijkstra over the grid, read off the masks directly."""
     nx, ny, np_ = shape
     ok_x, ok_y, ok_p = ok
     dist = np.full(shape, np.inf)
@@ -437,68 +435,18 @@ def _heap_dijkstra(ok, costs, shape, source):
     return dist
 
 
-def test_grid_graph_matches_heap_dijkstra():
-    from scipy.sparse.csgraph import dijkstra
-
-    shape = (9, 10, 8)
-    nx, ny, np_ = shape
-    costs = (0.7, 1.3, 2.1)
-    rng = np.random.default_rng(5)
-    ok = [
-        rng.random((nx - 1, ny, np_)) < 0.7,
-        rng.random((nx, ny - 1, np_)) < 0.7,
-        rng.random((nx, ny, np_)) < 0.7,
-    ]
-    source = (4, 5, 0)
-    ok[2][4, 5, np_ - 1] = True  # the wrap edge m = np_-1 -> 0 at the source
-    graph = _grid_graph(ok, costs, shape)
-    src = int(np.ravel_multi_index(source, shape))
-    dist, pred = dijkstra(graph, directed=False, indices=src, return_predecessors=True)
-
-    expected = _heap_dijkstra(ok, costs, shape, source).ravel()
-    assert np.array_equal(np.isfinite(dist), np.isfinite(expected))
-    assert np.allclose(dist[np.isfinite(dist)], expected[np.isfinite(expected)], rtol=1e-12)
-    assert np.count_nonzero(np.isfinite(dist)) > nx * ny * np_ // 2
-
-    wrapped = int(np.ravel_multi_index((4, 5, np_ - 1), shape))
-    assert pred[wrapped] == src and dist[wrapped] == costs[2]
-    for node in np.flatnonzero(np.isfinite(dist)):
-        walk = _walk_back(pred, node)
-        assert walk[0] == src and walk[-1] == node
-        coords = np.array(np.unravel_index(walk, shape)).T
-        total = 0.0
-        for a, b in zip(coords[:-1], coords[1:]):
-            axis = int(np.flatnonzero(a != b)[0])
-            total += costs[axis]
-        assert total == pytest.approx(dist[node], rel=1e-12)
-
-
-@pytest.mark.parametrize("shape, seed", [((8, 9, 8), 1), ((10, 8, 12), 2), ((9, 11, 16), 3)])
-def test_grid_graph_is_the_symmetrized_edge_list(shape, seed):
-    """Both directions of every admissible edge, rows sorted, no duplicates:
-    exactly G + G.T of the one-direction edge list."""
+def _graph(ok, costs, shape):
+    """The test's CSR graph of the admissible edges, both directions: the
+    oracle's input for scipy's dijkstra."""
     from scipy.sparse import csr_matrix
 
-    nx, ny, np_ = shape
-    rng = np.random.default_rng(seed)
-    ok = [rng.random((nx - 1, ny, np_)) < 0.6, rng.random((nx, ny - 1, np_)) < 0.6, rng.random(shape) < 0.6]
-    ok[2][1, :, np_ - 1] = True  # wrap edges m = np_ - 1 -> 0, at both wrap rows
-    ok[2][2, :, np_ - 1] = False
-    costs = (0.7, 1.3, 2.1)
     ends = _edge_ends(shape)
     rows = np.concatenate([lo[mask] for (lo, _), mask in zip(ends, ok)])
     cols = np.concatenate([hi[mask] for (_, hi), mask in zip(ends, ok)])
     weights = np.concatenate([np.full(int(mask.sum()), w) for mask, w in zip(ok, costs)])
-    n = nx * ny * np_
+    n = int(np.prod(shape))
     half = csr_matrix((weights, (rows, cols)), shape=(n, n))
-    expected = (half + half.T).tocsr()
-    expected.sort_indices()
-
-    graph = _grid_graph(ok, costs, shape)
-    assert graph.has_sorted_indices
-    assert np.array_equal(graph.indptr, expected.indptr)
-    assert np.array_equal(graph.indices, expected.indices)
-    assert np.array_equal(graph.data, expected.data)
+    return (half + half.T).tocsr()
 
 
 def _random_grid(seed, shape=(10, 9, 8), density=0.7):
@@ -515,7 +463,7 @@ def _random_grid(seed, shape=(10, 9, 8), density=0.7):
         for (lo, hi), mask, w in zip(_edge_ends(shape), ok, costs)
         for a, b in zip(lo[mask], hi[mask])
     ]
-    return rng, ok, costs, _grid_graph(ok, costs, shape), edges, nx * ny * np_ // 2
+    return rng, ok, costs, _graph(ok, costs, shape), edges, nx * ny * np_ // 2
 
 
 def _cut(i0, i1, j0, j1):
@@ -523,19 +471,10 @@ def _cut(i0, i1, j0, j1):
     return ((slice(i0, i1 - 1), slice(j0, j1)), (slice(i0, i1), slice(j0, j1 - 1)), (slice(i0, i1), slice(j0, j1)))
 
 
-def _door_rows(shape, doors):
-    """The doors (lo, hi, cost) of a grid of ``shape`` as _grid_route takes
-    them: rows (axis, i, j, m) of the lower node, in door order."""
-    pairs = {d[:2] for d in doors}
-    rows = []
-    for a, (lo, hi) in enumerate(_edge_ends(shape)):
-        door = np.array([e in pairs for e in zip(lo.ravel().tolist(), hi.ravel().tolist())], dtype=bool)
-        rows.append(np.insert(np.argwhere(door.reshape(lo.shape)), 0, a, axis=1))
-    return np.concatenate(rows)
-
-
 def _route(ok, costs, ends, doors, require_crossing):
-    return _grid_route(ok, _door_rows(ok[2].shape, doors), costs, ends, require_crossing, 0)
+    """_grid_route with the doors (lo, hi, cost), in the order given."""
+    lo, hi, w = np.reshape(np.array(doors, dtype=float), (-1, 3)).T
+    return _grid_route(ok, (lo.astype(int), hi.astype(int), w), costs, ends, require_crossing, 0)
 
 
 def _unlimited(graph, s, t):
@@ -594,7 +533,7 @@ def test_grid_route_waits_for_a_route_behind_a_long_edge():
     ok[0][:7, 0, 0] = ok[0][7:, 0, 1] = True  # short: x steps, one phi step at i = 7
     ok[2][7, 0, 0] = True
     ok[1][0, 0, 0] = ok[2][0, 1, 0] = ok[0][:, 1, 1] = ok[1][14, 0, 1] = True  # long: y, phi, x, y
-    graph = _grid_graph(ok, (0.5, 0.5, 3.0), shape)
+    graph = _graph(ok, (0.5, 0.5, 3.0), shape)
     s, t = (int(np.ravel_multi_index(v, shape)) for v in ((0, 0, 0), (14, 0, 1)))
     nodes = _route(ok, (0.5, 0.5, 3.0), (s, t), [], require_crossing=False)
     assert _walk_cost(graph, nodes) == 10.0
@@ -623,24 +562,80 @@ def test_grid_route_failures_report_the_unlimited_reach(seed):
     assert info.value.explored == np.count_nonzero(np.isfinite(dist).any(axis=0))
 
 
-def test_grid_route_failure_inside_a_window_looks_at_the_whole_grid():
+def test_grid_route_failure_in_a_walled_pocket_counts_the_pocket():
     """s and t share a walled 3 x 3 pocket of a 40 x 40 grid, so the search
-    is complete with its window a fraction of the grid.  A door far outside
-    the window makes the failure "not reachable", and only no door anywhere
-    makes it "no passage edge exists"; both count the 27 pocket nodes."""
+    is complete once it has reached the pocket's 27 nodes from both ends.
+    A door far outside the pocket makes the failure "not reachable", and
+    only no door anywhere makes it "no passage edge exists"; both count the
+    27 pocket nodes."""
     shape = (40, 40, 3)
     ok = [np.ones(lo.shape, dtype=bool) for lo, _ in _edge_ends(shape)]
     ok[0][[17, 20], 18:21] = ok[1][18:21, [17, 20]] = False  # the pocket's walls
     costs = (0.5, 0.75, 1.25)
     ends = tuple(int(np.ravel_multi_index(v, shape)) for v in ((18, 18, 0), (20, 20, 2)))
     far = [(int(np.ravel_multi_index((35, 35, 0), shape)), int(np.ravel_multi_index((36, 35, 0), shape)), 0.5)]
-    search = _TwoEndedSearch(ok, _door_rows(shape, []), costs, ends)
-    search.until(lambda d: np.inf)  # runs until complete
-    assert search.wshape[0] * search.wshape[1] < 40 * 40 / 4
+    search = _TwoEndedSearch(ok, costs, ends)
+    dist = search.until(lambda: np.inf)  # runs until complete
+    assert np.count_nonzero(np.isfinite(dist), axis=1).tolist() == [27, 27]
     for doors, message in ((far, "reachable from both"), ([], "no passage edge exists")):
         with pytest.raises(NoPathFound, match=message) as info:
             _route(ok, costs, ends, doors, require_crossing=True)
         assert info.value.explored == 27
+
+
+def _steps_back(ok, costs, d, node):
+    """The neighbours of ``node``, in move order -x, -y, -phi, +phi, +y, +x,
+    joined to it by an admissible edge whose distance ``d`` plus the edge's
+    cost is exactly the node's."""
+    shape = ok[2].shape
+    here = np.unravel_index(node, shape)
+    out = []
+    for axis, sign in ((0, -1), (1, -1), (2, -1), (2, 1), (1, 1), (0, 1)):
+        there = list(here)
+        there[axis] += sign
+        if axis == 2:
+            there[2] %= shape[2]
+        elif not 0 <= there[axis] < shape[axis]:
+            continue
+        lower = there if sign < 0 else here
+        u = int(np.ravel_multi_index(there, shape))
+        if ok[axis][tuple(lower)] and d[u] + costs[axis] == d[node]:
+            out.append(u)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_routes_step_along_admissible_edges_that_set_the_distance(seed):
+    """A walk back from a reached node steps, each time, to the first
+    neighbour in move order joined by an admissible edge whose distance
+    plus the edge's cost is exactly the node's, and ends at its source.
+    Every step of a returned route, spliced or not, is an admissible edge
+    along which d_s grows by its cost or d_t falls by it, or a door.  The
+    complete search's distances are the heap Dijkstra's, bit for bit."""
+    rng, ok, costs, graph, edges, half = _random_grid(seed)
+    s = int(rng.integers(half))
+    reach = np.flatnonzero(np.isfinite(_unlimited(graph, s, s)[0]))
+    t = int(rng.choice(reach[reach != s]))
+    search = _TwoEndedSearch(ok, costs, (s, t))
+    dist = search.until(lambda: np.inf)  # runs until complete
+    for end, source in enumerate((s, t)):
+        shape = ok[2].shape
+        assert np.array_equal(dist[end], _heap_dijkstra(ok, costs, shape, np.unravel_index(source, shape)).ravel())
+        for node in rng.choice(reach, 25).tolist() + [source]:
+            walk = search.walk(end, node)
+            assert walk[0] == node and walk[-1] == source
+            assert all(u == _steps_back(ok, costs, dist[end], v)[0] for v, u in zip(walk[:-1], walk[1:]))
+
+    ds, dt = _unlimited(graph, s, t)
+    doors = [edges[k] for k in np.sort(rng.permutation(len(edges))[:25])]
+    door_steps = {(a, b) for a, b, _ in doors} | {(b, a) for a, b, _ in doors}
+    for door_list, require_crossing in (([], False), (doors, True)):
+        nodes = _route(ok, costs, (s, t), door_list, require_crossing)
+        assert (nodes[0], nodes[-1]) == (s, t)
+        for a, b in zip(nodes[:-1], nodes[1:]):
+            w = graph[a, b]
+            assert w > 0  # an admissible edge
+            assert ds[a] + w == ds[b] or dt[b] + w == dt[a] or (require_crossing and (a, b) in door_steps)
 
 
 @pytest.mark.parametrize("case", json.loads((DATA / "no_path_ref.json").read_text()), ids=str)
@@ -672,10 +667,10 @@ def test_an_endpoint_off_the_grid_is_pinned(ref, start, resolution, label):
 
 
 # ---------------------------------------------------------------------------
-# the search window
+# the planner's grids
 
 
-def _window_designs():
+def _grid_designs():
     """The reference robot, its x1e-3 and x1e3 copies, and seeded random designs."""
     designs = [RobotGeometry(np.asarray(REF_BASE) * s, np.asarray(REF_PLATFORM) * s) for s in (1.0, 1e-3, 1e3)]
     rng = np.random.default_rng(23)
@@ -714,7 +709,7 @@ def test_window_edge_scan_equals_the_slice_of_the_full_scan():
     box's slice of the whole grid's masks on all three axes."""
     rng = np.random.default_rng(29)
     shape = (40, 36, 32)
-    for geom in _window_designs():
+    for geom in _grid_designs():
         xs, ys, phis = _grid_axes(geom, shape)
         q, det, sgn = _node_signs(geom, xs, ys, phis)
         full = [_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn) for axis in range(3)]
@@ -729,36 +724,33 @@ def test_window_edge_scan_equals_the_slice_of_the_full_scan():
                 assert np.array_equal(got, full[axis][cut]), (box, axis)
 
 
-def test_windowed_search_equals_full_graph_dijkstra():
-    """At limits c to 32c the windowed search's distances and predecessors,
-    mapped to grid nodes, equal those of one bounded dijkstra on the whole
-    grid's graph (the test's oracle), from seeded near and far ends."""
+def test_bounded_search_equals_bounded_dijkstra():
+    """At its first limit and at every limit from c to 32c above it, the
+    search's distances equal, bit for bit, those of one bounded dijkstra
+    on the whole grid's graph (the test's oracle): on the planner's grids
+    of three designs and on seeded random masks, from seeded near and far
+    ends."""
     from scipy.sparse.csgraph import dijkstra
 
     rng = np.random.default_rng(31)
-    shape = (32, 32, 32)
-    n = int(np.prod(shape))
-    smaller = 0
-    for geom in _window_designs()[::2]:
-        costs, ok, doors = _planner_grid(geom, shape)
-        graph = _grid_graph(ok, costs, shape)
+    grids = [(*_planner_grid(geom, (32, 32, 32))[:2], (32, 32, 32)) for geom in _grid_designs()[::2]]
+    for seed in range(3):
+        _, ok, costs, *_ = _random_grid(seed, (16, 12, 10))
+        grids.append((costs, ok, (16, 12, 10)))
+    compared = 0
+    for costs, ok, shape in grids:
+        graph = _graph(ok, costs, shape)
         c = max(costs)
         for near in (True, True, False):
-            s = rng.integers(0, 32, 3)
-            t = np.clip(s + rng.integers(-2, 3, 3), 0, 31) if near else rng.integers(0, 32, 3)
+            s = rng.integers(0, shape)
+            t = np.clip(s + rng.integers(-2, 3, 3), 0, np.array(shape) - 1) if near else rng.integers(0, shape)
             ends = [int(np.ravel_multi_index(e, shape)) for e in (s, t)]
-            search = _TwoEndedSearch(ok, doors, costs, ends)
-            for limit in c * 2.0 ** np.arange(6):
-                search.limit = limit
-                search._search()
-                nodes = np.array(search.nodes(np.arange(np.prod(search.wshape))))
-                dist, pred = np.full((2, n), np.inf), np.full((2, n), -9999)
-                dist[:, nodes] = search.dist
-                pred[:, nodes] = np.where(search.pred >= 0, nodes[np.maximum(search.pred, 0)], -9999)
-                want_dist, want_pred = dijkstra(graph, indices=ends, limit=limit, return_predecessors=True)
-                assert np.array_equal(dist, want_dist) and np.array_equal(pred, want_pred)
-                smaller += len(nodes) < n
-    assert smaller >= 6  # most windows leave part of the grid out
+            search = _TwoEndedSearch(ok, costs, ends)
+            for limit in [search.limit] + [v for v in c * 2.0 ** np.arange(6) if v > search.limit]:
+                dist = search.until(lambda: limit)  # searches at this limit, or completes below it
+                assert np.array_equal(dist, dijkstra(graph, indices=ends, limit=limit))
+                compared += 1
+    assert compared >= 40
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +764,7 @@ def test_every_door_is_one_passage_of_its_own_leg():
     passage of the leg whose serial point it goes through.  Doors of all
     four shapes are among them: x doors from the lower and the upper
     corners of their cells, y doors from the left and the right."""
-    designs = _window_designs()[:3]
+    designs = _grid_designs()[:3]
     rng = np.random.default_rng(8080)
     while len(designs) < 10:
         geom = RobotGeometry(base=rng.uniform(-10, 10, (3, 2)), platform=rng.uniform(-4, 4, (3, 2)))
@@ -916,7 +908,7 @@ def test_node_signs_agree_with_the_kernel_outside_the_zero_band():
     """Wherever a node's sign is not 0 the kernel's determinant has that
     sign: on the reference robot at three scales and seeded designs, over
     the default box at 16^3, 32^3 and 64^3 (16^3 has 19 zero nodes there)."""
-    for geom in _window_designs():
+    for geom in _grid_designs():
         for n in (16, 32, 64):
             xs, ys, phis = _grid_axes(geom, (n, n, n))
             sgn = _node_signs(geom, xs, ys, phis)[2]
