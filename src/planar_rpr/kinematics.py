@@ -1,8 +1,8 @@
 """Inverse and forward kinematics of the 3-RPR planar parallel robot.
 
 Each leg imposes F_i(x, y, phi) = ||(x, y) + R(phi) b_i - a_i||^2 - rho_i^2
-= 0.  The differences F_j - F_sigma are affine in (x, y); solving them and
-substituting into F_sigma with t = tan(phi/2) gives a degree-10 polynomial
+= 0.  The differences F_j - F_1 are affine in (x, y); solving them and
+substituting into F_1 with t = tan(phi/2) gives a degree-10 polynomial
 with an exact factor (1 + t^2)^2, whose deflated real roots are the assembly
 modes (at most six; phi = pi is checked directly when the degree drops).
 Only the constant terms of the w_i carry rho, so the seven coefficients are
@@ -62,16 +62,15 @@ _SINGULAR_ELIMINATION = "the (x, y) elimination system is singular for every ori
 class UnivariateFkPolynomial:
     """Univariate image of the forward problem under t = tan(phi/2).
 
-    ``coeffs`` are ascending powers of t after trimming.  ``base_leg`` is the
-    index of the leg whose constraint was substituted into (the other two
-    supplied the affine differences).  ``check_phi_pi`` is set when the
-    trimmed degree dropped below six, i.e. a root at t = infinity (phi = pi)
-    is possible and must be checked directly.  ``degenerate`` marks an
-    identically-vanishing polynomial (non-isolated solution set).
+    ``coeffs`` are ascending powers of t after trimming; leg 1's constraint
+    was substituted into (legs 2 and 3 supplied the affine differences).
+    ``check_phi_pi`` is set when the trimmed degree dropped below six, i.e.
+    a root at t = infinity (phi = pi) is possible and must be checked
+    directly.  ``degenerate`` marks an identically-vanishing polynomial
+    (non-isolated solution set).
     """
 
     coeffs: np.ndarray
-    base_leg: int
     check_phi_pi: bool
     degenerate: bool
 
@@ -89,7 +88,6 @@ class FkDesign:
     elimination is singular for every orientation.
     """
 
-    sigma: int
     u: np.ndarray
     v: np.ndarray
     w0: np.ndarray
@@ -153,13 +151,6 @@ def _constraint_rows(legs, rho_sq, x: float, y: float, phi: float) -> list[tuple
     return rows
 
 
-def constraint_residuals(geom: RobotGeometry, pose, rho_sq) -> np.ndarray:
-    """F_i = ||B_i - a_i||^2 - rho_i^2 per leg, at a Pose or (x, y, phi)."""
-    xyphi = pose.as_tuple() if isinstance(pose, Pose) else pose
-    rows = _constraint_rows(_leg_floats(geom), np.asarray(rho_sq, dtype=float).tolist(), *xyphi)
-    return np.array(rows)[:, 3]
-
-
 def _linear_forms(geom: RobotGeometry, rho_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficients of u_i, v_i, w_i in the (1, cos phi, sin phi) basis.
 
@@ -181,18 +172,17 @@ def _tan_half_numerator(form: np.ndarray) -> np.ndarray:
     return np.stack([p0 + pc, 2.0 * ps, p0 - pc], axis=-1)
 
 
-def _solve_affine_xy(u, v, w, sigma: int, phi: np.ndarray, L: float):
+def _solve_affine_xy(u, v, w, phi: np.ndarray, L: float):
     """Solve the elimination system J (x, y) = r at each angle of ``phi``.
 
-    Row k of J comes from F_j - F_sigma for the k-th leg j != sigma.
+    The rows of J come from F_2 - F_1 and F_3 - F_1.
     Returns arrays (x, y, |det J|).  Where |det J| <= 1e-14 L^2, J counts as
     rank one and gets the minimum-norm least-squares solution J^T r / |J|_F^2
     (the caller gates on the returned det).
     """
     c, s = np.cos(phi), np.sin(phi)
     (a1, b1, r1), (a2, b2, r2) = [
-        [f[0] + f[1] * c + f[2] * s for f in (u[j] - u[sigma], v[j] - v[sigma], w[sigma] - w[j])]
-        for j in range(3) if j != sigma
+        [f[0] + f[1] * c + f[2] * s for f in (u[j] - u[0], v[j] - v[0], w[0] - w[j])] for j in (1, 2)
     ]
     det = a1 * b2 - a2 * b1
     full = np.abs(det) > 1e-14 * L**2
@@ -222,40 +212,38 @@ def _require_finite(finite: bool, what: str) -> None:
 
 @np.errstate(over="ignore", invalid="ignore")
 def compile_fk(geom: RobotGeometry) -> FkDesign:
-    """Substitution leg, degeneracy verdict and coefficient matrix of a design.
+    """Degeneracy verdict and coefficient matrix of a design.
 
     The substitution leg is leg 1 (index 0), as in :func:`oracle_fk`: the
-    elimination rows are -2 (S_j - S_sigma) in the serial points, so
-    |det J| is eight times the area of S_1 S_2 S_3 whichever leg is
-    substituted.  The elimination is singular when |det J| stays within
-    1e-10 L^2 over a coarse angle grid.  Column k of ``M`` is the degree-10
-    polynomial's exact expansion on monomial k of r, deflated by
-    (1 + t^2)^2; a visible remainder means catastrophic cancellation and
-    warns.  Overflow leaves non-finite entries, on which
-    :func:`build_fk_polynomial` raises, and no RuntimeWarning.
+    elimination rows are -2 (S_j - S_1) in the serial points, so |det J| is
+    eight times the area of S_1 S_2 S_3 whichever leg is substituted.  The
+    elimination is singular when |det J| stays within 1e-10 L^2 over a
+    coarse angle grid.  Column k of ``M`` is the degree-10 polynomial's
+    exact expansion on monomial k of r, deflated by (1 + t^2)^2; a visible
+    remainder means catastrophic cancellation and warns.  Overflow leaves
+    non-finite entries, on which :func:`build_fk_polynomial` raises, and no
+    RuntimeWarning.
     """
     L = geom.L
-    sigma = 0
     u, v, w0 = _linear_forms(geom, np.zeros(3))
     phis = np.linspace(-np.pi * 0.95, np.pi * 0.95, 19)
-    if float(np.max(_solve_affine_xy(u, v, w0, sigma, phis, L)[2])) <= 1e-10 * L**2:
-        return FkDesign(sigma, u, v, w0, _leg_floats(geom), None)
+    if float(np.max(_solve_affine_xy(u, v, w0, phis, L)[2])) <= 1e-10 * L**2:
+        return FkDesign(u, v, w0, _leg_floats(geom), None)
 
     U, V = _tan_half_numerator(u), _tan_half_numerator(v)
     # W_i is linear in (1, r1, r2, r3): only its constant term holds r_i.
     W = np.zeros((3, 4, 3))
     W[:, 0] = _tan_half_numerator(w0)
     W[[0, 1, 2], [1, 2, 3]] = -_ONE_PLUS_T2
-    j1, j2 = [j for j in range(3) if j != sigma]
-    A1, B1, C1 = U[j1] - U[sigma], V[j1] - V[sigma], W[j1] - W[sigma]
-    A2, B2, C2 = U[j2] - U[sigma], V[j2] - V[sigma], W[j2] - W[sigma]
+    A1, B1, C1 = U[1] - U[0], V[1] - V[0], W[1] - W[0]
+    A2, B2, C2 = U[2] - U[0], V[2] - V[0], W[2] - W[0]
     d_num = _pmul(A1, B2) - _pmul(A2, B1)
     x_num = _pmul(B1, C2) - _pmul(B2, C1)
     y_num = _pmul(A2, C1) - _pmul(A1, C2)
     # quadratic form: Q[a, b] is the coefficient polynomial of z_a z_b, z = (1, r)
     Q = _pmul(_ONE_PLUS_T2, _pmul(x_num[:, None], x_num) + _pmul(y_num[:, None], y_num))
-    Q[0] += _pmul(_pmul(U[sigma], d_num), x_num) + _pmul(_pmul(V[sigma], d_num), y_num)
-    Q[0] += _pmul(W[sigma], _pmul(d_num, d_num))
+    Q[0] += _pmul(_pmul(U[0], d_num), x_num) + _pmul(_pmul(V[0], d_num), y_num)
+    Q[0] += _pmul(W[0], _pmul(d_num, d_num))
     Q = Q + Q.swapaxes(0, 1)
     Q[range(4), range(4)] /= 2.0
 
@@ -269,7 +257,7 @@ def compile_fk(geom: RobotGeometry) -> FkDesign:
         if scale > 0.0 and rem > 1e-8 * scale:
             msg = f"tan-half deflation left a relative remainder of {rem / scale:.2e}"
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    return FkDesign(sigma, u, v, w0, _leg_floats(geom), M)
+    return FkDesign(u, v, w0, _leg_floats(geom), M)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -285,10 +273,10 @@ def build_fk_polynomial(geom: RobotGeometry, joints: JointVector) -> UnivariateF
     cmax = float(np.max(np.abs(coeffs)))
     _require_finite(math.isfinite(cmax), "polynomial has non-finite coefficients")
     if cmax == 0.0:
-        return UnivariateFkPolynomial(np.zeros(1), design.sigma, True, True)
+        return UnivariateFkPolynomial(np.zeros(1), True, True)
     keep = np.nonzero(np.abs(coeffs) > TRIM_REL * cmax)[0]
     coeffs = coeffs[: keep[-1] + 1]
-    return UnivariateFkPolynomial(coeffs, design.sigma, len(coeffs) - 1 < 6, False)
+    return UnivariateFkPolynomial(coeffs, len(coeffs) - 1 < 6, False)
 
 
 def _refine_newton(legs, rho_sq, x, y, phi, res_tol):
@@ -363,12 +351,14 @@ def solve_fk(geom: RobotGeometry, joints: JointVector) -> FkSolutionSet:
     form of :func:`_zero_leg_starts`, whose solutions report multiplicity 1)
     are lifted to poses, refined by Newton iteration on the three
     constraints and deduplicated.  An empty set is a valid outcome
-    (infeasible joints).  Results depend on the joints only through rho^2.
+    (infeasible joints).  Results depend on the joints only through rho^2;
+    squares that overflow raise :class:`ValidationError`.
     """
+    rho_sq = [r * r for r in joints.rho.tolist()]  # plain floats: no overflow warning
+    _require_finite(math.isfinite(max(rho_sq)), "polynomial has non-finite coefficients")
     design = geom.fk_design
     L = geom.L
     res_tol = RESIDUAL_REL * L**2
-    rho_sq = joints.squared.tolist()
     poly = None
     starts = _zero_leg_starts(design, rho_sq, L) if 0.0 in rho_sq else None
     if starts is None:
@@ -389,7 +379,7 @@ def solve_fk(geom: RobotGeometry, joints: JointVector) -> FkSolutionSet:
         # |det| is the same for every substitution leg (twice a triangle's area):
         # where it is small the lift is least squares, and Newton decides
         phi0 = 2.0 * np.arctan([t for t, _ in clusters])
-        x0, y0, _ = _solve_affine_xy(design.u, design.v, w, poly.base_leg, phi0, L)
+        x0, y0, _ = _solve_affine_xy(design.u, design.v, w, phi0, L)
         starts = [(x0[k], y0[k], phi0[k], mult) for k, (_, mult) in enumerate(clusters)]
 
     entries = []
@@ -402,7 +392,7 @@ def solve_fk(geom: RobotGeometry, joints: JointVector) -> FkSolutionSet:
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
     if poly is not None and poly.check_phi_pi:
-        x0, y0, det = _solve_affine_xy(design.u, design.v, w, poly.base_leg, np.array([np.pi]), L)
+        x0, y0, det = _solve_affine_xy(design.u, design.v, w, np.array([np.pi]), L)
         if det[0] > 1e-12 * L**2:
             pose, resid, ok = _refine_newton(design.legs, rho_sq, x0[0], y0[0], np.pi, res_tol)
             if ok and abs(wrap_angle(pose.phi - np.pi)) <= 1e-6:
@@ -459,7 +449,7 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
     """Brute-force forward kinematics by sweeping the orientation.
 
     At every grid angle the affine elimination gives the unique candidate
-    (x, y); the leftover residual g(phi) = F_sigma changes sign across a
+    (x, y); the leftover residual g(phi) = F_1 changes sign across a
     solution.  Sign changes are refined to 1e-12 in phi by false position
     (:func:`_bracket_roots`) and polished by the same Newton refinement as
     the solver.  Intended for verification only: slower than
@@ -479,13 +469,12 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
     _require_finite(np.all(np.isfinite([u, v, w])), "linear forms have non-finite coefficients")
     rho_sq = joints.squared.tolist()
     legs = _leg_floats(geom)
-    sigma = 0
 
     def lift(phi):
         """(x, y, |det|, g) at the angles ``phi``."""
-        x, y, abs_det = _solve_affine_xy(u, v, w, sigma, phi, L)
+        x, y, abs_det = _solve_affine_xy(u, v, w, phi, L)
         trig = np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
-        return x, y, abs_det, x**2 + y**2 + (u[sigma] @ trig) * x + (v[sigma] @ trig) * y + w[sigma] @ trig
+        return x, y, abs_det, x**2 + y**2 + (u[0] @ trig) * x + (v[0] @ trig) * y + w[0] @ trig
 
     phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     with np.errstate(over="ignore", invalid="ignore"):

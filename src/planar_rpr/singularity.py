@@ -291,10 +291,14 @@ def sample_conic_polyline(conic: SingularityConic, window, step: float) -> list[
     ``window`` is (x0, y0, x1, y1).  Returns polylines as (n, 2) arrays
     with adjacent point spacing at most 2 * step; an empty list when the
     conic misses the window.  Fully deterministic.  Grids of more than
-    ``MAX_SAMPLES`` nodes raise :class:`ValidationError`.
+    ``MAX_SAMPLES`` nodes, a step whose join tolerance 1e-9 * step
+    underflows and a window on whose lattice Q overflows raise
+    :class:`ValidationError`.
     """
     if step <= 0.0:
         raise ValidationError("step must be positive")
+    if not 1e-9 * step > 0.0:  # segment ends join at multiples of 1e-9 * step
+        raise ValidationError(f"step {step:g} is too small: its join tolerance 1e-9 * step underflows to 0")
     x0, y0, x1, y1 = window
     if x1 <= x0 or y1 <= y0:
         raise ValidationError("window must have positive extent")
@@ -304,7 +308,13 @@ def sample_conic_polyline(conic: SingularityConic, window, step: float) -> list[
     nx, ny = map(int, nodes)
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
-    Q = conic.evaluate(xs[:, None], ys[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = conic.evaluate(xs[:, None], ys[None, :])
+    if not np.all(np.isfinite(Q)):
+        raise ValidationError(
+            f"the singularity conic at phi={conic.phi:.6f} is not finite on the window's lattice: "
+            "the window's coordinates are too large"
+        )
     b = (Q < 0.0).astype(np.uint8)
     code = b[:-1, :-1] | b[1:, :-1] << 1 | b[1:, 1:] << 2 | b[:-1, 1:] << 3
     i, j = np.nonzero((code != 0) & (code != 15))  # row-major: i, then j
@@ -327,58 +337,49 @@ def sample_conic_polyline(conic: SingularityConic, window, step: float) -> list[
     )
     pairs = _MS_SEGMENTS[key]
     cell, slot = np.nonzero(pairs[:, :, 0] >= 0)
-    segments = edge_pts[cell[:, None], pairs[cell, slot]]
-    return _stitch_segments(segments.tolist(), 1e-9 * step)
+    return _stitch_segments(edge_pts[cell[:, None], pairs[cell, slot]], 1e-9 * step)
 
 
-def _stitch_segments(segments, tol: float) -> list[np.ndarray]:
-    """Chain marching-squares segments into polylines (deterministic order)."""
+def _stitch_segments(segments: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Chain marching-squares segments, an (n, 2, 2) array of end points,
+    into polylines (deterministic order).
 
-    def key(p):
-        return (round(p[0] / tol), round(p[1] / tol))
-
+    Ends join when their coordinates agree after rounding to multiples of
+    ``tol``.  Each end is rounded once and gets the integer id of its
+    rounded point; end 2 s + e is end e of segment s, so end p ^ 1 is the
+    other end of p's segment.  Open chains come first, each from the first
+    segment with an end that no other segment shares (its a end before its
+    b end); then the leftover loops, each from its a end.
+    """
+    points = segments.reshape(-1, 2)
+    _, ids = np.unique(np.round(points / tol).view(np.complex128).ravel(), return_inverse=True)
     # zero-length corner clips (contour grazing a lattice node) carry no
     # information and would foul the endpoint matching
-    segments = [(a, b) for a, b in segments if key(a) != key(b)]
+    keep = np.repeat(ids[0::2] != ids[1::2], 2)
+    points, ids = points[keep], ids[keep]
+    # the ends with id k are ends[first[k]:first[k + 1]], in segment order
+    ends = np.argsort(ids, kind="stable").tolist()
+    degree = np.bincount(ids)
+    first = np.concatenate([[0], np.cumsum(degree)]).tolist()
+    ids, degree = ids.tolist(), degree.tolist()
+    used = [False] * (len(ids) // 2)
 
-    adjacency: dict[tuple, list[int]] = {}
-    for idx, (a, b) in enumerate(segments):
-        adjacency.setdefault(key(a), []).append(idx)
-        adjacency.setdefault(key(b), []).append(idx)
+    def walk(p):
+        chain = [p]
+        while p is not None:
+            used[p >> 1] = True
+            p ^= 1
+            chain.append(p)
+            k = ids[p]
+            p = next((q for q in ends[first[k] : first[k + 1]] if not used[q >> 1]), None)
+        return points[chain]
 
-    used = [False] * len(segments)
     polylines = []
-
-    def walk(idx, start_pt):
-        used[idx] = True
-        a, b = segments[idx]
-        chain = [start_pt, b if key(a) == key(start_pt) else a]
-        while True:
-            k = key(chain[-1])
-            nxt = next((m for m in adjacency.get(k, ()) if not used[m]), None)
-            if nxt is None:
-                break
-            used[nxt] = True
-            a, b = segments[nxt]
-            chain.append(b if key(a) == k else a)
-        return chain
-
-    # open chains first: start from endpoints that belong to a single segment
-    for idx in range(len(segments)):
-        if used[idx]:
-            continue
-        a, b = segments[idx]
-        start = None
-        if len(adjacency[key(a)]) == 1:
-            start = a
-        elif len(adjacency[key(b)]) == 1:
-            start = b
-        if start is not None:
-            polylines.append(np.array(walk(idx, start)))
-    for idx in range(len(segments)):  # leftover closed loops
-        if not used[idx]:
-            polylines.append(np.array(walk(idx, segments[idx][0])))
-    return polylines
+    for s in range(len(used)):
+        for p in (2 * s, 2 * s + 1):
+            if not used[s] and degree[ids[p]] == 1:
+                polylines.append(walk(p))
+    return polylines + [walk(2 * s) for s in range(len(used)) if not used[s]]
 
 
 def _serial_clearance(geom: RobotGeometry, pose: Pose, leg: int) -> float:

@@ -257,6 +257,12 @@ REF_JOINTS = "2.23606798,8.06225775,7.21110255"
         (["oracle-fk", "--joints", REF_JOINTS, "--grid", "4096"], "cli_oracle_fk_ref_grid4096.json"),
         (["classify", "--pose", "2,1,0"], "cli_classify_ref_2_1_0.json"),
         (["locus", "--phi", "0.9", "--window", "-10,-10,20,20", "--step", "0.5"], "cli_locus_ref_phi0.9.json"),
+        # at phi = 0 the locus is the line pair y = 1, x + 2 y = 16 through
+        # lattice nodes, where end points of several segments meet
+        (
+            ["locus", "--phi", "0", "--window", "-10,-10,20,20", "--step", "0.1", "--out", "csv"],
+            "cli_locus_ref_phi0_step0.1.csv",
+        ),
         (["design-check"], "cli_design_check_ref.json"),
         (["verify", "--path", str(DATA / "verify_path_ref_5_5_0.json")], "cli_verify_ref_5_5_0.json"),
     ],
@@ -331,6 +337,36 @@ def test_cli_locus_with_non_finite_conic_is_one_error_line(tmp_path, capfd, fmt)
     assert [line for line in err.splitlines() if not line.startswith("warning: ")] == [
         "error: the singularity conic at phi=0.000000 has non-finite coefficients: "
         "the design's coordinates are too large"
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_locus_on_an_overflowing_window_is_one_error_line(ref_file, capfd, fmt):
+    """Q overflows on a window ~1e160 wide: locus used to print numpy
+    warnings and an untyped ValueError traceback; it now exits 1 with one
+    error line in both formats."""
+    args = ["locus", "--robot", str(ref_file), "--out", fmt, "--phi", "0.9",
+            "--window=-1e160,-1e160,1e160,1e160", "--step", "1e157"]
+    assert main(args) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: the singularity conic at phi=0.900000 is not finite on the window's lattice: "
+        "the window's coordinates are too large"
+    ]
+
+
+@pytest.mark.parametrize("joints", ["1e160,1e160,1e160", "0,1e160,1e160"])
+def test_cli_fk_on_joints_whose_squares_overflow_is_one_error_line(ref_file, capfd, joints):
+    """fk used to print ``warning: overflow encountered in square`` first,
+    and with a zero leg then printed ``[]`` and exited 0; the squares are
+    checked before the zero-leg branch, with the polynomial's message."""
+    assert main(["fk", "--robot", str(ref_file), "--joints", joints]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: the forward-kinematics polynomial has non-finite coefficients: "
+        "the design's coordinates or the joint values are too large"
     ]
 
 

@@ -298,7 +298,59 @@ def _reference_polyline(conic, window, step):
             for a, b in pairs:
                 if a in edge_pt and b in edge_pt:
                     segments.append((edge_pt[a], edge_pt[b]))
-    return singularity_module._stitch_segments(segments, 1e-9 * step)
+    return _reference_stitch(segments, 1e-9 * step)
+
+
+def _reference_stitch(segments, tol):
+    """Chain segments into polylines, looking up each end by its coordinates
+    rounded to multiples of ``tol`` on every use: the float-key stitcher
+    that the integer-id chaining replaced, kept as the reference."""
+
+    def key(p):
+        return (round(p[0] / tol), round(p[1] / tol))
+
+    # zero-length corner clips (contour grazing a lattice node) carry no
+    # information and would foul the endpoint matching
+    segments = [(a, b) for a, b in segments if key(a) != key(b)]
+
+    adjacency: dict[tuple, list[int]] = {}
+    for idx, (a, b) in enumerate(segments):
+        adjacency.setdefault(key(a), []).append(idx)
+        adjacency.setdefault(key(b), []).append(idx)
+
+    used = [False] * len(segments)
+    polylines = []
+
+    def walk(idx, start_pt):
+        used[idx] = True
+        a, b = segments[idx]
+        chain = [start_pt, b if key(a) == key(start_pt) else a]
+        while True:
+            k = key(chain[-1])
+            nxt = next((m for m in adjacency.get(k, ()) if not used[m]), None)
+            if nxt is None:
+                break
+            used[nxt] = True
+            a, b = segments[nxt]
+            chain.append(b if key(a) == k else a)
+        return chain
+
+    # open chains first: start from endpoints that belong to a single segment
+    for idx in range(len(segments)):
+        if used[idx]:
+            continue
+        a, b = segments[idx]
+        start = None
+        if len(adjacency[key(a)]) == 1:
+            start = a
+        elif len(adjacency[key(b)]) == 1:
+            start = b
+        if start is not None:
+            polylines.append(np.array(walk(idx, start)))
+    for idx in range(len(segments)):  # leftover closed loops
+        if not used[idx]:
+            polylines.append(np.array(walk(idx, segments[idx][0])))
+    return polylines
 
 
 def _assert_same_polylines(got, want):
@@ -341,6 +393,25 @@ def test_polyline_no_warnings_on_flat_edges():
         (poly,) = sample_conic_polyline(conic, (-1.0, -1.0, 1.0, 1.0), 0.5)
     assert np.array_equal(poly[:, 1], np.zeros(len(poly)))
     assert np.array_equal(np.sort(poly[:, 0]), np.linspace(-1.0, 1.0, 5))
+
+
+def test_polyline_on_an_overflowing_window_is_a_validation_error(ref):
+    """Q overflows at the corners of a window ~1e160 wide; the contour used
+    to fail with an untyped ValueError (a NaN end point cannot be rounded to
+    an int) after numpy overflow warnings."""
+    conic = singularity_conic(ref, 0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="is not finite on the window's lattice"):
+            sample_conic_polyline(conic, (-1e160, -1e160, 1e160, 1e160), 1e157)
+
+
+def test_polyline_with_a_step_whose_join_tolerance_underflows_is_a_validation_error():
+    """1e-9 * 1e-320 is 0: the float-key stitcher divided by it (a bare
+    ZeroDivisionError), and ends rounded in numpy would all join at inf."""
+    conic = SingularityConic(np.array([0.0, 0.0, 0.0, 1.0, 1.0, 0.0]), 0.0, np.zeros((3, 2)), "degenerate")
+    with pytest.raises(ValidationError, match="join tolerance 1e-9 \\* step underflows"):
+        sample_conic_polyline(conic, (-1e-318, -1e-318, 1e-318, 1e-318), 1e-320)
 
 
 def test_classify_regular(ref):
