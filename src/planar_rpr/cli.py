@@ -57,11 +57,6 @@ def _relay_warnings():
                 click.echo(f"warning: {w.message}", err=True)
 
 
-def _load(robot_path):
-    with _relay_warnings():
-        return load_robot(robot_path)
-
-
 def _floats(text: str, n: int, what: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != n:
@@ -104,6 +99,7 @@ def _solution_rows(sols):
 def cli(ctx):
     """Model 3-RPR planar parallel robots: kinematics, singularity loci and
     passage-crossing mode-change planning."""
+    ctx.with_resource(_relay_warnings())  # for the whole command
     ctx.obj = RunConfig.from_env()
 
 
@@ -113,7 +109,7 @@ def cli(ctx):
 @click.option("--signs", "signs_text", default=None, help="optional s1,s2,s3 sign hint")
 def ik(robot_path, pose_text, signs_text):
     """Inverse kinematics: signed leg lengths for a pose."""
-    geom = _load(robot_path)
+    geom = load_robot(robot_path)
     hint = _floats(signs_text, 3, "signs") if signs_text else None
     joints = inverse_kinematics(geom, _pose_arg(pose_text), hint)
     _emit({"rho": [float(v) for v in joints.rho]})
@@ -124,10 +120,9 @@ def ik(robot_path, pose_text, signs_text):
 @click.option("--joints", "joints_text", required=True, help="r1,r2,r3")
 def fk(robot_path, joints_text):
     """Forward kinematics: all assembly modes for given joint values."""
-    geom = _load(robot_path)
+    geom = load_robot(robot_path)
     joints = JointVector(_floats(joints_text, 3, "joints"))
-    with _relay_warnings():
-        sols = solve_fk(geom, joints)
+    sols = solve_fk(geom, joints)
     _emit(_solution_rows(sols))
 
 
@@ -137,7 +132,7 @@ def fk(robot_path, joints_text):
 @click.option("--grid", type=int, default=ORACLE_GRID, show_default=True, help="Sweep grid size.")
 def oracle_fk_cmd(robot_path, joints_text, grid):
     """Brute-force forward kinematics by orientation sweep."""
-    geom = _load(robot_path)
+    geom = load_robot(robot_path)
     joints = JointVector(_floats(joints_text, 3, "joints"))
     sols = oracle_fk(geom, joints, grid)
     _emit(_solution_rows(sols))
@@ -148,7 +143,7 @@ def oracle_fk_cmd(robot_path, joints_text, grid):
 @click.option("--pose", "pose_text", required=True, help="x,y,phi")
 def classify(robot_path, pose_text):
     """Classify a pose: regular, parallel or serial singular."""
-    geom = _load(robot_path)
+    geom = load_robot(robot_path)
     c = classify_configuration(geom, _pose_arg(pose_text))
     _emit(
         {
@@ -168,7 +163,7 @@ def classify(robot_path, pose_text):
 @click.option("--out", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def locus(robot_path, phi, window_text, step, fmt):
     """Singularity conic at fixed orientation, as plot-ready polylines."""
-    geom = _load(robot_path)
+    geom = load_robot(robot_path)
     window = _floats(window_text, 4, "window")
     conic = singularity_conic(geom, phi)
     polylines = sample_conic_polyline(conic, window, step)
@@ -193,7 +188,7 @@ def locus(robot_path, phi, window_text, step, fmt):
 @click.option("--robot", "robot_path", required=True, type=click.Path())
 def design_check(robot_path):
     """Architectural-singularity and passage-safety report."""
-    geom = _load(robot_path)
+    geom = load_robot(robot_path)
     singular, detail = is_architecturally_singular(geom)
     _emit(
         {
@@ -218,13 +213,12 @@ def design_check(robot_path):
 @click.pass_obj
 def plan(cfg, robot_path, start_text, target_text, box_text, res_text, out_path):
     """Plan an assembly-mode change crossing the locus through passages."""
-    geom = _load(robot_path)
+    geom = load_robot(robot_path)
     start = _pose_arg(start_text)
     target = _pose_arg(target_text) if target_text else None
     box = _floats(box_text, 4, "box") if box_text else None
     res = {"resolution": tuple(int(v) for v in _floats(res_text, 3, "res"))} if res_text else {}
-    with _relay_warnings():
-        path = plan_mode_change(geom, start, target, box=box, eps_pass=cfg.eps_pass_rel * geom.L, **res)
+    path = plan_mode_change(geom, start, target, box=box, eps_pass=cfg.eps_pass_rel * geom.L, **res)
     text = _dumps({"waypoints": [{"x": w.x, "y": w.y, "phi": w.phi} for w in path.waypoints]})
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -241,7 +235,7 @@ def plan(cfg, robot_path, start_text, target_text, box_text, res_text, out_path)
 @click.pass_obj
 def verify(cfg, robot_path, path_file, samples, fmt):
     """Verify a workspace path and print its mode-change certificate."""
-    geom = _load(robot_path)
+    geom = load_robot(robot_path)
     try:
         with open(path_file, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -578,10 +578,10 @@ def _trig_basis(phi):
 
 # At fixed (x, y) the determinant is a trigonometric polynomial of degree 2
 # in phi (each moment and each 2x2 minor of the line matrix is of degree 1),
-# so its values at five equally spaced angles give its coefficients
-# (a0, a1, b1, a2, b2) on _trig_basis through this discrete Fourier matrix.
+# so its values at n >= 5 equally spaced angles give its coefficients
+# (a0, a1, b1, a2, b2) on _trig_basis by a discrete Fourier transform.
+# _critical_angles reads a derivative at these five.
 _TRIG_ANGLES = 2.0 * np.pi * np.arange(5) / 5
-_TRIG_FIT = _trig_basis(_TRIG_ANGLES) * [0.2, 0.4, 0.4, 0.4, 0.4]
 # Re(G1 e^{i phi} + G2 e^{2i phi}) (1 + t^2)^2 with t = tan(phi / 2) is
 # Re(G @ _TAN_HALF) on t^0 .. t^4, from e^{ik phi} = ((1 + it) / (1 - it))^k.
 _TAN_HALF = np.array([[1, 2j, 0, 2j, -1], [1, 4j, -6, -4j, 1]])
@@ -634,7 +634,8 @@ def _axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn):
     marked too.  ``q``, ``det`` and ``sgn`` come from :func:`_node_signs`;
     the scan evaluates no node.  Along x and y the determinant is the
     conic's quadratic, whose one extremum is its vertex.  Along phi it is a
-    trigonometric polynomial of degree 2 with coefficients (a_k, b_k); an
+    trigonometric polynomial of degree 2 whose coefficients (a_k, b_k) are
+    the discrete Fourier transform of the node values at the np_ angles; an
     edge whose end values both exceed sum_k k^2 (|a_k| + |b_k|) times
     dphi^2 / 8 keeps one sign (the bound on its distance from the chord),
     and the remaining edges are tested at every real critical point.
@@ -661,7 +662,7 @@ def _axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn):
         return cross.transpose(1, 0, 2) if axis == 1 else cross
     np_ = len(phis)
     dphi = 2.0 * np.pi / np_
-    coef = _leg_geometry(geom, xs[:, None, None], ys[None, :, None], _TRIG_ANGLES)[3] @ _TRIG_FIT
+    coef = det @ (_trig_basis(phis) * [1, 2, 2, 2, 2] / np_)
     cross = sgn * np.roll(sgn, -1, axis=2) <= 0
     # |f''| <= sum_k k^2 (|a_k| + |b_k|), so f keeps the ends' sign on an
     # edge where both end values exceed that bound times dphi^2 / 8
@@ -744,19 +745,17 @@ _MOVE_AXES = (0, 1, 2, 2, 1, 0)
 
 
 class _TwoEndedSearch:
-    """Shortest distances from both ends (s, t) of a grid route, within a
-    limit that grows until a value read off them is certified.
+    """Shortest distances from both ends (s, t) of a grid route, searched
+    until a value read off them is certified.
 
     A label-correcting search on the admissible masks from both ends at
     once.  Each round writes the waiting relaxations up to the least of
     them plus the smallest edge cost (Dial's buckets, so a node's distance
     is written about once), and relaxes the nodes whose distance fell along
-    the six moves.  Relaxations beyond the limit wait for it to grow, so
-    ``dist`` (rows s and t) is a Dijkstra's bounded by the limit.  The
-    limit starts at (D + c) / 2, the least that can certify a route, with D
-    the grid-metric distance from s to t and c the largest edge cost.
-    ``best`` is the least d_s + d_t and ``meets`` the nodes where it is
-    reached.
+    the six moves.  :meth:`until` writes no relaxation beyond the bound it
+    is given, so with a fixed bound ``dist`` (rows s and t) is a Dijkstra's
+    bounded by it.  ``best`` is the least d_s + d_t and ``meets`` the nodes
+    where it is reached.
 
     ``masks`` pads each axis's edge mask to the grid's shape with False,
     indexed by the edge's lower node (a minus move's target); a minus step
@@ -772,46 +771,41 @@ class _TwoEndedSearch:
         self.axes = np.array(_MOVE_AXES)[:, None]  # (6, 1), as are steps and costs
         self.steps = np.array([[-ny * np_], [-np_], [-1], [1], [np_], [ny * np_]])
         self.costs = np.asarray(costs)[self.axes]
-        gap = np.abs(np.diff(np.unravel_index(ends, self.shape), axis=1)[:, 0])
-        gap[2] = min(gap[2], np_ - gap[2])  # phi wraps
-        self.limit = (float(gap @ costs) + max(costs)) / 2
         self.flat = np.full(2 * n, np.inf)
         self.dist = self.flat.reshape(2, n)
         self.best, self.meets = np.inf, []
         self.waiting = np.asarray(ends) + [0, n], np.zeros(2)
 
     def until(self, needed):
-        """Search until ``needed()``, the least limit at which the value it
-        reads off the search is exact (inf while there is none), is within
-        the limit, or until no relaxation waits: then the finite distances
-        span each end's whole component.  The limit grows to
-        min(2 limit, needed).  Returns ``dist``."""
+        """Search while the least waiting relaxation is within ``needed()``,
+        the least bound on the distances at which the value it reads off the
+        search is exact (inf while there is none); each round writes up to
+        that bound.  On return every node within the certified value has its
+        exact distance, and so has every other finite node (written before
+        the bound fell); when no relaxation waits, the finite distances span
+        each end's whole component.  Returns ``dist``."""
         d_at, n, np_ = self.flat, self.n, self.shape[2]
-        while True:
-            v, d = self.waiting
-            while (low := np.min(d, initial=np.inf)) <= self.limit:
-                now = d <= min(self.limit, low + self.costs.min())
-                (lv, ld), v, d = (v[~now], d[~now]), v[now], d[now]
-                np.minimum.at(d_at, v, d)
-                v = np.unique(v[d == d_at[v]])  # the nodes whose distance fell
-                dv, u = d_at[v], v % n
-                both = dv + d_at[(v + n) % (2 * n)]  # d_s + d_t at them
-                least = np.min(both, initial=np.inf)
-                if least < self.best:
-                    self.best, self.meets = least, []
-                if least == self.best < np.inf:
-                    self.meets += u[both == least].tolist()
-                t, m = u + self.steps, u % np_
-                t[2:4] = u - m + (m + self.steps[2:4]) % np_  # phi wraps
-                go = self.masks[self.axes, np.where(self.steps < 0, t, u)]
-                v, d = np.concatenate([(t + (v - u))[go], lv]), np.concatenate([(dv + self.costs)[go], ld])
-                keep = d < d_at[v]  # drop the relaxations that lower nothing
-                v, d = v[keep], d[keep]
-            self.waiting = v, d
-            need = needed()
-            if need <= self.limit or not len(self.waiting[0]):
-                return self.dist
-            self.limit = min(2.0 * self.limit, need)
+        v, d = self.waiting
+        while len(d) and (low := d.min()) <= (need := needed()):
+            now = d <= min(need, low + self.costs.min())
+            (lv, ld), v, d = (v[~now], d[~now]), v[now], d[now]
+            np.minimum.at(d_at, v, d)
+            v = np.unique(v[d == d_at[v]])  # the nodes whose distance fell
+            dv, u = d_at[v], v % n
+            both = dv + d_at[(v + n) % (2 * n)]  # d_s + d_t at them
+            least = np.min(both, initial=np.inf)
+            if least < self.best:
+                self.best, self.meets = least, []
+            if least == self.best < np.inf:
+                self.meets += u[both == least].tolist()
+            t, m = u + self.steps, u % np_
+            t[2:4] = u - m + (m + self.steps[2:4]) % np_  # phi wraps
+            go = self.masks[self.axes, np.where(self.steps < 0, t, u)]
+            v, d = np.concatenate([(t + (v - u))[go], lv]), np.concatenate([(dv + self.costs)[go], ld])
+            keep = d < d_at[v]  # drop the relaxations that lower nothing
+            v, d = v[keep], d[keep]
+        self.waiting = v, d
+        return self.dist
 
     def walk(self, end, node):
         """Grid nodes from ``node`` back to the end ``end`` (0 for s, 1 for
@@ -848,8 +842,8 @@ def _grid_route(ok, doors, costs, ends, require_crossing, serial):
     gives one.
     """
     search = _TwoEndedSearch(ok, costs, ends)
-    # a shortest route of length mu has a node within limit of s whose rest is
-    # shorter than limit, so min(d_s + d_t) is exact once mu + max(costs) <= 2 limit
+    # a shortest route of length mu has a node within (mu + c) / 2 of both ends,
+    # so min(d_s + d_t) is exact once every node within (best + c) / 2 is written
     dist = search.until(lambda: (search.best + max(costs)) / 2)
     if not search.meets:
         raise NoPathFound(
@@ -865,7 +859,7 @@ def _grid_route(ok, doors, costs, ends, require_crossing, serial):
     if not require_crossing or set(zip(route[:-1], route[1:])) & set(zip(a.tolist(), b.tolist())):
         return route
 
-    # the splice through a door is exact once its cost mu <= limit
+    # the cheapest splice is exact once every node within its cost is written
     dist = search.until(lambda: np.min(search.dist[0, a] + w + search.dist[1, b], initial=np.inf))
     total = dist[0, a] + w + dist[1, b]
     if not np.isfinite(np.min(total, initial=np.inf)):
@@ -919,14 +913,13 @@ def plan_mode_change(
     farthest first, and the route skips to the farthest admissible one,
     keeping the two points where each door's path crosses its cell.
 
-    The grid search runs from both ends on the admissible masks, within a
-    limit that grows until the route (and then the splice) is certified
-    exact (:class:`_TwoEndedSearch`); among equal-cost routes it takes the
-    one its tie rule gives.  A ``NoPathFound`` from the search counts in
-    ``explored`` every node reachable from the start (and from the target
-    when no door is reachable from both); "no passage edge exists" means
-    that the grid has no door, and says how many serial points lay in the
-    box.
+    The grid search runs from both ends on the admissible masks until the
+    route (and then the splice) is certified exact (:class:`_TwoEndedSearch`);
+    among equal-cost routes it takes the one its tie rule gives.  A
+    ``NoPathFound`` from the search counts in ``explored`` every node
+    reachable from the start (and from the target when no door is reachable
+    from both); "no passage edge exists" means that the grid has no door,
+    and says how many serial points lay in the box.
     """
     L = geom.L
     if eps_pass is None:

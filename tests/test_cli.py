@@ -245,6 +245,31 @@ def test_cli_plan_output_equals_pinned_file(ref_file, capfd, args, pinned):
     assert err == ""
 
 
+# the perfbench plan workload's seed-1 random design and seeded start
+RANDOM0 = {
+    "name": "random0",
+    "base": [[0.5183762880971791, 1.2324272152517375], [10.49565561427508, -1.9547358474065413],
+             [5.358033800009677, 8.669561858546016]],
+    "platform": [[-2.2684766176801427, -0.7094409479018234], [2.182286198093038, -0.8529337516722371],
+                 [0.014211120657898394, 2.2733564933062236]],
+}
+
+
+def test_cli_plan_on_a_random_design_equals_pinned_file(tmp_path, capfd):
+    """plan on a perturbed reference design from its seeded start prints the
+    bytes pinned in tests/data (the ``--start=`` form keeps the leading
+    minus out of option parsing), and the plan verifies."""
+    robot = tmp_path / "random0.json"
+    robot.write_text(json.dumps(RANDOM0))
+    start = "--start=-0.127511363705203,16.112161267419438,1.9050292966180866"
+    assert main(["plan", "--robot", str(robot), start]) == 0
+    out, err = capfd.readouterr()
+    assert out.encode() == (DATA / "plan_random0_seed1.json").read_bytes()
+    assert err == ""
+    assert main(["verify", "--robot", str(robot), "--path", str(DATA / "plan_random0_seed1.json")]) == 0
+    assert json.loads(capfd.readouterr().out)["verdict"] == "changed_without_parallel"
+
+
 REF_JOINTS = "2.23606798,8.06225775,7.21110255"
 
 
@@ -578,23 +603,26 @@ def _runner():
     [
         (cli_module, ["fk", "--joints", "2.23606797749979,8.06225774829855,7.211102550927978"]),
         (modeplan, ["plan", "--start", "0,0,0", "--res", "32,32,32"]),
+        (cli_module, ["locus", "--phi", "0.9", "--window", "-10,-10,20,20", "--step", "0.5"]),
     ],
 )
 def test_cli_relays_solver_warnings(ref_file, monkeypatch, module, args):
-    """A RuntimeWarning raised inside solve_fk under fk and plan reaches
-    stderr as one ``warning:`` line, and stdout does not change."""
+    """A RuntimeWarning raised inside solve_fk under fk and plan, or inside
+    singularity_conic under locus, reaches stderr as one ``warning:`` line,
+    and stdout does not change."""
+    name = "singularity_conic" if args[0] == "locus" else "solve_fk"
     args = [args[0], "--robot", str(ref_file), *args[1:]]
     quiet = _runner().invoke(cli_module.cli, args)
     assert quiet.exit_code == 0 and quiet.stderr == ""
 
-    solve_fk = module.solve_fk
-    message = "dropped a near-solution at phi=0.500000 with residual 1.000e-06"
+    solver = getattr(module, name)
+    message = f"{name} warned at phi=0.500000 with residual 1.000e-06"
 
-    def warning_solve_fk(geom, joints):
+    def warning_solver(*solver_args):
         warnings.warn(message, RuntimeWarning, stacklevel=2)
-        return solve_fk(geom, joints)
+        return solver(*solver_args)
 
-    monkeypatch.setattr(module, "solve_fk", warning_solve_fk)
+    monkeypatch.setattr(module, name, warning_solver)
     loud = _runner().invoke(cli_module.cli, args)
     assert loud.exit_code == 0
     assert loud.stderr == f"warning: {message}\n"

@@ -725,11 +725,11 @@ def test_window_edge_scan_equals_the_slice_of_the_full_scan():
 
 
 def test_bounded_search_equals_bounded_dijkstra():
-    """At its first limit and at every limit from c to 32c above it, the
-    search's distances equal, bit for bit, those of one bounded dijkstra
-    on the whole grid's graph (the test's oracle): on the planner's grids
-    of three designs and on seeded random masks, from seeded near and far
-    ends."""
+    """Searched until a fixed bound, for bounds growing from 0 through c/2
+    to 32c, the search's distances equal, bit for bit, those of one bounded
+    dijkstra on the whole grid's graph (the test's oracle): on the
+    planner's grids of three designs and on seeded random masks, from
+    seeded near and far ends."""
     from scipy.sparse.csgraph import dijkstra
 
     rng = np.random.default_rng(31)
@@ -746,11 +746,29 @@ def test_bounded_search_equals_bounded_dijkstra():
             t = np.clip(s + rng.integers(-2, 3, 3), 0, np.array(shape) - 1) if near else rng.integers(0, shape)
             ends = [int(np.ravel_multi_index(e, shape)) for e in (s, t)]
             search = _TwoEndedSearch(ok, costs, ends)
-            for limit in [search.limit] + [v for v in c * 2.0 ** np.arange(6) if v > search.limit]:
-                dist = search.until(lambda: limit)  # searches at this limit, or completes below it
-                assert np.array_equal(dist, dijkstra(graph, indices=ends, limit=limit))
+            for bound in [0.0, *(c * 2.0 ** np.arange(-1, 6))]:
+                dist = search.until(lambda: bound)  # searches to this bound, or completes below it
+                assert np.array_equal(dist, dijkstra(graph, indices=ends, limit=bound))
                 compared += 1
     assert compared >= 40
+
+
+def test_route_search_stops_at_the_value_it_certifies(ref, monkeypatch):
+    """From (5, 5, 0) on the reference robot at 64^3 the route needs no
+    splice, and its search writes no distance beyond (best + c) / 2 = 3.125,
+    c the largest edge cost: the value that certifies the route."""
+    searches = []
+
+    class Recorded(_TwoEndedSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(modeplan, "_TwoEndedSearch", Recorded)
+    plan_mode_change(ref, Pose(5.0, 5.0, 0.0))
+    (search,) = searches
+    written = search.dist[np.isfinite(search.dist)]
+    assert written.max() <= (search.best + search.costs.max()) / 2
 
 
 # ---------------------------------------------------------------------------
