@@ -217,7 +217,9 @@ def plan(cfg, robot_path, start_text, target_text, box_text, res_text, out_path)
     start = _pose_arg(start_text)
     target = _pose_arg(target_text) if target_text else None
     box = _floats(box_text, 4, "box") if box_text else None
-    res = {"resolution": tuple(int(v) for v in _floats(res_text, 3, "res"))} if res_text else {}
+    res = {"resolution": _floats(res_text, 3, "res")} if res_text else {}
+    if res and not all(v.is_integer() for v in res["resolution"]):
+        raise click.UsageError(f"res needs whole numbers, got {res_text!r}")
     path = plan_mode_change(geom, start, target, box=box, eps_pass=cfg.eps_pass_rel * geom.L, **res)
     text = _dumps({"waypoints": [{"x": w.x, "y": w.y, "phi": w.phi} for w in path.waypoints]})
     if out_path:

@@ -12,7 +12,7 @@ along the shorter wrap.  Three layers sit on top of that:
   along the path and classifies each crossing: a ``passage`` happens inside
   the eps_pass window around a serial point with positive clearance of the
   remaining leg lines; anything else that flips the sign is ``parallel``;
-  zeros without a sign change are ``grazing``.
+  zeros without a sign change are ``grazing``.  Sample gaps are certified.
 * :func:`verify_mode_change` assembles a ModeChangeCertificate: assembly
   mode changed iff the endpoint squared joint values agree while the poses
   differ.  The verdict ``changed_without_parallel`` additionally requires
@@ -34,6 +34,7 @@ can apply whatever practical margin the hardware needs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -70,14 +71,9 @@ REFINE_FACTOR = 8
 ZERO_DET_REL = 1e-12
 # Bracket width to which crossing parameters are refined.
 CROSSING_T_TOL = 1e-10
-# Sample density of the planner's batched crossing checks (snaps and
-# shortcuts): each segment gets at least 2 * EDGE_SUBSAMPLES samples and one
-# per 1/EDGE_SUBSAMPLES of the smallest grid step (``fine_step``).  The edge
-# scans and the doors are exact and do not sample.
-EDGE_SUBSAMPLES = 9
-# Base samples of one pass over shortcuts, which bounds its memory on long
-# routes; the reference robot's default-grid passes take at most 3,200.
-BATCH_SAMPLES = 2**14
+# Segments of one pass over shortcuts, which bounds its memory on long
+# routes; the reference robot's default-grid passes take at most 11.
+BATCH_SEGMENTS = 2**10
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,7 @@ class WorkspacePath:
         if not np.all(np.isfinite(table)):
             raise ValidationError("waypoints must have finite coordinates")
         object.__setattr__(self, "waypoints", wps)
-        one_row = _Paths(table, np.array([0]), np.array([len(wps) - 1]), np.array([self.samples_per_segment]))
+        one_row = _Paths(table, np.array([0]), np.array([len(wps) - 1]), self.samples_per_segment)
         object.__setattr__(self, "_paths", one_row)
 
     def poses_at(self, ts):
@@ -116,16 +112,16 @@ class _Paths:
     """Piecewise-linear pose paths stored end to end, one per row.
 
     Row r runs through the waypoints ``table[first[r] : first[r] + n[r] + 1]``
-    with ``per_segment[r]`` base samples on each of its ``n[r]`` segments,
-    and has its own parameter t in [0, 1].  A :class:`WorkspacePath` is one
-    row; the planner's batched crossing check makes one row per segment.
+    with ``samples`` base samples on each of its ``n[r]`` segments, and has
+    its own parameter t in [0, 1].  A :class:`WorkspacePath` is one row; the
+    planner's batched crossing check makes one row per segment.
     ``steps[i]`` is the step from waypoint i to i + 1, phi wrapped.
     """
 
     table: np.ndarray
     first: np.ndarray
     n: np.ndarray
-    per_segment: np.ndarray
+    samples: int
     steps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -234,12 +230,10 @@ def _sample_params(geom: RobotGeometry, paths: _Paths) -> np.ndarray:
     numbers by real part, then imaginary part, so the keys sort row by row
     and by t within a row, and sorting or searching them stays in a row.
     """
-    shapes = list(zip(paths.n.tolist(), paths.per_segment.tolist()))
-    # the base parameters of each distinct (segments, samples) row shape
-    uniform = {
-        (n, S): (np.arange(n)[:, None] + np.linspace(0.0, 1.0, S + 1)).ravel() / n for n, S in set(shapes)
-    }
-    base = [uniform[shape] for shape in shapes]
+    ns, S = paths.n.tolist(), paths.samples
+    # the base parameters of each distinct segment count
+    uniform = {n: (np.arange(n)[:, None] + np.linspace(0.0, 1.0, S + 1)).ravel() / n for n in set(ns)}
+    base = [uniform[n] for n in ns]
     base = np.repeat(np.arange(len(base)), [len(b) for b in base]) + 1j * np.concatenate(base)
     base = base[_first_of_runs(base)]  # sorted already; a segment's end starts the next one
     ts, rows = base.imag, base.real
@@ -366,55 +360,87 @@ def _classify_zeros(geom: RobotGeometry, x, y, phi, eps_pass: float) -> list[tup
     return out
 
 
-def _with_vertices(geom: RobotGeometry, s: _SampledPath):
-    """Samples ``(ts, rows, dets)`` plus the vertex of every constant-phi
-    segment's quadratic that hides two sign changes (or a touch) inside one
-    sample gap.
+def _trig_basis(phi):
+    """(1, cos phi, sin phi, cos 2phi, sin 2phi) along a new trailing axis."""
+    return np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi), np.cos(2 * phi), np.sin(2 * phi)], -1)
 
-    Along a constant-phi segment the determinant is exactly quadratic in
-    the segment parameter, so the samples at its ends and middle give the
-    quadratic.  Its vertex is added only when it falls strictly inside a
-    gap whose end values share a sign and the value there has the other
-    sign or is zero, so every other sample set is unchanged.
+
+# At fixed (x, y) the determinant and each conic coefficient are trigonometric
+# polynomials of degree 2 in phi (each moment and each 2x2 minor of the line
+# matrix is of degree 1), so their values at n >= 5 equally spaced angles give
+# their coefficients (a0, a1, b1, a2, b2) on _trig_basis by a discrete Fourier transform.
+_TRIG_ANGLES = 2.0 * np.pi * np.arange(5) / 5
+
+
+@functools.lru_cache(maxsize=64)
+def _conic_trig_bounds(geom: RobotGeometry):
+    """Rows: sum_k k^j (|a_k| + |b_k|) >= max |d^j q_c / dphi^j|, j = 0, 1, 2,
+    of the six conic coefficients q_c about the base centroid."""
+    coef = _conic_coefficients(geom, _TRIG_ANGLES, geom.base.mean(axis=0)).T
+    coef = coef @ (_trig_basis(_TRIG_ANGLES) * [1, 2, 2, 2, 2] / 5)
+    return np.array([[1, 1, 1, 1, 1], [0, 1, 1, 2, 2], [0, 1, 1, 4, 4]]) @ np.abs(coef).T
+
+
+def _split_gaps(geom: RobotGeometry, s: _SampledPath):
+    """Samples ``(ts, rows, dets)`` of ``s``, plus one of the other sign in
+    every same-sign gap that hides zeros, and each row's zero band.
+
+    Along a segment det = sum_c m_c q_c over the monomials m_c = (u^2, uv,
+    v^2, u, v, 1) of (u, v) = (x, y) - base centroid.  The q_c bounds, the
+    segment's rates and the larger |u| and |v| at its ends bound |det''| on
+    it by M, so a gap of width h whose end values both exceed M h^2 / 8
+    (the bound on its distance from the chord) keeps their sign.  The others
+    are halved, all per round in one kernel call, until certified or
+    CROSSING_T_TOL wide; a midpoint of the other sign (or zero) joins the
+    samples.  Ends in the zero band are not tested: |det| <= ZERO_DET_REL
+    times the row's largest, or times the bound T on |det| over the segment
+    from the same q_c bounds, below which rounding decides the sign.
     """
-    ts, rows, dets = s.ts, s.rows, s.legs[3]
-    first = s.paths.first
-    i = np.flatnonzero(s.paths.steps[:, 2] == 0.0)  # waypoint pairs at one phi
-    row = np.searchsorted(first, i, side="right") - 1
-    k = i - first[row]  # the pair's segment index in its row, if it is a segment
-    row, k = row[k < s.paths.n[row]], k[k < s.paths.n[row]]
-    if not len(k):
-        return ts, rows, dets
-    n = s.paths.n[row]
-    keys = rows + 1j * ts  # searches stay in a row (see _sample_params)
-    i0, im, i1 = (np.searchsorted(keys, row + 1j * ((k + f) / n)) for f in (0.0, 0.5, 1.0))
-    u, f0, fm, f1 = ts[im] * n - k, dets[i0], dets[im], dets[i1]
-    curvature = (fm - f0 - u * (f1 - f0)) / (u * u - u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = 0.5 - 0.5 * (f1 - f0) / curvature
-    inside = (vertex > 0.0) & (vertex < 1.0)
-    row = row[inside]
-    t = (k[inside] + vertex[inside]) / n[inside]
-    g = np.searchsorted(keys, row + 1j * t) - 1
-    at_vertex = f0[inside] - curvature[inside] * vertex[inside] ** 2
-    keep = (t < ts[g + 1]) & (dets[g] * dets[g + 1] > 0.0) & (at_vertex * dets[g] <= 0.0)
-    if not np.any(keep):
-        return ts, rows, dets
-    # the detector's own value at the vertex decides
-    t, g, row = t[keep], g[keep], row[keep]
-    d = _leg_geometry(geom, *s.paths.poses_at(t, row))[3]
-    hide = d * dets[g] <= 0.0
-    at = g[hide] + 1
-    return np.insert(ts, at, t[hide]), np.insert(rows, at, row[hide]), np.insert(dets, at, d[hide])
+    paths, ts, rows, dets = s.paths, s.ts, s.rows, s.legs[3]
+    band = ZERO_DET_REL * np.maximum.reduceat(np.abs(dets), np.flatnonzero(_first_of_runs(rows)))
+    band[band == 0.0] = ZERO_DET_REL
+    k = np.flatnonzero((rows[:-1] == rows[1:]) & (dets[:-1] * dets[1:] > 0.0))
+    lo, hi, flo, fhi, row = ts[k], ts[k + 1], dets[k], dets[k + 1], rows[k]
+    n = paths.n[row]
+    seg = paths.first[row] + np.minimum((0.5 * (lo + hi) * n).astype(int), n - 1)
+    dx, dy, dphi = np.abs(paths.steps[seg].T * n)  # rates per unit t
+    o = geom.base.mean(axis=0)
+    u, v = np.maximum(np.abs(paths.table[seg, :2] - o), np.abs(paths.table[seg + 1, :2] - o)).T
+    # |det''| <= sum_c |m_c''| |q_c| + 2 |m_c'| |q_c'| + |m_c| |q_c''|, and |det| <= sum_c |m_c| |q_c| = T
+    b0, b1, b2 = _conic_trig_bounds(geom).tolist()
+    m2 = 2 * ((b0[0] * dx + b0[1] * dy) * dx + b0[2] * dy * dy)
+    m1 = (2 * b1[0] * u + b1[1] * v + b1[3]) * dx + (b1[1] * u + 2 * b1[2] * v + b1[4]) * dy
+    m0 = (b2[0] * u + b2[1] * v + b2[3]) * u + (b2[2] * v + b2[4]) * v + b2[5]
+    bound = (m2 + 2 * dphi * m1 + dphi**2 * m0) / 8
+    top = (b0[0] * u + b0[1] * v + b0[3]) * u + (b0[2] * v + b0[4]) * v + b0[5]
+    zero = np.maximum(band[row], ZERO_DET_REL * top)
+    found, f = [], np.minimum(abs(flo), abs(fhi))
+    while np.any(keep := (f > zero) & (f <= bound * (hi - lo) ** 2) & (hi - lo > CROSSING_T_TOL)):
+        lo, hi, flo, fhi, row, bound, zero = (w[keep] for w in (lo, hi, flo, fhi, row, bound, zero))
+        mid = 0.5 * (lo + hi)
+        fmid = _leg_geometry(geom, *paths.poses_at(mid, row))[3]
+        other = fmid * flo <= 0.0
+        found.append((row[other], mid[other], fmid[other]))
+        go = ~other
+        lo, hi = np.concatenate([lo[go], mid[go]]), np.concatenate([mid[go], hi[go]])
+        flo, fhi = np.concatenate([flo[go], fmid[go]]), np.concatenate([fmid[go], fhi[go]])
+        row, bound, zero = (np.tile(w[go], 2) for w in (row, bound, zero))
+        f = np.minimum(abs(flo), abs(fhi))
+    if found:
+        rows, ts, dets = (np.concatenate([v, *w]) for v, w in zip((rows, ts, dets), zip(*found)))
+        order = np.lexsort((ts, rows))
+        ts, rows, dets = ts[order], rows[order], dets[order]
+    return ts, rows, dets, band
 
 
 def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> list[list[CrossingEvent]]:
     """The crossing events of every row of ``s``: one list per row, sorted
     by t (see :func:`detect_crossings`).  All rows' sign changes are
     refined in one :func:`_bracket_roots` call, which refines each bracket
-    on its own, and all their zeros are classified in one kernel pass."""
+    on its own, and all their zeros are classified in one kernel pass.
+    Same-sign gaps are certified or split first (:func:`_split_gaps`)."""
     paths = s.paths
-    ts, rows, dets = _with_vertices(geom, s)
+    ts, rows, dets, band = _split_gaps(geom, s)
     same = rows[:-1] == rows[1:]  # consecutive samples of one row
     inner = same[:-1] & same[1:]  # samples with both neighbours in their row
     around = dets[:-2] * dets[2:]  # product of the neighbours' values
@@ -431,10 +457,8 @@ def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> l
     )
     # interior near-zero minima without a sign change (tangential grazing)
     a = np.abs(dets)
-    dscale = np.maximum.reduceat(a, np.flatnonzero(_first_of_runs(rows)))
-    dscale[dscale == 0.0] = 1.0
     here = a[1:-1]
-    graze = inner & (0.0 < here) & (here <= ZERO_DET_REL * dscale[rows[1:-1]]) & (here <= a[:-2]) & (here <= a[2:])
+    graze = inner & (0.0 < here) & (here <= band[rows[1:-1]]) & (here <= a[:-2]) & (here <= a[2:])
     graze = np.flatnonzero(graze & (around > 0.0)) + 1
 
     # zero samples, refined roots and grazing minima, in that order before
@@ -460,9 +484,10 @@ def detect_crossings(
     Sign changes are refined to |dt| <= 1e-10, all at once.  A crossing
     within ``eps_pass`` of a serial point whose remaining leg lines clear
     the coinciding joint is a passage; other sign changes are parallel
-    crossings.  Zeros without a sign change are reported as grazing.  On
-    constant-phi segments the exact vertex of the quadratic joins the
-    samples where two crossings would otherwise hide in one sample gap.
+    crossings.  Zeros without a sign change are reported as grazing.  A
+    curvature bound certifies each gap between samples of one sign, or
+    halving splits it (:func:`_split_gaps`), so two crossings in one
+    sample gap are both found, on any segment.
     """
     s = _sampled(geom, path)
     if eps_pass is None:
@@ -533,37 +558,22 @@ def verify_mode_change(
 # grid planner
 
 
-def _check_samples(L, p0s, p1s, fine_step):
-    """Base samples of the crossing check of each pose segment ``p0s[r] ->
-    p1s[r]``: one per ``fine_step`` of pose distance and at least
-    2 * EDGE_SUBSAMPLES, so a shortcut spanning many cells is sampled as
-    densely as a snap stub; 0 for a segment shorter than 1e-9 * L."""
-    length = np.maximum(
-        np.hypot(p0s[:, 0] - p1s[:, 0], p0s[:, 1] - p1s[:, 1]), L * np.abs(wrap_angle(p0s[:, 2] - p1s[:, 2]))
-    )
-    samples = np.where(length > 1e-9 * L, np.maximum(2 * EDGE_SUBSAMPLES, np.ceil(length / fine_step)), 0)
-    if np.any(samples > MAX_SAMPLES):
-        raise ValidationError(f"the path has more than {MAX_SAMPLES:,} base samples")
-    return samples.astype(int)
-
-
-def _segments_crossings(geom, p0s, p1s, eps_pass, safe, fine_step):
+def _segments_crossings(geom, p0s, p1s, eps_pass, safe):
     """Crossing events of each pose segment ``p0s[r] -> p1s[r]`` ((m, 3)
-    arrays of x, y, phi), or None where the segment is inadmissible, all
-    checked in one pass.
-
-    A segment is admissible when every determinant sign change on it is a
-    passage through a passage-safe leg.  Each segment is one row, sampled
-    by :func:`_check_samples` as a path of its own, so its events are those
-    that :func:`detect_crossings` finds on it alone; a segment without
-    samples crosses nothing.
+    arrays of x, y, phi) in one pass, or None where it is inadmissible: where
+    a determinant sign change on it is not a passage through a passage-safe
+    leg.  Each segment is one row, sampled as a one-segment
+    :class:`WorkspacePath`, so its events are those :func:`detect_crossings`
+    finds on it alone; one shorter than 1e-9 * L in pose distance crosses
+    nothing.
     """
-    samples = _check_samples(geom.L, p0s, p1s, fine_step)
-    live = np.flatnonzero(samples)
-    out = [[] for _ in samples]
+    step = p1s - p0s
+    length = np.maximum(np.hypot(step[:, 0], step[:, 1]), geom.L * np.abs(wrap_angle(step[:, 2])))
+    live = np.flatnonzero(length > 1e-9 * geom.L)
+    out = [[] for _ in p0s]
     if len(live):
         table = np.stack([p0s[live], p1s[live]], axis=1).reshape(-1, 3)
-        rows = _Paths(table, 2 * np.arange(len(live)), np.ones(len(live), dtype=int), samples[live])
+        rows = _Paths(table, 2 * np.arange(len(live)), np.ones(len(live), dtype=int), WorkspacePath.samples_per_segment)
         for r, events in zip(live.tolist(), _crossing_events(geom, _sampled(geom, rows), eps_pass)):
             if any(e.kind == "parallel" or (e.kind == "passage" and not safe[e.leg - 1]) for e in events):
                 events = None
@@ -571,17 +581,6 @@ def _segments_crossings(geom, p0s, p1s, eps_pass, safe, fine_step):
     return out
 
 
-def _trig_basis(phi):
-    """(1, cos phi, sin phi, cos 2phi, sin 2phi) along a new trailing axis."""
-    return np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi), np.cos(2 * phi), np.sin(2 * phi)], -1)
-
-
-# At fixed (x, y) the determinant is a trigonometric polynomial of degree 2
-# in phi (each moment and each 2x2 minor of the line matrix is of degree 1),
-# so its values at n >= 5 equally spaced angles give its coefficients
-# (a0, a1, b1, a2, b2) on _trig_basis by a discrete Fourier transform.
-# _critical_angles reads a derivative at these five.
-_TRIG_ANGLES = 2.0 * np.pi * np.arange(5) / 5
 # Re(G1 e^{i phi} + G2 e^{2i phi}) (1 + t^2)^2 with t = tan(phi / 2) is
 # Re(G @ _TAN_HALF) on t^0 .. t^4, from e^{ik phi} = ((1 + it) / (1 - it))^k.
 _TAN_HALF = np.array([[1, 2j, 0, 2j, -1], [1, 4j, -6, -4j, 1]])
@@ -906,12 +905,13 @@ def plan_mode_change(
     always passes verification with verdict ``changed_without_parallel``.
 
     Segments are checked by the crossing detector in batched passes, each
-    segment sampled as a path of its own: one pass, before the search,
-    checks the segments joining the start and target to the corners of
-    their grid cells (each snaps to its nearest nonzero corner joined
-    admissibly); then one pass per kept waypoint checks its shortcuts,
-    farthest first, and the route skips to the farthest admissible one,
-    keeping the two points where each door's path crosses its cell.
+    segment sampled as a one-segment :class:`WorkspacePath`: one pass,
+    before the search, checks the segments joining the start and target to
+    the corners of their grid cells (each snaps to its nearest nonzero
+    corner joined admissibly); then one pass per kept waypoint checks its
+    shortcuts, farthest first, and the route skips to the farthest
+    admissible one, keeping the two points where each door's path crosses
+    its cell.  ``resolution`` must be whole numbers.
 
     The grid search runs from both ends on the admissible masks until the
     route (and then the splice) is certified exact (:class:`_TwoEndedSearch`);
@@ -927,6 +927,8 @@ def plan_mode_change(
     if box is None:
         box = (-L, -L, 2.0 * L, 2.0 * L)
     x0, y0, x1, y1 = (float(v) for v in box)
+    if not all(float(v).is_integer() for v in resolution):
+        raise ValidationError("resolution must be whole numbers")
     nx, ny, np_ = (int(v) for v in resolution)
     if min(nx, ny, np_) < 8:
         raise ValidationError("resolution must be at least 8 per axis")
@@ -963,7 +965,6 @@ def plan_mode_change(
     phis = np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
 
     shape = (nx, ny, np_)
-    fine_step = min(xs[1] - xs[0], ys[1] - ys[0], L * 2.0 * np.pi / np_) / EDGE_SUBSAMPLES
     costs = (float(xs[1] - xs[0]), float(ys[1] - ys[0]), float(L * 2.0 * np.pi / np_))
 
     def node_poses(nodes):
@@ -972,9 +973,6 @@ def plan_mode_change(
 
     def node_pose(node):
         return Pose(*node_poses(node).tolist())
-
-    def crossings(p0s, p1s):
-        return _segments_crossings(geom, p0s, p1s, eps_pass, safe, fine_step)
 
     def corners(pose: Pose):
         """The eight corners of the grid cell around ``pose``, nearest first."""
@@ -993,7 +991,8 @@ def plan_mode_change(
     # cell; it snaps to the nearest nonzero corner joined admissibly.
     q, det, sgn = _node_signs(geom, xs, ys, phis)
     near = corners(start) + corners(target)
-    checked = crossings(np.repeat([start.as_tuple(), target.as_tuple()], 8, axis=0), node_poses(near))
+    ends = np.repeat([start.as_tuple(), target.as_tuple()], 8, axis=0)
+    checked = _segments_crossings(geom, ends, node_poses(near), eps_pass, safe)
     snapped = []
     for label, end in (("start", 0), ("target", 8)):
         linked = [c for c, e in zip(near[end : end + 8], checked[end : end + 8]) if e is not None and sgn.flat[c]]
@@ -1021,10 +1020,9 @@ def plan_mode_change(
         waypoints.append(node_pose(b))
     waypoints.append(target)
 
-    # From each kept waypoint k, go to the farthest waypoint j <= hi (the
-    # next protected door end) joined to it by an admissible shortcut, or
-    # to k + 1.  Shortcuts are checked farthest first, as many per pass as
-    # BATCH_SAMPLES allows.
+    # From each kept waypoint k, go to the farthest waypoint j <= hi (the next
+    # protected door end) joined to it by an admissible shortcut, or to k + 1,
+    # checking the shortcuts farthest first, at most BATCH_SEGMENTS per pass.
     table = np.array([w.as_tuple() for w in waypoints])
     kept = [0]
     k = 0
@@ -1033,9 +1031,8 @@ def plan_mode_change(
         js = np.arange(hi, k + 1, -1)
         j = k + 1
         while j == k + 1 and len(js):
-            load = np.cumsum(_check_samples(L, table[[k]], table[js], fine_step))
-            batch, js = np.split(js, [max(1, np.searchsorted(load, BATCH_SAMPLES, side="right"))])
-            events = crossings(np.tile(table[k], (len(batch), 1)), table[batch])
+            batch, js = js[:BATCH_SEGMENTS], js[BATCH_SEGMENTS:]
+            events = _segments_crossings(geom, np.tile(table[k], (len(batch), 1)), table[batch], eps_pass, safe)
             j = next((int(jj) for jj, e in zip(batch, events) if e is not None), j)
         kept.append(j)
         k = j

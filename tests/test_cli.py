@@ -551,6 +551,15 @@ def test_cli_rejects_non_finite_numbers(ref_file, capfd, args):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("res", ["16.9,16,16", "16,16,16.5"])
+def test_cli_plan_rejects_fractional_resolution(ref_file, capfd, res):
+    """``--res 16.9,16,16`` is a usage error, not a plan at 16^3."""
+    assert main(["plan", "--robot", str(ref_file), "--start", "5,5,0", "--res", res]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert "res needs whole numbers" in err
+
+
 def test_cli_determinism(ref_file, capfd):
     args = ["oracle-fk", "--robot", str(ref_file), "--joints", "3.5,7.25,6.5", "--grid", "1024"]
     assert main(args) == 0

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import json
 import pathlib
 import warnings
@@ -37,7 +38,6 @@ from planar_rpr.modeplan import (
     _axis_edge_scan,
     _classify_zeros,
     _grid_route,
-    _check_samples,
     _node_signs,
     _segments_crossings,
     _serial_doors,
@@ -297,6 +297,24 @@ def test_reversal_symmetry(ref, planned):
     assert np.allclose(fwd, bwd, atol=1e-6)
 
 
+@pytest.mark.parametrize("start", [(5, 5, 0), (0, 0, 0), (3, 2, 1), (6, 4, -2)])
+def test_plan_verdict_invariant_under_leg_permutation_and_mirror(start):
+    """The reference robot at 24^3 with its legs in every order, and mirrored
+    by y -> -y (box and start mirrored too), plans from the same start to a
+    path that verifies changed_without_parallel through as many passages."""
+    base, platform = np.asarray(REF_BASE, dtype=float), np.asarray(REF_PLATFORM, dtype=float)
+    x, y, phi = start
+    orders = [list(p) for p in itertools.permutations(range(3))]
+    variants = [(RobotGeometry(base[p], platform[p]), Pose(*start), None) for p in orders]
+    variants.append((RobotGeometry(base * [1, -1], platform * [1, -1]), Pose(x, -y, -phi), (-L, -2 * L, 2 * L, L)))
+    passages = set()
+    for geom, pose, box in variants:
+        cert = verify_mode_change(geom, plan_mode_change(geom, pose, box=box, resolution=(24, 24, 24)))
+        assert cert.verdict == "changed_without_parallel"
+        passages.add(sum(e.kind == "passage" for e in cert.events))
+    assert len(passages) == 1
+
+
 def test_refinement_keeps_parallel_events(ref):
     path16 = WorkspacePath((Pose(-5, 0, 0), Pose(-5, 2, 0)), 16)
     path32 = WorkspacePath((Pose(-5, 0, 0), Pose(-5, 2, 0)), 32)
@@ -334,6 +352,13 @@ def test_planner_rejects_zero_width_box(ref):
     # every grid x coincides, so x-edges would have zero length
     with pytest.raises(ValidationError, match="positive extent"):
         plan_mode_change(ref, Pose(0, 0, 0), Pose(0, 5, 0), box=(0, -10, 0, 20), resolution=(8, 8, 8))
+
+
+@pytest.mark.parametrize("resolution", [(16.9, 16, 16), (16, 16.5, 16), (16, 16, float("nan"))])
+def test_planner_rejects_resolutions_that_are_not_whole_numbers(ref, resolution):
+    """A fractional resolution is an error, not a grid of its integer part."""
+    with pytest.raises(ValidationError, match="resolution must be whole numbers"):
+        plan_mode_change(ref, Pose(5, 5, 0), resolution=resolution)
 
 
 def test_planner_validates_box_and_resolution_before_kinematics(ref, monkeypatch):
@@ -935,8 +960,9 @@ def test_node_signs_agree_with_the_kernel_outside_the_zero_band():
 
 
 def test_a_plan_evaluates_the_grid_nodes_once(ref, monkeypatch):
-    """A plan takes the conic's coefficients once and evaluates no kernel
-    call over as many poses as the grid has nodes."""
+    """A plan takes the conic's coefficients at the grid's angles once (each
+    crossing check takes them at the five angles of its gap bound) and
+    evaluates no kernel call over as many poses as the grid has nodes."""
     calls, sizes = [], []
 
     def conic(*args):
@@ -952,7 +978,8 @@ def test_a_plan_evaluates_the_grid_nodes_once(ref, monkeypatch):
     monkeypatch.setattr(modeplan, "_conic_coefficients", conic)
     monkeypatch.setattr(modeplan, "_leg_geometry", kernel)
     plan_mode_change(ref, Pose(5, 5, 0))
-    assert len(calls) == 1 and max(sizes) < 64**3
+    grid = [phi for _, phi, _ in calls if not np.array_equal(phi, modeplan._TRIG_ANGLES)]
+    assert len(grid) == 1 and len(grid[0]) == 64 and max(sizes) < 64**3
 
 
 # ---------------------------------------------------------------------------
@@ -1121,6 +1148,137 @@ def test_detect_crossings_near_tangent_chords():
         checked += 1
 
 
+def _dense_roots(geom, path, n=200_001):
+    """Zeros of the kernel's determinant along ``path``: the sign changes of
+    a dense scan, each refined by brentq."""
+    from scipy.optimize import brentq
+
+    det = lambda t: _leg_geometry(geom, *path.poses_at(t))[3]
+    ts = np.linspace(0.0, 1.0, n)
+    return [brentq(det, ts[k], ts[k + 1], xtol=1e-15) for k in np.flatnonzero(np.diff(np.sign(det(ts))))]
+
+
+_HIDDEN_PAIR = json.loads((DATA / "verify_path_hidden_pair.json").read_text())["waypoints"]
+
+
+@pytest.mark.parametrize(
+    "ends",
+    [
+        # x, y and phi all move: the path of tests/data that CI verifies
+        [(w["x"], w["y"], w["phi"]) for w in _HIDDEN_PAIR],
+        # only phi moves, across a fold of the surface at phi = 2.5
+        [(1.8010061102359902, -3.7586959872129815, 2.2724892789049655),
+         (1.8010061102359902, -3.7586959872129815, 2.7724892789049655)],
+    ],
+    ids=["general", "phi-only"],
+)
+def test_detect_crossings_two_roots_in_one_gap_off_constant_phi(ref, ends):
+    """Two parallel crossings 0.019 apart in t inside one sample gap of a
+    segment along which phi moves: the gap's curvature bound leaves it open,
+    halving finds a midpoint of the other sign, and both zeros are refined
+    to the roots of a dense scan."""
+    path = WorkspacePath(tuple(Pose(*e) for e in ends))
+    dets = modeplan._sampled(ref, path).legs[3]
+    assert np.all(dets < 0.0) or np.all(dets > 0.0)  # no sample splits the pair
+    roots = _dense_roots(ref, path)
+    assert len(roots) == 2 and roots[1] - roots[0] < 1.0 / 16
+    events = detect_crossings(ref, path)
+    assert [e.kind for e in events] == ["parallel", "parallel"]
+    assert np.allclose([e.t for e in events], roots, rtol=0.0, atol=1e-9)
+
+
+def test_detect_crossings_near_tangent_general_segments():
+    """Random designs and segments along which x, y and phi all move, laid
+    just across a fold of the surface det = 0 so that they cross it twice
+    close together: detect_crossings reports exactly the zeros of a dense
+    scan, also where both fall between the same two samples."""
+    rng = np.random.default_rng(20)
+    hidden = 0
+    for _ in range(24):
+        geom = RobotGeometry(base=rng.uniform(-10, 10, (3, 2)), platform=rng.uniform(-4, 4, (3, 2)))
+        Lg, phi = characteristic_scale(geom), rng.uniform(0.0, 2.0 * np.pi)
+        # a point of the surface: the conic at phi on a ray from the base centroid
+        conic, c, ray = singularity_conic(geom, phi), geom.base.mean(axis=0), rng.normal(size=2)
+        along = [conic.evaluate(*(c + r * ray)) for r in (0, 1, 2)]
+        radii = np.roots(np.polyfit([0, 1, 2], along, 2))
+        if len(radii) == 0 or np.iscomplexobj(radii):
+            continue
+        p = np.array([*(c + radii[0] * ray), phi])
+        det = lambda q: _leg_geometry(geom, *q)[3]
+        h = 1e-6 * np.array([Lg, Lg, 1.0])
+        grad = np.array([(det(p + e) - det(p - e)) / (2 * e.max()) for e in np.diag(h)])
+        # a direction tangent to the surface, then shifted off it along the
+        # gradient so that the two zeros lie `gap` apart in t
+        step = rng.normal(size=3) * [Lg, Lg, 1.0]
+        step -= grad * (step @ grad) / (grad @ grad)
+        curv = (det(p + 1e-4 * step) - 2 * det(p) + det(p - 1e-4 * step)) / 1e-8
+        gap = rng.uniform(0.1, 0.5) / 16
+        p = p - np.sign(curv) * abs(curv) * (gap / 2) ** 2 / 2 * grad / (grad @ grad)
+        start = p - rng.uniform(0.3, 0.7) * step
+        path = WorkspacePath((Pose(*start), Pose(*(start + step))))
+        roots = _dense_roots(geom, path)
+        events = detect_crossings(geom, path)
+        assert [e.kind for e in events if e.kind == "grazing"] == []
+        assert np.allclose([e.t for e in events], roots, rtol=0.0, atol=1e-9)
+        ts = modeplan._sampled(geom, path).ts
+        hidden += any(np.searchsorted(ts, a) == np.searchsorted(ts, b) for a, b in zip(roots[:-1], roots[1:]))
+    assert hidden >= 4
+
+
+def test_gap_bound_dominates_the_curvature_of_det(monkeypatch):
+    """The gap test's chord bound M h^2 / 8, read off _split_gaps as the end
+    value below which it halves the one gap [0, 1] of a segment, is at least
+    max |det''| / 8 from a dense scan, on random designs and segments along
+    which x, y and phi all move."""
+
+    class Halved(Exception):
+        pass
+
+    def halved(*args):
+        raise Halved
+
+    rng = np.random.default_rng(8)
+    ratios = []
+    for _ in range(40):
+        geom = RobotGeometry(base=rng.uniform(-10, 10, (3, 2)), platform=rng.uniform(-4, 4, (3, 2)))
+        Lg = characteristic_scale(geom)
+        start = np.array([*rng.uniform(-Lg, 2 * Lg, 2), rng.uniform(0.0, 2.0 * np.pi)])
+        path = WorkspacePath((Pose(*start), Pose(*(start + rng.normal(size=3) * [Lg, Lg, 1.0]))))
+        ts = np.linspace(0.0, 1.0, 20_001)
+        curvature = np.abs(np.diff(_leg_geometry(geom, *path.poses_at(ts))[3], 2)).max() / ts[1] ** 2
+        lo, hi = 0.0, 1e3 * curvature
+        with monkeypatch.context() as m:
+            m.setattr(modeplan, "_leg_geometry", halved)
+            for _ in range(60):  # bisect for the end value at which the gap opens
+                value = 0.5 * (lo + hi)
+                ends = (0, 0, 0, np.full(2, value))  # only det is read
+                s = modeplan._SampledPath(path._paths, np.array([0.0, 1.0]), np.array([0, 0]), ends)
+                try:
+                    modeplan._split_gaps(geom, s)
+                    hi = value
+                except Halved:
+                    lo = value
+        ratios.append(8 * lo / curvature)
+    assert min(ratios) >= 1.0
+
+
+def test_gap_test_halves_nothing_where_det_is_zero_up_to_rounding(similar_design, monkeypatch):
+    """At phi = 0 the legs of the similar design all meet at one point, so
+    det is rounding noise along a phi = 0 segment.  Those values lie in the
+    gap test's zero band (1e-12 of the bound on |det| over the segment), so
+    no gap is halved; without the band every half stays open."""
+    s = modeplan._sampled(similar_design, WorkspacePath((Pose(-3, 1, 0), Pose(9, 7, 0))))
+    assert np.abs(s.legs[3]).max() < 1e-12 * characteristic_scale(similar_design) ** 4
+    assert np.any(s.legs[3][:-1] * s.legs[3][1:] > 0.0)  # same-sign gaps to test
+
+    def no_kernel(*args):
+        raise AssertionError("the gap test halved a gap")
+
+    monkeypatch.setattr(modeplan, "_leg_geometry", no_kernel)
+    ts, rows, dets, _ = modeplan._split_gaps(similar_design, s)
+    assert np.array_equal(ts, s.ts) and np.array_equal(dets, s.legs[3])
+
+
 def _seeded_designs(seed, count):
     rng = np.random.default_rng(seed)
     designs = []
@@ -1283,18 +1441,21 @@ def test_seeded_design_plan_equals_pinned_waypoints():
     assert [w.as_tuple() for w in path.waypoints] == [tuple(w) for w in pinned]
 
 
-def _batch_against_detector(geom, p0s, p1s, fine_step):
+def _batch_against_detector(geom, p0s, p1s):
     """Check all segments in one batched call and each one alone with
-    detect_crossings: the same admissibility, passage flag and events.
-    Returns the set of outcomes seen."""
-    eps = EPS_PASS_REL * characteristic_scale(geom)
+    detect_crossings on a default WorkspacePath of it: the same
+    admissibility, passage flag and events.  Returns the set of outcomes
+    seen."""
+    Lg = characteristic_scale(geom)
+    eps = EPS_PASS_REL * Lg
     safe = passage_safety(geom)
-    checked = _segments_crossings(geom, p0s, p1s, eps, safe, fine_step)
-    samples = _check_samples(characteristic_scale(geom), p0s, p1s, fine_step)
-    assert len(checked) == len(samples) == len(p0s)
+    checked = _segments_crossings(geom, p0s, p1s, eps, safe)
+    assert len(checked) == len(p0s)
     seen = set()
-    for p0, p1, n, got in zip(p0s, p1s, samples.tolist(), checked):
-        alone = detect_crossings(geom, WorkspacePath((Pose(*p0), Pose(*p1)), n), eps) if n else []
+    for p0, p1, got in zip(p0s, p1s, checked):
+        ends = (Pose(*p0), Pose(*p1))
+        live = pose_distance(*ends, Lg) > 1e-9 * Lg
+        alone = detect_crossings(geom, WorkspacePath(ends), eps) if live else []
         unsafe = any(e.kind == "passage" and not safe[e.leg - 1] for e in alone)
         parallel = any(e.kind == "parallel" for e in alone)
         assert (got is None) == (unsafe or parallel)
@@ -1304,7 +1465,7 @@ def _batch_against_detector(geom, p0s, p1s, fine_step):
         seen.update(e.kind for e in alone)
         if [e.kind for e in alone] == ["parallel", "parallel"]:
             seen.add("two parallel")
-        if n == 0:
+        if not live:
             seen.add("zero length")
     return seen
 
@@ -1342,8 +1503,7 @@ def _planner_segments(geom, rng, res):
         p1s.append(np.array([*rng.uniform(-Lg, 2 * Lg, 2), rng.uniform(0.0, 2.0 * np.pi)]))
     p0s.append(p0s[-1])  # a segment of zero length
     p1s.append(p0s[-1])
-    fine_step = min(steps[0, 0], steps[1, 1], Lg * steps[2, 2]) / 9
-    return np.array(p0s), np.array(p1s), fine_step
+    return np.array(p0s), np.array(p1s)
 
 
 def test_batched_crossing_check_equals_detect_crossings_per_segment(ref):
@@ -1357,21 +1517,21 @@ def test_batched_crossing_check_equals_detect_crossings_per_segment(ref):
     seen = set()
     for res in (64, 16):
         seen |= _batch_against_detector(ref, *_planner_segments(ref, rng, res))
-    # the chord of test_detect_crossings_two_roots_in_one_sample_gap; with
-    # 18 samples its two crossings still share a gap, among other segments
+    # the chord of test_detect_crossings_two_roots_in_one_sample_gap, whose
+    # two crossings share a sample gap, among other segments
     chord = _chord_segment(ref, 0.9, -2.4371, 9.7).waypoints
-    p0s, p1s, _ = _planner_segments(ref, rng, 16)
+    p0s, p1s = _planner_segments(ref, rng, 16)
     p0s = np.insert(p0s, 7, chord[0].as_tuple(), axis=0)
     p1s = np.insert(p1s, 7, chord[1].as_tuple(), axis=0)
-    seen |= _batch_against_detector(ref, p0s, p1s, 2.0)
+    seen |= _batch_against_detector(ref, p0s, p1s)
     # leg 1 of this design is passage-unsafe: a passage through it is inadmissible
     theta = np.arctan(2)
     matched = RobotGeometry(base=REF_BASE, platform=[(0, 0), (3, 0), (1.5 * np.cos(theta), 1.5 * np.sin(theta))])
     assert list(passage_safety(matched)) == [False, True, True]
-    p0s, p1s, fine_step = _planner_segments(matched, rng, 32)
+    p0s, p1s = _planner_segments(matched, rng, 32)
     for phi in rng.uniform(0.0, 2.0 * np.pi, 8):
         s, u = serial_points(matched, phi)[0], rng.normal(0.0, 0.05 * L, 2)
         p0s = np.vstack([p0s, [*(s - u), phi]])
         p1s = np.vstack([p1s, [*(s + u), phi]])
-    seen |= _batch_against_detector(matched, p0s, p1s, fine_step)
+    seen |= _batch_against_detector(matched, p0s, p1s)
     assert {"admissible", "parallel", "unsafe", "passage", "two parallel", "zero length"} <= seen
