@@ -84,6 +84,15 @@ class RobotGeometry:
 
         return compile_fk(self)
 
+    @cached_property
+    def gap_forms(self):
+        """The design's bounds on the determinant and its curvature along a
+        path step (:func:`planar_rpr.modeplan._gap_forms`), built on first
+        use."""
+        from .modeplan import _gap_forms
+
+        return _gap_forms(self)
+
 
 @dataclass(frozen=True)
 class Pose:

@@ -34,7 +34,6 @@ can apply whatever practical margin the hardware needs.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -372,49 +371,80 @@ def _trig_basis(phi):
 _TRIG_ANGLES = 2.0 * np.pi * np.arange(5) / 5
 
 
-@functools.lru_cache(maxsize=64)
-def _conic_trig_bounds(geom: RobotGeometry):
-    """Rows: sum_k k^j (|a_k| + |b_k|) >= max |d^j q_c / dphi^j|, j = 0, 1, 2,
-    of the six conic coefficients q_c about the base centroid."""
-    coef = _conic_coefficients(geom, _TRIG_ANGLES, geom.base.mean(axis=0)).T
+# Flat indices, in the outer product of z = (dx, dy, dphi, u, v, 1) with
+# itself, of the monomials R = (dx^2, dx dy, dy^2, dx dphi, dy dphi, dphi^2)
+# and W = (u^2, uv, v^2, u, v, 1).
+_RATE_PAIRS = [0, 1, 7, 2, 8, 14]
+_END_PAIRS = [21, 22, 28, 23, 29, 35]
+
+
+def _gap_forms(geom: RobotGeometry):
+    """The design's gap forms ``(o, curv, size)``: with the monomials W of
+    the larger |u| and |v| at a path step's ends, about the base centroid
+    o, and R of its rates (see ``_RATE_PAIRS``), R @ curv @ W bounds
+    |det''| / 8 on the step and W @ size bounds |det| (:func:`_step_bounds`).
+    Built once per design (``RobotGeometry.gap_forms``).
+
+    Along the step det = sum_c m_c q_c over the monomials m_c of (u, v), and
+    |det''| <= sum_c |m_c''| |q_c| + 2 |m_c'| |q_c'| + |m_c| |q_c''|.  The
+    coefficient bounds are the rows b_j = sum_k k^j (|a_k| + |b_k|) >= max
+    |d^j q_c / dphi^j|, j = 0, 1, 2, from the trigonometric coefficients of
+    the six conic coefficients q_c.
+    """
+    o = geom.base.mean(axis=0)
+    coef = _conic_coefficients(geom, _TRIG_ANGLES, o).T
     coef = coef @ (_trig_basis(_TRIG_ANGLES) * [1, 2, 2, 2, 2] / 5)
-    return np.array([[1, 1, 1, 1, 1], [0, 1, 1, 2, 2], [0, 1, 1, 4, 4]]) @ np.abs(coef).T
+    b0, b1, b2 = np.array([[1, 1, 1, 1, 1], [0, 1, 1, 2, 2], [0, 1, 1, 4, 4]]) @ np.abs(coef).T
+    curv = np.zeros((6, 6))
+    curv[:3, 5] = 2 * b0[:3]  # |m_c''| |q_c|
+    curv[3, 3:] = 2 * np.array([2 * b1[0], b1[1], b1[3]])  # 2 |m_c'| |q_c'|, dx dphi
+    curv[4, 3:] = 2 * np.array([b1[1], 2 * b1[2], b1[4]])  # dy dphi
+    curv[5] = b2  # |m_c| |q_c''|
+    curv /= 8
+    for a in (o, curv, b0):
+        a.flags.writeable = False
+    return o, curv, b0
+
+
+def _step_bounds(geom: RobotGeometry, paths: _Paths):
+    """Per step of ``paths``: the bound M on |det''| / 8 per unit of the
+    step's own parameter, and the bound T on |det|, from the design's gap
+    forms (:func:`_gap_forms`)."""
+    o, curv, size = geom.gap_forms
+    z = np.ones((len(paths.steps), 6))
+    np.abs(paths.steps, out=z[:, :3])
+    ends = np.abs(paths.table[:, :2] - o)
+    np.maximum(ends[:-1], ends[1:], out=z[:, 3:5])
+    pairs = (z[:, :, None] * z[:, None, :]).reshape(-1, 36)
+    R, W = pairs[:, _RATE_PAIRS], pairs[:, _END_PAIRS]
+    return ((R @ curv) * W).sum(axis=1), W @ size
 
 
 def _split_gaps(geom: RobotGeometry, s: _SampledPath):
     """Samples ``(ts, rows, dets)`` of ``s``, plus one of the other sign in
     every same-sign gap that hides zeros, and each row's zero band.
 
-    Along a segment det = sum_c m_c q_c over the monomials m_c = (u^2, uv,
-    v^2, u, v, 1) of (u, v) = (x, y) - base centroid.  The q_c bounds, the
-    segment's rates and the larger |u| and |v| at its ends bound |det''| on
-    it by M, so a gap of width h whose end values both exceed M h^2 / 8
-    (the bound on its distance from the chord) keeps their sign.  The others
-    are halved, all per round in one kernel call, until certified or
+    The bounds M and T of each path step (:func:`_step_bounds`) are
+    computed once and indexed per gap.  A gap of width h (in its row's t,
+    on a row of n segments) whose end values both exceed M n^2 h^2 (the
+    bound on its distance from the chord) keeps their sign.  The others are
+    halved, all per round in one kernel call, until certified or
     CROSSING_T_TOL wide; a midpoint of the other sign (or zero) joins the
     samples.  Ends in the zero band are not tested: |det| <= ZERO_DET_REL
-    times the row's largest, or times the bound T on |det| over the segment
-    from the same q_c bounds, below which rounding decides the sign.
+    times the row's largest, or times T, below which rounding decides the
+    sign.
     """
     paths, ts, rows, dets = s.paths, s.ts, s.rows, s.legs[3]
-    band = ZERO_DET_REL * np.maximum.reduceat(np.abs(dets), np.flatnonzero(_first_of_runs(rows)))
+    a = np.abs(dets)
+    band = ZERO_DET_REL * np.maximum.reduceat(a, np.flatnonzero(_first_of_runs(rows)))
     band[band == 0.0] = ZERO_DET_REL
     k = np.flatnonzero((rows[:-1] == rows[1:]) & (dets[:-1] * dets[1:] > 0.0))
     lo, hi, flo, fhi, row = ts[k], ts[k + 1], dets[k], dets[k + 1], rows[k]
     n = paths.n[row]
     seg = paths.first[row] + np.minimum((0.5 * (lo + hi) * n).astype(int), n - 1)
-    dx, dy, dphi = np.abs(paths.steps[seg].T * n)  # rates per unit t
-    o = geom.base.mean(axis=0)
-    u, v = np.maximum(np.abs(paths.table[seg, :2] - o), np.abs(paths.table[seg + 1, :2] - o)).T
-    # |det''| <= sum_c |m_c''| |q_c| + 2 |m_c'| |q_c'| + |m_c| |q_c''|, and |det| <= sum_c |m_c| |q_c| = T
-    b0, b1, b2 = _conic_trig_bounds(geom).tolist()
-    m2 = 2 * ((b0[0] * dx + b0[1] * dy) * dx + b0[2] * dy * dy)
-    m1 = (2 * b1[0] * u + b1[1] * v + b1[3]) * dx + (b1[1] * u + 2 * b1[2] * v + b1[4]) * dy
-    m0 = (b2[0] * u + b2[1] * v + b2[3]) * u + (b2[2] * v + b2[4]) * v + b2[5]
-    bound = (m2 + 2 * dphi * m1 + dphi**2 * m0) / 8
-    top = (b0[0] * u + b0[1] * v + b0[3]) * u + (b0[2] * v + b0[4]) * v + b0[5]
-    zero = np.maximum(band[row], ZERO_DET_REL * top)
-    found, f = [], np.minimum(abs(flo), abs(fhi))
+    curvature, size = _step_bounds(geom, paths)
+    bound, zero = curvature[seg] * (n * n), np.maximum(band[row], ZERO_DET_REL * size[seg])
+    found, f = [], np.minimum(a[k], a[k + 1])
     while np.any(keep := (f > zero) & (f <= bound * (hi - lo) ** 2) & (hi - lo > CROSSING_T_TOL)):
         lo, hi, flo, fhi, row, bound, zero = (w[keep] for w in (lo, hi, flo, fhi, row, bound, zero))
         mid = 0.5 * (lo + hi)
@@ -476,6 +506,17 @@ def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> l
     return events
 
 
+def _eps_pass(geom: RobotGeometry, eps_pass: float | None) -> float:
+    """The passage window: EPS_PASS_REL * L by default; a given one must be
+    positive and finite, as :class:`~planar_rpr.robotfile.RunConfig` requires
+    of its override."""
+    if eps_pass is None:
+        return EPS_PASS_REL * geom.L
+    if not 0.0 < eps_pass < math.inf:
+        raise ValidationError(f"eps_pass must be positive and finite, got {eps_pass!r}")
+    return eps_pass
+
+
 def detect_crossings(
     geom: RobotGeometry, path: WorkspacePath, eps_pass: float | None = None
 ) -> list[CrossingEvent]:
@@ -487,12 +528,11 @@ def detect_crossings(
     crossings.  Zeros without a sign change are reported as grazing.  A
     curvature bound certifies each gap between samples of one sign, or
     halving splits it (:func:`_split_gaps`), so two crossings in one
-    sample gap are both found, on any segment.
+    sample gap are both found, on any segment.  An ``eps_pass`` that is not
+    positive and finite raises :class:`ValidationError`.
     """
-    s = _sampled(geom, path)
-    if eps_pass is None:
-        eps_pass = EPS_PASS_REL * geom.L
-    return _crossing_events(geom, s, eps_pass)[0]
+    eps_pass = _eps_pass(geom, eps_pass)
+    return _crossing_events(geom, _sampled(geom, path), eps_pass)[0]
 
 
 def verify_mode_change(
@@ -504,11 +544,12 @@ def verify_mode_change(
     joint values agree to 1e-9*L^2, the endpoint poses differ by at least
     1e-3*L, and no crossing event is parallel.  An ambiguous sign
     continuation is reported as ``invalid_endpoints`` with a diagnostic.
+    An ``eps_pass`` that is not positive and finite raises
+    :class:`ValidationError`.
     """
+    eps_pass = _eps_pass(geom, eps_pass)
     samples = _sampled(geom, path)
     L = geom.L
-    if eps_pass is None:
-        eps_pass = EPS_PASS_REL * L
     start, end = path.waypoints[0], path.waypoints[-1]
     start_sq = inverse_kinematics(geom, start).squared
     end_sq = inverse_kinematics(geom, end).squared
@@ -589,7 +630,9 @@ _TAN_HALF = np.array([[1, 2j, 0, 2j, -1], [1, 4j, -6, -4j, 1]])
 def _critical_angles(coef):
     """Four angles per row of coefficients (a0, a1, b1, a2, b2) that include
     every critical point: the real parts of the roots of the derivative's
-    tan-half quartic (a non-real root only adds a harmless angle)."""
+    tan-half quartic (a non-real root only adds a harmless angle), in
+    closed form (:func:`_quartic_roots`).  The derivative of no row may
+    vanish identically."""
     # the derivative is Re(G1 e^{i phi} + G2 e^{2i phi})
     G = (coef[:, 1::2] - 1j * coef[:, 2::2]) * [1j, 2j]
     # t = tan((phi - alpha) / 2): the t^4 coefficient is the derivative at
@@ -597,10 +640,56 @@ def _critical_angles(coef):
     at_samples = (G @ np.exp(1j * np.outer([1, 2], _TRIG_ANGLES))).real
     alpha = _TRIG_ANGLES[np.argmax(np.abs(at_samples), axis=1)] - np.pi
     poly = ((G * np.exp(1j * np.outer(alpha, [1, 2]))) @ _TAN_HALF).real
-    companion = np.zeros((len(coef), 4, 4))
-    companion[:, 1:, :3] = np.eye(3)
-    companion[:, :, 3] = -poly[:, :4] / poly[:, 4:]
-    return alpha[:, None] + 2.0 * np.arctan(np.linalg.eigvals(companion).real)
+    return alpha[:, None] + 2.0 * np.arctan(_quartic_roots(poly).real)
+
+
+# the cube roots of unity, which turn one root of the resolvent into the other two
+_CUBE_ROOTS = np.exp(2j * np.pi / 3 * np.arange(3))
+
+
+def _quartic_roots(c):
+    """The four complex roots of each row's quartic c0 + c1 t + ... + c4 t^4
+    (c4 nonzero), in closed form: Ferrari's method, then one Newton step
+    kept only where it lowers |p|.
+
+    With t = y - a/4 the monic quartic is y^4 + p y^2 + q y + r.  For a root
+    m of the resolvent m^3 + p m^2 + (p^2/4 - r) m - q^2/8, it factors into
+    y^2 -+ sqrt(2m) y + p/2 + m +- q / sqrt(2m).  The resolvent's root of
+    largest modulus (Cardano, in complex arithmetic) is zero only where
+    p = q = r = 0, and keeps q / sqrt(2m) well conditioned as q goes to 0.
+    """
+    a, b, c1, c0 = (c[:, 3::-1] / c[:, 4:]).T
+    a4 = 0.25 * a
+    aa = a4 * a4
+    p = b - 6.0 * aa
+    q = c1 - 2.0 * a4 * (b - 4.0 * aa)
+    r = c0 - a4 * (c1 - a4 * (b - 3.0 * aa))
+    # the resolvent with m = z - p / 3 is z^3 + P z + Q = 0; U^3 takes the
+    # sign of the root that adds to -Q / 2 in modulus
+    pp = p * p
+    P, Q = -pp / 12.0 - r, p * (r / 3.0 - pp / 108.0) - q * q / 8.0
+    w = np.sqrt(Q * Q / 4.0 + P * P * P / 27.0 + 0j)
+    U3 = -0.5 * Q - np.where(Q < 0.0, -w, w)
+    U = (np.cbrt(np.abs(U3)) * np.exp(1j / 3.0 * np.angle(U3)))[:, None] * _CUBE_ROOTS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.where(U == 0.0, 0.0, U - (P / 3.0)[:, None] / U) - (p / 3.0)[:, None]
+    m = np.take_along_axis(m, np.argmax(np.abs(m), axis=1)[:, None], axis=1)[:, 0]
+    sm = np.sqrt(2.0 * m)
+    k = np.divide(2.0 * q, sm, out=np.zeros_like(sm), where=sm != 0.0)
+    e1, e2 = np.sqrt(-2.0 * (p + m) - k), np.sqrt(-2.0 * (p + m) + k)
+    t = 0.5 * np.stack([sm + e1, sm - e1, e2 - sm, -sm - e2], axis=-1) - a4[:, None]
+
+    def residual(t):  # p(t) and p'(t) by Horner's rule
+        v, dv = np.broadcast_to(c[:, 4:], t.shape), np.zeros_like(t)
+        for j in range(3, -1, -1):
+            v, dv = v * t + c[:, j : j + 1], dv * t + v
+        return v, dv
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v, dv = residual(t)
+        step = t - v / dv
+        lower = np.abs(residual(step)[0]) < np.abs(v)
+    return np.where(lower, step, t)
 
 
 def _nonzero(a):
@@ -636,9 +725,12 @@ def _axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn):
     trigonometric polynomial of degree 2 whose coefficients (a_k, b_k) are
     the discrete Fourier transform of the node values at the np_ angles; an
     edge whose end values both exceed sum_k k^2 (|a_k| + |b_k|) times
-    dphi^2 / 8 keeps one sign (the bound on its distance from the chord),
-    and the remaining edges are tested at every real critical point.
-    ``phis`` must be uniform from 0 over the full circle.
+    dphi^2 / 8 keeps one sign (the bound on its distance from the chord).
+    A column of edges is opened when its smallest |det| is within that
+    bound, which takes in every edge the bound leaves open, and is tested
+    at every real critical point (:func:`_critical_angles`, in closed
+    form); a column constant in phi has none and is not opened.  ``phis``
+    must be uniform from 0 over the full circle.
     """
     if axis < 2:
         # the scanned axis runs along rows, the other spatial axis along columns
@@ -664,10 +756,11 @@ def _axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn):
     coef = det @ (_trig_basis(phis) * [1, 2, 2, 2, 2] / np_)
     cross = sgn * np.roll(sgn, -1, axis=2) <= 0
     # |f''| <= sum_k k^2 (|a_k| + |b_k|), so f keeps the ends' sign on an
-    # edge where both end values exceed that bound times dphi^2 / 8
-    low = np.abs(det) <= (np.abs(coef) @ [0, 1, 1, 4, 4])[..., None] * dphi**2 / 8
-    uncertified = ~cross & (low | np.roll(low, -1, axis=2))
-    i, j = _nonzero(uncertified.any(axis=2))
+    # edge where both end values exceed that bound times dphi^2 / 8; a
+    # column whose smallest |f| exceeds it is certified whole.  The bound
+    # is 0 where f is constant in phi, which has no critical point.
+    chord = (np.abs(coef) @ [0, 1, 1, 4, 4]) * dphi**2 / 8
+    i, j = _nonzero((np.abs(det).min(axis=2) <= chord) & (chord > 0.0))
     phc = _critical_angles(coef[i, j]) % (2.0 * np.pi)
     at_phc = np.einsum("kt,kct->kc", coef[i, j], _trig_basis(phc))
     i, j, m = np.broadcast_arrays(i[:, None], j[:, None], (phc // dphi).astype(int) % np_)
@@ -911,7 +1004,9 @@ def plan_mode_change(
     corner joined admissibly); then one pass per kept waypoint checks its
     shortcuts, farthest first, and the route skips to the farthest
     admissible one, keeping the two points where each door's path crosses
-    its cell.  ``resolution`` must be whole numbers.
+    its cell.  ``resolution`` must be whole numbers, ``box`` must have finite
+    corners and extent, and ``eps_pass`` must be positive and finite; each
+    raises :class:`ValidationError` otherwise.
 
     The grid search runs from both ends on the admissible masks until the
     route (and then the splice) is certified exact (:class:`_TwoEndedSearch`);
@@ -922,11 +1017,12 @@ def plan_mode_change(
     and says how many serial points lay in the box.
     """
     L = geom.L
-    if eps_pass is None:
-        eps_pass = EPS_PASS_REL * L
+    eps_pass = _eps_pass(geom, eps_pass)
     if box is None:
         box = (-L, -L, 2.0 * L, 2.0 * L)
     x0, y0, x1, y1 = (float(v) for v in box)
+    if not all(math.isfinite(v) for v in (x0, y0, x1, y1, x1 - x0, y1 - y0)):
+        raise ValidationError(f"box must have finite corners and extent, got {box!r}")
     if not all(float(v).is_integer() for v in resolution):
         raise ValidationError("resolution must be whole numbers")
     nx, ny, np_ = (int(v) for v in resolution)

@@ -71,8 +71,21 @@ class SingularityConic:
     conic_class: str
 
     def evaluate(self, x, y):
+        """Q at (x, y), scalars or broadcastable arrays.
+
+        The sum starts from q11 x y, the one term with the full broadcast
+        shape, and adds the other five in place, so a lattice costs one
+        full-size array.  Addition commutes, so this rounds exactly as the
+        left-to-right sum q20 x^2 + q11 xy + q02 y^2 + q10 x + q01 y + q00.
+        """
         q20, q11, q02, q10, q01, q00 = self.coefficients
-        return q20 * x * x + q11 * x * y + q02 * y * y + q10 * x + q01 * y + q00
+        out = q11 * x * y
+        out += q20 * x * x
+        out += q02 * y * y
+        out += q10 * x
+        out += q01 * y
+        out += q00
+        return out
 
 
 @dataclass(frozen=True)
@@ -347,9 +360,13 @@ def _stitch_segments(segments: np.ndarray, tol: float) -> list[np.ndarray]:
     Ends join when their coordinates agree after rounding to multiples of
     ``tol``.  Each end is rounded once and gets the integer id of its
     rounded point; end 2 s + e is end e of segment s, so end p ^ 1 is the
-    other end of p's segment.  Open chains come first, each from the first
-    segment with an end that no other segment shares (its a end before its
-    b end); then the leftover loops, each from its a end.
+    other end of p's segment.  Where exactly two ends share a point each is
+    the other's mate, found once for all; a chain steps to its mate unless
+    that segment is used.  Only at a junction of more ends does the walk
+    scan them, for the first whose segment is unused, in segment order.
+    Open chains come first, each from the first segment with an end that
+    no other segment shares (its a end before its b end); then the
+    leftover loops, each from its a end.
     """
     points = segments.reshape(-1, 2)
     _, ids = np.unique(np.round(points / tol).view(np.complex128).ravel(), return_inverse=True)
@@ -358,27 +375,32 @@ def _stitch_segments(segments: np.ndarray, tol: float) -> list[np.ndarray]:
     keep = np.repeat(ids[0::2] != ids[1::2], 2)
     points, ids = points[keep], ids[keep]
     # the ends with id k are ends[first[k]:first[k + 1]], in segment order
-    ends = np.argsort(ids, kind="stable").tolist()
+    ends = np.argsort(ids, kind="stable")
     degree = np.bincount(ids)
-    first = np.concatenate([[0], np.cumsum(degree)]).tolist()
-    ids, degree = ids.tolist(), degree.tolist()
+    first = np.concatenate([[0], np.cumsum(degree)])
+    # mate[p]: the other end at p's point, -1 at an open end, -2 at a junction
+    mate = np.where(degree == 1, -1, -2)[ids]
+    pair = first[:-1][degree == 2]
+    mate[ends[pair]], mate[ends[pair + 1]] = ends[pair + 1], ends[pair]
+    open_ends = np.flatnonzero(mate == -1).tolist()
+    ids, ends, first, mate = ids.tolist(), ends.tolist(), first.tolist(), mate.tolist()
     used = [False] * (len(ids) // 2)
 
     def walk(p):
         chain = [p]
-        while p is not None:
+        while p >= 0:
             used[p >> 1] = True
             p ^= 1
             chain.append(p)
-            k = ids[p]
-            p = next((q for q in ends[first[k] : first[k + 1]] if not used[q >> 1]), None)
+            q = mate[p]
+            if q == -2:
+                k = ids[p]
+                p = next((e for e in ends[first[k] : first[k + 1]] if not used[e >> 1]), -1)
+            else:
+                p = q if q < 0 or not used[q >> 1] else -1
         return points[chain]
 
-    polylines = []
-    for s in range(len(used)):
-        for p in (2 * s, 2 * s + 1):
-            if not used[s] and degree[ids[p]] == 1:
-                polylines.append(walk(p))
+    polylines = [walk(p) for p in open_ends if not used[p >> 1]]
     return polylines + [walk(2 * s) for s in range(len(used)) if not used[s]]
 
 

@@ -376,6 +376,38 @@ def test_planner_validates_box_and_resolution_before_kinematics(ref, monkeypatch
         plan_mode_change(ref, start, resolution=(1000, 1000, 1000))
 
 
+@pytest.mark.parametrize("eps_pass", [np.inf, np.nan, 0.0, -1.0])
+def test_library_rejects_an_eps_pass_that_is_not_positive_and_finite(ref, eps_pass):
+    """The library applies RunConfig's rule for its override: an infinite
+    window would call the hidden pair's two parallel crossings passages."""
+    wps = json.loads((DATA / "verify_path_hidden_pair.json").read_text())["waypoints"]
+    path = WorkspacePath(tuple(Pose(w["x"], w["y"], w["phi"]) for w in wps))
+    calls = [
+        lambda: detect_crossings(ref, path, eps_pass=eps_pass),
+        lambda: verify_mode_change(ref, path, eps_pass=eps_pass),
+        lambda: plan_mode_change(ref, Pose(5, 5, 0), resolution=(16, 16, 16), eps_pass=eps_pass),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="eps_pass must be positive and finite"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "box",
+    [(-np.inf, -10, 20, 20), (-10, -10, np.inf, 20), (-10, np.nan, 20, 20), (-10, -10, 20, -np.inf), (-1e308, -10, 1e308, 20)],
+)
+def test_planner_rejects_a_box_without_finite_corners_and_extent(ref, box, monkeypatch):
+    """As the CLI's number parsing does, before any kinematics; the last box
+    has finite corners whose extent overflows."""
+
+    def kinematics_ran(*args, **kwargs):
+        raise AssertionError("kinematics ran before the box check")
+
+    monkeypatch.setattr(modeplan, "classify_configuration", kinematics_ran)
+    with pytest.raises(ValidationError, match="box must have finite corners and extent"):
+        plan_mode_change(ref, Pose(5, 5, 0), box=box)
+
+
 def test_planner_rejects_similar_design(similar_design):
     with pytest.raises(ArchitecturalSingularity):
         plan_mode_change(similar_design, Pose(0, 0, 0.3))
@@ -1083,6 +1115,151 @@ def test_exact_phi_scan_finds_two_roots_between_subsamples(ref):
     assert not _reference_edge_scan(ref, xs, ys, phis, 2)[0, 0, 0]
 
 
+def _companion_angles(coef):
+    """_critical_angles as it was before its closed form: the real parts of
+    the eigenvalues of each row's companion matrix of the tan-half quartic,
+    in one batched LAPACK call."""
+    G = (coef[:, 1::2] - 1j * coef[:, 2::2]) * [1j, 2j]
+    at_samples = (G @ np.exp(1j * np.outer([1, 2], modeplan._TRIG_ANGLES))).real
+    alpha = modeplan._TRIG_ANGLES[np.argmax(np.abs(at_samples), axis=1)] - np.pi
+    poly = ((G * np.exp(1j * np.outer(alpha, [1, 2]))) @ modeplan._TAN_HALF).real
+    return alpha[:, None] + 2.0 * np.arctan(_companion_roots(poly).real)
+
+
+def _companion_roots(poly):
+    """Roots of each row's quartic poly[0] + ... + poly[4] t^4 as the
+    eigenvalues of its companion matrix."""
+    companion = np.zeros((len(poly), 4, 4))
+    companion[:, 1:, :3] = np.eye(3)
+    companion[:, :, 3] = -poly[:, :4] / poly[:, 4:]
+    return np.linalg.eigvals(companion)
+
+
+def _companion_phi_scan(phis, det, sgn):
+    """The phi-edge mask as _axis_edge_scan found it with _companion_angles:
+    a column is opened where the chord bound leaves one of its edges open."""
+    np_ = len(phis)
+    dphi = 2.0 * np.pi / np_
+    coef = det @ (modeplan._trig_basis(phis) * [1, 2, 2, 2, 2] / np_)
+    cross = sgn * np.roll(sgn, -1, axis=2) <= 0
+    low = np.abs(det) <= (np.abs(coef) @ [0, 1, 1, 4, 4])[..., None] * dphi**2 / 8
+    uncertified = ~cross & (low | np.roll(low, -1, axis=2))
+    i, j = np.nonzero(uncertified.any(axis=2))
+    phc = _companion_angles(coef[i, j]) % (2.0 * np.pi)
+    at_phc = np.einsum("kt,kct->kc", coef[i, j], modeplan._trig_basis(phc))
+    i, j, m = np.broadcast_arrays(i[:, None], j[:, None], (phc // dphi).astype(int) % np_)
+    hit = np.sign(at_phc) * sgn[i, j, m] <= 0
+    cross[i[hit], j[hit], m[hit]] = True
+    return cross
+
+
+def _sorted_gap(a, b):
+    """Largest difference between the rows of ``a`` and ``b``, each sorted,
+    relative to 1 + |b|."""
+    a, b = np.sort(a, axis=1), np.sort(b, axis=1)
+    return np.max(np.abs(a - b) / (1.0 + np.abs(b)), initial=0.0)
+
+
+def test_closed_form_critical_angles_equal_the_companion_eigenvalues(ref):
+    """The closed-form critical angles equal the companion eigenvalues' on
+    the columns the reference 64^3 grid opens and on seeded rows, and to
+    the square root of eps where the derivative has a double root (an
+    inflection of zero slope, where both lose half their digits)."""
+    xs = ys = np.linspace(-L, 2 * L, 64)
+    phis = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    det = _node_signs(ref, xs, ys, phis)[1]
+    coef = det @ (modeplan._trig_basis(phis) * [1, 2, 2, 2, 2] / 64)
+    chord = (np.abs(coef) @ [0, 1, 1, 4, 4]) * (2.0 * np.pi / 64) ** 2 / 8
+    opened = coef[np.abs(det).min(axis=2) <= chord]
+    assert len(opened) >= 600
+    rng = np.random.default_rng(41)
+    seeded = rng.normal(size=(2000, 5)) * 10.0 ** rng.uniform(-3, 3, (2000, 1))
+    for rows in (opened, seeded):
+        assert _sorted_gap(modeplan._critical_angles(rows), _companion_angles(rows)) <= 1e-10
+
+    # a double root of f' at phi0: solve f'(phi0) = f''(phi0) = 0 for (a2, b2)
+    n = 500
+    a1, b1, phi0 = rng.normal(size=n), rng.normal(size=n), rng.uniform(0.0, 2.0 * np.pi, n)
+    c1, s1, c2, s2 = np.cos(phi0), np.sin(phi0), np.cos(2 * phi0), np.sin(2 * phi0)
+    system = np.stack([np.stack([-2 * s2, 2 * c2], -1), np.stack([-4 * c2, -4 * s2], -1)], 1)
+    rhs = np.stack([a1 * s1 - b1 * c1, a1 * c1 + b1 * s1], -1)
+    a2, b2 = np.linalg.solve(system, rhs[..., None])[..., 0].T
+    double = np.stack([rng.normal(size=n), a1, b1, a2, b2], -1)
+    angles = modeplan._critical_angles(double)
+    assert _sorted_gap(angles, _companion_angles(double)) <= 1e-6
+    assert np.all(np.abs(wrap_angle(angles - phi0[:, None])).min(axis=1) <= 1e-6)
+
+
+def test_closed_form_quartic_roots_equal_the_companion_eigenvalues():
+    """The roots' real parts equal the companion eigenvalues' on seeded
+    quartics, on quartics with a double root and on biquadratics about a
+    seeded centre (q = 0 up to rounding once depressed), whose resolvent
+    has the root 0."""
+    rng = np.random.default_rng(43)
+    seeded = rng.normal(size=(2000, 5))
+    poly = np.polynomial.polynomial.polyfromroots
+    centre, r1, r2 = rng.normal(size=500), rng.uniform(0.5, 2.0, 500), rng.uniform(0.5, 2.0, 500)
+    biquadratic = []
+    for c, a, b, kind in zip(centre, r1, r2, itertools.cycle(["real", "one pair", "two pairs"])):
+        ra = a if kind == "real" else 1j * a
+        rb = 1j * b if kind == "two pairs" else b
+        biquadratic.append(poly([c + ra, c - ra, c + rb, c - rb]).real)
+    double = [poly([a, a, b, c]) for a, b, c in rng.normal(size=(500, 3))]
+    for rows, tol in ((seeded, 1e-11), (np.array(biquadratic), 1e-11), (np.array(double), 1e-6)):
+        assert _sorted_gap(modeplan._quartic_roots(rows).real, _companion_roots(rows).real) <= tol
+
+
+def _phi_scan_designs():
+    """The reference robot at three scales and 60 seeded designs, every
+    third nearly similar: a rotated, scaled copy of its base moved by 1e-8
+    to 1e-2 L."""
+    designs = [RobotGeometry(np.asarray(REF_BASE) * s, np.asarray(REF_PLATFORM) * s) for s in (1.0, 1e-3, 1e3)]
+    rng = np.random.default_rng(47)
+    while len(designs) < 63:
+        base = rng.uniform(-10, 10, (3, 2))
+        if len(designs) % 3 == 2:
+            platform = rng.uniform(0.2, 0.8) * (base - base.mean(axis=0)) @ rotation(rng.uniform(0, 2 * np.pi)).T
+            platform += rng.normal(size=(3, 2)) * 10.0 ** rng.uniform(-8, -2) * np.ptp(base)
+        else:
+            platform = rng.uniform(-4, 4, (3, 2))
+        geom = RobotGeometry(base, platform)
+        if not is_architecturally_singular(geom)[0]:
+            designs.append(geom)
+    return designs
+
+
+def test_phi_masks_equal_the_companion_scan():
+    """The phi-edge masks of the closed-form scan, which opens every column
+    whose smallest |det| is within the chord bound, equal bit for bit those
+    of the companion scan on 63 designs at 16^3, 32^3 and 64^3."""
+    for geom in _phi_scan_designs():
+        for n in (16, 32, 64):
+            xs, ys, phis = _grid_axes(geom, (n, n, n))
+            q, det, sgn = _node_signs(geom, xs, ys, phis)
+            got = _axis_edge_scan(geom, xs, ys, phis, 2, q, det, sgn)
+            assert np.array_equal(got, _companion_phi_scan(phis, det, sgn)), (geom, n)
+
+
+def test_phi_scan_opens_no_column_constant_in_phi(monkeypatch):
+    """A column whose determinant is constant in phi, zero or not, has no
+    critical point: it reaches no quartic and raises no warning, and its
+    edges cross exactly where its node signs say."""
+    phis = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    det = np.empty((2, 2, 8))
+    det[0, 0], det[0, 1] = 0.0, 2.0
+    det[1] = [1.0 + 2.0 * np.cos(2 * phis), 0.3 + np.sin(phis)]
+    sgn = np.sign(det).astype(np.int8)
+    rows = []
+    angles = modeplan._critical_angles
+    monkeypatch.setattr(modeplan, "_critical_angles", lambda coef: rows.append(coef) or angles(coef))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cross = _axis_edge_scan(None, None, None, phis, 2, None, det, sgn)
+    assert np.all(np.any(np.concatenate(rows)[:, 1:] != 0.0, axis=1))
+    assert cross[0, 0].all() and not cross[0, 1].any()
+    assert np.array_equal(cross, _companion_phi_scan(phis, det, sgn))
+
+
 def _chord_segment(geom, phi, y, offset, length=20.0):
     """Horizontal constant-phi segment at height y whose quadratic has its
     vertex ``offset`` from the segment start."""
@@ -1262,6 +1439,41 @@ def test_gap_bound_dominates_the_curvature_of_det(monkeypatch):
     assert min(ratios) >= 1.0
 
 
+def test_gap_bound_follows_the_segments_of_a_row(monkeypatch):
+    """On a row of n segments the gap [0, 1/n] is its first segment whole, so
+    the end value below which _split_gaps halves it is the one at which it
+    halves that segment alone on [0, 1]: the bound is per unit of the
+    segment's own parameter, scaled by n^2 per unit of the row's t."""
+
+    class Halved(Exception):
+        pass
+
+    def halved(*args):
+        raise Halved
+
+    def opening_value(geom, path, end):
+        lo, hi = 0.0, 1e30
+        with monkeypatch.context() as m:
+            m.setattr(modeplan, "_leg_geometry", halved)
+            for _ in range(200):  # bisect for the end value at which the gap opens
+                value = 0.5 * (lo + hi)
+                s = modeplan._SampledPath(path._paths, np.array([0.0, end]), np.array([0, 0]), (0, 0, 0, np.full(2, value)))
+                try:
+                    modeplan._split_gaps(geom, s)
+                    hi = value
+                except Halved:
+                    lo = value
+        return hi
+
+    rng = np.random.default_rng(67)
+    for geom in _phi_scan_designs()[:6]:
+        Lg = characteristic_scale(geom)
+        table = [Pose(*rng.uniform(-Lg, 2 * Lg, 2), rng.uniform(-4, 4)) for _ in range(4)]
+        alone = opening_value(geom, WorkspacePath(tuple(table[:2])), 1.0)
+        in_row = opening_value(geom, WorkspacePath(tuple(table)), 1.0 / 3.0)
+        assert alone == pytest.approx(in_row, rel=1e-12)
+
+
 def test_gap_test_halves_nothing_where_det_is_zero_up_to_rounding(similar_design, monkeypatch):
     """At phi = 0 the legs of the similar design all meet at one point, so
     det is rounding noise along a phi = 0 segment.  Those values lie in the
@@ -1277,6 +1489,44 @@ def test_gap_test_halves_nothing_where_det_is_zero_up_to_rounding(similar_design
     monkeypatch.setattr(modeplan, "_leg_geometry", no_kernel)
     ts, rows, dets, _ = modeplan._split_gaps(similar_design, s)
     assert np.array_equal(ts, s.ts) and np.array_equal(dets, s.legs[3])
+
+
+def _per_gap_bounds(geom, paths, seg, n):
+    """The chord bound M and the bound T on |det| of path steps ``seg`` of
+    rows of ``n`` segments, as _split_gaps computed them per gap before the
+    gap forms: from the trigonometric bounds of the conic coefficients, the
+    step's rates per unit t and the larger |u| and |v| at its ends."""
+    coef = modeplan._conic_coefficients(geom, modeplan._TRIG_ANGLES, geom.base.mean(axis=0)).T
+    coef = coef @ (modeplan._trig_basis(modeplan._TRIG_ANGLES) * [1, 2, 2, 2, 2] / 5)
+    b0, b1, b2 = (np.array([[1, 1, 1, 1, 1], [0, 1, 1, 2, 2], [0, 1, 1, 4, 4]]) @ np.abs(coef).T).tolist()
+    dx, dy, dphi = np.abs(paths.steps[seg].T * n)
+    o = geom.base.mean(axis=0)
+    u, v = np.maximum(np.abs(paths.table[seg, :2] - o), np.abs(paths.table[seg + 1, :2] - o)).T
+    m2 = 2 * ((b0[0] * dx + b0[1] * dy) * dx + b0[2] * dy * dy)
+    m1 = (2 * b1[0] * u + b1[1] * v + b1[3]) * dx + (b1[1] * u + 2 * b1[2] * v + b1[4]) * dy
+    m0 = (b2[0] * u + b2[1] * v + b2[3]) * u + (b2[2] * v + b2[4]) * v + b2[5]
+    top = (b0[0] * u + b0[1] * v + b0[3]) * u + (b0[2] * v + b0[4]) * v + b0[5]
+    return (m2 + 2 * dphi * m1 + dphi**2 * m0) / 8, top
+
+
+def test_step_bounds_equal_the_per_gap_bounds(monkeypatch):
+    """M and T of every path step, from the design's gap forms, equal to
+    rounding the bounds _split_gaps computed per gap before, on seeded
+    designs and paths; the forms are built once per design."""
+    built = []
+    forms = modeplan._gap_forms
+    monkeypatch.setattr(modeplan, "_gap_forms", lambda geom: built.append(geom) or forms(geom))
+    rng = np.random.default_rng(61)
+    for geom in _phi_scan_designs()[:24]:
+        Lg = characteristic_scale(geom)
+        for n in (1, 2, 5):
+            table = np.column_stack([rng.uniform(-Lg, 2 * Lg, (n + 1, 2)), rng.uniform(-4, 4, n + 1)])
+            paths = WorkspacePath(tuple(Pose(*w) for w in table))._paths
+            curvature, size = modeplan._step_bounds(geom, paths)
+            bound, top = _per_gap_bounds(geom, paths, np.arange(n), n)
+            assert np.allclose(curvature * n * n, bound, rtol=1e-13, atol=0.0)
+            assert np.allclose(size, top, rtol=1e-13, atol=0.0)
+    assert len(built) == 24
 
 
 def _seeded_designs(seed, count):

@@ -384,6 +384,99 @@ def test_polyline_saddles_match_per_cell_reference(q11, q00):
     _assert_same_polylines(sample_conic_polyline(conic, window, 0.5), want)
 
 
+def _left_to_right(conic, x, y):
+    """SingularityConic.evaluate as one left-to-right expression, as it was
+    before it summed in place."""
+    q20, q11, q02, q10, q01, q00 = conic.coefficients
+    return q20 * x * x + q11 * x * y + q02 * y * y + q10 * x + q01 * y + q00
+
+
+def test_evaluate_in_place_equals_the_left_to_right_sum(ref):
+    """Bit for bit, with the same type, on scalars, 1-D arrays and
+    broadcast lattices, for the reference conics and seeded coefficients of
+    mixed magnitudes and signs."""
+    rng = np.random.default_rng(53)
+    conics = [singularity_conic(ref, phi) for phi in (0.0, 0.9, 2.5)]
+    for _ in range(20):
+        coeffs = rng.normal(size=6) * 10.0 ** rng.uniform(-8, 8, 6)
+        conics.append(SingularityConic(coeffs, 0.0, np.zeros((3, 2)), "hyperbola"))
+    xs, ys = rng.uniform(-1e3, 1e3, 37), rng.uniform(-1e3, 1e3, 41)
+    args = [
+        (1.5, -2.25),
+        (np.float64(3.0), 7),
+        (xs, ys[:37]),
+        (xs, 2.0),
+        (xs[:, None], ys[None, :]),
+        (0.5, ys[None, :]),
+        (xs[:, None, None], ys[None, :, None] * [1.0, -1.0]),
+    ]
+    for conic in conics:
+        for x, y in args:
+            got, want = conic.evaluate(x, y), _left_to_right(conic, x, y)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _generator_stitch(segments, tol):
+    """_stitch_segments as it was before the mates: at every step of a
+    chain a generator scans the ends of its point for the first whose
+    segment is unused, in segment order."""
+    points = segments.reshape(-1, 2)
+    _, ids = np.unique(np.round(points / tol).view(np.complex128).ravel(), return_inverse=True)
+    keep = np.repeat(ids[0::2] != ids[1::2], 2)
+    points, ids = points[keep], ids[keep]
+    ends = np.argsort(ids, kind="stable").tolist()
+    degree = np.bincount(ids)
+    first = np.concatenate([[0], np.cumsum(degree)]).tolist()
+    ids, degree = ids.tolist(), degree.tolist()
+    used = [False] * (len(ids) // 2)
+
+    def walk(p):
+        chain = [p]
+        while p is not None:
+            used[p >> 1] = True
+            p ^= 1
+            chain.append(p)
+            k = ids[p]
+            p = next((q for q in ends[first[k] : first[k + 1]] if not used[q >> 1]), None)
+        return points[chain]
+
+    polylines = []
+    for s in range(len(used)):
+        for p in (2 * s, 2 * s + 1):
+            if not used[s] and degree[ids[p]] == 1:
+                polylines.append(walk(p))
+    return polylines + [walk(2 * s) for s in range(len(used)) if not used[s]]
+
+
+def test_mate_walk_equals_the_generator_walk(ref, monkeypatch):
+    """The stitcher's mate walk chains the segments of every contour below
+    into the generator walk's polylines, bit for bit: the reference robot's
+    loci at three scales (the phi = 0 csv pin among them, whose two lines
+    run through lattice nodes), pairs of lines that cross at a lattice node
+    (a junction of four ends) and seeded conics."""
+    calls = []
+    stitch = singularity_module._stitch_segments
+    monkeypatch.setattr(singularity_module, "_stitch_segments", lambda *a: calls.append(a) or stitch(*a))
+    for scale in (1e-3, 1.0, 1e3):
+        geom = RobotGeometry(np.asarray(REF_BASE) * scale, np.asarray(REF_PLATFORM) * scale)
+        window = tuple(np.array([-10.0, -10.0, 20.0, 20.0]) * scale)
+        for phi, step in ((0.0, 0.1), (0.0, 0.25), (0.9, 0.5), (2.5, 0.05)):
+            sample_conic_polyline(singularity_conic(geom, phi), window, step * scale)
+    crossing = [[1.0, 0.0, -1.0, 0.0, 0.0, 0.0], [1.0, 0.0, -4.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, -0.5, 0.0]]
+    rng = np.random.default_rng(59)
+    for coeffs in crossing + rng.normal(size=(30, 6)).tolist():
+        conic = SingularityConic(np.array(coeffs), 0.0, np.zeros((3, 2)), "hyperbola")
+        for window, step in (((-1, -1, 1, 1), 0.25), ((-2, -1.5, 1, 1), 0.5), ((-3, -3, 3, 3), 0.05)):
+            sample_conic_polyline(conic, window, step)
+    junctions = 0
+    for segments, tol in calls:
+        ids = np.unique(np.round(segments.reshape(-1, 2) / tol).view(np.complex128).ravel(), return_inverse=True)[1]
+        junctions += np.count_nonzero(np.bincount(ids[np.repeat(ids[0::2] != ids[1::2], 2)]) > 2)
+        _assert_same_polylines(stitch(segments, tol), _generator_stitch(segments, tol))
+    assert junctions >= 6
+
+
 def test_polyline_no_warnings_on_flat_edges():
     """Q = y vanishes on the whole lattice row y = 0, so edges along it give
     0/0 and the other rows' horizontal edges x/0; none of them may warn."""
