@@ -23,8 +23,6 @@ from .modeplan import WorkspacePath, plan_mode_change, verify_mode_change
 from .robotfile import RunConfig, load_robot
 from .singularity import (
     classify_configuration,
-    is_architecturally_singular,
-    passage_safety,
     sample_conic_polyline,
     singularity_conic,
     triangle_angles,
@@ -189,12 +187,12 @@ def locus(robot_path, phi, window_text, step, fmt):
 def design_check(robot_path):
     """Architectural-singularity and passage-safety report."""
     geom = load_robot(robot_path)
-    singular, detail = is_architecturally_singular(geom)
+    singular, detail = geom.architectural_singularity
     _emit(
         {
             "architectural": bool(singular),
             "detail": detail,
-            "passage_safety": [bool(v) for v in passage_safety(geom)],
+            "passage_safety": [bool(v) for v in geom.passage_safe],
             "angles": {
                 "base": [float(a) for a in triangle_angles(geom.base)],
                 "platform": [float(a) for a in triangle_angles(geom.platform)],

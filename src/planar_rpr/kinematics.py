@@ -180,17 +180,18 @@ def _solve_affine_xy(u, v, w, phi: np.ndarray, L: float):
     rank one and gets the minimum-norm least-squares solution J^T r / |J|_F^2
     (the caller gates on the returned det).
     """
-    c, s = np.cos(phi), np.sin(phi)
-    (a1, b1, r1), (a2, b2, r2) = [
-        [f[0] + f[1] * c + f[2] * s for f in (u[j] - u[0], v[j] - v[0], w[0] - w[j])] for j in (1, 2)
-    ]
+    F = np.concatenate([u[1:] - u[0], v[1:] - v[0], w[0] - w[1:]], axis=1).reshape(6, 3)
+    a1, b1, r1, a2, b2, r2 = F[:, :1] + F[:, 1:2] * np.cos(phi) + F[:, 2:3] * np.sin(phi)
     det = a1 * b2 - a2 * b1
-    full = np.abs(det) > 1e-14 * L**2
-    norm = a1**2 + a2**2 + b1**2 + b2**2
-    den = np.where(full, det, np.where(norm > 0.0, norm, 1.0))
-    x = np.where(full, r1 * b2 - r2 * b1, a1 * r1 + a2 * r2) / den
-    y = np.where(full, a1 * r2 - a2 * r1, b1 * r1 + b2 * r2) / den
-    return x, y, np.abs(det)
+    abs_det = np.abs(det)
+    x, y = r1 * b2 - r2 * b1, a1 * r2 - a2 * r1
+    rank_one = ~(abs_det > 1e-14 * L**2)
+    if rank_one.any():
+        norm = a1**2 + a2**2 + b1**2 + b2**2
+        det = np.where(rank_one, np.where(norm > 0.0, norm, 1.0), det)
+        x = np.where(rank_one, a1 * r1 + a2 * r2, x)
+        y = np.where(rank_one, b1 * r1 + b2 * r2, y)
+    return x / det, y / det, abs_det
 
 
 def _pmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -279,6 +280,18 @@ def build_fk_polynomial(geom: RobotGeometry, joints: JointVector) -> UnivariateF
     return UnivariateFkPolynomial(coeffs, len(coeffs) - 1 < 6, False)
 
 
+def _min_norm_step(p, q):
+    """The shortest step s with p . s = -p[3] and q . s = -q[3] for two rows
+    of :func:`_constraint_rows`, J^T (J J^T)^-1 (-F) in plain floats; None
+    when their gradients are parallel."""
+    pp, pq, qq = (a[0] * b[0] + a[1] * b[1] + a[2] * b[2] for a, b in ((p, p), (p, q), (q, q)))
+    det = pp * qq - pq * pq
+    if not det > 0.0:
+        return None
+    lp, lq = (pq * q[3] - qq * p[3]) / det, (pq * p[3] - pp * q[3]) / det
+    return [lp * a + lq * b for a, b in zip(p[:3], q[:3])]
+
+
 def _refine_newton(legs, rho_sq, x, y, phi, res_tol):
     """Newton iteration on (F_1, F_2, F_3); returns (pose, residual, ok)."""
     x, y, phi = float(x), float(y), float(phi)
@@ -291,10 +304,12 @@ def _refine_newton(legs, rho_sq, x, y, phi, res_tol):
             break
         jac = np.array(rows)
         try:
-            step = np.linalg.solve(jac[:, :3], -jac[:, 3])
+            sx, sy, sphi = np.linalg.solve(jac[:, :3], -jac[:, 3]).tolist()
         except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jac[:, :3], -jac[:, 3], rcond=None)
-        sx, sy, sphi = step.tolist()
+            # B_i = a_i zeroes leg i's row (a zero-leg start): step on the live rows
+            live = [row for row in rows if any(row[:3])]
+            step = _min_norm_step(*live) if len(live) == 2 else None
+            sx, sy, sphi = step or np.linalg.lstsq(jac[:, :3], -jac[:, 3], rcond=None)[0].tolist()
         for _ in range(9):  # the full step, then up to 8 halvings
             cand = (x + sx, y + sy, phi + sphi)
             cand_rows = _constraint_rows(legs, rho_sq, *cand)
@@ -344,6 +359,19 @@ def _zero_leg_starts(design: FkDesign, rho_sq, L: float):
     ]
 
 
+def _root_clusters(real: list[float]) -> list[tuple[float, int]]:
+    """Ascending (mean, size) of the clusters of ``real``: a sorted value within
+    ``ROOT_CLUSTER_RADIUS`` of the one before it joins its cluster.  Members are
+    summed in order from 0.0, as ``np.mean`` sums so few (3.12's ``sum`` compensates)."""
+    groups = []  # [sum, size, last member]
+    for t in sorted(real):
+        if groups and t - groups[-1][2] <= ROOT_CLUSTER_RADIUS:
+            groups[-1] = [groups[-1][0] + t, groups[-1][1] + 1, t]
+        else:
+            groups.append([0.0 + t, 1, t])
+    return [(total / n, n) for total, n, _ in groups]
+
+
 def solve_fk(geom: RobotGeometry, joints: JointVector) -> FkSolutionSet:
     """All assembly modes for the given joint vector.
 
@@ -368,19 +396,16 @@ def solve_fk(geom: RobotGeometry, joints: JointVector) -> FkSolutionSet:
         w = design.w0 - np.outer(rho_sq, [1.0, 0.0, 0.0])
         clusters = []
         if poly.degree >= 1:
-            roots = npoly.polyroots(poly.coeffs)
+            roots = npoly.polyroots(poly.coeffs).tolist()
             # Root pairs split off the real axis by a tangency stay eligible: the
             # acceptance band is on the equivalent angle error 2*Im(t)/(1+Re^2).
-            angle_im = 2.0 * np.abs(roots.imag) / (1.0 + roots.real**2)
-            # real parts within the cluster radius count as one root
-            real = np.sort(roots.real[angle_im <= 1e-5])
-            groups = np.split(real, np.flatnonzero(np.diff(real) > ROOT_CLUSTER_RADIUS) + 1)
-            clusters = [(float(np.mean(group)), len(group)) for group in groups if len(group)]
+            eligible = [t.real for t in roots if 2.0 * abs(t.imag) / (1.0 + t.real * t.real) <= 1e-5]
+            clusters = _root_clusters(eligible)
         # |det| is the same for every substitution leg (twice a triangle's area):
         # where it is small the lift is least squares, and Newton decides
         phi0 = 2.0 * np.arctan([t for t, _ in clusters])
         x0, y0, _ = _solve_affine_xy(design.u, design.v, w, phi0, L)
-        starts = [(x0[k], y0[k], phi0[k], mult) for k, (_, mult) in enumerate(clusters)]
+        starts = zip(x0.tolist(), y0.tolist(), phi0.tolist(), [mult for _, mult in clusters])
 
     entries = []
     for x0, y0, phi0, mult in starts:

@@ -13,6 +13,7 @@ behaviour is invariant under uniform scaling of the design.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -93,6 +94,22 @@ class RobotGeometry:
 
         return _gap_forms(self)
 
+    @cached_property
+    def architectural_singularity(self) -> tuple[bool, str]:
+        """:func:`planar_rpr.singularity.is_architecturally_singular`, computed on first use."""
+        from .singularity import is_architecturally_singular
+
+        return is_architecturally_singular(self)
+
+    @cached_property
+    def passage_safe(self) -> np.ndarray:
+        """:func:`planar_rpr.singularity.passage_safety`, read-only, computed on first use."""
+        from .singularity import passage_safety
+
+        safe = passage_safety(self)
+        safe.flags.writeable = False
+        return safe
+
 
 @dataclass(frozen=True)
 class Pose:
@@ -147,9 +164,13 @@ def rotation(phi: float) -> np.ndarray:
 
 
 def wrap_angle(a):
-    """Wrap an angle (or array of angles) into (-pi, pi]."""
-    w = np.remainder(a + np.pi, 2.0 * np.pi) - np.pi
-    return np.where(w == -np.pi, np.pi, w) if np.ndim(a) else (np.pi if w == -np.pi else float(w))
+    """Wrap an angle (or array of angles) into (-pi, pi]; a scalar gives a
+    float, through float ``%``, which rounds as ``np.remainder`` does."""
+    if getattr(a, "ndim", 0) or isinstance(a, (list, tuple)):
+        w = np.remainder(a + np.pi, 2.0 * np.pi) - np.pi
+        return np.where(w == -np.pi, np.pi, w)
+    w = (float(a) + math.pi) % (2.0 * math.pi) - math.pi
+    return math.pi if w == -math.pi else w
 
 
 def platform_points(geom: RobotGeometry, pose: Pose) -> np.ndarray:

@@ -51,8 +51,6 @@ from .model import MAX_SAMPLES, Pose, RobotGeometry, pose_distance, wrap_angle
 from .singularity import (
     SERIAL_CLASSIFY_REL,
     classify_configuration,
-    is_architecturally_singular,
-    passage_safety,
     _conic_coefficients,
     _leg_geometry,
     _line_measure,
@@ -1033,10 +1031,10 @@ def plan_mode_change(
     if not (x1 > x0 and y1 > y0):
         raise ValidationError("box must have positive extent")
 
-    singular, detail = is_architecturally_singular(geom)
+    singular, detail = geom.architectural_singularity
     if singular:
         raise ArchitecturalSingularity(detail)
-    safe = passage_safety(geom)
+    safe = geom.passage_safe
     if not np.any(safe):
         raise NoPathFound("no leg is passage-safe: every serial point can be a parallel singularity")
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .errors import ParseError, ValidationError
 from .model import RobotGeometry
 from .modeplan import EPS_PASS_REL
-from .singularity import is_architecturally_singular, passage_safety
 
 
 @dataclass
@@ -87,11 +86,10 @@ def load_robot(path) -> RobotGeometry:
     except json.JSONDecodeError as exc:
         raise ParseError(f"robot file {path} is not valid JSON: {exc}") from exc
     geom = parse_robot(data)
-    singular, detail = is_architecturally_singular(geom)
+    singular, detail = geom.architectural_singularity
     if singular:
         warnings.warn(f"architecturally singular design: {detail}", stacklevel=2)
-    safe = passage_safety(geom)
-    for i, ok in enumerate(safe):
+    for i, ok in enumerate(geom.passage_safe):
         if not ok:
             warnings.warn(
                 f"leg {i + 1} is not passage-safe: its base and platform angles match",

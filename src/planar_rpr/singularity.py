@@ -249,7 +249,7 @@ def singularity_conic(geom: RobotGeometry, phi: float) -> SingularityConic:
     overflow (coordinates too large for their products, such as a platform
     frame ~1e300 away) raise :class:`ValidationError`.
     """
-    singular, detail = is_architecturally_singular(geom)
+    singular, detail = geom.architectural_singularity
     if singular:
         raise ArchitecturalSingularity(detail)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -532,3 +532,118 @@ def test_fk_with_an_overflowing_elimination_is_a_validation_error():
             oracle_fk(geom, JointVector([5.0, 5.0, 5.0]))
         with pytest.raises(ValidationError, match="non-finite coefficients"):
             solve_fk(geom, JointVector([5.0, 5.0, 5.0]))
+
+
+def _reference_root_clusters(real):
+    """The numpy clustering that _root_clusters replaced, kept as the reference."""
+    real = np.sort(real)
+    groups = np.split(real, np.flatnonzero(np.diff(real) > kinematics.ROOT_CLUSTER_RADIUS) + 1)
+    return [(float(np.mean(group)), len(group)) for group in groups if len(group)]
+
+
+def test_root_clusters_are_bitwise_the_numpy_clusters():
+    """Seeded sets of up to six roots with clusters of two and three members,
+    and gaps equal to the cluster radius and one ulp either side of it."""
+    radius = kinematics.ROOT_CLUSTER_RADIUS
+    gaps = [radius, np.nextafter(radius, 0.0), np.nextafter(radius, 1.0), 0.0, 0.3 * radius, 1e-3]
+    # about 0.0 the gaps are exact
+    sets = [[0.0, gap] for gap in gaps] + [[-gap, 0.0, gap] for gap in gaps] + [[-0.0], [-0.0, -0.0, 0.0], []]
+    assert [b - a for a, b in sets[:3]] == gaps[:3]
+    rng = np.random.default_rng(22)
+    for _ in range(400):
+        real = []
+        while len(real) < 6:
+            start = float(rng.uniform(-50.0, 50.0)) * float(rng.choice([1e-6, 1.0]))
+            real.append(start)
+            for _ in range(int(rng.integers(0, 3))):
+                real.append(real[-1] + float(rng.choice(gaps)))
+        sets.append(rng.permutation(real[:6]).tolist())
+    for real in sets:
+        got = kinematics._root_clusters(real)
+        want = _reference_root_clusters(np.array(real))
+        assert [n for _, n in got] == [n for _, n in want]
+        assert np.array([t for t, _ in got]).tobytes() == np.array([t for t, _ in want]).tobytes()
+    assert [n for _, n in kinematics._root_clusters(sets[0])] == [2]
+    assert [n for _, n in kinematics._root_clusters(sets[2])] == [1, 1]
+
+
+def _reference_solve_affine_xy(u, v, w, phi, L):
+    """The lift with one trigonometric form per list item, kept as the reference."""
+    c, s = np.cos(phi), np.sin(phi)
+    (a1, b1, r1), (a2, b2, r2) = [
+        [f[0] + f[1] * c + f[2] * s for f in (u[j] - u[0], v[j] - v[0], w[0] - w[j])] for j in (1, 2)
+    ]
+    det = a1 * b2 - a2 * b1
+    full = np.abs(det) > 1e-14 * L**2
+    norm = a1**2 + a2**2 + b1**2 + b2**2
+    den = np.where(full, det, np.where(norm > 0.0, norm, 1.0))
+    x = np.where(full, r1 * b2 - r2 * b1, a1 * r1 + a2 * r2) / den
+    y = np.where(full, a1 * r2 - a2 * r1, b1 * r1 + b2 * r2) / den
+    return x, y, np.abs(det)
+
+
+@pytest.mark.parametrize(
+    "base, platform",
+    [
+        (REF_BASE, REF_PLATFORM),
+        # the serial points are collinear at every angle: rank one throughout
+        ([(0, 0), (2, 0), (0, 2)], [(0, 0), (0, 2), (2, 0)]),
+        # the serial points coincide at phi = 0, where J is zero
+        (REF_BASE, REF_BASE),
+    ],
+    ids=["ref", "rank_one", "zero_at_0"],
+)
+def test_solve_affine_xy_is_bitwise_the_list_version(base, platform):
+    geom = RobotGeometry(base, platform)
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        u, v, w = kinematics._linear_forms(geom, rng.uniform(0.0, 200.0, 3))
+        for phi in (rng.uniform(-np.pi, np.pi, 7), np.array([0.0, 1.0, np.pi]), np.array([np.pi]), np.zeros(0)):
+            got = kinematics._solve_affine_xy(u, v, w, phi, geom.L)
+            want = _reference_solve_affine_xy(u, v, w, phi, geom.L)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_min_norm_step_is_the_least_squares_step_of_a_zero_row():
+    """The live-row step equals lstsq's on the 3x3 system with a zero row,
+    and there is none when the two gradients are parallel."""
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        p, q = rng.normal(0.0, 10.0, 4).tolist(), rng.normal(0.0, 10.0, 4).tolist()
+        jac = np.array([p, [0.0] * 4, q])
+        want = np.linalg.lstsq(jac[:, :3], -jac[:, 3], rcond=None)[0]
+        assert np.allclose(kinematics._min_norm_step(p, q), want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)))
+    assert kinematics._min_norm_step([1.0, 2.0, 3.0, 1.0], [2.0, 4.0, 6.0, 5.0]) is None
+
+
+def test_zero_leg_vectors_need_no_lstsq(monkeypatch):
+    """At a zero-leg start B_i = a_i, so leg i's Jacobian row is zero and the
+    3x3 solve fails; the Newton step comes from the two live rows, with no
+    least squares.  Seeded zero-leg vectors as in the fk benchmark workload."""
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq was called")
+
+    live_steps = []
+    min_norm_step = kinematics._min_norm_step
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    monkeypatch.setattr(kinematics, "_min_norm_step", lambda p, q: live_steps.append(1) or min_norm_step(p, q))
+    rng = np.random.default_rng(1701)
+    designs = [RobotGeometry(REF_BASE, REF_PLATFORM)] + [
+        RobotGeometry(np.add(REF_BASE, rng.normal(0.0, 1.5, (3, 2))), np.add(REF_PLATFORM, rng.normal(0.0, 0.5, (3, 2))))
+        for _ in range(3)
+    ]
+    for k in range(160):
+        geom = designs[k % 4]
+        Lg = characteristic_scale(geom)
+        leg, phi = k % 3, float(rng.uniform(0.0, 2.0 * np.pi))
+        xy = geom.base[leg] - rotation(phi) @ geom.platform[leg]
+        pose = Pose(float(xy[0]), float(xy[1]), phi)
+        rho = inverse_kinematics(geom, pose).rho.copy()
+        rho[leg] = 0.0
+        sols = solve_fk(geom, JointVector(rho))
+        assert len(sols) <= 2
+        assert min(pose_distance(p, pose, Lg) for p in sols) <= math.sqrt(1e-9) * Lg
+        for p in oracle_fk(geom, JointVector(rho)):
+            assert min(pose_distance(p, q, Lg) for q in sols) <= math.sqrt(1e-9) * Lg
+    assert len(live_steps) >= 10  # the zero-row step did run

@@ -129,6 +129,31 @@ def test_wrap_angle():
     assert wrap_angle(2 * np.pi + 0.25) == pytest.approx(0.25)
 
 
+def _reference_wrap_angle(a):
+    """The wrap whose scalar branch went through np.remainder, kept as the
+    reference for the float branch that replaced it."""
+    w = np.remainder(a + np.pi, 2.0 * np.pi) - np.pi
+    return np.where(w == -np.pi, np.pi, w) if np.ndim(a) else (np.pi if w == -np.pi else float(w))
+
+
+def test_scalar_wrap_angle_is_bitwise_the_array_path():
+    """Float % rounds as np.remainder does: every scalar, also an np.float64,
+    wraps to the bits of the array path and of the reference, as a float."""
+    pi = np.pi
+    edges = [pi, -pi, 3 * pi, -3 * pi, 5 * pi, -7 * pi, 101 * pi, -1001 * pi, np.nextafter(pi, 4.0),
+             np.nextafter(-pi, -4.0), 2 * pi, -2 * pi, 0.0, -0.0, 5e-324, -5e-324, 1e-20, 1e16, -1e16,
+             1e308, np.inf, -np.inf, np.nan]
+    values = edges + np.random.default_rng(5).uniform(-50.0, 50.0, 200).tolist()
+    with np.errstate(invalid="ignore"):
+        array = wrap_angle(np.array(values)).tolist()
+        reference = [_reference_wrap_angle(v) for v in values]
+    for v, a, r in zip(values, array, reference):
+        for scalar in (float(v), np.float64(v)):
+            got = wrap_angle(scalar)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(a).tobytes() == np.float64(r).tobytes(), v
+
+
 def test_pose_distance_wraps(ref):
     L = characteristic_scale(ref)
     a = Pose(0, 0, 0.1)

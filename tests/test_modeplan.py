@@ -365,8 +365,11 @@ def test_planner_validates_box_and_resolution_before_kinematics(ref, monkeypatch
     def kinematics_ran(*args, **kwargs):
         raise AssertionError("kinematics ran before the box and resolution checks")
 
-    for name in ("is_architecturally_singular", "classify_configuration", "solve_fk", "inverse_kinematics"):
+    for name in ("classify_configuration", "solve_fk", "inverse_kinematics"):
         monkeypatch.setattr(modeplan, name, kinematics_ran)
+    # a property outranks the value that a cached property stored on ref
+    for name in ("architectural_singularity", "passage_safe"):
+        monkeypatch.setattr(RobotGeometry, name, property(kinematics_ran))
     start = Pose(5, 5, 0)
     with pytest.raises(ValidationError, match="box must have positive extent"):
         plan_mode_change(ref, start, box=(2, 2, 1, 1))

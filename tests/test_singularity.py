@@ -15,6 +15,7 @@ from planar_rpr import (
     leg_lines,
     parallel_singularity_measure,
     passage_safety,
+    plan_mode_change,
     sample_conic_polyline,
     serial_points,
     singularity_conic,
@@ -631,7 +632,7 @@ def test_centred_conic_matches_determinant_on_offset_designs():
 def test_conic_rejects_vanishing_determinant_without_design_check(similar_design, monkeypatch):
     """At phi = 0 the half-scale copy is homothetic to the base, so the
     determinant vanishes identically; the coefficient check alone rejects it."""
-    monkeypatch.setattr(singularity_module, "is_architecturally_singular", lambda geom: (False, ""))
+    monkeypatch.setattr(RobotGeometry, "architectural_singularity", property(lambda geom: (False, "")))
     with pytest.raises(ArchitecturalSingularity, match="whole plane"):
         singularity_conic(similar_design, 0.0)
 
@@ -643,6 +644,26 @@ def test_triangle_angles_reference(ref):
 
 def test_passage_safety_reference(ref):
     assert passage_safety(ref).tolist() == [True, True, True]
+
+
+def test_design_predicates_run_once_per_design(monkeypatch):
+    """singularity_conic and plan_mode_change read the design's cached
+    verdicts; the public functions still compute them."""
+    calls = []
+    for name in ("is_architecturally_singular", "passage_safety"):
+        fn = getattr(singularity_module, name)
+        monkeypatch.setattr(singularity_module, name, lambda geom, fn=fn, name=name: calls.append(name) or fn(geom))
+    geom = RobotGeometry(REF_BASE, REF_PLATFORM)
+    for phi in (0.0, 0.5, 1.0):
+        singularity_conic(geom, phi)
+    for _ in range(2):
+        plan_mode_change(geom, Pose(5, 5, 0), resolution=(12, 12, 12))
+    assert calls == ["is_architecturally_singular", "passage_safety"]
+    assert geom.architectural_singularity == is_architecturally_singular(geom)
+    assert not geom.architectural_singularity[0]
+    assert geom.passage_safe.tolist() == passage_safety(geom).tolist() == [True, True, True]
+    with pytest.raises(ValueError):
+        geom.passage_safe[0] = False
 
 
 def test_passage_safety_angle_matched():
