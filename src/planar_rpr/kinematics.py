@@ -185,7 +185,7 @@ def _solve_affine_xy(u, v, w, phi: np.ndarray, L: float):
     det = a1 * b2 - a2 * b1
     abs_det = np.abs(det)
     x, y = r1 * b2 - r2 * b1, a1 * r2 - a2 * r1
-    rank_one = ~(abs_det > 1e-14 * L**2)
+    rank_one = ~(abs_det > 1e-14 * (L * L))
     if rank_one.any():
         norm = a1**2 + a2**2 + b1**2 + b2**2
         det = np.where(rank_one, np.where(norm > 0.0, norm, 1.0), det)
@@ -228,7 +228,7 @@ def compile_fk(geom: RobotGeometry) -> FkDesign:
     L = geom.L
     u, v, w0 = _linear_forms(geom, np.zeros(3))
     phis = np.linspace(-np.pi * 0.95, np.pi * 0.95, 19)
-    if float(np.max(_solve_affine_xy(u, v, w0, phis, L)[2])) <= 1e-10 * L**2:
+    if float(np.max(_solve_affine_xy(u, v, w0, phis, L)[2])) <= 1e-10 * (L * L):
         return FkDesign(u, v, w0, _leg_floats(geom), None)
 
     U, V = _tan_half_numerator(u), _tan_half_numerator(v)
@@ -348,7 +348,7 @@ def _zero_leg_starts(design: FkDesign, rho_sq, L: float):
     else:
         p, q, g = max(lines, key=lambda line: math.hypot(line[0], line[1]))
         n = math.hypot(p, q)
-        if n <= 1e-12 * L**2:
+        if n <= 1e-12 * (L * L):
             return None
         # p cos phi + q sin phi = n cos(phi - theta)
         theta, half = math.atan2(q, p), math.acos(max(-1.0, min(1.0, g / n)))
@@ -386,7 +386,7 @@ def solve_fk(geom: RobotGeometry, joints: JointVector) -> FkSolutionSet:
     _require_finite(math.isfinite(max(rho_sq)), "polynomial has non-finite coefficients")
     design = geom.fk_design
     L = geom.L
-    res_tol = RESIDUAL_REL * L**2
+    res_tol = RESIDUAL_REL * (L * L)
     poly = None
     starts = _zero_leg_starts(design, rho_sq, L) if 0.0 in rho_sq else None
     if starts is None:
@@ -418,7 +418,7 @@ def solve_fk(geom: RobotGeometry, joints: JointVector) -> FkSolutionSet:
 
     if poly is not None and poly.check_phi_pi:
         x0, y0, det = _solve_affine_xy(design.u, design.v, w, np.array([np.pi]), L)
-        if det[0] > 1e-12 * L**2:
+        if det[0] > 1e-12 * (L * L):
             pose, resid, ok = _refine_newton(design.legs, rho_sq, x0[0], y0[0], np.pi, res_tol)
             if ok and abs(wrap_angle(pose.phi - np.pi)) <= 1e-6:
                 entries.append((pose, resid, 1))
@@ -449,25 +449,36 @@ def _assemble_solution_set(entries, L: float) -> FkSolutionSet:
 
 def _bracket_roots(f, lo, hi, flo, fhi, tol):
     """Midpoints of the sign-change brackets [lo, hi] (float arrays) of ``f``,
-    which maps one parameter per bracket to values, refined all at once to
-    width <= tol by false position with the Illinois step (Dowell & Jarratt,
-    BIT 11, 1971).  A bracket not halved over two steps takes its midpoint,
-    no step lands within tol / 2 of an end, and a zero closes its bracket."""
-    was_left = was_right = np.zeros(lo.shape, dtype=bool)
-    width1 = width2 = np.full(lo.shape, np.inf)  # one and two steps back
-    while np.any(active := hi - lo > tol):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.where(hi - lo > 0.5 * width2, 0.5 * (lo + hi), (lo * fhi - hi * flo) / (fhi - flo))
-        c = np.where(active, np.clip(c, lo + 0.5 * tol, hi - 0.5 * tol), lo)
-        width1, width2 = hi - lo, width1
-        fc = f(c)
-        left, right = active & (np.sign(fc) == np.sign(flo)), active & (np.sign(fc) == np.sign(fhi))
-        # c replaces the end of its sign; the end kept twice in a row is halved
-        flo = np.where(left, fc, np.where(right & was_right, 0.5 * flo, flo))
-        fhi = np.where(right, fc, np.where(left & was_left, 0.5 * fhi, fhi))
-        lo, hi = np.where(active & ~right, c, lo), np.where(active & ~left, c, hi)
-        was_left, was_right = left, right
-    return 0.5 * (lo + hi)
+    refined all at once to width <= tol by false position with the Illinois
+    step (Dowell & Jarratt, BIT 11, 1971).  A bracket not halved over two
+    steps takes its midpoint, no step lands within tol / 2 of an end, and a
+    zero closes its bracket.  Each step evaluates only the open brackets:
+    ``f(c, j)`` gets one parameter per open bracket and the brackets'
+    indices ``j`` into the input arrays."""
+    out = 0.5 * (lo + hi)
+    j = np.flatnonzero(hi - lo > tol)
+    lo, hi, flo, fhi = lo[j], hi[j], flo[j], fhi[j]
+    was_left = was_right = np.zeros(len(j), dtype=bool)
+    width1 = width2 = np.full(len(j), np.inf)  # one and two steps back
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while len(j):
+            width = hi - lo
+            c = np.where(width > 0.5 * width2, 0.5 * (lo + hi), (lo * fhi - hi * flo) / (fhi - flo))
+            c = np.minimum(np.maximum(c, lo + 0.5 * tol), hi - 0.5 * tol)
+            width1, width2 = width, width1
+            fc = f(c, j)
+            left, right = np.sign(fc) == np.sign(flo), np.sign(fc) == np.sign(fhi)
+            # c replaces the end of its sign; the end kept twice in a row is halved
+            flo = np.where(left, fc, np.where(right & was_right, 0.5 * flo, flo))
+            fhi = np.where(right, fc, np.where(left & was_left, 0.5 * fhi, fhi))
+            lo, hi = np.where(right, lo, c), np.where(left, hi, c)
+            was_left, was_right = left, right
+            if not (open_ := hi - lo > tol).all():
+                out[j] = 0.5 * (lo + hi)  # the open ones are overwritten later
+                j, lo, hi, flo, fhi, was_left, was_right, width1, width2 = (
+                    v[open_] for v in (j, lo, hi, flo, fhi, was_left, was_right, width1, width2)
+                )
+    return out
 
 
 def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID) -> FkSolutionSet:
@@ -488,7 +499,7 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
     if grid > MAX_SAMPLES:
         raise ValidationError(f"grid must be at most {MAX_SAMPLES:,}")
     L = geom.L
-    res_tol = RESIDUAL_REL * L**2
+    res_tol = RESIDUAL_REL * (L * L)
     with np.errstate(over="ignore", invalid="ignore"):
         u, v, w = _linear_forms(geom, joints.squared)
     _require_finite(np.all(np.isfinite([u, v, w])), "linear forms have non-finite coefficients")
@@ -505,7 +516,7 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
     with np.errstate(over="ignore", invalid="ignore"):
         x, y, abs_det, g = lift(phis)
     _require_finite(np.all(np.isfinite([x, y, g])), "residual is not finite along the orientation sweep")
-    valid = abs_det > 1e-10 * L**2
+    valid = abs_det > 1e-10 * (L * L)
     if not np.any(valid):
         raise DegenerateElimination(_SINGULAR_ELIMINATION)
     # brackets [phi_k, phi_k + 2 pi / grid] with both ends valid: a sign
@@ -513,10 +524,18 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
     both = valid & np.roll(valid, -1)
     k = np.flatnonzero(both & ((g == 0.0) | (g * np.roll(g, -1) < 0.0)))
     hi = phis[k] + np.where(g[k] == 0.0, 0.0, 2.0 * np.pi / grid)
-    roots = _bracket_roots(lambda phi: lift(phi)[3], phis[k], hi, g[k], g[(k + 1) % grid], 1e-12)
+
+    def g_at(phi, j):
+        """g at the open brackets' angles, each in its bracket's place among
+        all brackets: BLAS rounds lift's products by an entry's place."""
+        at = phis[k]
+        at[j] = phi
+        return lift(at)[3][j]
+
+    roots = _bracket_roots(g_at, phis[k], hi, g[k], g[(k + 1) % grid], 1e-12)
     x0, y0, det0, _ = lift(roots)
     entries = []
-    for j in np.flatnonzero(det0 > 1e-12 * L**2):
+    for j in np.flatnonzero(det0 > 1e-12 * (L * L)):
         pose, resid, ok = _refine_newton(legs, rho_sq, x0[j], y0[j], roots[j], res_tol)
         if ok:
             entries.append((pose, resid, 1))

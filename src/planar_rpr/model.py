@@ -43,8 +43,8 @@ class RobotGeometry:
 
     Leg ``i`` always connects ``base[i]`` to ``platform[i]``; the index order
     is meaningful and preserved everywhere.  ``L``, the largest pairwise
-    distance among the base points, is computed once here; it and the
-    platform's largest pairwise distance must be finite.
+    distance among the base points, is computed once here as a Python
+    float; it and the platform's largest pairwise distance must be finite.
     """
 
     base: np.ndarray
@@ -63,7 +63,7 @@ class RobotGeometry:
                 spans.append(max(np.hypot(*(pts[k] - pts[k - 1])) for k in range(3)))
                 if not np.isfinite(spans[-1]):
                     raise ValidationError(f"{label} points are too far apart: their largest distance overflows")
-        object.__setattr__(self, "L", spans[0])
+        object.__setattr__(self, "L", float(spans[0]))
 
     def __eq__(self, other):
         if not isinstance(other, RobotGeometry):
@@ -76,6 +76,19 @@ class RobotGeometry:
 
     def __hash__(self):
         return hash((self.base.tobytes(), self.platform.tobytes(), self.name))
+
+    @cached_property
+    def _leg_columns(self) -> dict:
+        return {}
+
+    def leg_columns(self, rank: int) -> tuple:
+        """The columns (ax, ay, bx, by) of the base and platform points,
+        each shaped (3, 1, ..., 1) with ``rank`` trailing ones so that it
+        broadcasts against kernel inputs of that rank, legs leading
+        (:func:`planar_rpr.singularity._leg_vectors`); built once per rank."""
+        if rank not in self._leg_columns:
+            self._leg_columns[rank] = tuple(v.reshape((3,) + (1,) * rank) for v in (*self.base.T, *self.platform.T))
+        return self._leg_columns[rank]
 
     @cached_property
     def fk_design(self):

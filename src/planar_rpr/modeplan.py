@@ -52,7 +52,9 @@ from .singularity import (
     SERIAL_CLASSIFY_REL,
     classify_configuration,
     _conic_coefficients,
+    _leg_det,
     _leg_geometry,
+    _leg_vectors,
     _line_measure,
     _serial_clearance,
 )
@@ -130,11 +132,33 @@ class _Paths:
         """Arrays (x, y, phi) at parameters ``ts`` of rows ``rows``, clamped to [0, 1]."""
         n = self.n[rows]
         t = np.minimum(np.maximum(ts, 0.0), 1.0)
-        k = np.minimum((t * n).astype(int), n - 1)
-        s = t * n - k
+        tn = t * n
+        k = np.minimum(tn.astype(int), n - 1)
+        s = tn - k
         i = self.first[rows] + k
         a, d = self.table[i], self.steps[i]
         return a[..., 0] + s * d[..., 0], a[..., 1] + s * d[..., 1], a[..., 2] + s * d[..., 2]
+
+    def det_along(self, geom: RobotGeometry, ts, rows):
+        """``f(t, j)``: the determinant at parameters ``t`` of the path steps
+        of rows ``rows[j]`` that hold ``ts[j]`` (1-D arrays).
+
+        Each step's index, start and rate are read once, here.  A parameter
+        inside a step, as every bracket's and sample gap's interior point
+        is (at least CROSSING_T_TOL / 2 from its ends), gets the pose
+        :meth:`poses_at` gives, bit for bit.
+        """
+        n = self.n[rows]
+        k = np.minimum((ts * n).astype(int), n - 1)
+        i = self.first[rows] + k
+        cols = np.vstack([n, k, self.table[i].T, self.steps[i].T])
+
+        def f(t, j):
+            n, k, x, y, phi, dx, dy, dphi = cols[:, j]
+            s = t * n - k
+            return _leg_det(geom, *_leg_vectors(geom, x + s * dx, y + s * dy, phi + s * dphi))
+
+        return f
 
 
 @dataclass(frozen=True)
@@ -219,34 +243,47 @@ class ModeChangeCertificate:
         return out
 
 
-def _sample_params(geom: RobotGeometry, paths: _Paths) -> np.ndarray:
-    """Dense parameters of every row: uniform per segment, refined x8 where
-    any leg length drops below the refinement band.
+def _sample_params(geom: RobotGeometry, paths: _Paths):
+    """Dense parameters ``ts`` of every row, their rows, and the kernel
+    outputs of :func:`_leg_geometry` at them: uniform per segment, refined
+    x8 where any leg length drops below the refinement band.  Each sample
+    is evaluated once: the base samples' outputs are kept, and only the
+    refinement samples are evaluated after them.
 
     Sample t of row r is the key ``r + 1j * t``.  Numpy orders complex
     numbers by real part, then imaginary part, so the keys sort row by row
     and by t within a row, and sorting or searching them stays in a row.
     """
     ns, S = paths.n.tolist(), paths.samples
-    # the base parameters of each distinct segment count
-    uniform = {n: (np.arange(n)[:, None] + np.linspace(0.0, 1.0, S + 1)).ravel() / n for n in set(ns)}
-    base = [uniform[n] for n in ns]
-    base = np.repeat(np.arange(len(base)), [len(b) for b in base]) + 1j * np.concatenate(base)
-    base = base[_first_of_runs(base)]  # sorted already; a segment's end starts the next one
-    ts, rows = base.imag, base.real
-    dmin = _leg_geometry(geom, *paths.poses_at(ts, rows.astype(int)))[2].min(axis=-1)
+    # the base parameters of each distinct segment count; a segment's end starts the next one
+    uniform = {}
+    for n in set(ns):
+        u = (np.arange(n)[:, None] + np.linspace(0.0, 1.0, S + 1)).ravel() / n
+        uniform[n] = u[_first_of_runs(u)]
+    ts = np.concatenate([uniform[n] for n in ns])
+    rows = np.repeat(np.arange(len(ns)), [len(uniform[n]) for n in ns])
+    legs = _leg_geometry(geom, *paths.poses_at(ts, rows))
+    dmin = legs[2].min(axis=-1)
     band = REFINE_BAND_REL * geom.L
     k = np.nonzero(((dmin[:-1] < band) | (dmin[1:] < band)) & (rows[:-1] == rows[1:]))[0]
+    if not len(k):
+        return ts, rows, legs
     frac = np.arange(1, REFINE_FACTOR) / REFINE_FACTOR
-    extra = ts[k, None] + (ts[k + 1] - ts[k])[:, None] * frac
-    keys = np.sort(np.concatenate([base, (rows[k, None] + 1j * extra).ravel()]))
-    return keys[_first_of_runs(keys)]  # np.unique, which is slower on complex numbers
+    extra = (ts[k, None] + (ts[k + 1] - ts[k])[:, None] * frac).ravel()
+    extra_rows = np.repeat(rows[k], len(frac))
+    more = _leg_geometry(geom, *paths.poses_at(extra, extra_rows))
+    ts, rows = np.concatenate([ts, extra]), np.concatenate([rows, extra_rows])
+    keys = rows + 1j * ts
+    order = np.argsort(keys, kind="stable")
+    order = order[_first_of_runs(keys[order])]  # np.unique, which is slower on complex numbers
+    return ts[order], rows[order], tuple(np.concatenate([a, b])[order] for a, b in zip(legs, more))
 
 
 def _first_of_runs(a):
     """Mask of the entries of ``a`` that differ from their predecessor."""
-    first = np.ones(len(a), dtype=bool)
-    first[1:] = a[1:] != a[:-1]
+    first = np.empty(len(a), dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
     return first
 
 
@@ -263,7 +300,8 @@ class _SampledPath:
 
 
 def _sampled(geom: RobotGeometry, path: WorkspacePath | _Paths | _SampledPath) -> _SampledPath:
-    """Check the waypoints, draw the samples and evaluate the kernel on them.
+    """Check the waypoints, draw the samples and evaluate the kernel on them
+    (:func:`_sample_params`).
 
     A path sampled already passes through, so the verifier's crossing
     detector, sign continuation and measure trace share one sampling.
@@ -277,9 +315,7 @@ def _sampled(geom: RobotGeometry, path: WorkspacePath | _Paths | _SampledPath) -
                 raise ValidationError("consecutive waypoints must be distinct")
         path = path._paths
     with np.errstate(over="ignore", invalid="ignore"):
-        keys = _sample_params(geom, path)
-        ts, rows = keys.imag.copy(), keys.real.astype(int)
-        legs = _leg_geometry(geom, *path.poses_at(ts, rows))
+        ts, rows, legs = _sample_params(geom, path)
     if not (np.isfinite(legs[3]).all() and math.isfinite(legs[2].max())):
         raise ValidationError(
             "the line-matrix determinant along the path is not finite: the design's coordinates are too large"
@@ -306,7 +342,7 @@ def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
     dots, dots2 = (np.sum(d[:, :-lag] * d[:, lag:], axis=0) for lag in (1, 2))
     below = dist <= zero_tol
     flips: list[tuple[float, int]] = []
-    for leg in range(3):
+    for leg in np.flatnonzero(below.any(axis=0)).tolist():  # legs with a zero sample
         if np.any(below[:-1, leg] & below[1:, leg]):
             raise AmbiguousContinuation(
                 f"leg {leg + 1} length stays below {ZERO_TOUCH_REL:g}*L across "
@@ -320,14 +356,21 @@ def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
                 )
             flips.append((float(ts[k]), leg))
     k, leg = np.nonzero(~below[:-1] & ~below[1:] & (dots < 0.0))
-    rows, d_k = np.arange(len(k)), d[:, k, leg]
-    t_star = _bracket_roots(
-        lambda t: np.sum(np.stack(_leg_geometry(geom, *paths.poses_at(t, 0))[:2])[:, rows, leg] * d_k, axis=0),
-        ts[k], ts[k + 1], dist[k, leg] ** 2, dots[k, leg], 1e-14,
-    )
-    # above the zero band the leg swings past its base joint: a near miss
-    hit = _leg_geometry(geom, *paths.poses_at(t_star, 0))[2][rows, leg] <= zero_tol
-    flips += zip(t_star[hit].tolist(), leg[hit].tolist())
+    if len(k):
+        d_k = d[:, k, leg]
+
+        def dot(t, j):
+            """Leg vector of bracket j's leg at t, dotted with it at t_k."""
+            dx, dy = _leg_vectors(geom, *paths.poses_at(t, 0))
+            cols = np.arange(len(j))
+            return dx[leg[j], cols] * d_k[0, j] + dy[leg[j], cols] * d_k[1, j]
+
+        t_star = _bracket_roots(dot, ts[k], ts[k + 1], dist[k, leg] ** 2, dots[k, leg], 1e-14)
+        # above the zero band the leg swings past its base joint: a near miss
+        dx, dy = _leg_vectors(geom, *paths.poses_at(t_star, 0))
+        cols = np.arange(len(k))
+        hit = np.hypot(dx[leg, cols], dy[leg, cols]) <= zero_tol
+        flips += zip(t_star[hit].tolist(), leg[hit].tolist())
 
     flips.sort()
     signs = np.ones(dist.shape)
@@ -345,13 +388,13 @@ def _classify_zeros(geom: RobotGeometry, x, y, phi, eps_pass: float) -> list[tup
     positive, and parallel otherwise.
     """
     L = geom.L
-    _, _, d, det = _leg_geometry(geom, x, y, phi)
+    dx, dy, d, det = _leg_geometry(geom, x, y, phi)
     measures = (np.abs(_line_measure(d, det, L)) / L).tolist()
     legs = np.argmin(d, axis=-1)
     near = np.flatnonzero(d.min(axis=-1) <= eps_pass)
     out = [("parallel", None, m, None) for m in measures]
     for j in near.tolist():
-        clear = _serial_clearance(geom, Pose(float(x[j]), float(y[j]), float(phi[j])), int(legs[j]))
+        clear = _serial_clearance(geom, (dx[j], dy[j], d[j]), int(legs[j]))
         kind = "passage" if clear > SERIAL_CLASSIFY_REL * L else "parallel"
         out[j] = (kind, int(legs[j]) + 1, (0.0 if np.isnan(measures[j]) else measures[j]), float(clear))
     return out
@@ -372,8 +415,8 @@ _TRIG_ANGLES = 2.0 * np.pi * np.arange(5) / 5
 # Flat indices, in the outer product of z = (dx, dy, dphi, u, v, 1) with
 # itself, of the monomials R = (dx^2, dx dy, dy^2, dx dphi, dy dphi, dphi^2)
 # and W = (u^2, uv, v^2, u, v, 1).
-_RATE_PAIRS = [0, 1, 7, 2, 8, 14]
-_END_PAIRS = [21, 22, 28, 23, 29, 35]
+_RATE_PAIRS = np.array([0, 1, 7, 2, 8, 14])
+_END_PAIRS = np.array([21, 22, 28, 23, 29, 35])
 
 
 def _gap_forms(geom: RobotGeometry):
@@ -425,34 +468,41 @@ def _split_gaps(geom: RobotGeometry, s: _SampledPath):
     The bounds M and T of each path step (:func:`_step_bounds`) are
     computed once and indexed per gap.  A gap of width h (in its row's t,
     on a row of n segments) whose end values both exceed M n^2 h^2 (the
-    bound on its distance from the chord) keeps their sign.  The others are
-    halved, all per round in one kernel call, until certified or
-    CROSSING_T_TOL wide; a midpoint of the other sign (or zero) joins the
-    samples.  Ends in the zero band are not tested: |det| <= ZERO_DET_REL
-    times the row's largest, or times T, below which rounding decides the
-    sign.
+    bound on its distance from the chord) keeps their sign; one whose ends
+    exceed the largest M n^2 h^2 of the path keeps it without looking up
+    its step.  The others are halved, all per round in one determinant
+    call (:meth:`_Paths.det_along`), until certified or CROSSING_T_TOL
+    wide; a midpoint of the other sign (or zero) joins the samples.  Ends
+    in the zero band are not tested: |det| <= ZERO_DET_REL times the row's
+    largest, or times T, below which rounding decides the sign.
     """
     paths, ts, rows, dets = s.paths, s.ts, s.rows, s.legs[3]
     a = np.abs(dets)
-    band = ZERO_DET_REL * np.maximum.reduceat(a, np.flatnonzero(_first_of_runs(rows)))
+    band = ZERO_DET_REL * np.maximum.reduceat(a, _first_of_runs(rows).nonzero()[0])
     band[band == 0.0] = ZERO_DET_REL
-    k = np.flatnonzero((rows[:-1] == rows[1:]) & (dets[:-1] * dets[1:] > 0.0))
-    lo, hi, flo, fhi, row = ts[k], ts[k + 1], dets[k], dets[k + 1], rows[k]
-    n = paths.n[row]
-    seg = paths.first[row] + np.minimum((0.5 * (lo + hi) * n).astype(int), n - 1)
     curvature, size = _step_bounds(geom, paths)
+    h, f = ts[1:] - ts[:-1], np.minimum(a[:-1], a[1:])
+    largest = curvature.max() * (paths.n.max() ** 2)  # nan leaves every gap to its step
+    k = (rows[:-1] == rows[1:]) & (dets[:-1] * dets[1:] > 0.0) & ~(f > largest * h**2) & (h > CROSSING_T_TOL)
+    k = k.nonzero()[0]
+    if not len(k):
+        return ts, rows, dets, band
+    lo, hi, flo, fhi, row = ts[k], ts[k + 1], dets[k], dets[k + 1], rows[k]
+    n, mid0 = paths.n[row], 0.5 * (lo + hi)
+    seg = paths.first[row] + np.minimum((mid0 * n).astype(int), n - 1)
     bound, zero = curvature[seg] * (n * n), np.maximum(band[row], ZERO_DET_REL * size[seg])
-    found, f = [], np.minimum(a[k], a[k + 1])
-    while np.any(keep := (f > zero) & (f <= bound * (hi - lo) ** 2) & (hi - lo > CROSSING_T_TOL)):
-        lo, hi, flo, fhi, row, bound, zero = (w[keep] for w in (lo, hi, flo, fhi, row, bound, zero))
+    found, f, g, det_at = [], f[k], np.arange(len(k)), None
+    while (keep := (f > zero[g]) & (f <= bound[g] * (hi - lo) ** 2) & (hi - lo > CROSSING_T_TOL)).any():
+        lo, hi, flo, fhi, g = (w[keep] for w in (lo, hi, flo, fhi, g))
+        det_at = det_at or paths.det_along(geom, mid0, row)  # on the first round
         mid = 0.5 * (lo + hi)
-        fmid = _leg_geometry(geom, *paths.poses_at(mid, row))[3]
+        fmid = det_at(mid, g)
         other = fmid * flo <= 0.0
-        found.append((row[other], mid[other], fmid[other]))
+        found.append((row[g[other]], mid[other], fmid[other]))
         go = ~other
         lo, hi = np.concatenate([lo[go], mid[go]]), np.concatenate([mid[go], hi[go]])
         flo, fhi = np.concatenate([flo[go], fmid[go]]), np.concatenate([fmid[go], fhi[go]])
-        row, bound, zero = (np.tile(w[go], 2) for w in (row, bound, zero))
+        g = np.tile(g[go], 2)
         f = np.minimum(abs(flo), abs(fhi))
     if found:
         rows, ts, dets = (np.concatenate([v, *w]) for v, w in zip((rows, ts, dets), zip(*found)))
@@ -465,8 +515,9 @@ def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> l
     """The crossing events of every row of ``s``: one list per row, sorted
     by t (see :func:`detect_crossings`).  All rows' sign changes are
     refined in one :func:`_bracket_roots` call, which refines each bracket
-    on its own, and all their zeros are classified in one kernel pass.
-    Same-sign gaps are certified or split first (:func:`_split_gaps`)."""
+    on its own, evaluating the determinant alone (:meth:`_Paths.det_along`),
+    and all their zeros are classified in one kernel pass.  Same-sign gaps
+    are certified or split first (:func:`_split_gaps`)."""
     paths = s.paths
     ts, rows, dets, band = _split_gaps(geom, s)
     same = rows[:-1] == rows[1:]  # consecutive samples of one row
@@ -478,11 +529,8 @@ def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> l
     crosses[1:-1] = inner & (around < 0.0)
     crosses = crosses[zero]
     k = np.flatnonzero(same & (dets[:-1] * dets[1:] < 0.0))
-    bracket_rows = rows[k]
-    refined = _bracket_roots(
-        lambda t: _leg_geometry(geom, *paths.poses_at(t, bracket_rows))[3], ts[k], ts[k + 1], dets[k], dets[k + 1],
-        CROSSING_T_TOL,
-    )
+    det_at = paths.det_along(geom, 0.5 * (ts[k] + ts[k + 1]), rows[k])
+    refined = _bracket_roots(det_at, ts[k], ts[k + 1], dets[k], dets[k + 1], CROSSING_T_TOL)
     # interior near-zero minima without a sign change (tangential grazing)
     a = np.abs(dets)
     here = a[1:-1]
@@ -568,7 +616,7 @@ def verify_mode_change(
 
     if diagnostic is not None:
         verdict = "invalid_endpoints"
-    elif float(np.max(np.abs(start_sq - end_sq))) > 1e-9 * L**2:
+    elif float(np.max(np.abs(start_sq - end_sq))) > 1e-9 * (L * L):
         verdict = "invalid_endpoints"
         diagnostic = "endpoint squared joint values differ: not the same actuator inputs"
     elif pose_distance(start, end, L) < 1e-3 * L:

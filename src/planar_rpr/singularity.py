@@ -106,30 +106,41 @@ class ConfigurationClass:
     clearance: float | None
 
 
+def _leg_vectors(geom: RobotGeometry, x, y, phi):
+    """Leg vectors B_i - a_i as ``(dx, dy)``, legs along a leading axis of 3
+    so that each leg's slice is contiguous.  ``x``, ``y``, ``phi`` may be
+    scalars or broadcastable arrays."""
+    x, y, phi = (np.asarray(v, dtype=float) for v in (x, y, phi))
+    ax, ay, bx, by = geom.leg_columns(max(x.ndim, y.ndim, phi.ndim))
+    c, s = np.cos(phi), np.sin(phi)
+    return x + (c * bx - s * by) - ax, y + (s * bx + c * by) - ay
+
+
+def _leg_det(geom: RobotGeometry, dx, dy):
+    """The unnormalized determinant from the leg vectors of
+    :func:`_leg_vectors`, with their broadcast shape less the leg axis."""
+    ax, ay = geom.leg_columns(dx.ndim - 1)[:2]
+    m = ax * dy - ay * dx
+    return (
+        m[0] * (dx[1] * dy[2] - dx[2] * dy[1])
+        - m[1] * (dx[0] * dy[2] - dx[2] * dy[0])
+        + m[2] * (dx[0] * dy[1] - dx[1] * dy[0])
+    )
+
+
 def _leg_geometry(geom: RobotGeometry, x, y, phi):
     """Leg vectors B_i - a_i, leg lengths and the unnormalized determinant.
 
     ``x``, ``y``, ``phi`` may be scalars or broadcastable arrays.  Returns
     ``dx``, ``dy`` and ``dist`` with a trailing leg axis of 3, and ``det``
-    with the broadcast shape.  The planner's edge scans, the crossing
-    detector and the pointwise measures all evaluate the geometry here.
+    with the broadcast shape: :func:`_leg_vectors` and :func:`_leg_det`,
+    which steps that need only some of these outputs call alone.  The
+    planner's edge scans, the crossing detector and the pointwise measures
+    all evaluate the geometry here.
     """
-    x, y, phi = (np.asarray(v, dtype=float) for v in (x, y, phi))
-    # legs run along a leading axis here, so each leg's slice is contiguous
-    legs = (3,) + (1,) * max(x.ndim, y.ndim, phi.ndim)
-    ax, ay = (v.reshape(legs) for v in geom.base.T)
-    bx, by = (v.reshape(legs) for v in geom.platform.T)
-    c, s = np.cos(phi), np.sin(phi)
-    dx = x + (c * bx - s * by) - ax
-    dy = y + (s * bx + c * by) - ay
-    m = ax * dy - ay * dx
-    det = (
-        m[0] * (dx[1] * dy[2] - dx[2] * dy[1])
-        - m[1] * (dx[0] * dy[2] - dx[2] * dy[0])
-        + m[2] * (dx[0] * dy[1] - dx[1] * dy[0])
-    )
+    dx, dy = _leg_vectors(geom, x, y, phi)
     to_last = (*range(1, dx.ndim), 0)
-    return dx.transpose(to_last), dy.transpose(to_last), np.hypot(dx, dy).transpose(to_last), det
+    return dx.transpose(to_last), dy.transpose(to_last), np.hypot(dx, dy).transpose(to_last), _leg_det(geom, dx, dy)
 
 
 def _pose_geometry(geom: RobotGeometry, pose: Pose):
@@ -153,19 +164,20 @@ def _line_measure(dist, det, L: float):
     return det / np.where(np.any(dist <= LINE_DEGENERACY_REL * L, axis=-1), np.nan, rho)
 
 
+def _leg_line(geom: RobotGeometry, dx, dy, dist, i: int) -> LegLine:
+    """Force line of leg ``i`` (0-based) from one pose's kernel outputs
+    ``dx``, ``dy``, ``dist`` (one entry per leg)."""
+    if dist[i] <= LINE_DEGENERACY_REL * geom.L:
+        return LegLine(np.zeros(2), 0.0, True)
+    u = np.array([dx[i], dy[i]]) / dist[i]
+    u.flags.writeable = False
+    return LegLine(u, float(geom.base[i, 0] * u[1] - geom.base[i, 1] * u[0]), False)
+
+
 def leg_lines(geom: RobotGeometry, pose: Pose) -> list[LegLine]:
     """Force line of each leg (through a_i and B_i) at the given pose."""
-    dx, dy, dist, _ = _leg_geometry(geom, pose.x, pose.y, pose.phi)
-    lines = []
-    for i in range(3):
-        if dist[i] <= LINE_DEGENERACY_REL * geom.L:
-            lines.append(LegLine(np.zeros(2), 0.0, True))
-            continue
-        u = np.array([dx[i], dy[i]]) / dist[i]
-        u.flags.writeable = False
-        moment = float(geom.base[i, 0] * u[1] - geom.base[i, 1] * u[0])
-        lines.append(LegLine(u, moment, False))
-    return lines
+    legs = _leg_geometry(geom, pose.x, pose.y, pose.phi)[:3]
+    return [_leg_line(geom, *legs, i) for i in range(3)]
 
 
 def parallel_singularity_measure(geom: RobotGeometry, pose: Pose, normalized: bool = False) -> float:
@@ -404,13 +416,13 @@ def _stitch_segments(segments: np.ndarray, tol: float) -> list[np.ndarray]:
     return polylines + [walk(2 * s) for s in range(len(used)) if not used[s]]
 
 
-def _serial_clearance(geom: RobotGeometry, pose: Pose, leg: int) -> float:
+def _serial_clearance(geom: RobotGeometry, legs, leg: int) -> float:
     """Clearance where leg ``leg`` (0-based) has zero length: the distance
     from the intersection of the other two leg lines to the joint a_leg;
     for (near-)parallel lines, the larger of the two point-line distances;
-    zero when one of those lines is undefined."""
-    lines = leg_lines(geom, pose)
-    first, second = (lines[j] for j in range(3) if j != leg)
+    zero when one of those lines is undefined.  ``legs`` are one pose's
+    kernel outputs ``(dx, dy, dist)``."""
+    first, second = (_leg_line(geom, *legs, j) for j in range(3) if j != leg)
     point = geom.base[leg]
     if first.degenerate or second.degenerate:
         return 0.0
@@ -435,7 +447,7 @@ def classify_configuration(geom: RobotGeometry, pose: Pose) -> ConfigurationClas
     :class:`ValidationError`.
     """
     L = geom.L
-    _, _, dist, det = _pose_geometry(geom, pose)
+    dx, dy, dist, det = _pose_geometry(geom, pose)
     singular = [i for i in range(3) if dist[i] <= SERIAL_CLASSIFY_REL * L]
 
     if not singular:
@@ -445,9 +457,9 @@ def classify_configuration(geom: RobotGeometry, pose: Pose) -> ConfigurationClas
 
     measure = None
     if len(singular) == 1:
-        clearance = _serial_clearance(geom, pose, singular[0])
+        clearance = _serial_clearance(geom, (dx, dy, dist), singular[0])
     elif len(singular) == 2:
-        line = leg_lines(geom, pose)[next(i for i in range(3) if i not in singular)]
+        line = _leg_line(geom, dx, dy, dist, next(i for i in range(3) if i not in singular))
         clearance = 0.0 if line.degenerate else max(line.point_distance(geom.base[i]) for i in singular)
     else:
         clearance = 0.0  # platform pinned onto the base: nothing regular remains

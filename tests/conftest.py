@@ -36,3 +36,23 @@ def random_pose_tuple(rng, scale=REF_SCALE):
         rng.uniform(-scale, 2.0 * scale),
         rng.uniform(0.0, 2.0 * np.pi),
     )
+
+
+def bracket_roots_over_all(f, lo, hi, flo, fhi, tol):
+    """_bracket_roots as it was before it dropped closed brackets: every
+    step evaluates ``f`` on all brackets, a closed one at its left end."""
+    was_left = was_right = np.zeros(lo.shape, dtype=bool)
+    width1 = width2 = np.full(lo.shape, np.inf)  # one and two steps back
+    while np.any(active := hi - lo > tol):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.where(hi - lo > 0.5 * width2, 0.5 * (lo + hi), (lo * fhi - hi * flo) / (fhi - flo))
+        c = np.where(active, np.clip(c, lo + 0.5 * tol, hi - 0.5 * tol), lo)
+        width1, width2 = hi - lo, width1
+        fc = f(c)
+        left, right = active & (np.sign(fc) == np.sign(flo)), active & (np.sign(fc) == np.sign(fhi))
+        # c replaces the end of its sign; the end kept twice in a row is halved
+        flo = np.where(left, fc, np.where(right & was_right, 0.5 * flo, flo))
+        fhi = np.where(right, fc, np.where(left & was_left, 0.5 * fhi, fhi))
+        lo, hi = np.where(active & ~right, c, lo), np.where(active & ~left, c, hi)
+        was_left, was_right = left, right
+    return 0.5 * (lo + hi)

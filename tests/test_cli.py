@@ -290,6 +290,9 @@ REF_JOINTS = "2.23606798,8.06225775,7.21110255"
         ),
         (["design-check"], "cli_design_check_ref.json"),
         (["verify", "--path", str(DATA / "verify_path_ref_5_5_0.json")], "cli_verify_ref_5_5_0.json"),
+        # two parallel crossings between the same two samples, each refined
+        # by about ten Illinois steps
+        (["verify", "--path", str(DATA / "verify_path_hidden_pair.json")], "cli_verify_hidden_pair.json"),
     ],
 )
 def test_cli_output_equals_pinned_file(ref_file, capfd, args, pinned):

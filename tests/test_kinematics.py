@@ -25,7 +25,7 @@ from planar_rpr import ValidationError, kinematics
 from planar_rpr.kinematics import TRIM_REL, UnivariateFkPolynomial
 from planar_rpr.model import rotation
 
-from conftest import REF_BASE, REF_PLATFORM, REF_SCALE, random_pose_tuple
+from conftest import REF_BASE, REF_PLATFORM, REF_SCALE, bracket_roots_over_all, random_pose_tuple
 
 L = REF_SCALE
 REF_JOINTS = np.sqrt([5.0, 65.0, 52.0])
@@ -156,7 +156,8 @@ def test_bracket_roots_terminates_on_adversarial_brackets(f, root, tol):
     to ``tol`` within twice bisection's step count."""
     calls = []
 
-    def counted(t):
+    def counted(t, j):
+        assert j.tolist() == [0]
         calls.append(t)
         return f(t)
 
@@ -168,17 +169,63 @@ def test_bracket_roots_terminates_on_adversarial_brackets(f, root, tol):
 
 def test_bracket_roots_linear_brackets_close_in_one_step():
     """Several brackets at once: linear ones land on their exact zero, and
-    each value array holds one parameter per bracket."""
+    each value array holds one parameter per open bracket, whose indices
+    ``f`` receives."""
     slopes, roots = np.array([3.0, -0.5, 1e-9]), np.array([1.0 / 3.0, 0.25, 0.75])
     calls = []
 
-    def f(t):
+    def f(t, j):
         calls.append(t)
-        return slopes * (t - roots)
+        return slopes[j] * (t - roots[j])
 
     found = kinematics._bracket_roots(f, np.zeros(3), np.ones(3), -slopes * roots, slopes * (1.0 - roots), 1e-14)
     assert np.allclose(found, roots, rtol=0.0, atol=1e-15)
     assert len(calls) <= 2
+
+
+def _seeded_brackets(rng, m):
+    """``m`` brackets of elementwise functions that close after different
+    numbers of steps: a linear part plus a seeded exp, tanh-step or cubic
+    term, each with a sign change on [lo, hi]."""
+    kind, root = rng.integers(0, 3, m), rng.uniform(0.05, 0.95, m)
+    slope, scale = rng.choice([-1.0, 1.0], m) * rng.uniform(0.1, 10.0, m), 10.0 ** rng.uniform(-6, 0, m)
+
+    def f(t, j=slice(None)):
+        k, r, a, w = kind[j], root[j], slope[j], scale[j]
+        x = t - r
+        return a * np.where(k == 0, np.expm1(np.minimum(x / w, 50.0)), np.where(k == 1, np.tanh(x / w), x + x**3 / w))
+
+    lo, hi = np.minimum(root - rng.uniform(0.0, 1.0, m), 0.0), np.maximum(root + rng.uniform(0.0, 1.0, m), 1.0)
+    return f, lo, hi
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-14])
+def test_bracket_roots_on_open_brackets_equal_the_all_bracket_steps(tol):
+    """Refining only the open brackets gives every bracket the bits the
+    steps over all brackets gave: the adversarial exp and tanh-step
+    brackets, a zero at an end, a closed bracket, a step landing on an
+    exact zero, and seeded mixed batches whose brackets close at different
+    steps."""
+    # each case maps parameters, and the indices of their brackets, to values
+    exp = lambda t, j=None: np.exp(20.0 * t) - 2.0
+    step = lambda t, j=None: np.tanh((t - 0.3) / 1e-4)
+    half = lambda t, j=None: t - 0.5  # the first false-position step lands on 0.5 exactly
+    cases = [(f, np.zeros(1), np.ones(1)) for f in (exp, step, half)]
+    # a zero at the left end of an open bracket; a closed bracket
+    cases.append((lambda t, j=None: t * (t - 2.0), np.zeros(2), np.array([1.0, 0.0])))
+    rng = np.random.default_rng(int(-math.log10(tol)))
+    cases += [_seeded_brackets(rng, m) for m in (1, 2, 5, 8, 64, 1024)]
+    for f, lo, hi in cases:
+        flo, fhi = f(lo), f(hi)
+        want = bracket_roots_over_all(f, lo, hi, flo, fhi, tol)
+        sizes = []
+        got = kinematics._bracket_roots(lambda t, j: sizes.append(len(j)) or f(t, j), lo, hi, flo, fhi, tol)
+        assert got.tobytes() == want.tobytes()
+        # only open brackets are evaluated, and the mixed ones close at different steps
+        assert sizes[0] == np.count_nonzero(hi - lo > tol) and sizes == sorted(sizes, reverse=True)
+        assert len(lo) < 5 or sizes[-1] < sizes[0]
+    # fc == 0 closes the half bracket on its exact zero
+    assert kinematics._bracket_roots(half, np.zeros(1), np.ones(1), -0.5 * np.ones(1), 0.5 * np.ones(1), tol)[0] == 0.5
 
 
 def test_round_trip_random_poses(ref):

@@ -47,7 +47,8 @@ def test_scale_is_fixed_when_the_design_is_built(scale):
     geom = RobotGeometry(np.asarray(REF_BASE) * scale, np.asarray(REF_PLATFORM) * scale)
     a = geom.base
     assert "L" in vars(geom)  # set by the constructor, not on first use
-    assert type(geom.L) is np.float64
+    # a Python float, so tolerances built from it are float arithmetic
+    assert type(geom.L) is float
     assert geom.L == max(np.hypot(*(a[i] - a[j])) for i, j in ((0, 1), (1, 2), (2, 0)))
     assert geom.L == pytest.approx(REF_SCALE * scale, rel=1e-15)
     # every reader gets the one stored value

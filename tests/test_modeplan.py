@@ -52,7 +52,7 @@ from planar_rpr.singularity import (
     singularity_conic,
 )
 
-from conftest import REF_BASE, REF_PLATFORM, REF_SCALE
+from conftest import REF_BASE, REF_PLATFORM, REF_SCALE, bracket_roots_over_all
 
 L = REF_SCALE
 DATA = pathlib.Path(__file__).parent / "data"
@@ -1009,9 +1009,17 @@ def test_a_plan_evaluates_the_grid_nodes_once(ref, monkeypatch):
         sizes.append(out[3].size)
         return out
 
-    conic_coefficients, leg_geometry = modeplan._conic_coefficients, modeplan._leg_geometry
+    def vectors(*args):
+        out = leg_vectors(*args)
+        sizes.append(out[0][0].size)
+        return out
+
+    conic_coefficients, leg_geometry, leg_vectors = (
+        modeplan._conic_coefficients, modeplan._leg_geometry, modeplan._leg_vectors
+    )
     monkeypatch.setattr(modeplan, "_conic_coefficients", conic)
     monkeypatch.setattr(modeplan, "_leg_geometry", kernel)
+    monkeypatch.setattr(modeplan, "_leg_vectors", vectors)
     plan_mode_change(ref, Pose(5, 5, 0))
     grid = [phi for _, phi, _ in calls if not np.array_equal(phi, modeplan._TRIG_ANGLES)]
     assert len(grid) == 1 and len(grid[0]) == 64 and max(sizes) < 64**3
@@ -1428,7 +1436,7 @@ def test_gap_bound_dominates_the_curvature_of_det(monkeypatch):
         curvature = np.abs(np.diff(_leg_geometry(geom, *path.poses_at(ts))[3], 2)).max() / ts[1] ** 2
         lo, hi = 0.0, 1e3 * curvature
         with monkeypatch.context() as m:
-            m.setattr(modeplan, "_leg_geometry", halved)
+            m.setattr(modeplan, "_leg_det", halved)
             for _ in range(60):  # bisect for the end value at which the gap opens
                 value = 0.5 * (lo + hi)
                 ends = (0, 0, 0, np.full(2, value))  # only det is read
@@ -1457,7 +1465,7 @@ def test_gap_bound_follows_the_segments_of_a_row(monkeypatch):
     def opening_value(geom, path, end):
         lo, hi = 0.0, 1e30
         with monkeypatch.context() as m:
-            m.setattr(modeplan, "_leg_geometry", halved)
+            m.setattr(modeplan, "_leg_det", halved)
             for _ in range(200):  # bisect for the end value at which the gap opens
                 value = 0.5 * (lo + hi)
                 s = modeplan._SampledPath(path._paths, np.array([0.0, end]), np.array([0, 0]), (0, 0, 0, np.full(2, value)))
@@ -1489,7 +1497,7 @@ def test_gap_test_halves_nothing_where_det_is_zero_up_to_rounding(similar_design
     def no_kernel(*args):
         raise AssertionError("the gap test halved a gap")
 
-    monkeypatch.setattr(modeplan, "_leg_geometry", no_kernel)
+    monkeypatch.setattr(modeplan, "_leg_det", no_kernel)
     ts, rows, dets, _ = modeplan._split_gaps(similar_design, s)
     assert np.array_equal(ts, s.ts) and np.array_equal(dets, s.legs[3])
 
@@ -1623,34 +1631,130 @@ def test_verify_rejects_an_overflowing_design():
 
 
 def test_verify_samples_each_path_once(ref, planned, monkeypatch):
-    """One _sample_params call per verified path, and one kernel pass over
-    the samples it returns (the base-sample pass inside it aside)."""
+    """One _sample_params call per verified path, which evaluates the
+    kernel once per sample it returns (the base samples, then only the
+    refinement samples, if any), and no kernel pass over the samples
+    after it."""
     real_sample, real_kernel = modeplan._sample_params, modeplan._leg_geometry
     samples, passes, inside = [], [], []
 
     def sample(geom, path):
-        inside.append(True)
+        inside.append([])
         try:
-            ts = real_sample(geom, path)
+            out = real_sample(geom, path)
         finally:
-            inside.pop()
-        samples.append(ts)
-        return ts
+            passes.append(inside.pop())
+        samples.append(out)
+        return out
 
     def kernel(geom, x, y, phi):
-        if not inside:
+        if inside:
+            inside[-1].append(np.size(x))
+        else:
             passes.append(np.shape(x))
         return real_kernel(geom, x, y, phi)
 
     monkeypatch.setattr(modeplan, "_sample_params", sample)
     monkeypatch.setattr(modeplan, "_leg_geometry", kernel)
     rng = np.random.default_rng(5)
+    refined = 0
     for geom, path in [(ref, planned[0])] + [(ref, p) for p in _seeded_paths(ref, rng)]:
         samples.clear()
         passes.clear()
         verify_mode_change(geom, path)
         assert len(samples) == 1
-        assert passes.count(samples[0].shape) == 1
+        ts, rows, legs = samples[0]
+        sizes = passes[0]  # the kernel passes inside _sample_params
+        assert len(sizes) in (1, 2) and sum(sizes) == len(ts)
+        assert all(len(v) == len(ts) for v in legs)
+        assert ts.shape not in passes[1:]
+        refined += len(sizes) == 2
+    assert refined >= 1
+
+
+def _sorted_sample_keys(geom, paths):
+    """_sample_params as it was before it kept the base samples' kernel
+    outputs: the sorted sample keys ``row + 1j * t`` alone, which the
+    caller then evaluated in one more kernel pass."""
+    ns, S = paths.n.tolist(), paths.samples
+    # the base parameters of each distinct segment count
+    uniform = {n: (np.arange(n)[:, None] + np.linspace(0.0, 1.0, S + 1)).ravel() / n for n in set(ns)}
+    base = [uniform[n] for n in ns]
+    base = np.repeat(np.arange(len(base)), [len(b) for b in base]) + 1j * np.concatenate(base)
+    base = base[modeplan._first_of_runs(base)]  # sorted already; a segment's end starts the next one
+    ts, rows = base.imag, base.real
+    dmin = _leg_geometry(geom, *paths.poses_at(ts, rows.astype(int)))[2].min(axis=-1)
+    band = modeplan.REFINE_BAND_REL * geom.L
+    k = np.nonzero(((dmin[:-1] < band) | (dmin[1:] < band)) & (rows[:-1] == rows[1:]))[0]
+    frac = np.arange(1, modeplan.REFINE_FACTOR) / modeplan.REFINE_FACTOR
+    extra = ts[k, None] + (ts[k + 1] - ts[k])[:, None] * frac
+    keys = np.sort(np.concatenate([base, (rows[k, None] + 1j * extra).ravel()]))
+    return keys[modeplan._first_of_runs(keys)]  # np.unique, which is slower on complex numbers
+
+
+def _equivalence_cases(ref):
+    """Rows to sample, as (design, _Paths): constant-phi segments through a
+    serial point (refined near it), polylines along which x, y and phi all
+    move, and planner batches of 1 to 1,024 one-segment rows, some of them
+    through serial points."""
+    rng = np.random.default_rng(59)
+    cases = []
+    for geom in [ref, *_seeded_designs(59, 3)]:
+        Lg = characteristic_scale(geom)
+        for leg in range(3):
+            phi = rng.uniform(0.0, 2.0 * np.pi)
+            s, u = serial_points(geom, phi)[leg], rng.normal(0.0, 0.1 * Lg, 2)
+            cases.append((geom, WorkspacePath((Pose(*(s - u), phi), Pose(*(s + 1.3 * u), phi)))._paths))
+        for n in (2, 3, 5):
+            wps = tuple(Pose(*rng.uniform(-Lg, 2 * Lg, 2), rng.uniform(-4, 4)) for _ in range(n))
+            cases.append((geom, WorkspacePath(wps, 16 + n)._paths))
+        for m in (1, 7, 64, 1024):
+            p0 = np.column_stack([rng.uniform(-Lg, 2 * Lg, (m, 2)), rng.uniform(0.0, 2.0 * np.pi, m)])
+            p0[: m // 4, :2] = serial_points(geom, 0.0)[rng.integers(0, 3, m // 4)]
+            p0[: m // 4, 2] = 0.0
+            step = rng.normal(0.0, 1.0, (m, 3)) * [0.3 * Lg, 0.3 * Lg, 0.3]
+            step[: m // 2, 2] = 0.0  # constant phi
+            table = np.stack([p0 - 0.5 * step, p0 + 0.5 * step], axis=1).reshape(-1, 3)
+            cases.append((geom, modeplan._Paths(table, 2 * np.arange(m), np.ones(m, dtype=int), 16)))
+    return cases
+
+
+def test_sampling_and_refinement_equal_the_one_pass_forms(ref):
+    """The samples keep their bits: _sample_params, which evaluates the
+    base samples once and then only the refinement samples, gives the
+    parameters, rows and kernel outputs of the former sort-then-evaluate
+    pass.  The crossing brackets keep theirs too: det_along, which reads
+    each bracket's path step once, gives the determinant of poses_at at
+    every point at least CROSSING_T_TOL / 2 inside a bracket, and refining
+    only the open brackets with it gives the roots the former all-bracket
+    refinement through poses_at gave."""
+    tol = modeplan.CROSSING_T_TOL
+    refined = rows_checked = brackets = 0
+    for geom, paths in _equivalence_cases(ref):
+        keys = _sorted_sample_keys(geom, paths)
+        ts, rows = keys.imag.copy(), keys.real.astype(int)
+        want = _leg_geometry(geom, *paths.poses_at(ts, rows))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got_ts, got_rows, got = modeplan._sample_params(geom, paths)
+        assert got_ts.tobytes() == ts.tobytes() and got_rows.tobytes() == rows.astype(got_rows.dtype).tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        refined += len(ts) > (paths.n * paths.samples + 1).sum()
+        rows_checked += len(paths.n)
+
+        dets = want[3]
+        k = np.flatnonzero((rows[:-1] == rows[1:]) & (dets[:-1] * dets[1:] < 0.0))
+        lo, hi, r = ts[k], ts[k + 1], rows[k]
+        det_at = paths.det_along(geom, 0.5 * (lo + hi), r)
+        j = np.arange(len(k))
+        for t in (lo + 0.5 * tol, hi - 0.5 * tol, lo + (hi - lo) * np.random.default_rng(len(k)).uniform(0, 1, len(k))):
+            t = np.minimum(np.maximum(t, lo + 0.5 * tol), hi - 0.5 * tol)
+            assert det_at(t, j).tobytes() == _leg_geometry(geom, *paths.poses_at(t, r))[3].tobytes()
+        old = bracket_roots_over_all(
+            lambda t: _leg_geometry(geom, *paths.poses_at(t, r))[3], lo, hi, dets[k], dets[k + 1], tol
+        )
+        assert modeplan._bracket_roots(det_at, lo, hi, dets[k], dets[k + 1], tol).tobytes() == old.tobytes()
+        brackets += len(k)
+    assert rows_checked > 4 * 1096 and brackets > 100 and refined > 20
 
 
 def test_serial_clearance_agrees_between_classifier_and_crossing_detector(ref):

@@ -24,7 +24,7 @@ from planar_rpr import (
 )
 from planar_rpr import singularity as singularity_module
 from planar_rpr.model import rotation
-from planar_rpr.singularity import SingularityConic, _conic_coefficients, _leg_geometry
+from planar_rpr.singularity import SingularityConic, _conic_coefficients, _leg_det, _leg_geometry, _leg_vectors
 
 from conftest import REF_BASE, REF_PLATFORM, REF_SCALE, random_pose_tuple
 
@@ -115,6 +115,55 @@ def test_leg_geometry_kernel_matches_scalar_reference(ref):
     dx, dy, dist, det = _leg_geometry(ref, 0.0, 0.0, 0.0)
     assert dist.shape == (3,) and det.shape == ()
     assert np.allclose(dist, np.sqrt([5.0, 65.0, 52.0])) and det == pytest.approx(32.0)
+
+
+def _leg_geometry_in_one(geom, x, y, phi):
+    """_leg_geometry as it was before it was composed of _leg_vectors and
+    _leg_det, with its columns reshaped on every call."""
+    x, y, phi = (np.asarray(v, dtype=float) for v in (x, y, phi))
+    # legs run along a leading axis here, so each leg's slice is contiguous
+    legs = (3,) + (1,) * max(x.ndim, y.ndim, phi.ndim)
+    ax, ay = (v.reshape(legs) for v in geom.base.T)
+    bx, by = (v.reshape(legs) for v in geom.platform.T)
+    c, s = np.cos(phi), np.sin(phi)
+    dx = x + (c * bx - s * by) - ax
+    dy = y + (s * bx + c * by) - ay
+    m = ax * dy - ay * dx
+    det = (
+        m[0] * (dx[1] * dy[2] - dx[2] * dy[1])
+        - m[1] * (dx[0] * dy[2] - dx[2] * dy[0])
+        + m[2] * (dx[0] * dy[1] - dx[1] * dy[0])
+    )
+    to_last = (*range(1, dx.ndim), 0)
+    return dx.transpose(to_last), dy.transpose(to_last), np.hypot(dx, dy).transpose(to_last), det
+
+
+def test_composed_kernel_equals_the_kernel_in_one_on_every_input_rank(ref):
+    """_leg_geometry, and _leg_det on _leg_vectors alone, give the bits of
+    the one-piece kernel on scalar poses and on 1-D, broadcast 2-D and 3-D
+    inputs, for the reference robot and seeded designs (each rank's
+    columns are reshaped once per design)."""
+    rng = np.random.default_rng(41)
+    designs = [ref] + [
+        RobotGeometry(base=rng.uniform(-10, 10, (3, 2)), platform=rng.uniform(-4, 4, (3, 2))) for _ in range(5)
+    ]
+    for geom in designs:
+        Lg = geom.L
+        inputs = [
+            tuple(float(v) for v in rng.uniform(-Lg, 2 * Lg, 3)),  # rank 0
+            (rng.uniform(-Lg, Lg, 17), rng.uniform(-Lg, Lg, 17), rng.uniform(-7, 7, 17)),
+            (rng.uniform(-Lg, Lg, (9, 1)), rng.uniform(-Lg, Lg, (1, 4)), 0.3),
+            (rng.uniform(-Lg, Lg, (5, 1, 1)), rng.uniform(-Lg, Lg, (1, 6, 1)), rng.uniform(-7, 7, 3)),
+        ]
+        for rank, (x, y, phi) in enumerate(inputs):
+            want = _leg_geometry_in_one(geom, x, y, phi)
+            got = _leg_geometry(geom, x, y, phi)
+            assert [v.shape for v in got] == [v.shape for v in want]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+            dx, dy = _leg_vectors(geom, x, y, phi)
+            assert dx.ndim == rank + 1 and np.moveaxis(dx, 0, -1).tobytes() == want[0].tobytes()
+            assert _leg_det(geom, dx, dy).tobytes() == want[3].tobytes()
+        assert geom.leg_columns(2) is geom.leg_columns(2)
 
 
 def test_row_scaling_identity(ref):
