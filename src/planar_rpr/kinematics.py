@@ -505,12 +505,15 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
     _require_finite(np.all(np.isfinite([u, v, w])), "linear forms have non-finite coefficients")
     rho_sq = joints.squared.tolist()
     legs = _leg_floats(geom)
+    forms = [f[0].tolist() for f in (u, v, w)]  # F_1's u, v and w
 
     def lift(phi):
-        """(x, y, |det|, g) at the angles ``phi``."""
+        """(x, y, |det|, g) at the angles ``phi``, each entry computed
+        elementwise, so independent of the other angles lifted with it."""
         x, y, abs_det = _solve_affine_xy(u, v, w, phi, L)
-        trig = np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
-        return x, y, abs_det, x**2 + y**2 + (u[0] @ trig) * x + (v[0] @ trig) * y + w[0] @ trig
+        c, s = np.cos(phi), np.sin(phi)
+        p, q, r = (f0 + f1 * c + f2 * s for f0, f1, f2 in forms)
+        return x, y, abs_det, x**2 + y**2 + p * x + q * y + r
 
     phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -525,14 +528,7 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
     k = np.flatnonzero(both & ((g == 0.0) | (g * np.roll(g, -1) < 0.0)))
     hi = phis[k] + np.where(g[k] == 0.0, 0.0, 2.0 * np.pi / grid)
 
-    def g_at(phi, j):
-        """g at the open brackets' angles, each in its bracket's place among
-        all brackets: BLAS rounds lift's products by an entry's place."""
-        at = phis[k]
-        at[j] = phi
-        return lift(at)[3][j]
-
-    roots = _bracket_roots(g_at, phis[k], hi, g[k], g[(k + 1) % grid], 1e-12)
+    roots = _bracket_roots(lambda phi, j: lift(phi)[3], phis[k], hi, g[k], g[(k + 1) % grid], 1e-12)
     x0, y0, det0, _ = lift(roots)
     entries = []
     for j in np.flatnonzero(det0 > 1e-12 * (L * L)):

@@ -974,10 +974,13 @@ def _grid_route(ok, doors, costs, ends, require_crossing, serial):
     d_s + d_t is least (:class:`_TwoEndedSearch`) and walks back from it to
     both ends.  With ``require_crossing`` a route without a door is
     replaced by the cheapest route through one, the first cheapest door in
-    door order.  On failure the NoPathFound's ``explored`` counts the nodes
-    reachable from s (from s and t together for an unreachable door); with
-    no door the message says that none of the ``serial`` serial points
-    gives one.
+    door order.  Every admissible non-door edge joins two nodes of one
+    nonzero sign of the determinant and every door two of opposite signs,
+    so a route holds an odd number of doors exactly when the signs of s and
+    t differ; a route between ends of one sign may still hold two.  On
+    failure the NoPathFound's ``explored`` counts the nodes reachable from
+    s; with no door the message says that none of the ``serial`` serial
+    points gives one.
     """
     search = _TwoEndedSearch(ok, costs, ends)
     # a shortest route of length mu has a node within (mu + c) / 2 of both ends,
@@ -1001,16 +1004,13 @@ def _grid_route(ok, doors, costs, ends, require_crossing, serial):
     dist = search.until(lambda: np.min(search.dist[0, a] + w + search.dist[1, b], initial=np.inf))
     total = dist[0, a] + w + dist[1, b]
     if not np.isfinite(np.min(total, initial=np.inf)):
-        reached = np.isfinite(dist)
-        if not len(lo):
-            raise NoPathFound(
-                f"no passage edge exists: the box holds {serial} serial point(s) of "
-                "passage-safe legs at the grid's angles, and none gives a door",
-                explored=int(np.count_nonzero(reached[0])),
-            )
+        # the first search met, so s and t share one component: count s's
         raise NoPathFound(
-            "no passage edge is reachable from both endpoints",
-            explored=int(np.count_nonzero(reached[0] | reached[1])),
+            "no passage edge is reachable from both endpoints"
+            if len(lo)
+            else f"no passage edge exists: the box holds {serial} serial point(s) of "
+            "passage-safe legs at the grid's angles, and none gives a door",
+            explored=int(np.count_nonzero(np.isfinite(dist[0]))),
         )
     k = int(np.argmin(total))
     return search.walk(0, a[k])[::-1] + search.walk(1, b[k])
@@ -1058,9 +1058,8 @@ def plan_mode_change(
     route (and then the splice) is certified exact (:class:`_TwoEndedSearch`);
     among equal-cost routes it takes the one its tie rule gives.  A
     ``NoPathFound`` from the search counts in ``explored`` every node
-    reachable from the start (and from the target when no door is reachable
-    from both); "no passage edge exists" means that the grid has no door,
-    and says how many serial points lay in the box.
+    reachable from the start; "no passage edge exists" means that the grid
+    has no door, and says how many serial points lay in the box.
     """
     L = geom.L
     eps_pass = _eps_pass(geom, eps_pass)

@@ -438,7 +438,9 @@ def test_cli_plans_and_verifies_without_scipy(ref_file, tmp_path):
     """With scipy unimportable (``sys.modules['scipy'] = None``), a plan that
     needs the splice and the verify of its output both exit 0, and the plan
     verifies; so does a verify whose sign continuation refines a reversal
-    between samples, which finds its one flip."""
+    between samples, which finds its one flip.  From (0, 0, 0) at 24^3 the
+    first route holds no door, so the search runs twice (at 32^3 that route
+    already holds two doors and the search runs once)."""
     src = os.path.dirname(os.path.dirname(planar_rpr.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     # leg 1 passes its serial point S_1(0.83) at t = 5/7, between two samples
@@ -448,23 +450,26 @@ def test_cli_plans_and_verifies_without_scipy(ref_file, tmp_path):
     reversal.write_text(json.dumps({"waypoints": [{"x": a, "y": b, "phi": 0.83} for a, b in ends]}))
     plan = tmp_path / "plan.json"
     commands = [
-        ["plan", "--robot", str(ref_file), "--start", "0,0,0", "--res", "32,32,32", "--out", str(plan)],
+        ["plan", "--robot", str(ref_file), "--start", "0,0,0", "--res", "24,24,24", "--out", str(plan)],
         ["verify", "--robot", str(ref_file), "--path", str(plan)],
         ["verify", "--robot", str(ref_file), "--path", str(reversal)],
     ]
     code = "\n".join([
         "import contextlib, io, json, sys",
         "sys.modules['scipy'] = None",
+        "from planar_rpr import modeplan",
         "from planar_rpr.cli import main",
+        "until, searches = modeplan._TwoEndedSearch.until, []",
+        "modeplan._TwoEndedSearch.until = lambda self, needed: searches.append(needed) or until(self, needed)",
         "with contextlib.redirect_stdout(io.StringIO()) as out:",
         "    codes = [main(args) for args in json.loads(sys.argv[1])]",
         "_, checked, reversed_ = (json.loads(line) for line in out.getvalue().splitlines())",
-        "print(codes, checked['verdict'], [f['leg'] for f in reversed_['sign_flips']])",
+        "print(codes, len(searches), checked['verdict'], [f['leg'] for f in reversed_['sign_flips']])",
     ])
     result = subprocess.run(
         [sys.executable, "-c", code, json.dumps(commands)], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "[0, 0, 0] changed_without_parallel [1]"
+    assert result.stdout.strip() == "[0, 0, 0] 2 changed_without_parallel [1]"
     assert result.stderr == ""
 
 

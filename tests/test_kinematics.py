@@ -145,6 +145,67 @@ def test_oracle_matches_solver_on_random_joints(ref):
         assert _same_solution_sets(solve_fk(ref, joints), oracle_fk(ref, joints, grid=4096))
 
 
+def _recorded_oracle(geom, joints):
+    """Run oracle_fk, recording the callback ``f`` it hands _bracket_roots,
+    its number of brackets and, per refinement step, the number of open
+    brackets and the sizes of the angle arrays _solve_affine_xy received
+    during that step."""
+    lifted, steps, calls = [], [], []
+    solve, bracket_roots = kinematics._solve_affine_xy, kinematics._bracket_roots
+
+    def lift(u, v, w, phi, L):
+        lifted.append(len(phi))
+        return solve(u, v, w, phi, L)
+
+    def refine(f, lo, *args):
+        def step(c, j):
+            before = len(lifted)
+            out = f(c, j)
+            steps.append((len(j), lifted[before:]))
+            return out
+
+        calls.append((f, len(lo)))
+        return bracket_roots(step, lo, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kinematics, "_solve_affine_xy", lift)
+        patch.setattr(kinematics, "_bracket_roots", refine)
+        oracle_fk(geom, joints)
+    return calls[0] + (steps,)
+
+
+def test_oracle_lifts_only_the_open_brackets(ref):
+    """Each refinement step of the oracle's sweep lifts the angles of the
+    brackets still open and no others, and brackets close before others."""
+    rng = np.random.default_rng(13)
+    vectors = [JointVector(REF_JOINTS)] + [inverse_kinematics(ref, Pose(*random_pose_tuple(rng))) for _ in range(5)]
+    closed_early = 0
+    for joints in vectors:
+        *_, steps = _recorded_oracle(ref, joints)
+        assert steps and all(sizes == [n] for n, sizes in steps)
+        closed_early += steps[-1][0] < steps[0][0]
+    assert closed_early >= 3
+
+
+def test_oracle_residual_does_not_depend_on_the_batch():
+    """The oracle's residual g at an angle has the same bits whether that
+    angle is lifted alone or among others, at any place in the batch, up
+    to as many angles as the oracle has brackets.  The design is seeded:
+    the reference robot's first leg has forms whose products are exact."""
+    rng = np.random.default_rng(24)
+    geom = RobotGeometry(base=rng.uniform(-10, 10, (3, 2)), platform=rng.uniform(-4, 4, (3, 2)))
+    batches = 0
+    for _ in range(10):
+        joints = inverse_kinematics(geom, Pose(*rng.uniform(-3.0, 3.0, 2), rng.uniform(0.0, 2.0 * np.pi)))
+        g, brackets, _ = _recorded_oracle(geom, joints)
+        for m in range(2, brackets + 1):
+            phi = rng.uniform(0.0, 2.0 * np.pi, m)
+            alone = np.concatenate([g(phi[i : i + 1], np.zeros(1, dtype=int)) for i in range(m)])
+            assert g(phi, np.arange(m)).tobytes() == alone.tobytes()
+            batches += m >= 4
+    assert batches >= 5
+
+
 @pytest.mark.parametrize(
     "f, root",
     [(lambda t: np.exp(20.0 * t) - 2.0, math.log(2.0) / 20.0), (lambda t: np.tanh((t - 0.3) / 1e-4), 0.3)],

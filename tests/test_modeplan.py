@@ -874,6 +874,36 @@ def test_every_door_is_one_passage_of_its_own_leg():
     assert shapes == {(0, False), (0, True), (1, False), (1, True)}
 
 
+def test_admissible_edges_keep_the_node_sign_and_doors_flip_it():
+    """On the reference robot at three scales and on seeded designs, at
+    12^3, 32^3 and 64^3, every admissible edge that is not a door joins two
+    nodes of one nonzero sign and every door two of opposite signs.  So a
+    route holds an odd number of doors exactly when its ends' signs differ
+    (the invariant stated in _grid_route)."""
+    rng = np.random.default_rng(8080)
+    designs = _grid_designs()
+    while len(designs) < 8:
+        geom = RobotGeometry(base=rng.uniform(-10, 10, (3, 2)), platform=rng.uniform(-4, 4, (3, 2)))
+        if not is_architecturally_singular(geom)[0] and np.any(passage_safety(geom)):
+            designs.append(geom)
+    n_doors = 0
+    for geom in designs:
+        for n in (12, 32, 64):
+            xs, ys, phis = _grid_axes(geom, (n, n, n))
+            q, det, sgn = _node_signs(geom, xs, ys, phis)
+            doors = _serial_doors(geom, xs, ys, phis, passage_safety(geom), q, sgn)[0]
+            ends = [(sgn[:-1], sgn[1:]), (sgn[:, :-1], sgn[:, 1:]), (sgn, np.roll(sgn, -1, axis=2))]
+            for axis, (a, b) in enumerate(ends):
+                product = a.astype(int) * b
+                door = np.zeros(product.shape, dtype=bool)
+                door[tuple(doors[doors[:, 0] == axis, 1:].T)] = True
+                ok = ~_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn)
+                assert np.all(product[ok & ~door] == 1)
+                assert np.all(product[door] == -1)
+            n_doors += len(doors)
+    assert n_doors > 1000
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
 def test_reference_plans_at_every_resolution(scale):
     """The reference robot plans from both benchmark starts at every
