@@ -447,38 +447,36 @@ def _assemble_solution_set(entries, L: float) -> FkSolutionSet:
     return FkSolutionSet(*([it[k] for it in merged] for k in range(3)))
 
 
-def _bracket_roots(f, lo, hi, flo, fhi, tol):
-    """Midpoints of the sign-change brackets [lo, hi] (float arrays) of ``f``,
-    refined all at once to width <= tol by false position with the Illinois
-    step (Dowell & Jarratt, BIT 11, 1971).  A bracket not halved over two
-    steps takes its midpoint, no step lands within tol / 2 of an end, and a
-    zero closes its bracket.  Each step evaluates only the open brackets:
-    ``f(c, j)`` gets one parameter per open bracket and the brackets'
-    indices ``j`` into the input arrays."""
-    out = 0.5 * (lo + hi)
-    j = np.flatnonzero(hi - lo > tol)
-    lo, hi, flo, fhi = lo[j], hi[j], flo[j], fhi[j]
-    was_left = was_right = np.zeros(len(j), dtype=bool)
-    width1 = width2 = np.full(len(j), np.inf)  # one and two steps back
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while len(j):
-            width = hi - lo
-            c = np.where(width > 0.5 * width2, 0.5 * (lo + hi), (lo * fhi - hi * flo) / (fhi - flo))
-            c = np.minimum(np.maximum(c, lo + 0.5 * tol), hi - 0.5 * tol)
-            width1, width2 = width, width1
-            fc = f(c, j)
-            left, right = np.sign(fc) == np.sign(flo), np.sign(fc) == np.sign(fhi)
-            # c replaces the end of its sign; the end kept twice in a row is halved
-            flo = np.where(left, fc, np.where(right & was_right, 0.5 * flo, flo))
-            fhi = np.where(right, fc, np.where(left & was_left, 0.5 * fhi, fhi))
-            lo, hi = np.where(right, lo, c), np.where(left, hi, c)
-            was_left, was_right = left, right
-            if not (open_ := hi - lo > tol).all():
-                out[j] = 0.5 * (lo + hi)  # the open ones are overwritten later
-                j, lo, hi, flo, fhi, was_left, was_right, width1, width2 = (
-                    v[open_] for v in (j, lo, hi, flo, fhi, was_left, was_right, width1, width2)
-                )
-    return out
+def _sign(v: float) -> float:
+    """np.sign in Python floats: NaN for NaN."""
+    return 1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0 if v == 0.0 else math.nan
+
+
+def _bracket_root(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:
+    """Midpoint of the sign-change bracket [lo, hi] of ``f`` (floats),
+    refined to width <= tol by false position with the Illinois step
+    (Dowell & Jarratt, BIT 11, 1971).  A bracket not halved over two steps
+    takes its midpoint, no step lands within tol / 2 of an end, and a zero
+    or NaN of ``f`` closes the bracket.  In Python floats, each step has
+    the bits of the same step on numpy arrays."""
+    was_left = was_right = False
+    width1 = width2 = math.inf  # one and two steps back
+    while (width := hi - lo) > tol:
+        if width > 0.5 * width2:
+            c = 0.5 * (lo + hi)
+        else:  # numpy's inf or NaN where Python would raise ZeroDivisionError
+            num, den = lo * fhi - hi * flo, fhi - flo
+            c = num / den if den else num * math.copysign(math.inf, den)
+        c = min(max(c, lo + 0.5 * tol), hi - 0.5 * tol)  # a NaN c stays NaN
+        width1, width2 = width, width1
+        fc = f(c)
+        left, right = _sign(fc) == _sign(flo), _sign(fc) == _sign(fhi)
+        # c replaces the end of its sign; the end kept twice in a row is halved
+        flo = fc if left else 0.5 * flo if right and was_right else flo
+        fhi = fc if right else 0.5 * fhi if left and was_left else fhi
+        lo, hi = (lo if right else c), (hi if left else c)
+        was_left, was_right = left, right
+    return 0.5 * (lo + hi)
 
 
 def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID) -> FkSolutionSet:
@@ -486,10 +484,11 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
 
     At every grid angle the affine elimination gives the unique candidate
     (x, y); the leftover residual g(phi) = F_1 changes sign across a
-    solution.  Sign changes are refined to 1e-12 in phi by false position
-    (:func:`_bracket_roots`) and polished by the same Newton refinement as
-    the solver.  Intended for verification only: slower than
-    :func:`solve_fk` and blind to tangential (even-multiplicity) roots.  The
+    solution.  Each sign change is refined on its own to 1e-12 in phi by
+    false position (:func:`_bracket_root`), lifting one angle per step, and
+    polished by the same Newton refinement as the solver.  Intended for
+    verification only: slower than :func:`solve_fk` and blind to tangential
+    (even-multiplicity) roots.  The
     sweep wraps around 2*pi; ``grid`` must lie in [8, ``MAX_SAMPLES``].
     Overflowing linear forms or sweep residuals raise :class:`ValidationError`,
     as in :func:`build_fk_polynomial`, rather than leave no candidate.
@@ -528,7 +527,12 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
     k = np.flatnonzero(both & ((g == 0.0) | (g * np.roll(g, -1) < 0.0)))
     hi = phis[k] + np.where(g[k] == 0.0, 0.0, 2.0 * np.pi / grid)
 
-    roots = _bracket_roots(lambda phi, j: lift(phi)[3], phis[k], hi, g[k], g[(k + 1) % grid], 1e-12)
+    def g_at(phi):
+        return lift(np.array([phi]))[3].item()
+
+    brackets = zip(phis[k].tolist(), hi.tolist(), g[k].tolist(), g[(k + 1) % grid].tolist())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.array([_bracket_root(g_at, *b, 1e-12) for b in brackets])
     x0, y0, det0, _ = lift(roots)
     entries = []
     for j in np.flatnonzero(det0 > 1e-12 * (L * L)):

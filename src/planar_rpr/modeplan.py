@@ -46,12 +46,14 @@ from .errors import (
     NoPathFound,
     ValidationError,
 )
-from .kinematics import _bracket_roots, inverse_kinematics, solve_fk
+from .kinematics import _bracket_root, _leg_floats, inverse_kinematics, solve_fk
 from .model import MAX_SAMPLES, Pose, RobotGeometry, pose_distance, wrap_angle
 from .singularity import (
     SERIAL_CLASSIFY_REL,
     classify_configuration,
     _conic_coefficients,
+    _float_leg_det,
+    _float_leg_vectors,
     _leg_det,
     _leg_geometry,
     _leg_vectors,
@@ -141,12 +143,13 @@ class _Paths:
 
     def det_along(self, geom: RobotGeometry, ts, rows):
         """``f(t, j)``: the determinant at parameters ``t`` of the path steps
-        of rows ``rows[j]`` that hold ``ts[j]`` (1-D arrays).
+        of rows ``rows[j]`` that hold ``ts[j]`` (1-D arrays), for the
+        halving rounds of :func:`_split_gaps`, which may hold many points.
 
         Each step's index, start and rate are read once, here.  A parameter
-        inside a step, as every bracket's and sample gap's interior point
-        is (at least CROSSING_T_TOL / 2 from its ends), gets the pose
-        :meth:`poses_at` gives, bit for bit.
+        inside a step, as every sample gap's interior point is (at least
+        CROSSING_T_TOL / 2 from its ends), gets the pose :meth:`poses_at`
+        gives, bit for bit.
         """
         n = self.n[rows]
         k = np.minimum((ts * n).astype(int), n - 1)
@@ -159,6 +162,23 @@ class _Paths:
             return _leg_det(geom, *_leg_vectors(geom, x + s * dx, y + s * dy, phi + s * dphi))
 
         return f
+
+    def step_pose(self, t_mid: float, row: int):
+        """``pose(t)``: the pose (x, y, phi) in Python floats at parameters
+        ``t`` of the path step of row ``row`` that holds ``t_mid``, read
+        once here, as :meth:`det_along` reads it.  A parameter inside the
+        step, as every bracket's interior point is, gets the bits of
+        :meth:`poses_at`."""
+        n = int(self.n[row])
+        k = min(int(t_mid * n), n - 1)
+        i = int(self.first[row]) + k
+        (x, y, phi), (dx, dy, dphi) = self.table[i].tolist(), self.steps[i].tolist()
+
+        def pose(t):
+            s = t * n - k
+            return x + s * dx, y + s * dy, phi + s * dphi
+
+        return pose
 
 
 @dataclass(frozen=True)
@@ -330,7 +350,10 @@ def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
     length with direction reversal (transversal pass through the serial
     point).  Where the leg vector d turns by more than a right angle between
     samples, it flips iff |d| <= ZERO_TOUCH_REL * L at the root of
-    d(t) . d(t_k), found to 1e-14 (exact at constant phi).  A zero without
+    d(t) . d(t_k), found to 1e-14 (exact at constant phi) per bracket in
+    Python floats (:func:`_bracket_root`), from the kernel's one-pose form
+    on the path step that holds the bracket (:meth:`_Paths.step_pose`),
+    which places each point as :meth:`_Paths.poses_at` does.  A zero without
     reversal, or a length pinned below the zero band across consecutive
     samples, raises :class:`AmbiguousContinuation`.
     """
@@ -357,15 +380,18 @@ def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
             flips.append((float(ts[k]), leg))
     k, leg = np.nonzero(~below[:-1] & ~below[1:] & (dots < 0.0))
     if len(k):
-        d_k = d[:, k, leg]
+        legs, t_star = _leg_floats(geom), []
+        brackets = (ts[k], ts[k + 1], dist[k, leg] ** 2, dots[k, leg], leg, dx[k, leg], dy[k, leg])
+        for lo, hi, flo, fhi, i, dx_k, dy_k in zip(*(v.tolist() for v in brackets)):
+            pose = paths.step_pose(0.5 * (lo + hi), 0)
 
-        def dot(t, j):
-            """Leg vector of bracket j's leg at t, dotted with it at t_k."""
-            dx, dy = _leg_vectors(geom, *paths.poses_at(t, 0))
-            cols = np.arange(len(j))
-            return dx[leg[j], cols] * d_k[0, j] + dy[leg[j], cols] * d_k[1, j]
+            def dot(t):
+                """Leg i's vector at t, dotted with it at t_k."""
+                vx, vy = _float_leg_vectors(legs, *pose(t))
+                return vx[i] * dx_k + vy[i] * dy_k
 
-        t_star = _bracket_roots(dot, ts[k], ts[k + 1], dist[k, leg] ** 2, dots[k, leg], 1e-14)
+            t_star.append(_bracket_root(dot, lo, hi, flo, fhi, 1e-14))
+        t_star = np.array(t_star)
         # above the zero band the leg swings past its base joint: a near miss
         dx, dy = _leg_vectors(geom, *paths.poses_at(t_star, 0))
         cols = np.arange(len(k))
@@ -511,13 +537,29 @@ def _split_gaps(geom: RobotGeometry, s: _SampledPath):
     return ts, rows, dets, band
 
 
+def _crossing_roots(geom: RobotGeometry, paths: _Paths, ts, rows, dets, k) -> list[float]:
+    """The sign changes of ``dets`` between samples ``k`` and ``k + 1`` of
+    ``paths``, each refined on its own to CROSSING_T_TOL
+    (:func:`_bracket_root`) in Python floats, on the determinant of the
+    kernel's one-pose form (:func:`_float_leg_det`) along the path step
+    that holds the bracket's midpoint (:meth:`_Paths.step_pose`)."""
+    legs, roots = _leg_floats(geom), []
+    for lo, hi, flo, fhi, row in zip(*(v.tolist() for v in (ts[k], ts[k + 1], dets[k], dets[k + 1], rows[k]))):
+        pose = paths.step_pose(0.5 * (lo + hi), row)
+
+        def det_at(t):
+            return _float_leg_det(legs, *_float_leg_vectors(legs, *pose(t)))
+
+        roots.append(_bracket_root(det_at, lo, hi, flo, fhi, CROSSING_T_TOL))
+    return roots
+
+
 def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> list[list[CrossingEvent]]:
     """The crossing events of every row of ``s``: one list per row, sorted
-    by t (see :func:`detect_crossings`).  All rows' sign changes are
-    refined in one :func:`_bracket_roots` call, which refines each bracket
-    on its own, evaluating the determinant alone (:meth:`_Paths.det_along`),
-    and all their zeros are classified in one kernel pass.  Same-sign gaps
-    are certified or split first (:func:`_split_gaps`)."""
+    by t (see :func:`detect_crossings`).  Each sign change is refined on
+    its own in Python floats (:func:`_crossing_roots`), and all the zeros
+    are classified in one kernel pass.  Same-sign gaps are certified or
+    split first (:func:`_split_gaps`)."""
     paths = s.paths
     ts, rows, dets, band = _split_gaps(geom, s)
     same = rows[:-1] == rows[1:]  # consecutive samples of one row
@@ -529,8 +571,7 @@ def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> l
     crosses[1:-1] = inner & (around < 0.0)
     crosses = crosses[zero]
     k = np.flatnonzero(same & (dets[:-1] * dets[1:] < 0.0))
-    det_at = paths.det_along(geom, 0.5 * (ts[k] + ts[k + 1]), rows[k])
-    refined = _bracket_roots(det_at, ts[k], ts[k + 1], dets[k], dets[k + 1], CROSSING_T_TOL)
+    refined = _crossing_roots(geom, paths, ts, rows, dets, k)
     # interior near-zero minima without a sign change (tangential grazing)
     a = np.abs(dets)
     here = a[1:-1]

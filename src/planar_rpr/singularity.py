@@ -128,6 +128,28 @@ def _leg_det(geom: RobotGeometry, dx, dy):
     )
 
 
+def _float_leg_vectors(legs, x: float, y: float, phi: float):
+    """:func:`_leg_vectors` at one pose in Python floats, as lists of the
+    three legs' ``dx`` and ``dy``; ``legs`` holds each leg's (ax, ay, bx,
+    by).  The float twin of the kernel: the same operations in the same
+    order, so the same bits wherever ``math.cos`` and ``math.sin`` give
+    numpy's (a test holds them to it)."""
+    c, s = math.cos(phi), math.sin(phi)
+    dx = [x + (c * bx - s * by) - ax for ax, _, bx, by in legs]
+    return dx, [y + (s * bx + c * by) - ay for _, ay, bx, by in legs]
+
+
+def _float_leg_det(legs, dx, dy) -> float:
+    """:func:`_leg_det` on the leg vectors of :func:`_float_leg_vectors`,
+    operation for operation in Python floats."""
+    m = [ax * ddy - ay * ddx for (ax, ay, _, _), ddx, ddy in zip(legs, dx, dy)]
+    return (
+        m[0] * (dx[1] * dy[2] - dx[2] * dy[1])
+        - m[1] * (dx[0] * dy[2] - dx[2] * dy[0])
+        + m[2] * (dx[0] * dy[1] - dx[1] * dy[0])
+    )
+
+
 def _leg_geometry(geom: RobotGeometry, x, y, phi):
     """Leg vectors B_i - a_i, leg lengths and the unnormalized determinant.
 

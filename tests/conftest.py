@@ -39,8 +39,10 @@ def random_pose_tuple(rng, scale=REF_SCALE):
 
 
 def bracket_roots_over_all(f, lo, hi, flo, fhi, tol):
-    """_bracket_roots as it was before it dropped closed brackets: every
-    step evaluates ``f`` on all brackets, a closed one at its left end."""
+    """The Illinois refinement as numpy steps over all brackets at once,
+    every step evaluating ``f`` on all of them, a closed one at its left
+    end: the bitwise reference of kinematics._bracket_root, which refines
+    one bracket in Python floats."""
     was_left = was_right = np.zeros(lo.shape, dtype=bool)
     width1 = width2 = np.full(lo.shape, np.inf)  # one and two steps back
     while np.any(active := hi - lo > tol):

@@ -293,6 +293,9 @@ REF_JOINTS = "2.23606798,8.06225775,7.21110255"
         # two parallel crossings between the same two samples, each refined
         # by about ten Illinois steps
         (["verify", "--path", str(DATA / "verify_path_hidden_pair.json")], "cli_verify_hidden_pair.json"),
+        # leg 1 passes its serial point S_1(0.83) at t = 5/7, between two
+        # samples: the sign continuation refines the leg's reversal
+        (["verify", "--path", str(DATA / "verify_path_reversal.json")], "cli_verify_reversal.json"),
     ],
 )
 def test_cli_output_equals_pinned_file(ref_file, capfd, args, pinned):
@@ -444,10 +447,7 @@ def test_cli_plans_and_verifies_without_scipy(ref_file, tmp_path):
     src = os.path.dirname(os.path.dirname(planar_rpr.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     # leg 1 passes its serial point S_1(0.83) at t = 5/7, between two samples
-    x, y = 0.6118201490325716, 2.1507385022911922
-    ends = [(x - 3.0, y - 1.3), (x + 1.2, y + 0.52)]
-    reversal = tmp_path / "reversal.json"
-    reversal.write_text(json.dumps({"waypoints": [{"x": a, "y": b, "phi": 0.83} for a, b in ends]}))
+    reversal = DATA / "verify_path_reversal.json"
     plan = tmp_path / "plan.json"
     commands = [
         ["plan", "--robot", str(ref_file), "--start", "0,0,0", "--res", "24,24,24", "--out", str(plan)],

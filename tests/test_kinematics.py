@@ -146,102 +146,104 @@ def test_oracle_matches_solver_on_random_joints(ref):
 
 
 def _recorded_oracle(geom, joints):
-    """Run oracle_fk, recording the callback ``f`` it hands _bracket_roots,
-    its number of brackets and, per refinement step, the number of open
-    brackets and the sizes of the angle arrays _solve_affine_xy received
-    during that step."""
-    lifted, steps, calls = [], [], []
-    solve, bracket_roots = kinematics._solve_affine_xy, kinematics._bracket_roots
+    """Run oracle_fk, recording per bracket the callback ``f`` and the
+    arguments it hands _bracket_root and, per refinement step, the sizes of
+    the angle arrays _solve_affine_xy received during that step."""
+    lifted, calls = [], []
+    solve, bracket_root = kinematics._solve_affine_xy, kinematics._bracket_root
 
     def lift(u, v, w, phi, L):
         lifted.append(len(phi))
         return solve(u, v, w, phi, L)
 
-    def refine(f, lo, *args):
-        def step(c, j):
+    def refine(f, *args):
+        steps = []
+
+        def step(c):
             before = len(lifted)
-            out = f(c, j)
-            steps.append((len(j), lifted[before:]))
+            out = f(c)
+            steps.append(lifted[before:])
             return out
 
-        calls.append((f, len(lo)))
-        return bracket_roots(step, lo, *args)
+        calls.append((f, args, steps))
+        return bracket_root(step, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kinematics, "_solve_affine_xy", lift)
-        patch.setattr(kinematics, "_bracket_roots", refine)
+        patch.setattr(kinematics, "_bracket_root", refine)
         oracle_fk(geom, joints)
-    return calls[0] + (steps,)
+    return calls
 
 
 def test_oracle_lifts_only_the_open_brackets(ref):
-    """Each refinement step of the oracle's sweep lifts the angles of the
-    brackets still open and no others, and brackets close before others."""
+    """Each refinement step of the oracle's sweep lifts one angle, that of
+    the bracket it refines, and brackets close after different numbers of
+    steps."""
     rng = np.random.default_rng(13)
     vectors = [JointVector(REF_JOINTS)] + [inverse_kinematics(ref, Pose(*random_pose_tuple(rng))) for _ in range(5)]
-    closed_early = 0
+    uneven = 0
     for joints in vectors:
-        *_, steps = _recorded_oracle(ref, joints)
-        assert steps and all(sizes == [n] for n, sizes in steps)
-        closed_early += steps[-1][0] < steps[0][0]
-    assert closed_early >= 3
+        calls = _recorded_oracle(ref, joints)
+        assert calls and all(sizes == [1] for *_, steps in calls for sizes in steps)
+        uneven += len({len(steps) for *_, steps in calls}) > 1
+    assert uneven >= 3
 
 
 def test_oracle_residual_does_not_depend_on_the_batch():
     """The oracle's residual g at an angle has the same bits whether that
-    angle is lifted alone or among others, at any place in the batch, up
-    to as many angles as the oracle has brackets.  The design is seeded:
-    the reference robot's first leg has forms whose products are exact."""
+    angle is lifted alone, as each refinement step lifts it, or among all
+    the sweep's angles: the callback gives every bracket's end values at
+    the grid angles.  The design is seeded: the reference robot's first
+    leg has forms whose products are exact."""
     rng = np.random.default_rng(24)
     geom = RobotGeometry(base=rng.uniform(-10, 10, (3, 2)), platform=rng.uniform(-4, 4, (3, 2)))
-    batches = 0
+    phis = np.linspace(0.0, 2.0 * np.pi, kinematics.ORACLE_GRID, endpoint=False)
+    brackets = 0
     for _ in range(10):
         joints = inverse_kinematics(geom, Pose(*rng.uniform(-3.0, 3.0, 2), rng.uniform(0.0, 2.0 * np.pi)))
-        g, brackets, _ = _recorded_oracle(geom, joints)
-        for m in range(2, brackets + 1):
-            phi = rng.uniform(0.0, 2.0 * np.pi, m)
-            alone = np.concatenate([g(phi[i : i + 1], np.zeros(1, dtype=int)) for i in range(m)])
-            assert g(phi, np.arange(m)).tobytes() == alone.tobytes()
-            batches += m >= 4
-    assert batches >= 5
+        for g, (lo, _, flo, fhi, _), _ in _recorded_oracle(geom, joints):
+            k = int(np.searchsorted(phis, lo))
+            assert phis[k] == lo
+            got = [g(phis[k].item()), g(phis[(k + 1) % len(phis)].item())]
+            assert np.array(got).tobytes() == np.array([flo, fhi]).tobytes()
+            brackets += 1
+    assert brackets >= 20
 
 
 @pytest.mark.parametrize(
     "f, root",
-    [(lambda t: np.exp(20.0 * t) - 2.0, math.log(2.0) / 20.0), (lambda t: np.tanh((t - 0.3) / 1e-4), 0.3)],
+    [(lambda t: math.exp(20.0 * t) - 2.0, math.log(2.0) / 20.0), (lambda t: math.tanh((t - 0.3) / 1e-4), 0.3)],
     ids=["exp", "tanh-step"],
 )
 @pytest.mark.parametrize("tol", [1e-10, 1e-14])
-def test_bracket_roots_terminates_on_adversarial_brackets(f, root, tol):
+def test_bracket_root_terminates_on_adversarial_brackets(f, root, tol):
     """A convex bracket whose far end dominates and a flat tanh step close
     to ``tol`` within twice bisection's step count."""
     calls = []
 
-    def counted(t, j):
-        assert j.tolist() == [0]
+    def counted(t):
+        assert type(t) is float
         calls.append(t)
         return f(t)
 
-    lo, hi = np.zeros(1), np.ones(1)
-    found = kinematics._bracket_roots(counted, lo, hi, f(lo), f(hi), tol)
-    assert abs(found[0] - root) <= tol
+    found = kinematics._bracket_root(counted, 0.0, 1.0, f(0.0), f(1.0), tol)
+    assert abs(found - root) <= tol
     assert len(calls) <= 2 * math.ceil(math.log2(1.0 / tol))
 
 
-def test_bracket_roots_linear_brackets_close_in_one_step():
-    """Several brackets at once: linear ones land on their exact zero, and
-    each value array holds one parameter per open bracket, whose indices
-    ``f`` receives."""
-    slopes, roots = np.array([3.0, -0.5, 1e-9]), np.array([1.0 / 3.0, 0.25, 0.75])
-    calls = []
+def test_bracket_root_linear_brackets_close_in_one_step():
+    """Linear brackets land on their exact zero after at most two
+    evaluations, whatever their slope."""
+    for slope, root in [(3.0, 1.0 / 3.0), (-0.5, 0.25), (1e-9, 0.75)]:
+        calls = []
 
-    def f(t, j):
-        calls.append(t)
-        return slopes[j] * (t - roots[j])
+        def f(t):
+            calls.append(t)
+            return slope * (t - root)
 
-    found = kinematics._bracket_roots(f, np.zeros(3), np.ones(3), -slopes * roots, slopes * (1.0 - roots), 1e-14)
-    assert np.allclose(found, roots, rtol=0.0, atol=1e-15)
-    assert len(calls) <= 2
+        found = kinematics._bracket_root(f, 0.0, 1.0, -slope * root, slope * (1.0 - root), 1e-14)
+        assert abs(found - root) <= 1e-15
+        assert len(calls) <= 2
 
 
 def _seeded_brackets(rng, m):
@@ -260,33 +262,56 @@ def _seeded_brackets(rng, m):
     return f, lo, hi
 
 
+def _one_by_one(f, lo, hi, flo, fhi, tol):
+    """_bracket_root on each bracket, ``f`` on the one-parameter array of
+    that bracket; the number of steps of each."""
+    roots, steps = [], []
+    for j, args in enumerate(zip(lo.tolist(), hi.tolist(), flo.tolist(), fhi.tolist())):
+        calls = []
+
+        def one(t):
+            calls.append(t)
+            return f(np.array([t]), np.array([j])).item()
+
+        roots.append(kinematics._bracket_root(one, *args, tol))
+        steps.append(len(calls))
+    return np.array(roots), steps
+
+
 @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-14])
-def test_bracket_roots_on_open_brackets_equal_the_all_bracket_steps(tol):
-    """Refining only the open brackets gives every bracket the bits the
-    steps over all brackets gave: the adversarial exp and tanh-step
-    brackets, a zero at an end, a closed bracket, a step landing on an
-    exact zero, and seeded mixed batches whose brackets close at different
-    steps."""
+def test_bracket_root_equals_the_all_bracket_steps(tol):
+    """Refining each bracket on its own in Python floats gives every bracket
+    the bits the numpy steps over all brackets gave: the adversarial exp and
+    tanh-step brackets, a zero at an end, a closed bracket, a step landing
+    on an exact zero, seeded mixed batches whose brackets close at different
+    steps, and the brackets that close on a NaN of ``f`` or take a false
+    position over fhi == flo, where Python raises ZeroDivisionError and
+    numpy divides to inf or NaN."""
     # each case maps parameters, and the indices of their brackets, to values
     exp = lambda t, j=None: np.exp(20.0 * t) - 2.0
     step = lambda t, j=None: np.tanh((t - 0.3) / 1e-4)
     half = lambda t, j=None: t - 0.5  # the first false-position step lands on 0.5 exactly
-    cases = [(f, np.zeros(1), np.ones(1)) for f in (exp, step, half)]
+    nan_near_root = lambda t, j=None: np.where(abs(t - 0.3) < 1e-3, np.nan, np.tanh((t - 0.3) / 1e-4))
+    cases = [(f, np.zeros(1), np.ones(1), None) for f in (exp, step, half, nan_near_root)]
     # a zero at the left end of an open bracket; a closed bracket
-    cases.append((lambda t, j=None: t * (t - 2.0), np.zeros(2), np.array([1.0, 0.0])))
+    cases.append((lambda t, j=None: t * (t - 2.0), np.zeros(2), np.array([1.0, 0.0]), None))
+    # fhi == flo, so the first false position divides by zero: an inf (of
+    # either sign) that the clamp moves inside, and 0 / 0
+    signs = np.array([-1.0, 1.0, 1.0])
+    flat = (np.array([1.0, -1.0, 0.0]),) * 2
+    cases.append((lambda t, j=slice(None): signs[j] + 0.0 * t, np.zeros(3), np.ones(3), flat))
     rng = np.random.default_rng(int(-math.log10(tol)))
-    cases += [_seeded_brackets(rng, m) for m in (1, 2, 5, 8, 64, 1024)]
-    for f, lo, hi in cases:
-        flo, fhi = f(lo), f(hi)
-        want = bracket_roots_over_all(f, lo, hi, flo, fhi, tol)
-        sizes = []
-        got = kinematics._bracket_roots(lambda t, j: sizes.append(len(j)) or f(t, j), lo, hi, flo, fhi, tol)
+    cases += [(*_seeded_brackets(rng, m), None) for m in (1, 2, 5, 8, 64, 1024)]
+    for f, lo, hi, ends in cases:
+        flo, fhi = ends or (f(lo), f(hi))
+        with np.errstate(invalid="ignore"):
+            want = bracket_roots_over_all(f, lo, hi, flo, fhi, tol)
+            got, steps = _one_by_one(f, lo, hi, flo, fhi, tol)
         assert got.tobytes() == want.tobytes()
-        # only open brackets are evaluated, and the mixed ones close at different steps
-        assert sizes[0] == np.count_nonzero(hi - lo > tol) and sizes == sorted(sizes, reverse=True)
-        assert len(lo) < 5 or sizes[-1] < sizes[0]
+        # the mixed brackets close after different numbers of steps
+        assert len(lo) < 5 or len(set(steps)) > 1
     # fc == 0 closes the half bracket on its exact zero
-    assert kinematics._bracket_roots(half, np.zeros(1), np.ones(1), -0.5 * np.ones(1), 0.5 * np.ones(1), tol)[0] == 0.5
+    assert kinematics._bracket_root(half, 0.0, 1.0, -0.5, 0.5, tol) == 0.5
 
 
 def test_round_trip_random_poses(ref):

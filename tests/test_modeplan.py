@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import json
+import math
 import pathlib
 import warnings
 
@@ -29,6 +30,7 @@ from planar_rpr import (
     verify_mode_change,
 )
 from planar_rpr import modeplan
+from planar_rpr.kinematics import _leg_floats
 from planar_rpr.model import characteristic_scale, rotation, wrap_angle
 from planar_rpr.modeplan import (
     EPS_PASS_REL,
@@ -43,7 +45,11 @@ from planar_rpr.modeplan import (
     _serial_doors,
 )
 from planar_rpr.singularity import (
+    _float_leg_det,
+    _float_leg_vectors,
+    _leg_det,
     _leg_geometry,
+    _leg_vectors,
     _line_measure,
     classify_configuration,
     is_architecturally_singular,
@@ -1754,10 +1760,11 @@ def test_sampling_and_refinement_equal_the_one_pass_forms(ref):
     base samples once and then only the refinement samples, gives the
     parameters, rows and kernel outputs of the former sort-then-evaluate
     pass.  The crossing brackets keep theirs too: det_along, which reads
-    each bracket's path step once, gives the determinant of poses_at at
-    every point at least CROSSING_T_TOL / 2 inside a bracket, and refining
-    only the open brackets with it gives the roots the former all-bracket
-    refinement through poses_at gave."""
+    each sample gap's path step once, gives the determinant of poses_at at
+    every point at least CROSSING_T_TOL / 2 inside a bracket, and the
+    detector's roots, each bracket refined on its own in Python floats,
+    are those the former all-bracket refinement through poses_at and the
+    kernel gave."""
     tol = modeplan.CROSSING_T_TOL
     refined = rows_checked = brackets = 0
     for geom, paths in _equivalence_cases(ref):
@@ -1782,9 +1789,69 @@ def test_sampling_and_refinement_equal_the_one_pass_forms(ref):
         old = bracket_roots_over_all(
             lambda t: _leg_geometry(geom, *paths.poses_at(t, r))[3], lo, hi, dets[k], dets[k + 1], tol
         )
-        assert modeplan._bracket_roots(det_at, lo, hi, dets[k], dets[k + 1], tol).tobytes() == old.tobytes()
+        assert np.array(modeplan._crossing_roots(geom, paths, ts, rows, dets, k)).tobytes() == old.tobytes()
         brackets += len(k)
     assert rows_checked > 4 * 1096 and brackets > 100 and refined > 20
+
+
+def _assert_float_forms_equal_the_kernel(geom, x, y, phi):
+    """The one-pose float forms at each pose (x, y, phi) (1-D arrays) give
+    the kernel's leg vectors and determinant, and math's cos and sin give
+    numpy's, bit for bit."""
+    legs = _leg_floats(geom)
+    dx, dy = _leg_vectors(geom, x, y, phi)
+    vectors = [_float_leg_vectors(legs, *p) for p in zip(x.tolist(), y.tolist(), phi.tolist())]
+    assert np.array([v[0] for v in vectors]).T.tobytes() == dx.tobytes()
+    assert np.array([v[1] for v in vectors]).T.tobytes() == dy.tobytes()
+    assert np.array([_float_leg_det(legs, *v) for v in vectors]).tobytes() == _leg_det(geom, dx, dy).tobytes()
+    for ours, numpys in ((math.cos, np.cos), (math.sin, np.sin)):
+        assert np.array([ours(a) for a in phi.tolist()]).tobytes() == numpys(phi).tobytes()
+
+
+def test_float_leg_forms_give_the_kernel_bits(ref):
+    """_float_leg_vectors and _float_leg_det, the kernel's one-pose form
+    in Python floats, give the bits of _leg_vectors and of _leg_det on
+    them: seeded poses of the reference robot at x1e-3, x1 and x1e3 and of
+    seeded designs, platform frames offset by up to 1e4 L from their joints
+    and poses up to 1e4 L away, angles at and near 0, +-pi and 2 pi, and
+    the points inside the crossing brackets of _equivalence_cases, placed
+    by step_pose as poses_at places them.  math.cos and math.sin give the
+    bits of np.cos and np.sin on all these angles: a host where they differ
+    fails here instead of moving certificates."""
+    rng = np.random.default_rng(25)
+    special = np.array([0.0, np.pi, -np.pi, 2.0 * np.pi])
+    near = [np.nextafter(special, np.inf), np.nextafter(special, -np.inf)]
+    near += [special + d for d in (1e-300, -1e-300, 1e-15, -1e-15, 1e-12, -1e-12, 1e-6, -1e-6)]
+    special = np.concatenate([special, *near])
+    designs = [RobotGeometry(np.asarray(REF_BASE) * f, np.asarray(REF_PLATFORM) * f) for f in (1e-3, 1.0, 1e3)]
+    designs += _seeded_designs(25, 4)
+    for e in range(5):  # the platform frame 10^e L from its joints
+        offset = 10.0**e * REF_SCALE * rng.normal(0.0, 1.0, 2)
+        designs.append(RobotGeometry(REF_BASE, np.asarray(REF_PLATFORM) + offset))
+    poses = 0
+    for geom in designs:
+        Lg = characteristic_scale(geom)
+        phi = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 200), special])
+        m = len(phi)
+        far = 10.0 ** rng.uniform(0.0, 4.0, (m, 1)) * rng.choice([-1.0, 1.0], (m, 2))
+        xy = np.where(np.arange(m)[:, None] % 2 == 0, rng.uniform(-Lg, 2.0 * Lg, (m, 2)), far * Lg)
+        _assert_float_forms_equal_the_kernel(geom, xy[:, 0], xy[:, 1], phi)
+        poses += m
+    tol = modeplan.CROSSING_T_TOL
+    inside = 0
+    for geom, paths in _equivalence_cases(ref):
+        ts, rows, legs = modeplan._sample_params(geom, paths)
+        dets = legs[3]
+        k = np.flatnonzero((rows[:-1] == rows[1:]) & (dets[:-1] * dets[1:] < 0.0))
+        for lo, hi, r in zip(ts[k].tolist(), ts[k + 1].tolist(), rows[k].tolist()):
+            pose = paths.step_pose(0.5 * (lo + hi), r)
+            t = np.array([lo + 0.5 * tol, hi - 0.5 * tol, *rng.uniform(lo, hi, 3)])
+            t = np.minimum(np.maximum(t, lo + 0.5 * tol), hi - 0.5 * tol)
+            x, y, phi = paths.poses_at(t, r)
+            assert np.array([pose(v) for v in t.tolist()]).T.tobytes() == np.array([x, y, phi]).tobytes()
+            _assert_float_forms_equal_the_kernel(geom, x, y, phi)
+            inside += len(t)
+    assert poses > 2500 and inside > 4000
 
 
 def test_serial_clearance_agrees_between_classifier_and_crossing_detector(ref):
