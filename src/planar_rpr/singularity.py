@@ -74,9 +74,10 @@ class SingularityConic:
         """Q at (x, y), scalars or broadcastable arrays.
 
         The sum starts from q11 x y, the one term with the full broadcast
-        shape, and adds the other five in place, so a lattice costs one
-        full-size array.  Addition commutes, so this rounds exactly as the
-        left-to-right sum q20 x^2 + q11 xy + q02 y^2 + q10 x + q01 y + q00.
+        shape, and adds the other five in place, so no other array takes that
+        shape, and each point's value is the same whatever array holds it.
+        Addition commutes, so this rounds exactly as the left-to-right sum
+        q20 x^2 + q11 xy + q02 y^2 + q10 x + q01 y + q00.
         """
         q20, q11, q02, q10, q01, q00 = self.coefficients
         out = q11 * x * y
@@ -332,6 +333,11 @@ for _key, _pairs in {
     _MS_SEGMENTS[_key, : len(_pairs)] = _pairs
 
 
+# Edge e of cell (i, j) runs from node (i, j) + _EDGE_NODES[e, 0] up to node (i, j) + _EDGE_NODES[e, 1].
+_EDGE_NODES = np.array([[[0, 0], [1, 0]], [[1, 0], [1, 1]], [[0, 1], [1, 1]], [[0, 0], [0, 1]]])
+_BLOCK = 4  # side, in cells, of the blocks on which the contour bounds Q
+
+
 def sample_conic_polyline(conic: SingularityConic, window, step: float) -> list[np.ndarray]:
     """Marching-squares contour of Q = 0 inside an axis-aligned window.
 
@@ -340,7 +346,9 @@ def sample_conic_polyline(conic: SingularityConic, window, step: float) -> list[
     conic misses the window.  Fully deterministic.  Grids of more than
     ``MAX_SAMPLES`` nodes, a step whose join tolerance 1e-9 * step
     underflows and a window on whose lattice Q overflows raise
-    :class:`ValidationError`.
+    :class:`ValidationError`.  Q is evaluated, to the whole lattice's bits,
+    only on the blocks of cells where a bound allows a sign change, so the
+    work follows the contour's length and not the window's area.
     """
     if step <= 0.0:
         raise ValidationError("step must be positive")
@@ -355,36 +363,56 @@ def sample_conic_polyline(conic: SingularityConic, window, step: float) -> list[
     nx, ny = map(int, nodes)
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
+    # Q is quadratic: on a block with centre c and half-widths at most (hx, hy)
+    # |Q| >= |Q(c)| - |Qx(c)| hx - |Qy(c)| hy - |q20| hx^2 - |q11| hx hy - |q02| hy^2.
+    # err, 64 u times the terms' absolute values at the window's extreme corner
+    # summed as evaluate sums (so it overflows where a node's Q can), bounds the
+    # rounding of both.  A block whose bound exceeds 2 err has nodes of one
+    # exact sign and emits nothing; a non-finite err or bound keeps it.
+    xb, yb = (v[np.minimum(np.arange(0, len(v) - 1 + _BLOCK, _BLOCK), len(v) - 1)] for v in (xs, ys))
+    cx, cy = (0.5 * xb[:-1] + 0.5 * xb[1:])[:, None], 0.5 * yb[:-1] + 0.5 * yb[1:]  # halved before adding: finite
+    hx, hy = np.max(0.5 * xb[1:] - 0.5 * xb[:-1]), np.max(0.5 * yb[1:] - 0.5 * yb[:-1])
+    xm, ym = max(abs(x0), abs(x1)), max(abs(y0), abs(y1))
+    q20, q11, q02, q10, q01, _ = conic.coefficients
+    a20, a11, a02, a10, a01, a00 = np.abs(conic.coefficients)
     with np.errstate(over="ignore", invalid="ignore"):
-        Q = conic.evaluate(xs[:, None], ys[None, :])
+        err = 64.0 * (2.0**-53 * (a11 * xm * ym + a20 * xm * xm + a02 * ym * ym + a10 * xm + a01 * ym + a00) + 5e-324)
+        lower = np.abs(conic.evaluate(cx, cy)) - hx * np.abs(2.0 * q20 * cx + q10 + q11 * cy)
+        lower -= hy * np.abs(q11 * cx + (2.0 * q02 * cy + q01))
+        bi, bj = np.nonzero(~(lower > 2.0 * err + (a20 * hx * hx + a11 * hx * hy + a02 * hy * hy)))
+        # a kept block past the last row or column repeats its last node; the
+        # stitcher drops the zero-length segments of its zero-width cells
+        ni = np.minimum(_BLOCK * bi[:, None] + np.arange(_BLOCK + 1), nx - 1)
+        nj = np.minimum(_BLOCK * bj[:, None] + np.arange(_BLOCK + 1), ny - 1)
+        X, Y = xs[ni], ys[nj]
+        Q = conic.evaluate(X[:, :, None], Y[:, None, :])
     if not np.all(np.isfinite(Q)):
         raise ValidationError(
             f"the singularity conic at phi={conic.phi:.6f} is not finite on the window's lattice: "
             "the window's coordinates are too large"
         )
     b = (Q < 0.0).astype(np.uint8)
-    code = b[:-1, :-1] | b[1:, :-1] << 1 | b[1:, 1:] << 2 | b[:-1, 1:] << 3
-    i, j = np.nonzero((code != 0) & (code != 15))  # row-major: i, then j
-    key = code[i, j].astype(np.intp)
+    code = b[:, :-1, :-1] | b[:, 1:, :-1] << 1 | b[:, 1:, 1:] << 2 | b[:, :-1, 1:] << 3
+    k, i, j = np.nonzero((code != 0) & (code != 15))
+    order = np.argsort(ni[k, i] * ny + nj[k, j])  # the lattice's row-major cell order
+    k, i, j = k[order], i[order], j[order]
+    key = code[k, i, j].astype(np.intp)
     saddle = np.nonzero((key == 5) | (key == 10))[0]
-    si, sj = i[saddle], j[saddle]
-    centre = conic.evaluate(0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1]))
+    sk, si, sj = k[saddle], i[saddle], j[saddle]
+    centre = conic.evaluate(0.5 * (X[sk, si] + X[sk, si + 1]), 0.5 * (Y[sk, sj] + Y[sk, sj + 1]))
     key[saddle] += 16 * (centre < 0.0)
 
-    # edges 0..3 run from their lower lattice node to the upper one, so the
-    # two cells sharing an edge emit bit-identical points (otherwise chains
-    # would not stitch); t is only computed where Q changes sign, which are
-    # exactly the edges the table picks
-    lo_i, lo_j = i[:, None] + [0, 1, 0, 0], j[:, None] + [0, 0, 1, 0]
-    hi_i, hi_j = i[:, None] + [1, 1, 1, 0], j[:, None] + [0, 1, 1, 1]
-    qa, qb = Q[lo_i, lo_j], Q[hi_i, hi_j]
-    t = np.divide(qa, qa - qb, out=np.zeros_like(qa), where=(qa < 0.0) != (qb < 0.0))
-    edge_pts = np.stack(
-        [xs[lo_i] + t * (xs[hi_i] - xs[lo_i]), ys[lo_j] + t * (ys[hi_j] - ys[lo_j])], axis=-1
-    )
+    # each segment joins two edges of its cell on which Q changes sign; as
+    # an edge runs from its lower node, the two cells sharing it emit
+    # bit-identical points (otherwise chains would not stitch)
     pairs = _MS_SEGMENTS[key]
     cell, slot = np.nonzero(pairs[:, :, 0] >= 0)
-    return _stitch_segments(edge_pts[cell[:, None], pairs[cell, slot]], 1e-9 * step)
+    ends = _EDGE_NODES[pairs[cell, slot]]  # segment, end, lower/upper node, i/j
+    k, i, j = k[cell, None, None], i[cell, None, None] + ends[..., 0], j[cell, None, None] + ends[..., 1]
+    q, x, y = Q[k, i, j], X[k, i], Y[k, j]
+    t = q[..., 0] / (q[..., 0] - q[..., 1])
+    segments = np.stack([x[..., 0] + t * (x[..., 1] - x[..., 0]), y[..., 0] + t * (y[..., 1] - y[..., 0])], axis=-1)
+    return _stitch_segments(segments, 1e-9 * step)
 
 
 def _stitch_segments(segments: np.ndarray, tol: float) -> list[np.ndarray]:

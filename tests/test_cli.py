@@ -307,6 +307,20 @@ def test_cli_output_equals_pinned_file(ref_file, capfd, args, pinned):
     assert err == ""
 
 
+def test_cli_locus_on_a_large_lattice_of_the_x1e3_robot_equals_its_pin(tmp_path, capfd):
+    """A 1201^2 lattice on the x1e3 copy of the reference robot at
+    phi = 2.5, of which the contour evaluates only the blocks of cells near
+    the locus, prints the 2,353 points of the whole lattice's contour."""
+    path = tmp_path / "ref_kilo.json"
+    scaled = {"base": np.multiply(REF_BASE, 1e3).tolist(), "platform": np.multiply(REF_PLATFORM, 1e3).tolist()}
+    path.write_text(json.dumps({**scaled, "name": "ref_kilo"}))
+    args = ["locus", "--robot", str(path), "--phi", "2.5", "--window=-10000,-10000,20000,20000", "--step", "25"]
+    assert main([*args, "--out", "csv"]) == 0
+    out, err = capfd.readouterr()
+    assert out.encode() == (DATA / "cli_locus_ref_x1e3_phi2.5.csv").read_bytes()
+    assert out.count("\n") == 1 + 2353 and err == ""
+
+
 @pytest.mark.parametrize(
     "platform",
     [

@@ -23,7 +23,7 @@ from planar_rpr import (
     unnormalized_determinant,
 )
 from planar_rpr import singularity as singularity_module
-from planar_rpr.model import rotation
+from planar_rpr.model import MAX_SAMPLES, rotation
 from planar_rpr.singularity import SingularityConic, _conic_coefficients, _leg_det, _leg_geometry, _leg_vectors
 
 from conftest import REF_BASE, REF_PLATFORM, REF_SCALE, random_pose_tuple
@@ -525,6 +525,158 @@ def test_mate_walk_equals_the_generator_walk(ref, monkeypatch):
         junctions += np.count_nonzero(np.bincount(ids[np.repeat(ids[0::2] != ids[1::2], 2)]) > 2)
         _assert_same_polylines(stitch(segments, tol), _generator_stitch(segments, tol))
     assert junctions >= 6
+
+
+def _full_lattice_polyline(conic, window, step):
+    """sample_conic_polyline as it was before it bounded Q on blocks of
+    cells: Q on the whole lattice, the cell codes of every cell, and the
+    edge crossings of every cell with a sign change.  The oracle for the
+    block contour, which must give its bytes."""
+    if step <= 0.0:
+        raise ValidationError("step must be positive")
+    if not 1e-9 * step > 0.0:  # segment ends join at multiples of 1e-9 * step
+        raise ValidationError(f"step {step:g} is too small: its join tolerance 1e-9 * step underflows to 0")
+    x0, y0, x1, y1 = window
+    if x1 <= x0 or y1 <= y0:
+        raise ValidationError("window must have positive extent")
+    nodes = np.maximum(np.ceil([(x1 - x0) / step, (y1 - y0) / step]) + 1, 2)
+    if not nodes.prod() <= MAX_SAMPLES:  # also rejects inf and nan
+        raise ValidationError(f"window / step gives more than {MAX_SAMPLES:,} grid nodes")
+    nx, ny = map(int, nodes)
+    xs = np.linspace(x0, x1, nx)
+    ys = np.linspace(y0, y1, ny)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = conic.evaluate(xs[:, None], ys[None, :])
+    if not np.all(np.isfinite(Q)):
+        raise ValidationError(
+            f"the singularity conic at phi={conic.phi:.6f} is not finite on the window's lattice: "
+            "the window's coordinates are too large"
+        )
+    b = (Q < 0.0).astype(np.uint8)
+    code = b[:-1, :-1] | b[1:, :-1] << 1 | b[1:, 1:] << 2 | b[:-1, 1:] << 3
+    i, j = np.nonzero((code != 0) & (code != 15))  # row-major: i, then j
+    key = code[i, j].astype(np.intp)
+    saddle = np.nonzero((key == 5) | (key == 10))[0]
+    si, sj = i[saddle], j[saddle]
+    centre = conic.evaluate(0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1]))
+    key[saddle] += 16 * (centre < 0.0)
+
+    # edges 0..3 run from their lower lattice node to the upper one, so the
+    # two cells sharing an edge emit bit-identical points (otherwise chains
+    # would not stitch); t is only computed where Q changes sign, which are
+    # exactly the edges the table picks
+    lo_i, lo_j = i[:, None] + [0, 1, 0, 0], j[:, None] + [0, 0, 1, 0]
+    hi_i, hi_j = i[:, None] + [1, 1, 1, 0], j[:, None] + [0, 1, 1, 1]
+    qa, qb = Q[lo_i, lo_j], Q[hi_i, hi_j]
+    t = np.divide(qa, qa - qb, out=np.zeros_like(qa), where=(qa < 0.0) != (qb < 0.0))
+    edge_pts = np.stack(
+        [xs[lo_i] + t * (xs[hi_i] - xs[lo_i]), ys[lo_j] + t * (ys[hi_j] - ys[lo_j])], axis=-1
+    )
+    pairs = singularity_module._MS_SEGMENTS[key]
+    cell, slot = np.nonzero(pairs[:, :, 0] >= 0)
+    return singularity_module._stitch_segments(edge_pts[cell[:, None], pairs[cell, slot]], 1e-9 * step)
+
+
+def _far_window(conic, x, half):
+    """A window of half-width ``half`` about the conic's point at abscissa
+    ``x`` with the smaller y, or None where Q(x, .) has no real root."""
+    q20, q11, q02, q10, q01, q00 = conic.coefficients
+    a, b, c = q02, q11 * x + q01, q20 * x * x + q10 * x + q00
+    disc = b * b - 4.0 * a * c
+    if a == 0.0 or disc < 0.0:
+        return None
+    y = (-b - np.sqrt(disc)) / (2.0 * a)
+    return (x - half, y - half, x + half, y + half)
+
+
+def _block_contour_cases():
+    """(conic, window, step) triples on which the block contour must give
+    the full lattice's bytes."""
+    cases = []
+    sweep = np.linspace(0.0, 2.0 * np.pi, 13)[:-1]
+    for scale in (1e-3, 1.0, 1e3):
+        geom = RobotGeometry(np.asarray(REF_BASE) * scale, np.asarray(REF_PLATFORM) * scale)
+        window = tuple(np.array([-10.0, -10.0, 20.0, 20.0]) * scale)
+        for phi in sweep:
+            conic = singularity_conic(geom, phi)
+            cases.append((conic, window, 0.1 * scale))
+            cases.append((conic, (0.0, -2.0 * scale, 6.0 * scale, 4.3 * scale), 0.05 * scale))  # clipped
+            far = _far_window(conic, 100.0 * L * scale, 15.0 * scale)  # ~1e2 L from the origin
+            if far is not None:
+                cases.append((conic, far, 0.1 * scale))
+        # at phi = 0 the locus is the line pair y = 1, x + 2y = 16 through
+        # lattice nodes
+        conic = singularity_conic(geom, 0.0)
+        cases.append((conic, window, 0.25 * scale))
+        cases.append((conic, tuple(np.array([985.0, -14.0, 1015.0, 16.0]) * scale), 0.1 * scale))
+        for phi in (0.0, 0.9, 2.5):
+            cases.append((singularity_conic(geom, phi), tuple(np.array([2.0, 2.0, 8.0, 8.0]) * scale), 0.01 * scale))
+    rng = np.random.default_rng(61)
+    for _ in range(9):
+        base = np.asarray(REF_BASE) + rng.normal(scale=1.0, size=(3, 2))
+        platform = np.asarray(REF_PLATFORM) + rng.normal(scale=0.5, size=(3, 2))
+        geom = RobotGeometry(base, platform)
+        for phi in rng.uniform(0.0, 2.0 * np.pi, 3):
+            cases.append((singularity_conic(geom, phi), (-10.0, -10.0, 20.0, 20.0), 0.1))
+    for _ in range(60):
+        coeffs = rng.normal(size=6) * 10.0 ** rng.uniform(-8, 8, 6)
+        conic = SingularityConic(coeffs, 0.0, np.zeros((3, 2)), "hyperbola")
+        x0, y0 = rng.uniform(-5.0, 5.0, 2)
+        w, h = 10.0 ** rng.uniform(-1.0, 2.0, 2)
+        cases.append((conic, (x0, y0, x0 + w, y0 + h), 10.0 ** rng.uniform(-2.5, -0.5) * min(w, h)))
+    # the unit circle about (1e6, 0), whose rounding on the lattice
+    # (about 1e-4) flips signs in a band many cells wide
+    circle = SingularityConic(np.array([1.0, 0.0, 1.0, -2e6, 0.0, 1e12 - 1.0]), 0.0, np.zeros((3, 2)), "ellipse")
+    for step in (1e-5, 1e-4):
+        cases.append((circle, (1e6 + 1 - 1e-3, -1e-3, 1e6 + 1 + 1e-3, 1e-3), step))
+    cases.append((circle, (1e6 - 1.5, -1.5, 1e6 + 1.5, 1.5), 0.01))
+    special = [[0.0, q11, 0.0, 0.0, 0.0, q00] for q11 in (1.0, -1.0) for q00 in (0.01, -0.01)]  # saddles
+    special += [[0.0, 0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 3.0], [0.0] * 6]  # Q = y, q00, 0
+    for coeffs in special:
+        conic = SingularityConic(np.array(coeffs), 0.0, np.zeros((3, 2)), "degenerate")
+        cases += [(conic, (-1.25, -1.25, 1.25, 1.25), 0.5), (conic, (-1.0, -1.0, 1.0, 1.0), 0.01)]
+    return cases
+
+
+def test_block_contour_equals_the_full_lattice():
+    """Byte for byte, on the reference robot at three scales over a phi
+    sweep (whole, clipped, ~1e2 L off the origin and 0.01 s stepped
+    windows, and the phi = 0 lines through lattice nodes), seeded designs,
+    seeded conics of mixed coefficient magnitudes, the saddle conics,
+    Q = y, Q = q00 and Q = 0."""
+    cases, empty = _block_contour_cases(), 0
+    for conic, window, step in cases:
+        want = _full_lattice_polyline(conic, window, step)
+        empty += not want
+        _assert_same_polylines(sample_conic_polyline(conic, window, step), want)
+    assert empty < len(cases) / 3  # most windows hold a piece of the locus
+
+
+def test_block_contour_evaluates_few_lattice_nodes(ref, monkeypatch):
+    """On a 301^2 lattice about the reference locus, Q is evaluated (block
+    centres, block nodes and saddle centres, each counted as the size of
+    the broadcast of evaluate's inputs) at fewer than 20% of the nodes."""
+    nodes = []
+    evaluate = SingularityConic.evaluate
+    monkeypatch.setattr(
+        SingularityConic, "evaluate", lambda self, x, y: nodes.append(np.broadcast(x, y).size) or evaluate(self, x, y)
+    )
+    assert sample_conic_polyline(singularity_conic(ref, 0.9), (-10, -10, 20, 20), 0.1)
+    assert 0 < sum(nodes) < 0.2 * 301**2
+
+
+def test_block_contour_keeps_every_block_where_the_term_bound_overflows():
+    """On +-1.2e154 the sum of Q = x^2 - y^2's terms at the window's corner
+    overflows, while Q itself stays finite on the lattice: the contour keeps
+    every block and gives the full lattice's bytes instead of raising."""
+    conic = SingularityConic(np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0]), 0.0, np.zeros((3, 2)), "hyperbola")
+    window = (-1.2e154, -1.2e154, 1.2e154, 1.2e154)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sample_conic_polyline(conic, window, 1e152)
+    want = _full_lattice_polyline(conic, window, 1e152)
+    assert 1.2e154 * 1.2e154 + 1.2e154 * 1.2e154 == np.inf and len(want) == 2  # the diagonals
+    _assert_same_polylines(got, want)
 
 
 def test_polyline_no_warnings_on_flat_edges():
