@@ -132,53 +132,30 @@ class _Paths:
 
     def poses_at(self, ts, rows):
         """Arrays (x, y, phi) at parameters ``ts`` of rows ``rows``, clamped to [0, 1]."""
-        n = self.n[rows]
         t = np.minimum(np.maximum(ts, 0.0), 1.0)
-        tn = t * n
-        k = np.minimum(tn.astype(int), n - 1)
-        s = tn - k
-        i = self.first[rows] + k
-        a, d = self.table[i], self.steps[i]
-        return a[..., 0] + s * d[..., 0], a[..., 1] + s * d[..., 1], a[..., 2] + s * d[..., 2]
+        return _step_pose(self.step_at(t, rows), t)
 
-    def det_along(self, geom: RobotGeometry, ts, rows):
-        """``f(t, j)``: the determinant at parameters ``t`` of the path steps
-        of rows ``rows[j]`` that hold ``ts[j]`` (1-D arrays), for the
-        halving rounds of :func:`_split_gaps`, which may hold many points.
-
-        Each step's index, start and rate are read once, here.  A parameter
-        inside a step, as every sample gap's interior point is (at least
-        CROSSING_T_TOL / 2 from its ends), gets the pose :meth:`poses_at`
-        gives, bit for bit.
-        """
+    def step_at(self, ts, rows):
+        """The path step of rows ``rows`` that holds each parameter ``ts``
+        (in [0, 1]), as ``(n, k, x, y, phi, dx, dy, dphi)``: the row's
+        segment count, the step's index in the row, its start and its rate.
+        Every point of a path is placed on the step read here
+        (:func:`_step_pose`)."""
         n = self.n[rows]
         k = np.minimum((ts * n).astype(int), n - 1)
         i = self.first[rows] + k
-        cols = np.vstack([n, k, self.table[i].T, self.steps[i].T])
+        a, d = self.table[i], self.steps[i]
+        return n, k, a[..., 0], a[..., 1], a[..., 2], d[..., 0], d[..., 1], d[..., 2]
 
-        def f(t, j):
-            n, k, x, y, phi, dx, dy, dphi = cols[:, j]
-            s = t * n - k
-            return _leg_det(geom, *_leg_vectors(geom, x + s * dx, y + s * dy, phi + s * dphi))
 
-        return f
-
-    def step_pose(self, t_mid: float, row: int):
-        """``pose(t)``: the pose (x, y, phi) in Python floats at parameters
-        ``t`` of the path step of row ``row`` that holds ``t_mid``, read
-        once here, as :meth:`det_along` reads it.  A parameter inside the
-        step, as every bracket's interior point is, gets the bits of
-        :meth:`poses_at`."""
-        n = int(self.n[row])
-        k = min(int(t_mid * n), n - 1)
-        i = int(self.first[row]) + k
-        (x, y, phi), (dx, dy, dphi) = self.table[i].tolist(), self.steps[i].tolist()
-
-        def pose(t):
-            s = t * n - k
-            return x + s * dx, y + s * dy, phi + s * dphi
-
-        return pose
+def _step_pose(step, t):
+    """The pose (x, y, phi) at parameters ``t`` on ``step``, a path step of
+    :meth:`_Paths.step_at`: as arrays, or as one step's floats, which round
+    the same way.  A parameter inside the step gets the bits of
+    :meth:`_Paths.poses_at`."""
+    n, k, x, y, phi, dx, dy, dphi = step
+    s = t * n - k
+    return x + s * dx, y + s * dy, phi + s * dphi
 
 
 @dataclass(frozen=True)
@@ -352,10 +329,11 @@ def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
     samples, it flips iff |d| <= ZERO_TOUCH_REL * L at the root of
     d(t) . d(t_k), found to 1e-14 (exact at constant phi) per bracket in
     Python floats (:func:`_bracket_root`), from the kernel's one-pose form
-    on the path step that holds the bracket (:meth:`_Paths.step_pose`),
-    which places each point as :meth:`_Paths.poses_at` does.  A zero without
-    reversal, or a length pinned below the zero band across consecutive
-    samples, raises :class:`AmbiguousContinuation`.
+    on the path step that holds the bracket.  The steps of all brackets
+    are read in one :meth:`_Paths.step_at` call, and :func:`_step_pose`
+    places each point, the root included, as :meth:`_Paths.poses_at` does.
+    A zero without reversal, or a length pinned below the zero band across
+    consecutive samples, raises :class:`AmbiguousContinuation`.
     """
     s = _sampled(geom, path)
     paths, ts, (dx, dy, dist, _) = s.paths, s.ts, s.legs
@@ -380,23 +358,21 @@ def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
             flips.append((float(ts[k]), leg))
     k, leg = np.nonzero(~below[:-1] & ~below[1:] & (dots < 0.0))
     if len(k):
-        legs, t_star = _leg_floats(geom), []
-        brackets = (ts[k], ts[k + 1], dist[k, leg] ** 2, dots[k, leg], leg, dx[k, leg], dy[k, leg])
-        for lo, hi, flo, fhi, i, dx_k, dy_k in zip(*(v.tolist() for v in brackets)):
-            pose = paths.step_pose(0.5 * (lo + hi), 0)
+        legs, lo, hi = _leg_floats(geom), ts[k], ts[k + 1]
+        steps = paths.step_at(0.5 * (lo + hi), s.rows[k])
+        brackets = (lo, hi, dist[k, leg] ** 2, dots[k, leg], leg, dx[k, leg], dy[k, leg], *steps)
+        for lo, hi, flo, fhi, i, dx_k, dy_k, *step in zip(*(v.tolist() for v in brackets)):
 
             def dot(t):
                 """Leg i's vector at t, dotted with it at t_k."""
-                vx, vy = _float_leg_vectors(legs, *pose(t))
+                vx, vy = _float_leg_vectors(legs, *_step_pose(step, t))
                 return vx[i] * dx_k + vy[i] * dy_k
 
-            t_star.append(_bracket_root(dot, lo, hi, flo, fhi, 1e-14))
-        t_star = np.array(t_star)
-        # above the zero band the leg swings past its base joint: a near miss
-        dx, dy = _leg_vectors(geom, *paths.poses_at(t_star, 0))
-        cols = np.arange(len(k))
-        hit = np.hypot(dx[leg, cols], dy[leg, cols]) <= zero_tol
-        flips += zip(t_star[hit].tolist(), leg[hit].tolist())
+            t = _bracket_root(dot, lo, hi, flo, fhi, 1e-14)
+            # above the zero band the leg swings past its base joint: a near miss
+            vx, vy = _float_leg_vectors(legs, *_step_pose(step, t))
+            if np.hypot(vx[i], vy[i]) <= zero_tol:
+                flips.append((t, i))
 
     flips.sort()
     signs = np.ones(dist.shape)
@@ -496,9 +472,10 @@ def _split_gaps(geom: RobotGeometry, s: _SampledPath):
     on a row of n segments) whose end values both exceed M n^2 h^2 (the
     bound on its distance from the chord) keeps their sign; one whose ends
     exceed the largest M n^2 h^2 of the path keeps it without looking up
-    its step.  The others are halved, all per round in one determinant
-    call (:meth:`_Paths.det_along`), until certified or CROSSING_T_TOL
-    wide; a midpoint of the other sign (or zero) joins the samples.  Ends
+    its step.  The others read their steps once (:meth:`_Paths.step_at`)
+    and are halved, all per round in one determinant call on their steps
+    (:func:`_step_pose`), until certified or CROSSING_T_TOL wide; a
+    midpoint of the other sign (or zero) joins the samples.  Ends
     in the zero band are not tested: |det| <= ZERO_DET_REL times the row's
     largest, or times T, below which rounding decides the sign.
     """
@@ -514,15 +491,15 @@ def _split_gaps(geom: RobotGeometry, s: _SampledPath):
     if not len(k):
         return ts, rows, dets, band
     lo, hi, flo, fhi, row = ts[k], ts[k + 1], dets[k], dets[k + 1], rows[k]
-    n, mid0 = paths.n[row], 0.5 * (lo + hi)
-    seg = paths.first[row] + np.minimum((mid0 * n).astype(int), n - 1)
+    step = paths.step_at(0.5 * (lo + hi), row)
+    n, seg = step[0], paths.first[row] + step[1]
     bound, zero = curvature[seg] * (n * n), np.maximum(band[row], ZERO_DET_REL * size[seg])
-    found, f, g, det_at = [], f[k], np.arange(len(k)), None
+    step = np.stack(step)
+    found, f, g = [], f[k], np.arange(len(k))
     while (keep := (f > zero[g]) & (f <= bound[g] * (hi - lo) ** 2) & (hi - lo > CROSSING_T_TOL)).any():
         lo, hi, flo, fhi, g = (w[keep] for w in (lo, hi, flo, fhi, g))
-        det_at = det_at or paths.det_along(geom, mid0, row)  # on the first round
         mid = 0.5 * (lo + hi)
-        fmid = det_at(mid, g)
+        fmid = _leg_det(geom, *_leg_vectors(geom, *_step_pose(step[:, g], mid)))
         other = fmid * flo <= 0.0
         found.append((row[g[other]], mid[other], fmid[other]))
         go = ~other
@@ -542,13 +519,16 @@ def _crossing_roots(geom: RobotGeometry, paths: _Paths, ts, rows, dets, k) -> li
     ``paths``, each refined on its own to CROSSING_T_TOL
     (:func:`_bracket_root`) in Python floats, on the determinant of the
     kernel's one-pose form (:func:`_float_leg_det`) along the path step
-    that holds the bracket's midpoint (:meth:`_Paths.step_pose`)."""
-    legs, roots = _leg_floats(geom), []
-    for lo, hi, flo, fhi, row in zip(*(v.tolist() for v in (ts[k], ts[k + 1], dets[k], dets[k + 1], rows[k]))):
-        pose = paths.step_pose(0.5 * (lo + hi), row)
+    that holds the bracket's midpoint.  One :meth:`_Paths.step_at` call
+    reads every bracket's step."""
+    if not len(k):
+        return []
+    legs, roots, lo, hi = _leg_floats(geom), [], ts[k], ts[k + 1]
+    brackets = (lo, hi, dets[k], dets[k + 1], *paths.step_at(0.5 * (lo + hi), rows[k]))
+    for lo, hi, flo, fhi, *step in zip(*(v.tolist() for v in brackets)):
 
         def det_at(t):
-            return _float_leg_det(legs, *_float_leg_vectors(legs, *pose(t)))
+            return _float_leg_det(legs, *_float_leg_vectors(legs, *_step_pose(step, t)))
 
         roots.append(_bracket_root(det_at, lo, hi, flo, fhi, CROSSING_T_TOL))
     return roots
@@ -609,7 +589,7 @@ def detect_crossings(
 ) -> list[CrossingEvent]:
     """Locate and classify zeros of the determinant along the path.
 
-    Sign changes are refined to |dt| <= 1e-10, all at once.  A crossing
+    Sign changes are refined to |dt| <= 1e-10, each on its own.  A crossing
     within ``eps_pass`` of a serial point whose remaining leg lines clear
     the coinciding joint is a passage; other sign changes are parallel
     crossings.  Zeros without a sign change are reported as grazing.  A

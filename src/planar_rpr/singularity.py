@@ -380,10 +380,13 @@ def sample_conic_polyline(conic: SingularityConic, window, step: float) -> list[
         lower = np.abs(conic.evaluate(cx, cy)) - hx * np.abs(2.0 * q20 * cx + q10 + q11 * cy)
         lower -= hy * np.abs(q11 * cx + (2.0 * q02 * cy + q01))
         bi, bj = np.nonzero(~(lower > 2.0 * err + (a20 * hx * hx + a11 * hx * hy + a02 * hy * hy)))
-        # a kept block past the last row or column repeats its last node; the
-        # stitcher drops the zero-length segments of its zero-width cells
-        ni = np.minimum(_BLOCK * bi[:, None] + np.arange(_BLOCK + 1), nx - 1)
-        nj = np.minimum(_BLOCK * bj[:, None] + np.arange(_BLOCK + 1), ny - 1)
+        if len(bi) == lower.size:  # every block kept: one block spans the lattice
+            ni, nj = np.arange(nx)[None], np.arange(ny)[None]
+        else:
+            # a kept block past the last row or column repeats its last node; the
+            # stitcher drops the zero-length segments of its zero-width cells
+            ni = np.minimum(_BLOCK * bi[:, None] + np.arange(_BLOCK + 1), nx - 1)
+            nj = np.minimum(_BLOCK * bj[:, None] + np.arange(_BLOCK + 1), ny - 1)
         X, Y = xs[ni], ys[nj]
         Q = conic.evaluate(X[:, :, None], Y[:, None, :])
     if not np.all(np.isfinite(Q)):

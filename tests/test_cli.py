@@ -293,6 +293,9 @@ REF_JOINTS = "2.23606798,8.06225775,7.21110255"
         # two parallel crossings between the same two samples, each refined
         # by about ten Illinois steps
         (["verify", "--path", str(DATA / "verify_path_hidden_pair.json")], "cli_verify_hidden_pair.json"),
+        # the same pair on the middle step of a three-segment path: its
+        # gaps are halved and its brackets refined on step 1 of 3
+        (["verify", "--path", str(DATA / "verify_path_hidden_pair_3seg.json")], "cli_verify_hidden_pair_3seg.json"),
         # leg 1 passes its serial point S_1(0.83) at t = 5/7, between two
         # samples: the sign continuation refines the leg's reversal
         (["verify", "--path", str(DATA / "verify_path_reversal.json")], "cli_verify_reversal.json"),

@@ -90,14 +90,24 @@ def test_pose_interpolation_wraps_phi():
     assert mid.phi == pytest.approx(0.0)  # short way through zero
 
 
-def _scalar_pose(path, t):
+def _scalar_pose(waypoints, t):
     """The scalar interpolation formula of WorkspacePath.pose_at in 0.1.0."""
-    n = len(path.waypoints) - 1
+    n = len(waypoints) - 1
     t = min(max(float(t), 0.0), 1.0)
     k = min(int(t * n), n - 1)
     s = t * n - k
-    a, b = path.waypoints[k], path.waypoints[k + 1]
+    a, b = waypoints[k], waypoints[k + 1]
     return (a.x + s * (b.x - a.x), a.y + s * (b.y - a.y), a.phi + s * wrap_angle(b.phi - a.phi))
+
+
+def _scalar_poses(paths, ts, rows):
+    """_scalar_pose at each parameter of ``ts`` on its row of ``rows`` of
+    ``paths`` (1-D arrays), as an (m, 3) array."""
+    out = []
+    for t, r in zip(ts.tolist(), rows.tolist()):
+        first, n = int(paths.first[r]), int(paths.n[r])
+        out.append(_scalar_pose([Pose(*p) for p in paths.table[first : first + n + 1].tolist()], t))
+    return np.array(out).reshape(-1, 3)
 
 
 def test_poses_at_matches_pose_at_bitwise():
@@ -114,7 +124,7 @@ def test_poses_at_matches_pose_at_bitwise():
     x, y, phi = path.poses_at(ts)
     arrays = np.column_stack([x, y, phi])
     scalar = np.array([path.pose_at(t).as_tuple() for t in ts])
-    reference = np.array([_scalar_pose(path, t) for t in ts])
+    reference = np.array([_scalar_pose(path.waypoints, t) for t in ts])
     assert arrays.tobytes() == scalar.tobytes() == reference.tobytes()
     # any array shape comes back in the same shape
     assert path.poses_at(ts[:12].reshape(3, 4))[2].shape == (3, 4)
@@ -1731,11 +1741,12 @@ def _sorted_sample_keys(geom, paths):
 def _equivalence_cases(ref):
     """Rows to sample, as (design, _Paths): constant-phi segments through a
     serial point (refined near it), polylines along which x, y and phi all
-    move, and planner batches of 1 to 1,024 one-segment rows, some of them
-    through serial points."""
+    move, planner batches of 1 to 1,024 one-segment rows, some of them
+    through serial points, and three-segment polylines, whose step ends
+    k / 3 are not binary fractions."""
     rng = np.random.default_rng(59)
-    cases = []
-    for geom in [ref, *_seeded_designs(59, 3)]:
+    cases, designs = [], [ref, *_seeded_designs(59, 3)]
+    for geom in designs:
         Lg = characteristic_scale(geom)
         for leg in range(3):
             phi = rng.uniform(0.0, 2.0 * np.pi)
@@ -1752,6 +1763,10 @@ def _equivalence_cases(ref):
             step[: m // 2, 2] = 0.0  # constant phi
             table = np.stack([p0 - 0.5 * step, p0 + 0.5 * step], axis=1).reshape(-1, 3)
             cases.append((geom, modeplan._Paths(table, 2 * np.arange(m), np.ones(m, dtype=int), 16)))
+    for geom in designs:
+        Lg = characteristic_scale(geom)
+        wps = tuple(Pose(*rng.uniform(-Lg, 2 * Lg, 2), rng.uniform(-4, 4)) for _ in range(4))
+        cases.append((geom, WorkspacePath(wps, 16)._paths))
     return cases
 
 
@@ -1759,12 +1774,14 @@ def test_sampling_and_refinement_equal_the_one_pass_forms(ref):
     """The samples keep their bits: _sample_params, which evaluates the
     base samples once and then only the refinement samples, gives the
     parameters, rows and kernel outputs of the former sort-then-evaluate
-    pass.  The crossing brackets keep theirs too: det_along, which reads
-    each sample gap's path step once, gives the determinant of poses_at at
-    every point at least CROSSING_T_TOL / 2 inside a bracket, and the
-    detector's roots, each bracket refined on its own in Python floats,
-    are those the former all-bracket refinement through poses_at and the
-    kernel gave."""
+    pass.  The crossing brackets keep theirs too.  At every point at least
+    CROSSING_T_TOL / 2 inside a bracket, poses_at gives the pose of the
+    scalar formula, and the halving rounds' form, the kernel on the path
+    step read once at the bracket's midpoint (step_at, _step_pose), gives
+    the determinant of poses_at.  The detector's roots, each bracket refined
+    on its own in Python floats, are those the former all-bracket
+    refinement through poses_at and the kernel gave.  An empty selection
+    and a scalar parameter on row 0 read their steps as poses_at does."""
     tol = modeplan.CROSSING_T_TOL
     refined = rows_checked = brackets = 0
     for geom, paths in _equivalence_cases(ref):
@@ -1781,17 +1798,26 @@ def test_sampling_and_refinement_equal_the_one_pass_forms(ref):
         dets = want[3]
         k = np.flatnonzero((rows[:-1] == rows[1:]) & (dets[:-1] * dets[1:] < 0.0))
         lo, hi, r = ts[k], ts[k + 1], rows[k]
-        det_at = paths.det_along(geom, 0.5 * (lo + hi), r)
-        j = np.arange(len(k))
+        step = np.stack(paths.step_at(0.5 * (lo + hi), r))  # as _split_gaps reads it
         for t in (lo + 0.5 * tol, hi - 0.5 * tol, lo + (hi - lo) * np.random.default_rng(len(k)).uniform(0, 1, len(k))):
             t = np.minimum(np.maximum(t, lo + 0.5 * tol), hi - 0.5 * tol)
-            assert det_at(t, j).tobytes() == _leg_geometry(geom, *paths.poses_at(t, r))[3].tobytes()
+            pose = paths.poses_at(t, r)
+            assert np.column_stack(pose).tobytes() == _scalar_poses(paths, t, r).tobytes()
+            det = _leg_det(geom, *_leg_vectors(geom, *modeplan._step_pose(step, t)))
+            assert det.tobytes() == _leg_geometry(geom, *pose)[3].tobytes()
         old = bracket_roots_over_all(
             lambda t: _leg_geometry(geom, *paths.poses_at(t, r))[3], lo, hi, dets[k], dets[k + 1], tol
         )
         assert np.array(modeplan._crossing_roots(geom, paths, ts, rows, dets, k)).tobytes() == old.tobytes()
         brackets += len(k)
+        for t in (0.0, 1.0, *np.random.default_rng(len(k)).uniform(0.0, 1.0, 8).tolist()):  # row 0, scalar
+            scalar = _scalar_poses(paths, np.array([t]), np.array([0]))[0].tobytes()
+            assert np.array(modeplan._step_pose(paths.step_at(t, 0), t)).tobytes() == scalar
+            assert np.array(paths.poses_at(t, 0)).tobytes() == scalar
     assert rows_checked > 4 * 1096 and brackets > 100 and refined > 20
+    none = np.array([], dtype=int)
+    assert all(v.size == 0 for v in modeplan._step_pose(paths.step_at(none * 0.5, none), none * 0.5))
+    assert modeplan._crossing_roots(geom, paths, ts, rows, dets, none) == []
 
 
 def _assert_float_forms_equal_the_kernel(geom, x, y, phi):
@@ -1815,7 +1841,9 @@ def test_float_leg_forms_give_the_kernel_bits(ref):
     seeded designs, platform frames offset by up to 1e4 L from their joints
     and poses up to 1e4 L away, angles at and near 0, +-pi and 2 pi, and
     the points inside the crossing brackets of _equivalence_cases, placed
-    by step_pose as poses_at places them.  math.cos and math.sin give the
+    in floats on the step step_at reads at each bracket's midpoint as
+    poses_at places them, and so is a scalar parameter on row 0.  An empty
+    selection reads no step.  math.cos and math.sin give the
     bits of np.cos and np.sin on all these angles: a host where they differ
     fails here instead of moving certificates."""
     rng = np.random.default_rng(25)
@@ -1843,15 +1871,21 @@ def test_float_leg_forms_give_the_kernel_bits(ref):
         ts, rows, legs = modeplan._sample_params(geom, paths)
         dets = legs[3]
         k = np.flatnonzero((rows[:-1] == rows[1:]) & (dets[:-1] * dets[1:] < 0.0))
-        for lo, hi, r in zip(ts[k].tolist(), ts[k + 1].tolist(), rows[k].tolist()):
-            pose = paths.step_pose(0.5 * (lo + hi), r)
+        steps = paths.step_at(0.5 * (ts[k] + ts[k + 1]), rows[k])
+        for lo, hi, r, *step in zip(*(v.tolist() for v in (ts[k], ts[k + 1], rows[k], *steps))):
             t = np.array([lo + 0.5 * tol, hi - 0.5 * tol, *rng.uniform(lo, hi, 3)])
             t = np.minimum(np.maximum(t, lo + 0.5 * tol), hi - 0.5 * tol)
             x, y, phi = paths.poses_at(t, r)
-            assert np.array([pose(v) for v in t.tolist()]).T.tobytes() == np.array([x, y, phi]).tobytes()
+            floats = [modeplan._step_pose(step, v) for v in t.tolist()]
+            assert np.array(floats).T.tobytes() == np.array([x, y, phi]).tobytes()
             _assert_float_forms_equal_the_kernel(geom, x, y, phi)
             inside += len(t)
     assert poses > 2500 and inside > 4000
+    none = np.array([], dtype=int)
+    assert all(v.tolist() == [] for v in paths.step_at(none * 0.5, none))
+    for t in (0.0, 1.0, *rng.uniform(0.0, 1.0, 8).tolist()):
+        floats = modeplan._step_pose([v.tolist() for v in paths.step_at(t, 0)], t)
+        assert np.array(floats).tobytes() == np.array(paths.poses_at(t, 0)).tobytes()
 
 
 def test_serial_clearance_agrees_between_classifier_and_crossing_detector(ref):

@@ -665,15 +665,22 @@ def test_block_contour_evaluates_few_lattice_nodes(ref, monkeypatch):
     assert 0 < sum(nodes) < 0.2 * 301**2
 
 
-def test_block_contour_keeps_every_block_where_the_term_bound_overflows():
+def test_block_contour_keeps_every_block_where_the_term_bound_overflows(monkeypatch):
     """On +-1.2e154 the sum of Q = x^2 - y^2's terms at the window's corner
     overflows, while Q itself stays finite on the lattice: the contour keeps
-    every block and gives the full lattice's bytes instead of raising."""
+    every block and gives the full lattice's bytes instead of raising.  It
+    evaluates the lattice as one block, each of its 241^2 nodes once."""
     conic = SingularityConic(np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0]), 0.0, np.zeros((3, 2)), "hyperbola")
     window = (-1.2e154, -1.2e154, 1.2e154, 1.2e154)
+    calls = []
+    evaluate = SingularityConic.evaluate
+    monkeypatch.setattr(
+        SingularityConic, "evaluate", lambda self, x, y: calls.append(np.broadcast(x, y)) or evaluate(self, x, y)
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = sample_conic_polyline(conic, window, 1e152)
+    assert [b.size for b in calls if b.ndim == 3] == [241**2]  # the lattice's nodes; not the centres
     want = _full_lattice_polyline(conic, window, 1e152)
     assert 1.2e154 * 1.2e154 + 1.2e154 * 1.2e154 == np.inf and len(want) == 2  # the diagonals
     _assert_same_polylines(got, want)
