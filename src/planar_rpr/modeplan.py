@@ -96,8 +96,7 @@ class WorkspacePath:
         if not np.all(np.isfinite(table)):
             raise ValidationError("waypoints must have finite coordinates")
         object.__setattr__(self, "waypoints", wps)
-        one_row = _Paths(table, np.array([0]), np.array([len(wps) - 1]), self.samples_per_segment)
-        object.__setattr__(self, "_paths", one_row)
+        object.__setattr__(self, "_paths", _Paths(table[None], self.samples_per_segment))
 
     def poses_at(self, ts):
         """Arrays (x, y, phi) at global parameters ``ts``, clamped to [0, 1]."""
@@ -110,24 +109,22 @@ class WorkspacePath:
 
 @dataclass(frozen=True)
 class _Paths:
-    """Piecewise-linear pose paths stored end to end, one per row.
+    """Piecewise-linear pose paths of one segment count n, one per row.
 
-    Row r runs through the waypoints ``table[first[r] : first[r] + n[r] + 1]``
-    with ``samples`` base samples on each of its ``n[r]`` segments, and has
-    its own parameter t in [0, 1].  A :class:`WorkspacePath` is one row; the
-    planner's batched crossing check makes one row per segment.
-    ``steps[i]`` is the step from waypoint i to i + 1, phi wrapped.
+    Row r runs through the n + 1 waypoints ``table[r]`` with ``samples``
+    base samples on each of its n segments, and has its own parameter t in
+    [0, 1].  A :class:`WorkspacePath` is one row; the planner's batched
+    crossing check makes one row per segment.  ``steps[r, k]`` is the step
+    from waypoint k of row r to waypoint k + 1, phi wrapped.
     """
 
     table: np.ndarray
-    first: np.ndarray
-    n: np.ndarray
     samples: int
     steps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        steps = self.table[1:] - self.table[:-1]
-        steps[:, 2] = wrap_angle(steps[:, 2])
+        steps = self.table[:, 1:] - self.table[:, :-1]
+        steps[..., 2] = wrap_angle(steps[..., 2])
         object.__setattr__(self, "steps", steps)
 
     def poses_at(self, ts, rows):
@@ -137,15 +134,14 @@ class _Paths:
 
     def step_at(self, ts, rows):
         """The path step of rows ``rows`` that holds each parameter ``ts``
-        (in [0, 1]), as ``(n, k, x, y, phi, dx, dy, dphi)``: the row's
-        segment count, the step's index in the row, its start and its rate.
-        Every point of a path is placed on the step read here
-        (:func:`_step_pose`)."""
-        n = self.n[rows]
-        k = np.minimum((ts * n).astype(int), n - 1)
-        i = self.first[rows] + k
-        a, d = self.table[i], self.steps[i]
-        return n, k, a[..., 0], a[..., 1], a[..., 2], d[..., 0], d[..., 1], d[..., 2]
+        (in [0, 1]), as ``(n, k, x, y, phi, dx, dy, dphi)``: the segment
+        count (one per parameter), the step's index in its row, its start
+        ``table[rows, k]`` and its rate ``steps[rows, k]``.  Every point of
+        a path is placed on the step read here (:func:`_step_pose`)."""
+        n = self.steps.shape[1]
+        k = np.minimum((np.asarray(ts) * n).astype(int), n - 1)
+        a, d = self.table[rows, k], self.steps[rows, k]
+        return np.full(k.shape, n), k, a[..., 0], a[..., 1], a[..., 2], d[..., 0], d[..., 1], d[..., 2]
 
 
 def _step_pose(step, t):
@@ -242,23 +238,17 @@ class ModeChangeCertificate:
 
 def _sample_params(geom: RobotGeometry, paths: _Paths):
     """Dense parameters ``ts`` of every row, their rows, and the kernel
-    outputs of :func:`_leg_geometry` at them: uniform per segment, refined
-    x8 where any leg length drops below the refinement band.  Each sample
-    is evaluated once: the base samples' outputs are kept, and only the
-    refinement samples are evaluated after them.
-
-    Sample t of row r is the key ``r + 1j * t``.  Numpy orders complex
-    numbers by real part, then imaginary part, so the keys sort row by row
-    and by t within a row, and sorting or searching them stays in a row.
+    outputs of :func:`_leg_geometry` at them, sorted by row and by t within
+    a row: uniform per segment, refined x8 where any leg length drops below
+    the refinement band.  Each sample is evaluated once: the base samples'
+    outputs are kept, and only the refinement samples are evaluated after
+    them.  A refinement sample lies strictly inside its gap, so no two
+    samples of a row are equal.
     """
-    ns, S = paths.n.tolist(), paths.samples
-    # the base parameters of each distinct segment count; a segment's end starts the next one
-    uniform = {}
-    for n in set(ns):
-        u = (np.arange(n)[:, None] + np.linspace(0.0, 1.0, S + 1)).ravel() / n
-        uniform[n] = u[_first_of_runs(u)]
-    ts = np.concatenate([uniform[n] for n in ns])
-    rows = np.repeat(np.arange(len(ns)), [len(uniform[n]) for n in ns])
+    m, n, _ = paths.steps.shape
+    # the base parameters of a row: each segment's but its end, which starts the next one, then t = 1
+    u = np.append((np.arange(n)[:, None] + np.linspace(0.0, 1.0, paths.samples + 1)[:-1]).ravel(), n) / n
+    ts, rows = np.tile(u, m), np.repeat(np.arange(m), len(u))
     legs = _leg_geometry(geom, *paths.poses_at(ts, rows))
     dmin = legs[2].min(axis=-1)
     band = REFINE_BAND_REL * geom.L
@@ -270,18 +260,8 @@ def _sample_params(geom: RobotGeometry, paths: _Paths):
     extra_rows = np.repeat(rows[k], len(frac))
     more = _leg_geometry(geom, *paths.poses_at(extra, extra_rows))
     ts, rows = np.concatenate([ts, extra]), np.concatenate([rows, extra_rows])
-    keys = rows + 1j * ts
-    order = np.argsort(keys, kind="stable")
-    order = order[_first_of_runs(keys[order])]  # np.unique, which is slower on complex numbers
+    order = np.lexsort((ts, rows))
     return ts[order], rows[order], tuple(np.concatenate([a, b])[order] for a, b in zip(legs, more))
-
-
-def _first_of_runs(a):
-    """Mask of the entries of ``a`` that differ from their predecessor."""
-    first = np.empty(len(a), dtype=bool)
-    first[:1] = True
-    np.not_equal(a[1:], a[:-1], out=first[1:])
-    return first
 
 
 @dataclass(frozen=True)
@@ -296,6 +276,14 @@ class _SampledPath:
     legs: tuple
 
 
+def _short_steps(geom: RobotGeometry, steps):
+    """Mask of the path steps ``steps`` (..., 3), phi wrapped, that are at
+    most 1e-9 * L long in pose distance max(|(dx, dy)|, L |dphi|): such a
+    step joins two waypoints that are not distinct and crosses nothing."""
+    length = np.maximum(np.hypot(steps[..., 0], steps[..., 1]), geom.L * np.abs(steps[..., 2]))
+    return length <= 1e-9 * geom.L
+
+
 def _sampled(geom: RobotGeometry, path: WorkspacePath | _Paths | _SampledPath) -> _SampledPath:
     """Check the waypoints, draw the samples and evaluate the kernel on them
     (:func:`_sample_params`).
@@ -307,10 +295,9 @@ def _sampled(geom: RobotGeometry, path: WorkspacePath | _Paths | _SampledPath) -
     if isinstance(path, _SampledPath):
         return path
     if isinstance(path, WorkspacePath):
-        for a, b in zip(path.waypoints[:-1], path.waypoints[1:]):
-            if pose_distance(a, b, geom.L) <= 1e-9 * geom.L:
-                raise ValidationError("consecutive waypoints must be distinct")
         path = path._paths
+        if _short_steps(geom, path.steps).any():
+            raise ValidationError("consecutive waypoints must be distinct")
     with np.errstate(over="ignore", invalid="ignore"):
         ts, rows, legs = _sample_params(geom, path)
     if not (np.isfinite(legs[3]).all() and math.isfinite(legs[2].max())):
@@ -450,17 +437,17 @@ def _gap_forms(geom: RobotGeometry):
 
 
 def _step_bounds(geom: RobotGeometry, paths: _Paths):
-    """Per step of ``paths``: the bound M on |det''| / 8 per unit of the
-    step's own parameter, and the bound T on |det|, from the design's gap
-    forms (:func:`_gap_forms`)."""
+    """Per step of ``paths``, as arrays (rows, n) indexed like ``steps``:
+    the bound M on |det''| / 8 per unit of the step's own parameter, and
+    the bound T on |det|, from the design's gap forms (:func:`_gap_forms`)."""
     o, curv, size = geom.gap_forms
-    z = np.ones((len(paths.steps), 6))
-    np.abs(paths.steps, out=z[:, :3])
-    ends = np.abs(paths.table[:, :2] - o)
-    np.maximum(ends[:-1], ends[1:], out=z[:, 3:5])
-    pairs = (z[:, :, None] * z[:, None, :]).reshape(-1, 36)
+    z = np.ones((*paths.steps.shape[:2], 6))
+    np.abs(paths.steps, out=z[..., :3])
+    ends = np.abs(paths.table[..., :2] - o)
+    np.maximum(ends[:, :-1], ends[:, 1:], out=z[..., 3:5])
+    pairs = (z[..., :, None] * z[..., None, :]).reshape(-1, 36)
     R, W = pairs[:, _RATE_PAIRS], pairs[:, _END_PAIRS]
-    return ((R @ curv) * W).sum(axis=1), W @ size
+    return ((R @ curv) * W).sum(axis=1).reshape(z.shape[:2]), (W @ size).reshape(z.shape[:2])
 
 
 def _split_gaps(geom: RobotGeometry, s: _SampledPath):
@@ -468,32 +455,34 @@ def _split_gaps(geom: RobotGeometry, s: _SampledPath):
     every same-sign gap that hides zeros, and each row's zero band.
 
     The bounds M and T of each path step (:func:`_step_bounds`) are
-    computed once and indexed per gap.  A gap of width h (in its row's t,
-    on a row of n segments) whose end values both exceed M n^2 h^2 (the
-    bound on its distance from the chord) keeps their sign; one whose ends
-    exceed the largest M n^2 h^2 of the path keeps it without looking up
-    its step.  The others read their steps once (:meth:`_Paths.step_at`)
-    and are halved, all per round in one determinant call on their steps
-    (:func:`_step_pose`), until certified or CROSSING_T_TOL wide; a
-    midpoint of the other sign (or zero) joins the samples.  Ends
-    in the zero band are not tested: |det| <= ZERO_DET_REL times the row's
-    largest, or times T, below which rounding decides the sign.
+    computed once and indexed per gap by its row and step.  A gap of width
+    h (in its row's t, on rows of n segments) whose end values both exceed
+    M n^2 h^2 (the bound on its distance from the chord) keeps their sign;
+    one whose ends exceed the largest M n^2 h^2 of the paths keeps it
+    without looking up its step.  The others read their steps once
+    (:meth:`_Paths.step_at`) and are halved, all per round in one
+    determinant call on their steps (:func:`_step_pose`), until certified
+    or CROSSING_T_TOL wide; a midpoint of the other sign (or zero) joins
+    the samples.  Ends in the zero band are not tested: |det| <=
+    ZERO_DET_REL times the row's largest, or times T, below which rounding
+    decides the sign.
     """
     paths, ts, rows, dets = s.paths, s.ts, s.rows, s.legs[3]
     a = np.abs(dets)
-    band = ZERO_DET_REL * np.maximum.reduceat(a, _first_of_runs(rows).nonzero()[0])
+    band = ZERO_DET_REL * np.maximum.reduceat(a, np.searchsorted(rows, np.arange(len(paths.table))))
     band[band == 0.0] = ZERO_DET_REL
     curvature, size = _step_bounds(geom, paths)
     h, f = ts[1:] - ts[:-1], np.minimum(a[:-1], a[1:])
-    largest = curvature.max() * (paths.n.max() ** 2)  # nan leaves every gap to its step
+    n = paths.steps.shape[1]
+    largest = curvature.max() * n**2  # nan leaves every gap to its step
     k = (rows[:-1] == rows[1:]) & (dets[:-1] * dets[1:] > 0.0) & ~(f > largest * h**2) & (h > CROSSING_T_TOL)
     k = k.nonzero()[0]
     if not len(k):
         return ts, rows, dets, band
     lo, hi, flo, fhi, row = ts[k], ts[k + 1], dets[k], dets[k + 1], rows[k]
     step = paths.step_at(0.5 * (lo + hi), row)
-    n, seg = step[0], paths.first[row] + step[1]
-    bound, zero = curvature[seg] * (n * n), np.maximum(band[row], ZERO_DET_REL * size[seg])
+    seg = row, step[1]
+    bound, zero = curvature[seg] * n**2, np.maximum(band[row], ZERO_DET_REL * size[seg])
     step = np.stack(step)
     found, f, g = [], f[k], np.arange(len(k))
     while (keep := (f > zero[g]) & (f <= bound[g] * (hi - lo) ** 2) & (hi - lo > CROSSING_T_TOL)).any():
@@ -567,7 +556,7 @@ def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> l
     classified = _classify_zeros(geom, *paths.poses_at(t_ev[crossing], r_ev[crossing]), eps_pass)
     for j, c in zip(np.flatnonzero(crossing).tolist(), classified):
         info[j] = c
-    events = [[] for _ in paths.n]
+    events = [[] for _ in paths.table]
     for j in np.lexsort((t_ev, r_ev)).tolist():
         events[r_ev[j]].append(CrossingEvent(float(t_ev[j]), *info[j]))
     return events
@@ -670,18 +659,18 @@ def _segments_crossings(geom, p0s, p1s, eps_pass, safe):
     """Crossing events of each pose segment ``p0s[r] -> p1s[r]`` ((m, 3)
     arrays of x, y, phi) in one pass, or None where it is inadmissible: where
     a determinant sign change on it is not a passage through a passage-safe
-    leg.  Each segment is one row, sampled as a one-segment
-    :class:`WorkspacePath`, so its events are those :func:`detect_crossings`
-    finds on it alone; one shorter than 1e-9 * L in pose distance crosses
-    nothing.
+    leg.  The segments are the one-segment rows of one batch, a table of
+    shape (m, 2, 3), each sampled as a one-segment :class:`WorkspacePath`,
+    so its events are those :func:`detect_crossings` finds on it alone; one
+    at most 1e-9 * L long in pose distance (:func:`_short_steps`) crosses
+    nothing and is not sampled.
     """
     step = p1s - p0s
-    length = np.maximum(np.hypot(step[:, 0], step[:, 1]), geom.L * np.abs(wrap_angle(step[:, 2])))
-    live = np.flatnonzero(length > 1e-9 * geom.L)
+    step[:, 2] = wrap_angle(step[:, 2])
+    live = np.flatnonzero(~_short_steps(geom, step))
     out = [[] for _ in p0s]
     if len(live):
-        table = np.stack([p0s[live], p1s[live]], axis=1).reshape(-1, 3)
-        rows = _Paths(table, 2 * np.arange(len(live)), np.ones(len(live), dtype=int), WorkspacePath.samples_per_segment)
+        rows = _Paths(np.stack([p0s[live], p1s[live]], axis=1), WorkspacePath.samples_per_segment)
         for r, events in zip(live.tolist(), _crossing_events(geom, _sampled(geom, rows), eps_pass)):
             if any(e.kind == "parallel" or (e.kind == "passage" and not safe[e.leg - 1]) for e in events):
                 events = None

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArchitecturalSingularity, SerialDegenerate, ValidationError
-from .model import MAX_SAMPLES, Pose, RobotGeometry, rotation
+from .model import MAX_SAMPLES, Pose, RobotGeometry
 
 # Leg-length band (relative to L) below which a leg line is undefined.
 LINE_DEGENERACY_REL = 1e-9
@@ -233,8 +233,9 @@ def unnormalized_determinant(geom: RobotGeometry, pose: Pose) -> float:
 
 
 def serial_points(geom: RobotGeometry, phi: float) -> np.ndarray:
-    """Positions S_i(phi) = a_i - R(phi) b_i where leg i has zero length."""
-    return geom.base - geom.platform @ rotation(phi).T
+    """Positions S_i(phi) = a_i - R(phi) b_i where leg i has zero length, one
+    row per leg: minus the leg vectors (:func:`_leg_vectors`) at (0, 0, phi)."""
+    return -np.stack(_leg_vectors(geom, 0.0, 0.0, phi), axis=-1)
 
 
 def _conic_coefficients(geom: RobotGeometry, phi, origin=(0.0, 0.0)):

@@ -9,6 +9,15 @@ from planar_rpr import RobotGeometry
 REF_BASE = [(0.0, 0.0), (10.0, 0.0), (4.0, 8.0)]
 REF_PLATFORM = [(-2.0, -1.0), (2.0, -1.0), (0.0, 2.0)]
 REF_SCALE = 10.0
+# the perfbench plan workload's seed-1 random design, whose coordinates
+# are not integers
+RANDOM0 = {
+    "name": "random0",
+    "base": [[0.5183762880971791, 1.2324272152517375], [10.49565561427508, -1.9547358474065413],
+             [5.358033800009677, 8.669561858546016]],
+    "platform": [[-2.2684766176801427, -0.7094409479018234], [2.182286198093038, -0.8529337516722371],
+                 [0.014211120657898394, 2.2733564933062236]],
+}
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +36,13 @@ def similar_design():
 def ref_file(tmp_path):
     path = tmp_path / "ref.json"
     path.write_text(json.dumps({"base": REF_BASE, "platform": REF_PLATFORM, "name": "ref"}))
+    return path
+
+
+@pytest.fixture
+def random0_file(tmp_path):
+    path = tmp_path / "random0.json"
+    path.write_text(json.dumps(RANDOM0))
     return path
 
 

@@ -245,28 +245,16 @@ def test_cli_plan_output_equals_pinned_file(ref_file, capfd, args, pinned):
     assert err == ""
 
 
-# the perfbench plan workload's seed-1 random design and seeded start
-RANDOM0 = {
-    "name": "random0",
-    "base": [[0.5183762880971791, 1.2324272152517375], [10.49565561427508, -1.9547358474065413],
-             [5.358033800009677, 8.669561858546016]],
-    "platform": [[-2.2684766176801427, -0.7094409479018234], [2.182286198093038, -0.8529337516722371],
-                 [0.014211120657898394, 2.2733564933062236]],
-}
-
-
-def test_cli_plan_on_a_random_design_equals_pinned_file(tmp_path, capfd):
+def test_cli_plan_on_a_random_design_equals_pinned_file(random0_file, capfd):
     """plan on a perturbed reference design from its seeded start prints the
     bytes pinned in tests/data (the ``--start=`` form keeps the leading
     minus out of option parsing), and the plan verifies."""
-    robot = tmp_path / "random0.json"
-    robot.write_text(json.dumps(RANDOM0))
     start = "--start=-0.127511363705203,16.112161267419438,1.9050292966180866"
-    assert main(["plan", "--robot", str(robot), start]) == 0
+    assert main(["plan", "--robot", str(random0_file), start]) == 0
     out, err = capfd.readouterr()
     assert out.encode() == (DATA / "plan_random0_seed1.json").read_bytes()
     assert err == ""
-    assert main(["verify", "--robot", str(robot), "--path", str(DATA / "plan_random0_seed1.json")]) == 0
+    assert main(["verify", "--robot", str(random0_file), "--path", str(DATA / "plan_random0_seed1.json")]) == 0
     assert json.loads(capfd.readouterr().out)["verdict"] == "changed_without_parallel"
 
 
@@ -305,6 +293,24 @@ def test_cli_output_equals_pinned_file(ref_file, capfd, args, pinned):
     """Each command prints the bytes pinned in tests/data, which an earlier
     version printed for the same command on the reference robot."""
     assert main([args[0], "--robot", str(ref_file), *args[1:]]) == 0
+    out, err = capfd.readouterr()
+    assert out.encode() == (DATA / pinned).read_bytes()
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "args, pinned",
+    [
+        (["ik", "--pose", "1,5,0.8"], "cli_ik_random0_1_5_0.8.json"),
+        (["locus", "--phi", "0.8", "--window", "-10,-10,20,20", "--step", "0.5"], "cli_locus_random0_phi0.8.json"),
+    ],
+)
+def test_cli_output_on_a_random_design_equals_pinned_file(random0_file, capfd, args, pinned):
+    """On random0, whose coordinates are not integers, ik and locus print
+    the bytes pinned in tests/data: the leg lengths and serial points of
+    the leg kernel, which a rotation-matrix product rounded otherwise
+    (rho_1 and the y of S_1 here)."""
+    assert main([args[0], "--robot", str(random0_file), *args[1:]]) == 0
     out, err = capfd.readouterr()
     assert out.encode() == (DATA / pinned).read_bytes()
     assert err == ""

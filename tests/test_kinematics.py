@@ -19,13 +19,15 @@ from planar_rpr import (
     parallel_singularity_measure,
     platform_points,
     pose_distance,
+    serial_points,
     solve_fk,
 )
 from planar_rpr import ValidationError, kinematics
 from planar_rpr.kinematics import TRIM_REL, UnivariateFkPolynomial
 from planar_rpr.model import rotation
+from planar_rpr.singularity import _leg_geometry, _leg_vectors
 
-from conftest import REF_BASE, REF_PLATFORM, REF_SCALE, bracket_roots_over_all, random_pose_tuple
+from conftest import RANDOM0, REF_BASE, REF_PLATFORM, REF_SCALE, bracket_roots_over_all, random_pose_tuple
 
 L = REF_SCALE
 REF_JOINTS = np.sqrt([5.0, 65.0, 52.0])
@@ -69,6 +71,23 @@ def test_ik_distance_contract(ref):
         b = platform_points(ref, pose)
         d = np.hypot(b[:, 0] - ref.base[:, 0], b[:, 1] - ref.base[:, 1])
         assert np.max(np.abs(np.abs(joints.rho) - d)) <= 1e-9 * L
+
+
+def test_ik_and_serial_points_give_the_leg_kernel_bits():
+    """inverse_kinematics gives the leg lengths of _leg_geometry and
+    serial_points minus the leg vectors of _leg_vectors at (0, 0, phi), bit
+    for bit, on 20,000 seeded poses and 2,001 angles in [-4, 4] of random0.
+    The former rotation-matrix product rounded otherwise on about 8% of
+    these poses: a design with integer coordinates does not show it."""
+    geom = RobotGeometry(RANDOM0["base"], RANDOM0["platform"])
+    rng = np.random.default_rng(28)
+    x, y = rng.uniform(-geom.L, 2.0 * geom.L, (2, 20000))
+    phi = rng.uniform(-4.0, 4.0, 20000)
+    rho = [inverse_kinematics(geom, Pose(*p)).rho for p in zip(x.tolist(), y.tolist(), phi.tolist())]
+    assert np.array(rho).tobytes() == _leg_geometry(geom, x, y, phi)[2].tobytes()
+    phis = np.linspace(-4.0, 4.0, 2001)
+    serial = np.array([serial_points(geom, p) for p in phis.tolist()])
+    assert serial.tobytes() == (-np.stack(_leg_vectors(geom, 0.0, 0.0, phis), axis=-1)).transpose(1, 0, 2).tobytes()
 
 
 def test_polynomial_round_trip_root(ref):

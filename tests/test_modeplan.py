@@ -105,8 +105,7 @@ def _scalar_poses(paths, ts, rows):
     ``paths`` (1-D arrays), as an (m, 3) array."""
     out = []
     for t, r in zip(ts.tolist(), rows.tolist()):
-        first, n = int(paths.first[r]), int(paths.n[r])
-        out.append(_scalar_pose([Pose(*p) for p in paths.table[first : first + n + 1].tolist()], t))
+        out.append(_scalar_pose([Pose(*p) for p in paths.table[r].tolist()], t))
     return np.array(out).reshape(-1, 3)
 
 
@@ -1548,17 +1547,17 @@ def test_gap_test_halves_nothing_where_det_is_zero_up_to_rounding(similar_design
     assert np.array_equal(ts, s.ts) and np.array_equal(dets, s.legs[3])
 
 
-def _per_gap_bounds(geom, paths, seg, n):
-    """The chord bound M and the bound T on |det| of path steps ``seg`` of
-    rows of ``n`` segments, as _split_gaps computed them per gap before the
-    gap forms: from the trigonometric bounds of the conic coefficients, the
+def _per_gap_bounds(geom, paths, rows, k):
+    """The chord bound M and the bound T on |det| of the path steps ``k``
+    of rows ``rows``, as _split_gaps computed them per gap before the gap
+    forms: from the trigonometric bounds of the conic coefficients, the
     step's rates per unit t and the larger |u| and |v| at its ends."""
     coef = modeplan._conic_coefficients(geom, modeplan._TRIG_ANGLES, geom.base.mean(axis=0)).T
     coef = coef @ (modeplan._trig_basis(modeplan._TRIG_ANGLES) * [1, 2, 2, 2, 2] / 5)
     b0, b1, b2 = (np.array([[1, 1, 1, 1, 1], [0, 1, 1, 2, 2], [0, 1, 1, 4, 4]]) @ np.abs(coef).T).tolist()
-    dx, dy, dphi = np.abs(paths.steps[seg].T * n)
+    dx, dy, dphi = np.abs(paths.steps[rows, k].T * paths.steps.shape[1])
     o = geom.base.mean(axis=0)
-    u, v = np.maximum(np.abs(paths.table[seg, :2] - o), np.abs(paths.table[seg + 1, :2] - o)).T
+    u, v = np.maximum(np.abs(paths.table[rows, k, :2] - o), np.abs(paths.table[rows, k + 1, :2] - o)).T
     m2 = 2 * ((b0[0] * dx + b0[1] * dy) * dx + b0[2] * dy * dy)
     m1 = (2 * b1[0] * u + b1[1] * v + b1[3]) * dx + (b1[1] * u + 2 * b1[2] * v + b1[4]) * dy
     m0 = (b2[0] * u + b2[1] * v + b2[3]) * u + (b2[2] * v + b2[4]) * v + b2[5]
@@ -1569,20 +1568,23 @@ def _per_gap_bounds(geom, paths, seg, n):
 def test_step_bounds_equal_the_per_gap_bounds(monkeypatch):
     """M and T of every path step, from the design's gap forms, equal to
     rounding the bounds _split_gaps computed per gap before, on seeded
-    designs and paths; the forms are built once per design."""
+    designs and paths, one row and batches of 5 rows, indexed by row and
+    step; the forms are built once per design."""
     built = []
     forms = modeplan._gap_forms
     monkeypatch.setattr(modeplan, "_gap_forms", lambda geom: built.append(geom) or forms(geom))
     rng = np.random.default_rng(61)
     for geom in _phi_scan_designs()[:24]:
         Lg = characteristic_scale(geom)
-        for n in (1, 2, 5):
-            table = np.column_stack([rng.uniform(-Lg, 2 * Lg, (n + 1, 2)), rng.uniform(-4, 4, n + 1)])
-            paths = WorkspacePath(tuple(Pose(*w) for w in table))._paths
+        for m, n in ((1, 1), (1, 2), (1, 5), (5, 1), (5, 3)):
+            table = np.concatenate([rng.uniform(-Lg, 2 * Lg, (m, n + 1, 2)), rng.uniform(-4, 4, (m, n + 1, 1))], -1)
+            paths = modeplan._Paths(table, 16)
             curvature, size = modeplan._step_bounds(geom, paths)
-            bound, top = _per_gap_bounds(geom, paths, np.arange(n), n)
-            assert np.allclose(curvature * n * n, bound, rtol=1e-13, atol=0.0)
-            assert np.allclose(size, top, rtol=1e-13, atol=0.0)
+            rows, k = np.indices((m, n)).reshape(2, -1)
+            bound, top = _per_gap_bounds(geom, paths, rows, k)
+            assert curvature.shape == size.shape == (m, n)
+            assert np.allclose(curvature[rows, k] * n * n, bound, rtol=1e-13, atol=0.0)
+            assert np.allclose(size[rows, k], top, rtol=1e-13, atol=0.0)
     assert len(built) == 24
 
 
@@ -1722,20 +1724,19 @@ def _sorted_sample_keys(geom, paths):
     """_sample_params as it was before it kept the base samples' kernel
     outputs: the sorted sample keys ``row + 1j * t`` alone, which the
     caller then evaluated in one more kernel pass."""
-    ns, S = paths.n.tolist(), paths.samples
-    # the base parameters of each distinct segment count
-    uniform = {n: (np.arange(n)[:, None] + np.linspace(0.0, 1.0, S + 1)).ravel() / n for n in set(ns)}
-    base = [uniform[n] for n in ns]
-    base = np.repeat(np.arange(len(base)), [len(b) for b in base]) + 1j * np.concatenate(base)
-    base = base[modeplan._first_of_runs(base)]  # sorted already; a segment's end starts the next one
+    m, n = paths.steps.shape[:2]
+    # the base parameters of a row
+    u = (np.arange(n)[:, None] + np.linspace(0.0, 1.0, paths.samples + 1)).ravel() / n
+    base = np.repeat(np.arange(m), len(u)) + 1j * np.tile(u, m)
+    base = np.unique(base)  # sorted already; a segment's end starts the next one
     ts, rows = base.imag, base.real
     dmin = _leg_geometry(geom, *paths.poses_at(ts, rows.astype(int)))[2].min(axis=-1)
     band = modeplan.REFINE_BAND_REL * geom.L
     k = np.nonzero(((dmin[:-1] < band) | (dmin[1:] < band)) & (rows[:-1] == rows[1:]))[0]
     frac = np.arange(1, modeplan.REFINE_FACTOR) / modeplan.REFINE_FACTOR
     extra = ts[k, None] + (ts[k + 1] - ts[k])[:, None] * frac
-    keys = np.sort(np.concatenate([base, (rows[k, None] + 1j * extra).ravel()]))
-    return keys[modeplan._first_of_runs(keys)]  # np.unique, which is slower on complex numbers
+    keys = np.concatenate([base, (rows[k, None] + 1j * extra).ravel()])
+    return np.unique(keys)
 
 
 def _equivalence_cases(ref):
@@ -1761,8 +1762,7 @@ def _equivalence_cases(ref):
             p0[: m // 4, 2] = 0.0
             step = rng.normal(0.0, 1.0, (m, 3)) * [0.3 * Lg, 0.3 * Lg, 0.3]
             step[: m // 2, 2] = 0.0  # constant phi
-            table = np.stack([p0 - 0.5 * step, p0 + 0.5 * step], axis=1).reshape(-1, 3)
-            cases.append((geom, modeplan._Paths(table, 2 * np.arange(m), np.ones(m, dtype=int), 16)))
+            cases.append((geom, modeplan._Paths(np.stack([p0 - 0.5 * step, p0 + 0.5 * step], axis=1), 16)))
     for geom in designs:
         Lg = characteristic_scale(geom)
         wps = tuple(Pose(*rng.uniform(-Lg, 2 * Lg, 2), rng.uniform(-4, 4)) for _ in range(4))
@@ -1774,7 +1774,8 @@ def test_sampling_and_refinement_equal_the_one_pass_forms(ref):
     """The samples keep their bits: _sample_params, which evaluates the
     base samples once and then only the refinement samples, gives the
     parameters, rows and kernel outputs of the former sort-then-evaluate
-    pass.  The crossing brackets keep theirs too.  At every point at least
+    pass, sorted by row and strictly increasing in t within each row.  The
+    crossing brackets keep theirs too.  At every point at least
     CROSSING_T_TOL / 2 inside a bracket, poses_at gives the pose of the
     scalar formula, and the halving rounds' form, the kernel on the path
     step read once at the bracket's midpoint (step_at, _step_pose), gives
@@ -1792,8 +1793,11 @@ def test_sampling_and_refinement_equal_the_one_pass_forms(ref):
             got_ts, got_rows, got = modeplan._sample_params(geom, paths)
         assert got_ts.tobytes() == ts.tobytes() and got_rows.tobytes() == rows.astype(got_rows.dtype).tobytes()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
-        refined += len(ts) > (paths.n * paths.samples + 1).sum()
-        rows_checked += len(paths.n)
+        same = got_rows[1:] == got_rows[:-1]
+        assert np.all(got_rows[1:] >= got_rows[:-1]) and np.all(got_ts[1:][same] > got_ts[:-1][same])
+        m, n = paths.steps.shape[:2]
+        refined += len(ts) > m * (n * paths.samples + 1)
+        rows_checked += m
 
         dets = want[3]
         k = np.flatnonzero((rows[:-1] == rows[1:]) & (dets[:-1] * dets[1:] < 0.0))
