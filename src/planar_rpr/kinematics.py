@@ -35,10 +35,10 @@ from .model import (
     JointVector,
     Pose,
     RobotGeometry,
+    platform_points,
     pose_distance,
     wrap_angle,
 )
-from .singularity import _leg_vectors
 
 # Relative coefficient floor below which trailing polynomial terms are dropped.
 TRIM_REL = 1e-12
@@ -122,12 +122,12 @@ class FkSolutionSet:
 def inverse_kinematics(geom: RobotGeometry, pose: Pose, sign_hint=None) -> JointVector:
     """Signed directed leg lengths for a pose.
 
-    ``|rho_i|`` is the length of B_i(pose) - a_i from the leg kernel
-    (:func:`~planar_rpr.singularity._leg_vectors`); the sign is copied
-    from ``sign_hint`` when given (zero hints count as positive) and
+    ``|rho_i|`` is the distance from a_i to B_i(pose) exactly; the sign is
+    copied from ``sign_hint`` when given (zero hints count as positive) and
     defaults to all-positive.  A zero-length leg gets rho_i = 0.
     """
-    dist = np.hypot(*_leg_vectors(geom, pose.x, pose.y, pose.phi))
+    b = platform_points(geom, pose)
+    dist = np.hypot(b[:, 0] - geom.base[:, 0], b[:, 1] - geom.base[:, 1])
     if sign_hint is None:
         signs = np.ones(3)
     else:

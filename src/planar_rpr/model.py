@@ -187,11 +187,12 @@ def wrap_angle(a):
 
 
 def platform_points(geom: RobotGeometry, pose: Pose) -> np.ndarray:
-    """World coordinates of the three platform joints B_i for ``pose``.
-
-    Exact rigid-transform semantics: B_i = (x, y) + R(phi) @ platform[i].
-    """
-    return pose.xy + geom.platform @ rotation(pose.phi).T
+    """World coordinates of the three platform joints B_i for ``pose``:
+    B_i = (x, y) + R(phi) @ platform[i], in the operations of the leg kernel
+    (:func:`planar_rpr.singularity._leg_vectors`), so B_i - a_i has its bits."""
+    c, s = np.cos(pose.phi), np.sin(pose.phi)
+    bx, by = geom.platform.T
+    return np.stack([pose.x + (c * bx - s * by), pose.y + (s * bx + c * by)], axis=-1)
 
 
 def characteristic_scale(geom: RobotGeometry) -> float:

@@ -130,26 +130,26 @@ class _Paths:
     def poses_at(self, ts, rows):
         """Arrays (x, y, phi) at parameters ``ts`` of rows ``rows``, clamped to [0, 1]."""
         t = np.minimum(np.maximum(ts, 0.0), 1.0)
-        return _step_pose(self.step_at(t, rows), t)
+        return _step_pose(self.step_at(t, rows), t, self.steps.shape[1])
 
     def step_at(self, ts, rows):
         """The path step of rows ``rows`` that holds each parameter ``ts``
-        (in [0, 1]), as ``(n, k, x, y, phi, dx, dy, dphi)``: the segment
-        count (one per parameter), the step's index in its row, its start
-        ``table[rows, k]`` and its rate ``steps[rows, k]``.  Every point of
-        a path is placed on the step read here (:func:`_step_pose`)."""
+        (in [0, 1]), as ``(k, x, y, phi, dx, dy, dphi)``: the step's index
+        in its row, its start ``table[rows, k]`` and its rate
+        ``steps[rows, k]``.  Every point of a path is placed on the step
+        read here (:func:`_step_pose`)."""
         n = self.steps.shape[1]
         k = np.minimum((np.asarray(ts) * n).astype(int), n - 1)
         a, d = self.table[rows, k], self.steps[rows, k]
-        return np.full(k.shape, n), k, a[..., 0], a[..., 1], a[..., 2], d[..., 0], d[..., 1], d[..., 2]
+        return k, a[..., 0], a[..., 1], a[..., 2], d[..., 0], d[..., 1], d[..., 2]
 
 
-def _step_pose(step, t):
+def _step_pose(step, t, n):
     """The pose (x, y, phi) at parameters ``t`` on ``step``, a path step of
-    :meth:`_Paths.step_at`: as arrays, or as one step's floats, which round
-    the same way.  A parameter inside the step gets the bits of
+    :meth:`_Paths.step_at` on rows of ``n`` segments: as arrays, or as one
+    step's floats, which round the same way.  A parameter inside the step gets the bits of
     :meth:`_Paths.poses_at`."""
-    n, k, x, y, phi, dx, dy, dphi = step
+    k, x, y, phi, dx, dy, dphi = step
     s = t * n - k
     return x + s * dx, y + s * dy, phi + s * dphi
 
@@ -345,19 +345,19 @@ def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
             flips.append((float(ts[k]), leg))
     k, leg = np.nonzero(~below[:-1] & ~below[1:] & (dots < 0.0))
     if len(k):
-        legs, lo, hi = _leg_floats(geom), ts[k], ts[k + 1]
+        legs, lo, hi, n = _leg_floats(geom), ts[k], ts[k + 1], paths.steps.shape[1]
         steps = paths.step_at(0.5 * (lo + hi), s.rows[k])
         brackets = (lo, hi, dist[k, leg] ** 2, dots[k, leg], leg, dx[k, leg], dy[k, leg], *steps)
         for lo, hi, flo, fhi, i, dx_k, dy_k, *step in zip(*(v.tolist() for v in brackets)):
 
             def dot(t):
                 """Leg i's vector at t, dotted with it at t_k."""
-                vx, vy = _float_leg_vectors(legs, *_step_pose(step, t))
+                vx, vy = _float_leg_vectors(legs, *_step_pose(step, t, n))
                 return vx[i] * dx_k + vy[i] * dy_k
 
             t = _bracket_root(dot, lo, hi, flo, fhi, 1e-14)
             # above the zero band the leg swings past its base joint: a near miss
-            vx, vy = _float_leg_vectors(legs, *_step_pose(step, t))
+            vx, vy = _float_leg_vectors(legs, *_step_pose(step, t, n))
             if np.hypot(vx[i], vy[i]) <= zero_tol:
                 flips.append((t, i))
 
@@ -481,14 +481,14 @@ def _split_gaps(geom: RobotGeometry, s: _SampledPath):
         return ts, rows, dets, band
     lo, hi, flo, fhi, row = ts[k], ts[k + 1], dets[k], dets[k + 1], rows[k]
     step = paths.step_at(0.5 * (lo + hi), row)
-    seg = row, step[1]
+    seg = row, step[0]
     bound, zero = curvature[seg] * n**2, np.maximum(band[row], ZERO_DET_REL * size[seg])
     step = np.stack(step)
     found, f, g = [], f[k], np.arange(len(k))
     while (keep := (f > zero[g]) & (f <= bound[g] * (hi - lo) ** 2) & (hi - lo > CROSSING_T_TOL)).any():
         lo, hi, flo, fhi, g = (w[keep] for w in (lo, hi, flo, fhi, g))
         mid = 0.5 * (lo + hi)
-        fmid = _leg_det(geom, *_leg_vectors(geom, *_step_pose(step[:, g], mid)))
+        fmid = _leg_det(geom, *_leg_vectors(geom, *_step_pose(step[:, g], mid, n)))
         other = fmid * flo <= 0.0
         found.append((row[g[other]], mid[other], fmid[other]))
         go = ~other
@@ -512,12 +512,12 @@ def _crossing_roots(geom: RobotGeometry, paths: _Paths, ts, rows, dets, k) -> li
     reads every bracket's step."""
     if not len(k):
         return []
-    legs, roots, lo, hi = _leg_floats(geom), [], ts[k], ts[k + 1]
+    legs, roots, lo, hi, n = _leg_floats(geom), [], ts[k], ts[k + 1], paths.steps.shape[1]
     brackets = (lo, hi, dets[k], dets[k + 1], *paths.step_at(0.5 * (lo + hi), rows[k]))
     for lo, hi, flo, fhi, *step in zip(*(v.tolist() for v in brackets)):
 
         def det_at(t):
-            return _float_leg_det(legs, *_float_leg_vectors(legs, *_step_pose(step, t)))
+            return _float_leg_det(legs, *_float_leg_vectors(legs, *_step_pose(step, t, n)))
 
         roots.append(_bracket_root(det_at, lo, hi, flo, fhi, CROSSING_T_TOL))
     return roots

@@ -234,8 +234,8 @@ def unnormalized_determinant(geom: RobotGeometry, pose: Pose) -> float:
 
 def serial_points(geom: RobotGeometry, phi: float) -> np.ndarray:
     """Positions S_i(phi) = a_i - R(phi) b_i where leg i has zero length, one
-    row per leg: minus the leg vectors (:func:`_leg_vectors`) at (0, 0, phi)."""
-    return -np.stack(_leg_vectors(geom, 0.0, 0.0, phi), axis=-1)
+    row per leg: zero minus the leg vectors (:func:`_leg_vectors`) at (0, 0, phi)."""
+    return 0.0 - np.stack(_leg_vectors(geom, 0.0, 0.0, phi), axis=-1)
 
 
 def _conic_coefficients(geom: RobotGeometry, phi, origin=(0.0, 0.0)):

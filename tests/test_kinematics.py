@@ -78,7 +78,9 @@ def test_ik_and_serial_points_give_the_leg_kernel_bits():
     serial_points minus the leg vectors of _leg_vectors at (0, 0, phi), bit
     for bit, on 20,000 seeded poses and 2,001 angles in [-4, 4] of random0.
     The former rotation-matrix product rounded otherwise on about 8% of
-    these poses: a design with integer coordinates does not show it."""
+    these poses: a design with integer coordinates does not show it.  A
+    serial-point coordinate that is exactly zero is +0.0, as that product
+    gave it."""
     geom = RobotGeometry(RANDOM0["base"], RANDOM0["platform"])
     rng = np.random.default_rng(28)
     x, y = rng.uniform(-geom.L, 2.0 * geom.L, (2, 20000))
@@ -87,7 +89,11 @@ def test_ik_and_serial_points_give_the_leg_kernel_bits():
     assert np.array(rho).tobytes() == _leg_geometry(geom, x, y, phi)[2].tobytes()
     phis = np.linspace(-4.0, 4.0, 2001)
     serial = np.array([serial_points(geom, p) for p in phis.tolist()])
-    assert serial.tobytes() == (-np.stack(_leg_vectors(geom, 0.0, 0.0, phis), axis=-1)).transpose(1, 0, 2).tobytes()
+    assert serial.tobytes() == (0.0 - np.stack(_leg_vectors(geom, 0.0, 0.0, phis), axis=-1)).transpose(1, 0, 2).tobytes()
+    on_axis = RobotGeometry(REF_BASE, [[0.0, -1.0], *REF_PLATFORM[1:]])  # S_1(0) = (0, 1)
+    serial = serial_points(on_axis, 0.0)
+    assert serial.tobytes() == (on_axis.base - on_axis.platform @ rotation(0.0).T).tobytes()
+    assert serial[0, 0] == 0.0 and not np.signbit(serial[0, 0])
 
 
 def test_polynomial_round_trip_root(ref):

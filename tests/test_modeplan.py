@@ -1807,7 +1807,7 @@ def test_sampling_and_refinement_equal_the_one_pass_forms(ref):
             t = np.minimum(np.maximum(t, lo + 0.5 * tol), hi - 0.5 * tol)
             pose = paths.poses_at(t, r)
             assert np.column_stack(pose).tobytes() == _scalar_poses(paths, t, r).tobytes()
-            det = _leg_det(geom, *_leg_vectors(geom, *modeplan._step_pose(step, t)))
+            det = _leg_det(geom, *_leg_vectors(geom, *modeplan._step_pose(step, t, n)))
             assert det.tobytes() == _leg_geometry(geom, *pose)[3].tobytes()
         old = bracket_roots_over_all(
             lambda t: _leg_geometry(geom, *paths.poses_at(t, r))[3], lo, hi, dets[k], dets[k + 1], tol
@@ -1816,11 +1816,11 @@ def test_sampling_and_refinement_equal_the_one_pass_forms(ref):
         brackets += len(k)
         for t in (0.0, 1.0, *np.random.default_rng(len(k)).uniform(0.0, 1.0, 8).tolist()):  # row 0, scalar
             scalar = _scalar_poses(paths, np.array([t]), np.array([0]))[0].tobytes()
-            assert np.array(modeplan._step_pose(paths.step_at(t, 0), t)).tobytes() == scalar
+            assert np.array(modeplan._step_pose(paths.step_at(t, 0), t, n)).tobytes() == scalar
             assert np.array(paths.poses_at(t, 0)).tobytes() == scalar
     assert rows_checked > 4 * 1096 and brackets > 100 and refined > 20
     none = np.array([], dtype=int)
-    assert all(v.size == 0 for v in modeplan._step_pose(paths.step_at(none * 0.5, none), none * 0.5))
+    assert all(v.size == 0 for v in modeplan._step_pose(paths.step_at(none * 0.5, none), none * 0.5, n))
     assert modeplan._crossing_roots(geom, paths, ts, rows, dets, none) == []
 
 
@@ -1880,7 +1880,7 @@ def test_float_leg_forms_give_the_kernel_bits(ref):
             t = np.array([lo + 0.5 * tol, hi - 0.5 * tol, *rng.uniform(lo, hi, 3)])
             t = np.minimum(np.maximum(t, lo + 0.5 * tol), hi - 0.5 * tol)
             x, y, phi = paths.poses_at(t, r)
-            floats = [modeplan._step_pose(step, v) for v in t.tolist()]
+            floats = [modeplan._step_pose(step, v, paths.steps.shape[1]) for v in t.tolist()]
             assert np.array(floats).T.tobytes() == np.array([x, y, phi]).tobytes()
             _assert_float_forms_equal_the_kernel(geom, x, y, phi)
             inside += len(t)
@@ -1888,7 +1888,7 @@ def test_float_leg_forms_give_the_kernel_bits(ref):
     none = np.array([], dtype=int)
     assert all(v.tolist() == [] for v in paths.step_at(none * 0.5, none))
     for t in (0.0, 1.0, *rng.uniform(0.0, 1.0, 8).tolist()):
-        floats = modeplan._step_pose([v.tolist() for v in paths.step_at(t, 0)], t)
+        floats = modeplan._step_pose([v.tolist() for v in paths.step_at(t, 0)], t, paths.steps.shape[1])
         assert np.array(floats).tobytes() == np.array(paths.poses_at(t, 0)).tobytes()
 
 
