@@ -9,8 +9,12 @@ Only the constant terms of the w_i carry rho, so the seven coefficients are
 a quadratic form in r_i = rho_i^2 fixed by the design: :func:`compile_fk`
 expands it once per design into a 7x10 matrix, cached on first use as
 ``RobotGeometry.fk_design``, and :func:`build_fk_polynomial` is one
-matrix-vector product.  A zero leg makes the roots double; :func:`solve_fk`
-then intersects two lines in (cos phi, sin phi) with the unit circle instead.
+matrix-vector product.  The roots are the eigenvalues of its companion
+matrix (:func:`_companion_roots`); each real one is lifted to (x, y) and
+polished by Newton iteration in plain floats, the lift by the float twin
+:func:`_float_solve_affine_xy` of the array elimination.  A zero leg makes
+the roots double; :func:`solve_fk` then intersects two lines in
+(cos phi, sin phi) with the unit circle instead.
 
 A deliberately independent verification path, :func:`oracle_fk`, sweeps phi
 over a dense grid, solves the same affine system pointwise and brackets sign
@@ -83,15 +87,13 @@ class UnivariateFkPolynomial:
 class FkDesign:
     """The joint-independent part of forward kinematics for one design.
 
-    ``u``, ``v``, ``w0`` are :func:`_linear_forms` at rho = 0; ``legs`` is
-    (a_x, a_y, b_x, b_y) per leg in plain floats; ``M`` is None when the
-    elimination is singular for every orientation.
+    ``legs`` is (a_x, a_y, b_x, b_y) per leg and ``rows`` the elimination
+    rows of :func:`_elimination_rows` at rho = 0, both in plain floats;
+    ``M`` is None when the elimination is singular for every orientation.
     """
 
-    u: np.ndarray
-    v: np.ndarray
-    w0: np.ndarray
     legs: tuple
+    rows: tuple
     M: np.ndarray | None
 
 
@@ -172,6 +174,12 @@ def _tan_half_numerator(form: np.ndarray) -> np.ndarray:
     return np.stack([p0 + pc, 2.0 * ps, p0 - pc], axis=-1)
 
 
+def _elimination_rows(u, v, w) -> np.ndarray:
+    """The forms (constant, cos, sin) of a1, b1, r1, a2, b2, r2 in
+    :func:`_solve_affine_xy`, one per row."""
+    return np.concatenate([u[1:] - u[0], v[1:] - v[0], w[0] - w[1:]], axis=1).reshape(6, 3)
+
+
 def _solve_affine_xy(u, v, w, phi: np.ndarray, L: float):
     """Solve the elimination system J (x, y) = r at each angle of ``phi``.
 
@@ -180,7 +188,7 @@ def _solve_affine_xy(u, v, w, phi: np.ndarray, L: float):
     rank one and gets the minimum-norm least-squares solution J^T r / |J|_F^2
     (the caller gates on the returned det).
     """
-    F = np.concatenate([u[1:] - u[0], v[1:] - v[0], w[0] - w[1:]], axis=1).reshape(6, 3)
+    F = _elimination_rows(u, v, w)
     a1, b1, r1, a2, b2, r2 = F[:, :1] + F[:, 1:2] * np.cos(phi) + F[:, 2:3] * np.sin(phi)
     det = a1 * b2 - a2 * b1
     abs_det = np.abs(det)
@@ -191,6 +199,34 @@ def _solve_affine_xy(u, v, w, phi: np.ndarray, L: float):
         det = np.where(rank_one, np.where(norm > 0.0, norm, 1.0), det)
         x = np.where(rank_one, a1 * r1 + a2 * r2, x)
         y = np.where(rank_one, b1 * r1 + b2 * r2, y)
+    return x / det, y / det, abs_det
+
+
+def _float_rows(design: FkDesign, rho_sq) -> list[tuple]:
+    """The elimination rows of :func:`_elimination_rows` for rho^2 in plain
+    floats: the design's rows, whose r rows take their constants from w at
+    rho^2, as ``w0 - rho^2`` gives them (w0's constant is the leg's sum of
+    squares)."""
+    w = [ax * ax + ay * ay + bx * bx + by * by - r for (ax, ay, bx, by), r in zip(design.legs, rho_sq)]
+    rows = list(design.rows)
+    rows[2], rows[5] = (w[0] - w[1], *rows[2][1:]), (w[0] - w[2], *rows[5][1:])
+    return rows
+
+
+def _float_solve_affine_xy(rows, phi: float, L: float) -> tuple[float, float, float]:
+    """:func:`_solve_affine_xy` at one angle in Python floats, on the rows of
+    :func:`_float_rows`.  Its float twin: the same operations in the same
+    order, so the same bits wherever ``math.cos`` and ``math.sin`` give
+    numpy's (a test holds them to it)."""
+    c, s = math.cos(phi), math.sin(phi)
+    a1, b1, r1, a2, b2, r2 = [p0 + pc * c + ps * s for p0, pc, ps in rows]
+    det = a1 * b2 - a2 * b1
+    abs_det = abs(det)
+    x, y = r1 * b2 - r2 * b1, a1 * r2 - a2 * r1
+    if not abs_det > 1e-14 * (L * L):
+        norm = a1 * a1 + a2 * a2 + b1 * b1 + b2 * b2
+        det = norm if norm > 0.0 else 1.0
+        x, y = a1 * r1 + a2 * r2, b1 * r1 + b2 * r2
     return x / det, y / det, abs_det
 
 
@@ -227,9 +263,10 @@ def compile_fk(geom: RobotGeometry) -> FkDesign:
     """
     L = geom.L
     u, v, w0 = _linear_forms(geom, np.zeros(3))
+    rows = tuple(map(tuple, _elimination_rows(u, v, w0).tolist()))
     phis = np.linspace(-np.pi * 0.95, np.pi * 0.95, 19)
     if float(np.max(_solve_affine_xy(u, v, w0, phis, L)[2])) <= 1e-10 * (L * L):
-        return FkDesign(u, v, w0, _leg_floats(geom), None)
+        return FkDesign(_leg_floats(geom), rows, None)
 
     U, V = _tan_half_numerator(u), _tan_half_numerator(v)
     # W_i is linear in (1, r1, r2, r3): only its constant term holds r_i.
@@ -258,26 +295,43 @@ def compile_fk(geom: RobotGeometry) -> FkDesign:
         if scale > 0.0 and rem > 1e-8 * scale:
             msg = f"tan-half deflation left a relative remainder of {rem / scale:.2e}"
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    return FkDesign(u, v, w0, _leg_floats(geom), M)
+    return FkDesign(_leg_floats(geom), rows, M)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def build_fk_polynomial(geom: RobotGeometry, joints: JointVector) -> UnivariateFkPolynomial:
     """Eliminate (x, y) and return the trimmed univariate polynomial in t:
     the design's compiled matrix (:func:`compile_fk`) on the monomials of
-    rho^2.  Non-finite coefficients raise :class:`ValidationError`."""
+    rho^2, trimmed in plain floats.  Non-finite coefficients raise
+    :class:`ValidationError`."""
     design = geom.fk_design
     if design.M is None:
         raise DegenerateElimination(_SINGULAR_ELIMINATION)
     z = [1.0, *joints.squared.tolist()]
     coeffs = design.M @ np.array([z[a] * z[b] for a, b in _MONOMIALS])
-    cmax = float(np.max(np.abs(coeffs)))
-    _require_finite(math.isfinite(cmax), "polynomial has non-finite coefficients")
+    values = coeffs.tolist()
+    # every entry: Python's max skips a NaN that does not come first
+    _require_finite(all(map(math.isfinite, values)), "polynomial has non-finite coefficients")
+    cmax = max(map(abs, values))
     if cmax == 0.0:
         return UnivariateFkPolynomial(np.zeros(1), True, True)
-    keep = np.nonzero(np.abs(coeffs) > TRIM_REL * cmax)[0]
-    coeffs = coeffs[: keep[-1] + 1]
-    return UnivariateFkPolynomial(coeffs, len(coeffs) - 1 < 6, False)
+    degree = max(k for k, c in enumerate(values) if abs(c) > TRIM_REL * cmax)
+    return UnivariateFkPolynomial(coeffs[: degree + 1], degree < 6, False)
+
+
+def _companion_roots(coeffs: np.ndarray) -> list:
+    """The roots of a polynomial of degree >= 1 with ascending ``coeffs``
+    whose last one is not zero, as floats or complex numbers:
+    ``npoly.polyroots`` without its series conversion, so the same
+    companion matrix, eigenvalues and order (Edelman & Murakami, Math.
+    Comp. 64, 1995)."""
+    if len(coeffs) == 2:
+        return [float(-coeffs[0] / coeffs[1])]
+    mat = np.eye(len(coeffs) - 1, k=-1)
+    mat[:, -1] -= coeffs[:-1] / coeffs[-1]
+    roots = np.linalg.eigvals(mat)
+    roots.sort()
+    return roots.tolist()
 
 
 def _min_norm_step(p, q):
@@ -393,19 +447,18 @@ def solve_fk(geom: RobotGeometry, joints: JointVector) -> FkSolutionSet:
         poly = build_fk_polynomial(geom, joints)
         if poly.degenerate:
             raise DegenerateElimination("forward-kinematics polynomial vanishes identically")
-        w = design.w0 - np.outer(rho_sq, [1.0, 0.0, 0.0])
+        rows = _float_rows(design, rho_sq)
         clusters = []
         if poly.degree >= 1:
-            roots = npoly.polyroots(poly.coeffs).tolist()
+            roots = _companion_roots(poly.coeffs)
             # Root pairs split off the real axis by a tangency stay eligible: the
             # acceptance band is on the equivalent angle error 2*Im(t)/(1+Re^2).
             eligible = [t.real for t in roots if 2.0 * abs(t.imag) / (1.0 + t.real * t.real) <= 1e-5]
             clusters = _root_clusters(eligible)
+        phi0 = (2.0 * np.arctan([t for t, _ in clusters])).tolist()  # math.atan rounds some t otherwise
         # |det| is the same for every substitution leg (twice a triangle's area):
         # where it is small the lift is least squares, and Newton decides
-        phi0 = 2.0 * np.arctan([t for t, _ in clusters])
-        x0, y0, _ = _solve_affine_xy(design.u, design.v, w, phi0, L)
-        starts = zip(x0.tolist(), y0.tolist(), phi0.tolist(), [mult for _, mult in clusters])
+        starts = [(*_float_solve_affine_xy(rows, p, L)[:2], p, m) for p, (_, m) in zip(phi0, clusters)]
 
     entries = []
     for x0, y0, phi0, mult in starts:
@@ -417,10 +470,10 @@ def solve_fk(geom: RobotGeometry, joints: JointVector) -> FkSolutionSet:
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
     if poly is not None and poly.check_phi_pi:
-        x0, y0, det = _solve_affine_xy(design.u, design.v, w, np.array([np.pi]), L)
-        if det[0] > 1e-12 * (L * L):
-            pose, resid, ok = _refine_newton(design.legs, rho_sq, x0[0], y0[0], np.pi, res_tol)
-            if ok and abs(wrap_angle(pose.phi - np.pi)) <= 1e-6:
+        x0, y0, det = _float_solve_affine_xy(rows, math.pi, L)
+        if det > 1e-12 * (L * L):
+            pose, resid, ok = _refine_newton(design.legs, rho_sq, x0, y0, math.pi, res_tol)
+            if ok and abs(wrap_angle(pose.phi - math.pi)) <= 1e-6:
                 entries.append((pose, resid, 1))
 
     return _assemble_solution_set(entries, L)

@@ -439,15 +439,24 @@ def _gap_forms(geom: RobotGeometry):
 def _step_bounds(geom: RobotGeometry, paths: _Paths):
     """Per step of ``paths``, as arrays (rows, n) indexed like ``steps``:
     the bound M on |det''| / 8 per unit of the step's own parameter, and
-    the bound T on |det|, from the design's gap forms (:func:`_gap_forms`)."""
+    the bound T on |det|, from the design's gap forms (:func:`_gap_forms`).
+    Both are sums of elementwise terms in a fixed order, so a step gets
+    the same bits in any batch (a matrix product rounds by the batch's
+    size)."""
     o, curv, size = geom.gap_forms
-    z = np.ones((*paths.steps.shape[:2], 6))
-    np.abs(paths.steps, out=z[..., :3])
-    ends = np.abs(paths.table[..., :2] - o)
-    np.maximum(ends[:, :-1], ends[:, 1:], out=z[..., 3:5])
-    pairs = (z[..., :, None] * z[..., None, :]).reshape(-1, 36)
-    R, W = pairs[:, _RATE_PAIRS], pairs[:, _END_PAIRS]
-    return ((R @ curv) * W).sum(axis=1).reshape(z.shape[:2]), (W @ size).reshape(z.shape[:2])
+    z = np.ones((6, *paths.steps.shape[:2]))  # monomials leading
+    np.abs(paths.steps.transpose(2, 0, 1), out=z[:3])
+    ends = np.abs(paths.table[..., :2] - o).transpose(2, 0, 1)
+    np.maximum(ends[..., :-1], ends[..., 1:], out=z[3:5])
+    pairs = (z[:, None] * z).reshape(36, *z.shape[1:])
+    R, W = pairs[_RATE_PAIRS], pairs[_END_PAIRS]
+    # the 36 terms of R @ curv @ W, padded with zeros to 64 and summed by halves
+    terms = np.zeros((64, *z.shape[1:]))
+    np.multiply((R[:, None] * W).reshape(36, *z.shape[1:]), curv.reshape(36, 1, 1), out=terms[:36])
+    while len(terms) > 1:
+        terms = terms[: len(terms) // 2] + terms[len(terms) // 2 :]
+    T = size[:, None, None] * W
+    return terms[0], (T[0] + T[1]) + (T[2] + T[3]) + (T[4] + T[5])
 
 
 def _split_gaps(geom: RobotGeometry, s: _SampledPath):

@@ -259,6 +259,9 @@ def test_cli_plan_on_a_random_design_equals_pinned_file(random0_file, capfd):
 
 
 REF_JOINTS = "2.23606798,8.06225775,7.21110255"
+# random0's leg lengths at the poses (2.8, 2.5, 1) and (2, 4, pi)
+RANDOM0_GENERIC_JOINTS = "1.9447343515586033,8.223021818556546,6.649755878745889"
+RANDOM0_PI_JOINTS = "5.113988363202984,12.663443714824998,7.718558871023457"
 
 
 @pytest.mark.parametrize(
@@ -303,13 +306,19 @@ def test_cli_output_equals_pinned_file(ref_file, capfd, args, pinned):
     [
         (["ik", "--pose", "1,5,0.8"], "cli_ik_random0_1_5_0.8.json"),
         (["locus", "--phi", "0.8", "--window", "-10,-10,20,20", "--step", "0.5"], "cli_locus_random0_phi0.8.json"),
+        # the joints of (2.8, 2.5, 1): four assembly modes of degree 6
+        (["fk", "--joints", RANDOM0_GENERIC_JOINTS], "cli_fk_random0_2.8_2.5_1.json"),
+        # the joints of (2, 4, pi): the degree drops to 5 and the phi = pi
+        # lift gives the fourth mode
+        (["fk", "--joints", RANDOM0_PI_JOINTS], "cli_fk_random0_2_4_pi.json"),
     ],
 )
 def test_cli_output_on_a_random_design_equals_pinned_file(random0_file, capfd, args, pinned):
-    """On random0, whose coordinates are not integers, ik and locus print
-    the bytes pinned in tests/data: the leg lengths and serial points of
-    the leg kernel, which a rotation-matrix product rounded otherwise
-    (rho_1 and the y of S_1 here)."""
+    """On random0, whose coordinates are not integers, ik, locus and fk
+    print the bytes pinned in tests/data: the leg lengths and serial points
+    of the leg kernel, which a rotation-matrix product rounded otherwise
+    (rho_1 and the y of S_1 here), and the assembly modes to the last bit,
+    which the reference robot's integer coordinates hide more often."""
     assert main([args[0], "--robot", str(random0_file), *args[1:]]) == 0
     out, err = capfd.readouterr()
     assert out.encode() == (DATA / pinned).read_bytes()

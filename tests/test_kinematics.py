@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -643,18 +644,24 @@ def test_fk_invariant_under_scaling_and_rigid_motion(seed, zero_leg, scale, thet
 
 
 @pytest.mark.parametrize(
-    "platform, joints",
+    "platform, joints, nan_row",
     [
         # a platform frame ~1e300 away: the compiled matrix overflows to NaN
-        ([[1e300, 0.0], [1.1e300, 0.0], [1e300, 1e299]], None),
+        ([[1e300, 0.0], [1.1e300, 0.0], [1e300, 1e299]], None, None),
         # joint values whose squares overflow
-        (REF_PLATFORM, [1e300, 1e300, 1e300]),
+        (REF_PLATFORM, [1e300, 1e300, 1e300], None),
+        # only the t^3 coefficient is NaN, which Python's max skips
+        (REF_PLATFORM, REF_JOINTS.tolist(), 3),
     ],
-    ids=["far_platform", "huge_joints"],
+    ids=["far_platform", "huge_joints", "nan_middle"],
 )
-def test_fk_polynomial_with_non_finite_coefficients_is_a_validation_error(platform, joints):
+def test_fk_polynomial_with_non_finite_coefficients_is_a_validation_error(platform, joints, nan_row):
     """build_fk_polynomial used to raise a bare IndexError (an empty trim)."""
     geom = RobotGeometry(base=REF_BASE, platform=platform)
+    if nan_row is not None:
+        M = geom.fk_design.M.copy()
+        M[nan_row] = np.nan
+        geom.__dict__["fk_design"] = dataclasses.replace(geom.fk_design, M=M)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         rho = inverse_kinematics(geom, Pose(0.0, 0.0, 0.0)) if joints is None else JointVector(joints)
@@ -760,6 +767,59 @@ def test_solve_affine_xy_is_bitwise_the_list_version(base, platform):
             got = kinematics._solve_affine_xy(u, v, w, phi, geom.L)
             want = _reference_solve_affine_xy(u, v, w, phi, geom.L)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize(
+    "base, platform",
+    [
+        (REF_BASE, REF_PLATFORM),
+        ([(0, 0), (2, 0), (0, 2)], [(0, 0), (0, 2), (2, 0)]),
+        # the same scaled by 1.37 and turned by 0.3: rank one, not integers
+        tuple(
+            np.array(points) @ rotation(0.3).T
+            for points in ([(0, 0), (2.74, 0), (0, 2.74)], [(0, 0), (0, 2.74), (2.74, 0)])
+        ),
+        (REF_BASE, REF_BASE),
+        (RANDOM0["base"], RANDOM0["platform"]),
+    ],
+    ids=["ref", "rank_one", "rank_one_turned", "zero_at_0", "random0"],
+)
+def test_float_lift_gives_the_array_lift_bits(base, platform):
+    """_float_solve_affine_xy on the rows of _float_rows gives the bits of
+    _solve_affine_xy on the linear forms at rho^2, one angle at a time: at
+    seeded angles, at 2 arctan t of seeded roots t (as solve_fk lifts
+    them), and at 0 and pi; on the design and on 20 seeded moves of it."""
+    rng = np.random.default_rng(29)
+    for k in range(21):
+        move = rng.normal(0.0, 1.0, (2, 3, 2)) if k else np.zeros((2, 3, 2))
+        geom = RobotGeometry(np.add(base, move[0]), np.add(platform, move[1]))
+        rho_sq = rng.uniform(0.0, 200.0, 3)
+        u, v, w = kinematics._linear_forms(geom, rho_sq)
+        rows = kinematics._float_rows(geom.fk_design, rho_sq.tolist())
+        phis = np.concatenate([rng.uniform(-np.pi, np.pi, 20), 2.0 * np.arctan(rng.standard_cauchy(20)), [0.0, np.pi]])
+        want = np.stack(kinematics._solve_affine_xy(u, v, w, phis, geom.L), axis=-1)
+        got = np.array([kinematics._float_solve_affine_xy(rows, phi, geom.L) for phi in phis.tolist()])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_companion_roots_are_bitwise_polyroots(ref):
+    """_companion_roots gives npoly.polyroots' roots, in its order and
+    dtype, on seeded polynomials of degree 1 to 6 scaled by 1e-5 to 1e5:
+    random coefficients, products of seeded real roots, and the trimmed
+    forward-kinematics polynomials of seeded joints."""
+    rng = np.random.default_rng(29)
+    polys = []
+    for k in range(1200):
+        degree = 1 + k % 6
+        coeffs = rng.normal(size=degree + 1) if k % 2 else npoly.polyfromroots(rng.normal(0.0, 3.0, degree))
+        polys.append(coeffs * 10.0 ** rng.uniform(-5.0, 5.0))
+    for geom in (ref, RobotGeometry(RANDOM0["base"], RANDOM0["platform"])):
+        for _ in range(100):
+            pose = Pose(*random_pose_tuple(rng, geom.L))
+            polys.append(build_fk_polynomial(geom, inverse_kinematics(geom, pose)).coeffs)
+    for coeffs in polys:
+        got, want = np.array(kinematics._companion_roots(coeffs)), npoly.polyroots(coeffs)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_min_norm_step_is_the_least_squares_step_of_a_zero_row():

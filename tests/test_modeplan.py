@@ -1588,6 +1588,23 @@ def test_step_bounds_equal_the_per_gap_bounds(monkeypatch):
     assert len(built) == 24
 
 
+def test_step_bounds_of_a_step_are_the_same_bits_in_any_batch():
+    """A row's M and T are the bits it gets alone, in batches of 2 to 513
+    rows of 1 and 3 segments: the planner's batches and detect_crossings
+    on one segment certify its gaps with the same bounds.  Matrix products
+    (R @ curv, W @ size) rounded some of these by the batch's size."""
+    rng = np.random.default_rng(29)
+    for geom in _phi_scan_designs()[:12]:
+        Lg = characteristic_scale(geom)
+        for m, n in ((2, 1), (7, 3), (64, 1), (513, 1)):
+            table = np.concatenate([rng.uniform(-Lg, 2 * Lg, (m, n + 1, 2)), rng.uniform(-4, 4, (m, n + 1, 1))], -1)
+            curvature, size = modeplan._step_bounds(geom, modeplan._Paths(table, 16))
+            for r in rng.choice(m, min(m, 12), replace=False).tolist():
+                alone = modeplan._step_bounds(geom, modeplan._Paths(table[r : r + 1], 16))
+                assert alone[0].tobytes() == curvature[r : r + 1].tobytes()
+                assert alone[1].tobytes() == size[r : r + 1].tobytes()
+
+
 def _seeded_designs(seed, count):
     rng = np.random.default_rng(seed)
     designs = []
