@@ -687,76 +687,6 @@ def _segments_crossings(geom, p0s, p1s, eps_pass, safe):
     return out
 
 
-# Re(G1 e^{i phi} + G2 e^{2i phi}) (1 + t^2)^2 with t = tan(phi / 2) is
-# Re(G @ _TAN_HALF) on t^0 .. t^4, from e^{ik phi} = ((1 + it) / (1 - it))^k.
-_TAN_HALF = np.array([[1, 2j, 0, 2j, -1], [1, 4j, -6, -4j, 1]])
-
-
-def _critical_angles(coef):
-    """Four angles per row of coefficients (a0, a1, b1, a2, b2) that include
-    every critical point: the real parts of the roots of the derivative's
-    tan-half quartic (a non-real root only adds a harmless angle), in
-    closed form (:func:`_quartic_roots`).  The derivative of no row may
-    vanish identically."""
-    # the derivative is Re(G1 e^{i phi} + G2 e^{2i phi})
-    G = (coef[:, 1::2] - 1j * coef[:, 2::2]) * [1j, 2j]
-    # t = tan((phi - alpha) / 2): the t^4 coefficient is the derivative at
-    # alpha + pi, the sample angle where it is largest, so it is never zero
-    at_samples = (G @ np.exp(1j * np.outer([1, 2], _TRIG_ANGLES))).real
-    alpha = _TRIG_ANGLES[np.argmax(np.abs(at_samples), axis=1)] - np.pi
-    poly = ((G * np.exp(1j * np.outer(alpha, [1, 2]))) @ _TAN_HALF).real
-    return alpha[:, None] + 2.0 * np.arctan(_quartic_roots(poly).real)
-
-
-# the cube roots of unity, which turn one root of the resolvent into the other two
-_CUBE_ROOTS = np.exp(2j * np.pi / 3 * np.arange(3))
-
-
-def _quartic_roots(c):
-    """The four complex roots of each row's quartic c0 + c1 t + ... + c4 t^4
-    (c4 nonzero), in closed form: Ferrari's method, then one Newton step
-    kept only where it lowers |p|.
-
-    With t = y - a/4 the monic quartic is y^4 + p y^2 + q y + r.  For a root
-    m of the resolvent m^3 + p m^2 + (p^2/4 - r) m - q^2/8, it factors into
-    y^2 -+ sqrt(2m) y + p/2 + m +- q / sqrt(2m).  The resolvent's root of
-    largest modulus (Cardano, in complex arithmetic) is zero only where
-    p = q = r = 0, and keeps q / sqrt(2m) well conditioned as q goes to 0.
-    """
-    a, b, c1, c0 = (c[:, 3::-1] / c[:, 4:]).T
-    a4 = 0.25 * a
-    aa = a4 * a4
-    p = b - 6.0 * aa
-    q = c1 - 2.0 * a4 * (b - 4.0 * aa)
-    r = c0 - a4 * (c1 - a4 * (b - 3.0 * aa))
-    # the resolvent with m = z - p / 3 is z^3 + P z + Q = 0; U^3 takes the
-    # sign of the root that adds to -Q / 2 in modulus
-    pp = p * p
-    P, Q = -pp / 12.0 - r, p * (r / 3.0 - pp / 108.0) - q * q / 8.0
-    w = np.sqrt(Q * Q / 4.0 + P * P * P / 27.0 + 0j)
-    U3 = -0.5 * Q - np.where(Q < 0.0, -w, w)
-    U = (np.cbrt(np.abs(U3)) * np.exp(1j / 3.0 * np.angle(U3)))[:, None] * _CUBE_ROOTS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.where(U == 0.0, 0.0, U - (P / 3.0)[:, None] / U) - (p / 3.0)[:, None]
-    m = np.take_along_axis(m, np.argmax(np.abs(m), axis=1)[:, None], axis=1)[:, 0]
-    sm = np.sqrt(2.0 * m)
-    k = np.divide(2.0 * q, sm, out=np.zeros_like(sm), where=sm != 0.0)
-    e1, e2 = np.sqrt(-2.0 * (p + m) - k), np.sqrt(-2.0 * (p + m) + k)
-    t = 0.5 * np.stack([sm + e1, sm - e1, e2 - sm, -sm - e2], axis=-1) - a4[:, None]
-
-    def residual(t):  # p(t) and p'(t) by Horner's rule
-        v, dv = np.broadcast_to(c[:, 4:], t.shape), np.zeros_like(t)
-        for j in range(3, -1, -1):
-            v, dv = v * t + c[:, j : j + 1], dv * t + v
-        return v, dv
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v, dv = residual(t)
-        step = t - v / dv
-        lower = np.abs(residual(step)[0]) < np.abs(v)
-    return np.where(lower, step, t)
-
-
 def _nonzero(a):
     """``np.nonzero(a)`` by way of the flat indices, which is several times
     faster on a mask of more than one dimension."""
@@ -765,9 +695,10 @@ def _nonzero(a):
 
 def _node_signs(geom, xs, ys, phis):
     """Conic coefficients ``q`` (np_, 6) about the base centroid at the grid
-    angles, the determinant ``det`` they give at the nodes and its int8
-    signs ``sgn``: 0 where |det| <= ZERO_DET_REL * max |det|, a band wider
-    than the conic's spread from the kernel, which has every other sign."""
+    angles, the determinant ``det`` they give at the nodes, its int8 signs
+    ``sgn`` and their zero band ``band``: the sign is 0 where |det| <= band
+    = ZERO_DET_REL * max |det|, a band wider than the conic's spread from
+    the kernel, which has every other sign."""
     o = geom.base.mean(axis=0)
     q = _conic_coefficients(geom, phis, o)
     q20, q11, q02, q10, q01, q00 = q.T
@@ -775,27 +706,31 @@ def _node_signs(geom, xs, ys, phis):
     det = q20 * u + (q11 * v + q10)  # Q = (q20 u + b) u + c, in place: one full-size array
     det *= u
     det += (q02 * v + q01) * v + q00
-    tol = ZERO_DET_REL * max(det.max(), -det.min())
-    return q, det, (det > tol).view(np.int8) - (det < -tol).view(np.int8)
+    band = ZERO_DET_REL * max(det.max(), -det.min())
+    return q, det, (det > band).view(np.int8) - (det < -band).view(np.int8), band
 
 
-def _axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn):
+def _axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn, band):
     """Exact mask of one grid axis's edges on which the determinant has a
     zero: the end signs differ or one is zero (``sgn * sgn <= 0``, so every
-    edge at a zero node), or an interior extremum has the ends' opposite
-    sign or is zero, so an edge that touches the locus tangentially is
-    marked too.  ``q``, ``det`` and ``sgn`` come from :func:`_node_signs`;
-    the scan evaluates no node.  Along x and y the determinant is the
-    conic's quadratic, whose one extremum is its vertex.  Along phi it is a
-    trigonometric polynomial of degree 2 whose coefficients (a_k, b_k) are
-    the discrete Fourier transform of the node values at the np_ angles; an
-    edge whose end values both exceed sum_k k^2 (|a_k| + |b_k|) times
-    dphi^2 / 8 keeps one sign (the bound on its distance from the chord).
-    A column of edges is opened when its smallest |det| is within that
-    bound, which takes in every edge the bound leaves open, and is tested
-    at every real critical point (:func:`_critical_angles`, in closed
-    form); a column constant in phi has none and is not opened.  ``phis``
-    must be uniform from 0 over the full circle.
+    edge at a zero node), or a value inside the edge has the other sign or
+    lies in the zero band ``band``, so an edge that touches the locus
+    tangentially is marked too.  ``q``, ``det``, ``sgn`` and ``band`` come
+    from :func:`_node_signs`; the scan evaluates no node.  Along x and y
+    the determinant is the conic's quadratic, whose one extremum is its
+    vertex.  Along phi it is a trigonometric polynomial f of degree 2 whose
+    coefficients (a_k, b_k) are the discrete Fourier transform of the node
+    values at the np_ angles; f keeps the sign on a piece of width h whose
+    end values both exceed sum_k k^2 (|a_k| + |b_k|) h^2 / 8 (the bound on
+    its distance from the chord).  A column is opened when its smallest
+    |det| is within that bound at h = dphi, and each same-sign edge the
+    bound leaves open is halved on it until every piece is certified or a
+    midpoint, valued from the coefficients, has the other sign, is zero or
+    is in the band.  An end outside the band is certified once the bound
+    falls below the band, so the halving ends and a tangency is caught.  A
+    column constant in phi is not opened; the open edges of one whose bound
+    is not finite cross unhalved.  ``phis`` must be uniform from 0 over the
+    full circle.
     """
     if axis < 2:
         # the scanned axis runs along rows, the other spatial axis along columns
@@ -813,23 +748,39 @@ def _axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn):
         i = np.searchsorted(u, vertex) - 1  # u[i] < vertex <= u[i + 1]
         ic = np.clip(i, 0, len(u) - 2)
         j, m = _nonzero((i == ic) & (vertex < u[ic + 1]))
-        hit = np.sign(at_vertex[j, m]) * sgn[ic[j, m], j, m] <= 0
+        at_vertex = at_vertex[j, m]
+        hit = (np.sign(at_vertex) * sgn[ic[j, m], j, m] <= 0) | (np.abs(at_vertex) <= band)
         cross[ic[j, m][hit], j[hit], m[hit]] = True
         return cross.transpose(1, 0, 2) if axis == 1 else cross
     np_ = len(phis)
     dphi = 2.0 * np.pi / np_
     coef = det @ (_trig_basis(phis) * [1, 2, 2, 2, 2] / np_)
     cross = sgn * np.roll(sgn, -1, axis=2) <= 0
-    # |f''| <= sum_k k^2 (|a_k| + |b_k|), so f keeps the ends' sign on an
-    # edge where both end values exceed that bound times dphi^2 / 8; a
-    # column whose smallest |f| exceeds it is certified whole.  The bound
-    # is 0 where f is constant in phi, which has no critical point.
+    # the bound at h = dphi, a quarter of it on each halving: 0 where f is
+    # constant in phi, not finite where a node value or the sum is not
     chord = (np.abs(coef) @ [0, 1, 1, 4, 4]) * dphi**2 / 8
-    i, j = _nonzero((np.abs(det).min(axis=2) <= chord) & (chord > 0.0))
-    phc = _critical_angles(coef[i, j]) % (2.0 * np.pi)
-    at_phc = np.einsum("kt,kct->kc", coef[i, j], _trig_basis(phc))
-    i, j, m = np.broadcast_arrays(i[:, None], j[:, None], (phc // dphi).astype(int) % np_)
-    hit = np.sign(at_phc) * sgn[i, j, m] <= 0
+
+    def uncertified(flo, fhi, bound):
+        return ~(np.minimum(np.abs(flo), np.abs(fhi)) > bound)
+
+    i, j = _nonzero(~(np.abs(det).min(axis=2) > chord) & (chord != 0.0))
+    f, coef = det[i, j], coef[i, j]
+    f1 = np.roll(f, -1, axis=1)
+    k, m = _nonzero(~cross[i, j] & uncertified(f, f1, chord[i, j, None]))  # the open edges
+    i, j, coef, bound = i[k], j[k], coef[k], chord[i[k], j[k]]
+    hit = ~np.isfinite(bound)
+    e = np.flatnonzero(~hit)  # the open edge of each piece
+    lo, flo, fhi, scale = phis[m[e]], f[k[e], m[e]], f1[k[e], m[e]], 1.0
+    hi = lo + dphi
+    while len(e):
+        mid = 0.5 * (lo + hi)
+        fmid = np.einsum("kt,kt->k", coef[e], _trig_basis(mid))
+        hit[e[~(fmid * flo > 0.0) | (np.abs(fmid) <= band)]] = True
+        go, scale = ~hit[e], scale / 4
+        e, lo, hi = np.tile(e[go], 2), np.concatenate([lo[go], mid[go]]), np.concatenate([mid[go], hi[go]])
+        flo, fhi = np.concatenate([flo[go], fmid[go]]), np.concatenate([fmid[go], fhi[go]])
+        keep = uncertified(flo, fhi, bound[e] * scale)
+        e, lo, hi, flo, fhi = (w[keep] for w in (e, lo, hi, flo, fhi))
     cross[i[hit], j[hit], m[hit]] = True
     return cross
 
@@ -1149,7 +1100,7 @@ def plan_mode_change(
 
     # One pass checks the segments from each endpoint to the corners of its
     # cell; it snaps to the nearest nonzero corner joined admissibly.
-    q, det, sgn = _node_signs(geom, xs, ys, phis)
+    q, det, sgn, band = _node_signs(geom, xs, ys, phis)
     near = corners(start) + corners(target)
     ends = np.repeat([start.as_tuple(), target.as_tuple()], 8, axis=0)
     checked = _segments_crossings(geom, ends, node_poses(near), eps_pass, safe)
@@ -1159,7 +1110,7 @@ def plan_mode_change(
         if not linked:
             raise NoPathFound(f"could not connect the {label} pose to the search grid")
         snapped.append(linked[0])
-    ok = [~_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn) for axis in range(3)]
+    ok = [~_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn, band) for axis in range(3)]
     doors, door_points, serial = _serial_doors(geom, xs, ys, phis, safe, q, sgn)
     del det, sgn  # the search needs only the masks
     for a, i, j, m in doors.tolist():

@@ -234,6 +234,7 @@ def test_cli_fk_whose_elimination_overflows_prints_one_error_line(tmp_path, comm
         (["--start", "5,5,0"], "plan_ref_5_5_0.json"),
         (["--start", "0,0,0", "--res", "32,32,32"], "plan_ref_0_0_0_res32.json"),
         (["--start", "0,0,0"], "plan_ref_0_0_0.json"),
+        (["--start", "5,5,0", "--res", "12,12,12"], "plan_ref_5_5_0_res12.json"),
     ],
 )
 def test_cli_plan_output_equals_pinned_file(ref_file, capfd, args, pinned):
@@ -245,16 +246,21 @@ def test_cli_plan_output_equals_pinned_file(ref_file, capfd, args, pinned):
     assert err == ""
 
 
-def test_cli_plan_on_a_random_design_equals_pinned_file(random0_file, capfd):
-    """plan on a perturbed reference design from its seeded start prints the
+@pytest.mark.parametrize(
+    "res, pinned",
+    [([], "plan_random0_seed1.json"), (["--res", "12,12,12"], "plan_random0_seed1_res12.json")],
+)
+def test_cli_plan_on_a_random_design_equals_pinned_file(random0_file, capfd, res, pinned):
+    """plan on a perturbed reference design from its seeded start, at the
+    default grid and at 12^3, where the phi edges are widest, prints the
     bytes pinned in tests/data (the ``--start=`` form keeps the leading
     minus out of option parsing), and the plan verifies."""
     start = "--start=-0.127511363705203,16.112161267419438,1.9050292966180866"
-    assert main(["plan", "--robot", str(random0_file), start]) == 0
+    assert main(["plan", "--robot", str(random0_file), start, *res]) == 0
     out, err = capfd.readouterr()
-    assert out.encode() == (DATA / "plan_random0_seed1.json").read_bytes()
+    assert out.encode() == (DATA / pinned).read_bytes()
     assert err == ""
-    assert main(["verify", "--robot", str(random0_file), "--path", str(DATA / "plan_random0_seed1.json")]) == 0
+    assert main(["verify", "--robot", str(random0_file), "--path", str(DATA / pinned)]) == 0
     assert json.loads(capfd.readouterr().out)["verdict"] == "changed_without_parallel"
 
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import pathlib
+import types
 import warnings
 
 import numpy as np
@@ -770,8 +771,8 @@ def _planner_grid(geom, shape):
     scan per axis and the doors of the serial points."""
     xs, ys, phis = _grid_axes(geom, shape)
     costs = (float(xs[1] - xs[0]), float(ys[1] - ys[0]), float(characteristic_scale(geom) * 2.0 * np.pi / shape[2]))
-    q, det, sgn = _node_signs(geom, xs, ys, phis)
-    ok = [~_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn) for axis in range(3)]
+    q, det, sgn, band = _node_signs(geom, xs, ys, phis)
+    ok = [~_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn, band) for axis in range(3)]
     doors = _serial_doors(geom, xs, ys, phis, passage_safety(geom), q, sgn)[0]
     for a, i, j, m in doors.tolist():
         ok[a][i, j, m] = True
@@ -786,15 +787,15 @@ def test_window_edge_scan_equals_the_slice_of_the_full_scan():
     shape = (40, 36, 32)
     for geom in _grid_designs():
         xs, ys, phis = _grid_axes(geom, shape)
-        q, det, sgn = _node_signs(geom, xs, ys, phis)
-        full = [_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn) for axis in range(3)]
+        q, det, sgn, band = _node_signs(geom, xs, ys, phis)
+        full = [_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn, band) for axis in range(3)]
         boxes = [(0, 40, 0, 36), (0, 2, 0, 2), (38, 40, 3, 5), (5, 30, 34, 36)]
         for _ in range(6):
             boxes.append((*np.sort(rng.choice(41, 2, replace=False)), *np.sort(rng.choice(37, 2, replace=False))))
         for box in [b for b in boxes if b[1] - b[0] >= 2 and b[3] - b[2] >= 2]:
             i0, i1, j0, j1 = box
             for axis, cut in enumerate(_cut(*box)):
-                window = (q, det[i0:i1, j0:j1], sgn[i0:i1, j0:j1])
+                window = (q, det[i0:i1, j0:j1], sgn[i0:i1, j0:j1], band)
                 got = _axis_edge_scan(geom, xs[i0:i1], ys[j0:j1], phis, axis, *window)
                 assert np.array_equal(got, full[axis][cut]), (box, axis)
 
@@ -868,7 +869,7 @@ def test_every_door_is_one_passage_of_its_own_leg():
         safe = passage_safety(geom)
         for n in (12, 32, 64):
             xs, ys, phis = _grid_axes(geom, (n, n, n))
-            q, _, sgn = _node_signs(geom, xs, ys, phis)
+            q, _, sgn, _ = _node_signs(geom, xs, ys, phis)
             doors, points, serial = _serial_doors(geom, xs, ys, phis, safe, q, sgn)
             assert len(doors) <= serial
             for (axis, i, j, m), (a, b) in zip(doors.tolist(), points):
@@ -905,14 +906,14 @@ def test_admissible_edges_keep_the_node_sign_and_doors_flip_it():
     for geom in designs:
         for n in (12, 32, 64):
             xs, ys, phis = _grid_axes(geom, (n, n, n))
-            q, det, sgn = _node_signs(geom, xs, ys, phis)
+            q, det, sgn, band = _node_signs(geom, xs, ys, phis)
             doors = _serial_doors(geom, xs, ys, phis, passage_safety(geom), q, sgn)[0]
             ends = [(sgn[:-1], sgn[1:]), (sgn[:, :-1], sgn[:, 1:]), (sgn, np.roll(sgn, -1, axis=2))]
             for axis, (a, b) in enumerate(ends):
                 product = a.astype(int) * b
                 door = np.zeros(product.shape, dtype=bool)
                 door[tuple(doors[doors[:, 0] == axis, 1:].T)] = True
-                ok = ~_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn)
+                ok = ~_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn, band)
                 assert np.all(product[ok & ~door] == 1)
                 assert np.all(product[door] == -1)
             n_doors += len(doors)
@@ -969,14 +970,14 @@ def test_no_admissible_edge_or_door_ends_at_a_zero_node(ref, box, n):
     """The nodes on the phi = 0 line pair get sign 0, and every edge with
     such an end is inadmissible; no door ends at one either."""
     xs, ys, phis = _box_axes(box, n)
-    q, det, sgn = _node_signs(ref, xs, ys, phis)
+    q, det, sgn, band = _node_signs(ref, xs, ys, phis)
     zero = sgn == 0
     on_locus = (ys[None, :] == 1.0) | (xs[:, None] + 2.0 * ys[None, :] == 16.0)
     assert np.any(on_locus) and np.array_equal(zero[:, :, 0], on_locus) and not np.any(zero[:, :, 1:])
     assert np.all(_leg_geometry(ref, xs[:, None], ys[None, :], 0.0)[3][on_locus] == 0.0)
     ends = [zero[:-1] | zero[1:], zero[:, :-1] | zero[:, 1:], zero | np.roll(zero, -1, axis=2)]
     for axis in range(3):
-        assert np.all(_axis_edge_scan(ref, xs, ys, phis, axis, q, det, sgn)[ends[axis]]), axis
+        assert np.all(_axis_edge_scan(ref, xs, ys, phis, axis, q, det, sgn, band)[ends[axis]]), axis
     doors = _serial_doors(ref, xs, ys, phis, passage_safety(ref), q, sgn)[0]
     assert len(doors)
     for axis, i, j, m in doors.tolist():
@@ -1171,14 +1172,23 @@ def test_exact_phi_scan_finds_two_roots_between_subsamples(ref):
     assert not _reference_edge_scan(ref, xs, ys, phis, 2)[0, 0, 0]
 
 
+# Re(G1 e^{i phi} + G2 e^{2i phi}) (1 + t^2)^2 with t = tan(phi / 2) is
+# Re(G @ _TAN_HALF) on t^0 .. t^4, from e^{ik phi} = ((1 + it) / (1 - it))^k.
+_TAN_HALF = np.array([[1, 2j, 0, 2j, -1], [1, 4j, -6, -4j, 1]])
+
+
 def _companion_angles(coef):
-    """_critical_angles as it was before its closed form: the real parts of
-    the eigenvalues of each row's companion matrix of the tan-half quartic,
-    in one batched LAPACK call."""
+    """Four angles per row of coefficients (a0, a1, b1, a2, b2) that include
+    every critical point: the real parts of the eigenvalues of each row's
+    companion matrix of the derivative's tan-half quartic, in one batched
+    LAPACK call (a non-real root only adds a harmless angle)."""
+    # the derivative is Re(G1 e^{i phi} + G2 e^{2i phi}); with t = tan((phi -
+    # alpha) / 2) the t^4 coefficient is the derivative at alpha + pi, the
+    # sample angle where it is largest, so it is never zero
     G = (coef[:, 1::2] - 1j * coef[:, 2::2]) * [1j, 2j]
     at_samples = (G @ np.exp(1j * np.outer([1, 2], modeplan._TRIG_ANGLES))).real
     alpha = modeplan._TRIG_ANGLES[np.argmax(np.abs(at_samples), axis=1)] - np.pi
-    poly = ((G * np.exp(1j * np.outer(alpha, [1, 2]))) @ modeplan._TAN_HALF).real
+    poly = ((G * np.exp(1j * np.outer(alpha, [1, 2]))) @ _TAN_HALF).real
     return alpha[:, None] + 2.0 * np.arctan(_companion_roots(poly).real)
 
 
@@ -1192,8 +1202,10 @@ def _companion_roots(poly):
 
 
 def _companion_phi_scan(phis, det, sgn):
-    """The phi-edge mask as _axis_edge_scan found it with _companion_angles:
-    a column is opened where the chord bound leaves one of its edges open."""
+    """The phi-edge mask from the critical points: each column where the
+    chord bound leaves one of its edges open is tested at its
+    _companion_angles, and an edge whose extremum has the other sign or is
+    zero crosses."""
     np_ = len(phis)
     dphi = 2.0 * np.pi / np_
     coef = det @ (modeplan._trig_basis(phis) * [1, 2, 2, 2, 2] / np_)
@@ -1207,62 +1219,6 @@ def _companion_phi_scan(phis, det, sgn):
     hit = np.sign(at_phc) * sgn[i, j, m] <= 0
     cross[i[hit], j[hit], m[hit]] = True
     return cross
-
-
-def _sorted_gap(a, b):
-    """Largest difference between the rows of ``a`` and ``b``, each sorted,
-    relative to 1 + |b|."""
-    a, b = np.sort(a, axis=1), np.sort(b, axis=1)
-    return np.max(np.abs(a - b) / (1.0 + np.abs(b)), initial=0.0)
-
-
-def test_closed_form_critical_angles_equal_the_companion_eigenvalues(ref):
-    """The closed-form critical angles equal the companion eigenvalues' on
-    the columns the reference 64^3 grid opens and on seeded rows, and to
-    the square root of eps where the derivative has a double root (an
-    inflection of zero slope, where both lose half their digits)."""
-    xs = ys = np.linspace(-L, 2 * L, 64)
-    phis = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    det = _node_signs(ref, xs, ys, phis)[1]
-    coef = det @ (modeplan._trig_basis(phis) * [1, 2, 2, 2, 2] / 64)
-    chord = (np.abs(coef) @ [0, 1, 1, 4, 4]) * (2.0 * np.pi / 64) ** 2 / 8
-    opened = coef[np.abs(det).min(axis=2) <= chord]
-    assert len(opened) >= 600
-    rng = np.random.default_rng(41)
-    seeded = rng.normal(size=(2000, 5)) * 10.0 ** rng.uniform(-3, 3, (2000, 1))
-    for rows in (opened, seeded):
-        assert _sorted_gap(modeplan._critical_angles(rows), _companion_angles(rows)) <= 1e-10
-
-    # a double root of f' at phi0: solve f'(phi0) = f''(phi0) = 0 for (a2, b2)
-    n = 500
-    a1, b1, phi0 = rng.normal(size=n), rng.normal(size=n), rng.uniform(0.0, 2.0 * np.pi, n)
-    c1, s1, c2, s2 = np.cos(phi0), np.sin(phi0), np.cos(2 * phi0), np.sin(2 * phi0)
-    system = np.stack([np.stack([-2 * s2, 2 * c2], -1), np.stack([-4 * c2, -4 * s2], -1)], 1)
-    rhs = np.stack([a1 * s1 - b1 * c1, a1 * c1 + b1 * s1], -1)
-    a2, b2 = np.linalg.solve(system, rhs[..., None])[..., 0].T
-    double = np.stack([rng.normal(size=n), a1, b1, a2, b2], -1)
-    angles = modeplan._critical_angles(double)
-    assert _sorted_gap(angles, _companion_angles(double)) <= 1e-6
-    assert np.all(np.abs(wrap_angle(angles - phi0[:, None])).min(axis=1) <= 1e-6)
-
-
-def test_closed_form_quartic_roots_equal_the_companion_eigenvalues():
-    """The roots' real parts equal the companion eigenvalues' on seeded
-    quartics, on quartics with a double root and on biquadratics about a
-    seeded centre (q = 0 up to rounding once depressed), whose resolvent
-    has the root 0."""
-    rng = np.random.default_rng(43)
-    seeded = rng.normal(size=(2000, 5))
-    poly = np.polynomial.polynomial.polyfromroots
-    centre, r1, r2 = rng.normal(size=500), rng.uniform(0.5, 2.0, 500), rng.uniform(0.5, 2.0, 500)
-    biquadratic = []
-    for c, a, b, kind in zip(centre, r1, r2, itertools.cycle(["real", "one pair", "two pairs"])):
-        ra = a if kind == "real" else 1j * a
-        rb = 1j * b if kind == "two pairs" else b
-        biquadratic.append(poly([c + ra, c - ra, c + rb, c - rb]).real)
-    double = [poly([a, a, b, c]) for a, b, c in rng.normal(size=(500, 3))]
-    for rows, tol in ((seeded, 1e-11), (np.array(biquadratic), 1e-11), (np.array(double), 1e-6)):
-        assert _sorted_gap(modeplan._quartic_roots(rows).real, _companion_roots(rows).real) <= tol
 
 
 def _phi_scan_designs():
@@ -1285,35 +1241,126 @@ def _phi_scan_designs():
 
 
 def test_phi_masks_equal_the_companion_scan():
-    """The phi-edge masks of the closed-form scan, which opens every column
-    whose smallest |det| is within the chord bound, equal bit for bit those
-    of the companion scan on 63 designs at 16^3, 32^3 and 64^3."""
+    """The phi-edge masks of the halving scan equal bit for bit those of
+    the companion scan, which tests every critical point of the columns
+    that the chord bound leaves open, on 63 designs at 16^3, 32^3 and
+    64^3."""
     for geom in _phi_scan_designs():
         for n in (16, 32, 64):
             xs, ys, phis = _grid_axes(geom, (n, n, n))
-            q, det, sgn = _node_signs(geom, xs, ys, phis)
-            got = _axis_edge_scan(geom, xs, ys, phis, 2, q, det, sgn)
+            q, det, sgn, band = _node_signs(geom, xs, ys, phis)
+            got = _axis_edge_scan(geom, xs, ys, phis, 2, q, det, sgn, band)
             assert np.array_equal(got, _companion_phi_scan(phis, det, sgn)), (geom, n)
 
 
 def test_phi_scan_opens_no_column_constant_in_phi(monkeypatch):
-    """A column whose determinant is constant in phi, zero or not, has no
-    critical point: it reaches no quartic and raises no warning, and its
-    edges cross exactly where its node signs say."""
+    """A column whose determinant is constant in phi, zero or not, is not
+    opened and raises no warning, and its edges cross exactly where its
+    node signs say."""
     phis = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
     det = np.empty((2, 2, 8))
     det[0, 0], det[0, 1] = 0.0, 2.0
     det[1] = [1.0 + 2.0 * np.cos(2 * phis), 0.3 + np.sin(phis)]
     sgn = np.sign(det).astype(np.int8)
-    rows = []
-    angles = modeplan._critical_angles
-    monkeypatch.setattr(modeplan, "_critical_angles", lambda coef: rows.append(coef) or angles(coef))
+    masks = []
+    nonzero = modeplan._nonzero
+    monkeypatch.setattr(modeplan, "_nonzero", lambda a: masks.append(a) or nonzero(a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cross = _axis_edge_scan(None, None, None, phis, 2, None, det, sgn)
-    assert np.all(np.any(np.concatenate(rows)[:, 1:] != 0.0, axis=1))
+        cross = _axis_edge_scan(None, None, None, phis, 2, None, det, sgn, 0.0)
+    opened = masks[0]  # the first mask the phi scan takes is that of its opened columns
+    assert opened.shape == (2, 2) and not opened[0].any()
     assert cross[0, 0].all() and not cross[0, 1].any()
     assert np.array_equal(cross, _companion_phi_scan(phis, det, sgn))
+
+
+@pytest.mark.parametrize("np_", [8, 12, 16, 64])
+def test_phi_edges_tangent_to_the_locus_cross(np_):
+    """Columns f = a (1 - cos k (phi - phi0)), k = 1 or 2, a from 1e-3 to
+    1e3 and phi0 inside an edge, touch zero without changing sign: every
+    edge that holds a touching point crosses, each column scanned with its
+    own zero band."""
+    rng = np.random.default_rng(53)
+    dphi = 2.0 * np.pi / np_
+    phis = np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
+    for _ in range(500):
+        a, k = 10.0 ** rng.uniform(-3, 3), int(rng.integers(1, 3))
+        phi0 = (rng.integers(np_) + rng.uniform(0.01, 0.99)) * dphi
+        det = a * (1.0 - np.cos(k * (phis - phi0)))[None, None]
+        band = modeplan.ZERO_DET_REL * np.abs(det).max()
+        sgn = (det > band).view(np.int8) - (det < -band).view(np.int8)
+        assert np.all(sgn == 1)
+        cross = _axis_edge_scan(None, None, None, phis, 2, None, det, sgn, band)[0, 0]
+        touching = ((phi0 + 2.0 * np.pi / k * np.arange(k)) // dphi).astype(int) % np_
+        assert cross[touching].all(), (a, k, phi0)
+
+
+def test_phi_edge_whose_end_equals_the_chord_bound_is_halved():
+    """The chord bound certifies a piece only where both end values exceed
+    it.  The column 1.0006 + cos phi at 9 angles, its nodes at 8pi/9 and
+    10pi/9 set to the bound (node 6pi/9 nudged by ulps until the bound
+    equals them), opens, and the edge between them is halved: its midpoint
+    f(pi) = 6e-4 lies in the band 1e-3 given to the scan, so it crosses."""
+    np_ = 9
+    phis = np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
+    det = (1.0006 + np.cos(phis))[None, None]
+
+    def bound():
+        coef = det @ (modeplan._trig_basis(phis) * [1, 2, 2, 2, 2] / np_)
+        return (np.abs(coef) @ [0, 1, 1, 4, 4])[0, 0] * (2.0 * np.pi / np_) ** 2 / 8
+
+    for _ in range(200):
+        det[0, 0, 4:6] = bound()
+        if bound() == det[0, 0, 4]:
+            break
+        det[0, 0, 3] = np.nextafter(det[0, 0, 3], 3.0)
+    assert bound() == det[0, 0, 4] == det.min()
+    cross = _axis_edge_scan(None, None, None, phis, 2, None, det, np.ones(det.shape, np.int8), 1e-3)
+    assert cross[0, 0, 4]
+
+
+def test_phi_scan_of_a_column_whose_bound_is_not_finite_crosses_its_open_edges():
+    """A column whose chord bound overflows, or is not finite because of
+    infinite node values, is not halved, so the scan ends, and each of its
+    same-sign edges crosses: the finite values 1e308 (0.9 + 0.5 cos 2phi),
+    whose bound is inf, and 2 + cos phi with two adjacent infinite nodes or
+    one, whose bound is nan."""
+    phis = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    det = np.empty((3, 1, 64))
+    det[0, 0] = 1e308 * (0.9 + 0.5 * np.cos(2 * phis))
+    det[1:] = 2.0 + np.cos(phis)
+    det[1, 0, [2, 3]] = det[2, 0, 0] = np.inf
+    band = modeplan.ZERO_DET_REL * np.abs(det[np.isfinite(det)]).max()
+    sgn = np.sign(det).astype(np.int8)
+    with np.errstate(invalid="ignore", over="ignore"):
+        coef = det @ (modeplan._trig_basis(phis) * [1, 2, 2, 2, 2] / 64)
+        bound = np.abs(coef) @ [0, 1, 1, 4, 4]
+    assert np.all(sgn == 1) and bound[0, 0] == np.inf and np.isnan(bound[1:]).all()
+    with np.errstate(invalid="ignore", over="ignore"):
+        cross = _axis_edge_scan(None, None, None, phis, 2, None, det, sgn, band)
+    assert cross.all()
+
+
+def test_xy_edges_tangent_to_the_locus_cross():
+    """Rows Q = a (u - u0)^2, a from 1e-3 to 1e3 and u0 inside an edge,
+    touch zero without changing sign: on both spatial axes the edge that
+    holds u0 crosses, each row scanned with its own zero band."""
+    rng = np.random.default_rng(59)
+    geom = types.SimpleNamespace(base=np.zeros((3, 2)))
+    along, other, phis = np.linspace(-1.0, 1.0, 9), np.array([0.0, 0.5]), np.zeros(1)
+    for _ in range(1000):
+        a, edge = 10.0 ** rng.uniform(-3, 3), int(rng.integers(8))
+        u0 = along[edge] + rng.uniform(0.01, 0.99) * (along[1] - along[0])
+        row = np.array([a, 0.0, 0.0, -2.0 * a * u0, 0.0, a * u0 * u0])  # (q20, q11, q02, q10, q01, q00)
+        det = np.broadcast_to((a * (along - u0) ** 2)[:, None, None], (9, 2, 1))
+        band = modeplan.ZERO_DET_REL * det.max()
+        sgn = (det > band).view(np.int8) - (det < -band).view(np.int8)
+        assert np.all(sgn == 1)
+        cross = _axis_edge_scan(geom, along, other, phis, 0, row[None], det, sgn, band)
+        assert cross[edge].all(), (a, u0)
+        q = row[[2, 1, 0, 4, 3, 5]][None]  # the same quadratic along y
+        cross = _axis_edge_scan(geom, other, along, phis, 1, q, det.transpose(1, 0, 2), sgn.transpose(1, 0, 2), band)
+        assert cross[:, edge].all(), (a, u0)
 
 
 def _chord_segment(geom, phi, y, offset, length=20.0):
@@ -1989,7 +2036,7 @@ def _planner_segments(geom, rng, res):
     xs, ys, phis = _grid_axes(geom, (res,) * 3)
     steps = np.diag([xs[1] - xs[0], ys[1] - ys[0], 2.0 * np.pi / res])
     corner = lambda i, j, m: np.array([xs[i], ys[j], phis[m]])
-    q, _, sgn = _node_signs(geom, xs, ys, phis)
+    q, _, sgn, _ = _node_signs(geom, xs, ys, phis)
     doors, points, _ = _serial_doors(geom, xs, ys, phis, passage_safety(geom), q, sgn)
     p0s, p1s = [], []
     for (axis, i, j, m), (a, b) in zip(doors.tolist(), points):
