@@ -40,7 +40,6 @@ from .model import (
     Pose,
     RobotGeometry,
     platform_points,
-    pose_distance,
     wrap_angle,
 )
 
@@ -59,6 +58,7 @@ ORACLE_GRID = 4096
 # 1, r1, r2, r3, r1^2, r1 r2, r1 r3, r2^2, r2 r3, r3^2 (np.triu_indices order).
 _MONOMIALS = [(a, b) for a in range(4) for b in range(a, 4)]
 _ONE_PLUS_T2 = np.array([1.0, 0.0, 1.0])
+_SHIFTS = [np.eye(n, k=-1) for n in range(1, 7)]  # a companion matrix's ones, at its size - 1
 _SINGULAR_ELIMINATION = "the (x, y) elimination system is singular for every orientation"
 
 
@@ -315,7 +315,7 @@ def build_fk_polynomial(geom: RobotGeometry, joints: JointVector) -> UnivariateF
     cmax = max(map(abs, values))
     if cmax == 0.0:
         return UnivariateFkPolynomial(np.zeros(1), True, True)
-    degree = max(k for k, c in enumerate(values) if abs(c) > TRIM_REL * cmax)
+    degree = next(k for k in range(len(values) - 1, -1, -1) if abs(values[k]) > TRIM_REL * cmax)
     return UnivariateFkPolynomial(coeffs[: degree + 1], degree < 6, False)
 
 
@@ -327,7 +327,7 @@ def _companion_roots(coeffs: np.ndarray) -> list:
     Comp. 64, 1995)."""
     if len(coeffs) == 2:
         return [float(-coeffs[0] / coeffs[1])]
-    mat = np.eye(len(coeffs) - 1, k=-1)
+    mat = _SHIFTS[len(coeffs) - 2].copy()
     mat[:, -1] -= coeffs[:-1] / coeffs[-1]
     roots = np.linalg.eigvals(mat)
     roots.sort()
@@ -346,35 +346,49 @@ def _min_norm_step(p, q):
     return [lp * a + lq * b for a, b in zip(p[:3], q[:3])]
 
 
+def _newton_step(rows):
+    """The Newton step s with J s = -F on the rows of :func:`_constraint_rows`, by cofactor
+    expansion (Cramer's rule) in plain floats; where det J is 0 or not finite (a zero row makes
+    it exactly 0), by ``np.linalg.solve``, then :func:`_min_norm_step` or least squares."""
+    (a, b, c, f), (d, e, g, h), (p, q, r, k) = rows
+    c00, c01, c02 = e * r - g * q, g * p - d * r, d * q - e * p
+    det = a * c00 + b * c01 + c * c02
+    if det != 0.0 and math.isfinite(det):
+        c10, c11, c12 = c * q - b * r, a * r - c * p, b * p - a * q
+        c20, c21, c22 = b * g - c * e, c * d - a * g, a * e - b * d
+        return [-(u * f + v * h + w * k) / det for u, v, w in ((c00, c10, c20), (c01, c11, c21), (c02, c12, c22))]
+    jac = np.array(rows)
+    try:
+        return np.linalg.solve(jac[:, :3], -jac[:, 3]).tolist()
+    except np.linalg.LinAlgError:
+        # B_i = a_i zeroes leg i's row (a zero-leg start): step on the live rows
+        live = [row for row in rows if any(row[:3])]
+        step = _min_norm_step(*live) if len(live) == 2 else None
+        return step or np.linalg.lstsq(jac[:, :3], -jac[:, 3], rcond=None)[0].tolist()
+
+
 def _refine_newton(legs, rho_sq, x, y, phi, res_tol):
-    """Newton iteration on (F_1, F_2, F_3); returns (pose, residual, ok)."""
+    """Newton iteration on (F_1, F_2, F_3); returns ((x, y, phi), residual, ok)."""
     x, y, phi = float(x), float(y), float(phi)
     rows = _constraint_rows(legs, rho_sq, x, y, phi)
-    best = max(abs(row[3]) for row in rows)
+    best = max(abs(rows[0][3]), abs(rows[1][3]), abs(rows[2][3]))
     for _ in range(NEWTON_MAX_ITER):
         # polish far below the acceptance residual: near-singular Jacobians
         # amplify residual into pose error, so spare digits are cheap insurance
         if best <= 1e-6 * res_tol:
             break
-        jac = np.array(rows)
-        try:
-            sx, sy, sphi = np.linalg.solve(jac[:, :3], -jac[:, 3]).tolist()
-        except np.linalg.LinAlgError:
-            # B_i = a_i zeroes leg i's row (a zero-leg start): step on the live rows
-            live = [row for row in rows if any(row[:3])]
-            step = _min_norm_step(*live) if len(live) == 2 else None
-            sx, sy, sphi = step or np.linalg.lstsq(jac[:, :3], -jac[:, 3], rcond=None)[0].tolist()
+        sx, sy, sphi = _newton_step(rows)
         for _ in range(9):  # the full step, then up to 8 halvings
             cand = (x + sx, y + sy, phi + sphi)
             cand_rows = _constraint_rows(legs, rho_sq, *cand)
-            cand_best = max(abs(row[3]) for row in cand_rows)
+            cand_best = max(abs(cand_rows[0][3]), abs(cand_rows[1][3]), abs(cand_rows[2][3]))
             if cand_best < best or best <= res_tol:
                 break
             sx, sy, sphi = 0.5 * sx, 0.5 * sy, 0.5 * sphi
         if cand_best >= best:
             break  # stalled inside tolerance, or the line search failed
         (x, y, phi), rows, best = cand, cand_rows, cand_best
-    return Pose(x, y, phi), best, best <= res_tol
+    return (x, y, phi), best, best <= res_tol
 
 
 def _zero_leg_starts(design: FkDesign, rho_sq, L: float):
@@ -462,9 +476,9 @@ def solve_fk(geom: RobotGeometry, joints: JointVector) -> FkSolutionSet:
 
     entries = []
     for x0, y0, phi0, mult in starts:
-        pose, resid, ok = _refine_newton(design.legs, rho_sq, x0, y0, phi0, res_tol)
+        xyphi, resid, ok = _refine_newton(design.legs, rho_sq, x0, y0, phi0, res_tol)
         if ok:
-            entries.append((pose, resid, mult))
+            entries.append((xyphi, resid, mult))
         elif resid <= 1e4 * res_tol:
             msg = f"dropped a near-solution at phi={phi0:.6f} with residual {resid:.3e}"
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
@@ -472,32 +486,33 @@ def solve_fk(geom: RobotGeometry, joints: JointVector) -> FkSolutionSet:
     if poly is not None and poly.check_phi_pi:
         x0, y0, det = _float_solve_affine_xy(rows, math.pi, L)
         if det > 1e-12 * (L * L):
-            pose, resid, ok = _refine_newton(design.legs, rho_sq, x0, y0, math.pi, res_tol)
-            if ok and abs(wrap_angle(pose.phi - math.pi)) <= 1e-6:
-                entries.append((pose, resid, 1))
+            xyphi, resid, ok = _refine_newton(design.legs, rho_sq, x0, y0, math.pi, res_tol)
+            if ok and abs(wrap_angle(xyphi[2] - math.pi)) <= 1e-6:
+                entries.append((xyphi, resid, 1))
 
     return _assemble_solution_set(entries, L)
 
 
 def _assemble_solution_set(entries, L: float) -> FkSolutionSet:
-    """Deduplicate refined candidates and sort them deterministically.
-
-    Solution angles are normalized into (-pi, pi] so the solver and the
-    oracle report identical poses.
-    """
-    merged: list[list] = []
-    entries = [(Pose(p.x, p.y, wrap_angle(p.phi)), r, m) for p, r, m in entries]
-    for pose, resid, mult in entries:
+    """Deduplicate refined candidates ((x, y, phi), residual, multiplicity) in
+    plain floats and sort them deterministically.  Angles are normalized into
+    (-pi, pi] once, so the solver and the oracle report identical poses, and
+    candidates merge at :func:`pose_distance` < DEDUP_REL * L, taken with its
+    np.hypot (math.hypot rounds differently); Poses are built at the end."""
+    tol = DEDUP_REL * L
+    merged: list[list] = []  # [x, y, phi, residual, multiplicity]
+    for (x, y, phi), resid, mult in entries:
+        phi = wrap_angle(phi)
         for item in merged:
-            if pose_distance(pose, item[0], L) < DEDUP_REL * L:
-                item[2] += mult
-                if resid < item[1]:
-                    item[0], item[1] = pose, resid
+            if L * abs(wrap_angle(phi - item[2])) < tol and np.hypot(x - item[0], y - item[1]) < tol:
+                item[4] += mult
+                if resid < item[3]:
+                    item[:4] = x, y, phi, resid
                 break
         else:
-            merged.append([pose, resid, mult])
-    merged.sort(key=lambda it: (wrap_angle(it[0].phi), it[0].x, it[0].y))
-    return FkSolutionSet(*([it[k] for it in merged] for k in range(3)))
+            merged.append([x, y, phi, resid, mult])
+    merged.sort(key=lambda it: (wrap_angle(it[2]), it[0], it[1]))
+    return FkSolutionSet([Pose(*it[:3]) for it in merged], [it[3] for it in merged], [it[4] for it in merged])
 
 
 def _sign(v: float) -> float:
@@ -589,8 +604,8 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
     x0, y0, det0, _ = lift(roots)
     entries = []
     for j in np.flatnonzero(det0 > 1e-12 * (L * L)):
-        pose, resid, ok = _refine_newton(legs, rho_sq, x0[j], y0[j], roots[j], res_tol)
+        xyphi, resid, ok = _refine_newton(legs, rho_sq, x0[j], y0[j], roots[j], res_tol)
         if ok:
-            entries.append((pose, resid, 1))
+            entries.append((xyphi, resid, 1))
     return _assemble_solution_set(entries, L)
 

@@ -785,7 +785,7 @@ def _axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn, band):
     return cross
 
 
-def _serial_doors(geom, xs, ys, phis, safe, q, sgn):
+def _serial_doors(geom, xs, ys, phis, safe, q, sgn, band):
     """Doors through the serial points S = S_l(phi_m) of the passage-safe
     legs at the grid angles, each in its cell (i, j): x_i < S_x <= x_{i+1},
     y_j < S_y <= y_{j+1}.
@@ -798,11 +798,13 @@ def _serial_doors(geom, xs, ys, phis, safe, q, sgn):
     sides (else the leg's zero would sit at a turn of the path), the row's
     other zero (by Vieta) is not in [x_i, x_{i+1}], and the determinant has
     no zero on the parts of the two sides that the door runs on: each
-    corner's node sign (``sgn``, with ``q``, of :func:`_node_signs`) is its
-    row point's, so no door ends at a zero node, and no vertex between has
-    the other sign.  x and y swapped give the y doors.  Each serial point
-    takes the first admissible of its x doors from the lower and the upper
-    corners and its y doors from the left and the right corners.
+    corner's node sign (``sgn``, with ``q`` and ``band``, of
+    :func:`_node_signs`) is its row point's, so no door ends at a zero node,
+    and no vertex between has the other sign or lies in the zero band
+    ``band``, so a side that touches the locus is refused.  x and y swapped
+    give the y doors.  Each serial point takes the first admissible of its
+    x doors from the lower and the upper corners and its y doors from the
+    left and the right corners.
 
     Returns the door edges (axis, i, j, m), sorted (the first serial point
     in (m, leg) order wins an edge), their row points (k, 2, 3) from the
@@ -837,7 +839,7 @@ def _serial_doors(geom, xs, ys, phis, safe, q, sgn):
         ij = (corner, side) if axis else (side, corner)
         meets = sgn[ij[0], ij[1], m] * at_row <= 0
         between = (np.minimum(v, corners) < vertex) & (vertex < np.maximum(v, corners))
-        meets |= between & (np.sign(at_vertex) * at_row <= 0)
+        meets |= between & ((np.sign(at_vertex) * at_row <= 0) | (np.abs(at_vertex) <= band))
         admissible += list(row & ~meets.any(axis=1))
     kind = np.argmax(admissible, axis=0)  # the first admissible door
     k = np.flatnonzero(np.any(admissible, axis=0))
@@ -1111,7 +1113,7 @@ def plan_mode_change(
             raise NoPathFound(f"could not connect the {label} pose to the search grid")
         snapped.append(linked[0])
     ok = [~_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn, band) for axis in range(3)]
-    doors, door_points, serial = _serial_doors(geom, xs, ys, phis, safe, q, sgn)
+    doors, door_points, serial = _serial_doors(geom, xs, ys, phis, safe, q, sgn, band)
     del det, sgn  # the search needs only the masks
     for a, i, j, m in doors.tolist():
         ok[a][i, j, m] = True

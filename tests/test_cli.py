@@ -296,6 +296,11 @@ RANDOM0_PI_JOINTS = "5.113988363202984,12.663443714824998,7.718558871023457"
         # leg 1 passes its serial point S_1(0.83) at t = 5/7, between two
         # samples: the sign continuation refines the leg's reversal
         (["verify", "--path", str(DATA / "verify_path_reversal.json")], "cli_verify_reversal.json"),
+        # rho_1 = 0 at phi = 0.83, where the closed-form start needs no
+        # Newton step, and at phi = 2.3, where the first step's Jacobian has
+        # a zero row and falls back from the cofactor step
+        (["fk", "--joints", "0,7.874638988188514,6.626047116234475"], "cli_fk_ref_zero_leg.json"),
+        (["fk", "--joints", "0,13.011613339720249,11.38753808619295"], "cli_fk_ref_zero_leg_phi2.3.json"),
     ],
 )
 def test_cli_output_equals_pinned_file(ref_file, capfd, args, pinned):

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -25,7 +27,7 @@ from planar_rpr import (
 )
 from planar_rpr import ValidationError, kinematics
 from planar_rpr.kinematics import TRIM_REL, UnivariateFkPolynomial
-from planar_rpr.model import rotation
+from planar_rpr.model import rotation, wrap_angle
 from planar_rpr.singularity import _leg_geometry, _leg_vectors
 
 from conftest import RANDOM0, REF_BASE, REF_PLATFORM, REF_SCALE, bracket_roots_over_all, random_pose_tuple
@@ -865,3 +867,142 @@ def test_zero_leg_vectors_need_no_lstsq(monkeypatch):
         for p in oracle_fk(geom, JointVector(rho)):
             assert min(pose_distance(p, q, Lg) for q in sols) <= math.sqrt(1e-9) * Lg
     assert len(live_steps) >= 10  # the zero-row step did run
+
+
+def test_solve_fk_equals_the_seeded_pin():
+    """solve_fk gives, bit for bit, the solution sets pinned in
+    tests/data/fk_seeded_solutions.json: 240 joint vectors built as the fk
+    benchmark workload builds them (seed 97), in equal thirds generic, one
+    leg exactly zero and phi within 1e-3 of pi, on the reference robot and
+    three seeded designs.  Poses, residuals, multiplicities and their order
+    are compared exactly, so a difference names its vector."""
+    pin = json.loads((pathlib.Path(__file__).parent / "data" / "fk_seeded_solutions.json").read_text())
+    designs = [RobotGeometry(d["base"], d["platform"], d["name"]) for d in pin["designs"]]
+    assert len(pin["vectors"]) == 240
+    for k, vec in enumerate(pin["vectors"]):
+        sols = solve_fk(designs[vec["design"]], JointVector(vec["joints"]))
+        got = ([[p.x, p.y, p.phi] for p in sols.solutions], sols.residuals, sols.multiplicities)
+        assert got == (vec["solutions"], vec["residuals"], vec["multiplicities"]), (k, vec["kind"])
+
+
+def _counting_solve(monkeypatch):
+    """Wrap np.linalg.solve; the list grows by one per call."""
+    calls, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or solve(a, b))
+    return calls
+
+
+def test_newton_step_by_cofactors_agrees_with_solve(monkeypatch):
+    """On 1,000 seeded well-conditioned Jacobians (condition number below
+    100, entries scaled by 1e-3 to 1e3) the cofactor step agrees with
+    np.linalg.solve to 1e-12 relative, without calling it."""
+    rng = np.random.default_rng(31)
+    cases = []
+    while len(cases) < 1000:
+        rows = rng.normal(size=(3, 4)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if np.linalg.cond(rows[:, :3]) < 100.0:
+            cases.append((rows.tolist(), np.linalg.solve(rows[:, :3], -rows[:, 3])))
+    calls = _counting_solve(monkeypatch)
+    for rows, want in cases:
+        got = kinematics._newton_step(rows)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 * np.max(np.abs(want))
+    assert calls == []
+
+
+def test_newton_step_falls_back_where_the_cofactor_determinant_is_zero_or_not_finite(monkeypatch):
+    """A zero row (a zero-leg start) and an exactly singular J give det 0;
+    entries that are inf or NaN, or whose det overflows, a det that is not
+    finite.  Each step then is np.linalg.solve's, or, where that raises,
+    the live-row step or least squares."""
+    p, q = [1.5, -2.0, 0.25, 3.0], [0.5, 1.0, -4.0, -1.0]
+    singular = [[1.0, 2.0, 3.0, 1.0], [2.0, 4.0, 6.0, -1.0], [1.0, 0.0, 1.0, 2.0]]
+    overflow = [[1e300, 2.0, 3.0, 1.0], [4.0, 1e300, 6.0, 1.0], [7.0, 8.0, 1e300, 1.0]]
+    inf = [[1.0, 2.0, 3.0, 1.0], [4.0, 5.0, 6.0, 1.0], [7.0, 8.0, math.inf, 1.0]]
+    nan = [[1.0, 2.0, 3.0, 1.0], [4.0, math.nan, 6.0, 1.0], [7.0, 8.0, 10.0, 1.0]]
+    solve = lambda rows: np.linalg.solve(np.array(rows)[:, :3], -np.array(rows)[:, 3]).tolist()
+    lstsq = np.linalg.lstsq(np.array(singular)[:, :3], -np.array(singular)[:, 3], rcond=None)[0].tolist()
+    cases = [
+        ([p, [0.0] * 4, q], kinematics._min_norm_step(p, q)),
+        ([[0.0] * 4, p, q], kinematics._min_norm_step(p, q)),
+        ([p, q, [0.0] * 4], kinematics._min_norm_step(p, q)),
+        (singular, lstsq),
+        (overflow, solve(overflow)),
+        (inf, solve(inf)),
+        (nan, solve(nan)),
+    ]
+    calls = _counting_solve(monkeypatch)
+    for k, (rows, want) in enumerate(cases):
+        assert np.array(kinematics._newton_step(rows)).tobytes() == np.array(want).tobytes(), k
+        assert len(calls) == k + 1
+    assert np.all(np.isfinite(cases[4][1]))
+
+
+def test_solve_is_reached_only_where_the_cofactor_determinant_is_zero_or_not_finite(monkeypatch):
+    """Over the pinned seeded vectors np.linalg.solve is called only on a
+    Jacobian with an exactly zero row, at a zero-leg start."""
+    pin = json.loads((pathlib.Path(__file__).parent / "data" / "fk_seeded_solutions.json").read_text())
+    designs = [RobotGeometry(d["base"], d["platform"], d["name"]) for d in pin["designs"]]
+    jacobians, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: jacobians.append(a.copy()) or solve(a, b))
+    for vec in pin["vectors"]:
+        solve_fk(designs[vec["design"]], JointVector(vec["joints"]))
+    assert jacobians
+    assert all(np.any(np.all(jac == 0.0, axis=1)) for jac in jacobians)
+
+
+def _reference_assemble_solution_set(entries, L):
+    """The assembly on Pose objects that _assemble_solution_set replaced,
+    kept as the reference: ``entries`` are (Pose, residual, multiplicity)."""
+    merged = []
+    entries = [(Pose(p.x, p.y, wrap_angle(p.phi)), r, m) for p, r, m in entries]
+    for pose, resid, mult in entries:
+        for item in merged:
+            if pose_distance(pose, item[0], L) < kinematics.DEDUP_REL * L:
+                item[2] += mult
+                if resid < item[1]:
+                    item[0], item[1] = pose, resid
+                break
+        else:
+            merged.append([pose, resid, mult])
+    merged.sort(key=lambda it: (wrap_angle(it[0].phi), it[0].x, it[0].y))
+    return kinematics.FkSolutionSet(*([it[k] for it in merged] for k in range(3)))
+
+
+def test_float_assembly_gives_the_pose_assembly_bits():
+    """_assemble_solution_set on (x, y, phi) floats gives the bits of the
+    Pose-based reference on seeded candidate sets: pairs whose distance
+    straddles DEDUP_REL * L within a few ulps (among them pairs on which
+    np.hypot and math.hypot disagree about the bound), angles at and
+    across +-pi, equal angles whose order falls to x and y, and residual
+    ties."""
+    rng = np.random.default_rng(31)
+    pi = math.pi
+    angles = [pi, -pi, 3 * pi, -3 * pi, np.nextafter(pi, 0.0), np.nextafter(-pi, 0.0), 0.0, -0.0, 1.0]
+    sets, disagree = [], 0
+    for L in (1e-3, 1.0, 10.0, 1e3):
+        tol = kinematics.DEDUP_REL * L
+        n = 5000
+        x0, y0 = tol * rng.uniform(-2.0, 2.0, (2, n))
+        theta, ulps = rng.uniform(0.0, 2.0 * pi, n), rng.integers(-2, 3, n)
+        r = tol * (1.0 + ulps * 2.0**-53)
+        dx, dy = (x0 + r * np.cos(theta)) - x0, (y0 + r * np.sin(theta)) - y0
+        split = [(float(np.hypot(a, b)) < tol) != (math.hypot(a, b) < tol) for a, b in zip(dx.tolist(), dy.tolist())]
+        disagree += sum(split)
+        for k in np.flatnonzero(split).tolist() + list(range(100)):
+            phi = float(rng.choice(angles))
+            first = (float(x0[k]), float(y0[k]), phi)
+            second = (float(x0[k] + dx[k]), float(y0[k] + dy[k]), phi + float(rng.choice([0.0, 2 * pi, -2 * pi])))
+            sets.append((L, [(first, 1e-12, 1), (second, float(rng.choice([1e-12, 5e-13, 2e-12])), 2)]))
+        for _ in range(100):
+            # candidates on a few angles near and across +-pi, with ties in phi
+            phis = rng.choice([pi, -pi, pi - 0.5 * tol / L, -pi + 0.5 * tol / L, pi - 3 * tol / L, 0.5], 6)
+            xy = rng.choice([0.0, 0.5 * tol, 3 * tol, -2 * tol, L], (6, 2))
+            res = rng.choice([1e-14, 2e-14, 1e-14], 6)
+            sets.append((L, [((float(a), float(b), float(c)), float(d), 1) for (a, b), c, d in zip(xy, phis, res)]))
+    assert disagree >= 5
+    for L, entries in sets:
+        got = kinematics._assemble_solution_set(entries, L)
+        want = _reference_assemble_solution_set([(Pose(*p), r, m) for p, r, m in entries], L)
+        poses = [np.array([p.as_tuple() for p in sols.solutions]).tobytes() for sols in (got, want)]
+        assert poses[0] == poses[1], entries
+        assert (got.residuals, got.multiplicities) == (want.residuals, want.multiplicities)

@@ -155,6 +155,26 @@ def test_scalar_wrap_angle_is_bitwise_the_array_path():
             assert np.float64(got).tobytes() == np.float64(a).tobytes() == np.float64(r).tobytes(), v
 
 
+def test_wrap_angle_keeps_its_bits_on_every_input_type():
+    """A float takes the float fast path; an int, an np.float64 and a 0-d
+    array go through float(); an array takes the array path.  Each gives
+    the reference's bits, at +-pi too, and a scalar gives a float."""
+    pi = np.pi
+    values = [pi, -pi, 3 * pi, -3 * pi, np.nextafter(pi, 0.0), 0.0, -0.0, 2.5, -7.25, 1e16]
+    values += np.random.default_rng(17).uniform(-20.0, 20.0, 50).tolist()
+    bits = lambda v: np.asarray(v, dtype=float).tobytes()
+    for v in values:
+        for scalar in (v, np.float64(v), np.array(v)):
+            got = wrap_angle(scalar)
+            assert type(got) is float and bits(got) == bits(_reference_wrap_angle(v)), v
+    for n in (0, 1, -1, 3, -4, 7, 10**6, -(10**9), True):
+        got = wrap_angle(n)
+        assert type(got) is float and bits(got) == bits(_reference_wrap_angle(float(n))), n
+    for arr in (np.array(values), np.array(values).reshape(6, 10)):
+        got = wrap_angle(arr)
+        assert got.shape == arr.shape and bits(got) == bits(_reference_wrap_angle(arr))
+
+
 def test_pose_distance_wraps(ref):
     L = characteristic_scale(ref)
     a = Pose(0, 0, 0.1)

@@ -773,7 +773,7 @@ def _planner_grid(geom, shape):
     costs = (float(xs[1] - xs[0]), float(ys[1] - ys[0]), float(characteristic_scale(geom) * 2.0 * np.pi / shape[2]))
     q, det, sgn, band = _node_signs(geom, xs, ys, phis)
     ok = [~_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn, band) for axis in range(3)]
-    doors = _serial_doors(geom, xs, ys, phis, passage_safety(geom), q, sgn)[0]
+    doors = _serial_doors(geom, xs, ys, phis, passage_safety(geom), q, sgn, band)[0]
     for a, i, j, m in doors.tolist():
         ok[a][i, j, m] = True
     return costs, ok, doors
@@ -869,8 +869,8 @@ def test_every_door_is_one_passage_of_its_own_leg():
         safe = passage_safety(geom)
         for n in (12, 32, 64):
             xs, ys, phis = _grid_axes(geom, (n, n, n))
-            q, _, sgn, _ = _node_signs(geom, xs, ys, phis)
-            doors, points, serial = _serial_doors(geom, xs, ys, phis, safe, q, sgn)
+            q, _, sgn, band = _node_signs(geom, xs, ys, phis)
+            doors, points, serial = _serial_doors(geom, xs, ys, phis, safe, q, sgn, band)
             assert len(doors) <= serial
             for (axis, i, j, m), (a, b) in zip(doors.tolist(), points):
                 ends = [(xs[i], ys[j]), (xs[i + (axis == 0)], ys[j + (axis == 1)])]
@@ -907,7 +907,7 @@ def test_admissible_edges_keep_the_node_sign_and_doors_flip_it():
         for n in (12, 32, 64):
             xs, ys, phis = _grid_axes(geom, (n, n, n))
             q, det, sgn, band = _node_signs(geom, xs, ys, phis)
-            doors = _serial_doors(geom, xs, ys, phis, passage_safety(geom), q, sgn)[0]
+            doors = _serial_doors(geom, xs, ys, phis, passage_safety(geom), q, sgn, band)[0]
             ends = [(sgn[:-1], sgn[1:]), (sgn[:, :-1], sgn[:, 1:]), (sgn, np.roll(sgn, -1, axis=2))]
             for axis, (a, b) in enumerate(ends):
                 product = a.astype(int) * b
@@ -951,6 +951,40 @@ def test_plans_where_the_locus_cuts_a_corner_of_the_serial_points_cell(ref, box,
     assert verify_mode_change(ref, path).verdict == "changed_without_parallel"
 
 
+def test_no_door_runs_along_a_side_that_touches_the_locus(monkeypatch):
+    """One-cell grids [0, 1]^2 at one angle, about a zero base, with one
+    passage-safe serial point S = (0.5, 0.5) and the conic Q = k x^2 + a y^2
+    - 2.5 k x - 2 a v0 y + a v0^2, k = a (0.5 - v0)^2: Q(x, 0.5) = k (x - 0.5)
+    (x - 2) has S as its one zero in the cell, and Q(0, y) = a (y - v0)^2
+    touches the left side at (0, v0).  The upper x door runs down that side
+    through (0, v0), so it is refused in every cell: its side vertex lies in
+    the zero band.  Without the band the door was admitted wherever the
+    vertex value rounds above zero, in 211 of these 2,000 seeded cells, for
+    example a = 0.40042091985114225, v0 = 0.899180570395549.  With v0 above
+    the cell the side is clear and the door is admitted."""
+    conic = []
+    monkeypatch.setattr(modeplan, "_conic_coefficients", lambda geom, phis, origin: conic[-1])
+    serial = np.array([[-0.5, 5.0, 5.0]])  # S_l = -(B_l - a_l) at the origin
+    monkeypatch.setattr(modeplan, "_leg_geometry", lambda geom, x, y, phi: (serial, serial))
+    geom = types.SimpleNamespace(base=np.zeros((3, 2)), L=1.0)
+    xs, ys, phis = np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([0.0])
+
+    def upper_x_door(a, v0):
+        k = a * (0.5 - v0) ** 2
+        conic.append(np.array([[k, 0.0, a, -2.5 * k, -2.0 * a * v0, a * v0 * v0]]))
+        q, _, sgn, band = _node_signs(geom, xs, ys, phis)
+        return [0, 0, 1, 0] in _serial_doors(geom, xs, ys, phis, np.array([True, False, False]), q, sgn, band)[0].tolist()
+
+    assert not upper_x_door(0.40042091985114225, 0.899180570395549)
+    rng = np.random.default_rng(61)
+    for _ in range(2000):
+        a, v0 = float(10.0 ** rng.uniform(-3.0, 3.0)), float(rng.uniform(0.6, 0.9))
+        assert not upper_x_door(a, v0), (a, v0)
+    for _ in range(20):
+        a, v0 = float(10.0 ** rng.uniform(-3.0, 3.0)), float(rng.uniform(1.05, 1.2))
+        assert upper_x_door(a, v0), (a, v0)
+
+
 # ---------------------------------------------------------------------------
 # zero nodes: one determinant sign per grid node
 
@@ -978,7 +1012,7 @@ def test_no_admissible_edge_or_door_ends_at_a_zero_node(ref, box, n):
     ends = [zero[:-1] | zero[1:], zero[:, :-1] | zero[:, 1:], zero | np.roll(zero, -1, axis=2)]
     for axis in range(3):
         assert np.all(_axis_edge_scan(ref, xs, ys, phis, axis, q, det, sgn, band)[ends[axis]]), axis
-    doors = _serial_doors(ref, xs, ys, phis, passage_safety(ref), q, sgn)[0]
+    doors = _serial_doors(ref, xs, ys, phis, passage_safety(ref), q, sgn, band)[0]
     assert len(doors)
     for axis, i, j, m in doors.tolist():
         assert sgn[i, j, m] and sgn[i + (axis == 0), j + (axis == 1), m]
@@ -2036,8 +2070,8 @@ def _planner_segments(geom, rng, res):
     xs, ys, phis = _grid_axes(geom, (res,) * 3)
     steps = np.diag([xs[1] - xs[0], ys[1] - ys[0], 2.0 * np.pi / res])
     corner = lambda i, j, m: np.array([xs[i], ys[j], phis[m]])
-    q, _, sgn, _ = _node_signs(geom, xs, ys, phis)
-    doors, points, _ = _serial_doors(geom, xs, ys, phis, passage_safety(geom), q, sgn)
+    q, _, sgn, band = _node_signs(geom, xs, ys, phis)
+    doors, points, _ = _serial_doors(geom, xs, ys, phis, passage_safety(geom), q, sgn, band)
     p0s, p1s = [], []
     for (axis, i, j, m), (a, b) in zip(doors.tolist(), points):
         p0s += [corner(i, j, m), a, b]
