@@ -28,8 +28,8 @@ class SerialDegenerate(RobotError):
 
 
 class ArchitecturalSingularity(RobotError):
-    """The design is singular for every position at some orientation
-    (base and platform triangles are similar)."""
+    """The design is singular for every position at some orientation (similar
+    triangles; a reflected copy, which is not, is flagged conservatively)."""
 
 
 class AmbiguousContinuation(RobotError):

@@ -180,7 +180,7 @@ def wrap_angle(a):
     """Wrap an angle (or array of angles) into (-pi, pi]; a scalar gives a
     float, through float ``%``, which rounds as ``np.remainder`` does."""
     if type(a) is not float and (getattr(a, "ndim", 0) or isinstance(a, (list, tuple))):
-        w = np.remainder(a + np.pi, 2.0 * np.pi) - np.pi
+        w = np.remainder(np.asarray(a) + np.pi, 2.0 * np.pi) - np.pi
         return np.where(w == -np.pi, np.pi, w)
     w = (float(a) + math.pi) % (2.0 * math.pi) - math.pi
     return math.pi if w == -math.pi else w

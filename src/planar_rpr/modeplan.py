@@ -68,7 +68,7 @@ ZERO_TOUCH_REL = 1e-9
 # Distance band that triggers adaptive sample refinement.
 REFINE_BAND_REL = 0.05
 REFINE_FACTOR = 8
-# |det| band, relative to the largest on a path's samples or grid nodes, that counts as zero.
+# |det| band, relative to a path step's bound on |det| or the grid nodes' largest, that counts as zero.
 ZERO_DET_REL = 1e-12
 # Bracket width to which crossing parameters are refined.
 CROSSING_T_TOL = 1e-10
@@ -461,7 +461,8 @@ def _step_bounds(geom: RobotGeometry, paths: _Paths):
 
 def _split_gaps(geom: RobotGeometry, s: _SampledPath):
     """Samples ``(ts, rows, dets)`` of ``s``, plus one of the other sign in
-    every same-sign gap that hides zeros, and each row's zero band.
+    every same-sign gap that hides zeros, and the bound T on |det| of each
+    path step (:func:`_step_bounds`).
 
     The bounds M and T of each path step (:func:`_step_bounds`) are
     computed once and indexed per gap by its row and step.  A gap of width
@@ -472,14 +473,11 @@ def _split_gaps(geom: RobotGeometry, s: _SampledPath):
     (:meth:`_Paths.step_at`) and are halved, all per round in one
     determinant call on their steps (:func:`_step_pose`), until certified
     or CROSSING_T_TOL wide; a midpoint of the other sign (or zero) joins
-    the samples.  Ends in the zero band are not tested: |det| <=
-    ZERO_DET_REL times the row's largest, or times T, below which rounding
-    decides the sign.
+    the samples.  Ends in the step's zero band are not tested: |det| <=
+    ZERO_DET_REL * T, below which rounding decides the sign.
     """
     paths, ts, rows, dets = s.paths, s.ts, s.rows, s.legs[3]
     a = np.abs(dets)
-    band = ZERO_DET_REL * np.maximum.reduceat(a, np.searchsorted(rows, np.arange(len(paths.table))))
-    band[band == 0.0] = ZERO_DET_REL
     curvature, size = _step_bounds(geom, paths)
     h, f = ts[1:] - ts[:-1], np.minimum(a[:-1], a[1:])
     n = paths.steps.shape[1]
@@ -487,11 +485,11 @@ def _split_gaps(geom: RobotGeometry, s: _SampledPath):
     k = (rows[:-1] == rows[1:]) & (dets[:-1] * dets[1:] > 0.0) & ~(f > largest * h**2) & (h > CROSSING_T_TOL)
     k = k.nonzero()[0]
     if not len(k):
-        return ts, rows, dets, band
+        return ts, rows, dets, size
     lo, hi, flo, fhi, row = ts[k], ts[k + 1], dets[k], dets[k + 1], rows[k]
     step = paths.step_at(0.5 * (lo + hi), row)
     seg = row, step[0]
-    bound, zero = curvature[seg] * n**2, np.maximum(band[row], ZERO_DET_REL * size[seg])
+    bound, zero = curvature[seg] * n**2, ZERO_DET_REL * size[seg]
     step = np.stack(step)
     found, f, g = [], f[k], np.arange(len(k))
     while (keep := (f > zero[g]) & (f <= bound[g] * (hi - lo) ** 2) & (hi - lo > CROSSING_T_TOL)).any():
@@ -509,7 +507,7 @@ def _split_gaps(geom: RobotGeometry, s: _SampledPath):
         rows, ts, dets = (np.concatenate([v, *w]) for v, w in zip((rows, ts, dets), zip(*found)))
         order = np.lexsort((ts, rows))
         ts, rows, dets = ts[order], rows[order], dets[order]
-    return ts, rows, dets, band
+    return ts, rows, dets, size
 
 
 def _crossing_roots(geom: RobotGeometry, paths: _Paths, ts, rows, dets, k) -> list[float]:
@@ -539,7 +537,7 @@ def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> l
     are classified in one kernel pass.  Same-sign gaps are certified or
     split first (:func:`_split_gaps`)."""
     paths = s.paths
-    ts, rows, dets, band = _split_gaps(geom, s)
+    ts, rows, dets, size = _split_gaps(geom, s)
     same = rows[:-1] == rows[1:]  # consecutive samples of one row
     inner = same[:-1] & same[1:]  # samples with both neighbours in their row
     around = dets[:-2] * dets[2:]  # product of the neighbours' values
@@ -550,11 +548,11 @@ def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> l
     crosses = crosses[zero]
     k = np.flatnonzero(same & (dets[:-1] * dets[1:] < 0.0))
     refined = _crossing_roots(geom, paths, ts, rows, dets, k)
-    # interior near-zero minima without a sign change (tangential grazing)
+    # interior minima without a sign change in their step's zero band (tangential grazing)
     a = np.abs(dets)
     here = a[1:-1]
-    graze = inner & (0.0 < here) & (here <= band[rows[1:-1]]) & (here <= a[:-2]) & (here <= a[2:])
-    graze = np.flatnonzero(graze & (around > 0.0)) + 1
+    graze = np.flatnonzero(inner & (0.0 < here) & (here <= a[:-2]) & (here <= a[2:]) & (around > 0.0)) + 1
+    graze = graze[a[graze] <= ZERO_DET_REL * size[rows[graze], paths.step_at(ts[graze], rows[graze])[0]]]
 
     # zero samples, refined roots and grazing minima, in that order before
     # the stable sort by row and t; the crossings among them are classified

@@ -92,7 +92,7 @@ def load_robot(path) -> RobotGeometry:
     for i, ok in enumerate(geom.passage_safe):
         if not ok:
             warnings.warn(
-                f"leg {i + 1} is not passage-safe: its base and platform angles match",
+                f"leg {i + 1} is not passage-safe: its signed base and platform angles agree modulo pi",
                 stacklevel=2,
             )
     return geom

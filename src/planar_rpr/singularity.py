@@ -540,36 +540,27 @@ def triangle_angles(points: np.ndarray) -> np.ndarray:
 
 
 def is_architecturally_singular(geom: RobotGeometry) -> tuple[bool, str]:
-    """Similar-triangle test for architectural singularity.
+    """Similar-triangle test for architectural singularity, the classical
+    singular 3-RPR design (more exotic criteria are out of scope).
 
-    True when base and platform triangles are similar under the leg-index
-    correspondence (side ratios equal within 1e-9 relative), covering both
-    direct and reflected similarity.  This is the classical example of an
-    architecturally singular 3-RPR design; more exotic criteria are out of
-    scope.  ``singularity_conic`` backs this up at each orientation by
-    rejecting a determinant whose exact coefficients all vanish.
+    With the joints as complex numbers, the triangles are similar under the
+    leg correspondence when (b2 - b1)(a3 - a1) = (a2 - a1)(b3 - b1) within
+    1e-9 relative: directly, or reflected with b conjugated; a collinear
+    design passes both (degenerate).  ``singularity_conic`` backs this up
+    at each orientation by rejecting a determinant whose coefficients vanish.
     """
-    a, b = geom.base, geom.platform
-    sa = np.array([np.hypot(*(a[(i + 1) % 3] - a[(i + 2) % 3])) for i in range(3)])
-    sb = np.array([np.hypot(*(b[(i + 1) % 3] - b[(i + 2) % 3])) for i in range(3)])
-    for i in range(3):
-        for j in range(i + 1, 3):
-            lhs, rhs = sa[i] * sb[j], sa[j] * sb[i]
-            if abs(lhs - rhs) > 1e-9 * max(lhs, rhs, 1e-300):
-                return False, "base and platform triangles are not similar"
+    a, b = geom.base @ [1, 1j], geom.platform @ [1, 1j]
+
+    def similar(p):
+        lhs, rhs = (p[1] - p[0]) * (a[2] - a[0]), (a[1] - a[0]) * (p[2] - p[0])
+        return abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1e-300)
+
+    direct, reflected = similar(b), similar(np.conj(b))
+    if not (direct or reflected):
+        return False, "base and platform triangles are not similar"
+    sa, sb = (np.abs(np.roll(p, -1) - np.roll(p, -2)) for p in (a, b))
     ratio = float(np.sqrt(np.sum(sb**2) / np.sum(sa**2)))
-
-    def signed_area(p):
-        e1, e2 = p[1] - p[0], p[2] - p[0]
-        return e1[0] * e2[1] - e1[1] * e2[0]
-
-    area_a, area_b = signed_area(a), signed_area(b)
-    if area_a == 0.0 or area_b == 0.0:
-        orientation = "degenerate"
-    elif (area_a > 0.0) == (area_b > 0.0):
-        orientation = "direct"
-    else:
-        orientation = "reflected"
+    orientation = "degenerate" if direct and reflected else "direct" if direct else "reflected"
     return True, f"platform is a {orientation} similar copy of the base (ratio {ratio:.9g})"
 
 
@@ -577,10 +568,13 @@ def passage_safety(geom: RobotGeometry) -> np.ndarray:
     """Per-leg flag: True when the leg's serial point is never a parallel
     singularity, for any orientation.
 
-    Leg i is unsafe exactly when the base angle at a_i equals the platform
-    angle at b_i (within 1e-6 rad) -- the special designs where the two
-    regular leg lines can pass through the coinciding joints.
+    At leg i's serial point a_i and b_i coincide, and the other two leg
+    lines meet there at some phi exactly when the signed base angle at a_i
+    and the signed platform angle at b_i agree modulo pi.  With per triangle
+    z_i = (p_{i+2} - p_i) conj(p_{i+1} - p_i) and w = z_a conj(z_b), leg i
+    is safe when |Im w| > sin(1e-6) |w|; a coincident joint gives w = 0.
     """
-    ang_a = triangle_angles(geom.base)
-    ang_b = triangle_angles(geom.platform)
-    return np.abs(ang_a - ang_b) > 1e-6
+    a, b = geom.base @ [1, 1j], geom.platform @ [1, 1j]
+    z_a, z_b = ((np.roll(c, -2) - c) * np.conj(np.roll(c, -1) - c) for c in (a, b))
+    w = z_a * np.conj(z_b)
+    return np.abs(w.imag) > np.sin(1e-6) * np.abs(w)

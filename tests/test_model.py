@@ -158,7 +158,8 @@ def test_scalar_wrap_angle_is_bitwise_the_array_path():
 def test_wrap_angle_keeps_its_bits_on_every_input_type():
     """A float takes the float fast path; an int, an np.float64 and a 0-d
     array go through float(); an array takes the array path.  Each gives
-    the reference's bits, at +-pi too, and a scalar gives a float."""
+    the reference's bits, at +-pi too, and a scalar gives a float.  A list
+    or a tuple takes the array path."""
     pi = np.pi
     values = [pi, -pi, 3 * pi, -3 * pi, np.nextafter(pi, 0.0), 0.0, -0.0, 2.5, -7.25, 1e16]
     values += np.random.default_rng(17).uniform(-20.0, 20.0, 50).tolist()
@@ -173,6 +174,10 @@ def test_wrap_angle_keeps_its_bits_on_every_input_type():
     for arr in (np.array(values), np.array(values).reshape(6, 10)):
         got = wrap_angle(arr)
         assert got.shape == arr.shape and bits(got) == bits(_reference_wrap_angle(arr))
+    # lists and tuples take the array path too
+    for seq in (values, tuple(values), np.array(values).reshape(6, 10).tolist(), [1.0, 4.0]):
+        got = wrap_angle(seq)
+        assert got.shape == np.shape(seq) and bits(got) == bits(_reference_wrap_angle(np.array(seq)))
 
 
 def test_pose_distance_wraps(ref):

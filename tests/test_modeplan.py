@@ -1686,6 +1686,56 @@ def test_step_bounds_of_a_step_are_the_same_bits_in_any_batch():
                 assert alone[1].tobytes() == size[r : r + 1].tobytes()
 
 
+@pytest.mark.parametrize("offset", [1e4, 3e4, 1e5])
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_a_far_segment_keeps_the_hidden_pair_events(ref, offset, where):
+    """A segment from or to (x + offset, y, phi), 1e3 to 1e4 L away, joined
+    before or after the hidden pair: the pair keeps its two parallel
+    events.  A band scaled by the row's largest |det| dropped them from
+    3e4 away (and left one grazing event from 1e5)."""
+    pair = [(w["x"], w["y"], w["phi"]) for w in _HIDDEN_PAIR]
+    far = (pair[0] if where == "before" else pair[1]) + np.array([offset, 0.0, 0.0])
+    wps = [tuple(far), *pair] if where == "before" else [*pair, tuple(far)]
+    events = detect_crossings(ref, WorkspacePath(tuple(Pose(*w) for w in wps)))
+    lo = 0.5 if where == "before" else 0.0
+    assert [e.kind for e in events if lo <= e.t <= lo + 0.5] == ["parallel", "parallel"]
+    alone = detect_crossings(ref, WorkspacePath(tuple(Pose(*w) for w in pair)))
+    assert np.allclose([e.t for e in events if lo <= e.t <= lo + 0.5], [lo + 0.5 * e.t for e in alone], atol=1e-9)
+
+
+def test_a_segment_has_the_same_events_alone_and_inside_a_path(ref):
+    """Each segment of a seeded polyline, one of whose waypoints lies 1e3 to
+    1e4 L away, has the same event kinds, legs and count alone as inside the
+    path, at t equal within 1e-9 after mapping: its zero band is its own
+    step's (ZERO_DET_REL times the bound T on |det|), not its row's.  On
+    the reference robot a hidden pair of crossings (x, y and phi moving, or
+    phi only) is one of the segments."""
+    rng = np.random.default_rng(34)
+    pairs = [
+        [(w["x"], w["y"], w["phi"]) for w in _HIDDEN_PAIR],
+        [(1.8010061102359902, -3.7586959872129815, 2.2724892789049655),
+         (1.8010061102359902, -3.7586959872129815, 2.7724892789049655)],
+    ]
+    counted = 0
+    for geom in [ref, ref, *_seeded_designs(34, 3)]:
+        Lg = characteristic_scale(geom)
+        for n in (3, 4, 5):
+            wps = np.column_stack([rng.uniform(-Lg, 2 * Lg, (n + 1, 2)), rng.uniform(-4, 4, n + 1)])
+            at, angle = rng.integers(n), rng.uniform(0.0, 2.0 * np.pi)
+            if geom is ref:
+                wps[at : at + 2] = pairs[n % 2]
+            far = rng.choice([j for j in range(n + 1) if j not in (at, at + 1)])
+            wps[far, :2] += 10.0 ** rng.uniform(3, 4) * Lg * np.array([np.cos(angle), np.sin(angle)])
+            path = WorkspacePath(tuple(Pose(*w) for w in wps), 16 + n)
+            inside = detect_crossings(geom, path)
+            for k in range(n):
+                alone = detect_crossings(geom, WorkspacePath(tuple(Pose(*w) for w in wps[k : k + 2]), 16 + n))
+                mine = [e for e in inside if k <= e.t * n < k + 1]
+                assert [(e.kind, e.leg) for e in mine] == [(e.kind, e.leg) for e in alone]
+                assert np.allclose([e.t for e in mine], [(k + e.t) / n for e in alone], rtol=0.0, atol=1e-9)
+                counted += len(alone)
+    assert counted > 0
+
 def _seeded_designs(seed, count):
     rng = np.random.default_rng(seed)
     designs = []
@@ -2125,3 +2175,35 @@ def test_batched_crossing_check_equals_detect_crossings_per_segment(ref):
         p1s = np.vstack([p1s, [*(s + u), phi]])
     seen |= _batch_against_detector(matched, p0s, p1s)
     assert {"admissible", "parallel", "unsafe", "passage", "two parallel", "zero length"} <= seen
+
+
+# The reference base with a platform whose angle at b1 is the supplement of
+# the base angle at a1, in the opposite orientation: the unsigned angles
+# differ, the signed ones agree modulo pi, and leg 1's serial point is a
+# parallel singularity at phi = 0, where the locus holds a whole line.
+_SUPPLEMENTARY_PLATFORM = [
+    [-0.627322003750035, 0.7453559924999299],
+    [2.372677996249965, 0.7453559924999299],
+    [-1.7453559924999298, -1.49071198499986],
+]
+
+
+def test_plans_on_the_supplementary_design_stay_off_its_parallel_line():
+    """Leg 1 of this design is not passage-safe, so no plan passes through
+    its serial point.  From three starts (two of twelve seeded ones), every
+    plan verifies changed_without_parallel and no pose at 501 uniform t is
+    parallel_singular.  With leg 1 taken as safe, one of these plans failed
+    verification and one ran along the line at phi = 0, certified through
+    129 grazing events."""
+    geom = RobotGeometry(REF_BASE, _SUPPLEMENTARY_PLATFORM)
+    assert passage_safety(geom).tolist() == [False, True, True]
+    rng = np.random.default_rng(11)
+    seeded = [(rng.uniform(0, 10), rng.uniform(0, 8), rng.uniform(-3, 3)) for _ in range(8)]
+    starts = [(2.045094613300449, 4.4298429029218225, -0.09825181845967368), seeded[2], seeded[7]]
+    for start in starts:
+        path = plan_mode_change(geom, Pose(*start))
+        cert = verify_mode_change(geom, path)
+        assert cert.verdict == "changed_without_parallel"
+        assert not any(e.kind == "grazing" for e in cert.events)
+        kinds = {classify_configuration(geom, Pose(*p)).kind for p in zip(*path.poses_at(np.linspace(0, 1, 501)))}
+        assert "parallel_singular" not in kinds

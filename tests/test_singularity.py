@@ -895,6 +895,143 @@ def test_passage_safety_equilateral_pair():
     assert is_architecturally_singular(geom)[0]
 
 
+def _serial_clearance_over_phi(geom, leg, phis):
+    """Per angle in ``phis``, the larger distance from a_leg to the other two
+    leg lines when the platform puts b_leg on a_leg, over L: zero exactly
+    where the serial point is also a parallel singularity.  With e_a = a_j -
+    a_leg and e_b = b_j - b_leg, line j runs from a_j along R e_b - e_a."""
+    c, s = np.cos(phis)[:, None], np.sin(phis)[:, None]
+    a, b = np.asarray(geom.base), np.asarray(geom.platform)
+    others = [j for j in range(3) if j != leg]
+    ea, eb = a[others] - a[leg], b[others] - b[leg]
+    rx, ry = c * eb[:, 0] - s * eb[:, 1], s * eb[:, 0] + c * eb[:, 1]
+    cross = np.abs(rx * ea[:, 1] - ry * ea[:, 0])
+    return (cross / np.hypot(rx - ea[:, 0], ry - ea[:, 1])).max(axis=1) / geom.L
+
+
+def _min_serial_clearance(geom, leg):
+    """The clearance minimised on a 4,000-point grid of phi, then refined by
+    a bounded 1-D search around the grid minimum."""
+    from scipy.optimize import minimize_scalar
+
+    phis = np.linspace(0.0, 2.0 * np.pi, 4000, endpoint=False)
+    k = int(np.argmin(_serial_clearance_over_phi(geom, leg, phis)))
+    f = lambda p: float(_serial_clearance_over_phi(geom, leg, np.array([p]))[0])
+    h = phis[1] - phis[0]
+    res = minimize_scalar(f, bounds=(phis[k] - h, phis[k] + h), method="bounded", options={"xatol": 1e-13})
+    return min(res.fun, f(phis[k]))
+
+
+def _angle_matched_designs(rng, count):
+    """Designs whose platform angle at b1 is the base's signed angle at a1
+    (unsafe), its mirror (safe) or its supplement (unsafe), each with the
+    angle phi at which leg 1's serial point is parallel (None when safe)."""
+    out = []
+    while len(out) < 3 * count:
+        base = np.asarray(REF_BASE) + rng.normal(0.0, 1.5, (3, 2))
+        za = (base @ [1, 1j]) - complex(*base[0])
+        theta = np.angle(za[2] / za[1])
+        if abs(np.sin(2.0 * theta)) < 0.05:  # a mirror near a right angle is nearly unsafe
+            continue
+        r2, r3, alpha = rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0), rng.uniform(-np.pi, np.pi)
+        for angle, unsafe in ((theta, True), (-theta, False), (theta - np.pi, True)):
+            zb = np.array([0.0, r2 * np.exp(1j * alpha), r3 * np.exp(1j * (alpha + angle))])
+            platform = np.stack([zb.real, zb.imag], -1) + rng.uniform(-1.0, 1.0, 2)
+            out.append((RobotGeometry(base, platform), np.angle(za[1]) - alpha if unsafe else None))
+    return out
+
+
+def test_passage_safety_agrees_with_the_serial_clearance():
+    """The signed gate against a clearance sweep over phi: on seeded random
+    designs (every leg) and on designs whose platform angle at b1 equals the
+    base's signed angle at a1, mirrors it or is its supplement.  An unsafe
+    leg has clearance 0 at its constructed phi; a safe one keeps its
+    minimum clearance above 1e-7 * L.  The unsigned gate called the mirrored
+    legs unsafe and the supplementary ones safe."""
+    rng = np.random.default_rng(32)
+    cases = _angle_matched_designs(rng, 8)
+    cases += [(RobotGeometry(rng.uniform(-10, 10, (3, 2)), rng.uniform(-4, 4, (3, 2))), None) for _ in range(12)]
+    for geom, phi in cases:
+        safe = passage_safety(geom)
+        for leg in range(3):
+            if not safe[leg]:
+                assert leg == 0 and phi is not None
+                assert _serial_clearance_over_phi(geom, 0, np.array([phi]))[0] <= 1e-9
+            else:
+                assert phi is None or leg > 0
+                assert _min_serial_clearance(geom, leg) > 1e-7
+
+
+def _side_ratio_similarity(geom):
+    """The side-ratio test that the cross-ratio replaced, kept as its
+    reference: equal side ratios within 1e-9 relative, orientation from the
+    signs of the two signed areas."""
+    a, b = geom.base, geom.platform
+    sa = np.array([np.hypot(*(a[(i + 1) % 3] - a[(i + 2) % 3])) for i in range(3)])
+    sb = np.array([np.hypot(*(b[(i + 1) % 3] - b[(i + 2) % 3])) for i in range(3)])
+    for i in range(3):
+        for j in range(i + 1, 3):
+            lhs, rhs = sa[i] * sb[j], sa[j] * sb[i]
+            if abs(lhs - rhs) > 1e-9 * max(lhs, rhs, 1e-300):
+                return False, "base and platform triangles are not similar"
+    ratio = float(np.sqrt(np.sum(sb**2) / np.sum(sa**2)))
+
+    def signed_area(p):
+        e1, e2 = p[1] - p[0], p[2] - p[0]
+        return e1[0] * e2[1] - e1[1] * e2[0]
+
+    area_a, area_b = signed_area(a), signed_area(b)
+    if area_a == 0.0 or area_b == 0.0:
+        orientation = "degenerate"
+    elif (area_a > 0.0) == (area_b > 0.0):
+        orientation = "direct"
+    else:
+        orientation = "reflected"
+    return True, f"platform is a {orientation} similar copy of the base (ratio {ratio:.9g})"
+
+
+def _similar_copy(rng, base, reflected):
+    """A copy of ``base`` (3, 2), mirrored if ``reflected``, scaled by 1e-3
+    to 1e3, rotated by any angle and moved by any offset."""
+    z = base @ [1, 1j]
+    z = np.conj(z) if reflected else z
+    z = 10.0 ** rng.uniform(-3.0, 3.0) * np.exp(1j * rng.uniform(-np.pi, np.pi)) * z + complex(*rng.uniform(-5, 5, 2))
+    return np.stack([z.real, z.imag], -1)
+
+
+def test_similarity_cross_ratio_matches_the_side_ratio_reference(similar_design):
+    """Same verdict and detail as the side-ratio test on seeded random
+    designs, exact direct and reflected copies and designs with coincident
+    joints; on collinear pairs, which pass both the direct and the reflected
+    test, the label is ``degenerate``."""
+    rng = np.random.default_rng(33)
+    designs = [similar_design, RobotGeometry(REF_BASE, REF_PLATFORM)]
+    designs += [RobotGeometry(rng.uniform(-10, 10, (3, 2)), rng.uniform(-4, 4, (3, 2))) for _ in range(400)]
+    for k in range(200):
+        base = rng.uniform(-10, 10, (3, 2))
+        designs.append(RobotGeometry(base, _similar_copy(rng, base, k % 2)))
+    for k in range(60):
+        base, platform = rng.uniform(-10, 10, (3, 2)), rng.uniform(-4, 4, (3, 2))
+        i, j = rng.choice(3, 2, replace=False)
+        if k % 3 != 1:
+            base[i] = base[j]
+        if k % 3 != 0:
+            platform[i] = platform[j]
+        designs.append(RobotGeometry(base, platform))
+    seen = set()
+    for geom in designs:
+        got = is_architecturally_singular(geom)
+        assert got == _side_ratio_similarity(geom)
+        seen.add(got[1].split()[3] if got[0] else "not")
+    assert seen == {"not", "direct", "reflected", "degenerate"}
+    for k in range(40):
+        base = rng.uniform(-5, 5, 2) + np.outer(rng.uniform(-10, 10, 3), rng.normal(size=2))
+        geom = RobotGeometry(base, _similar_copy(rng, base, k % 2))
+        got = is_architecturally_singular(geom)
+        assert got[0] and got[1].startswith("platform is a degenerate similar copy")
+        assert got[1].split("(")[1] == _side_ratio_similarity(geom)[1].split("(")[1]
+
+
 def test_classification_symmetry_under_leg_permutation(ref):
     rng = np.random.default_rng(43)
     for _ in range(10):
