@@ -9,10 +9,10 @@ along the shorter wrap.  Three layers sit on top of that:
   a touch without reversal, or a length pinned at zero over consecutive
   samples, cannot be continued and raises AmbiguousContinuation.
 * :func:`detect_crossings` locates zeros of the line-matrix determinant
-  along the path and classifies each crossing: a ``passage`` happens inside
-  the eps_pass window around a serial point with positive clearance of the
-  remaining leg lines; anything else that flips the sign is ``parallel``;
-  zeros without a sign change are ``grazing``.  Sample gaps are certified.
+  along the path and classifies each: inside the eps_pass window around a
+  serial point with positive clearance of the remaining leg lines, it is a
+  ``passage`` if the sign flips and ``grazing`` if not; any other zero,
+  touch or crossing, is ``parallel``.  Sample gaps are certified.
 * :func:`verify_mode_change` assembles a ModeChangeCertificate: assembly
   mode changed iff the endpoint squared joint values agree while the poses
   differ.  The verdict ``changed_without_parallel`` additionally requires
@@ -158,9 +158,10 @@ def _step_pose(step, t, n):
 class CrossingEvent:
     """One zero of the determinant along a path.
 
-    ``kind`` is "parallel", "passage" or "grazing"; ``leg`` (1-based) is set
-    for passages.  ``measure_at`` is the normalized measure magnitude at the
-    event and ``clearance_at`` the serial clearance for passages.
+    ``kind`` is "parallel", "passage" or "grazing" (a touch without a sign
+    change inside a passage window); ``leg`` (1-based) is set for the last
+    two.  ``measure_at`` is the normalized measure magnitude at the event
+    and ``clearance_at`` the serial clearance where ``leg`` is set.
     """
 
     t: float
@@ -541,28 +542,26 @@ def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> l
     same = rows[:-1] == rows[1:]  # consecutive samples of one row
     inner = same[:-1] & same[1:]  # samples with both neighbours in their row
     around = dets[:-2] * dets[2:]  # product of the neighbours' values
-    # a zero sample between samples of opposite signs crosses; any other grazes
+    # a zero sample between samples of opposite signs crosses; any other touches
     zero = np.flatnonzero(dets == 0.0)
     crosses = np.zeros(len(ts), dtype=bool)
     crosses[1:-1] = inner & (around < 0.0)
     crosses = crosses[zero]
     k = np.flatnonzero(same & (dets[:-1] * dets[1:] < 0.0))
     refined = _crossing_roots(geom, paths, ts, rows, dets, k)
-    # interior minima without a sign change in their step's zero band (tangential grazing)
+    # interior minima without a sign change in their step's zero band (tangential touches)
     a = np.abs(dets)
     here = a[1:-1]
     graze = np.flatnonzero(inner & (0.0 < here) & (here <= a[:-2]) & (here <= a[2:]) & (around > 0.0)) + 1
     graze = graze[a[graze] <= ZERO_DET_REL * size[rows[graze], paths.step_at(ts[graze], rows[graze])[0]]]
 
-    # zero samples, refined roots and grazing minima, in that order before
-    # the stable sort by row and t; the crossings among them are classified
+    # zero samples, refined roots and touching minima, in that order before the stable
+    # sort by row and t, all classified: a touch grazes in a passage window, else parallel
     t_ev = np.concatenate([ts[zero], refined, ts[graze]])
     r_ev = np.concatenate([rows[zero], rows[k], rows[graze]])
     crossing = np.concatenate([crosses, np.ones(len(refined), dtype=bool), np.zeros(len(graze), dtype=bool)])
-    info = [("grazing", None, 0.0, None)] * len(t_ev)
-    classified = _classify_zeros(geom, *paths.poses_at(t_ev[crossing], r_ev[crossing]), eps_pass)
-    for j, c in zip(np.flatnonzero(crossing).tolist(), classified):
-        info[j] = c
+    info = _classify_zeros(geom, *paths.poses_at(t_ev, r_ev), eps_pass)
+    info = [c if x or c[0] != "passage" else ("grazing", *c[1:]) for c, x in zip(info, crossing.tolist())]
     events = [[] for _ in paths.table]
     for j in np.lexsort((t_ev, r_ev)).tolist():
         events[r_ev[j]].append(CrossingEvent(float(t_ev[j]), *info[j]))
@@ -585,10 +584,10 @@ def detect_crossings(
 ) -> list[CrossingEvent]:
     """Locate and classify zeros of the determinant along the path.
 
-    Sign changes are refined to |dt| <= 1e-10, each on its own.  A crossing
+    Sign changes are refined to |dt| <= 1e-10, each on its own.  A zero
     within ``eps_pass`` of a serial point whose remaining leg lines clear
-    the coinciding joint is a passage; other sign changes are parallel
-    crossings.  Zeros without a sign change are reported as grazing.  A
+    the coinciding joint is a passage where the sign changes and grazing
+    where not; any other zero, crossing or touching, is parallel.  A
     curvature bound certifies each gap between samples of one sign, or
     halving splits it (:func:`_split_gaps`), so two crossings in one
     sample gap are both found, on any segment.  An ``eps_pass`` that is not
@@ -665,12 +664,12 @@ def verify_mode_change(
 def _segments_crossings(geom, p0s, p1s, eps_pass, safe):
     """Crossing events of each pose segment ``p0s[r] -> p1s[r]`` ((m, 3)
     arrays of x, y, phi) in one pass, or None where it is inadmissible: where
-    a determinant sign change on it is not a passage through a passage-safe
-    leg.  The segments are the one-segment rows of one batch, a table of
-    shape (m, 2, 3), each sampled as a one-segment :class:`WorkspacePath`,
-    so its events are those :func:`detect_crossings` finds on it alone; one
-    at most 1e-9 * L long in pose distance (:func:`_short_steps`) crosses
-    nothing and is not sampled.
+    a zero of the determinant on it, crossing or touching, is parallel, or
+    a passage through a leg that is not passage-safe.  The segments are the
+    one-segment rows of one batch, a table of shape (m, 2, 3), each sampled
+    as a one-segment :class:`WorkspacePath`, so its events are those
+    :func:`detect_crossings` finds on it alone; one at most 1e-9 * L long in
+    pose distance (:func:`_short_steps`) crosses nothing and is not sampled.
     """
     step = p1s - p0s
     step[:, 2] = wrap_angle(step[:, 2])

@@ -2163,6 +2163,10 @@ def test_batched_crossing_check_equals_detect_crossings_per_segment(ref):
     p0s, p1s = _planner_segments(ref, rng, 16)
     p0s = np.insert(p0s, 7, chord[0].as_tuple(), axis=0)
     p1s = np.insert(p1s, 7, chord[1].as_tuple(), axis=0)
+    # a segment that touches the locus away from every serial point, refused as a parallel touch
+    touch = _touch_segment(ref, 0.9, _touch_point(ref, 0.9)).waypoints
+    p0s = np.insert(p0s, 3, touch[0].as_tuple(), axis=0)
+    p1s = np.insert(p1s, 3, touch[1].as_tuple(), axis=0)
     seen |= _batch_against_detector(ref, p0s, p1s)
     # leg 1 of this design is passage-unsafe: a passage through it is inadmissible
     theta = np.arctan(2)
@@ -2207,3 +2211,122 @@ def test_plans_on_the_supplementary_design_stay_off_its_parallel_line():
         assert not any(e.kind == "grazing" for e in cert.events)
         kinds = {classify_configuration(geom, Pose(*p)).kind for p in zip(*path.poses_at(np.linspace(0, 1, 501)))}
         assert "parallel_singular" not in kinds
+
+
+def _pinned_path(name):
+    """The WorkspacePath of a waypoint file in tests/data."""
+    wps = json.loads((DATA / name).read_text())["waypoints"]
+    return WorkspacePath(tuple(Pose(w["x"], w["y"], w["phi"]) for w in wps))
+
+
+def test_the_path_along_the_supplementary_parallel_line_is_parallel():
+    """The plan from (2.045, 4.430, -0.098) that an earlier planner made on
+    the supplementary design, with leg 1 taken as passage-safe, runs along
+    the parallel line at phi = 0 (pinned in tests/data).  Every zero on it
+    is classified, so the verdict is changed_with_parallel: each event whose
+    legs are all longer than eps_pass is parallel, and the grazing events
+    left are touches inside leg 1's passage window, with their clearance."""
+    geom = RobotGeometry(REF_BASE, _SUPPLEMENTARY_PLATFORM)
+    path = _pinned_path("verify_path_supplementary_line.json")
+    cert = verify_mode_change(geom, path)
+    assert cert.verdict == "changed_with_parallel"
+    dist = _leg_geometry(geom, *path.poses_at(np.array([e.t for e in cert.events])))[2]
+    away = dist.min(axis=-1) > EPS_PASS_REL * characteristic_scale(geom)
+    assert away.sum() > 100 and all(e.kind == "parallel" for e, a in zip(cert.events, away) if a)
+    grazing = [e for e in cert.events if e.kind == "grazing"]
+    assert grazing and all(e.leg == 1 and e.clearance_at > 0.0 for e in grazing)
+
+
+def _touch_segment(geom, phi, p):
+    """A constant-phi segment of length 4 tangent to the conic at its
+    point p, with p at the sample t = 0.5, moved along the conic's normal so
+    that the kernel's determinant there lies inside the step's zero band
+    (ZERO_DET_REL times the bound T on |det|), with the sign of its
+    neighbours: det touches zero there without changing sign."""
+    q20, q11, q02, q10, q01, _ = singularity_conic(geom, phi).coefficients
+    grad = np.array([2 * q20 * p[0] + q11 * p[1] + q10, q11 * p[0] + 2 * q02 * p[1] + q01])
+    normal = grad / np.hypot(*grad)
+    tangent = 2.0 * np.array([-normal[1], normal[0]])
+    curv = q20 * tangent[0] ** 2 + q11 * tangent[0] * tangent[1] + q02 * tangent[1] ** 2
+    shift = 0.0
+    for _ in range(3):
+        mid = p + shift * normal
+        path = WorkspacePath((Pose(*(mid - tangent), phi), Pose(*(mid + tangent), phi)))
+        band = modeplan.ZERO_DET_REL * modeplan._step_bounds(geom, path._paths)[1][0, 0]
+        shift += (np.sign(curv) * band / 2 - _leg_geometry(geom, *path.poses_at(0.5))[3]) / np.hypot(*grad)
+    s = modeplan._sampled(geom, path)
+    (k,) = np.flatnonzero(s.ts == 0.5)
+    dets = s.legs[3][k - 1 : k + 2] * np.sign(curv)
+    assert 0.0 < dets[1] <= band and dets[1] < dets[0] and dets[1] < dets[2]
+    return path
+
+
+def _touch_point(geom, phi):
+    """A point of the conic at phi on the ray from the base centroid along (1, 0.3)."""
+    conic, c, ray = singularity_conic(geom, phi), geom.base.mean(axis=0), np.array([1.0, 0.3])
+    radius = np.roots(np.polyfit([0, 1, 2], [conic.evaluate(*(c + r * ray)) for r in (0, 1, 2)], 2)).max()
+    return c + radius * ray
+
+
+def _assert_scan_agrees(geom, path, cert, n=2001):
+    """A uniform-scan oracle for the certificate ``cert`` of ``path``: n
+    uniform t through the kernel alone, with no gap certificate, zero band
+    or bracket.  It asserts, one-sided, that each sign change between
+    nonzero scan values has an event within one scan spacing of its gap,
+    and that a scan pose whose legs are all longer than eps_pass and which
+    classifies parallel_singular rules out changed_without_parallel.
+    Returns the number of sign changes and of such poses."""
+    ts = np.linspace(0.0, 1.0, n)
+    poses = np.array(path.poses_at(ts))
+    _, _, dist, det = _leg_geometry(geom, *poses)
+    h, events = ts[1], np.array([e.t for e in cert.events])
+    nonzero = np.flatnonzero(det)
+    change = det[nonzero[:-1]] * det[nonzero[1:]] < 0.0
+    lo, hi = ts[nonzero[:-1][change]] - h, ts[nonzero[1:][change]] + h
+    assert np.all(np.searchsorted(events, lo) < np.searchsorted(events, hi, side="right"))
+    away = dist.min(axis=-1) > EPS_PASS_REL * characteristic_scale(geom)
+    kinds = [classify_configuration(geom, Pose(*p)).kind for p in poses[:, away].T.tolist()]
+    parallel = kinds.count("parallel_singular")
+    assert not parallel or cert.verdict != "changed_without_parallel"
+    return int(change.sum()), parallel
+
+
+@pytest.mark.parametrize(
+    "name", [*sorted(p.name for p in DATA.glob("verify_path_*.json")), "plan_ref_5_5_0.json", "plan_ref_0_0_0.json"]
+)
+def test_a_uniform_scan_agrees_with_the_certificate(ref, name):
+    """The certificate of every pinned path (the supplementary one on its
+    design, the others on the reference robot) agrees with a uniform scan of
+    2001 points (:func:`_assert_scan_agrees`).  The scan sees a sign change
+    on each, and parallel_singular poses on the supplementary path."""
+    geom = RobotGeometry(REF_BASE, _SUPPLEMENTARY_PLATFORM) if "supplementary" in name else ref
+    path = _pinned_path(name)
+    changes, parallel = _assert_scan_agrees(geom, path, verify_mode_change(geom, path))
+    assert changes > 0
+    assert parallel > 0 or "supplementary" not in name
+
+
+def test_a_touch_away_from_every_serial_point_is_parallel(ref):
+    """A segment tangent to the conic at a regular point, every leg far
+    longer than eps_pass, touches det = 0 without a sign change: a parallel
+    singularity, which the detector reports as one parallel event at the
+    touch and the planner's batched check refuses."""
+    p = _touch_point(ref, 0.9)
+    path = _touch_segment(ref, 0.9, p)
+    assert _leg_geometry(ref, *path.poses_at(0.5))[2].min() > 0.4 * L
+    events = detect_crossings(ref, path)
+    assert [(e.t, e.kind, e.leg) for e in events] == [(0.5, "parallel", None)]
+    ends = np.array([w.as_tuple() for w in path.waypoints])
+    p0s, p1s = np.array([ends[0], [0.0, 0.0, 0.0]]), np.array([ends[1], [1.0, 0.5, 0.0]])
+    assert _segments_crossings(ref, p0s, p1s, EPS_PASS_REL * L, passage_safety(ref)) == [None, []]
+
+
+def test_a_touch_at_a_passage_safe_serial_point_grazes(ref):
+    """The same tangent segment through the serial point S_1(0.9) of the
+    passage-safe leg 1: the touch lies inside the passage window, so it
+    grazes, with leg 1 and its clearance set."""
+    assert passage_safety(ref)[0]
+    path = _touch_segment(ref, 0.9, serial_points(ref, 0.9)[0])
+    (event,) = detect_crossings(ref, path)
+    assert (event.t, event.kind, event.leg) == (0.5, "grazing", 1)
+    assert event.clearance_at == pytest.approx(4.25, abs=0.01)
