@@ -87,7 +87,7 @@ class UnivariateFkPolynomial:
 class FkDesign:
     """The joint-independent part of forward kinematics for one design.
 
-    ``legs`` is (a_x, a_y, b_x, b_y) per leg and ``rows`` the elimination
+    ``legs`` is ``RobotGeometry.leg_floats`` and ``rows`` the elimination
     rows of :func:`_elimination_rows` at rho = 0, both in plain floats;
     ``M`` is None when the elimination is singular for every orientation.
     """
@@ -135,10 +135,6 @@ def inverse_kinematics(geom: RobotGeometry, pose: Pose, sign_hint=None) -> Joint
     else:
         signs = np.where(np.asarray(sign_hint, dtype=float) < 0.0, -1.0, 1.0)
     return JointVector(dist * signs)
-
-
-def _leg_floats(geom: RobotGeometry) -> tuple:
-    return tuple(tuple(a + b) for a, b in zip(geom.base.tolist(), geom.platform.tolist()))
 
 
 def _constraint_rows(legs, rho_sq, x: float, y: float, phi: float) -> list[tuple]:
@@ -266,7 +262,7 @@ def compile_fk(geom: RobotGeometry) -> FkDesign:
     rows = tuple(map(tuple, _elimination_rows(u, v, w0).tolist()))
     phis = np.linspace(-np.pi * 0.95, np.pi * 0.95, 19)
     if float(np.max(_solve_affine_xy(u, v, w0, phis, L)[2])) <= 1e-10 * (L * L):
-        return FkDesign(_leg_floats(geom), rows, None)
+        return FkDesign(geom.leg_floats, rows, None)
 
     U, V = _tan_half_numerator(u), _tan_half_numerator(v)
     # W_i is linear in (1, r1, r2, r3): only its constant term holds r_i.
@@ -295,7 +291,7 @@ def compile_fk(geom: RobotGeometry) -> FkDesign:
         if scale > 0.0 and rem > 1e-8 * scale:
             msg = f"tan-half deflation left a relative remainder of {rem / scale:.2e}"
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    return FkDesign(_leg_floats(geom), rows, M)
+    return FkDesign(geom.leg_floats, rows, M)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -571,7 +567,7 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
         u, v, w = _linear_forms(geom, joints.squared)
     _require_finite(np.all(np.isfinite([u, v, w])), "linear forms have non-finite coefficients")
     rho_sq = joints.squared.tolist()
-    legs = _leg_floats(geom)
+    legs = geom.leg_floats
     forms = [f[0].tolist() for f in (u, v, w)]  # F_1's u, v and w
 
     def lift(phi):

@@ -91,6 +91,11 @@ class RobotGeometry:
         return self._leg_columns[rank]
 
     @cached_property
+    def leg_floats(self) -> tuple:
+        """Each leg's (ax, ay, bx, by) in Python floats, built on first use."""
+        return tuple(tuple(a + b) for a, b in zip(self.base.tolist(), self.platform.tolist()))
+
+    @cached_property
     def fk_design(self):
         """The design's compiled forward kinematics
         (:func:`planar_rpr.kinematics.compile_fk`), built on first use."""
@@ -188,11 +193,12 @@ def wrap_angle(a):
 
 def platform_points(geom: RobotGeometry, pose: Pose) -> np.ndarray:
     """World coordinates of the three platform joints B_i for ``pose``:
-    B_i = (x, y) + R(phi) @ platform[i], in the operations of the leg kernel
-    (:func:`planar_rpr.singularity._leg_vectors`), so B_i - a_i has its bits."""
-    c, s = np.cos(pose.phi), np.sin(pose.phi)
-    bx, by = geom.platform.T
-    return np.stack([pose.x + (c * bx - s * by), pose.y + (s * bx + c * by)], axis=-1)
+    B_i = (x, y) + R(phi) @ platform[i], in Python floats with the operations
+    of the leg kernel's float twin (:func:`planar_rpr.singularity._float_leg_vectors`),
+    so B_i - a_i has the kernel's bits."""
+    x, y, phi = float(pose.x), float(pose.y), float(pose.phi)
+    c, s = (math.cos(phi), math.sin(phi)) if math.isfinite(phi) else (math.nan, math.nan)
+    return np.array([(x + (c * bx - s * by), y + (s * bx + c * by)) for _, _, bx, by in geom.leg_floats])
 
 
 def characteristic_scale(geom: RobotGeometry) -> float:

@@ -46,7 +46,7 @@ from .errors import (
     NoPathFound,
     ValidationError,
 )
-from .kinematics import _bracket_root, _leg_floats, inverse_kinematics, solve_fk
+from .kinematics import _bracket_root, inverse_kinematics, solve_fk
 from .model import MAX_SAMPLES, Pose, RobotGeometry, pose_distance, wrap_angle
 from .singularity import (
     SERIAL_CLASSIFY_REL,
@@ -58,6 +58,8 @@ from .singularity import (
     _leg_geometry,
     _leg_vectors,
     _line_measure,
+    _pose_geometry,
+    _pose_measure,
     _serial_clearance,
 )
 
@@ -346,7 +348,7 @@ def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
             flips.append((float(ts[k]), leg))
     k, leg = np.nonzero(~below[:-1] & ~below[1:] & (dots < 0.0))
     if len(k):
-        legs, lo, hi, n = _leg_floats(geom), ts[k], ts[k + 1], paths.steps.shape[1]
+        legs, lo, hi, n = geom.leg_floats, ts[k], ts[k + 1], paths.steps.shape[1]
         steps = paths.step_at(0.5 * (lo + hi), s.rows[k])
         brackets = (lo, hi, dist[k, leg] ** 2, dots[k, leg], leg, dx[k, leg], dy[k, leg], *steps)
         for lo, hi, flo, fhi, i, dx_k, dy_k, *step in zip(*(v.tolist() for v in brackets)):
@@ -371,22 +373,25 @@ def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
 
 def _classify_zeros(geom: RobotGeometry, x, y, phi, eps_pass: float) -> list[tuple]:
     """Kind, leg (1-based), measure and clearance of the determinant zeros
-    at the poses (x, y, phi) (1-D arrays), one tuple per pose.
+    at the poses (x, y, phi) (1-D arrays), one tuple per pose, each taken
+    in floats by the kernel's float twin (:func:`_pose_geometry`).
 
     A zero whose shortest leg is longer than ``eps_pass`` is parallel; a
     nearer one is a passage when the serial clearance of that leg is
     positive, and parallel otherwise.
     """
     L = geom.L
-    dx, dy, d, det = _leg_geometry(geom, x, y, phi)
-    measures = (np.abs(_line_measure(d, det, L)) / L).tolist()
-    legs = np.argmin(d, axis=-1)
-    near = np.flatnonzero(d.min(axis=-1) <= eps_pass)
-    out = [("parallel", None, m, None) for m in measures]
-    for j in near.tolist():
-        clear = _serial_clearance(geom, (dx[j], dy[j], d[j]), int(legs[j]))
+    out = []
+    for pose in zip(x.tolist(), y.tolist(), phi.tolist()):
+        dx, dy, d, det = _pose_geometry(geom, *pose)
+        measure = abs(_pose_measure(d, det, L)) / L
+        leg = d.index(min(d))
+        if d[leg] > eps_pass:
+            out.append(("parallel", None, measure, None))
+            continue
+        clear = _serial_clearance(geom, (dx, dy, d), leg)
         kind = "passage" if clear > SERIAL_CLASSIFY_REL * L else "parallel"
-        out[j] = (kind, int(legs[j]) + 1, (0.0 if np.isnan(measures[j]) else measures[j]), float(clear))
+        out.append((kind, leg + 1, 0.0 if math.isnan(measure) else measure, clear))
     return out
 
 
@@ -520,7 +525,7 @@ def _crossing_roots(geom: RobotGeometry, paths: _Paths, ts, rows, dets, k) -> li
     reads every bracket's step."""
     if not len(k):
         return []
-    legs, roots, lo, hi, n = _leg_floats(geom), [], ts[k], ts[k + 1], paths.steps.shape[1]
+    legs, roots, lo, hi, n = geom.leg_floats, [], ts[k], ts[k + 1], paths.steps.shape[1]
     brackets = (lo, hi, dets[k], dets[k + 1], *paths.step_at(0.5 * (lo + hi), rows[k]))
     for lo, hi, flo, fhi, *step in zip(*(v.tolist() for v in brackets)):
 
@@ -534,9 +539,10 @@ def _crossing_roots(geom: RobotGeometry, paths: _Paths, ts, rows, dets, k) -> li
 def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> list[list[CrossingEvent]]:
     """The crossing events of every row of ``s``: one list per row, sorted
     by t (see :func:`detect_crossings`).  Each sign change is refined on
-    its own in Python floats (:func:`_crossing_roots`), and all the zeros
-    are classified in one kernel pass.  Same-sign gaps are certified or
-    split first (:func:`_split_gaps`)."""
+    its own in Python floats (:func:`_crossing_roots`), and each zero is
+    classified in floats (:func:`_classify_zeros`).  Same-sign gaps are
+    certified or split first (:func:`_split_gaps`); a path with no zero
+    reads no pose."""
     paths = s.paths
     ts, rows, dets, size = _split_gaps(geom, s)
     same = rows[:-1] == rows[1:]  # consecutive samples of one row
@@ -553,7 +559,11 @@ def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> l
     a = np.abs(dets)
     here = a[1:-1]
     graze = np.flatnonzero(inner & (0.0 < here) & (here <= a[:-2]) & (here <= a[2:]) & (around > 0.0)) + 1
-    graze = graze[a[graze] <= ZERO_DET_REL * size[rows[graze], paths.step_at(ts[graze], rows[graze])[0]]]
+    if len(graze):
+        graze = graze[a[graze] <= ZERO_DET_REL * size[rows[graze], paths.step_at(ts[graze], rows[graze])[0]]]
+    events = [[] for _ in paths.table]
+    if not (len(zero) or len(k) or len(graze)):
+        return events
 
     # zero samples, refined roots and touching minima, in that order before the stable
     # sort by row and t, all classified: a touch grazes in a passage window, else parallel
@@ -562,7 +572,6 @@ def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> l
     crossing = np.concatenate([crosses, np.ones(len(refined), dtype=bool), np.zeros(len(graze), dtype=bool)])
     info = _classify_zeros(geom, *paths.poses_at(t_ev, r_ev), eps_pass)
     info = [c if x or c[0] != "passage" else ("grazing", *c[1:]) for c, x in zip(info, crossing.tolist())]
-    events = [[] for _ in paths.table]
     for j in np.lexsort((t_ev, r_ev)).tolist():
         events[r_ev[j]].append(CrossingEvent(float(t_ev[j]), *info[j]))
     return events

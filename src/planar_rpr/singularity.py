@@ -166,18 +166,23 @@ def _leg_geometry(geom: RobotGeometry, x, y, phi):
     return dx.transpose(to_last), dy.transpose(to_last), np.hypot(dx, dy).transpose(to_last), _leg_det(geom, dx, dy)
 
 
-def _pose_geometry(geom: RobotGeometry, pose: Pose):
-    """:func:`_leg_geometry` at one pose.  Leg lengths or a determinant that
-    overflow (coordinates too large for their products, such as a platform
-    frame ~1e300 away) raise :class:`ValidationError`."""
+def _pose_geometry(geom: RobotGeometry, x, y, phi):
+    """:func:`_leg_geometry` at one pose with its bits, in floats: the float
+    twin's (:func:`_float_leg_det`) lists ``dx``, ``dy`` and float ``det``, and
+    ``dist`` by one ``np.hypot`` (``math.hypot`` rounds otherwise).  Values that
+    overflow (such as a platform frame ~1e300 away) raise :class:`ValidationError`."""
+    legs = geom.leg_floats
+    angle = float(phi) if math.isfinite(phi) else math.nan  # math.cos raises on inf, np.cos gives nan
+    dx, dy = _float_leg_vectors(legs, float(x), float(y), angle)
+    det = _float_leg_det(legs, dx, dy)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _leg_geometry(geom, pose.x, pose.y, pose.phi)
-    if not (math.isfinite(out[3]) and math.isfinite(out[2].max())):
+        dist = np.hypot(dx, dy).tolist()
+    if not (math.isfinite(det) and all(map(math.isfinite, dist))):
         raise ValidationError(
-            f"the line-matrix determinant at pose ({pose.x:.6g}, {pose.y:.6g}, {pose.phi:.6g}) "
+            f"the line-matrix determinant at pose ({x:.6g}, {y:.6g}, {phi:.6g}) "
             "is not finite: the design's coordinates are too large"
         )
-    return out
+    return dx, dy, dist, det
 
 
 def _line_measure(dist, det, L: float):
@@ -187,20 +192,38 @@ def _line_measure(dist, det, L: float):
     return det / np.where(np.any(dist <= LINE_DEGENERACY_REL * L, axis=-1), np.nan, rho)
 
 
-def _leg_line(geom: RobotGeometry, dx, dy, dist, i: int) -> LegLine:
-    """Force line of leg ``i`` (0-based) from one pose's kernel outputs
-    ``dx``, ``dy``, ``dist`` (one entry per leg)."""
+def _pose_measure(dist, det: float, L: float) -> float:
+    """:func:`_line_measure` on the floats of :func:`_pose_geometry`."""
+    if min(dist) <= LINE_DEGENERACY_REL * L:
+        return math.nan
+    rho = dist[0] * dist[1] * dist[2]
+    return det / rho if rho else float(np.float64(det) / rho)  # numpy's inf or nan where Python raises
+
+
+def _leg_line(geom: RobotGeometry, dx, dy, dist, i: int):
+    """Unit direction and moment ``(ux, uy, m)`` of leg ``i``'s (0-based)
+    force line from one pose's leg vectors and lengths, in floats; None
+    where its joints coincide."""
     if dist[i] <= LINE_DEGENERACY_REL * geom.L:
-        return LegLine(np.zeros(2), 0.0, True)
-    u = np.array([dx[i], dy[i]]) / dist[i]
-    u.flags.writeable = False
-    return LegLine(u, float(geom.base[i, 0] * u[1] - geom.base[i, 1] * u[0]), False)
+        return None
+    ux, uy = dx[i] / dist[i], dy[i] / dist[i]
+    ax, ay = geom.leg_floats[i][:2]
+    return ux, uy, ax * uy - ay * ux
+
+
+def _line_distance(line, p) -> float:
+    """Unsigned distance from the point ``p`` to a line of :func:`_leg_line`."""
+    ux, uy, m = line
+    return abs(ux * p[1] - uy * p[0] + m)
 
 
 def leg_lines(geom: RobotGeometry, pose: Pose) -> list[LegLine]:
     """Force line of each leg (through a_i and B_i) at the given pose."""
-    legs = _leg_geometry(geom, pose.x, pose.y, pose.phi)[:3]
-    return [_leg_line(geom, *legs, i) for i in range(3)]
+    legs = [v.tolist() for v in _leg_geometry(geom, pose.x, pose.y, pose.phi)[:3]]
+    lines = [_leg_line(geom, *legs, i) for i in range(3)]
+    u = np.array([(0.0, 0.0) if line is None else line[:2] for line in lines])
+    u.flags.writeable = False
+    return [LegLine(u[i], 0.0 if line is None else line[2], line is None) for i, line in enumerate(lines)]
 
 
 def parallel_singularity_measure(geom: RobotGeometry, pose: Pose, normalized: bool = False) -> float:
@@ -213,12 +236,12 @@ def parallel_singularity_measure(geom: RobotGeometry, pose: Pose, normalized: bo
     ``normalized=True`` the value is divided by the characteristic scale.
     """
     L = geom.L
-    _, _, dist, det = _pose_geometry(geom, pose)
+    _, _, dist, det = _pose_geometry(geom, pose.x, pose.y, pose.phi)
     for i in range(3):
         if dist[i] <= LINE_DEGENERACY_REL * L:
             raise SerialDegenerate(i + 1)
-    measure = _line_measure(dist, det, L)
-    return float(measure / L if normalized else measure)
+    measure = _pose_measure(dist, det, L)
+    return measure / L if normalized else measure
 
 
 def unnormalized_determinant(geom: RobotGeometry, pose: Pose) -> float:
@@ -229,7 +252,7 @@ def unnormalized_determinant(geom: RobotGeometry, pose: Pose) -> float:
     fixed phi this is exactly quadratic in (x, y) -- the conic locus.
     Raises :class:`ValidationError` when it is not finite.
     """
-    return float(_pose_geometry(geom, pose)[3])
+    return _pose_geometry(geom, pose.x, pose.y, pose.phi)[3]
 
 
 def serial_points(geom: RobotGeometry, phi: float) -> np.ndarray:
@@ -475,18 +498,17 @@ def _serial_clearance(geom: RobotGeometry, legs, leg: int) -> float:
     from the intersection of the other two leg lines to the joint a_leg;
     for (near-)parallel lines, the larger of the two point-line distances;
     zero when one of those lines is undefined.  ``legs`` are one pose's
-    kernel outputs ``(dx, dy, dist)``."""
+    ``(dx, dy, dist)`` of :func:`_pose_geometry`.  In floats, but for the
+    ``np.linalg.solve`` of the two lines, whose bits are the BLAS's."""
     first, second = (_leg_line(geom, *legs, j) for j in range(3) if j != leg)
-    point = geom.base[leg]
-    if first.degenerate or second.degenerate:
+    if first is None or second is None:
         return 0.0
-    u1, u2 = first.direction, second.direction
-    cross = u1[0] * u2[1] - u1[1] * u2[0]
-    if abs(cross) < 1e-12:
-        return max(first.point_distance(point), second.point_distance(point))
+    (u1x, u1y, m1), (u2x, u2y, m2) = first, second
+    point = geom.leg_floats[leg]
+    if abs(u1x * u2y - u1y * u2x) < 1e-12:
+        return max(_line_distance(first, point), _line_distance(second, point))
     # line i: -u_iy x + u_ix y + m_i = 0
-    mat = np.array([[-u1[1], u1[0]], [-u2[1], u2[0]]])
-    p = np.linalg.solve(mat, -np.array([first.moment, second.moment]))
+    p = np.linalg.solve([[-u1y, u1x], [-u2y, u2x]], [-m1, -m2])
     return float(np.hypot(p[0] - point[0], p[1] - point[1]))
 
 
@@ -501,11 +523,11 @@ def classify_configuration(geom: RobotGeometry, pose: Pose) -> ConfigurationClas
     :class:`ValidationError`.
     """
     L = geom.L
-    dx, dy, dist, det = _pose_geometry(geom, pose)
+    dx, dy, dist, det = _pose_geometry(geom, pose.x, pose.y, pose.phi)
     singular = [i for i in range(3) if dist[i] <= SERIAL_CLASSIFY_REL * L]
 
     if not singular:
-        measure = float(_line_measure(dist, det, L) / L)
+        measure = _pose_measure(dist, det, L) / L
         kind = "parallel_singular" if abs(measure) <= MEASURE_ZERO else "regular"
         return ConfigurationClass(kind, (), measure, None)
 
@@ -514,11 +536,11 @@ def classify_configuration(geom: RobotGeometry, pose: Pose) -> ConfigurationClas
         clearance = _serial_clearance(geom, (dx, dy, dist), singular[0])
     elif len(singular) == 2:
         line = _leg_line(geom, dx, dy, dist, next(i for i in range(3) if i not in singular))
-        clearance = 0.0 if line.degenerate else max(line.point_distance(geom.base[i]) for i in singular)
+        clearance = 0.0 if line is None else max(_line_distance(line, geom.leg_floats[i]) for i in singular)
     else:
         clearance = 0.0  # platform pinned onto the base: nothing regular remains
     kind = "serial_and_parallel" if clearance <= SERIAL_CLASSIFY_REL * L else "serial_singular"
-    return ConfigurationClass(kind, tuple(i + 1 for i in singular), measure, float(clearance))
+    return ConfigurationClass(kind, tuple(i + 1 for i in singular), measure, clearance)
 
 
 def triangle_angles(points: np.ndarray) -> np.ndarray:

@@ -278,6 +278,8 @@ RANDOM0_PI_JOINTS = "5.113988363202984,12.663443714824998,7.718558871023457"
         (["oracle-fk", "--joints", REF_JOINTS], "cli_oracle_fk_ref.json"),
         (["oracle-fk", "--joints", REF_JOINTS, "--grid", "4096"], "cli_oracle_fk_ref_grid4096.json"),
         (["classify", "--pose", "2,1,0"], "cli_classify_ref_2_1_0.json"),
+        # a regular pose: classify prints its measure
+        (["classify", "--pose", "5,5,0.3"], "cli_classify_ref_5_5_0.3.json"),
         (["locus", "--phi", "0.9", "--window", "-10,-10,20,20", "--step", "0.5"], "cli_locus_ref_phi0.9.json"),
         # at phi = 0 the locus is the line pair y = 1, x + 2 y = 16 through
         # lattice nodes, where end points of several segments meet

@@ -1,3 +1,4 @@
+import collections
 import heapq
 import itertools
 import json
@@ -25,13 +26,13 @@ from planar_rpr import (
     inverse_kinematics,
     parallel_singularity_measure,
     plan_mode_change,
+    platform_points,
     pose_distance,
     solve_fk,
     unnormalized_determinant,
     verify_mode_change,
 )
 from planar_rpr import modeplan
-from planar_rpr.kinematics import _leg_floats
 from planar_rpr.model import characteristic_scale, rotation, wrap_angle
 from planar_rpr.modeplan import (
     EPS_PASS_REL,
@@ -52,8 +53,10 @@ from planar_rpr.singularity import (
     _leg_geometry,
     _leg_vectors,
     _line_measure,
+    _pose_geometry,
     classify_configuration,
     is_architecturally_singular,
+    leg_lines,
     passage_safety,
     serial_points,
     singularity_conic,
@@ -1976,7 +1979,7 @@ def _assert_float_forms_equal_the_kernel(geom, x, y, phi):
     """The one-pose float forms at each pose (x, y, phi) (1-D arrays) give
     the kernel's leg vectors and determinant, and math's cos and sin give
     numpy's, bit for bit."""
-    legs = _leg_floats(geom)
+    legs = geom.leg_floats
     dx, dy = _leg_vectors(geom, x, y, phi)
     vectors = [_float_leg_vectors(legs, *p) for p in zip(x.tolist(), y.tolist(), phi.tolist())]
     assert np.array([v[0] for v in vectors]).T.tobytes() == dx.tobytes()
@@ -2038,6 +2041,146 @@ def test_float_leg_forms_give_the_kernel_bits(ref):
     for t in (0.0, 1.0, *rng.uniform(0.0, 1.0, 8).tolist()):
         floats = modeplan._step_pose([v.tolist() for v in paths.step_at(t, 0)], t, paths.steps.shape[1])
         assert np.array(floats).tobytes() == np.array(paths.poses_at(t, 0)).tobytes()
+
+
+def _kernel_clearance(geom, pose, leg):
+    """The clearance of ``leg``'s serial point at ``pose`` on the array
+    kernel's leg lines (:func:`leg_lines`) with numpy scalars, and whether
+    the other two lines counted as parallel."""
+    first, second = (line for j, line in enumerate(leg_lines(geom, pose)) if j != leg)
+    point = geom.base[leg]
+    if first.degenerate or second.degenerate:
+        return 0.0, False
+    u1, u2 = first.direction, second.direction
+    if abs(u1[0] * u2[1] - u1[1] * u2[0]) < 1e-12:
+        return float(max(first.point_distance(point), second.point_distance(point))), True
+    p = np.linalg.solve(np.array([[-u1[1], u1[0]], [-u2[1], u2[0]]]), -np.array([first.moment, second.moment]))
+    return float(np.hypot(p[0] - point[0], p[1] - point[1])), False
+
+
+def _kernel_classification(geom, pose):
+    """classify_configuration's (kind, legs, measure, clearance) from the
+    array kernel at one pose, and the branch that gave the clearance."""
+    Lg = geom.L
+    _, _, dist, det = _leg_geometry(geom, pose.x, pose.y, pose.phi)
+    singular = [i for i in range(3) if dist[i] <= 1e-6 * Lg]
+    if not singular:
+        measure = float(_line_measure(dist, det, Lg) / Lg)
+        return ("parallel_singular" if abs(measure) <= 1e-9 else "regular", (), measure, None), "regular"
+    if len(singular) == 1:
+        clearance, parallel = _kernel_clearance(geom, pose, singular[0])
+        branch = "parallel lines" if parallel else "one leg"
+    elif len(singular) == 2:
+        line = leg_lines(geom, pose)[3 - sum(singular)]
+        clearance = 0.0 if line.degenerate else float(max(line.point_distance(geom.base[i]) for i in singular))
+        branch = "two legs"
+    else:
+        clearance, branch = 0.0, "three legs"
+    kind = "serial_and_parallel" if clearance <= 1e-6 * Lg else "serial_singular"
+    return (kind, tuple(i + 1 for i in singular), None, clearance), branch
+
+
+def _bits(values):
+    """Each float's bytes (None and strings as they are), so that 0.0 and -0.0 differ."""
+    return [np.float64(v).tobytes() if isinstance(v, float) else v for v in values]
+
+
+def test_one_pose_functions_give_the_array_kernel_bits(ref):
+    """The one-pose functions, which take the kernel's float twin
+    (_pose_geometry), give the bits the array kernel gives at the same pose:
+    _pose_geometry itself, classify_configuration, parallel_singularity_measure,
+    unnormalized_determinant, platform_points, inverse_kinematics and
+    _classify_zeros, each with the type it had.  Poses are seeded, at
+    serial points and 1e-9 to 1e-4 L from them, on the reference robot at
+    x1e-3, x1 and x1e3, seeded designs, platform frames offset by up to
+    1e4 L, a design whose other two leg lines are parallel at S_1(0)
+    (|cross| < 1e-12) and one with two legs of zero length at (0, 0, 0).
+    So do the measures of a x1e-110 copy, whose leg-length product
+    underflows to 0.0 (numpy's nan).  An infinite angle and the design with
+    a platform frame ~1e300 away raise ValidationError."""
+    rng = np.random.default_rng(34)
+    designs = [RobotGeometry(np.asarray(REF_BASE) * f, np.asarray(REF_PLATFORM) * f) for f in (1e-3, 1.0, 1e3)]
+    designs += _seeded_designs(34, 4)
+    for e in range(5):  # the platform frame 10^e L from its joints
+        offset = 10.0**e * REF_SCALE * rng.normal(0.0, 1.0, 2)
+        designs.append(RobotGeometry(REF_BASE, np.asarray(REF_PLATFORM) + offset))
+    designs.append(RobotGeometry(REF_BASE, [[0.0, 0.0], [10.0, 3.0], [4.0, 5.0]]))  # legs 2, 3 vertical at (0, 0, 0)
+    designs.append(RobotGeometry(REF_BASE, [[0.0, 0.0], [10.0, 0.0], [3.0, -2.0]]))  # legs 1, 2 zero at (0, 0, 0)
+    branches = collections.Counter()
+    for geom in designs:
+        Lg = characteristic_scale(geom)
+        poses = [Pose(*rng.uniform(-Lg, 2.0 * Lg, 2).tolist(), rng.uniform(0.0, 2.0 * np.pi)) for _ in range(60)]
+        for phi in [0.0, *rng.uniform(0.0, 2.0 * np.pi, 4).tolist()]:
+            for leg, (sx, sy) in enumerate(serial_points(geom, phi).tolist()):
+                for offset in (0.0, 1e-9, 1e-7, 5e-7, 1e-4):
+                    u = rng.normal(0.0, 1.0, 2)
+                    poses.append(Pose(sx + offset * Lg * u[0], sy + offset * Lg * u[1], phi))
+        poses += [Pose(0.0, 0.0, 0.0), Pose(0.0, 3e-8, 0.0), Pose(1e-7, 0.0, 0.0)]
+        for pose in poses:
+            dx, dy, dist, det = _leg_geometry(geom, pose.x, pose.y, pose.phi)
+            got = _pose_geometry(geom, pose.x, pose.y, pose.phi)
+            assert np.array(got[:3]).tobytes() == np.array([dx, dy, dist]).tobytes()
+            assert type(got[3]) is float and _bits([got[3]]) == _bits([float(det)])
+            assert _bits([unnormalized_determinant(geom, pose)]) == _bits([float(det)])
+            c = classify_configuration(geom, pose)
+            want, branch = _kernel_classification(geom, pose)
+            branches[branch] += 1
+            assert (c.kind, c.singular_legs) == want[:2]
+            assert _bits([c.measure, c.clearance]) == _bits(want[2:])
+            for normalized in (False, True):
+                if dist.min() <= 1e-9 * Lg:
+                    with pytest.raises(SerialDegenerate):
+                        parallel_singularity_measure(geom, pose, normalized)
+                else:
+                    measure = float(_line_measure(dist, det, Lg) / (Lg if normalized else 1.0))
+                    assert _bits([parallel_singularity_measure(geom, pose, normalized)]) == _bits([measure])
+            c, s = np.cos(pose.phi), np.sin(pose.phi)
+            bx, by = geom.platform.T
+            points = np.stack([pose.x + (c * bx - s * by), pose.y + (s * bx + c * by)], axis=-1)
+            assert platform_points(geom, pose).tobytes() == points.tobytes()
+            assert inverse_kinematics(geom, pose).rho.tobytes() == dist.tobytes()
+        x, y, phi = (np.array(v) for v in zip(*(p.as_tuple() for p in poses)))
+        dx, dy, dist, det = _leg_geometry(geom, x, y, phi)
+        measures = (np.abs(_line_measure(dist, det, Lg)) / Lg).tolist()
+        for eps in (EPS_PASS_REL * Lg, 1e-6 * Lg):
+            for j, got in enumerate(_classify_zeros(geom, x, y, phi, eps)):
+                leg = int(np.argmin(dist[j]))
+                if dist[j, leg] > eps:
+                    want = ("parallel", None, measures[j], None)
+                else:
+                    clear = _kernel_clearance(geom, Pose(x[j], y[j], phi[j]), leg)[0]
+                    kind = "passage" if clear > 1e-6 * Lg else "parallel"
+                    want = (kind, leg + 1, 0.0 if np.isnan(measures[j]) else measures[j], clear)
+                assert got[:2] == want[:2] and _bits(got[2:]) == _bits(want[2:])
+    assert branches["regular"] > 500 and branches["one leg"] > 300
+    assert branches["parallel lines"] >= 3 and branches["two legs"] >= 3
+    # a x1e-110 copy: every leg is longer than 1e-9 L, but their product is
+    # 0.0 in floats, where numpy divides to nan and Python would raise
+    tiny = RobotGeometry(np.asarray(REF_BASE) * 1e-110, np.asarray(REF_PLATFORM) * 1e-110)
+    pose = Pose(5e-110, 5e-110, 0.3)
+    dist = _pose_geometry(tiny, *pose.as_tuple())[2]
+    assert dist[0] * dist[1] * dist[2] == 0.0 and min(dist) > 1e-9 * tiny.L
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want, _ = _kernel_classification(tiny, pose)
+        assert _bits([classify_configuration(tiny, pose).measure]) == _bits([want[2]])
+        _, _, dist, det = _leg_geometry(tiny, *pose.as_tuple())
+        assert _bits([parallel_singularity_measure(tiny, pose)]) == _bits([float(_line_measure(dist, det, tiny.L))])
+    for evaluate in (classify_configuration, inverse_kinematics):  # math.cos raises on inf, np.cos gives nan
+        with pytest.raises(ValidationError):
+            evaluate(ref, Pose(0.0, 0.0, math.inf))
+    far = RobotGeometry(REF_BASE, [[1e300, 0.0], [1.1e300, 0.0], [1e300, 1e299]])
+    pose = Pose(0.0, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in (
+            classify_configuration,
+            parallel_singularity_measure,
+            unnormalized_determinant,
+            lambda geom, pose: _classify_zeros(geom, *np.array([pose.as_tuple()]).T, EPS_PASS_REL * geom.L),
+        ):
+            with pytest.raises(ValidationError, match="is not finite: the design's coordinates are too large"):
+                evaluate(far, pose)
 
 
 def test_serial_clearance_agrees_between_classifier_and_crossing_detector(ref):

@@ -195,12 +195,12 @@ def test_frame_invariance_of_measure(ref):
 def test_determinant_matches_forward_jacobian(ref):
     """det of the Newton refinement Jacobian equals 8 x the line-matrix
     determinant: the constraint gradients are scaled leg lines."""
-    from planar_rpr.kinematics import _constraint_rows, _leg_floats
+    from planar_rpr.kinematics import _constraint_rows
 
     rng = np.random.default_rng(59)
     for _ in range(50):
         pose = Pose(*random_pose_tuple(rng))
-        rows = _constraint_rows(_leg_floats(ref), (0.0,) * 3, *pose.as_tuple())
+        rows = _constraint_rows(ref.leg_floats, (0.0,) * 3, *pose.as_tuple())
         dj = float(np.linalg.det(np.array(rows)[:, :3]))
         dt = unnormalized_determinant(ref, pose)
         assert abs(dj - 8.0 * dt) <= 1e-9 * max(abs(dj), 1e-300)
