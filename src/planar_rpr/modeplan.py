@@ -856,6 +856,63 @@ def _serial_doors(geom, xs, ys, phis, safe, q, sgn, band):
     return rows[first], np.stack(ends, axis=1)[first], int(np.count_nonzero(in_box))
 
 
+def _padded_masks(ok):
+    """The per-axis edge masks ``ok``, of shapes (nx - 1, ny, np_),
+    (nx, ny - 1, np_) and (nx, ny, np_), as one (3, nx, ny, np_) array
+    padded with False: each edge at its lower node (a minus move's target),
+    so a minus step off the grid's lower side lands on the padding by a
+    negative index (:class:`_TwoEndedSearch`)."""
+    masks = np.zeros((3, *ok[2].shape), dtype=bool)
+    masks[0, :-1], masks[1, :, :-1], masks[2] = ok
+    return masks
+
+
+@dataclass(frozen=True, eq=False)
+class _PlannerGrid:
+    """The planner's grid of one design over one box at one resolution
+    (:func:`_planner_grid`), kept on the design by
+    :meth:`RobotGeometry.planner_grid`.
+
+    ``axes`` holds the node coordinates (xs, ys, phis).  ``masks`` is
+    ``np.packbits`` of the padded admissible masks (:func:`_padded_masks`)
+    with the doors set in, and ``nonzero`` of the nodes whose determinant
+    sign (:func:`_node_signs`) is not 0, both flat in node order.
+    ``doors``, ``door_points`` and ``serial`` are :func:`_serial_doors`'.
+    Every array is read-only.
+    """
+
+    axes: tuple
+    masks: np.ndarray
+    nonzero: np.ndarray
+    doors: np.ndarray
+    door_points: np.ndarray
+    serial: int
+
+
+def _planner_grid(geom, box, resolution) -> _PlannerGrid:
+    """Build the planner's grid over ``box`` = (x0, y0, x1, y1) at
+    ``resolution`` = (nx, ny, np_), both checked by the planner: one node
+    sign evaluation (:func:`_node_signs`), one edge scan per axis
+    (:func:`_axis_edge_scan`) and the doors of the serial points of the
+    passage-safe legs (:func:`_serial_doors`), each door admissible.  The
+    full-size temporaries are freed before the masks are packed."""
+    (x0, y0, x1, y1), (nx, ny, np_) = box, resolution
+    axes = np.linspace(x0, x1, nx), np.linspace(y0, y1, ny), np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
+    q, det, sgn, band = _node_signs(geom, *axes)
+    ok = [~_axis_edge_scan(geom, *axes, axis, q, det, sgn, band) for axis in range(3)]
+    del det
+    doors, door_points, serial = _serial_doors(geom, *axes, geom.passage_safe, q, sgn, band)
+    nonzero = np.packbits(sgn != 0)
+    del sgn
+    masks = _padded_masks(ok)
+    del ok
+    masks[tuple(doors.T)] = True
+    masks = np.packbits(masks)
+    for a in (*axes, masks, nonzero, doors, door_points):
+        a.flags.writeable = False
+    return _PlannerGrid(axes, masks, nonzero, doors, door_points, serial)
+
+
 # The axes of the six moves between grid nodes, in walk order -x, -y, -phi, +phi, +y, +x.
 _MOVE_AXES = (0, 1, 2, 2, 1, 0)
 
@@ -873,17 +930,14 @@ class _TwoEndedSearch:
     bounded by it.  ``best`` is the least d_s + d_t and ``meets`` the nodes
     where it is reached.
 
-    ``masks`` pads each axis's edge mask to the grid's shape with False,
-    indexed by the edge's lower node (a minus move's target); a minus step
-    off the grid's lower side lands on the padding by a negative index.
+    ``masks`` are the padded (3, nx, ny, np_) admissible masks of
+    :func:`_padded_masks`, read and never written.
     """
 
-    def __init__(self, ok, costs, ends):
-        self.shape = nx, ny, np_ = ok[2].shape
+    def __init__(self, masks, costs, ends):
+        self.shape = nx, ny, np_ = masks.shape[1:]
         self.n = n = nx * ny * np_
-        masks = np.zeros((3, nx, ny, np_), dtype=bool)
-        masks[0, :-1], masks[1, :, :-1], masks[2] = ok
-        self.masks = masks.reshape(3, -1)
+        self.masks = masks.reshape(3, n)
         self.axes = np.array(_MOVE_AXES)[:, None]  # (6, 1), as are steps and costs
         self.steps = np.array([[-ny * np_], [-np_], [-1], [1], [np_], [ny * np_]])
         self.costs = np.asarray(costs)[self.axes]
@@ -941,12 +995,12 @@ class _TwoEndedSearch:
         return out
 
 
-def _grid_route(ok, doors, costs, ends, require_crossing, serial):
+def _grid_route(masks, doors, costs, ends, require_crossing, serial):
     """Grid nodes of the cheapest route between ``ends`` = (s, t).
 
-    ``ok`` holds, per axis, the admissible mask of the grid's edges: shapes
-    (nx - 1, ny, np_), (nx, ny - 1, np_) and (nx, ny, np_), the phi edge of
-    node m joining m + 1, wrapped.  The edges of each axis cost ``costs``.
+    ``masks`` holds, per axis, the admissible mask of the grid's edges,
+    padded (:func:`_padded_masks`), the phi edge of node m joining m + 1,
+    wrapped.  The edges of each axis cost ``costs``.
     ``doors`` = (lo, hi, w) gives the ends and cost of each door edge, all
     admissible, in door order.  The route meets at the first node where
     d_s + d_t is least (:class:`_TwoEndedSearch`) and walks back from it to
@@ -960,7 +1014,7 @@ def _grid_route(ok, doors, costs, ends, require_crossing, serial):
     s; with no door the message says that none of the ``serial`` serial
     points gives one.
     """
-    search = _TwoEndedSearch(ok, costs, ends)
+    search = _TwoEndedSearch(masks, costs, ends)
     # a shortest route of length mu has a node within (mu + c) / 2 of both ends,
     # so min(d_s + d_t) is exact once every node within (best + c) / 2 is written
     dist = search.until(lambda: (search.best + max(costs)) / 2)
@@ -994,6 +1048,23 @@ def _grid_route(ok, doors, costs, ends, require_crossing, serial):
     return search.walk(0, a[k])[::-1] + search.walk(1, b[k])
 
 
+def _cell_corners(axes, pose: Pose, L: float):
+    """The eight corners of the cell of the grid with node coordinates
+    ``axes`` = (xs, ys, phis) around ``pose``, as flat node indices, nearest
+    first: keyed by :func:`pose_distance` with its operations on arrays (so
+    with its bits), ties in corner order (i, then j, then m), as a stable
+    sort leaves them."""
+    xs, ys, phis = axes
+    shape = nx, ny, np_ = len(xs), len(ys), len(phis)
+    ci = int(np.clip(np.searchsorted(xs, pose.x) - 1, 0, nx - 2))
+    cj = int(np.clip(np.searchsorted(ys, pose.y) - 1, 0, ny - 2))
+    cm = int(np.floor(wrap_angle(pose.phi) % (2.0 * np.pi) / (2.0 * np.pi / np_))) % np_
+    di, dj, dm = np.unravel_index(np.arange(8), (2, 2, 2))
+    i, j, m = ci + di, cj + dj, (cm + dm) % np_
+    key = np.maximum(np.hypot(pose.x - xs[i], pose.y - ys[j]), L * np.abs(wrap_angle(pose.phi - phis[m])))
+    return np.ravel_multi_index((i, j, m), shape)[np.argsort(key, kind="stable")]
+
+
 def plan_mode_change(
     geom: RobotGeometry,
     start: Pose,
@@ -1015,11 +1086,17 @@ def plan_mode_change(
     passage-safe legs that stand in for grid edges (:func:`_serial_doors`).
     Both read one determinant sign per node, from one conic evaluation over
     the grid (:func:`_node_signs`); a node in its zero band has sign 0, and
-    no edge, door or snap ends at one.  With ``require_crossing`` (the
-    default) the returned path is guaranteed to cross the surface through
-    at least one passage: if the unconstrained shortest route dodges the
-    surface entirely, the cheapest door is spliced into it.  The result
-    always passes verification with verdict ``changed_without_parallel``.
+    no edge, door or snap ends at one.  The masks, the doors and the nodes'
+    nonzero signs depend only on the design, the box and the resolution:
+    they are built once (:func:`_planner_grid`) and kept, bit-packed, on
+    ``geom`` for the last box and resolution
+    (:meth:`RobotGeometry.planner_grid`); a plan that repeats them skips
+    straight to the snap and the search and returns the same bits.  With
+    ``require_crossing`` (the default) the returned path is guaranteed to
+    cross the surface through at least one passage: if the unconstrained
+    shortest route dodges the surface entirely, the cheapest door is
+    spliced into it.  The result always passes verification with verdict
+    ``changed_without_parallel``.
 
     Segments are checked by the crossing detector in batched passes, each
     segment sampled as a one-segment :class:`WorkspacePath`: one pass,
@@ -1079,11 +1156,10 @@ def plan_mode_change(
     if not (x0 <= target.x <= x1 and y0 <= target.y <= y1):
         raise InvalidStart("target pose lies outside the search box")
 
-    xs = np.linspace(x0, x1, nx)
-    ys = np.linspace(y0, y1, ny)
-    phis = np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
-
+    grid = geom.planner_grid((x0, y0, x1, y1), (nx, ny, np_))
+    xs, ys, phis = grid.axes
     shape = (nx, ny, np_)
+    n = nx * ny * np_
     costs = (float(xs[1] - xs[0]), float(ys[1] - ys[0]), float(L * 2.0 * np.pi / np_))
 
     def node_poses(nodes):
@@ -1093,43 +1169,25 @@ def plan_mode_change(
     def node_pose(node):
         return Pose(*node_poses(node).tolist())
 
-    def corners(pose: Pose):
-        """The eight corners of the grid cell around ``pose``, nearest first."""
-        ci = int(np.clip(np.searchsorted(xs, pose.x) - 1, 0, nx - 2))
-        cj = int(np.clip(np.searchsorted(ys, pose.y) - 1, 0, ny - 2))
-        cm = int(np.floor(wrap_angle(pose.phi) % (2.0 * np.pi) / (2.0 * np.pi / np_))) % np_
-        out = [
-            int(np.ravel_multi_index((ci + di, cj + dj, (cm + dm) % np_), shape))
-            for di in (0, 1)
-            for dj in (0, 1)
-            for dm in (0, 1)
-        ]
-        return sorted(out, key=lambda c: pose_distance(pose, node_pose(c), L))
-
     # One pass checks the segments from each endpoint to the corners of its
     # cell; it snaps to the nearest nonzero corner joined admissibly.
-    q, det, sgn, band = _node_signs(geom, xs, ys, phis)
-    near = corners(start) + corners(target)
+    near = np.concatenate([_cell_corners(grid.axes, pose, L) for pose in (start, target)])
     ends = np.repeat([start.as_tuple(), target.as_tuple()], 8, axis=0)
     checked = _segments_crossings(geom, ends, node_poses(near), eps_pass, safe)
-    snapped = []
+    near, nonzero, snapped = near.tolist(), np.unpackbits(grid.nonzero, count=n), []
     for label, end in (("start", 0), ("target", 8)):
-        linked = [c for c, e in zip(near[end : end + 8], checked[end : end + 8]) if e is not None and sgn.flat[c]]
+        linked = [c for c, e in zip(near[end : end + 8], checked[end : end + 8]) if e is not None and nonzero[c]]
         if not linked:
             raise NoPathFound(f"could not connect the {label} pose to the search grid")
         snapped.append(linked[0])
-    ok = [~_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn, band) for axis in range(3)]
-    doors, door_points, serial = _serial_doors(geom, xs, ys, phis, safe, q, sgn, band)
-    del det, sgn  # the search needs only the masks
-    for a, i, j, m in doors.tolist():
-        ok[a][i, j, m] = True
-    axis, i, j, m = doors.T  # x and y doors, at one phi
+    masks = np.unpackbits(grid.masks, count=3 * n).view(bool).reshape(3, *shape)
+    axis, i, j, m = grid.doors.T  # x and y doors, at one phi
     lo, hi = (np.ravel_multi_index((i + d * (axis == 0), j + d * (axis == 1), m), shape) for d in (0, 1))
-    nodes = _grid_route(ok, (lo, hi, np.asarray(costs)[axis]), costs, snapped, require_crossing, serial)
+    nodes = _grid_route(masks, (lo, hi, np.asarray(costs)[axis]), costs, snapped, require_crossing, grid.serial)
 
     # every door on the route goes through its two row points, which the
     # simplification keeps
-    lo, hi = lo.tolist(), hi.tolist()
+    lo, hi, door_points = lo.tolist(), hi.tolist(), grid.door_points
     door_at = dict(zip(zip(lo, hi), door_points.tolist())) | dict(zip(zip(hi, lo), door_points[:, ::-1].tolist()))
     waypoints, protected = [start, node_pose(nodes[0])], set()
     for a, b in zip(nodes[:-1], nodes[1:]):

@@ -32,7 +32,7 @@ from planar_rpr import (
     unnormalized_determinant,
     verify_mode_change,
 )
-from planar_rpr import modeplan
+from planar_rpr import cli, modeplan
 from planar_rpr.model import characteristic_scale, rotation, wrap_angle
 from planar_rpr.modeplan import (
     EPS_PASS_REL,
@@ -40,9 +40,11 @@ from planar_rpr.modeplan import (
     ModeChangeCertificate,
     _TwoEndedSearch,
     _axis_edge_scan,
+    _cell_corners,
     _classify_zeros,
     _grid_route,
     _node_signs,
+    _padded_masks,
     _segments_crossings,
     _serial_doors,
 )
@@ -553,7 +555,7 @@ def _cut(i0, i1, j0, j1):
 def _route(ok, costs, ends, doors, require_crossing):
     """_grid_route with the doors (lo, hi, cost), in the order given."""
     lo, hi, w = np.reshape(np.array(doors, dtype=float), (-1, 3)).T
-    return _grid_route(ok, (lo.astype(int), hi.astype(int), w), costs, ends, require_crossing, 0)
+    return _grid_route(_padded_masks(ok), (lo.astype(int), hi.astype(int), w), costs, ends, require_crossing, 0)
 
 
 def _unlimited(graph, s, t):
@@ -653,7 +655,7 @@ def test_grid_route_failure_in_a_walled_pocket_counts_the_pocket():
     costs = (0.5, 0.75, 1.25)
     ends = tuple(int(np.ravel_multi_index(v, shape)) for v in ((18, 18, 0), (20, 20, 2)))
     far = [(int(np.ravel_multi_index((35, 35, 0), shape)), int(np.ravel_multi_index((36, 35, 0), shape)), 0.5)]
-    search = _TwoEndedSearch(ok, costs, ends)
+    search = _TwoEndedSearch(_padded_masks(ok), costs, ends)
     dist = search.until(lambda: np.inf)  # runs until complete
     assert np.count_nonzero(np.isfinite(dist), axis=1).tolist() == [27, 27]
     for doors, message in ((far, "reachable from both"), ([], "no passage edge exists")):
@@ -695,7 +697,7 @@ def test_routes_step_along_admissible_edges_that_set_the_distance(seed):
     s = int(rng.integers(half))
     reach = np.flatnonzero(np.isfinite(_unlimited(graph, s, s)[0]))
     t = int(rng.choice(reach[reach != s]))
-    search = _TwoEndedSearch(ok, costs, (s, t))
+    search = _TwoEndedSearch(_padded_masks(ok), costs, (s, t))
     dist = search.until(lambda: np.inf)  # runs until complete
     for end, source in enumerate((s, t)):
         shape = ok[2].shape
@@ -743,6 +745,54 @@ def test_an_endpoint_off_the_grid_is_pinned(ref, start, resolution, label):
     with pytest.raises(NoPathFound) as info:
         plan_mode_change(ref, Pose(*start), resolution=(resolution,) * 3)
     assert str(info.value) == f"could not connect the {label} pose to the search grid"
+
+
+def _sorted_cell_corners(axes, pose, scale):
+    """The planner's former corner order, the reference of _cell_corners:
+    the eight corners listed by (di, dj, dm), then ``sorted`` by
+    pose_distance from the pose, one Pose at a time."""
+    xs, ys, phis = axes
+    shape = nx, ny, np_ = len(xs), len(ys), len(phis)
+    ci = int(np.clip(np.searchsorted(xs, pose.x) - 1, 0, nx - 2))
+    cj = int(np.clip(np.searchsorted(ys, pose.y) - 1, 0, ny - 2))
+    cm = int(np.floor(wrap_angle(pose.phi) % (2.0 * np.pi) / (2.0 * np.pi / np_))) % np_
+    out = [
+        int(np.ravel_multi_index((ci + di, cj + dj, (cm + dm) % np_), shape))
+        for di in (0, 1)
+        for dj in (0, 1)
+        for dm in (0, 1)
+    ]
+
+    def node(c):
+        i, j, m = np.unravel_index(c, shape)
+        return Pose(*np.array([xs[i], ys[j], phis[m]]).tolist())
+
+    return sorted(out, key=lambda c: pose_distance(pose, node(c), scale))
+
+
+def test_cell_corners_are_ordered_as_sorted_orders_them():
+    """The eight corners of a pose's grid cell come in the order the
+    planner's former sort by pose_distance gave: the same keys, bit for
+    bit, and ties in corner order.  Seeded poses, and poses on nodes and at
+    cell centres (ties), at and between the grid's angles and a turn away."""
+    rng = np.random.default_rng(41)
+    ties = 0
+    for geom in _grid_designs():
+        for n in (8, 13, 64):
+            axes = _grid_axes(geom, (n, n, n))
+            xs, ys, phis = axes
+            poses = [Pose(*rng.uniform(-geom.L, 2 * geom.L, 2), rng.uniform(-9.0, 9.0)) for _ in range(20)]
+            for k in range(12):
+                i, j, m = rng.integers(0, n - 1, 3)
+                phi = phis[m] + [0.0, 0.5 * (phis[1] - phis[0]), 2.0 * np.pi, -2.0 * np.pi][k % 4]
+                poses += [Pose(xs[i], ys[j], phi), Pose(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]), phi)]
+            for pose in poses:
+                got = _cell_corners(axes, pose, geom.L).tolist()
+                assert got == _sorted_cell_corners(axes, pose, geom.L), pose
+                keys = [max(np.hypot(pose.x - xs[i], pose.y - ys[j]), geom.L * abs(wrap_angle(pose.phi - phis[m])))
+                        for i, j, m in zip(*np.unravel_index(got, (n, n, n)))]
+                ties += len(keys) - len(set(keys))
+    assert ties > 100
 
 
 # ---------------------------------------------------------------------------
@@ -824,7 +874,7 @@ def test_bounded_search_equals_bounded_dijkstra():
             s = rng.integers(0, shape)
             t = np.clip(s + rng.integers(-2, 3, 3), 0, np.array(shape) - 1) if near else rng.integers(0, shape)
             ends = [int(np.ravel_multi_index(e, shape)) for e in (s, t)]
-            search = _TwoEndedSearch(ok, costs, ends)
+            search = _TwoEndedSearch(_padded_masks(ok), costs, ends)
             for bound in [0.0, *(c * 2.0 ** np.arange(-1, 6))]:
                 dist = search.until(lambda: bound)  # searches to this bound, or completes below it
                 assert np.array_equal(dist, dijkstra(graph, indices=ends, limit=bound))
@@ -832,7 +882,7 @@ def test_bounded_search_equals_bounded_dijkstra():
     assert compared >= 40
 
 
-def test_route_search_stops_at_the_value_it_certifies(ref, monkeypatch):
+def test_route_search_stops_at_the_value_it_certifies(fresh_ref, monkeypatch):
     """From (5, 5, 0) on the reference robot at 64^3 the route needs no
     splice, and its search writes no distance beyond (best + c) / 2 = 3.125,
     c the largest edge cost: the value that certifies the route."""
@@ -844,7 +894,7 @@ def test_route_search_stops_at_the_value_it_certifies(ref, monkeypatch):
             searches.append(self)
 
     monkeypatch.setattr(modeplan, "_TwoEndedSearch", Recorded)
-    plan_mode_change(ref, Pose(5.0, 5.0, 0.0))
+    plan_mode_change(fresh_ref, Pose(5.0, 5.0, 0.0))
     (search,) = searches
     written = search.dist[np.isfinite(search.dist)]
     assert written.max() <= (search.best + search.costs.max()) / 2
@@ -1023,22 +1073,22 @@ def test_no_admissible_edge_or_door_ends_at_a_zero_node(ref, box, n):
 
 @pytest.mark.parametrize("box, n", ZERO_NODE_GRIDS)
 @pytest.mark.parametrize("start", [(5.0, 5.0, 0.0), (5.9, 5.0, 0.0), (5.05, 5.5, 0.01)])
-def test_plans_on_grids_with_zero_nodes_snap_to_nonzero_nodes_and_verify(ref, box, n, start, monkeypatch):
+def test_plans_on_grids_with_zero_nodes_snap_to_nonzero_nodes_and_verify(fresh_ref, box, n, start, monkeypatch):
     """On the grids above the route's ends are nonzero nodes, although the
     start (5.9, 5, 0) lies 0.1 from the zero node (6, 5, 0), which joins it
     by a segment that the detector passes; and each plan verifies (each
     failed verification before the node signs were shared)."""
     ends = []
 
-    def route(ok, doors, costs, snapped, *args):
+    def route(masks, doors, costs, snapped, *args):
         ends.extend(snapped)
-        return grid_route(ok, doors, costs, snapped, *args)
+        return grid_route(masks, doors, costs, snapped, *args)
 
     grid_route = modeplan._grid_route
     monkeypatch.setattr(modeplan, "_grid_route", route)
-    path = plan_mode_change(ref, Pose(*start), box=box, resolution=(n, n, n))
-    assert verify_mode_change(ref, path).verdict == "changed_without_parallel"
-    sgn = _node_signs(ref, *_box_axes(box, n))[2]
+    path = plan_mode_change(fresh_ref, Pose(*start), box=box, resolution=(n, n, n))
+    assert verify_mode_change(fresh_ref, path).verdict == "changed_without_parallel"
+    sgn = _node_signs(fresh_ref, *_box_axes(box, n))[2]
     assert len(ends) == 2 and all(sgn.flat[e] for e in ends)
 
 
@@ -1077,11 +1127,13 @@ def test_node_signs_agree_with_the_kernel_outside_the_zero_band():
             assert np.all((sgn == 0) | (sgn == kernel)), n
 
 
-def test_a_plan_evaluates_the_grid_nodes_once(ref, monkeypatch):
+def test_a_plan_evaluates_the_grid_nodes_once(fresh_ref, monkeypatch):
     """A plan takes the conic's coefficients at the grid's angles once (each
     crossing check takes them at the five angles of its gap bound) and
-    evaluates no kernel call over as many poses as the grid has nodes."""
-    calls, sizes = [], []
+    evaluates no kernel call over as many poses as the grid has nodes.  A
+    second plan on the same design, box and resolution takes the grid kept
+    on the design: no conic at the grid's angles and no edge scan."""
+    calls, sizes, scans = [], [], []
 
     def conic(*args):
         calls.append(args)
@@ -1097,15 +1149,44 @@ def test_a_plan_evaluates_the_grid_nodes_once(ref, monkeypatch):
         sizes.append(out[0][0].size)
         return out
 
-    conic_coefficients, leg_geometry, leg_vectors = (
-        modeplan._conic_coefficients, modeplan._leg_geometry, modeplan._leg_vectors
+    conic_coefficients, leg_geometry, leg_vectors, edge_scan = (
+        modeplan._conic_coefficients, modeplan._leg_geometry, modeplan._leg_vectors, modeplan._axis_edge_scan
     )
     monkeypatch.setattr(modeplan, "_conic_coefficients", conic)
     monkeypatch.setattr(modeplan, "_leg_geometry", kernel)
     monkeypatch.setattr(modeplan, "_leg_vectors", vectors)
-    plan_mode_change(ref, Pose(5, 5, 0))
-    grid = [phi for _, phi, _ in calls if not np.array_equal(phi, modeplan._TRIG_ANGLES)]
-    assert len(grid) == 1 and len(grid[0]) == 64 and max(sizes) < 64**3
+    monkeypatch.setattr(modeplan, "_axis_edge_scan", lambda *args: scans.append(args[4]) or edge_scan(*args))
+    for grid_conics, scanned in ((1, [0, 1, 2]), (0, [])):  # a fresh design, then the same one again
+        calls.clear()
+        scans.clear()
+        plan_mode_change(fresh_ref, Pose(5, 5, 0))
+        grid = [phi for _, phi, _ in calls if not np.array_equal(phi, modeplan._TRIG_ANGLES)]
+        assert len(grid) == grid_conics and all(len(phi) == 64 for phi in grid) and max(sizes) < 64**3
+        assert scans == scanned
+
+
+def test_the_kept_grid_is_read_only_packed_and_holds_the_scans_and_doors(fresh_ref):
+    """The grid kept on a design is built once per box and resolution, holds
+    the masks of the three edge scans with the doors set in and the nodes'
+    nonzero signs, 4 bits per node, and every array of it is read-only."""
+    shape = (64, 64, 64)
+    box = (-L, -L, 2.0 * L, 2.0 * L)
+    grid = fresh_ref.planner_grid(box, shape)
+    assert fresh_ref.planner_grid(box, shape) is grid
+    # one slot, keyed on the box's bits: the next float up replaces the grid
+    other = fresh_ref.planner_grid((*box[:3], np.nextafter(box[3], np.inf)), shape)
+    assert other is not grid and fresh_ref.planner_grid(box, shape) not in (grid, other)
+    costs, ok, doors = _planner_grid(fresh_ref, shape)
+    sgn = _node_signs(fresh_ref, *_grid_axes(fresh_ref, shape))[2]
+    assert np.array_equal(grid.masks, np.packbits(_padded_masks(ok)))
+    assert np.array_equal(grid.nonzero, np.packbits(sgn != 0))
+    assert np.array_equal(grid.doors, doors) and grid.serial >= len(doors)
+    assert all(np.array_equal(a, b) for a, b in zip(grid.axes, _grid_axes(fresh_ref, shape)))
+    assert grid.masks.nbytes + grid.nonzero.nbytes == 4 * 64**3 // 8
+    for a in (*grid.axes, grid.masks, grid.nonzero, grid.doors, grid.door_points):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -2222,6 +2303,37 @@ def test_seeded_design_plan_equals_pinned_waypoints():
     path = plan_mode_change(geom, start)
     pinned = json.loads((DATA / "plan_random_seed3.json").read_text())["waypoints"]
     assert [w.as_tuple() for w in path.waypoints] == [tuple(w) for w in pinned]
+
+
+def _plan_bytes(path):
+    """The bytes ``planar-rpr plan`` prints for ``path``."""
+    return (cli._dumps({"waypoints": [{"x": w.x, "y": w.y, "phi": w.phi} for w in path.waypoints]}) + "\n").encode()
+
+
+def test_plans_on_one_design_equal_their_pins_and_fresh_plans(fresh_ref):
+    """Plans in sequence on one design, each taking the grid kept from the
+    plan before it or replacing it (64^3, 64^3, 12^3, 64^3, then the no-path
+    cases' boxes, each twice), print the bytes of their pins and of a plan
+    on a fresh design; the no-path cases keep their pinned messages and
+    explored counts."""
+    plans = [
+        ((5.0, 5.0, 0.0), 64, "plan_ref_5_5_0.json"),
+        ((0.0, 0.0, 0.0), 64, "plan_ref_0_0_0.json"),
+        ((5.0, 5.0, 0.0), 12, "plan_ref_5_5_0_res12.json"),
+        ((5.0, 5.0, 0.0), 64, "plan_ref_5_5_0.json"),
+    ]
+    for start, n, pinned in plans:
+        text = _plan_bytes(plan_mode_change(fresh_ref, Pose(*start), resolution=(n, n, n)))
+        assert text == (DATA / pinned).read_bytes(), (start, n)
+        fresh = RobotGeometry(REF_BASE, REF_PLATFORM, name="ref")
+        assert text == _plan_bytes(plan_mode_change(fresh, Pose(*start), resolution=(n, n, n)))
+    for case in json.loads((DATA / "no_path_ref.json").read_text()):
+        failures = []
+        for geom in (fresh_ref, fresh_ref, RobotGeometry(REF_BASE, REF_PLATFORM, name="ref")):
+            with pytest.raises(NoPathFound) as info:
+                plan_mode_change(geom, Pose(*case["start"]), box=case["box"], resolution=(case["resolution"],) * 3)
+            failures.append((str(info.value), info.value.explored))
+        assert failures == [(case["message"], case["explored"])] * 3
 
 
 def _batch_against_detector(geom, p0s, p1s):
