@@ -112,21 +112,6 @@ class RobotGeometry:
 
         return _gap_forms(self)
 
-    def planner_grid(self, box: tuple, resolution: tuple):
-        """The planner's grid of this design over ``box`` = (x0, y0, x1, y1)
-        at ``resolution`` = (nx, ny, nphi)
-        (:func:`planar_rpr.modeplan._planner_grid`).  The last one built is
-        kept, keyed on the exact bits of the box's floats and the resolution,
-        so plans that repeat them build it once."""
-        from .modeplan import _planner_grid
-
-        key = np.array([*box, *resolution], dtype=float).tobytes()
-        kept = self.__dict__.get("_planner_grid")
-        if kept is None or kept[0] != key:
-            kept = key, _planner_grid(self, box, resolution)
-            self.__dict__["_planner_grid"] = kept
-        return kept[1]
-
     @cached_property
     def architectural_singularity(self) -> tuple[bool, str]:
         """:func:`planar_rpr.singularity.is_architecturally_singular`, computed on first use."""

@@ -867,52 +867,6 @@ def _padded_masks(ok):
     return masks
 
 
-@dataclass(frozen=True, eq=False)
-class _PlannerGrid:
-    """The planner's grid of one design over one box at one resolution
-    (:func:`_planner_grid`), kept on the design by
-    :meth:`RobotGeometry.planner_grid`.
-
-    ``axes`` holds the node coordinates (xs, ys, phis).  ``masks`` is
-    ``np.packbits`` of the padded admissible masks (:func:`_padded_masks`)
-    with the doors set in, and ``nonzero`` of the nodes whose determinant
-    sign (:func:`_node_signs`) is not 0, both flat in node order.
-    ``doors``, ``door_points`` and ``serial`` are :func:`_serial_doors`'.
-    Every array is read-only.
-    """
-
-    axes: tuple
-    masks: np.ndarray
-    nonzero: np.ndarray
-    doors: np.ndarray
-    door_points: np.ndarray
-    serial: int
-
-
-def _planner_grid(geom, box, resolution) -> _PlannerGrid:
-    """Build the planner's grid over ``box`` = (x0, y0, x1, y1) at
-    ``resolution`` = (nx, ny, np_), both checked by the planner: one node
-    sign evaluation (:func:`_node_signs`), one edge scan per axis
-    (:func:`_axis_edge_scan`) and the doors of the serial points of the
-    passage-safe legs (:func:`_serial_doors`), each door admissible.  The
-    full-size temporaries are freed before the masks are packed."""
-    (x0, y0, x1, y1), (nx, ny, np_) = box, resolution
-    axes = np.linspace(x0, x1, nx), np.linspace(y0, y1, ny), np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
-    q, det, sgn, band = _node_signs(geom, *axes)
-    ok = [~_axis_edge_scan(geom, *axes, axis, q, det, sgn, band) for axis in range(3)]
-    del det
-    doors, door_points, serial = _serial_doors(geom, *axes, geom.passage_safe, q, sgn, band)
-    nonzero = np.packbits(sgn != 0)
-    del sgn
-    masks = _padded_masks(ok)
-    del ok
-    masks[tuple(doors.T)] = True
-    masks = np.packbits(masks)
-    for a in (*axes, masks, nonzero, doors, door_points):
-        a.flags.writeable = False
-    return _PlannerGrid(axes, masks, nonzero, doors, door_points, serial)
-
-
 # The axes of the six moves between grid nodes, in walk order -x, -y, -phi, +phi, +y, +x.
 _MOVE_AXES = (0, 1, 2, 2, 1, 0)
 
@@ -1086,26 +1040,22 @@ def plan_mode_change(
     passage-safe legs that stand in for grid edges (:func:`_serial_doors`).
     Both read one determinant sign per node, from one conic evaluation over
     the grid (:func:`_node_signs`); a node in its zero band has sign 0, and
-    no edge, door or snap ends at one.  The masks, the doors and the nodes'
-    nonzero signs depend only on the design, the box and the resolution:
-    they are built once (:func:`_planner_grid`) and kept, bit-packed, on
-    ``geom`` for the last box and resolution
-    (:meth:`RobotGeometry.planner_grid`); a plan that repeats them skips
-    straight to the snap and the search and returns the same bits.  With
-    ``require_crossing`` (the default) the returned path is guaranteed to
-    cross the surface through at least one passage: if the unconstrained
-    shortest route dodges the surface entirely, the cheapest door is
-    spliced into it.  The result always passes verification with verdict
-    ``changed_without_parallel``.
+    no edge, door or snap ends at one.  With ``require_crossing`` (the
+    default) the returned path is guaranteed to cross the surface through
+    at least one passage: if the unconstrained shortest route dodges the
+    surface entirely, the cheapest door is spliced into it.  The result
+    always passes verification with verdict ``changed_without_parallel``.
 
     Segments are checked by the crossing detector in batched passes, each
-    segment sampled as a one-segment :class:`WorkspacePath`: one pass,
-    before the search, checks the segments joining the start and target to
-    the corners of their grid cells (each snaps to its nearest nonzero
-    corner joined admissibly); then one pass per kept waypoint checks its
-    shortcuts, farthest first, and the route skips to the farthest
-    admissible one, keeping the two points where each door's path crosses
-    its cell.  ``resolution`` must be whole numbers, ``box`` must have finite
+    segment sampled as a one-segment :class:`WorkspacePath`.  Before the
+    search the start and the target each snap to the nearest nonzero corner
+    of their grid cells joined to them admissibly: one pass checks the
+    nearest nonzero corner of each, and a second the other nonzero corners
+    of an endpoint whose nearest is not joined.  After it, from each kept
+    waypoint the route skips to the farthest admissible shortcut, keeping
+    the two points where each door's path crosses its cell: one pass checks
+    the farthest shortcut alone, and further passes the others, farthest
+    first.  ``resolution`` must be whole numbers, ``box`` must have finite
     corners and extent, and ``eps_pass`` must be positive and finite; each
     raises :class:`ValidationError` otherwise.
 
@@ -1156,10 +1106,11 @@ def plan_mode_change(
     if not (x0 <= target.x <= x1 and y0 <= target.y <= y1):
         raise InvalidStart("target pose lies outside the search box")
 
-    grid = geom.planner_grid((x0, y0, x1, y1), (nx, ny, np_))
-    xs, ys, phis = grid.axes
+    xs = np.linspace(x0, x1, nx)
+    ys = np.linspace(y0, y1, ny)
+    phis = np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
+
     shape = (nx, ny, np_)
-    n = nx * ny * np_
     costs = (float(xs[1] - xs[0]), float(ys[1] - ys[0]), float(L * 2.0 * np.pi / np_))
 
     def node_poses(nodes):
@@ -1169,25 +1120,36 @@ def plan_mode_change(
     def node_pose(node):
         return Pose(*node_poses(node).tolist())
 
-    # One pass checks the segments from each endpoint to the corners of its
-    # cell; it snaps to the nearest nonzero corner joined admissibly.
-    near = np.concatenate([_cell_corners(grid.axes, pose, L) for pose in (start, target)])
-    ends = np.repeat([start.as_tuple(), target.as_tuple()], 8, axis=0)
-    checked = _segments_crossings(geom, ends, node_poses(near), eps_pass, safe)
-    near, nonzero, snapped = near.tolist(), np.unpackbits(grid.nonzero, count=n), []
-    for label, end in (("start", 0), ("target", 8)):
-        linked = [c for c, e in zip(near[end : end + 8], checked[end : end + 8]) if e is not None and nonzero[c]]
-        if not linked:
+    # Each endpoint snaps to the nearest nonzero corner of its cell joined to
+    # it admissibly.  One pass checks the nearest nonzero corner of each; a
+    # second checks the other nonzero corners of an endpoint not yet snapped.
+    q, det, sgn, band = _node_signs(geom, xs, ys, phis)
+    ends = (start, target)
+    near = [[c for c in _cell_corners((xs, ys, phis), pose, L).tolist() if sgn.flat[c]] for pose in ends]
+    snapped = [None, None]
+    for ranks in (slice(0, 1), slice(1, None)):
+        todo = [(end, c) for end in (0, 1) if snapped[end] is None for c in near[end][ranks]]
+        if todo:
+            p0s = np.array([ends[end].as_tuple() for end, _ in todo])
+            checked = _segments_crossings(geom, p0s, node_poses([c for _, c in todo]), eps_pass, safe)
+            for (end, c), events in zip(todo, checked):
+                if events is not None and snapped[end] is None:
+                    snapped[end] = c
+    for label, node in zip(("start", "target"), snapped):
+        if node is None:
             raise NoPathFound(f"could not connect the {label} pose to the search grid")
-        snapped.append(linked[0])
-    masks = np.unpackbits(grid.masks, count=3 * n).view(bool).reshape(3, *shape)
-    axis, i, j, m = grid.doors.T  # x and y doors, at one phi
+    ok = [~_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn, band) for axis in range(3)]
+    doors, door_points, serial = _serial_doors(geom, xs, ys, phis, safe, q, sgn, band)
+    del det, sgn  # the search needs only the masks
+    masks = _padded_masks(ok)
+    masks[tuple(doors.T)] = True
+    axis, i, j, m = doors.T  # x and y doors, at one phi
     lo, hi = (np.ravel_multi_index((i + d * (axis == 0), j + d * (axis == 1), m), shape) for d in (0, 1))
-    nodes = _grid_route(masks, (lo, hi, np.asarray(costs)[axis]), costs, snapped, require_crossing, grid.serial)
+    nodes = _grid_route(masks, (lo, hi, np.asarray(costs)[axis]), costs, snapped, require_crossing, serial)
 
     # every door on the route goes through its two row points, which the
     # simplification keeps
-    lo, hi, door_points = lo.tolist(), hi.tolist(), grid.door_points
+    lo, hi = lo.tolist(), hi.tolist()
     door_at = dict(zip(zip(lo, hi), door_points.tolist())) | dict(zip(zip(hi, lo), door_points[:, ::-1].tolist()))
     waypoints, protected = [start, node_pose(nodes[0])], set()
     for a, b in zip(nodes[:-1], nodes[1:]):
@@ -1199,16 +1161,17 @@ def plan_mode_change(
 
     # From each kept waypoint k, go to the farthest waypoint j <= hi (the next
     # protected door end) joined to it by an admissible shortcut, or to k + 1,
-    # checking the shortcuts farthest first, at most BATCH_SEGMENTS per pass.
+    # checking the shortcuts farthest first: the farthest alone (it is most
+    # often admissible), then at most BATCH_SEGMENTS per pass.
     table = np.array([w.as_tuple() for w in waypoints])
     kept = [0]
     k = 0
     while k < len(waypoints) - 1:
         hi = min([p for p in protected if p > k], default=len(waypoints) - 1)
         js = np.arange(hi, k + 1, -1)
-        j = k + 1
+        j, size = k + 1, 1
         while j == k + 1 and len(js):
-            batch, js = js[:BATCH_SEGMENTS], js[BATCH_SEGMENTS:]
+            batch, js, size = js[:size], js[size:], BATCH_SEGMENTS
             events = _segments_crossings(geom, np.tile(table[k], (len(batch), 1)), table[batch], eps_pass, safe)
             j = next((int(jj) for jj, e in zip(batch, events) if e is not None), j)
         kept.append(j)

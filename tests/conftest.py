@@ -25,15 +25,6 @@ def ref():
     return RobotGeometry(base=REF_BASE, platform=REF_PLATFORM, name="ref")
 
 
-@pytest.fixture
-def fresh_ref():
-    """A copy of ``ref`` for one test, with no planner grid kept on it: a
-    test that patches a planner kernel plans on it, so that no grid built
-    under the patch reaches ``ref`` and no test depends on which box
-    another planned on ``ref`` before it."""
-    return RobotGeometry(base=REF_BASE, platform=REF_PLATFORM, name="ref")
-
-
 @pytest.fixture(scope="session")
 def similar_design():
     """Platform = half-scale copy of the base about its centroid."""

@@ -32,7 +32,7 @@ from planar_rpr import (
     unnormalized_determinant,
     verify_mode_change,
 )
-from planar_rpr import cli, modeplan
+from planar_rpr import modeplan
 from planar_rpr.model import characteristic_scale, rotation, wrap_angle
 from planar_rpr.modeplan import (
     EPS_PASS_REL,
@@ -795,6 +795,54 @@ def test_cell_corners_are_ordered_as_sorted_orders_them():
     assert ties > 100
 
 
+def test_endpoints_snap_to_the_corner_that_checking_every_corner_picks(monkeypatch):
+    """The planner checks the nearest nonzero corner of each endpoint
+    first and the other corners only for an endpoint not yet snapped; the
+    corners it snaps to are those of checking all eight corners of both
+    endpoints in one pass and taking, per endpoint, the nearest nonzero
+    corner joined admissibly.  Seeded regular starts and targets; some
+    snap past their nearest nonzero corner."""
+    snapped = []
+
+    class Snapped(Exception):
+        pass
+
+    def route(masks, doors, costs, ends, *args):
+        snapped.append(list(ends))
+        raise Snapped  # the search is not needed
+
+    monkeypatch.setattr(modeplan, "_grid_route", route)
+    rng = np.random.default_rng(5)
+    cases = skipped = 0
+    for geom in _grid_designs():
+        for n in (9, 16, 64):
+            axes = _grid_axes(geom, (n, n, n))
+            sgn = _node_signs(geom, *axes)[2]
+            safe = passage_safety(geom)
+            for _ in range(8):
+                ends = [Pose(*rng.uniform(-geom.L, 2 * geom.L, 2), rng.uniform(-np.pi, np.pi)) for _ in range(2)]
+                if any(classify_configuration(geom, p).kind != "regular" for p in ends):
+                    continue
+                near = [_cell_corners(axes, p, geom.L) for p in ends]
+                i, j, m = np.unravel_index(np.concatenate(near), (n, n, n))
+                p0s = np.repeat([p.as_tuple() for p in ends], 8, axis=0)
+                checked = _segments_crossings(geom, p0s, np.stack([axes[0][i], axes[1][j], axes[2][m]], -1),
+                                              EPS_PASS_REL * geom.L, safe)
+                want = [next((c for c, e in zip(near[k].tolist(), checked[8 * k : 8 * k + 8])
+                              if e is not None and sgn.flat[c]), None) for k in (0, 1)]
+                snapped.clear()
+                if None in want:
+                    with pytest.raises(NoPathFound, match="could not connect the"):
+                        plan_mode_change(geom, ends[0], ends[1], resolution=(n, n, n))
+                    continue
+                with pytest.raises(Snapped):
+                    plan_mode_change(geom, ends[0], ends[1], resolution=(n, n, n))
+                assert snapped == [want]
+                cases += 1
+                skipped += sum(w != next(c for c in near[k].tolist() if sgn.flat[c]) for k, w in enumerate(want))
+    assert cases > 100 and skipped > 3
+
+
 # ---------------------------------------------------------------------------
 # the planner's grids
 
@@ -882,7 +930,7 @@ def test_bounded_search_equals_bounded_dijkstra():
     assert compared >= 40
 
 
-def test_route_search_stops_at_the_value_it_certifies(fresh_ref, monkeypatch):
+def test_route_search_stops_at_the_value_it_certifies(ref, monkeypatch):
     """From (5, 5, 0) on the reference robot at 64^3 the route needs no
     splice, and its search writes no distance beyond (best + c) / 2 = 3.125,
     c the largest edge cost: the value that certifies the route."""
@@ -894,7 +942,7 @@ def test_route_search_stops_at_the_value_it_certifies(fresh_ref, monkeypatch):
             searches.append(self)
 
     monkeypatch.setattr(modeplan, "_TwoEndedSearch", Recorded)
-    plan_mode_change(fresh_ref, Pose(5.0, 5.0, 0.0))
+    plan_mode_change(ref, Pose(5.0, 5.0, 0.0))
     (search,) = searches
     written = search.dist[np.isfinite(search.dist)]
     assert written.max() <= (search.best + search.costs.max()) / 2
@@ -1073,22 +1121,22 @@ def test_no_admissible_edge_or_door_ends_at_a_zero_node(ref, box, n):
 
 @pytest.mark.parametrize("box, n", ZERO_NODE_GRIDS)
 @pytest.mark.parametrize("start", [(5.0, 5.0, 0.0), (5.9, 5.0, 0.0), (5.05, 5.5, 0.01)])
-def test_plans_on_grids_with_zero_nodes_snap_to_nonzero_nodes_and_verify(fresh_ref, box, n, start, monkeypatch):
+def test_plans_on_grids_with_zero_nodes_snap_to_nonzero_nodes_and_verify(ref, box, n, start, monkeypatch):
     """On the grids above the route's ends are nonzero nodes, although the
     start (5.9, 5, 0) lies 0.1 from the zero node (6, 5, 0), which joins it
     by a segment that the detector passes; and each plan verifies (each
     failed verification before the node signs were shared)."""
     ends = []
 
-    def route(masks, doors, costs, snapped, *args):
+    def route(ok, doors, costs, snapped, *args):
         ends.extend(snapped)
-        return grid_route(masks, doors, costs, snapped, *args)
+        return grid_route(ok, doors, costs, snapped, *args)
 
     grid_route = modeplan._grid_route
     monkeypatch.setattr(modeplan, "_grid_route", route)
-    path = plan_mode_change(fresh_ref, Pose(*start), box=box, resolution=(n, n, n))
-    assert verify_mode_change(fresh_ref, path).verdict == "changed_without_parallel"
-    sgn = _node_signs(fresh_ref, *_box_axes(box, n))[2]
+    path = plan_mode_change(ref, Pose(*start), box=box, resolution=(n, n, n))
+    assert verify_mode_change(ref, path).verdict == "changed_without_parallel"
+    sgn = _node_signs(ref, *_box_axes(box, n))[2]
     assert len(ends) == 2 and all(sgn.flat[e] for e in ends)
 
 
@@ -1127,13 +1175,11 @@ def test_node_signs_agree_with_the_kernel_outside_the_zero_band():
             assert np.all((sgn == 0) | (sgn == kernel)), n
 
 
-def test_a_plan_evaluates_the_grid_nodes_once(fresh_ref, monkeypatch):
+def test_a_plan_evaluates_the_grid_nodes_once(ref, monkeypatch):
     """A plan takes the conic's coefficients at the grid's angles once (each
     crossing check takes them at the five angles of its gap bound) and
-    evaluates no kernel call over as many poses as the grid has nodes.  A
-    second plan on the same design, box and resolution takes the grid kept
-    on the design: no conic at the grid's angles and no edge scan."""
-    calls, sizes, scans = [], [], []
+    evaluates no kernel call over as many poses as the grid has nodes."""
+    calls, sizes = [], []
 
     def conic(*args):
         calls.append(args)
@@ -1149,44 +1195,15 @@ def test_a_plan_evaluates_the_grid_nodes_once(fresh_ref, monkeypatch):
         sizes.append(out[0][0].size)
         return out
 
-    conic_coefficients, leg_geometry, leg_vectors, edge_scan = (
-        modeplan._conic_coefficients, modeplan._leg_geometry, modeplan._leg_vectors, modeplan._axis_edge_scan
+    conic_coefficients, leg_geometry, leg_vectors = (
+        modeplan._conic_coefficients, modeplan._leg_geometry, modeplan._leg_vectors
     )
     monkeypatch.setattr(modeplan, "_conic_coefficients", conic)
     monkeypatch.setattr(modeplan, "_leg_geometry", kernel)
     monkeypatch.setattr(modeplan, "_leg_vectors", vectors)
-    monkeypatch.setattr(modeplan, "_axis_edge_scan", lambda *args: scans.append(args[4]) or edge_scan(*args))
-    for grid_conics, scanned in ((1, [0, 1, 2]), (0, [])):  # a fresh design, then the same one again
-        calls.clear()
-        scans.clear()
-        plan_mode_change(fresh_ref, Pose(5, 5, 0))
-        grid = [phi for _, phi, _ in calls if not np.array_equal(phi, modeplan._TRIG_ANGLES)]
-        assert len(grid) == grid_conics and all(len(phi) == 64 for phi in grid) and max(sizes) < 64**3
-        assert scans == scanned
-
-
-def test_the_kept_grid_is_read_only_packed_and_holds_the_scans_and_doors(fresh_ref):
-    """The grid kept on a design is built once per box and resolution, holds
-    the masks of the three edge scans with the doors set in and the nodes'
-    nonzero signs, 4 bits per node, and every array of it is read-only."""
-    shape = (64, 64, 64)
-    box = (-L, -L, 2.0 * L, 2.0 * L)
-    grid = fresh_ref.planner_grid(box, shape)
-    assert fresh_ref.planner_grid(box, shape) is grid
-    # one slot, keyed on the box's bits: the next float up replaces the grid
-    other = fresh_ref.planner_grid((*box[:3], np.nextafter(box[3], np.inf)), shape)
-    assert other is not grid and fresh_ref.planner_grid(box, shape) not in (grid, other)
-    costs, ok, doors = _planner_grid(fresh_ref, shape)
-    sgn = _node_signs(fresh_ref, *_grid_axes(fresh_ref, shape))[2]
-    assert np.array_equal(grid.masks, np.packbits(_padded_masks(ok)))
-    assert np.array_equal(grid.nonzero, np.packbits(sgn != 0))
-    assert np.array_equal(grid.doors, doors) and grid.serial >= len(doors)
-    assert all(np.array_equal(a, b) for a, b in zip(grid.axes, _grid_axes(fresh_ref, shape)))
-    assert grid.masks.nbytes + grid.nonzero.nbytes == 4 * 64**3 // 8
-    for a in (*grid.axes, grid.masks, grid.nonzero, grid.doors, grid.door_points):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a.flat[0] = 0
+    plan_mode_change(ref, Pose(5, 5, 0))
+    grid = [phi for _, phi, _ in calls if not np.array_equal(phi, modeplan._TRIG_ANGLES)]
+    assert len(grid) == 1 and len(grid[0]) == 64 and max(sizes) < 64**3
 
 
 # ---------------------------------------------------------------------------
@@ -2303,37 +2320,6 @@ def test_seeded_design_plan_equals_pinned_waypoints():
     path = plan_mode_change(geom, start)
     pinned = json.loads((DATA / "plan_random_seed3.json").read_text())["waypoints"]
     assert [w.as_tuple() for w in path.waypoints] == [tuple(w) for w in pinned]
-
-
-def _plan_bytes(path):
-    """The bytes ``planar-rpr plan`` prints for ``path``."""
-    return (cli._dumps({"waypoints": [{"x": w.x, "y": w.y, "phi": w.phi} for w in path.waypoints]}) + "\n").encode()
-
-
-def test_plans_on_one_design_equal_their_pins_and_fresh_plans(fresh_ref):
-    """Plans in sequence on one design, each taking the grid kept from the
-    plan before it or replacing it (64^3, 64^3, 12^3, 64^3, then the no-path
-    cases' boxes, each twice), print the bytes of their pins and of a plan
-    on a fresh design; the no-path cases keep their pinned messages and
-    explored counts."""
-    plans = [
-        ((5.0, 5.0, 0.0), 64, "plan_ref_5_5_0.json"),
-        ((0.0, 0.0, 0.0), 64, "plan_ref_0_0_0.json"),
-        ((5.0, 5.0, 0.0), 12, "plan_ref_5_5_0_res12.json"),
-        ((5.0, 5.0, 0.0), 64, "plan_ref_5_5_0.json"),
-    ]
-    for start, n, pinned in plans:
-        text = _plan_bytes(plan_mode_change(fresh_ref, Pose(*start), resolution=(n, n, n)))
-        assert text == (DATA / pinned).read_bytes(), (start, n)
-        fresh = RobotGeometry(REF_BASE, REF_PLATFORM, name="ref")
-        assert text == _plan_bytes(plan_mode_change(fresh, Pose(*start), resolution=(n, n, n)))
-    for case in json.loads((DATA / "no_path_ref.json").read_text()):
-        failures = []
-        for geom in (fresh_ref, fresh_ref, RobotGeometry(REF_BASE, REF_PLATFORM, name="ref")):
-            with pytest.raises(NoPathFound) as info:
-                plan_mode_change(geom, Pose(*case["start"]), box=case["box"], resolution=(case["resolution"],) * 3)
-            failures.append((str(info.value), info.value.explored))
-        assert failures == [(case["message"], case["explored"])] * 3
 
 
 def _batch_against_detector(geom, p0s, p1s):
