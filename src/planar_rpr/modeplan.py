@@ -856,15 +856,80 @@ def _serial_doors(geom, xs, ys, phis, safe, q, sgn, band):
     return rows[first], np.stack(ends, axis=1)[first], int(np.count_nonzero(in_box))
 
 
-def _padded_masks(ok):
+def _padded_masks(ok, shape=None, corner=(0, 0)):
     """The per-axis edge masks ``ok``, of shapes (nx - 1, ny, np_),
     (nx, ny - 1, np_) and (nx, ny, np_), as one (3, nx, ny, np_) array
     padded with False: each edge at its lower node (a minus move's target),
     so a minus step off the grid's lower side lands on the padding by a
-    negative index (:class:`_TwoEndedSearch`)."""
-    masks = np.zeros((3, *ok[2].shape), dtype=bool)
-    masks[0, :-1], masks[1, :, :-1], masks[2] = ok
+    negative index (:class:`_TwoEndedSearch`).  ``ok`` may hold the edges
+    among a window of nodes of a grid of ``shape``, the window's lowest node
+    at (i, j) = ``corner``; every other edge of that grid is False."""
+    (i0, j0), (wi, wj, _) = corner, ok[2].shape
+    masks = np.zeros((3, *(shape or ok[2].shape)), dtype=bool)
+    masks[0, i0 : i0 + wi - 1, j0 : j0 + wj] = ok[0]
+    masks[1, i0 : i0 + wi, j0 : j0 + wj - 1] = ok[1]
+    masks[2, i0 : i0 + wi, j0 : j0 + wj] = ok[2]
     return masks
+
+
+def _grid_distance(shape, costs, p, q):
+    """The least cost of a grid route between flat nodes ``p`` and ``q``
+    with nothing in its way: the steps along each axis times their costs,
+    phi the shorter way round."""
+    (ip, jp, mp), (iq, jq, mq) = np.unravel_index(p, shape), np.unravel_index(q, shape)
+    dm = np.abs(mp - mq)
+    return np.abs(ip - iq) * costs[0] + np.abs(jp - jq) * costs[1] + np.minimum(dm, shape[2] - dm) * costs[2]
+
+
+def _search_window(shape, costs, ends, doors, crossing):
+    """The window ((i0, i1), (j0, j1)) of grid nodes, every angle, that the
+    route search between the flat nodes ``ends`` = (s, t) reaches when
+    nothing is in its way, or None when that is the whole grid.
+
+    The search certifies a route of cost mu once every node within
+    (mu + c) / 2 of both ends is written (:func:`_grid_route`), c the
+    largest edge cost.  With ``crossing`` (the ends' node signs differ)
+    every route passes a door of ``doors`` = (lo, hi, w), so mu is at least
+    the least :func:`_grid_distance` from s to one end of a door, plus its
+    cost, plus from its other end to t; else mu is at least the distance
+    from s to t.  The window holds every node within (mu + c) / 2 of an end
+    along x and along y, and one ring more."""
+    (s, t), (lo, hi, w) = ends, doors
+    mu = _grid_distance(shape, costs, s, t)
+    if crossing:
+        via = np.minimum(_grid_distance(shape, costs, s, lo) + _grid_distance(shape, costs, hi, t),
+                         _grid_distance(shape, costs, s, hi) + _grid_distance(shape, costs, lo, t))
+        mu = np.min(via + w, initial=np.inf)
+    if not np.isfinite(mu):
+        return None
+    (i, j, _), reach = np.unravel_index(ends, shape), (mu + max(costs)) / 2
+    ri, rj = int(reach // costs[0]) + 1, int(reach // costs[1]) + 1
+    i0, i1 = max(int(i.min()) - ri, 0), min(int(i.max()) + ri + 1, shape[0])
+    j0, j1 = max(int(j.min()) - rj, 0), min(int(j.max()) + rj + 1, shape[1])
+    return None if (i0, i1, j0, j1) == (0, shape[0], 0, shape[1]) else ((i0, i1), (j0, j1))
+
+
+def _window_masks(geom, axes, window, q, det, sgn, band, doors):
+    """The padded admissible masks (:func:`_padded_masks`) of the grid with
+    node coordinates ``axes`` = (xs, ys, phis), with the door edges
+    ``doors`` (:func:`_serial_doors`) set in: the edges among the nodes of
+    ``window`` = ((i0, i1), (j0, j1)), every angle, scanned
+    (:func:`_axis_edge_scan` on those nodes, with :func:`_node_signs`'
+    ``q``, ``det``, ``sgn`` and ``band`` of the grid) and every other edge
+    False; ``window`` None scans the whole grid.  Also the flat mask of the
+    nodes whose every edge is in the window (None for the whole grid)."""
+    xs, ys, phis = axes
+    shape = nx, ny, _ = len(xs), len(ys), len(phis)
+    (i0, i1), (j0, j1) = window or ((0, nx), (0, ny))
+    sub = np.s_[i0:i1, j0:j1]
+    ok = [~_axis_edge_scan(geom, xs[i0:i1], ys[j0:j1], phis, a, q, det[sub], sgn[sub], band) for a in range(3)]
+    masks = _padded_masks(ok, shape, (i0, j0))
+    masks[tuple(doors.T)] = True
+    if window is None:
+        return masks, None
+    inner = np.zeros(shape, dtype=bool)
+    inner[i0 + (i0 > 0) : i1 - (i1 < nx), j0 + (j0 > 0) : j1 - (j1 < ny)] = True
+    return masks, inner.ravel()
 
 
 # The axes of the six moves between grid nodes, in walk order -x, -y, -phi, +phi, +y, +x.
@@ -885,10 +950,16 @@ class _TwoEndedSearch:
     where it is reached.
 
     ``masks`` are the padded (3, nx, ny, np_) admissible masks of
-    :func:`_padded_masks`, read and never written.
+    :func:`_padded_masks`, read and never written but by ``widen``.  With
+    ``inner`` (a flat mask of the nodes) the masks hold the edges of the
+    nodes of ``inner`` and may lack the others': before the search writes a
+    distance outside ``inner`` it calls ``widen()``, which sets every edge
+    of the grid in ``masks``.  Up to then it has read only edges of nodes of
+    ``inner`` (a node's edges are read when its distance is written), so it
+    runs as it does on the whole grid.
     """
 
-    def __init__(self, masks, costs, ends):
+    def __init__(self, masks, costs, ends, inner=None, widen=None):
         self.shape = nx, ny, np_ = masks.shape[1:]
         self.n = n = nx * ny * np_
         self.masks = masks.reshape(3, n)
@@ -899,6 +970,7 @@ class _TwoEndedSearch:
         self.dist = self.flat.reshape(2, n)
         self.best, self.meets = np.inf, []
         self.waiting = np.asarray(ends) + [0, n], np.zeros(2)
+        self.inner, self.widen = inner, widen
 
     def until(self, needed):
         """Search while the least waiting relaxation is within ``needed()``,
@@ -913,6 +985,9 @@ class _TwoEndedSearch:
         while len(d) and (low := d.min()) <= (need := needed()):
             now = d <= min(need, low + self.costs.min())
             (lv, ld), v, d = (v[~now], d[~now]), v[now], d[now]
+            if self.inner is not None and not self.inner[v % n].all():
+                self.widen()
+                self.inner = None
             np.minimum.at(d_at, v, d)
             v = np.unique(v[d == d_at[v]])  # the nodes whose distance fell
             dv, u = d_at[v], v % n
@@ -949,7 +1024,7 @@ class _TwoEndedSearch:
         return out
 
 
-def _grid_route(masks, doors, costs, ends, require_crossing, serial):
+def _grid_route(masks, doors, costs, ends, require_crossing, serial, inner=None, widen=None):
     """Grid nodes of the cheapest route between ``ends`` = (s, t).
 
     ``masks`` holds, per axis, the admissible mask of the grid's edges,
@@ -966,9 +1041,10 @@ def _grid_route(masks, doors, costs, ends, require_crossing, serial):
     t differ; a route between ends of one sign may still hold two.  On
     failure the NoPathFound's ``explored`` counts the nodes reachable from
     s; with no door the message says that none of the ``serial`` serial
-    points gives one.
+    points gives one.  ``inner`` and ``widen`` are the search's
+    (:class:`_TwoEndedSearch`).
     """
-    search = _TwoEndedSearch(masks, costs, ends)
+    search = _TwoEndedSearch(masks, costs, ends, inner, widen)
     # a shortest route of length mu has a node within (mu + c) / 2 of both ends,
     # so min(d_s + d_t) is exact once every node within (best + c) / 2 is written
     dist = search.until(lambda: (search.best + max(costs)) / 2)
@@ -1138,14 +1214,25 @@ def plan_mode_change(
     for label, node in zip(("start", "target"), snapped):
         if node is None:
             raise NoPathFound(f"could not connect the {label} pose to the search grid")
-    ok = [~_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn, band) for axis in range(3)]
     doors, door_points, serial = _serial_doors(geom, xs, ys, phis, safe, q, sgn, band)
-    del det, sgn  # the search needs only the masks
-    masks = _padded_masks(ok)
-    masks[tuple(doors.T)] = True
     axis, i, j, m = doors.T  # x and y doors, at one phi
     lo, hi = (np.ravel_multi_index((i + d * (axis == 0), j + d * (axis == 1), m), shape) for d in (0, 1))
-    nodes = _grid_route(masks, (lo, hi, np.asarray(costs)[axis]), costs, snapped, require_crossing, serial)
+    door_edges = lo, hi, np.asarray(costs)[axis]
+    # The search starts with only the edges of its window scanned
+    # (:func:`_search_window`) and scans the rest of the grid if it leaves
+    # the window; a route that may need a splice searches the whole grid.
+    crossing = sgn.flat[snapped[0]] != sgn.flat[snapped[1]]
+    window = None if require_crossing and not crossing else _search_window(shape, costs, snapped, door_edges, crossing)
+    masks, inner = _window_masks(geom, (xs, ys, phis), window, q, det, sgn, band, doors)
+
+    def widen():
+        nonlocal det, sgn
+        masks[...] = _window_masks(geom, (xs, ys, phis), None, q, det, sgn, band, doors)[0]
+        det = sgn = None  # the rest of the search needs only the masks
+
+    if inner is None:
+        det = sgn = None  # the search needs only the masks
+    nodes = _grid_route(masks, door_edges, costs, snapped, require_crossing, serial, inner, widen)
 
     # every door on the route goes through its two row points, which the
     # simplification keeps

@@ -930,6 +930,70 @@ def test_bounded_search_equals_bounded_dijkstra():
     assert compared >= 40
 
 
+def test_scans_of_a_window_give_the_whole_grids_bits():
+    """Each axis's edge scan on a window of the grid's nodes (every angle)
+    gives, bit for bit, the whole grid's scan of the window's edges: the
+    windows the planner's search starts on, at and off the grid's sides."""
+    rng = np.random.default_rng(29)
+    for geom in _grid_designs():
+        for n in (16, 64):
+            xs, ys, phis = _grid_axes(geom, (n, n, n))
+            q, det, sgn, band = _node_signs(geom, xs, ys, phis)
+            whole = [_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn, band) for axis in range(3)]
+            for _ in range(4):
+                (i0, i1), (j0, j1) = (np.sort(rng.choice(n + 1, 2, replace=False)) for _ in range(2))
+                i0, j0 = (0 if rng.random() < 0.25 else v for v in (i0, j0))
+                i1, j1 = (n if rng.random() < 0.25 else max(v, 2) for v in (i1, j1))
+                i0, j0 = min(i0, i1 - 2), min(j0, j1 - 2)
+                sub = np.s_[i0:i1, j0:j1]
+                for axis, edges in enumerate((np.s_[i0 : i1 - 1, j0:j1], np.s_[i0:i1, j0 : j1 - 1], sub)):
+                    got = _axis_edge_scan(geom, xs[i0:i1], ys[j0:j1], phis, axis, q, det[sub], sgn[sub], band)
+                    assert np.array_equal(got, whole[axis][edges]), (n, axis, i0, i1, j0, j1)
+
+
+def test_plans_searched_from_a_window_equal_plans_on_the_whole_grid(monkeypatch):
+    """A plan whose route search starts on a window of the grid
+    (_search_window) returns the plan, or the NoPathFound message and
+    explored count, of a search on the whole grid: seeded starts on the
+    reference robot, its scale copies and random designs, with and without
+    require_crossing; some searches stay in their window and some leave it."""
+    scanned = []
+
+    def window_masks(geom, axes, window, *args):
+        scanned.append(window is not None)
+        return window_masks_of_grid(geom, axes, window, *args)
+
+    def run(geom, start, n, require_crossing):
+        scanned.clear()
+        try:
+            path = plan_mode_change(geom, start, resolution=(n, n, n), require_crossing=require_crossing)
+        except NoPathFound as e:
+            return str(e), e.explored
+        return [w.as_tuple() for w in path.waypoints]
+
+    window_masks_of_grid, search_window = modeplan._window_masks, modeplan._search_window
+    monkeypatch.setattr(modeplan, "_window_masks", window_masks)
+    rng = np.random.default_rng(31)
+    kinds = collections.Counter()
+    for geom in _grid_designs():
+        for n in (16, 32, 64):
+            for require_crossing in (True, False):
+                start = Pose(*rng.uniform(-geom.L, 2 * geom.L, 2), rng.uniform(-np.pi, np.pi))
+                if classify_configuration(geom, start).kind != "regular":
+                    continue
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    try:
+                        got = run(geom, start, n, require_crossing)
+                    except InvalidStart:  # the target lies outside the box
+                        continue
+                    kinds[tuple(scanned)] += 1
+                    monkeypatch.setattr(modeplan, "_search_window", lambda *args: None)
+                    assert got == run(geom, start, n, require_crossing), (start, n, require_crossing)
+                    monkeypatch.setattr(modeplan, "_search_window", search_window)
+    assert kinds[(True,)] >= 5 and kinds[(True, False)] >= 2 and kinds[(False,)] >= 5, kinds
+
+
 def test_route_search_stops_at_the_value_it_certifies(ref, monkeypatch):
     """From (5, 5, 0) on the reference robot at 64^3 the route needs no
     splice, and its search writes no distance beyond (best + c) / 2 = 3.125,
