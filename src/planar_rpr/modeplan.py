@@ -699,14 +699,14 @@ def _nonzero(a):
     return np.unravel_index(np.flatnonzero(a), a.shape)
 
 
-def _node_signs(geom, xs, ys, phis):
+def _node_signs(geom, xs, ys, phis, q=None):
     """Conic coefficients ``q`` (np_, 6) about the base centroid at the grid
-    angles, the determinant ``det`` they give at the nodes, its int8 signs
-    ``sgn`` and their zero band ``band``: the sign is 0 where |det| <= band
-    = ZERO_DET_REL * max |det|, a band wider than the conic's spread from
-    the kernel, which has every other sign."""
+    angles (unless given), the determinant ``det`` they give at the nodes,
+    its int8 signs ``sgn`` and their zero band ``band``: the sign is 0 where
+    |det| <= band = ZERO_DET_REL * max |det|, a band wider than the conic's
+    spread from the kernel, which has every other sign."""
     o = geom.base.mean(axis=0)
-    q = _conic_coefficients(geom, phis, o)
+    q = _conic_coefficients(geom, phis, o) if q is None else q
     q20, q11, q02, q10, q01, q00 = q.T
     u, v = (xs - o[0])[:, None, None], (ys - o[1])[:, None]
     det = q20 * u + (q11 * v + q10)  # Q = (q20 u + b) u + c, in place: one full-size array
@@ -856,20 +856,20 @@ def _serial_doors(geom, xs, ys, phis, safe, q, sgn, band):
     return rows[first], np.stack(ends, axis=1)[first], int(np.count_nonzero(in_box))
 
 
-def _padded_masks(ok, shape=None, corner=(0, 0)):
+def _padded_masks(ok):
     """The per-axis edge masks ``ok``, of shapes (nx - 1, ny, np_),
     (nx, ny - 1, np_) and (nx, ny, np_), as one (3, nx, ny, np_) array
     padded with False: each edge at its lower node (a minus move's target),
     so a minus step off the grid's lower side lands on the padding by a
-    negative index (:class:`_TwoEndedSearch`).  ``ok`` may hold the edges
-    among a window of nodes of a grid of ``shape``, the window's lowest node
-    at (i, j) = ``corner``; every other edge of that grid is False."""
-    (i0, j0), (wi, wj, _) = corner, ok[2].shape
-    masks = np.zeros((3, *(shape or ok[2].shape)), dtype=bool)
-    masks[0, i0 : i0 + wi - 1, j0 : j0 + wj] = ok[0]
-    masks[1, i0 : i0 + wi, j0 : j0 + wj - 1] = ok[1]
-    masks[2, i0 : i0 + wi, j0 : j0 + wj] = ok[2]
+    negative index (:class:`_TwoEndedSearch`)."""
+    masks = np.zeros((3, *ok[2].shape), dtype=bool)
+    masks[0, :-1], masks[1, :, :-1], masks[2] = ok
     return masks
+
+
+class _LeftWindow(Exception):
+    """A route search on a window of the grid was about to write a distance
+    outside the window's inner nodes (:class:`_TwoEndedSearch`)."""
 
 
 def _grid_distance(shape, costs, p, q):
@@ -893,7 +893,10 @@ def _search_window(shape, costs, ends, doors, crossing):
     the least :func:`_grid_distance` from s to one end of a door, plus its
     cost, plus from its other end to t; else mu is at least the distance
     from s to t.  The window holds every node within (mu + c) / 2 of an end
-    along x and along y, and one ring more."""
+    along x and along y, and one ring more.  A search that leaves its
+    window is redone on the whole grid, so a window of more than half the
+    grid's nodes, which would save less than such a search can waste, gives
+    way to the whole grid."""
     (s, t), (lo, hi, w) = ends, doors
     mu = _grid_distance(shape, costs, s, t)
     if crossing:
@@ -901,35 +904,46 @@ def _search_window(shape, costs, ends, doors, crossing):
                          _grid_distance(shape, costs, s, hi) + _grid_distance(shape, costs, lo, t))
         mu = np.min(via + w, initial=np.inf)
     if not np.isfinite(mu):
-        return None
+        return (0, shape[0]), (0, shape[1])
     (i, j, _), reach = np.unravel_index(ends, shape), (mu + max(costs)) / 2
     ri, rj = int(reach // costs[0]) + 1, int(reach // costs[1]) + 1
     i0, i1 = max(int(i.min()) - ri, 0), min(int(i.max()) + ri + 1, shape[0])
     j0, j1 = max(int(j.min()) - rj, 0), min(int(j.max()) + rj + 1, shape[1])
-    return None if (i0, i1, j0, j1) == (0, shape[0], 0, shape[1]) else ((i0, i1), (j0, j1))
+    if 2 * (i1 - i0) * (j1 - j0) > shape[0] * shape[1]:
+        return (0, shape[0]), (0, shape[1])
+    return (i0, i1), (j0, j1)
 
 
-def _window_masks(geom, axes, window, q, det, sgn, band, doors):
-    """The padded admissible masks (:func:`_padded_masks`) of the grid with
-    node coordinates ``axes`` = (xs, ys, phis), with the door edges
-    ``doors`` (:func:`_serial_doors`) set in: the edges among the nodes of
-    ``window`` = ((i0, i1), (j0, j1)), every angle, scanned
-    (:func:`_axis_edge_scan` on those nodes, with :func:`_node_signs`'
-    ``q``, ``det``, ``sgn`` and ``band`` of the grid) and every other edge
-    False; ``window`` None scans the whole grid.  Also the flat mask of the
-    nodes whose every edge is in the window (None for the whole grid)."""
+def _window_masks(geom, axes, window, q, det, sgn, band, doors, costs):
+    """The nodes of ``window`` = ((i0, i1), (j0, j1)), every angle, of the
+    grid with node coordinates ``axes`` = (xs, ys, phis), as a grid of their
+    own: its padded admissible masks (:func:`_padded_masks`), with each
+    axis's edges scanned on those nodes (:func:`_axis_edge_scan`, with the
+    grid's :func:`_node_signs` ``q``, ``det``, ``sgn`` and ``band``, which
+    gives the whole grid's bits) and the door edges among them, of the
+    grid's ``doors`` (:func:`_serial_doors`), set in; those doors as
+    (lo, hi, cost), flat nodes of the window in door order; and the flat
+    mask of the window's nodes whose every edge of the grid is in the
+    window, None when the window is the whole grid."""
     xs, ys, phis = axes
-    shape = nx, ny, _ = len(xs), len(ys), len(phis)
-    (i0, i1), (j0, j1) = window or ((0, nx), (0, ny))
+    nx, ny = len(xs), len(ys)
+    (i0, i1), (j0, j1) = window
     sub = np.s_[i0:i1, j0:j1]
-    ok = [~_axis_edge_scan(geom, xs[i0:i1], ys[j0:j1], phis, a, q, det[sub], sgn[sub], band) for a in range(3)]
-    masks = _padded_masks(ok, shape, (i0, j0))
-    masks[tuple(doors.T)] = True
-    if window is None:
-        return masks, None
-    inner = np.zeros(shape, dtype=bool)
-    inner[i0 + (i0 > 0) : i1 - (i1 < nx), j0 + (j0 > 0) : j1 - (j1 < ny)] = True
-    return masks, inner.ravel()
+    masks = _padded_masks(
+        [~_axis_edge_scan(geom, xs[i0:i1], ys[j0:j1], phis, a, q, det[sub], sgn[sub], band) for a in range(3)]
+    )
+    shape = wx, wy, _ = masks.shape[1:]
+    axis, i, j, m = (doors - [0, i0, j0, 0]).T
+    inside = (i >= 0) & (i + (axis == 0) < wx) & (j >= 0) & (j + (axis == 1) < wy)
+    axis, i, j, m = axis[inside], i[inside], j[inside], m[inside]
+    masks[axis, i, j, m] = True
+    lo, hi = (np.ravel_multi_index((i + d * (axis == 0), j + d * (axis == 1), m), shape) for d in (0, 1))
+    inner = None
+    if window != ((0, nx), (0, ny)):
+        inner = np.zeros(shape, dtype=bool)
+        inner[(i0 > 0) : wx - (i1 < nx), (j0 > 0) : wy - (j1 < ny)] = True
+        inner = inner.ravel()
+    return masks, (lo, hi, np.asarray(costs)[axis]), inner
 
 
 # The axes of the six moves between grid nodes, in walk order -x, -y, -phi, +phi, +y, +x.
@@ -950,16 +964,15 @@ class _TwoEndedSearch:
     where it is reached.
 
     ``masks`` are the padded (3, nx, ny, np_) admissible masks of
-    :func:`_padded_masks`, read and never written but by ``widen``.  With
-    ``inner`` (a flat mask of the nodes) the masks hold the edges of the
-    nodes of ``inner`` and may lack the others': before the search writes a
-    distance outside ``inner`` it calls ``widen()``, which sets every edge
-    of the grid in ``masks``.  Up to then it has read only edges of nodes of
-    ``inner`` (a node's edges are read when its distance is written), so it
-    runs as it does on the whole grid.
+    :func:`_padded_masks`, read and never written.  With ``inner`` (a flat
+    mask of the nodes) the masks hold the edges of the nodes of ``inner``
+    and may lack the others': the search raises :class:`_LeftWindow` before
+    it writes a distance outside ``inner``.  Up to then it has read only
+    edges of nodes of ``inner`` (a node's edges are read when its distance
+    is written), so it has run as it runs on the whole grid.
     """
 
-    def __init__(self, masks, costs, ends, inner=None, widen=None):
+    def __init__(self, masks, costs, ends, inner=None):
         self.shape = nx, ny, np_ = masks.shape[1:]
         self.n = n = nx * ny * np_
         self.masks = masks.reshape(3, n)
@@ -970,7 +983,7 @@ class _TwoEndedSearch:
         self.dist = self.flat.reshape(2, n)
         self.best, self.meets = np.inf, []
         self.waiting = np.asarray(ends) + [0, n], np.zeros(2)
-        self.inner, self.widen = inner, widen
+        self.inner = inner
 
     def until(self, needed):
         """Search while the least waiting relaxation is within ``needed()``,
@@ -986,8 +999,7 @@ class _TwoEndedSearch:
             now = d <= min(need, low + self.costs.min())
             (lv, ld), v, d = (v[~now], d[~now]), v[now], d[now]
             if self.inner is not None and not self.inner[v % n].all():
-                self.widen()
-                self.inner = None
+                raise _LeftWindow
             np.minimum.at(d_at, v, d)
             v = np.unique(v[d == d_at[v]])  # the nodes whose distance fell
             dv, u = d_at[v], v % n
@@ -1024,7 +1036,7 @@ class _TwoEndedSearch:
         return out
 
 
-def _grid_route(masks, doors, costs, ends, require_crossing, serial, inner=None, widen=None):
+def _grid_route(masks, doors, costs, ends, require_crossing, serial, inner=None):
     """Grid nodes of the cheapest route between ``ends`` = (s, t).
 
     ``masks`` holds, per axis, the admissible mask of the grid's edges,
@@ -1041,10 +1053,9 @@ def _grid_route(masks, doors, costs, ends, require_crossing, serial, inner=None,
     t differ; a route between ends of one sign may still hold two.  On
     failure the NoPathFound's ``explored`` counts the nodes reachable from
     s; with no door the message says that none of the ``serial`` serial
-    points gives one.  ``inner`` and ``widen`` are the search's
-    (:class:`_TwoEndedSearch`).
+    points gives one.  ``inner`` is the search's (:class:`_TwoEndedSearch`).
     """
-    search = _TwoEndedSearch(masks, costs, ends, inner, widen)
+    search = _TwoEndedSearch(masks, costs, ends, inner)
     # a shortest route of length mu has a node within (mu + c) / 2 of both ends,
     # so min(d_s + d_t) is exact once every node within (best + c) / 2 is written
     dist = search.until(lambda: (search.best + max(costs)) / 2)
@@ -1137,7 +1148,11 @@ def plan_mode_change(
 
     The grid search runs from both ends on the admissible masks until the
     route (and then the splice) is certified exact (:class:`_TwoEndedSearch`);
-    among equal-cost routes it takes the one its tie rule gives.  A
+    among equal-cost routes it takes the one its tie rule gives.  The edges
+    are scanned first only on the window of the grid that the search
+    reaches with nothing in its way (:func:`_search_window`), and on the
+    rest of the grid once the search leaves it, which returns the whole
+    grid's route; a route that may need a splice scans the whole grid.  A
     ``NoPathFound`` from the search counts in ``explored`` every node
     reachable from the start; "no passage edge exists" means that the grid
     has no door, and says how many serial points lay in the box.
@@ -1200,13 +1215,13 @@ def plan_mode_change(
     # it admissibly.  One pass checks the nearest nonzero corner of each; a
     # second checks the other nonzero corners of an endpoint not yet snapped.
     q, det, sgn, band = _node_signs(geom, xs, ys, phis)
-    ends = (start, target)
-    near = [[c for c in _cell_corners((xs, ys, phis), pose, L).tolist() if sgn.flat[c]] for pose in ends]
+    poses = (start, target)
+    near = [[c for c in _cell_corners((xs, ys, phis), pose, L).tolist() if sgn.flat[c]] for pose in poses]
     snapped = [None, None]
     for ranks in (slice(0, 1), slice(1, None)):
         todo = [(end, c) for end in (0, 1) if snapped[end] is None for c in near[end][ranks]]
         if todo:
-            p0s = np.array([ends[end].as_tuple() for end, _ in todo])
+            p0s = np.array([poses[end].as_tuple() for end, _ in todo])
             checked = _segments_crossings(geom, p0s, node_poses([c for _, c in todo]), eps_pass, safe)
             for (end, c), events in zip(todo, checked):
                 if events is not None and snapped[end] is None:
@@ -1217,22 +1232,31 @@ def plan_mode_change(
     doors, door_points, serial = _serial_doors(geom, xs, ys, phis, safe, q, sgn, band)
     axis, i, j, m = doors.T  # x and y doors, at one phi
     lo, hi = (np.ravel_multi_index((i + d * (axis == 0), j + d * (axis == 1), m), shape) for d in (0, 1))
-    door_edges = lo, hi, np.asarray(costs)[axis]
-    # The search starts with only the edges of its window scanned
-    # (:func:`_search_window`) and scans the rest of the grid if it leaves
-    # the window; a route that may need a splice searches the whole grid.
+    # The route is searched first on the window of the grid that the search
+    # reaches with nothing in its way (:func:`_search_window`), and again on
+    # the whole grid if that search leaves the window or fails (the node
+    # signs are evaluated again from ``q``); a route that may need a splice
+    # is searched on the whole grid at once.
     crossing = sgn.flat[snapped[0]] != sgn.flat[snapped[1]]
-    window = None if require_crossing and not crossing else _search_window(shape, costs, snapped, door_edges, crossing)
-    masks, inner = _window_masks(geom, (xs, ys, phis), window, q, det, sgn, band, doors)
-
-    def widen():
-        nonlocal det, sgn
-        masks[...] = _window_masks(geom, (xs, ys, phis), None, q, det, sgn, band, doors)[0]
-        det = sgn = None  # the rest of the search needs only the masks
-
-    if inner is None:
+    whole = ((0, nx), (0, ny))
+    window = whole if require_crossing and not crossing else _search_window(shape, costs, snapped, (lo, hi, np.asarray(costs)[axis]), crossing)
+    for window in dict.fromkeys([window, whole]):
+        (i0, i1), (j0, j1) = window
+        if det is None:  # freed for the window's search
+            _, det, sgn, _ = _node_signs(geom, xs, ys, phis, q)
+        masks, edges, inner = _window_masks(geom, (xs, ys, phis), window, q, det, sgn, band, doors, costs)
         det = sgn = None  # the search needs only the masks
-    nodes = _grid_route(masks, door_edges, costs, snapped, require_crossing, serial, inner, widen)
+        i, j, m = np.unravel_index(snapped, shape)
+        ends = np.ravel_multi_index((i - i0, j - j0, m), masks.shape[1:])
+        try:
+            nodes = _grid_route(masks, edges, costs, ends, require_crossing, serial, inner)
+        except (_LeftWindow, NoPathFound):
+            if window == whole:
+                raise
+            continue
+        i, j, m = np.unravel_index(nodes, masks.shape[1:])
+        nodes = np.ravel_multi_index((i + i0, j + j0, m), shape).tolist()
+        break
 
     # every door on the route goes through its two row points, which the
     # simplification keeps

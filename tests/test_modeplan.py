@@ -795,6 +795,11 @@ def test_cell_corners_are_ordered_as_sorted_orders_them():
     assert ties > 100
 
 
+def _whole_grid(shape, *args):
+    """A _search_window that searches the whole grid."""
+    return (0, shape[0]), (0, shape[1])
+
+
 def test_endpoints_snap_to_the_corner_that_checking_every_corner_picks(monkeypatch):
     """The planner checks the nearest nonzero corner of each endpoint
     first and the other corners only for an endpoint not yet snapped; the
@@ -812,6 +817,7 @@ def test_endpoints_snap_to_the_corner_that_checking_every_corner_picks(monkeypat
         raise Snapped  # the search is not needed
 
     monkeypatch.setattr(modeplan, "_grid_route", route)
+    monkeypatch.setattr(modeplan, "_search_window", _whole_grid)  # ends as nodes of the whole grid
     rng = np.random.default_rng(5)
     cases = skipped = 0
     for geom in _grid_designs():
@@ -951,19 +957,27 @@ def test_scans_of_a_window_give_the_whole_grids_bits():
                     assert np.array_equal(got, whole[axis][edges]), (n, axis, i0, i1, j0, j1)
 
 
+def _tight_window(shape, costs, ends, *args):
+    """A _search_window that gives the smallest window around both ends."""
+    i, j, _ = np.unravel_index(ends, shape)
+    return (max(int(i.min()) - 1, 0), min(int(i.max()) + 2, shape[0])), (max(int(j.min()) - 1, 0), min(int(j.max()) + 2, shape[1]))
+
+
 def test_plans_searched_from_a_window_equal_plans_on_the_whole_grid(monkeypatch):
-    """A plan whose route search starts on a window of the grid
-    (_search_window) returns the plan, or the NoPathFound message and
-    explored count, of a search on the whole grid: seeded starts on the
-    reference robot, its scale copies and random designs, with and without
-    require_crossing; some searches stay in their window and some leave it."""
+    """A plan whose route search starts on a window of the grid returns the
+    plan, or the NoPathFound message and explored count, of a search on the
+    whole grid, with the planner's windows (_search_window) and with the
+    smallest windows around both ends, which most searches leave: seeded
+    starts on the reference robot, its scale copies and random designs,
+    with and without require_crossing."""
     scanned = []
 
     def window_masks(geom, axes, window, *args):
-        scanned.append(window is not None)
+        scanned.append(window != _whole_grid((len(axes[0]), len(axes[1]))))
         return window_masks_of_grid(geom, axes, window, *args)
 
-    def run(geom, start, n, require_crossing):
+    def run(geom, start, n, require_crossing, search_window):
+        monkeypatch.setattr(modeplan, "_search_window", search_window)
         scanned.clear()
         try:
             path = plan_mode_change(geom, start, resolution=(n, n, n), require_crossing=require_crossing)
@@ -984,14 +998,14 @@ def test_plans_searched_from_a_window_equal_plans_on_the_whole_grid(monkeypatch)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     try:
-                        got = run(geom, start, n, require_crossing)
+                        whole = run(geom, start, n, require_crossing, _whole_grid)
                     except InvalidStart:  # the target lies outside the box
                         continue
-                    kinds[tuple(scanned)] += 1
-                    monkeypatch.setattr(modeplan, "_search_window", lambda *args: None)
-                    assert got == run(geom, start, n, require_crossing), (start, n, require_crossing)
-                    monkeypatch.setattr(modeplan, "_search_window", search_window)
-    assert kinds[(True,)] >= 5 and kinds[(True, False)] >= 2 and kinds[(False,)] >= 5, kinds
+                    assert run(geom, start, n, require_crossing, search_window) == whole
+                    kinds["kept its window"] += scanned == [True]
+                    assert run(geom, start, n, require_crossing, _tight_window) == whole, (start, n, require_crossing)
+                    kinds["left its window"] += scanned == [True, False]
+    assert kinds["kept its window"] >= 2 and kinds["left its window"] >= 5, kinds
 
 
 def test_route_search_stops_at_the_value_it_certifies(ref, monkeypatch):
@@ -1198,6 +1212,7 @@ def test_plans_on_grids_with_zero_nodes_snap_to_nonzero_nodes_and_verify(ref, bo
 
     grid_route = modeplan._grid_route
     monkeypatch.setattr(modeplan, "_grid_route", route)
+    monkeypatch.setattr(modeplan, "_search_window", _whole_grid)  # ends as nodes of the whole grid
     path = plan_mode_change(ref, Pose(*start), box=box, resolution=(n, n, n))
     assert verify_mode_change(ref, path).verdict == "changed_without_parallel"
     sgn = _node_signs(ref, *_box_axes(box, n))[2]
