@@ -884,7 +884,7 @@ def _grid_distance(shape, costs, p, q):
 def _search_window(shape, costs, ends, doors, crossing):
     """The window ((i0, i1), (j0, j1)) of grid nodes, every angle, that the
     route search between the flat nodes ``ends`` = (s, t) reaches when
-    nothing is in its way, or None when that is the whole grid.
+    nothing is in its way.
 
     The search certifies a route of cost mu once every node within
     (mu + c) / 2 of both ends is written (:func:`_grid_route`), c the
@@ -903,15 +903,14 @@ def _search_window(shape, costs, ends, doors, crossing):
         via = np.minimum(_grid_distance(shape, costs, s, lo) + _grid_distance(shape, costs, hi, t),
                          _grid_distance(shape, costs, s, hi) + _grid_distance(shape, costs, lo, t))
         mu = np.min(via + w, initial=np.inf)
-    if not np.isfinite(mu):
-        return (0, shape[0]), (0, shape[1])
-    (i, j, _), reach = np.unravel_index(ends, shape), (mu + max(costs)) / 2
-    ri, rj = int(reach // costs[0]) + 1, int(reach // costs[1]) + 1
-    i0, i1 = max(int(i.min()) - ri, 0), min(int(i.max()) + ri + 1, shape[0])
-    j0, j1 = max(int(j.min()) - rj, 0), min(int(j.max()) + rj + 1, shape[1])
-    if 2 * (i1 - i0) * (j1 - j0) > shape[0] * shape[1]:
-        return (0, shape[0]), (0, shape[1])
-    return (i0, i1), (j0, j1)
+    if np.isfinite(mu):
+        (i, j, _), reach = np.unravel_index(ends, shape), (mu + max(costs)) / 2
+        ri, rj = int(reach // costs[0]) + 1, int(reach // costs[1]) + 1
+        i0, i1 = max(int(i.min()) - ri, 0), min(int(i.max()) + ri + 1, shape[0])
+        j0, j1 = max(int(j.min()) - rj, 0), min(int(j.max()) + rj + 1, shape[1])
+        if 2 * (i1 - i0) * (j1 - j0) <= shape[0] * shape[1]:
+            return (i0, i1), (j0, j1)
+    return (0, shape[0]), (0, shape[1])
 
 
 def _window_masks(geom, axes, window, q, det, sgn, band, doors, costs):
@@ -1148,11 +1147,12 @@ def plan_mode_change(
 
     The grid search runs from both ends on the admissible masks until the
     route (and then the splice) is certified exact (:class:`_TwoEndedSearch`);
-    among equal-cost routes it takes the one its tie rule gives.  The edges
-    are scanned first only on the window of the grid that the search
-    reaches with nothing in its way (:func:`_search_window`), and on the
-    rest of the grid once the search leaves it, which returns the whole
-    grid's route; a route that may need a splice scans the whole grid.  A
+    among equal-cost routes it takes the one its tie rule gives.  It runs
+    first on the window of the grid that it reaches with nothing in its way
+    (:func:`_search_window`), with only the window's edges scanned, and
+    again on the whole grid if it leaves the window or fails in it; either
+    way it returns the whole grid's route.  A route that may need a splice
+    is searched on the whole grid at once.  A
     ``NoPathFound`` from the search counts in ``explored`` every node
     reachable from the start; "no passage edge exists" means that the grid
     has no door, and says how many serial points lay in the box.
@@ -1239,7 +1239,9 @@ def plan_mode_change(
     # is searched on the whole grid at once.
     crossing = sgn.flat[snapped[0]] != sgn.flat[snapped[1]]
     whole = ((0, nx), (0, ny))
-    window = whole if require_crossing and not crossing else _search_window(shape, costs, snapped, (lo, hi, np.asarray(costs)[axis]), crossing)
+    window = whole
+    if crossing or not require_crossing:
+        window = _search_window(shape, costs, snapped, (lo, hi, np.asarray(costs)[axis]), crossing)
     for window in dict.fromkeys([window, whole]):
         (i0, i1), (j0, j1) = window
         if det is None:  # freed for the window's search

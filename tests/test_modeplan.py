@@ -960,7 +960,8 @@ def test_scans_of_a_window_give_the_whole_grids_bits():
 def _tight_window(shape, costs, ends, *args):
     """A _search_window that gives the smallest window around both ends."""
     i, j, _ = np.unravel_index(ends, shape)
-    return (max(int(i.min()) - 1, 0), min(int(i.max()) + 2, shape[0])), (max(int(j.min()) - 1, 0), min(int(j.max()) + 2, shape[1]))
+    (i0, i1), (j0, j1) = (i.min(), i.max()), (j.min(), j.max())
+    return (max(int(i0) - 1, 0), min(int(i1) + 2, shape[0])), (max(int(j0) - 1, 0), min(int(j1) + 2, shape[1]))
 
 
 def test_plans_searched_from_a_window_equal_plans_on_the_whole_grid(monkeypatch):
