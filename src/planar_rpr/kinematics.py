@@ -552,8 +552,8 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
     false position (:func:`_bracket_root`), lifting one angle per step, and
     polished by the same Newton refinement as the solver.  Intended for
     verification only: slower than :func:`solve_fk` and blind to tangential
-    (even-multiplicity) roots.  The
-    sweep wraps around 2*pi; ``grid`` must lie in [8, ``MAX_SAMPLES``].
+    (even-multiplicity) roots.  The sweep wraps around 2*pi; ``grid`` must
+    be a whole number in [8, ``MAX_SAMPLES``].
     Overflowing linear forms or sweep residuals raise :class:`ValidationError`,
     as in :func:`build_fk_polynomial`, rather than leave no candidate.
     """
@@ -561,6 +561,9 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
         raise ValidationError("grid must be at least 8")
     if grid > MAX_SAMPLES:
         raise ValidationError(f"grid must be at most {MAX_SAMPLES:,}")
+    if not float(grid).is_integer():
+        raise ValidationError("grid must be a whole number")
+    grid = int(grid)
     L = geom.L
     res_tol = RESIDUAL_REL * (L * L)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -141,10 +141,6 @@ class Pose:
     y: float
     phi: float
 
-    @property
-    def xy(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.phi)
 

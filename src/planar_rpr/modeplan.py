@@ -92,6 +92,9 @@ class WorkspacePath:
             raise ValidationError("a workspace path needs at least two waypoints")
         if self.samples_per_segment < 16:
             raise ValidationError("samples_per_segment must be at least 16")
+        if not float(self.samples_per_segment).is_integer():
+            raise ValidationError("samples_per_segment must be a whole number")
+        object.__setattr__(self, "samples_per_segment", int(self.samples_per_segment))
         if not (len(wps) - 1) * self.samples_per_segment <= MAX_SAMPLES:
             raise ValidationError(f"the path has more than {MAX_SAMPLES:,} base samples")
         table = np.array([w.as_tuple() for w in wps], dtype=float)
@@ -699,14 +702,14 @@ def _nonzero(a):
     return np.unravel_index(np.flatnonzero(a), a.shape)
 
 
-def _node_signs(geom, xs, ys, phis, q=None):
+def _node_signs(geom, xs, ys, phis):
     """Conic coefficients ``q`` (np_, 6) about the base centroid at the grid
-    angles (unless given), the determinant ``det`` they give at the nodes,
-    its int8 signs ``sgn`` and their zero band ``band``: the sign is 0 where
+    angles, the determinant ``det`` they give at the nodes, its int8 signs
+    ``sgn`` and their zero band ``band``: the sign is 0 where
     |det| <= band = ZERO_DET_REL * max |det|, a band wider than the conic's
     spread from the kernel, which has every other sign."""
     o = geom.base.mean(axis=0)
-    q = _conic_coefficients(geom, phis, o) if q is None else q
+    q = _conic_coefficients(geom, phis, o)
     q20, q11, q02, q10, q01, q00 = q.T
     u, v = (xs - o[0])[:, None, None], (ys - o[1])[:, None]
     det = q20 * u + (q11 * v + q10)  # Q = (q20 u + b) u + c, in place: one full-size array
@@ -867,11 +870,6 @@ def _padded_masks(ok):
     return masks
 
 
-class _LeftWindow(Exception):
-    """A route search on a window of the grid was about to write a distance
-    outside the window's inner nodes (:class:`_TwoEndedSearch`)."""
-
-
 def _grid_distance(shape, costs, p, q):
     """The least cost of a grid route between flat nodes ``p`` and ``q``
     with nothing in its way: the steps along each axis times their costs,
@@ -963,15 +961,10 @@ class _TwoEndedSearch:
     where it is reached.
 
     ``masks`` are the padded (3, nx, ny, np_) admissible masks of
-    :func:`_padded_masks`, read and never written.  With ``inner`` (a flat
-    mask of the nodes) the masks hold the edges of the nodes of ``inner``
-    and may lack the others': the search raises :class:`_LeftWindow` before
-    it writes a distance outside ``inner``.  Up to then it has read only
-    edges of nodes of ``inner`` (a node's edges are read when its distance
-    is written), so it has run as it runs on the whole grid.
+    :func:`_padded_masks`, read and never written.
     """
 
-    def __init__(self, masks, costs, ends, inner=None):
+    def __init__(self, masks, costs, ends):
         self.shape = nx, ny, np_ = masks.shape[1:]
         self.n = n = nx * ny * np_
         self.masks = masks.reshape(3, n)
@@ -982,7 +975,6 @@ class _TwoEndedSearch:
         self.dist = self.flat.reshape(2, n)
         self.best, self.meets = np.inf, []
         self.waiting = np.asarray(ends) + [0, n], np.zeros(2)
-        self.inner = inner
 
     def until(self, needed):
         """Search while the least waiting relaxation is within ``needed()``,
@@ -997,8 +989,6 @@ class _TwoEndedSearch:
         while len(d) and (low := d.min()) <= (need := needed()):
             now = d <= min(need, low + self.costs.min())
             (lv, ld), v, d = (v[~now], d[~now]), v[now], d[now]
-            if self.inner is not None and not self.inner[v % n].all():
-                raise _LeftWindow
             np.minimum.at(d_at, v, d)
             v = np.unique(v[d == d_at[v]])  # the nodes whose distance fell
             dv, u = d_at[v], v % n
@@ -1052,12 +1042,18 @@ def _grid_route(masks, doors, costs, ends, require_crossing, serial, inner=None)
     t differ; a route between ends of one sign may still hold two.  On
     failure the NoPathFound's ``explored`` counts the nodes reachable from
     s; with no door the message says that none of the ``serial`` serial
-    points gives one.  ``inner`` is the search's (:class:`_TwoEndedSearch`).
+    points gives one.  With ``inner`` (flat, a window's nodes whose edges
+    the masks hold) and no splice needed, it returns None if the search
+    wrote a distance outside ``inner`` or found no route.  Else it read only
+    edges of nodes of ``inner``, whose distances it wrote, as on the whole
+    grid.
     """
-    search = _TwoEndedSearch(masks, costs, ends, inner)
+    search = _TwoEndedSearch(masks, costs, ends)
     # a shortest route of length mu has a node within (mu + c) / 2 of both ends,
     # so min(d_s + d_t) is exact once every node within (best + c) / 2 is written
     dist = search.until(lambda: (search.best + max(costs)) / 2)
+    if inner is not None and (not search.meets or np.isfinite(dist[:, ~inner]).any()):
+        return None
     if not search.meets:
         raise NoPathFound(
             "grid search exhausted without reaching the target",
@@ -1150,10 +1146,10 @@ def plan_mode_change(
     among equal-cost routes it takes the one its tie rule gives.  It runs
     first on the window of the grid that it reaches with nothing in its way
     (:func:`_search_window`), with only the window's edges scanned, and
-    again on the whole grid if it leaves the window or fails in it; either
-    way it returns the whole grid's route.  A route that may need a splice
-    is searched on the whole grid at once.  A
-    ``NoPathFound`` from the search counts in ``explored`` every node
+    again on the whole grid if it wrote a distance outside the window's
+    inner nodes or found no route; either way it returns the whole grid's
+    route.  A route that may need a splice is searched on the whole grid at
+    once.  A ``NoPathFound`` from the search counts in ``explored`` every node
     reachable from the start; "no passage edge exists" means that the grid
     has no door, and says how many serial points lay in the box.
     """
@@ -1234,9 +1230,9 @@ def plan_mode_change(
     lo, hi = (np.ravel_multi_index((i + d * (axis == 0), j + d * (axis == 1), m), shape) for d in (0, 1))
     # The route is searched first on the window of the grid that the search
     # reaches with nothing in its way (:func:`_search_window`), and again on
-    # the whole grid if that search leaves the window or fails (the node
-    # signs are evaluated again from ``q``); a route that may need a splice
-    # is searched on the whole grid at once.
+    # the whole grid if that search wrote a distance outside the window's
+    # inner nodes or found no route (the node signs are evaluated again); a
+    # route that may need a splice is searched on the whole grid at once.
     crossing = sgn.flat[snapped[0]] != sgn.flat[snapped[1]]
     whole = ((0, nx), (0, ny))
     window = whole
@@ -1245,20 +1241,16 @@ def plan_mode_change(
     for window in dict.fromkeys([window, whole]):
         (i0, i1), (j0, j1) = window
         if det is None:  # freed for the window's search
-            _, det, sgn, _ = _node_signs(geom, xs, ys, phis, q)
+            q, det, sgn, band = _node_signs(geom, xs, ys, phis)
         masks, edges, inner = _window_masks(geom, (xs, ys, phis), window, q, det, sgn, band, doors, costs)
         det = sgn = None  # the search needs only the masks
         i, j, m = np.unravel_index(snapped, shape)
         ends = np.ravel_multi_index((i - i0, j - j0, m), masks.shape[1:])
-        try:
-            nodes = _grid_route(masks, edges, costs, ends, require_crossing, serial, inner)
-        except (_LeftWindow, NoPathFound):
-            if window == whole:
-                raise
-            continue
-        i, j, m = np.unravel_index(nodes, masks.shape[1:])
-        nodes = np.ravel_multi_index((i + i0, j + j0, m), shape).tolist()
-        break
+        nodes = _grid_route(masks, edges, costs, ends, require_crossing, serial, inner)
+        if nodes is not None:
+            break
+    i, j, m = np.unravel_index(nodes, masks.shape[1:])
+    nodes = np.ravel_multi_index((i + i0, j + j0, m), shape).tolist()
 
     # every door on the route goes through its two row points, which the
     # simplification keeps

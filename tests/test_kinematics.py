@@ -688,6 +688,16 @@ def test_oracle_fk_with_non_finite_linear_forms_is_a_validation_error(platform, 
             oracle_fk(geom, JointVector(joints))
 
 
+@pytest.mark.parametrize("grid", [100.5, 8.5, np.nan])
+def test_oracle_fk_rejects_a_grid_that_is_not_a_whole_number(ref, grid):
+    with pytest.raises(ValidationError, match="grid must be a whole number"):
+        oracle_fk(ref, JointVector(REF_JOINTS), grid)
+
+
+def test_oracle_fk_takes_a_whole_float_grid_as_an_int(ref):
+    assert oracle_fk(ref, JointVector(REF_JOINTS), 64.0) == oracle_fk(ref, JointVector(REF_JOINTS), 64)
+
+
 def test_fk_with_an_overflowing_elimination_is_a_validation_error():
     """A platform frame ~1e154 away keeps the linear forms finite while the
     residual on the sweep and the compiled matrix overflow: oracle_fk used

@@ -44,6 +44,7 @@ from planar_rpr.modeplan import (
     _classify_zeros,
     _grid_route,
     _node_signs,
+    _nonzero,
     _padded_masks,
     _segments_crossings,
     _serial_doors,
@@ -82,6 +83,24 @@ def test_path_needs_two_waypoints():
         WorkspacePath((Pose(0, 0, 0),))
     with pytest.raises(ValidationError):
         WorkspacePath((Pose(0, 0, 0), Pose(1, 0, 0)), samples_per_segment=4)
+
+
+@pytest.mark.parametrize("samples", [16.5, 20.5, np.nan, np.inf])
+def test_path_rejects_sample_counts_that_are_not_whole_numbers(samples):
+    """A fractional count is an error at construction, not a TypeError
+    when the path is sampled."""
+    with pytest.raises(ValidationError, match="samples_per_segment must be a whole number"):
+        WorkspacePath((Pose(0, 0, 0), Pose(1, 0, 0)), samples_per_segment=samples)
+
+
+def test_path_takes_a_whole_float_sample_count_as_an_int(ref):
+    """samples_per_segment=20.0 gives the path, crossings and certificate
+    of samples_per_segment=20."""
+    waypoints = (Pose(0.0, 0.0, 0.0), Pose(5.0, 5.0, 0.0), Pose(2.0, 3.0, 1.0))
+    path, whole = WorkspacePath(waypoints, 20.0), WorkspacePath(waypoints, 20)
+    assert path == whole and type(path.samples_per_segment) is int
+    assert detect_crossings(ref, path) == detect_crossings(ref, whole)
+    assert verify_mode_change(ref, path).to_dict() == verify_mode_change(ref, whole).to_dict()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -1007,6 +1026,60 @@ def test_plans_searched_from_a_window_equal_plans_on_the_whole_grid(monkeypatch)
                     assert run(geom, start, n, require_crossing, _tight_window) == whole, (start, n, require_crossing)
                     kinds["left its window"] += scanned == [True, False]
     assert kinds["kept its window"] >= 2 and kinds["left its window"] >= 5, kinds
+
+
+def test_grid_route_on_a_window_gives_the_whole_grids_route_or_none(monkeypatch):
+    """_grid_route with ``inner`` on a window of a seeded grid, as a grid of
+    its own: a window that holds every node the whole grid's search writes,
+    plus one ring, gives the whole grid's route in window numbers; the same
+    window without the ring, whose inner nodes miss a written node, gives
+    None, and so does a window in which the ends are not joined."""
+    searches = []
+
+    class Recorded(_TwoEndedSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    def on_window(ok, ends, i0, i1, j0, j1):
+        masks = _padded_masks([mask[cut] for mask, cut in zip(ok, _cut(i0, i1, j0, j1))])
+        inner = np.zeros(masks.shape[1:], dtype=bool)
+        inner[(i0 > 0) : i1 - i0 - (i1 < nx), (j0 > 0) : j1 - j0 - (j1 < ny)] = True
+        i, j, m = np.unravel_index(ends, shape)
+        return masks, inner.ravel(), np.ravel_multi_index((i - i0, j - j0, m), masks.shape[1:])
+
+    monkeypatch.setattr(modeplan, "_TwoEndedSearch", Recorded)
+    shape = nx, ny, _ = (24, 20, 8)
+    no_doors = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+    kept = left = 0
+    for seed in range(16):
+        rng, ok, costs, *_ = _random_grid(seed, shape, density=0.8)
+        s = rng.integers(0, shape)
+        t = np.clip(s + rng.integers(-3, 4, 3), 0, np.array(shape) - 1)
+        ends = np.ravel_multi_index(np.stack([s, t], 1), shape)
+        if ends[0] == ends[1]:
+            continue
+        searches.clear()
+        try:
+            route = _grid_route(_padded_masks(ok), no_doors, costs, ends, False, 0)
+        except NoPathFound:  # the ends lie on two sides of the wall
+            continue
+        i, j, _ = _nonzero(np.isfinite(searches[0].dist).any(axis=0).reshape(shape))
+        for ring in (1, 0):
+            window = [int(v) for v in (max(i.min() - ring, 0), min(i.max() + 1 + ring, nx),
+                                       max(j.min() - ring, 0), min(j.max() + 1 + ring, ny))]
+            masks, inner, wends = on_window(ok, ends, *window)
+            missed = not inner.reshape(masks.shape[1:])[i - window[0], j - window[2]].all()
+            got = _grid_route(masks, no_doors, costs, wends, False, 0, inner)
+            if missed:
+                assert got is None, (seed, ring)
+                left += 1
+            else:
+                ri, rj, rm = np.unravel_index(route, shape)
+                assert got == np.ravel_multi_index((ri - window[0], rj - window[2], rm), masks.shape[1:]).tolist()
+                kept += 1
+                assert _grid_route(np.zeros_like(masks), no_doors, costs, wends, False, 0, inner) is None
+    assert kept >= 5 and left >= 5, (kept, left)
 
 
 def test_route_search_stops_at_the_value_it_certifies(ref, monkeypatch):
