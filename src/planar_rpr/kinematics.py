@@ -39,6 +39,8 @@ from .model import (
     JointVector,
     Pose,
     RobotGeometry,
+    _entries,
+    _whole_count,
     platform_points,
     wrap_angle,
 )
@@ -125,15 +127,15 @@ def inverse_kinematics(geom: RobotGeometry, pose: Pose, sign_hint=None) -> Joint
     """Signed directed leg lengths for a pose.
 
     ``|rho_i|`` is the distance from a_i to B_i(pose) exactly; the sign is
-    copied from ``sign_hint`` when given (zero hints count as positive) and
-    defaults to all-positive.  A zero-length leg gets rho_i = 0.
+    copied from ``sign_hint`` when given (three entries; zero hints count
+    as positive) and defaults to all-positive.  A zero-length leg gets rho_i = 0.
     """
     b = platform_points(geom, pose)
     dist = np.hypot(b[:, 0] - geom.base[:, 0], b[:, 1] - geom.base[:, 1])
     if sign_hint is None:
         signs = np.ones(3)
     else:
-        signs = np.where(np.asarray(sign_hint, dtype=float) < 0.0, -1.0, 1.0)
+        signs = np.where(np.asarray(_entries(sign_hint, 3, "sign_hint"), dtype=float) < 0.0, -1.0, 1.0)
     return JointVector(dist * signs)
 
 
@@ -553,17 +555,16 @@ def oracle_fk(geom: RobotGeometry, joints: JointVector, grid: int = ORACLE_GRID)
     polished by the same Newton refinement as the solver.  Intended for
     verification only: slower than :func:`solve_fk` and blind to tangential
     (even-multiplicity) roots.  The sweep wraps around 2*pi; ``grid`` must
-    be a whole number in [8, ``MAX_SAMPLES``].
+    be a count in [8, ``MAX_SAMPLES``]: a real number with a whole value,
+    not a string (the rule of ``samples_per_segment``).
     Overflowing linear forms or sweep residuals raise :class:`ValidationError`,
     as in :func:`build_fk_polynomial`, rather than leave no candidate.
     """
+    grid = _whole_count(grid, "grid must be a whole number")
     if grid < 8:
         raise ValidationError("grid must be at least 8")
     if grid > MAX_SAMPLES:
         raise ValidationError(f"grid must be at most {MAX_SAMPLES:,}")
-    if not float(grid).is_integer():
-        raise ValidationError("grid must be a whole number")
-    grid = int(grid)
     L = geom.L
     res_tol = RESIDUAL_REL * (L * L)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -14,6 +14,7 @@ behaviour is invariant under uniform scaling of the design.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -24,6 +25,29 @@ from .errors import ValidationError
 # Largest grid or sample count accepted anywhere: planner grid nodes, path
 # base samples, locus grid nodes and oracle sweep angles.
 MAX_SAMPLES = 10**7
+
+
+def _whole_count(value, message: str) -> int:
+    """``value`` as an int under the one rule for counts (path samples per
+    segment, oracle sweep angles, planner resolution): a real number (an
+    int, a float or a numpy number, not a string) with a whole value.
+    Anything else raises :class:`ValidationError` with ``message``."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValidationError(message)
+    return int(value)
+
+
+def _entries(values, n: int, name: str) -> tuple:
+    """``values`` as a tuple, which must have ``n`` entries; another length,
+    or a value that is not a sequence, raises :class:`ValidationError`
+    naming the argument ``name``."""
+    try:
+        entries = tuple(values)
+    except TypeError:
+        entries = None
+    if entries is None or len(entries) != n:
+        raise ValidationError(f"{name} must have {n} entries, got {values!r}")
+    return entries
 
 
 def _as_locked_points(points, label: str) -> np.ndarray:

@@ -35,6 +35,7 @@ can apply whatever practical margin the hardware needs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .kinematics import _bracket_root, inverse_kinematics, solve_fk
-from .model import MAX_SAMPLES, Pose, RobotGeometry, pose_distance, wrap_angle
+from .model import MAX_SAMPLES, Pose, RobotGeometry, _entries, _whole_count, pose_distance, wrap_angle
 from .singularity import (
     SERIAL_CLASSIFY_REL,
     classify_configuration,
@@ -70,7 +71,7 @@ ZERO_TOUCH_REL = 1e-9
 # Distance band that triggers adaptive sample refinement.
 REFINE_BAND_REL = 0.05
 REFINE_FACTOR = 8
-# |det| band, relative to a path step's bound on |det| or the grid nodes' largest, that counts as zero.
+# |det| band, relative to the bound on |det| over a path step or the grid's box, that counts as zero.
 ZERO_DET_REL = 1e-12
 # Bracket width to which crossing parameters are refined.
 CROSSING_T_TOL = 1e-10
@@ -81,7 +82,11 @@ BATCH_SEGMENTS = 2**10
 
 @dataclass(frozen=True)
 class WorkspacePath:
-    """Piecewise-linear pose path; phi takes the shorter wrap per segment."""
+    """Piecewise-linear pose path; phi takes the shorter wrap per segment.
+
+    ``waypoints`` must be :class:`Pose` objects.  ``samples_per_segment``
+    is a count: a real number with a whole value, not a string, and at
+    least 16."""
 
     waypoints: tuple[Pose, ...]
     samples_per_segment: int = 16
@@ -90,11 +95,12 @@ class WorkspacePath:
         wps = tuple(self.waypoints)
         if len(wps) < 2:
             raise ValidationError("a workspace path needs at least two waypoints")
-        if self.samples_per_segment < 16:
+        if not all(isinstance(w, Pose) for w in wps):
+            raise ValidationError("waypoints must be Pose objects")
+        samples = _whole_count(self.samples_per_segment, "samples_per_segment must be a whole number")
+        if samples < 16:
             raise ValidationError("samples_per_segment must be at least 16")
-        if not float(self.samples_per_segment).is_integer():
-            raise ValidationError("samples_per_segment must be a whole number")
-        object.__setattr__(self, "samples_per_segment", int(self.samples_per_segment))
+        object.__setattr__(self, "samples_per_segment", samples)
         if not (len(wps) - 1) * self.samples_per_segment <= MAX_SAMPLES:
             raise ValidationError(f"the path has more than {MAX_SAMPLES:,} base samples")
         table = np.array([w.as_tuple() for w in wps], dtype=float)
@@ -464,8 +470,14 @@ def _step_bounds(geom: RobotGeometry, paths: _Paths):
     np.multiply((R[:, None] * W).reshape(36, *z.shape[1:]), curv.reshape(36, 1, 1), out=terms[:36])
     while len(terms) > 1:
         terms = terms[: len(terms) // 2] + terms[len(terms) // 2 :]
-    T = size[:, None, None] * W
-    return terms[0], (T[0] + T[1]) + (T[2] + T[3]) + (T[4] + T[5])
+    return terms[0], _det_bound(size, z[3], z[4])
+
+
+def _det_bound(size, u, v):
+    """The bound T on |det| where |u| <= u, |v| <= v about the base centroid: ``size``
+    (:func:`_gap_forms`) times (u^2, uv, v^2, u, v, 1), summed in a fixed order."""
+    T = [c * w for c, w in zip(size, (u * u, u * v, v * v, u, v, 1.0))]
+    return (T[0] + T[1]) + (T[2] + T[3]) + (T[4] + T[5])
 
 
 def _split_gaps(geom: RobotGeometry, s: _SampledPath):
@@ -582,11 +594,11 @@ def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> l
 
 def _eps_pass(geom: RobotGeometry, eps_pass: float | None) -> float:
     """The passage window: EPS_PASS_REL * L by default; a given one must be
-    positive and finite, as :class:`~planar_rpr.robotfile.RunConfig` requires
-    of its override."""
+    a positive, finite real number (not a string), as
+    :class:`~planar_rpr.robotfile.RunConfig` requires of its override."""
     if eps_pass is None:
         return EPS_PASS_REL * geom.L
-    if not 0.0 < eps_pass < math.inf:
+    if not (isinstance(eps_pass, numbers.Real) and 0.0 < eps_pass < math.inf):
         raise ValidationError(f"eps_pass must be positive and finite, got {eps_pass!r}")
     return eps_pass
 
@@ -702,21 +714,19 @@ def _nonzero(a):
     return np.unravel_index(np.flatnonzero(a), a.shape)
 
 
-def _node_signs(geom, xs, ys, phis):
-    """Conic coefficients ``q`` (np_, 6) about the base centroid at the grid
-    angles, the determinant ``det`` they give at the nodes, its int8 signs
-    ``sgn`` and their zero band ``band``: the sign is 0 where
-    |det| <= band = ZERO_DET_REL * max |det|, a band wider than the conic's
-    spread from the kernel, which has every other sign."""
+def _node_signs(geom, x, y, q, band):
+    """The determinant ``det`` of conic coefficients ``q`` (n, 6) about the
+    base centroid at nodes (x, y), whose last axis runs along the rows of
+    ``q``, elementwise: a node has the same bits on any lattice or alone.
+    ``sgn``, its int8 sign, is 0 where |det| <= band, the box's zero band,
+    wider than the conic's spread from the kernel, which has every other sign."""
     o = geom.base.mean(axis=0)
-    q = _conic_coefficients(geom, phis, o)
     q20, q11, q02, q10, q01, q00 = q.T
-    u, v = (xs - o[0])[:, None, None], (ys - o[1])[:, None]
+    u, v = x - o[0], y - o[1]
     det = q20 * u + (q11 * v + q10)  # Q = (q20 u + b) u + c, in place: one full-size array
     det *= u
     det += (q02 * v + q01) * v + q00
-    band = ZERO_DET_REL * max(det.max(), -det.min())
-    return q, det, (det > band).view(np.int8) - (det < -band).view(np.int8), band
+    return det, (det > band).view(np.int8) - (det < -band).view(np.int8)
 
 
 def _axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn, band):
@@ -724,9 +734,9 @@ def _axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn, band):
     zero: the end signs differ or one is zero (``sgn * sgn <= 0``, so every
     edge at a zero node), or a value inside the edge has the other sign or
     lies in the zero band ``band``, so an edge that touches the locus
-    tangentially is marked too.  ``q``, ``det``, ``sgn`` and ``band`` come
-    from :func:`_node_signs`; the scan evaluates no node.  Along x and y
-    the determinant is the conic's quadratic, whose one extremum is its
+    tangentially is marked too.  ``det`` and ``sgn`` come from
+    :func:`_node_signs`; the scan evaluates no node.  Along x and y the
+    determinant is the conic's quadratic, whose one extremum is its
     vertex.  Along phi it is a trigonometric polynomial f of degree 2 whose
     coefficients (a_k, b_k) are the discrete Fourier transform of the node
     values at the np_ angles; f keeps the sign on a piece of width h whose
@@ -794,7 +804,7 @@ def _axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn, band):
     return cross
 
 
-def _serial_doors(geom, xs, ys, phis, safe, q, sgn, band):
+def _serial_doors(geom, xs, ys, phis, safe, q, band):
     """Doors through the serial points S = S_l(phi_m) of the passage-safe
     legs at the grid angles, each in its cell (i, j): x_i < S_x <= x_{i+1},
     y_j < S_y <= y_{j+1}.
@@ -807,13 +817,13 @@ def _serial_doors(geom, xs, ys, phis, safe, q, sgn, band):
     sides (else the leg's zero would sit at a turn of the path), the row's
     other zero (by Vieta) is not in [x_i, x_{i+1}], and the determinant has
     no zero on the parts of the two sides that the door runs on: each
-    corner's node sign (``sgn``, with ``q`` and ``band``, of
-    :func:`_node_signs`) is its row point's, so no door ends at a zero node,
-    and no vertex between has the other sign or lies in the zero band
-    ``band``, so a side that touches the locus is refused.  x and y swapped
-    give the y doors.  Each serial point takes the first admissible of its
-    x doors from the lower and the upper corners and its y doors from the
-    left and the right corners.
+    corner's node sign (:func:`_node_signs` of the grid's ``q`` and
+    ``band``, at the corners alone) is its row point's, so no door ends at
+    a zero node, and no vertex between has the other sign or lies in the
+    zero band, so a side that touches the locus is refused.  x and y
+    swapped give the y doors.  Each serial point takes the first admissible
+    of its x doors from the lower and the upper corners and its y doors
+    from the left and the right corners.
 
     Returns the door edges (axis, i, j, m), sorted (the first serial point
     in (m, leg) order wins an edge), their row points (k, 2, 3) from the
@@ -826,12 +836,12 @@ def _serial_doors(geom, xs, ys, phis, safe, q, sgn, band):
     k = np.flatnonzero(in_box & (xs[i] < sx) & (sx <= xs[i + 1]) & (ys[j] < sy) & (sy <= ys[j + 1]))
     cell, m, s = np.stack([i[k], j[k]]), k // 3, np.stack([sx[k], sy[k]])
     o = geom.base.mean(axis=0)
-    q = q[m].T
+    q = q[m]
     tol = ZERO_TOUCH_REL * geom.L
     admissible = []
     for axis, (along, other) in enumerate(((xs, ys), (ys, xs))):
         # the row through S runs along ``axis``, the sides along the other axis
-        q20, q11, q02, q10, q01, q00 = q[[2, 1, 0, 4, 3, 5]] if axis else q
+        q20, q11, q02, q10, q01, q00 = q.T[[2, 1, 0, 4, 3, 5]] if axis else q.T
         u, v = s[axis] - o[axis], s[1 - axis] - o[1 - axis]
         side, corner = cell[axis] + [[0], [1]], (cell[1 - axis] + [[0], [1]])[:, None]
         sides, corners = along[side] - o[axis], other[corner] - o[1 - axis]
@@ -846,7 +856,7 @@ def _serial_doors(geom, xs, ys, phis, safe, q, sgn, band):
         at_row = np.sign(2.0 * q20 * u + b) * [[-1], [1]]
         # per (corner, side): a zero between the row and the corner
         ij = (corner, side) if axis else (side, corner)
-        meets = sgn[ij[0], ij[1], m] * at_row <= 0
+        meets = _node_signs(geom, xs[ij[0]], ys[ij[1]], q, band)[1] * at_row <= 0
         between = (np.minimum(v, corners) < vertex) & (vertex < np.maximum(v, corners))
         meets |= between & ((np.sign(at_vertex) * at_row <= 0) | (np.abs(at_vertex) <= band))
         admissible += list(row & ~meets.any(axis=1))
@@ -911,13 +921,13 @@ def _search_window(shape, costs, ends, doors, crossing):
     return (0, shape[0]), (0, shape[1])
 
 
-def _window_masks(geom, axes, window, q, det, sgn, band, doors, costs):
+def _window_masks(geom, axes, window, q, band, doors, costs):
     """The nodes of ``window`` = ((i0, i1), (j0, j1)), every angle, of the
     grid with node coordinates ``axes`` = (xs, ys, phis), as a grid of their
     own: its padded admissible masks (:func:`_padded_masks`), with each
-    axis's edges scanned on those nodes (:func:`_axis_edge_scan`, with the
-    grid's :func:`_node_signs` ``q``, ``det``, ``sgn`` and ``band``, which
-    gives the whole grid's bits) and the door edges among them, of the
+    axis's edges scanned on those nodes (:func:`_axis_edge_scan`, on their
+    :func:`_node_signs` of the grid's ``q`` and ``band``, the whole grid's
+    bits, and on no other node) and the door edges among them, of the
     grid's ``doors`` (:func:`_serial_doors`), set in; those doors as
     (lo, hi, cost), flat nodes of the window in door order; and the flat
     mask of the window's nodes whose every edge of the grid is in the
@@ -925,10 +935,9 @@ def _window_masks(geom, axes, window, q, det, sgn, band, doors, costs):
     xs, ys, phis = axes
     nx, ny = len(xs), len(ys)
     (i0, i1), (j0, j1) = window
-    sub = np.s_[i0:i1, j0:j1]
-    masks = _padded_masks(
-        [~_axis_edge_scan(geom, xs[i0:i1], ys[j0:j1], phis, a, q, det[sub], sgn[sub], band) for a in range(3)]
-    )
+    xs, ys = xs[i0:i1], ys[j0:j1]
+    det, sgn = _node_signs(geom, xs[:, None, None], ys[:, None], q, band)
+    masks = _padded_masks([~_axis_edge_scan(geom, xs, ys, phis, a, q, det, sgn, band) for a in range(3)])
     shape = wx, wy, _ = masks.shape[1:]
     axis, i, j, m = (doors - [0, i0, j0, 0]).T
     inside = (i >= 0) & (i + (axis == 0) < wx) & (j >= 0) & (j + (axis == 1) < wy)
@@ -1120,9 +1129,10 @@ def plan_mode_change(
     singularity surface (:func:`_axis_edge_scan`); the surface is crossed
     only through doors, constant-phi paths through the serial points of the
     passage-safe legs that stand in for grid edges (:func:`_serial_doors`).
-    Both read one determinant sign per node, from one conic evaluation over
-    the grid (:func:`_node_signs`); a node in its zero band has sign 0, and
-    no edge, door or snap ends at one.  With ``require_crossing`` (the
+    Both read one determinant sign per node (:func:`_node_signs`), taken
+    only where read; a node within ZERO_DET_REL times the bound on |det|
+    over the box (:func:`_det_bound`, which must be finite) has sign 0,
+    and no edge, door or snap ends at one.  With ``require_crossing`` (the
     default) the returned path is guaranteed to cross the surface through
     at least one passage: if the unconstrained shortest route dodges the
     surface entirely, the cheapest door is spliced into it.  The result
@@ -1137,15 +1147,17 @@ def plan_mode_change(
     waypoint the route skips to the farthest admissible shortcut, keeping
     the two points where each door's path crosses its cell: one pass checks
     the farthest shortcut alone, and further passes the others, farthest
-    first.  ``resolution`` must be whole numbers, ``box`` must have finite
-    corners and extent, and ``eps_pass`` must be positive and finite; each
-    raises :class:`ValidationError` otherwise.
+    first.  ``resolution`` must be three counts, each a real number with a
+    whole value and not a string (the rule of ``samples_per_segment``),
+    ``box`` four real numbers with finite corners and extent, and
+    ``eps_pass`` a positive, finite real number; each raises
+    :class:`ValidationError` otherwise.
 
     The grid search runs from both ends on the admissible masks until the
     route (and then the splice) is certified exact (:class:`_TwoEndedSearch`);
     among equal-cost routes it takes the one its tie rule gives.  It runs
     first on the window of the grid that it reaches with nothing in its way
-    (:func:`_search_window`), with only the window's edges scanned, and
+    (:func:`_search_window`), with only the window's nodes evaluated, and
     again on the whole grid if it wrote a distance outside the window's
     inner nodes or found no route; either way it returns the whole grid's
     route.  A route that may need a splice is searched on the whole grid at
@@ -1157,12 +1169,11 @@ def plan_mode_change(
     eps_pass = _eps_pass(geom, eps_pass)
     if box is None:
         box = (-L, -L, 2.0 * L, 2.0 * L)
-    x0, y0, x1, y1 = (float(v) for v in box)
+    x0, y0, x1, y1 = (float(v) if isinstance(v, numbers.Real) else math.nan for v in _entries(box, 4, "box"))
     if not all(math.isfinite(v) for v in (x0, y0, x1, y1, x1 - x0, y1 - y0)):
         raise ValidationError(f"box must have finite corners and extent, got {box!r}")
-    if not all(float(v).is_integer() for v in resolution):
-        raise ValidationError("resolution must be whole numbers")
-    nx, ny, np_ = (int(v) for v in resolution)
+    resolution = _entries(resolution, 3, "resolution")
+    nx, ny, np_ = (_whole_count(v, "resolution must be whole numbers") for v in resolution)
     if min(nx, ny, np_) < 8:
         raise ValidationError("resolution must be at least 8 per axis")
     if not nx * ny * np_ <= MAX_SAMPLES:
@@ -1207,12 +1218,21 @@ def plan_mode_change(
     def node_pose(node):
         return Pose(*node_poses(node).tolist())
 
+    o, _, size = geom.gap_forms  # the zero band of the nodes, from the bound on |det| over the box
+    with np.errstate(over="ignore", invalid="ignore"):
+        band = ZERO_DET_REL * _det_bound(size, *np.abs([[x0, y0], [x1, y1]] - o).max(axis=0))
+    if not math.isfinite(band):
+        raise ValidationError("the line-matrix determinant on the grid is not finite: the box is too large")
+    q = _conic_coefficients(geom, phis, o)
+
     # Each endpoint snaps to the nearest nonzero corner of its cell joined to
     # it admissibly.  One pass checks the nearest nonzero corner of each; a
     # second checks the other nonzero corners of an endpoint not yet snapped.
-    q, det, sgn, band = _node_signs(geom, xs, ys, phis)
     poses = (start, target)
-    near = [[c for c in _cell_corners((xs, ys, phis), pose, L).tolist() if sgn.flat[c]] for pose in poses]
+    corners = [_cell_corners((xs, ys, phis), pose, L).tolist() for pose in poses]
+    i, j, m = np.unravel_index(flat := sum(corners, []), shape)
+    sign = dict(zip(flat, _node_signs(geom, xs[i], ys[j], q[m], band)[1].tolist()))
+    near = [[c for c in cs if sign[c]] for cs in corners]
     snapped = [None, None]
     for ranks in (slice(0, 1), slice(1, None)):
         todo = [(end, c) for end in (0, 1) if snapped[end] is None for c in near[end][ranks]]
@@ -1225,25 +1245,22 @@ def plan_mode_change(
     for label, node in zip(("start", "target"), snapped):
         if node is None:
             raise NoPathFound(f"could not connect the {label} pose to the search grid")
-    doors, door_points, serial = _serial_doors(geom, xs, ys, phis, safe, q, sgn, band)
+    doors, door_points, serial = _serial_doors(geom, xs, ys, phis, safe, q, band)
     axis, i, j, m = doors.T  # x and y doors, at one phi
     lo, hi = (np.ravel_multi_index((i + d * (axis == 0), j + d * (axis == 1), m), shape) for d in (0, 1))
     # The route is searched first on the window of the grid that the search
     # reaches with nothing in its way (:func:`_search_window`), and again on
     # the whole grid if that search wrote a distance outside the window's
-    # inner nodes or found no route (the node signs are evaluated again); a
-    # route that may need a splice is searched on the whole grid at once.
-    crossing = sgn.flat[snapped[0]] != sgn.flat[snapped[1]]
+    # inner nodes or found no route; a route that may need a splice is
+    # searched on the whole grid at once.
+    crossing = sign[snapped[0]] != sign[snapped[1]]
     whole = ((0, nx), (0, ny))
     window = whole
     if crossing or not require_crossing:
         window = _search_window(shape, costs, snapped, (lo, hi, np.asarray(costs)[axis]), crossing)
     for window in dict.fromkeys([window, whole]):
         (i0, i1), (j0, j1) = window
-        if det is None:  # freed for the window's search
-            q, det, sgn, band = _node_signs(geom, xs, ys, phis)
-        masks, edges, inner = _window_masks(geom, (xs, ys, phis), window, q, det, sgn, band, doors, costs)
-        det = sgn = None  # the search needs only the masks
+        masks, edges, inner = _window_masks(geom, (xs, ys, phis), window, q, band, doors, costs)
         i, j, m = np.unravel_index(snapped, shape)
         ends = np.ravel_multi_index((i - i0, j - j0, m), masks.shape[1:])
         nodes = _grid_route(masks, edges, costs, ends, require_crossing, serial, inner)

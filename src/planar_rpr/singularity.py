@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArchitecturalSingularity, SerialDegenerate, ValidationError
-from .model import MAX_SAMPLES, Pose, RobotGeometry
+from .model import MAX_SAMPLES, Pose, RobotGeometry, _entries
 
 # Leg-length band (relative to L) below which a leg line is undefined.
 LINE_DEGENERACY_REL = 1e-9
@@ -365,7 +365,8 @@ _BLOCK = 4  # side, in cells, of the blocks on which the contour bounds Q
 def sample_conic_polyline(conic: SingularityConic, window, step: float) -> list[np.ndarray]:
     """Marching-squares contour of Q = 0 inside an axis-aligned window.
 
-    ``window`` is (x0, y0, x1, y1).  Returns polylines as (n, 2) arrays
+    ``window`` is (x0, y0, x1, y1); another length raises
+    :class:`ValidationError`.  Returns polylines as (n, 2) arrays
     with adjacent point spacing at most 2 * step; an empty list when the
     conic misses the window.  Fully deterministic.  Grids of more than
     ``MAX_SAMPLES`` nodes, a step whose join tolerance 1e-9 * step
@@ -378,7 +379,7 @@ def sample_conic_polyline(conic: SingularityConic, window, step: float) -> list[
         raise ValidationError("step must be positive")
     if not 1e-9 * step > 0.0:  # segment ends join at multiples of 1e-9 * step
         raise ValidationError(f"step {step:g} is too small: its join tolerance 1e-9 * step underflows to 0")
-    x0, y0, x1, y1 = window
+    x0, y0, x1, y1 = _entries(window, 4, "window")
     if x1 <= x0 or y1 <= y0:
         raise ValidationError("window must have positive extent")
     nodes = np.maximum(np.ceil([(x1 - x0) / step, (y1 - y0) / step]) + 1, 2)

@@ -235,11 +235,14 @@ def test_cli_fk_whose_elimination_overflows_prints_one_error_line(tmp_path, comm
         (["--start", "0,0,0", "--res", "32,32,32"], "plan_ref_0_0_0_res32.json"),
         (["--start", "0,0,0"], "plan_ref_0_0_0.json"),
         (["--start", "5,5,0", "--res", "12,12,12"], "plan_ref_5_5_0_res12.json"),
+        (["--start=10.2,-4.3,2.9"], "plan_ref_10.2_-4.3_2.9.json"),
     ],
 )
 def test_cli_plan_output_equals_pinned_file(ref_file, capfd, args, pinned):
     """plan prints the bytes pinned in tests/data, which an earlier
-    version of the planner printed for the same command."""
+    version of the planner printed for the same command.  From
+    (10.2, -4.3, 2.9) the search leaves its window and is redone on the
+    whole grid."""
     assert main(["plan", "--robot", str(ref_file), *args]) == 0
     out, err = capfd.readouterr()
     assert out.encode() == (DATA / pinned).read_bytes()

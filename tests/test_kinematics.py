@@ -66,6 +66,13 @@ def test_ik_sign_hint(ref):
     assert np.allclose(joints.rho, REF_JOINTS * [-1, 1, 1])
 
 
+def test_ik_sign_hint_of_two_entries_is_a_validation_error(ref):
+    """A sign hint without its third entry names the argument; it was a
+    bare ValueError from broadcasting."""
+    with pytest.raises(ValidationError, match="sign_hint must have 3 entries, got \\(1, 1\\)"):
+        inverse_kinematics(ref, Pose(0, 0, 0), sign_hint=(1, 1))
+
+
 def test_ik_distance_contract(ref):
     rng = np.random.default_rng(21)
     for _ in range(100):
@@ -688,14 +695,17 @@ def test_oracle_fk_with_non_finite_linear_forms_is_a_validation_error(platform, 
             oracle_fk(geom, JointVector(joints))
 
 
-@pytest.mark.parametrize("grid", [100.5, 8.5, np.nan])
+@pytest.mark.parametrize("grid", [100.5, 8.5, np.nan, "64", None, [64]])
 def test_oracle_fk_rejects_a_grid_that_is_not_a_whole_number(ref, grid):
+    """A string or another object that is not a real number is refused as a
+    fractional grid is, not with a TypeError from the range check."""
     with pytest.raises(ValidationError, match="grid must be a whole number"):
         oracle_fk(ref, JointVector(REF_JOINTS), grid)
 
 
 def test_oracle_fk_takes_a_whole_float_grid_as_an_int(ref):
     assert oracle_fk(ref, JointVector(REF_JOINTS), 64.0) == oracle_fk(ref, JointVector(REF_JOINTS), 64)
+    assert oracle_fk(ref, JointVector(REF_JOINTS), np.int64(64)) == oracle_fk(ref, JointVector(REF_JOINTS), 64)
 
 
 def test_fk_with_an_overflowing_elimination_is_a_validation_error():

@@ -85,12 +85,21 @@ def test_path_needs_two_waypoints():
         WorkspacePath((Pose(0, 0, 0), Pose(1, 0, 0)), samples_per_segment=4)
 
 
-@pytest.mark.parametrize("samples", [16.5, 20.5, np.nan, np.inf])
+@pytest.mark.parametrize("samples", [16.5, 20.5, np.nan, np.inf, "20", None, b"20"])
 def test_path_rejects_sample_counts_that_are_not_whole_numbers(samples):
     """A fractional count is an error at construction, not a TypeError
-    when the path is sampled."""
+    when the path is sampled; so is a count that is not a real number,
+    such as a string, not a TypeError from the range check."""
     with pytest.raises(ValidationError, match="samples_per_segment must be a whole number"):
         WorkspacePath((Pose(0, 0, 0), Pose(1, 0, 0)), samples_per_segment=samples)
+
+
+def test_path_rejects_waypoints_that_are_not_poses():
+    """Tuples were an AttributeError when the path read their coordinates."""
+    with pytest.raises(ValidationError, match="waypoints must be Pose objects"):
+        WorkspacePath(((0, 0, 0), (1, 0, 0)))
+    with pytest.raises(ValidationError, match="waypoints must be Pose objects"):
+        WorkspacePath((Pose(0, 0, 0), (1, 0, 0)))
 
 
 def test_path_takes_a_whole_float_sample_count_as_an_int(ref):
@@ -394,11 +403,46 @@ def test_planner_rejects_zero_width_box(ref):
         plan_mode_change(ref, Pose(0, 0, 0), Pose(0, 5, 0), box=(0, -10, 0, 20), resolution=(8, 8, 8))
 
 
-@pytest.mark.parametrize("resolution", [(16.9, 16, 16), (16, 16.5, 16), (16, 16, float("nan"))])
+@pytest.mark.parametrize(
+    "resolution", [(16.9, 16, 16), (16, 16.5, 16), (16, 16, float("nan")), ("16", "16", "16"), (16, None, 16)]
+)
 def test_planner_rejects_resolutions_that_are_not_whole_numbers(ref, resolution):
-    """A fractional resolution is an error, not a grid of its integer part."""
+    """A fractional resolution is an error, not a grid of its integer part,
+    and so is one that is not a real number: string counts were accepted,
+    as no other count is."""
     with pytest.raises(ValidationError, match="resolution must be whole numbers"):
         plan_mode_change(ref, Pose(5, 5, 0), resolution=resolution)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"resolution": (16, 16)}, "resolution must have 3 entries, got \\(16, 16\\)"),
+        ({"resolution": (16, 16, 16, 16)}, "resolution must have 3 entries"),
+        ({"box": (0, 0, 10)}, "box must have 4 entries, got \\(0, 0, 10\\)"),
+        ({"box": 10}, "box must have 4 entries, got 10"),
+        ({"box": ("a", 0, 10, 10)}, "box must have finite corners and extent"),
+        ({"box": ("0", "0", "10", "10")}, "box must have finite corners and extent"),
+        ({"eps_pass": "0.01"}, "eps_pass must be positive and finite"),
+    ],
+)
+def test_planner_arguments_of_a_wrong_length_or_type_are_validation_errors(ref, kwargs, message, monkeypatch):
+    """Each names its argument, before any kinematics; they were a bare
+    ValueError from unpacking or float() or a TypeError from a comparison,
+    and a box of strings was accepted."""
+
+    def kinematics_ran(*args, **kwargs):
+        raise AssertionError("kinematics ran before the argument checks")
+
+    monkeypatch.setattr(modeplan, "classify_configuration", kinematics_ran)
+    with pytest.raises(ValidationError, match=message):
+        plan_mode_change(ref, Pose(5, 5, 0), **kwargs)
+
+
+def test_planner_takes_whole_float_and_numpy_resolutions_as_ints(ref):
+    """resolution=(np.int64(16), 16.0, 16) gives the plan of (16, 16, 16)."""
+    whole = plan_mode_change(ref, Pose(5, 5, 0), resolution=(16, 16, 16))
+    assert plan_mode_change(ref, Pose(5, 5, 0), resolution=(np.int64(16), 16.0, 16)) == whole
 
 
 def test_planner_validates_box_and_resolution_before_kinematics(ref, monkeypatch):
@@ -842,7 +886,7 @@ def test_endpoints_snap_to_the_corner_that_checking_every_corner_picks(monkeypat
     for geom in _grid_designs():
         for n in (9, 16, 64):
             axes = _grid_axes(geom, (n, n, n))
-            sgn = _node_signs(geom, *axes)[2]
+            sgn = _grid_signs(geom, *axes)[2]
             safe = passage_safety(geom)
             for _ in range(8):
                 ends = [Pose(*rng.uniform(-geom.L, 2 * geom.L, 2), rng.uniform(-np.pi, np.pi)) for _ in range(2)]
@@ -891,15 +935,27 @@ def _grid_axes(geom, shape):
     return xs, ys, np.linspace(0.0, 2.0 * np.pi, shape[2], endpoint=False)
 
 
+def _grid_signs(geom, xs, ys, phis):
+    """``(q, det, sgn, band)`` of the grid with node coordinates ``(xs, ys,
+    phis)``, as the planner takes them: the conic's coefficients at the
+    grid's angles, the determinant and sign of every node, and the zero band
+    ZERO_DET_REL * T of the bound T on |det| over the grid's box."""
+    o, _, size = geom.gap_forms
+    q = modeplan._conic_coefficients(geom, phis, o)
+    u, v = (np.abs(w[[0, -1]] - c).max() for w, c in zip((xs, ys), o))
+    band = modeplan.ZERO_DET_REL * modeplan._det_bound(size, u, v)
+    return (q, *_node_signs(geom, xs[:, None, None], ys[:, None], q, band), band)
+
+
 def _planner_grid(geom, shape):
     """Edge costs, admissible masks and doors of the planner's grid of
     ``shape`` over its default box, built as the planner builds them: one
     scan per axis and the doors of the serial points."""
     xs, ys, phis = _grid_axes(geom, shape)
     costs = (float(xs[1] - xs[0]), float(ys[1] - ys[0]), float(characteristic_scale(geom) * 2.0 * np.pi / shape[2]))
-    q, det, sgn, band = _node_signs(geom, xs, ys, phis)
+    q, det, sgn, band = _grid_signs(geom, xs, ys, phis)
     ok = [~_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn, band) for axis in range(3)]
-    doors = _serial_doors(geom, xs, ys, phis, passage_safety(geom), q, sgn, band)[0]
+    doors = _serial_doors(geom, xs, ys, phis, passage_safety(geom), q, band)[0]
     for a, i, j, m in doors.tolist():
         ok[a][i, j, m] = True
     return costs, ok, doors
@@ -913,7 +969,7 @@ def test_window_edge_scan_equals_the_slice_of_the_full_scan():
     shape = (40, 36, 32)
     for geom in _grid_designs():
         xs, ys, phis = _grid_axes(geom, shape)
-        q, det, sgn, band = _node_signs(geom, xs, ys, phis)
+        q, det, sgn, band = _grid_signs(geom, xs, ys, phis)
         full = [_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn, band) for axis in range(3)]
         boxes = [(0, 40, 0, 36), (0, 2, 0, 2), (38, 40, 3, 5), (5, 30, 34, 36)]
         for _ in range(6):
@@ -963,7 +1019,7 @@ def test_scans_of_a_window_give_the_whole_grids_bits():
     for geom in _grid_designs():
         for n in (16, 64):
             xs, ys, phis = _grid_axes(geom, (n, n, n))
-            q, det, sgn, band = _node_signs(geom, xs, ys, phis)
+            q, det, sgn, band = _grid_signs(geom, xs, ys, phis)
             whole = [_axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn, band) for axis in range(3)]
             for _ in range(4):
                 (i0, i1), (j0, j1) = (np.sort(rng.choice(n + 1, 2, replace=False)) for _ in range(2))
@@ -1122,8 +1178,8 @@ def test_every_door_is_one_passage_of_its_own_leg():
         safe = passage_safety(geom)
         for n in (12, 32, 64):
             xs, ys, phis = _grid_axes(geom, (n, n, n))
-            q, _, sgn, band = _node_signs(geom, xs, ys, phis)
-            doors, points, serial = _serial_doors(geom, xs, ys, phis, safe, q, sgn, band)
+            q, _, _, band = _grid_signs(geom, xs, ys, phis)
+            doors, points, serial = _serial_doors(geom, xs, ys, phis, safe, q, band)
             assert len(doors) <= serial
             for (axis, i, j, m), (a, b) in zip(doors.tolist(), points):
                 ends = [(xs[i], ys[j]), (xs[i + (axis == 0)], ys[j + (axis == 1)])]
@@ -1159,8 +1215,8 @@ def test_admissible_edges_keep_the_node_sign_and_doors_flip_it():
     for geom in designs:
         for n in (12, 32, 64):
             xs, ys, phis = _grid_axes(geom, (n, n, n))
-            q, det, sgn, band = _node_signs(geom, xs, ys, phis)
-            doors = _serial_doors(geom, xs, ys, phis, passage_safety(geom), q, sgn, band)[0]
+            q, det, sgn, band = _grid_signs(geom, xs, ys, phis)
+            doors = _serial_doors(geom, xs, ys, phis, passage_safety(geom), q, band)[0]
             ends = [(sgn[:-1], sgn[1:]), (sgn[:, :-1], sgn[:, 1:]), (sgn, np.roll(sgn, -1, axis=2))]
             for axis, (a, b) in enumerate(ends):
                 product = a.astype(int) * b
@@ -1225,8 +1281,9 @@ def test_no_door_runs_along_a_side_that_touches_the_locus(monkeypatch):
     def upper_x_door(a, v0):
         k = a * (0.5 - v0) ** 2
         conic.append(np.array([[k, 0.0, a, -2.5 * k, -2.0 * a * v0, a * v0 * v0]]))
-        q, _, sgn, band = _node_signs(geom, xs, ys, phis)
-        return [0, 0, 1, 0] in _serial_doors(geom, xs, ys, phis, np.array([True, False, False]), q, sgn, band)[0].tolist()
+        # the conic is constant in phi, so |q| bounds its coefficients; the box is [0, 1]^2
+        q, band = conic[-1], modeplan.ZERO_DET_REL * modeplan._det_bound(np.abs(conic[-1][0]), 1.0, 1.0)
+        return [0, 0, 1, 0] in _serial_doors(geom, xs, ys, phis, np.array([True, False, False]), q, band)[0].tolist()
 
     assert not upper_x_door(0.40042091985114225, 0.899180570395549)
     rng = np.random.default_rng(61)
@@ -1257,7 +1314,7 @@ def test_no_admissible_edge_or_door_ends_at_a_zero_node(ref, box, n):
     """The nodes on the phi = 0 line pair get sign 0, and every edge with
     such an end is inadmissible; no door ends at one either."""
     xs, ys, phis = _box_axes(box, n)
-    q, det, sgn, band = _node_signs(ref, xs, ys, phis)
+    q, det, sgn, band = _grid_signs(ref, xs, ys, phis)
     zero = sgn == 0
     on_locus = (ys[None, :] == 1.0) | (xs[:, None] + 2.0 * ys[None, :] == 16.0)
     assert np.any(on_locus) and np.array_equal(zero[:, :, 0], on_locus) and not np.any(zero[:, :, 1:])
@@ -1265,7 +1322,7 @@ def test_no_admissible_edge_or_door_ends_at_a_zero_node(ref, box, n):
     ends = [zero[:-1] | zero[1:], zero[:, :-1] | zero[:, 1:], zero | np.roll(zero, -1, axis=2)]
     for axis in range(3):
         assert np.all(_axis_edge_scan(ref, xs, ys, phis, axis, q, det, sgn, band)[ends[axis]]), axis
-    doors = _serial_doors(ref, xs, ys, phis, passage_safety(ref), q, sgn, band)[0]
+    doors = _serial_doors(ref, xs, ys, phis, passage_safety(ref), q, band)[0]
     assert len(doors)
     for axis, i, j, m in doors.tolist():
         assert sgn[i, j, m] and sgn[i + (axis == 0), j + (axis == 1), m]
@@ -1289,7 +1346,7 @@ def test_plans_on_grids_with_zero_nodes_snap_to_nonzero_nodes_and_verify(ref, bo
     monkeypatch.setattr(modeplan, "_search_window", _whole_grid)  # ends as nodes of the whole grid
     path = plan_mode_change(ref, Pose(*start), box=box, resolution=(n, n, n))
     assert verify_mode_change(ref, path).verdict == "changed_without_parallel"
-    sgn = _node_signs(ref, *_box_axes(box, n))[2]
+    sgn = _grid_signs(ref, *_box_axes(box, n))[2]
     assert len(ends) == 2 and all(sgn.flat[e] for e in ends)
 
 
@@ -1323,7 +1380,7 @@ def test_node_signs_agree_with_the_kernel_outside_the_zero_band():
     for geom in _grid_designs():
         for n in (16, 32, 64):
             xs, ys, phis = _grid_axes(geom, (n, n, n))
-            sgn = _node_signs(geom, xs, ys, phis)[2]
+            sgn = _grid_signs(geom, xs, ys, phis)[2]
             kernel = np.sign(_leg_geometry(geom, xs[:, None, None], ys[None, :, None], phis)[3])
             assert np.all((sgn == 0) | (sgn == kernel)), n
 
@@ -1331,8 +1388,13 @@ def test_node_signs_agree_with_the_kernel_outside_the_zero_band():
 def test_a_plan_evaluates_the_grid_nodes_once(ref, monkeypatch):
     """A plan takes the conic's coefficients at the grid's angles once (each
     crossing check takes them at the five angles of its gap bound) and
-    evaluates no kernel call over as many poses as the grid has nodes."""
-    calls, sizes = [], []
+    evaluates no kernel call over as many poses as the grid has nodes.  It
+    evaluates the determinant only at the nodes it reads: from (5, 5, 0),
+    whose search keeps its window, at the window's nodes, at most 8 corners
+    per serial point for the doors and 16 snap corners, well under 20,000;
+    from (10.2, -4.3, 2.9), whose search leaves its window, also at every
+    node of the whole grid, once."""
+    calls, sizes, lattices, windows = [], [], [], []
 
     def conic(*args):
         calls.append(args)
@@ -1348,15 +1410,105 @@ def test_a_plan_evaluates_the_grid_nodes_once(ref, monkeypatch):
         sizes.append(out[0][0].size)
         return out
 
-    conic_coefficients, leg_geometry, leg_vectors = (
-        modeplan._conic_coefficients, modeplan._leg_geometry, modeplan._leg_vectors
+    def node_signs(*args):
+        out = node_signs_of(*args)
+        lattices.append((args[1].shape[1:] == (1, 1), out[0].shape))  # x = xs[:, None, None] on a lattice
+        return out
+
+    def window_masks(geom, axes, window, *args):
+        windows.append(window)
+        return window_masks_of(geom, axes, window, *args)
+
+    conic_coefficients, leg_geometry, leg_vectors, node_signs_of, window_masks_of = (
+        modeplan._conic_coefficients, modeplan._leg_geometry, modeplan._leg_vectors,
+        modeplan._node_signs, modeplan._window_masks,
     )
     monkeypatch.setattr(modeplan, "_conic_coefficients", conic)
     monkeypatch.setattr(modeplan, "_leg_geometry", kernel)
     monkeypatch.setattr(modeplan, "_leg_vectors", vectors)
+    monkeypatch.setattr(modeplan, "_node_signs", node_signs)
+    monkeypatch.setattr(modeplan, "_window_masks", window_masks)
     plan_mode_change(ref, Pose(5, 5, 0))
     grid = [phi for _, phi, _ in calls if not np.array_equal(phi, modeplan._TRIG_ANGLES)]
     assert len(grid) == 1 and len(grid[0]) == 64 and max(sizes) < 64**3
+    (((i0, i1), (j0, j1)),) = windows
+    window = (i1 - i0) * (j1 - j0) * 64
+    assert window < 64**3 / 10 and [s for grid, s in lattices if grid] == [(i1 - i0, j1 - j0, 64)]
+    points = sum(math.prod(s) for grid, s in lattices if not grid)
+    assert points <= 8 * 3 * 64 + 16 and window + points < 20_000, (window, points)
+
+    lattices.clear(), windows.clear()
+    plan_mode_change(ref, Pose(10.2, -4.3, 2.9))
+    assert len(windows) == 2 and windows[1] == ((0, 64), (0, 64))
+    assert [s for grid, s in lattices if math.prod(s) >= 64**3] == [(64, 64, 64)]
+
+
+def test_window_point_and_grid_evaluations_give_the_same_bits():
+    """The determinant of one node has the same bits whether _node_signs
+    evaluates it on the whole grid, on a window of the grid, alone, or
+    among a door's corners (broadcast (2, 2, k)), and those of the
+    expression ((q20 u + (q11 v + q10)) u + ((q02 v + q01) v + q00)) on the
+    whole grid; so has its sign."""
+    rng = np.random.default_rng(37)
+    for geom in _grid_designs():
+        for n in (16, 33, 64):
+            xs, ys, phis = _grid_axes(geom, (n, n, n))
+            q, det, sgn, band = _grid_signs(geom, xs, ys, phis)
+            o = geom.base.mean(axis=0)
+            q20, q11, q02, q10, q01, q00 = q.T
+            u, v = (xs - o[0])[:, None, None], (ys - o[1])[:, None]
+            expr = (q20 * u + (q11 * v + q10)) * u + ((q02 * v + q01) * v + q00)
+            assert det.tobytes() == expr.tobytes(), n
+            (i0, i1), (j0, j1) = (np.sort(rng.choice(n + 1, 2, replace=False)) for _ in range(2))
+            sub = _node_signs(geom, xs[i0:i1, None, None], ys[j0:j1, None], q, band)
+            assert sub[0].tobytes() == det[i0:i1, j0:j1].tobytes() and np.array_equal(sub[1], sgn[i0:i1, j0:j1])
+            i, j, m = (rng.integers(0, n, 50) for _ in range(3))
+            alone = _node_signs(geom, xs[i], ys[j], q[m], band)
+            assert alone[0].tobytes() == det[i, j, m].tobytes() and np.array_equal(alone[1], sgn[i, j, m])
+            side, corner = np.stack([i, i + 1]) % n, (np.stack([j, j + 1]) % n)[:, None]
+            doors = _node_signs(geom, xs[side], ys[corner], q[m], band)
+            assert doors[0].tobytes() == det[side, corner, m].tobytes() and doors[0].shape == (2, 2, 50)
+
+
+def _band_designs():
+    """The reference robot at three scales and 30 seeded designs, each at
+    one of the scales 1e-3, 1 and 1e3."""
+    designs = [RobotGeometry(np.asarray(REF_BASE) * s, np.asarray(REF_PLATFORM) * s) for s in (1.0, 1e-3, 1e3)]
+    rng = np.random.default_rng(41)
+    while len(designs) < 33:
+        scale = (1e-3, 1.0, 1e3)[len(designs) % 3]
+        geom = RobotGeometry(rng.uniform(-10, 10, (3, 2)) * scale, rng.uniform(-4, 4, (3, 2)) * scale)
+        if not is_architecturally_singular(geom)[0]:
+            designs.append(geom)
+    return designs
+
+
+def test_the_box_band_holds_the_largest_node_band():
+    """The zero band ZERO_DET_REL * T from the bound T on |det| over the box
+    is at least ZERO_DET_REL times the largest |det| of the grid's nodes
+    (the band it replaced), and within a factor 10 of it, over the default
+    box at 16^3, 33^3 and 64^3; the planner takes the same band."""
+    for geom in _band_designs():
+        for n in (16, 33, 64):
+            _, det, _, band = _grid_signs(geom, *_grid_axes(geom, (n, n, n)))
+            largest = modeplan.ZERO_DET_REL * np.abs(det).max()
+            assert largest <= band <= 10 * largest, (geom, n)
+    bands = []  # of a plan on the last design, a 1e3-scale one
+    node_signs = modeplan._node_signs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modeplan, "_node_signs", lambda *args: bands.append(args[4]) or node_signs(*args))
+        plan_mode_change(geom, Pose(*geom.base.mean(axis=0), 0.3), resolution=(16, 16, 16), require_crossing=False)
+    assert set(bands) == {_grid_signs(geom, *_grid_axes(geom, (16, 16, 16)))[3]}
+
+
+def test_a_box_whose_determinant_bound_overflows_is_a_validation_error(ref):
+    """On a box about 1e160 wide the bound on |det| over the box overflows:
+    the plan raises ValidationError, worded as the path check's, with no
+    RuntimeWarning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="the line-matrix determinant on the grid is not finite"):
+            plan_mode_change(ref, Pose(5, 5, 0), box=(-1e160, -1e160, 1e160, 1e160), resolution=(16, 16, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -1390,7 +1542,7 @@ def _reference_edge_scan(geom, xs, ys, phis, axis, subsamples=9):
 def _check_masks_against_reference(geom, resolution):
     """Exact cross ⊇ sampled cross on every axis."""
     xs, ys, phis = _grid_axes(geom, resolution)
-    nodes = _node_signs(geom, xs, ys, phis)
+    nodes = _grid_signs(geom, xs, ys, phis)
     for axis in range(3):
         cross = _axis_edge_scan(geom, xs, ys, phis, axis, *nodes)
         ref_cross = _reference_edge_scan(geom, xs, ys, phis, axis)
@@ -1417,7 +1569,7 @@ def test_exact_edge_masks_reference_robot_counts(ref):
     scan's counts, so with the containment above they are equal."""
     xs = ys = np.linspace(-L, 2 * L, 64)
     phis = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    nodes = _node_signs(ref, xs, ys, phis)
+    nodes = _grid_signs(ref, xs, ys, phis)
     counts = [int(_axis_edge_scan(ref, xs, ys, phis, axis, *nodes).sum()) for axis in range(3)]
     assert counts == [3341, 3275, 9208]
 
@@ -1456,7 +1608,7 @@ def test_exact_phi_scan_finds_two_roots_between_subsamples(ref):
 
     xs, ys = np.array([x, x + 1.0]), np.array([y, y + 1.0])
     phis = np.linspace(0.0, 2.0 * np.pi, np_, endpoint=False)
-    assert _axis_edge_scan(ref, xs, ys, phis, 2, *_node_signs(ref, xs, ys, phis))[0, 0, 0]
+    assert _axis_edge_scan(ref, xs, ys, phis, 2, *_grid_signs(ref, xs, ys, phis))[0, 0, 0]
     assert not _reference_edge_scan(ref, xs, ys, phis, 2)[0, 0, 0]
 
 
@@ -1536,7 +1688,7 @@ def test_phi_masks_equal_the_companion_scan():
     for geom in _phi_scan_designs():
         for n in (16, 32, 64):
             xs, ys, phis = _grid_axes(geom, (n, n, n))
-            q, det, sgn, band = _node_signs(geom, xs, ys, phis)
+            q, det, sgn, band = _grid_signs(geom, xs, ys, phis)
             got = _axis_edge_scan(geom, xs, ys, phis, 2, q, det, sgn, band)
             assert np.array_equal(got, _companion_phi_scan(phis, det, sgn)), (geom, n)
 
@@ -2514,8 +2666,8 @@ def _planner_segments(geom, rng, res):
     xs, ys, phis = _grid_axes(geom, (res,) * 3)
     steps = np.diag([xs[1] - xs[0], ys[1] - ys[0], 2.0 * np.pi / res])
     corner = lambda i, j, m: np.array([xs[i], ys[j], phis[m]])
-    q, _, sgn, band = _node_signs(geom, xs, ys, phis)
-    doors, points, _ = _serial_doors(geom, xs, ys, phis, passage_safety(geom), q, sgn, band)
+    q, _, _, band = _grid_signs(geom, xs, ys, phis)
+    doors, points, _ = _serial_doors(geom, xs, ys, phis, passage_safety(geom), q, band)
     p0s, p1s = [], []
     for (axis, i, j, m), (a, b) in zip(doors.tolist(), points):
         p0s += [corner(i, j, m), a, b]

@@ -708,6 +708,13 @@ def test_polyline_on_an_overflowing_window_is_a_validation_error(ref):
             sample_conic_polyline(conic, (-1e160, -1e160, 1e160, 1e160), 1e157)
 
 
+def test_polyline_on_a_window_of_three_entries_is_a_validation_error(ref):
+    """A window without its fourth entry names the argument; it was a bare
+    ValueError from unpacking."""
+    with pytest.raises(ValidationError, match="window must have 4 entries"):
+        sample_conic_polyline(singularity_conic(ref, 0.9), (-10, -10, 20), 0.5)
+
+
 def test_polyline_with_a_step_whose_join_tolerance_underflows_is_a_validation_error():
     """1e-9 * 1e-320 is 0: the float-key stitcher divided by it (a bare
     ZeroDivisionError), and ends rounded in numpy would all join at inf."""
