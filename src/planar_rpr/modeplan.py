@@ -75,8 +75,9 @@ REFINE_FACTOR = 8
 ZERO_DET_REL = 1e-12
 # Bracket width to which crossing parameters are refined.
 CROSSING_T_TOL = 1e-10
-# Segments of one pass over shortcuts, which bounds its memory on long
-# routes; the reference robot's default-grid passes take at most 11.
+# Segments of one crossing-check call, which bounds its memory on long
+# routes; on the reference robot's default grid a shortcut pass checks at
+# most 7 on its pinned plans and 51 over 12 seeded starts.
 BATCH_SEGMENTS = 2**10
 
 
@@ -495,14 +496,21 @@ def _split_gaps(geom: RobotGeometry, s: _SampledPath):
     determinant call on their steps (:func:`_step_pose`), until certified
     or CROSSING_T_TOL wide; a midpoint of the other sign (or zero) joins
     the samples.  Ends in the step's zero band are not tested: |det| <=
-    ZERO_DET_REL * T, below which rounding decides the sign.
+    ZERO_DET_REL * T, below which rounding decides the sign.  A bound that
+    is not finite raises :class:`ValidationError`.
     """
     paths, ts, rows, dets = s.paths, s.ts, s.rows, s.legs[3]
     a = np.abs(dets)
-    curvature, size = _step_bounds(geom, paths)
-    h, f = ts[1:] - ts[:-1], np.minimum(a[:-1], a[1:])
     n = paths.steps.shape[1]
-    largest = curvature.max() * n**2  # nan leaves every gap to its step
+    with np.errstate(over="ignore", invalid="ignore"):
+        curvature, size = _step_bounds(geom, paths)
+        largest = curvature.max() * n**2
+    if not (math.isfinite(largest) and math.isfinite(size.max())):
+        raise ValidationError(
+            "the bounds on the line-matrix determinant along the path are not finite: "
+            "the path's coordinates are too large"
+        )
+    h, f = ts[1:] - ts[:-1], np.minimum(a[:-1], a[1:])
     k = (rows[:-1] == rows[1:]) & (dets[:-1] * dets[1:] > 0.0) & ~(f > largest * h**2) & (h > CROSSING_T_TOL)
     k = k.nonzero()[0]
     if not len(k):
@@ -1093,21 +1101,50 @@ def _grid_route(masks, doors, costs, ends, require_crossing, serial, inner=None)
     return search.walk(0, a[k])[::-1] + search.walk(1, b[k])
 
 
-def _cell_corners(axes, pose: Pose, L: float):
+def _cell_corners(axes, poses, L: float):
     """The eight corners of the cell of the grid with node coordinates
-    ``axes`` = (xs, ys, phis) around ``pose``, as flat node indices, nearest
-    first: keyed by :func:`pose_distance` with its operations on arrays (so
-    with its bits), ties in corner order (i, then j, then m), as a stable
-    sort leaves them."""
+    ``axes`` = (xs, ys, phis) around each of ``poses`` ((k, 3) rows of x, y,
+    phi), as a (k, 8) array of flat node indices, nearest first: keyed by
+    :func:`pose_distance` with its operations on arrays (so with its bits),
+    ties in corner order (i, then j, then m), as a stable sort leaves them."""
     xs, ys, phis = axes
     shape = nx, ny, np_ = len(xs), len(ys), len(phis)
-    ci = int(np.clip(np.searchsorted(xs, pose.x) - 1, 0, nx - 2))
-    cj = int(np.clip(np.searchsorted(ys, pose.y) - 1, 0, ny - 2))
-    cm = int(np.floor(wrap_angle(pose.phi) % (2.0 * np.pi) / (2.0 * np.pi / np_))) % np_
+    x, y, phi = (v[:, None] for v in poses.T)
+    ci = np.clip(np.searchsorted(xs, x) - 1, 0, nx - 2)
+    cj = np.clip(np.searchsorted(ys, y) - 1, 0, ny - 2)
+    cm = np.floor(wrap_angle(phi) % (2.0 * np.pi) / (2.0 * np.pi / np_)).astype(int) % np_
     di, dj, dm = np.unravel_index(np.arange(8), (2, 2, 2))
     i, j, m = ci + di, cj + dj, (cm + dm) % np_
-    key = np.maximum(np.hypot(pose.x - xs[i], pose.y - ys[j]), L * np.abs(wrap_angle(pose.phi - phis[m])))
-    return np.ravel_multi_index((i, j, m), shape)[np.argsort(key, kind="stable")]
+    key = np.maximum(np.hypot(x - xs[i], y - ys[j]), L * np.abs(wrap_angle(phi - phis[m])))
+    return np.take_along_axis(np.ravel_multi_index((i, j, m), shape), np.argsort(key, axis=1, kind="stable"), 1)
+
+
+def _shortcuts(geom, table, firsts, eps_pass, safe) -> list[int]:
+    """The waypoints of ``table`` that a plan keeps.  On each stretch, from 0
+    or a door's second row point to the next door's first (``firsts``) or
+    the last waypoint, it goes from each kept waypoint k to the farthest
+    waypoint joined to k admissibly, or to k + 1, checking the farthest
+    alone (it is most often admissible), then the others.  Each round
+    checks every stretch's next shortcuts in one pass (calls of at most
+    BATCH_SEGMENTS segments), which does not change a segment's events."""
+    his = firsts + [len(table) - 1]
+    kept = [[k] for k in [0] + [p + 1 for p in firsts]]
+    todo, size = [np.arange(hi, w[0] + 1, -1) for w, hi in zip(kept, his)], [1] * len(his)
+    while any(len(js) for js in todo):
+        batches = [js[:n] for js, n in zip(todo, size)]
+        ks, js = np.repeat([w[-1] for w in kept], [len(b) for b in batches]), np.concatenate(batches)
+        ok = []
+        for c in range(0, len(js), BATCH_SEGMENTS):
+            rows = slice(c, c + BATCH_SEGMENTS)
+            ok += [e is not None for e in _segments_crossings(geom, table[ks[rows]], table[js[rows]], eps_pass, safe)]
+        for s, batch in enumerate(batches):
+            fits, ok = batch[ok[: len(batch)]], ok[len(batch) :]
+            todo[s], size[s] = todo[s][len(batch) :], BATCH_SEGMENTS
+            if len(fits) or (len(batch) and not len(todo[s])):
+                kept[s].append(int(fits[0]) if len(fits) else kept[s][-1] + 1)
+                todo[s], size[s] = np.arange(his[s], kept[s][-1] + 1, -1), 1
+    # a stretch left one short of its end takes the end unchecked
+    return [k for w, hi in zip(kept, his) for k in (w if w[-1] == hi else w + [hi])]
 
 
 def plan_mode_change(
@@ -1145,10 +1182,11 @@ def plan_mode_change(
     nearest nonzero corner of each, and a second the other nonzero corners
     of an endpoint whose nearest is not joined.  After it, from each kept
     waypoint the route skips to the farthest admissible shortcut, keeping
-    the two points where each door's path crosses its cell: one pass checks
-    the farthest shortcut alone, and further passes the others, farthest
-    first.  ``resolution`` must be three counts, each a real number with a
-    whole value and not a string (the rule of ``samples_per_segment``),
+    the two points where each door's path crosses its cell; one pass per
+    round checks every stretch between them, its farthest shortcut alone
+    or, after a refusal, its others (:func:`_shortcuts`).  ``resolution``
+    must be three counts, each a real number with a whole value and not a
+    string (the rule of ``samples_per_segment``),
     ``box`` four real numbers with finite corners and extent, and
     ``eps_pass`` a positive, finite real number; each raises
     :class:`ValidationError` otherwise.
@@ -1215,9 +1253,6 @@ def plan_mode_change(
         i, j, m = np.unravel_index(nodes, shape)
         return np.stack([xs[i], ys[j], phis[m]], axis=-1)
 
-    def node_pose(node):
-        return Pose(*node_poses(node).tolist())
-
     o, _, size = geom.gap_forms  # the zero band of the nodes, from the bound on |det| over the box
     with np.errstate(over="ignore", invalid="ignore"):
         band = ZERO_DET_REL * _det_bound(size, *np.abs([[x0, y0], [x1, y1]] - o).max(axis=0))
@@ -1229,10 +1264,10 @@ def plan_mode_change(
     # it admissibly.  One pass checks the nearest nonzero corner of each; a
     # second checks the other nonzero corners of an endpoint not yet snapped.
     poses = (start, target)
-    corners = [_cell_corners((xs, ys, phis), pose, L).tolist() for pose in poses]
-    i, j, m = np.unravel_index(flat := sum(corners, []), shape)
-    sign = dict(zip(flat, _node_signs(geom, xs[i], ys[j], q[m], band)[1].tolist()))
-    near = [[c for c in cs if sign[c]] for cs in corners]
+    corners = _cell_corners((xs, ys, phis), np.array([p.as_tuple() for p in poses], dtype=float), L)
+    i, j, m = np.unravel_index(flat := corners.ravel(), shape)
+    sign = dict(zip(flat.tolist(), _node_signs(geom, xs[i], ys[j], q[m], band)[1].tolist()))
+    near = [[c for c in cs if sign[c]] for cs in corners.tolist()]
     snapped = [None, None]
     for ranks in (slice(0, 1), slice(1, None)):
         todo = [(end, c) for end in (0, 1) if snapped[end] is None for c in near[end][ranks]]
@@ -1270,35 +1305,21 @@ def plan_mode_change(
     nodes = np.ravel_multi_index((i + i0, j + j0, m), shape).tolist()
 
     # every door on the route goes through its two row points, which the
-    # simplification keeps
-    lo, hi = lo.tolist(), hi.tolist()
-    door_at = dict(zip(zip(lo, hi), door_points.tolist())) | dict(zip(zip(hi, lo), door_points[:, ::-1].tolist()))
-    waypoints, protected = [start, node_pose(nodes[0])], set()
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        if (a, b) in door_at:
-            protected.update((len(waypoints), len(waypoints) + 1))
-            waypoints += [Pose(*p) for p in door_at[a, b]]
-        waypoints.append(node_pose(b))
-    waypoints.append(target)
+    # simplification keeps: door_at maps each door edge to its door d, and
+    # the edge the other way to ~d, which takes the row points in reverse;
+    # firsts lists the waypoint of each door's first row point
+    lo, hi, n = lo.tolist(), hi.tolist(), len(lo)
+    door_at = dict(zip(zip(lo, hi), range(n))) | dict(zip(zip(hi, lo), range(-1, -n - 1, -1)))
+    route, table, firsts = node_poses(nodes), [[start.as_tuple()]], []
+    for r, edge in enumerate(zip([None] + nodes[:-1], nodes)):
+        if (d := door_at.get(edge)) is not None:
+            firsts.append(r + 1 + 2 * len(firsts))
+            table.append(door_points[d] if d >= 0 else door_points[~d, ::-1])
+        table.append(route[r : r + 1])
+    table = np.concatenate([*table, [target.as_tuple()]])
 
-    # From each kept waypoint k, go to the farthest waypoint j <= hi (the next
-    # protected door end) joined to it by an admissible shortcut, or to k + 1,
-    # checking the shortcuts farthest first: the farthest alone (it is most
-    # often admissible), then at most BATCH_SEGMENTS per pass.
-    table = np.array([w.as_tuple() for w in waypoints])
-    kept = [0]
-    k = 0
-    while k < len(waypoints) - 1:
-        hi = min([p for p in protected if p > k], default=len(waypoints) - 1)
-        js = np.arange(hi, k + 1, -1)
-        j, size = k + 1, 1
-        while j == k + 1 and len(js):
-            batch, js, size = js[:size], js[size:], BATCH_SEGMENTS
-            events = _segments_crossings(geom, np.tile(table[k], (len(batch), 1)), table[batch], eps_pass, safe)
-            j = next((int(jj) for jj, e in zip(batch, events) if e is not None), j)
-        kept.append(j)
-        k = j
-    simplified = [waypoints[k] for k in kept]
+    kept = _shortcuts(geom, table, firsts, eps_pass, safe)
+    simplified = [start] + [Pose(*table[k].tolist()) for k in kept[1:-1]] + [target]
     final = [simplified[0]]
     for p in simplified[1:]:
         if pose_distance(p, final[-1], L) > 1e-9 * L:

@@ -837,7 +837,8 @@ def test_cell_corners_are_ordered_as_sorted_orders_them():
     """The eight corners of a pose's grid cell come in the order the
     planner's former sort by pose_distance gave: the same keys, bit for
     bit, and ties in corner order.  Seeded poses, and poses on nodes and at
-    cell centres (ties), at and between the grid's angles and a turn away."""
+    cell centres (ties), at and between the grid's angles and a turn away,
+    all in one call, and the planner's two endpoints in one call."""
     rng = np.random.default_rng(41)
     ties = 0
     for geom in _grid_designs():
@@ -849,12 +850,16 @@ def test_cell_corners_are_ordered_as_sorted_orders_them():
                 i, j, m = rng.integers(0, n - 1, 3)
                 phi = phis[m] + [0.0, 0.5 * (phis[1] - phis[0]), 2.0 * np.pi, -2.0 * np.pi][k % 4]
                 poses += [Pose(xs[i], ys[j], phi), Pose(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]), phi)]
-            for pose in poses:
-                got = _cell_corners(axes, pose, geom.L).tolist()
+            rows = _cell_corners(axes, np.array([p.as_tuple() for p in poses], dtype=float), geom.L)
+            assert rows.shape == (len(poses), 8)
+            for pose, got in zip(poses, rows.tolist()):
                 assert got == _sorted_cell_corners(axes, pose, geom.L), pose
                 keys = [max(np.hypot(pose.x - xs[i], pose.y - ys[j]), geom.L * abs(wrap_angle(pose.phi - phis[m])))
                         for i, j, m in zip(*np.unravel_index(got, (n, n, n)))]
                 ties += len(keys) - len(set(keys))
+            for pair in zip(poses[::2], poses[1::2]):
+                got = _cell_corners(axes, np.array([p.as_tuple() for p in pair], dtype=float), geom.L).tolist()
+                assert got == [_sorted_cell_corners(axes, p, geom.L) for p in pair], pair
     assert ties > 100
 
 
@@ -892,8 +897,8 @@ def test_endpoints_snap_to_the_corner_that_checking_every_corner_picks(monkeypat
                 ends = [Pose(*rng.uniform(-geom.L, 2 * geom.L, 2), rng.uniform(-np.pi, np.pi)) for _ in range(2)]
                 if any(classify_configuration(geom, p).kind != "regular" for p in ends):
                     continue
-                near = [_cell_corners(axes, p, geom.L) for p in ends]
-                i, j, m = np.unravel_index(np.concatenate(near), (n, n, n))
+                near = _cell_corners(axes, np.array([p.as_tuple() for p in ends], dtype=float), geom.L)
+                i, j, m = np.unravel_index(near.ravel(), (n, n, n))
                 p0s = np.repeat([p.as_tuple() for p in ends], 8, axis=0)
                 checked = _segments_crossings(geom, p0s, np.stack([axes[0][i], axes[1][j], axes[2][m]], -1),
                                               EPS_PASS_REL * geom.L, safe)
@@ -910,6 +915,101 @@ def test_endpoints_snap_to_the_corner_that_checking_every_corner_picks(monkeypat
                 cases += 1
                 skipped += sum(w != next(c for c in near[k].tolist() if sgn.flat[c]) for k, w in enumerate(want))
     assert cases > 100 and skipped > 3
+
+
+def _sequential_shortcuts(geom, table, firsts, eps_pass, safe):
+    """The planner's former shortcut loop, the reference of _shortcuts: the
+    stretches one after another, from each kept waypoint k the farthest
+    shortcut to the next door end (or the last waypoint) alone in one pass,
+    then the others, at most BATCH_SEGMENTS per pass, farthest first.
+    Returns the kept waypoints and the segments of each pass, per stretch
+    (keyed by its last waypoint)."""
+    protected = set(firsts) | {p + 1 for p in firsts}
+    kept, passes = [0], collections.defaultdict(list)
+    k = 0
+    while k < len(table) - 1:
+        hi = min([p for p in protected if p > k], default=len(table) - 1)
+        js = np.arange(hi, k + 1, -1)
+        j, size = k + 1, 1
+        while j == k + 1 and len(js):
+            batch, js, size = js[:size], js[size:], modeplan.BATCH_SEGMENTS
+            passes[hi].append(len(batch))
+            events = _segments_crossings(geom, np.tile(table[k], (len(batch), 1)), table[batch], eps_pass, safe)
+            j = next((int(jj) for jj, e in zip(batch, events) if e is not None), j)
+        kept.append(j)
+        k = j
+    return kept, passes
+
+
+def test_lockstep_shortcuts_keep_what_the_stretches_kept_one_after_another(ref, monkeypatch):
+    """_shortcuts checks the next shortcuts of every stretch between door
+    ends in one pass per round; it keeps the waypoints that the former
+    loop, one stretch after another, kept, and checks the same segments
+    in as many passes as that loop's busiest stretch.  The reference robot
+    from (5, 5, 0) and (0, 0, 0) (a splice plan through two doors), a 12^3
+    plan that refuses every shortcut of a waypoint, and seeded starts on
+    the grid designs at 16^3 to 64^3, with and without require_crossing:
+    some routes hold two doors or more, and some refuse a farthest
+    shortcut.  The two reference plans take 2 and 3 crossing passes in
+    all, the snap's included; with BATCH_SEGMENTS at 2 no call takes more
+    than 2 segments, and every plan keeps its waypoints."""
+    calls, seen = [], []  # segments per crossing-check call; per _shortcuts call, its inputs, output and calls
+    shortcuts, segments = modeplan._shortcuts, modeplan._segments_crossings
+
+    def recorded(geom, table, firsts, eps_pass, safe):
+        before = len(calls)
+        kept = shortcuts(geom, table, firsts, eps_pass, safe)
+        seen.append(((geom, table, list(firsts), eps_pass, safe), kept, calls[before:]))
+        return kept
+
+    def counted(geom, p0s, *args):
+        calls.append(len(p0s))
+        return segments(geom, p0s, *args)
+
+    monkeypatch.setattr(modeplan, "_shortcuts", recorded)
+    monkeypatch.setattr(modeplan, "_segments_crossings", counted)
+    for start, passes in (((5, 5, 0), 2), ((0, 0, 0), 3)):
+        calls.clear()
+        plan_mode_change(ref, Pose(*start))
+        assert len(calls) == passes, (start, calls)
+    assert len(seen[1][0][2]) == 2  # the splice plan's two doors
+    rng = np.random.default_rng(29)
+    cases = [(ref, Pose(5, 5, 0), 64, True), (ref, Pose(0, 0, 0), 64, True),
+             (ref, Pose(13.30049343026894, 8.390099031591213, 5.763551461051757), 12, True)]
+    for geom in _grid_designs():
+        for n in (16, 32, 64):
+            for _ in range(2):
+                start = Pose(*rng.uniform(-geom.L, 2 * geom.L, 2), rng.uniform(0.0, 2.0 * np.pi))
+                cases += [(geom, start, n, rc) for rc in (True, False)]
+    plans = {}
+    seen.clear()
+    for k, (geom, start, n, rc) in enumerate(cases):
+        try:
+            plans[k] = plan_mode_change(geom, start, resolution=(n, n, n), require_crossing=rc).waypoints
+        except (InvalidStart, NoPathFound):
+            pass
+    refused = all_refused = 0
+    for args, kept, rows in seen:
+        want, passes = _sequential_shortcuts(*args)
+        assert kept == want
+        assert sum(rows) == sum(map(sum, passes.values()))
+        assert len(rows) == max(map(len, passes.values()), default=0)
+        firsts = args[2]
+        # a stretch that keeps more than its two ends refused a farthest
+        # shortcut; one that keeps k and k + 1 refused every shortcut from k
+        refused += len(kept) > 2 * len(firsts) + 2
+        ends = set(firsts) | {p + 1 for p in firsts} | {len(args[1]) - 1}
+        all_refused += any(b == a + 1 and b not in ends for a, b in zip(kept[:-1], kept[1:]))
+    assert len(plans) > 40 and refused > 3 and all_refused > 0
+    assert sum(len(args[2]) >= 2 for args, _, _ in seen) > 3
+
+    # calls of at most BATCH_SEGMENTS segments, the same plans
+    monkeypatch.setattr(modeplan, "BATCH_SEGMENTS", 2)
+    seen.clear()
+    for k, (geom, start, n, rc) in enumerate(cases):
+        if k in plans:
+            assert plan_mode_change(geom, start, resolution=(n, n, n), require_crossing=rc).waypoints == plans[k]
+    assert max(max(rows, default=0) for _, _, rows in seen) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1509,6 +1609,31 @@ def test_a_box_whose_determinant_bound_overflows_is_a_validation_error(ref):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="the line-matrix determinant on the grid is not finite"):
             plan_mode_change(ref, Pose(5, 5, 0), box=(-1e160, -1e160, 1e160, 1e160), resolution=(16, 16, 16))
+
+
+def test_a_path_step_whose_bounds_are_not_finite_is_a_validation_error(ref):
+    """The step (5, 5, 0) -> (6e100, 5, 1) has a finite bound T on |det| but
+    a curvature bound M of nan (inf times 0 among its terms), which used to
+    let every same-sign gap of the step through unhalved.  The crossing
+    check and verify raise ValidationError on it and on (1e120, 0, 0) ->
+    (-1e120, 1, 3), which verify used to judge after six RuntimeWarnings;
+    so does a plan in a box 2e150 wide, whose grid's zero band is finite
+    but whose snap segments' curvature bounds are not (it used to print
+    four RuntimeWarnings and fail to connect its start).  No
+    RuntimeWarning on the way."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        curvature, size = modeplan._step_bounds(ref, modeplan._Paths(np.array([[[5, 5, 0], [6e100, 5, 1]]], float), 16))
+    assert np.isnan(curvature[0, 0]) and np.isfinite(size[0, 0])
+    message = "the bounds on the line-matrix determinant along the path are not finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ends in (((5, 5, 0), (6e100, 5, 1)), ((1e120, 0, 0), (-1e120, 1, 3))):
+            path = WorkspacePath(tuple(Pose(*p) for p in ends))
+            for check in (detect_crossings, verify_mode_change):
+                with pytest.raises(ValidationError, match=message):
+                    check(ref, path)
+        with pytest.raises(ValidationError, match=message):
+            plan_mode_change(ref, Pose(5, 5, 0), box=(-1e150, -1e150, 1e150, 1e150), resolution=(16, 16, 16))
 
 
 # ---------------------------------------------------------------------------
