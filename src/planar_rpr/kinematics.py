@@ -133,9 +133,8 @@ def inverse_kinematics(geom: RobotGeometry, pose: Pose, sign_hint=None) -> Joint
     b = platform_points(geom, pose)
     dist = np.hypot(b[:, 0] - geom.base[:, 0], b[:, 1] - geom.base[:, 1])
     if sign_hint is None:
-        signs = np.ones(3)
-    else:
-        signs = np.where(np.asarray(_entries(sign_hint, 3, "sign_hint"), dtype=float) < 0.0, -1.0, 1.0)
+        return JointVector(dist)
+    signs = np.where(np.asarray(_entries(sign_hint, 3, "sign_hint"), dtype=float) < 0.0, -1.0, 1.0)
     return JointVector(dist * signs)
 
 

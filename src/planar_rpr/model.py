@@ -184,7 +184,7 @@ class JointVector:
         arr = np.asarray(self.rho, dtype=float)
         if arr.shape != (3,):
             raise ValidationError(f"joint vector must have three entries, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValidationError("joint vector contains non-finite values")
         arr = arr.copy()
         arr.flags.writeable = False

@@ -256,7 +256,8 @@ def _sample_params(geom: RobotGeometry, paths: _Paths):
     the refinement band.  Each sample is evaluated once: the base samples'
     outputs are kept, and only the refinement samples are evaluated after
     them.  A refinement sample lies strictly inside its gap, so no two
-    samples of a row are equal.
+    samples of a row are equal, and each is placed by index: after its
+    gap's left end, which moves by the refinement samples before it.
     """
     m, n, _ = paths.steps.shape
     # the base parameters of a row: each segment's but its end, which starts the next one, then t = 1
@@ -272,9 +273,15 @@ def _sample_params(geom: RobotGeometry, paths: _Paths):
     extra = (ts[k, None] + (ts[k + 1] - ts[k])[:, None] * frac).ravel()
     extra_rows = np.repeat(rows[k], len(frac))
     more = _leg_geometry(geom, *paths.poses_at(extra, extra_rows))
-    ts, rows = np.concatenate([ts, extra]), np.concatenate([rows, extra_rows])
-    order = np.lexsort((ts, rows))
-    return ts[order], rows[order], tuple(np.concatenate([a, b])[order] for a, b in zip(legs, more))
+    at = np.arange(len(ts))
+    at += len(frac) * np.searchsorted(k, at)  # each base sample's place, after the refinement samples before it
+    slots = (at[k, None] + np.arange(1, REFINE_FACTOR)).ravel()
+    # t, row (exact as a float) and kernel outputs in one array, samples along its
+    # last axis as _leg_geometry lays out dx, dy and dist: two assignments merge all
+    out = np.empty((12, len(at) + len(slots)))
+    out[:, at] = np.concatenate([ts[None], rows[None], legs[0].T, legs[1].T, legs[2].T, legs[3][None]])
+    out[:, slots] = np.concatenate([extra[None], extra_rows[None], more[0].T, more[1].T, more[2].T, more[3][None]])
+    return out[0], out[1].astype(int), (out[2:5].T, out[5:8].T, out[8:11].T, out[11])
 
 
 @dataclass(frozen=True)
@@ -338,9 +345,8 @@ def continue_joints(geom: RobotGeometry, path: WorkspacePath) -> JointPath:
     s = _sampled(geom, path)
     paths, ts, (dx, dy, dist, _) = s.paths, s.ts, s.legs
     zero_tol = ZERO_TOUCH_REL * geom.L
-    d = np.stack([dx, dy])  # leg vectors, (2, sample, leg)
     # leg-vector dot products between samples k and k + lag, lag = 1, 2
-    dots, dots2 = (np.sum(d[:, :-lag] * d[:, lag:], axis=0) for lag in (1, 2))
+    dots, dots2 = (dx[:-lag] * dx[lag:] + dy[:-lag] * dy[lag:] for lag in (1, 2))
     below = dist <= zero_tol
     flips: list[tuple[float, int]] = []
     for leg in np.flatnonzero(below.any(axis=0)).tolist():  # legs with a zero sample
@@ -417,18 +423,17 @@ def _trig_basis(phi):
 _TRIG_ANGLES = 2.0 * np.pi * np.arange(5) / 5
 
 
-# Flat indices, in the outer product of z = (dx, dy, dphi, u, v, 1) with
-# itself, of the monomials R = (dx^2, dx dy, dy^2, dx dphi, dy dphi, dphi^2)
-# and W = (u^2, uv, v^2, u, v, 1).
-_RATE_PAIRS = np.array([0, 1, 7, 2, 8, 14])
-_END_PAIRS = np.array([21, 22, 28, 23, 29, 35])
+# The factors, as rows of z = (|dx|, |dy|, |dphi|, u, v, 1), of the monomials
+# R = (dx^2, dx dy, dy^2, dx dphi, dy dphi, dphi^2) and W = (u^2, uv, v^2, u, v, 1).
+_MONOMIALS = np.array([[0, 0, 1, 0, 1, 2, 3, 3, 4, 3, 4, 5], [0, 1, 1, 2, 2, 2, 3, 4, 4, 5, 5, 5]])
 
 
 def _gap_forms(geom: RobotGeometry):
-    """The design's gap forms ``(o, curv, size)``: with the monomials W of
-    the larger |u| and |v| at a path step's ends, about the base centroid
-    o, and R of its rates (see ``_RATE_PAIRS``), R @ curv @ W bounds
-    |det''| / 8 on the step and W @ size bounds |det| (:func:`_step_bounds`).
+    """The design's gap forms ``(o, curv, size)``: with the monomials
+    W = (u^2, uv, v^2, u, v, 1) of the larger |u| and |v| at a path step's
+    ends, about the base centroid o, and R = (dx^2, dx dy, dy^2, dx dphi,
+    dy dphi, dphi^2) of its rates, R @ curv @ W bounds |det''| / 8 on the
+    step and W @ size bounds |det| (:func:`_step_bounds`).
     Built once per design (``RobotGeometry.gap_forms``).
 
     Along the step det = sum_c m_c q_c over the monomials m_c of (u, v), and
@@ -460,15 +465,16 @@ def _step_bounds(geom: RobotGeometry, paths: _Paths):
     the same bits in any batch (a matrix product rounds by the batch's
     size)."""
     o, curv, size = geom.gap_forms
-    z = np.ones((6, *paths.steps.shape[:2]))  # monomials leading
+    z = np.ones((6, *paths.steps.shape[:2]))  # (|dx|, |dy|, |dphi|, u, v, 1) leading
     np.abs(paths.steps.transpose(2, 0, 1), out=z[:3])
     ends = np.abs(paths.table[..., :2] - o).transpose(2, 0, 1)
     np.maximum(ends[..., :-1], ends[..., 1:], out=z[3:5])
-    pairs = (z[:, None] * z).reshape(36, *z.shape[1:])
-    R, W = pairs[_RATE_PAIRS], pairs[_END_PAIRS]
-    # the 36 terms of R @ curv @ W, padded with zeros to 64 and summed by halves
-    terms = np.zeros((64, *z.shape[1:]))
-    np.multiply((R[:, None] * W).reshape(36, *z.shape[1:]), curv.reshape(36, 1, 1), out=terms[:36])
+    R, W = (z[_MONOMIALS[0]] * z[_MONOMIALS[1]]).reshape(2, 6, *z.shape[1:])
+    # the 36 terms of R @ curv @ W summed by halves, as if padded with zeros
+    # to 64: the last four join the first four, then 32 rows halve
+    terms = (R[:, None] * W).reshape(36, *z.shape[1:]) * curv.reshape(36, 1, 1)
+    terms[:4] += terms[32:]
+    terms = terms[:32]
     while len(terms) > 1:
         terms = terms[: len(terms) // 2] + terms[len(terms) // 2 :]
     return terms[0], _det_bound(size, z[3], z[4])
@@ -510,8 +516,8 @@ def _split_gaps(geom: RobotGeometry, s: _SampledPath):
             "the bounds on the line-matrix determinant along the path are not finite: "
             "the path's coordinates are too large"
         )
-    h, f = ts[1:] - ts[:-1], np.minimum(a[:-1], a[1:])
-    k = (rows[:-1] == rows[1:]) & (dets[:-1] * dets[1:] > 0.0) & ~(f > largest * h**2) & (h > CROSSING_T_TOL)
+    h, f, sign = ts[1:] - ts[:-1], np.minimum(a[:-1], a[1:]), np.sign(dets)
+    k = (rows[:-1] == rows[1:]) & (sign[:-1] * sign[1:] > 0.0) & ~(f > largest * h**2) & (h > CROSSING_T_TOL)
     k = k.nonzero()[0]
     if not len(k):
         return ts, rows, dets, size
@@ -520,12 +526,12 @@ def _split_gaps(geom: RobotGeometry, s: _SampledPath):
     seg = row, step[0]
     bound, zero = curvature[seg] * n**2, ZERO_DET_REL * size[seg]
     step = np.stack(step)
-    found, f, g = [], f[k], np.arange(len(k))
+    found, f, g, side = [], f[k], np.arange(len(k)), sign[k]  # a piece's ends keep its gap's sign
     while (keep := (f > zero[g]) & (f <= bound[g] * (hi - lo) ** 2) & (hi - lo > CROSSING_T_TOL)).any():
         lo, hi, flo, fhi, g = (w[keep] for w in (lo, hi, flo, fhi, g))
         mid = 0.5 * (lo + hi)
         fmid = _leg_det(geom, *_leg_vectors(geom, *_step_pose(step[:, g], mid, n)))
-        other = fmid * flo <= 0.0
+        other = fmid * side[g] <= 0.0
         found.append((row[g[other]], mid[other], fmid[other]))
         go = ~other
         lo, hi = np.concatenate([lo[go], mid[go]]), np.concatenate([mid[go], hi[go]])
@@ -570,13 +576,14 @@ def _crossing_events(geom: RobotGeometry, s: _SampledPath, eps_pass: float) -> l
     ts, rows, dets, size = _split_gaps(geom, s)
     same = rows[:-1] == rows[1:]  # consecutive samples of one row
     inner = same[:-1] & same[1:]  # samples with both neighbours in their row
-    around = dets[:-2] * dets[2:]  # product of the neighbours' values
+    sign = np.sign(dets)
+    around = sign[:-2] * sign[2:]  # product of the neighbours' signs
     # a zero sample between samples of opposite signs crosses; any other touches
     zero = np.flatnonzero(dets == 0.0)
     crosses = np.zeros(len(ts), dtype=bool)
     crosses[1:-1] = inner & (around < 0.0)
     crosses = crosses[zero]
-    k = np.flatnonzero(same & (dets[:-1] * dets[1:] < 0.0))
+    k = np.flatnonzero(same & (sign[:-1] * sign[1:] < 0.0))
     refined = _crossing_roots(geom, paths, ts, rows, dets, k)
     # interior minima without a sign change in their step's zero band (tangential touches)
     a = np.abs(dets)
@@ -656,7 +663,7 @@ def verify_mode_change(
     try:
         joint_path = continue_joints(geom, samples)
         measure_trace = np.abs(_line_measure(*samples.legs[2:], L)) / L
-        away = np.abs(joint_path.rho).min(axis=1) > eps_pass
+        away = samples.legs[2].min(axis=1) > eps_pass  # |rho|
         if np.any(away):
             min_measure = float(np.nanmin(measure_trace[away]))
     except AmbiguousContinuation as exc:
@@ -802,7 +809,7 @@ def _axis_edge_scan(geom, xs, ys, phis, axis, q, det, sgn, band):
     while len(e):
         mid = 0.5 * (lo + hi)
         fmid = np.einsum("kt,kt->k", coef[e], _trig_basis(mid))
-        hit[e[~(fmid * flo > 0.0) | (np.abs(fmid) <= band)]] = True
+        hit[e[~(np.sign(fmid) * np.sign(flo) > 0.0) | (np.abs(fmid) <= band)]] = True
         go, scale = ~hit[e], scale / 4
         e, lo, hi = np.tile(e[go], 2), np.concatenate([lo[go], mid[go]]), np.concatenate([mid[go], hi[go]])
         flo, fhi = np.concatenate([flo[go], fmid[go]]), np.concatenate([fmid[go], fhi[go]])

@@ -130,24 +130,30 @@ def _leg_det(geom: RobotGeometry, dx, dy):
 
 
 def _float_leg_vectors(legs, x: float, y: float, phi: float):
-    """:func:`_leg_vectors` at one pose in Python floats, as lists of the
+    """:func:`_leg_vectors` at one pose in Python floats, as tuples of the
     three legs' ``dx`` and ``dy``; ``legs`` holds each leg's (ax, ay, bx,
     by).  The float twin of the kernel: the same operations in the same
     order, so the same bits wherever ``math.cos`` and ``math.sin`` give
-    numpy's (a test holds them to it)."""
+    numpy's (a test holds them to it).  Written out leg by leg, as is
+    :func:`_float_leg_det`: a comprehension costs more than the arithmetic."""
     c, s = math.cos(phi), math.sin(phi)
-    dx = [x + (c * bx - s * by) - ax for ax, _, bx, by in legs]
-    return dx, [y + (s * bx + c * by) - ay for _, ay, bx, by in legs]
+    (ax0, ay0, bx0, by0), (ax1, ay1, bx1, by1), (ax2, ay2, bx2, by2) = legs
+    return (
+        (x + (c * bx0 - s * by0) - ax0, x + (c * bx1 - s * by1) - ax1, x + (c * bx2 - s * by2) - ax2),
+        (y + (s * bx0 + c * by0) - ay0, y + (s * bx1 + c * by1) - ay1, y + (s * bx2 + c * by2) - ay2),
+    )
 
 
 def _float_leg_det(legs, dx, dy) -> float:
     """:func:`_leg_det` on the leg vectors of :func:`_float_leg_vectors`,
     operation for operation in Python floats."""
-    m = [ax * ddy - ay * ddx for (ax, ay, _, _), ddx, ddy in zip(legs, dx, dy)]
+    (ax0, ay0, _, _), (ax1, ay1, _, _), (ax2, ay2, _, _) = legs
+    dx0, dx1, dx2 = dx
+    dy0, dy1, dy2 = dy
     return (
-        m[0] * (dx[1] * dy[2] - dx[2] * dy[1])
-        - m[1] * (dx[0] * dy[2] - dx[2] * dy[0])
-        + m[2] * (dx[0] * dy[1] - dx[1] * dy[0])
+        (ax0 * dy0 - ay0 * dx0) * (dx1 * dy2 - dx2 * dy1)
+        - (ax1 * dy1 - ay1 * dx1) * (dx0 * dy2 - dx2 * dy0)
+        + (ax2 * dy2 - ay2 * dx2) * (dx0 * dy1 - dx1 * dy0)
     )
 
 
@@ -168,7 +174,7 @@ def _leg_geometry(geom: RobotGeometry, x, y, phi):
 
 def _pose_geometry(geom: RobotGeometry, x, y, phi):
     """:func:`_leg_geometry` at one pose with its bits, in floats: the float
-    twin's (:func:`_float_leg_det`) lists ``dx``, ``dy`` and float ``det``, and
+    twin's (:func:`_float_leg_det`) tuples ``dx``, ``dy`` and float ``det``, and
     ``dist`` by one ``np.hypot`` (``math.hypot`` rounds otherwise).  Values that
     overflow (such as a platform frame ~1e300 away) raise :class:`ValidationError`."""
     legs = geom.leg_floats

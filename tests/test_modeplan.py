@@ -2217,6 +2217,90 @@ def test_step_bounds_of_a_step_are_the_same_bits_in_any_batch():
                 assert alone[1].tobytes() == size[r : r + 1].tobytes()
 
 
+def _padded_step_bounds(geom, paths):
+    """_step_bounds as it was before it formed its twelve monomials
+    directly, the reference of _step_bounds: R and W picked from the 36
+    pairwise products of z = (|dx|, |dy|, |dphi|, u, v, 1), and the 36
+    terms of R @ curv @ W padded with zeros to 64 rows and summed by halves."""
+    o, curv, size = geom.gap_forms
+    z = np.ones((6, *paths.steps.shape[:2]))
+    np.abs(paths.steps.transpose(2, 0, 1), out=z[:3])
+    ends = np.abs(paths.table[..., :2] - o).transpose(2, 0, 1)
+    np.maximum(ends[..., :-1], ends[..., 1:], out=z[3:5])
+    pairs = (z[:, None] * z).reshape(36, *z.shape[1:])
+    R, W = pairs[[0, 1, 7, 2, 8, 14]], pairs[[21, 22, 28, 23, 29, 35]]
+    terms = np.zeros((64, *z.shape[1:]))
+    np.multiply((R[:, None] * W).reshape(36, *z.shape[1:]), curv.reshape(36, 1, 1), out=terms[:36])
+    while len(terms) > 1:
+        terms = terms[: len(terms) // 2] + terms[len(terms) // 2 :]
+    return terms[0], modeplan._det_bound(size, z[3], z[4])
+
+
+def test_step_bounds_equal_the_padded_sum_bit_for_bit(ref):
+    """_step_bounds, which forms its twelve monomials directly and folds
+    its 36 terms into the halving tree of the zero-padded 64, gives the
+    bits of the padded form (_padded_step_bounds): on the rows of
+    _equivalence_cases (one row, polylines and planner batches of up to
+    1,024 rows), on seeded batches of 1 to 3 segments, and on steps whose
+    monomials overflow, where a term is inf or nan (inf times 0)."""
+    rng = np.random.default_rng(39)
+    cases = _equivalence_cases(ref)
+    for geom in _phi_scan_designs()[:12]:
+        Lg = characteristic_scale(geom)
+        for m, n in ((1, 1), (5, 3), (64, 1)):
+            table = np.concatenate([rng.uniform(-Lg, 2 * Lg, (m, n + 1, 2)), rng.uniform(-4, 4, (m, n + 1, 1))], -1)
+            cases.append((geom, modeplan._Paths(table, 16)))
+    huge = np.array([[[5, 5, 0], [6e100, 5, 1]], [[1e120, 0, 0], [-1e120, 1, 3]], [[1e200, 1, 0], [1e200, 2, 0]]], float)
+    cases.append((ref, modeplan._Paths(huge, 16)))
+    non_finite = 0
+    for geom, paths in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = modeplan._step_bounds(geom, paths), _padded_step_bounds(geom, paths)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        non_finite += int((~np.isfinite(got[0])).sum())
+    assert len(cases) > 60 and non_finite >= 3
+
+
+@pytest.mark.parametrize("k", range(-70, 71, 10))
+def test_detector_compares_signs_at_every_scale(k):
+    """The reference robot x10^k, k = -70 ... 70, on (3, 0.2, 0) s -> (3, 3,
+    0) s and on the hidden pair times s, whose two crossings only halving
+    separates: every scale finds the x1 event kinds at the x1 parameters
+    (within 1e-9), and no RuntimeWarning.  The detector used to multiply
+    raw determinants, whose products underflow to 0 below |det| ~1e-162
+    (no event from x1e-50 down) and overflow above ~1e154 (three overflow
+    warnings from x1e40 up)."""
+    pair = [(w["x"], w["y"], w["phi"]) for w in _HIDDEN_PAIR]
+    s = 10.0**k
+    geom = RobotGeometry(np.asarray(REF_BASE) * s, np.asarray(REF_PLATFORM) * s)
+    for ends, kinds in ((((3, 0.2, 0), (3, 3, 0)), ["parallel"]), (pair, ["parallel", "parallel"])):
+        want = detect_crossings(RobotGeometry(REF_BASE, REF_PLATFORM), WorkspacePath(tuple(Pose(*p) for p in ends)))
+        assert [e.kind for e in want] == kinds
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = detect_crossings(geom, WorkspacePath(tuple(Pose(x * s, y * s, phi) for x, y, phi in ends)))
+        assert [(e.kind, e.leg) for e in got] == [(e.kind, e.leg) for e in want]
+        assert np.allclose([e.t for e in got], [e.t for e in want], rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("s", [1e-50, 1e40])
+def test_plan_at_extreme_scales_keeps_its_passage(s):
+    """The reference robot's x1e-50 and x1e40 copies plan from (5, 5, 0) s
+    at 16^3, and each plan verifies changed_without_parallel through one
+    passage, with no RuntimeWarning.  The planner's and the detector's former sign
+    tests multiplied raw values: near |det| ~1e-200 their products
+    underflowed to 0, so the simplified x1e-50 plan lost its passage
+    crossing and the planner raised; near 1e160 they overflowed, with a
+    RuntimeWarning."""
+    geom = RobotGeometry(np.asarray(REF_BASE) * s, np.asarray(REF_PLATFORM) * s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = plan_mode_change(geom, Pose(5 * s, 5 * s, 0.0), resolution=(16, 16, 16))
+        cert = verify_mode_change(geom, path)
+    assert cert.verdict == "changed_without_parallel"
+    assert [e.kind for e in cert.events] == ["passage"]
+
+
 @pytest.mark.parametrize("offset", [1e4, 3e4, 1e5])
 @pytest.mark.parametrize("where", ["before", "after"])
 def test_a_far_segment_keeps_the_hidden_pair_events(ref, offset, where):
@@ -2501,6 +2585,51 @@ def test_sampling_and_refinement_equal_the_one_pass_forms(ref):
     none = np.array([], dtype=int)
     assert all(v.size == 0 for v in modeplan._step_pose(paths.step_at(none * 0.5, none), none * 0.5, n))
     assert modeplan._crossing_roots(geom, paths, ts, rows, dets, none) == []
+
+
+def _lexsort_sample_params(geom, paths):
+    """_sample_params as it was before it placed its refinement samples by
+    index, the reference of _sample_params: the base samples and the
+    refinement samples concatenated, then sorted by row and t (lexsort)."""
+    m, n, _ = paths.steps.shape
+    u = np.append((np.arange(n)[:, None] + np.linspace(0.0, 1.0, paths.samples + 1)[:-1]).ravel(), n) / n
+    ts, rows = np.tile(u, m), np.repeat(np.arange(m), len(u))
+    legs = _leg_geometry(geom, *paths.poses_at(ts, rows))
+    dmin = legs[2].min(axis=-1)
+    band = modeplan.REFINE_BAND_REL * geom.L
+    k = np.nonzero(((dmin[:-1] < band) | (dmin[1:] < band)) & (rows[:-1] == rows[1:]))[0]
+    if not len(k):
+        return ts, rows, legs
+    frac = np.arange(1, modeplan.REFINE_FACTOR) / modeplan.REFINE_FACTOR
+    extra = (ts[k, None] + (ts[k + 1] - ts[k])[:, None] * frac).ravel()
+    extra_rows = np.repeat(rows[k], len(frac))
+    more = _leg_geometry(geom, *paths.poses_at(extra, extra_rows))
+    ts, rows = np.concatenate([ts, extra]), np.concatenate([rows, extra_rows])
+    order = np.lexsort((ts, rows))
+    return ts[order], rows[order], tuple(np.concatenate([a, b])[order] for a, b in zip(legs, more))
+
+
+def test_sampling_places_refinement_samples_by_index_with_the_sorted_bits(ref):
+    """_sample_params, which places each refinement sample by index, gives
+    the parameters, rows (and their dtype) and kernel outputs of the
+    concatenate-and-lexsort merge (_lexsort_sample_params), bit for bit, on
+    the refined and unrefined one-row paths, polylines and planner batches
+    of up to 1,024 rows of _equivalence_cases, and on the seeded paths."""
+    rng = np.random.default_rng(39)
+    cases = _equivalence_cases(ref) + [(ref, p._paths) for p in _seeded_paths(ref, rng)]
+    refined = unrefined = batches = 0
+    for geom, paths in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = modeplan._sample_params(geom, paths), _lexsort_sample_params(geom, paths)
+        assert got[1].dtype == want[1].dtype
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2])))
+        m, n = paths.steps.shape[:2]
+        if len(got[0]) > m * (n * paths.samples + 1):
+            refined += 1
+            batches += m > 1
+        else:
+            unrefined += 1
+    assert refined > 20 and unrefined > 10 and batches > 10
 
 
 def _assert_float_forms_equal_the_kernel(geom, x, y, phi):
